@@ -23,10 +23,12 @@ import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AlgebraError, TagRecoveryError
+from .evaldomain import INCONSISTENT, NO_EQUATION, EvaluationDomain
 from .fp import PrimeField
 from .kernels import _trim, kernels_enabled
 from .poly import Polynomial, is_irreducible_mod_p
 from .rings import CoefficientRing, IntegerRing, ZZ
+from .vkernels import VecFpKernel
 
 __all__ = [
     "EncodingRing",
@@ -227,12 +229,9 @@ class EncodingRing(abc.ABC):
             candidate = self._tag_to_int(value)
             break
         if candidate is None:
-            raise TagRecoveryError(
-                "no non-trivial equation available to solve for the tag value")
+            raise TagRecoveryError(NO_EQUATION)
         if not self.verify_tag(element, children, candidate, product=product):
-            raise TagRecoveryError(
-                "coefficient equations are inconsistent; the node polynomial does "
-                "not factor as (x - t) times the product of its children")
+            raise TagRecoveryError(INCONSISTENT)
         return candidate
 
     def verify_tag(self, element: Polynomial, children: Sequence[Polynomial],
@@ -280,6 +279,14 @@ class EncodingRing(abc.ABC):
 
     def _tag_to_int(self, value: Any) -> int:
         return int(value)
+
+    def evaluation_domain(self) -> Optional[EvaluationDomain]:
+        """Batched Theorem-1/2 recovery for this ring, or ``None``.
+
+        ``None`` means callers run :meth:`recover_tag` per node: every
+        ring except ``F_p[x]/(x^{p-1} - 1)`` on the vectorized kernel tier.
+        """
+        return None
 
     # -- storage accounting (§5) ------------------------------------------------------
     @abc.abstractmethod
@@ -350,6 +357,23 @@ class FpQuotientRing(EncodingRing):
         # Every element is stored as p-1 coefficients of log2(p) bits each,
         # matching the n*(p-1)*log p storage formula of §5.
         return (self.p - 1) * self.field.element_bits(0)
+
+    def evaluation_domain(self) -> Optional[EvaluationDomain]:
+        """The evaluation-domain verifier when the vectorized tier is active.
+
+        Decided per call from the tier :meth:`PrimeField.kernel` returns, so
+        ``use_kernels``/``use_vector_kernels`` switch it like every other
+        kernel path; primes with more than
+        :data:`EvaluationDomain.MAX_POINTS` nonzero points keep per-node
+        :meth:`recover_tag`.
+        """
+        if (not isinstance(self.field.kernel(), VecFpKernel)
+                or self.p - 1 > EvaluationDomain.MAX_POINTS):
+            return None
+        domain = self.__dict__.get("_evaluation_domain")
+        if domain is None:
+            domain = self.__dict__["_evaluation_domain"] = EvaluationDomain(self.p)
+        return domain
 
     def modulus_polynomial(self) -> Polynomial:
         """The modulus ``x^{p-1} - 1`` as a polynomial over ``F_p``."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 import enum
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
@@ -256,6 +256,18 @@ class ServerInterface(abc.ABC):
     def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
         """Constant coefficients of server shares (CONSTANT_ONLY verification)."""
 
+    def fetch_polynomial_rows(self, node_ids: Sequence[int]
+                              ) -> Dict[int, Sequence[int]]:
+        """Server-share coefficient rows, as received (untrusted).
+
+        What FULL verification consumes: rows may be unreduced, and the
+        verifier normalises them.  The base implementation takes the
+        coefficients of :meth:`fetch_polynomials`; wire transports return
+        the decoded rows without building a polynomial per node.
+        """
+        return {node_id: poly.coeffs
+                for node_id, poly in self.fetch_polynomials(node_ids).items()}
+
     @abc.abstractmethod
     def prune(self, node_ids: Sequence[int]) -> None:
         """Inform the server that these subtrees are dead for the current query."""
@@ -295,8 +307,9 @@ class ServerInterface(abc.ABC):
         the v2 transport answers both in one exchange; the base
         implementation composes the two v1 requests.  Returns
         ``(children, data, round_trips)`` where ``data`` maps every node in
-        the closure to its share polynomial (or constant coefficient when
-        ``constants_only``).
+        the closure to its share's coefficient row, as
+        :meth:`fetch_polynomial_rows` returns it (or to its constant
+        coefficient when ``constants_only``).
         """
         children = self.children_of(node_ids)
         needed = sorted(set(node_ids) | {
@@ -304,7 +317,7 @@ class ServerInterface(abc.ABC):
         if constants_only:
             data: Dict[int, object] = dict(self.fetch_constants(needed))
         else:
-            data = dict(self.fetch_polynomials(needed))
+            data = dict(self.fetch_polynomial_rows(needed))
         return children, data, 2
 
     def flush_prunes(self) -> int:
@@ -696,20 +709,6 @@ class QueryEngine:
         outcome.matches = sorted(set(definite) | set(confirmed))
         outcome.unverified_candidates = sorted(inconclusive)
 
-    def _reconstruct_polynomials(self, node_ids: Sequence[int],
-                                 stats: QueryStats) -> Dict[int, Polynomial]:
-        """Fetch server shares and add the client shares (full polynomials)."""
-        if not node_ids:
-            return {}
-        server_shares = self.server.fetch_polynomials(node_ids)
-        stats.round_trips += 1
-        stats.polynomials_fetched += len(node_ids)
-        full: Dict[int, Polynomial] = {}
-        for node_id in node_ids:
-            full[node_id] = self.ring.add(
-                self.client_shares.share_for(node_id), server_shares[node_id])
-        return full
-
     def _verification_children(self, candidates: Sequence[int], stats: QueryStats,
                                constants_only: bool
                                ) -> Tuple[Dict[int, List[int]], Optional[Dict[int, object]]]:
@@ -740,29 +739,74 @@ class QueryEngine:
         rejected: List[int] = []
         if not candidates:
             return confirmed, rejected
-        children_map, server_shares = self._verification_children(
+        children_map, server_rows = self._verification_children(
             candidates, stats, constants_only=False)
         needed = sorted(set(candidates) | {
             child for node_id in candidates for child in children_map[node_id]})
-        if server_shares is None:
-            polynomials = self._reconstruct_polynomials(needed, stats)
-        else:
-            polynomials = {
-                node_id: self.ring.add(self.client_shares.share_for(node_id),
-                                       server_shares[node_id])
-                for node_id in needed}
-        for node_id in candidates:
+        if server_rows is None:
+            server_rows = self.server.fetch_polynomial_rows(needed)
+            stats.round_trips += 1
+            stats.polynomials_fetched += len(needed)
+        values = self._recover_tags(candidates, children_map, needed,
+                                    server_rows)
+        for node_id, value in zip(candidates, values):
             stats.candidates_verified += 1
-            node_poly = polynomials[node_id]
-            child_polys = [polynomials[c] for c in children_map[node_id]]
-            try:
-                value = self.ring.recover_tag(node_poly, child_polys)
-            except TagRecoveryError as exc:
+            if isinstance(value, TagRecoveryError):
                 raise VerificationError(
                     f"node {node_id}: the server's polynomials are inconsistent "
-                    "with the encoding invariant") from exc
+                    "with the encoding invariant") from value
             (confirmed if value == point else rejected).append(node_id)
         return confirmed, rejected
+
+    def _recover_tags(self, candidates: Sequence[int],
+                      children_map: Dict[int, List[int]],
+                      needed: Sequence[int],
+                      server_rows: Dict[int, Sequence[int]]
+                      ) -> List[Union[int, TagRecoveryError]]:
+        """Each candidate's tag value, or the error that stops verification.
+
+        Full node polynomials are the client's regenerated shares plus the
+        server's rows.  With an evaluation domain (``F_p`` rings on the
+        vectorized tier) every candidate is solved in one pass of array
+        arithmetic; otherwise each goes through :meth:`recover_tag`, up to
+        the first failure.  A failing candidate yields the
+        :class:`TagRecoveryError` ``recover_tag`` raises for it instead of
+        a value.
+        """
+        ring = self.ring
+        domain = ring.evaluation_domain()
+        if domain is not None:
+            received = domain.coefficient_matrix(
+                server_rows.values(),
+                lambda row: ring.from_coefficients(row).coeffs)
+            position = {node_id: index
+                        for index, node_id in enumerate(server_rows)}
+            server = received[[position[node_id] for node_id in needed]]
+            client = domain.coefficient_matrix(
+                [self.client_shares.share_for(node_id).coeffs
+                 for node_id in needed])
+            row_of = {node_id: index for index, node_id in enumerate(needed)}
+            return domain.recover_tags(
+                domain.transform((client + server) % domain.p),
+                [row_of[node_id] for node_id in candidates],
+                [[row_of[child] for child in children_map[node_id]]
+                 for node_id in candidates])
+        shares = {node_id: ring.from_coefficients(row)
+                  for node_id, row in server_rows.items()}
+        polynomials = {
+            node_id: ring.add(self.client_shares.share_for(node_id),
+                              shares[node_id])
+            for node_id in needed}
+        results: List[Union[int, TagRecoveryError]] = []
+        for node_id in candidates:
+            try:
+                results.append(ring.recover_tag(
+                    polynomials[node_id],
+                    [polynomials[child] for child in children_map[node_id]]))
+            except TagRecoveryError as exc:
+                results.append(exc)
+                break
+        return results
 
     def _verify_constant_only(self, candidates: Sequence[int], point: int,
                               stats: QueryStats) -> Tuple[List[int], List[int]]:

@@ -27,7 +27,7 @@ from ..algebra.quotient import (
     IntQuotientRing,
     default_int_modulus,
 )
-from ..errors import MappingCapacityError, QueryError
+from ..errors import MappingCapacityError, QueryError, TagRecoveryError
 from ..prg import DeterministicPRG
 from ..xmltree import XmlDocument
 from ..xpath import LocationPath, TagQueryPlan
@@ -137,13 +137,13 @@ class ClientContext:
                node_id: int) -> str:
         """Recover the tag name of one node by Theorem 1/2 reconstruction."""
         adapter = self.adapt(server)
-        stats = QueryStats()
         engine = self.engine(adapter)
-        children = engine.children_of([node_id], stats)[node_id]
+        children = engine.children_of([node_id], QueryStats())[node_id]
         needed = [node_id] + list(children)
-        polynomials = engine._reconstruct_polynomials(needed, stats)
-        value = self.ring.recover_tag(polynomials[node_id],
-                                      [polynomials[c] for c in children])
+        value = engine._recover_tags([node_id], {node_id: children}, needed,
+                                     adapter.fetch_polynomial_rows(needed))[0]
+        if isinstance(value, TagRecoveryError):
+            raise value
         return self.mapping.tag(value)
 
     def tag_path_of(self, server: Union[ServerInterface, ServerShareTree],

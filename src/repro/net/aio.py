@@ -614,7 +614,14 @@ class AsyncServerInterface:
 
     async def fetch_polynomials(self, node_ids: Sequence[int]
                                 ) -> Dict[int, object]:
-        """Full server-share polynomials (used by FULL verification)."""
+        """Full server-share polynomials."""
+        return {node_id: self.ring.from_coefficients(row)
+                for node_id, row in
+                (await self.fetch_polynomial_rows(node_ids)).items()}
+
+    async def fetch_polynomial_rows(self, node_ids: Sequence[int]
+                                    ) -> Dict[int, Sequence[int]]:
+        """Server-share coefficient rows as decoded (FULL verification)."""
         from .messages import FetchPolynomialsRequest, FetchPolynomialsResponse
 
         if self.batched_rounds:
@@ -622,13 +629,11 @@ class AsyncServerInterface:
                                       include_children=False,
                                       fetch_polynomials=node_ids)
             response = await self._request(request, FrontierResponse)
-            return {node_id: self.ring.from_coefficients(
-                        response.polynomials[node_id])
+            return {node_id: response.polynomials[node_id]
                     for node_id in node_ids}
         response = await self._request(FetchPolynomialsRequest(node_ids),
                                        FetchPolynomialsResponse)
-        return {node_id: self.ring.from_coefficients(coeffs)
-                for node_id, coeffs in response.coefficients.items()}
+        return response.coefficients
 
     async def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
         """Constant coefficients of server shares (CONSTANT_ONLY mode)."""
@@ -739,7 +744,11 @@ class AsyncServerInterface:
                                   constants_only: bool = False
                                   ) -> Tuple[Dict[int, List[int]],
                                              Dict[int, object], int]:
-        """Child lists plus share data for ``node_ids`` and their children."""
+        """Child lists plus share data for ``node_ids`` and their children.
+
+        Share data as the sync adapter returns it: coefficient rows as
+        decoded (or constant coefficients when ``constants_only``).
+        """
         if not self.batched_rounds:
             # v1: a children exchange plus a fetch over the closure.
             children = await self.children_of(node_ids)
@@ -749,7 +758,7 @@ class AsyncServerInterface:
                 data: Dict[int, object] = dict(
                     await self.fetch_constants(needed))
             else:
-                data = dict(await self.fetch_polynomials(needed))
+                data = dict(await self.fetch_polynomial_rows(needed))
             return children, data, 2
         request = FrontierRequest(
             prune=self._take_prunes(), include_children=True,
@@ -759,8 +768,7 @@ class AsyncServerInterface:
         if constants_only:
             data = dict(response.constants)
         else:
-            data = {node_id: self.ring.from_coefficients(coeffs)
-                    for node_id, coeffs in response.polynomials.items()}
+            data = dict(response.polynomials)
         children = {node_id: response.children[node_id] for node_id in node_ids}
         return children, data, 1
 

@@ -145,14 +145,19 @@ class RemoteServerAdapter(ServerInterface):
         return response.values
 
     def fetch_polynomials(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
+        return {node_id: self.ring.from_coefficients(row)
+                for node_id, row in self.fetch_polynomial_rows(node_ids).items()}
+
+    def fetch_polynomial_rows(self, node_ids: Sequence[int]
+                              ) -> Dict[int, Sequence[int]]:
+        """The decoded coefficient rows, with no polynomial per node."""
         if self.protocol_version >= 2:
             response = self._frontier(fetch_polynomials=node_ids)
-            return {node_id: self.ring.from_coefficients(response.polynomials[node_id])
+            return {node_id: response.polynomials[node_id]
                     for node_id in node_ids}
         response = self._request(FetchPolynomialsRequest(node_ids),
                                  FetchPolynomialsResponse)
-        return {node_id: self.ring.from_coefficients(coeffs)
-                for node_id, coeffs in response.coefficients.items()}
+        return response.coefficients
 
     def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
         if self.protocol_version >= 2:
@@ -214,8 +219,7 @@ class RemoteServerAdapter(ServerInterface):
         else:
             response = self._frontier(include_children=True,
                                       fetch_polynomials=node_ids)
-            data = {node_id: self.ring.from_coefficients(coeffs)
-                    for node_id, coeffs in response.polynomials.items()}
+            data = dict(response.polynomials)
         children = {node_id: response.children[node_id] for node_id in node_ids}
         return children, data, 1
 

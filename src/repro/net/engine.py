@@ -774,9 +774,7 @@ class ServingCore:
 
     def _handle_children(self, document: HostedDocument,
                          message: ChildrenRequest) -> ChildrenResponse:
-        store = document.store
-        return ChildrenResponse({node_id: store.child_ids(node_id)
-                                 for node_id in message.node_ids})
+        return ChildrenResponse(document.store.child_lists(message.node_ids))
 
     def _handle_evaluate(self, document: HostedDocument,
                          message: EvaluateRequest) -> EvaluateResponse:
@@ -792,44 +790,48 @@ class ServingCore:
                                ) -> List[FrontierResponse]:
         """Serve one document's frontier requests under its (held) lock.
 
-        Child lists are resolved once per node per batch and share
-        evaluations once per (node, point) per batch; each request's
-        response is then sliced out of the union passes.
+        Child lists are read set-at-a-time: one store read per lookahead
+        level across every request, and one more for the child lists the
+        responses and verification closures still need.  Share evaluations
+        run once per (node, point) per batch and each fetch is one batch
+        share read; each request's response is then sliced out of the
+        union passes.
         """
         store = document.store
         child_cache: Dict[int, List[int]] = {}
 
-        def children_of(node_id: int) -> List[int]:
-            cached = child_cache.get(node_id)
-            if cached is None:
-                cached = child_cache[node_id] = store.child_ids(node_id)
-            return cached
+        def read_children(node_ids: List[int]) -> None:
+            missing = [node_id for node_id in node_ids
+                       if node_id not in child_cache]
+            if missing:
+                child_cache.update(store.child_lists(missing))
 
         # Pass 1: prune notices, then the speculative expansion of every
         # request's frontier (the requested nodes plus up to ``lookahead``
-        # further levels of the induced subtree).
-        expanded: List[Tuple[List[int], Dict[int, List[int]]]] = []
+        # further levels of the induced subtree), level by level.
         for message in messages:
             if message.prune:
                 self._observe_prune(document, message.prune)
-            child_lists: Dict[int, List[int]] = {}
-            frontier_nodes = list(message.node_ids)
-            level = frontier_nodes
-            for _ in range(min(max(message.lookahead, 0), self.MAX_LOOKAHEAD)):
-                next_level: List[int] = []
-                for node_id in level:
-                    child_lists[node_id] = children_of(node_id)
-                    next_level.extend(child_lists[node_id])
-                if not next_level:
-                    break
-                frontier_nodes = frontier_nodes + next_level
-                level = next_level
-            expanded.append((frontier_nodes, child_lists))
+        frontiers = [list(message.node_ids) for message in messages]
+        levels = [list(message.node_ids) for message in messages]
+        depths = [min(max(message.lookahead, 0), self.MAX_LOOKAHEAD)
+                  for message in messages]
+        for depth in range(max(depths, default=0)):
+            active = [index for index, level in enumerate(levels)
+                      if level and depth < depths[index]]
+            if not active:
+                break
+            read_children([node_id for index in active
+                           for node_id in levels[index]])
+            for index in active:
+                levels[index] = [child for node_id in levels[index]
+                                 for child in child_cache[node_id]]
+                frontiers[index] = frontiers[index] + levels[index]
 
         # Pass 2: the coalesced evaluation — one batched store pass per
         # distinct query point over the union of every request's frontier.
         point_nodes: Dict[int, set] = {}
-        for message, (frontier_nodes, _) in zip(messages, expanded):
+        for message, frontier_nodes in zip(messages, frontiers):
             for point in message.points:
                 point_nodes.setdefault(point, set()).update(frontier_nodes)
         point_values: Dict[int, Dict[int, int]] = {}
@@ -837,9 +839,19 @@ class ServingCore:
             point_values[point] = store.evaluate_many(
                 sorted(point_nodes[point]), point)
 
-        # Pass 3: slice each request's response out of the union passes.
+        # Pass 3: the remaining child lists in one read, then each
+        # request's response sliced out of the union passes.  With
+        # ``include_children`` a fetch answers for the listed nodes plus
+        # all their children (the Theorem-1/2 closure); without it the
+        # fetch is exact, matching the v1 semantics.
+        read_children([node_id
+                       for message, frontier_nodes in zip(messages, frontiers)
+                       if message.include_children
+                       for node_id in (frontier_nodes
+                                       + list(message.fetch_polynomials)
+                                       + list(message.fetch_constants))])
         responses: List[FrontierResponse] = []
-        for message, (frontier_nodes, child_lists) in zip(messages, expanded):
+        for message, frontier_nodes in zip(messages, frontiers):
             evaluations: Dict[int, Dict[int, int]] = {}
             for point in message.points:
                 self._observe_points(document, point, frontier_nodes)
@@ -849,82 +861,60 @@ class ServingCore:
             children: Dict[int, List[int]] = {}
             if message.include_children:
                 for node_id in frontier_nodes:
-                    if node_id not in child_lists:
-                        child_lists[node_id] = children_of(node_id)
-                    children[node_id] = child_lists[node_id]
-            # With ``include_children`` a fetch answers for the listed
-            # nodes plus all their children (the Theorem-1/2 closure);
-            # without it the fetch is exact, matching the v1 semantics.
+                    children[node_id] = child_cache[node_id]
             polynomials: Dict[int, List[int]] = {}
             if message.fetch_polynomials:
-                if message.include_children:
-                    fetched = self._verification_closure(
-                        children_of, message.fetch_polynomials, children)
-                else:
-                    fetched = sorted(set(message.fetch_polynomials))
+                fetched = self._fetch_ids(message.fetch_polynomials,
+                                          message.include_children,
+                                          child_cache, children)
                 self._observe_served(document, "polynomials_served", fetched)
-                degree_bound = store.ring.degree_bound
-                for node_id in fetched:
-                    share = store.share_of(node_id)
-                    polynomials[node_id] = [int(share.coefficient(i))
-                                            for i in range(degree_bound)]
+                polynomials = store.coefficient_rows(fetched)
             constants: Dict[int, int] = {}
             if message.fetch_constants:
-                if message.include_children:
-                    fetched = self._verification_closure(
-                        children_of, message.fetch_constants, children)
-                else:
-                    fetched = sorted(set(message.fetch_constants))
+                fetched = self._fetch_ids(message.fetch_constants,
+                                          message.include_children,
+                                          child_cache, children)
                 self._observe_served(document, "constants_served", fetched)
-                for node_id in fetched:
-                    constants[node_id] = int(store.share_of(node_id).constant_term)
+                constants = {node_id: row[0] for node_id, row
+                             in store.coefficient_rows(fetched).items()}
             responses.append(FrontierResponse(evaluations, children,
                                               polynomials, constants))
         return responses
 
     @staticmethod
-    def _verification_closure(children_of: Callable[[int], List[int]],
-                              node_ids: List[int],
-                              children: Dict[int, List[int]]) -> List[int]:
-        """The requested nodes plus all their children (Theorem-1/2 inputs).
+    def _fetch_ids(node_ids: List[int], include_children: bool,
+                   child_cache: Dict[int, List[int]],
+                   children: Dict[int, List[int]]) -> List[int]:
+        """The sorted node ids a fetch answers for.
 
-        Child lists discovered here are folded into the response's
-        ``children`` map so the client learns the structure in the same
-        exchange.
+        With ``include_children`` that is the requested nodes plus all
+        their children (Theorem-1/2 inputs), and the child lists are folded
+        into the response's ``children`` map so the client learns the
+        structure in the same exchange.
         """
-        closure = []
-        seen = set()
+        if not include_children:
+            return sorted(set(node_ids))
+        closure = set()
         for node_id in node_ids:
-            child_ids = children.get(node_id)
-            if child_ids is None:
-                child_ids = children_of(node_id)
-                children[node_id] = child_ids
-            for member in [node_id] + child_ids:
-                if member not in seen:
-                    seen.add(member)
-                    closure.append(member)
+            child_ids = children.setdefault(node_id, child_cache[node_id])
+            closure.add(node_id)
+            closure.update(child_ids)
         return sorted(closure)
 
     def _handle_fetch_polynomials(self, document: HostedDocument,
                                   message: FetchPolynomialsRequest
                                   ) -> FetchPolynomialsResponse:
         self._observe_served(document, "polynomials_served", message.node_ids)
-        store = document.store
-        coefficients = {}
-        for node_id in message.node_ids:
-            share = store.share_of(node_id)
-            coefficients[node_id] = [int(share.coefficient(i))
-                                     for i in range(store.ring.degree_bound)]
-        return FetchPolynomialsResponse(coefficients)
+        return FetchPolynomialsResponse(
+            document.store.coefficient_rows(message.node_ids))
 
     def _handle_fetch_constants(self, document: HostedDocument,
                                 message: FetchConstantsRequest
                                 ) -> FetchConstantsResponse:
         self._observe_served(document, "constants_served", message.node_ids)
-        store = document.store
         return FetchConstantsResponse({
-            node_id: int(store.share_of(node_id).constant_term)
-            for node_id in message.node_ids})
+            node_id: row[0] for node_id, row
+            in document.store.coefficient_rows(message.node_ids).items()})
 
     def _handle_prune(self, document: HostedDocument,
                       message: PruneNotice) -> Acknowledgement:

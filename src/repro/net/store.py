@@ -84,6 +84,21 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 _SQL_CHUNK = 500
 
 
+def _id_chunks(node_ids: Sequence[int]) -> Iterator[Tuple[str, List[int]]]:
+    """``IN (...)`` placeholders and parameters for chunks of ``node_ids``.
+
+    Each chunk is padded to the next power of two by repeating its last id
+    (a repeat is harmless inside ``IN``), so every statement kind compiles
+    to at most ten shapes instead of one per distinct list length, and
+    sqlite3's per-connection statement cache stays small.
+    """
+    for start in range(0, len(node_ids), _SQL_CHUNK):
+        chunk = list(node_ids[start:start + _SQL_CHUNK])
+        width = 1 << (len(chunk) - 1).bit_length()
+        chunk.extend([chunk[-1]] * (width - len(chunk)))
+        yield ",".join("?" * width), chunk
+
+
 class ShareStore(abc.ABC):
     """Storage backend for one document's server share tree."""
 
@@ -143,6 +158,36 @@ class ShareStore(abc.ABC):
     @abc.abstractmethod
     def child_ids(self, node_id: int) -> List[int]:
         """Public child list of a node (document order)."""
+
+    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        """Child lists of many nodes in one read (one per descent level).
+
+        Raises :class:`~repro.errors.SharingError` naming the first unknown
+        id.  The base implementation loops over :meth:`child_ids`, which is
+        all a memory-backed store needs; the durable backend answers with
+        one chunked ``SELECT``.
+        """
+        return {node_id: self.child_ids(node_id) for node_id in node_ids}
+
+    def subtree_ids(self, node_id: int) -> List[int]:
+        """``node_id`` and all its descendants, read one level at a time.
+
+        The ids come in the order of a stack walk (a node, then its
+        subtrees from the last child to the first), the order
+        ``ServerShareTree.remove_subtree`` returns.
+        """
+        lists: Dict[int, List[int]] = {}
+        level = [node_id]
+        while level:
+            lists.update(self.child_lists(level))
+            level = [child for parent in level for child in lists[parent]]
+        ordered: List[int] = []
+        stack = [node_id]
+        while stack:
+            current = stack.pop()
+            ordered.append(current)
+            stack.extend(lists[current])
+        return ordered
 
     @abc.abstractmethod
     def parent_id(self, node_id: int) -> Optional[int]:
@@ -238,6 +283,22 @@ class ShareStore(abc.ABC):
         shares = [self.share_of(node_id) for node_id in node_ids]
         return dict(zip(node_ids, self.ring.evaluate_many(shares, point)))
 
+    def coefficient_rows(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        """Share coefficients of many nodes, as the wire carries them.
+
+        Each row is ascending and zero-padded to the ring's degree bound.
+        The base implementation reads :meth:`share_of` per node; the
+        durable backend serves the batch from one cache pass plus one
+        chunked load of the misses.
+        """
+        width = self.ring.degree_bound
+        rows: Dict[int, List[int]] = {}
+        for node_id in node_ids:
+            row = list(self.share_of(node_id).coeffs[:width])
+            row.extend([0] * (width - len(row)))
+            rows[node_id] = row
+        return rows
+
     def depth_of(self, node_id: int) -> int:
         """Depth of a node computed from the public structure."""
         depth = 0
@@ -329,12 +390,7 @@ class StoreTransaction:
             raise SharingError(f"unknown node id {node_id}")
         if self._store.parent_id(node_id) is None:
             raise SharingError("the root node cannot be removed")
-        removed: List[int] = []
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            removed.append(current)
-            stack.extend(self._store.child_ids(current))
+        removed = self._store.subtree_ids(node_id)
         overlap = set(removed) & (self._added | self._replaced)
         if overlap:
             raise SharingError(
@@ -617,12 +673,29 @@ class SQLiteShareStore(ShareStore):
         return None if row is None or row[0] is None else int(row[0])
 
     def child_ids(self, node_id: int) -> List[int]:
+        return self.child_lists([node_id])[node_id]
+
+    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        """Child lists of many nodes: per chunk of ids, one existence check
+        and one ``WHERE parent IN (...) ORDER BY parent, ord``."""
+        lists: Dict[int, List[int]] = {node_id: [] for node_id in node_ids}
+        wanted = list(lists)
+        found = set()
         with self._lock:
-            self._require(node_id)
-            rows = self._conn.execute(
-                "SELECT node_id FROM nodes WHERE parent = ? ORDER BY ord",
-                (node_id,)).fetchall()
-        return [int(row[0]) for row in rows]
+            for marks, chunk in _id_chunks(wanted):
+                found.update(row[0] for row in self._conn.execute(
+                    f"SELECT node_id FROM nodes WHERE node_id IN ({marks})",
+                    chunk))
+                for parent, child in self._conn.execute(
+                        f"SELECT parent, node_id FROM nodes "
+                        f"WHERE parent IN ({marks}) ORDER BY parent, ord",
+                        chunk):
+                    lists[parent].append(child)
+        if len(found) < len(wanted):
+            for node_id in wanted:
+                if node_id not in found:
+                    raise SharingError(f"unknown node id {node_id}")
+        return lists
 
     def parent_id(self, node_id: int) -> Optional[int]:
         with self._lock:
@@ -696,62 +769,93 @@ class SQLiteShareStore(ShareStore):
         kernel = ring.coefficient_ring.kernel()
         vec = kernel if isinstance(kernel, VecFpKernel) else None
         with self._lock:
-            entries: Dict[int, Any] = {}
-            misses: List[int] = []
-            for node_id in node_ids:
-                cached = self._cache.get(node_id)
-                if cached is not None:
-                    self._cache.move_to_end(node_id)
-                    entries[node_id] = cached
-                elif node_id not in entries:
-                    entries[node_id] = None
-                    misses.append(node_id)
-            if self._cache_hits is not None:
-                hits = len(entries) - len(misses)
-                if hits:
-                    self._cache_hits.inc(hits)
-                if misses:
-                    self._cache_misses.inc(len(misses))
-            if misses:
-                blobs: Dict[int, List[bytes]] = {}
-                for start in range(0, len(misses), _SQL_CHUNK):
-                    chunk = misses[start:start + _SQL_CHUNK]
-                    marks = ",".join("?" * len(chunk))
-                    rows = self._conn.execute(
-                        f"SELECT node_id, head FROM nodes "
-                        f"WHERE node_id IN ({marks})", chunk).fetchall()
-                    for row_node, head in rows:
-                        blobs[int(row_node)] = [head]
-                    rows = self._conn.execute(
-                        f"SELECT node_id, page_no, payload FROM pages "
-                        f"WHERE node_id IN ({marks}) ORDER BY node_id, page_no",
-                        chunk).fetchall()
-                    for row_node, _, payload in rows:
-                        blobs[int(row_node)].append(payload)
-                joined: List[bytes] = []
-                for node_id in misses:
-                    payloads = blobs.get(node_id)
-                    if payloads is None:
-                        raise SharingError(f"unknown node id {node_id}")
-                    joined.append(join_pages(payloads))
-                rows64 = (decode_coefficients_batch(joined)
-                          if vec is not None else None)
-                if rows64 is None:
-                    vec = None
-                    for node_id, blob in zip(misses, joined):
-                        share = self._decode_share(blob)
-                        entries[node_id] = share
-                        self._cache_put(node_id, share)
-                else:
-                    for node_id, row in zip(misses, rows64):
-                        entries[node_id] = row
-                        self._cache_put(node_id, row)
-            if vec is not None:
+            entries, as_rows = self._entries_locked(node_ids, vec is not None)
+            if vec is not None and as_rows:
                 return dict(zip(node_ids, self._evaluate_rows_locked(
                     vec, node_ids, entries, point)))
             ordered = [self._entry_share(node_id, entries[node_id])
                        for node_id in node_ids]
         return dict(zip(node_ids, ring.evaluate_many(ordered, point)))
+
+    def coefficient_rows(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        """Share coefficients of many nodes from one cache pass and one
+        chunked load of the misses (the loader :meth:`evaluate_many` uses).
+
+        On the vectorized tier misses stay int64 rows, emitted with one
+        ``tolist()`` each; no :class:`Polynomial` is built.
+        """
+        kernel = self.ring.coefficient_ring.kernel()
+        width = self.ring.degree_bound
+        rows: Dict[int, List[int]] = {}
+        with self._lock:
+            entries, _ = self._entries_locked(
+                node_ids, isinstance(kernel, VecFpKernel))
+            for node_id in node_ids:
+                entry = entries[node_id]
+                row = (list(entry.coeffs) if isinstance(entry, Polynomial)
+                       else entry.tolist())
+                row.extend([0] * (width - len(row)))
+                rows[node_id] = row
+        return rows
+
+    def _entries_locked(self, node_ids: Sequence[int], as_rows: bool
+                        ) -> Tuple[Dict[int, Any], bool]:
+        """Cache entries for ``node_ids``, loading the misses in one pass.
+
+        Misses are read with one ``SELECT ... IN`` per chunk and, when
+        ``as_rows``, batch-decoded into int64 rows; the returned flag says
+        whether that decode happened (``False`` when it fell back to
+        Polynomials, e.g. limbs beyond the native width).
+        """
+        entries: Dict[int, Any] = {}
+        misses: List[int] = []
+        for node_id in node_ids:
+            cached = self._cache.get(node_id)
+            if cached is not None:
+                self._cache.move_to_end(node_id)
+                entries[node_id] = cached
+            elif node_id not in entries:
+                entries[node_id] = None
+                misses.append(node_id)
+        if self._cache_hits is not None:
+            hits = len(entries) - len(misses)
+            if hits:
+                self._cache_hits.inc(hits)
+            if misses:
+                self._cache_misses.inc(len(misses))
+        if not misses:
+            return entries, as_rows
+        blobs: Dict[int, List[bytes]] = {}
+        for marks, chunk in _id_chunks(misses):
+            rows = self._conn.execute(
+                f"SELECT node_id, head FROM nodes "
+                f"WHERE node_id IN ({marks})", chunk).fetchall()
+            for row_node, head in rows:
+                blobs[int(row_node)] = [head]
+            rows = self._conn.execute(
+                f"SELECT node_id, page_no, payload FROM pages "
+                f"WHERE node_id IN ({marks}) ORDER BY node_id, page_no",
+                chunk).fetchall()
+            for row_node, _, payload in rows:
+                blobs[int(row_node)].append(payload)
+        joined: List[bytes] = []
+        for node_id in misses:
+            payloads = blobs.get(node_id)
+            if payloads is None:
+                raise SharingError(f"unknown node id {node_id}")
+            joined.append(join_pages(payloads))
+        # Called through the module global on purpose: profilers wrap it there.
+        rows64 = decode_coefficients_batch(joined) if as_rows else None
+        if rows64 is None:
+            for node_id, blob in zip(misses, joined):
+                share = self._decode_share(blob)
+                entries[node_id] = share
+                self._cache_put(node_id, share)
+            return entries, False
+        for node_id, row in zip(misses, rows64):
+            entries[node_id] = row
+            self._cache_put(node_id, row)
+        return entries, True
 
     def _evaluate_rows_locked(self, vec: VecFpKernel,
                               node_ids: Sequence[int],
@@ -831,12 +935,6 @@ class SQLiteShareStore(ShareStore):
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         return os.path.getsize(self.path)
 
-    def _require(self, node_id: int) -> None:
-        row = self._conn.execute(
-            "SELECT 1 FROM nodes WHERE node_id = ?", (node_id,)).fetchone()
-        if row is None:
-            raise SharingError(f"unknown node id {node_id}")
-
     # -- write side ------------------------------------------------------------------
     def add_node(self, node_id: int, parent_id: Optional[int],
                  share: Polynomial) -> None:
@@ -869,28 +967,15 @@ class SQLiteShareStore(ShareStore):
 
     def remove_subtree(self, node_id: int) -> List[int]:
         with self._lock:
-            self._require(node_id)
             if self.parent_id(node_id) is None:
                 raise SharingError("the root node cannot be removed")
-            removed = self._descendants(node_id)
+            removed = self.subtree_ids(node_id)
             with self._conn:
                 for current in removed:
                     wal.delete_node(self._conn, current)
             for current in removed:
                 self._cache.pop(current, None)
             return removed
-
-    def _descendants(self, node_id: int) -> List[int]:
-        removed: List[int] = []
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            removed.append(current)
-            rows = self._conn.execute(
-                "SELECT node_id FROM nodes WHERE parent = ? ORDER BY ord",
-                (current,)).fetchall()
-            stack.extend(int(row[0]) for row in rows)
-        return removed
 
     # -- crash-safe batches ------------------------------------------------------------
     def apply_batch(self, ops: Sequence[Tuple]) -> None:
@@ -1000,8 +1085,7 @@ class SQLiteShareStore(ShareStore):
                 overlay[node_id] = blob
             elif kind == "remove_subtree":
                 _, node_id, expected = op
-                self._require(node_id)
-                removed = self._descendants(node_id)
+                removed = self.subtree_ids(node_id)
                 if sorted(removed) != sorted(expected):
                     raise SharingError(
                         f"subtree {node_id} changed between transaction "

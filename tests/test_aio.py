@@ -45,6 +45,12 @@ def async_handle(outsourced):
     handle.stop()
 
 
+def share_row(tree, node_id):
+    """A share as served: its coefficient row, zero-padded."""
+    share = tree.share_of(node_id)
+    return [int(share.coefficient(i)) for i in range(tree.ring.degree_bound)]
+
+
 def run_queries(client, adapter):
     return [AdvancedQueryExecutor(client.engine(adapter)).execute(query).matches
             for query in QUERIES]
@@ -52,6 +58,11 @@ def run_queries(client, adapter):
 
 class TestFrontierBatchIdentity:
     """frontier_batch answers must be bit-identical to per-request handle."""
+
+    @pytest.fixture()
+    def store(self, outsourced):
+        """The share store both servers of a test read."""
+        return outsourced[1]
 
     def build_requests(self, tree):
         root = tree.root_id
@@ -64,63 +75,86 @@ class TestFrontierBatchIdentity:
             FrontierRequest(children[:1], [3], include_children=False,
                             fetch_constants=children[:2]),
             FrontierRequest([root], [3], prune=children[2:3]),
+            FrontierRequest([], [], include_children=True,
+                            fetch_polynomials=children[:2]),
         ]
 
-    def test_batch_equals_sequential(self, outsourced):
-        _, tree = outsourced
-        batch_server = SearchServer(tree)
-        sequential_server = SearchServer(tree)
-        requests = self.build_requests(tree)
+    def build_mixed_batch(self, tree):
+        """``(request, None)`` for good requests, ``(request, text)`` for
+        bad ones whose error must name ``text``."""
+        root = tree.root_id
+        children = tree.child_ids(root)
+        return [
+            (FrontierRequest([root], [3]), None),
+            (FrontierRequest([987654], [3]), "987654"),    # unknown node id
+            (FrontierRequest([root], [4]), None),
+            (FrontierRequest([root], [3]).for_document("nowhere"), "nowhere"),
+            (FrontierRequest([root], [3], lookahead=2), None),
+            (FrontierRequest([987656], [3], lookahead=1), "987656"),
+            (FrontierRequest(children, [4], include_children=True,
+                             fetch_polynomials=[children[0], 987655]),
+             "987655"),
+            (FrontierRequest(children, [3, 4], lookahead=1,
+                             fetch_polynomials=children[:1]), None),
+        ]
+
+    def test_batch_equals_sequential(self, store):
+        batch_server = SearchServer(store)
+        sequential_server = SearchServer(store)
+        requests = self.build_requests(store)
         batched = batch_server.frontier_batch(requests)
         sequential = [sequential_server.handle(request)
-                      for request in self.build_requests(tree)]
+                      for request in self.build_requests(store)]
         assert [r.encode() for r in batched] == [r.encode() for r in sequential]
 
-    def test_batch_observations_match_sequential(self, outsourced):
-        _, tree = outsourced
-        batch_server = SearchServer(tree)
-        sequential_server = SearchServer(tree)
-        batch_server.frontier_batch(self.build_requests(tree))
-        for request in self.build_requests(tree):
+    def test_batch_observations_match_sequential(self, store):
+        batch_server = SearchServer(store)
+        sequential_server = SearchServer(store)
+        batch_server.frontier_batch(self.build_requests(store))
+        for request in self.build_requests(store):
             sequential_server.handle(request)
         batch_view = batch_server.observations.as_dict()
         sequential_view = sequential_server.observations.as_dict()
         assert batch_view == sequential_view
 
-    def test_batch_rejects_non_frontier_messages(self, outsourced):
-        _, tree = outsourced
-        server = SearchServer(tree)
+    def test_batch_rejects_non_frontier_messages(self, store):
+        server = SearchServer(store)
         with pytest.raises(ProtocolError):
             server.frontier_batch([EvaluateRequest([0], 3)])
 
-    def test_batch_isolates_bad_requests(self, outsourced):
+    def test_batch_isolates_bad_requests(self, store):
         from repro.net.messages import ErrorResponse, FrontierResponse
 
-        _, tree = outsourced
-        server = SearchServer(tree)
-        root = tree.root_id
-        responses = server.frontier_batch([
-            FrontierRequest([root], [3]),
-            FrontierRequest([987654], [3]),              # unknown node id
-            FrontierRequest([root], [4]),
-            FrontierRequest([root], [3]).for_document("nowhere"),
-        ])
-        assert isinstance(responses[0], FrontierResponse)
-        assert isinstance(responses[1], ErrorResponse)
-        assert "987654" in responses[1].error
-        assert isinstance(responses[2], FrontierResponse)
-        assert isinstance(responses[3], ErrorResponse)
-        assert "nowhere" in responses[3].error
+        cases = self.build_mixed_batch(store)
+        responses = SearchServer(store).frontier_batch(
+            [request for request, _ in cases])
+        assert len(responses) == len(cases)
         # The good requests are still bit-identical to sequential handling.
-        reference = SearchServer(tree)
-        assert responses[0].encode() == \
-            reference.handle(FrontierRequest([root], [3])).encode()
-        assert responses[2].encode() == \
-            reference.handle(FrontierRequest([root], [4])).encode()
+        reference = SearchServer(store)
+        for (request, error), response in zip(self.build_mixed_batch(store),
+                                              responses):
+            if error is None:
+                assert isinstance(response, FrontierResponse)
+                assert response.encode() == reference.handle(request).encode()
+            else:
+                assert isinstance(response, ErrorResponse)
+                assert error in response.error
 
-    def test_empty_batch(self, outsourced):
-        _, tree = outsourced
-        assert SearchServer(tree).frontier_batch([]) == []
+    def test_empty_batch(self, store):
+        assert SearchServer(store).frontier_batch([]) == []
+
+
+class TestFrontierBatchIdentitySQLite(TestFrontierBatchIdentity):
+    """The same guarantees over the durable store's batch reads."""
+
+    @pytest.fixture()
+    def store(self, outsourced, tmp_path):
+        from repro.net import SQLiteShareStore
+
+        durable = SQLiteShareStore.from_tree(str(tmp_path / "batch.db"),
+                                             outsourced[1])
+        yield durable
+        durable.close()
 
 
 class TestSocketTransports:
@@ -261,7 +295,7 @@ class TestAsyncServerInterface:
                     await session.verification_bundle([root])
                 assert trips == 1
                 assert bundle_children[root] == tree.child_ids(root)
-                assert data[root] == tree.share_of(root)
+                assert data[root] == share_row(tree, root)
             finally:
                 await session.close()
 
@@ -328,7 +362,7 @@ class TestAsyncServerInterface:
                 children, data, trips = \
                     await session.verification_bundle([root])
                 assert trips == 2
-                assert data[root] == tree.share_of(root)
+                assert data[root] == share_row(tree, root)
                 assert children[root] == tree.child_ids(root)
                 constants = await session.fetch_constants([root])
                 assert constants[root] == int(
