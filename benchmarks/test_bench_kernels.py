@@ -10,7 +10,9 @@ deliberate run (``python -m repro.cli bench``), never by the test suite.
 Assertion thresholds are deliberately below the typical measured values
 (~10x mul at degree 64, ~3.5x end-to-end at n>=200) so the suite stays
 robust on loaded machines while still catching a disabled or regressed
-fast path.
+fast path.  The end-to-end speedups are paired medians: each round times
+the kernel and the generic pass back to back, alternating which goes
+first, so a host that changes speed mid-run slows both sides of a pair.
 """
 
 import os

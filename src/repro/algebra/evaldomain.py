@@ -99,28 +99,39 @@ class EvaluationDomain:
         every row that is not — too long, a non-int, a value out of range,
         negative or beyond int64 — goes through ``reduce`` (the ring's
         reference ``from_coefficients``), in order, so a malformed row
-        fails exactly where the reference path fails.
+        fails exactly where the reference path fails.  ``rows`` may also
+        be one 2-D integer ndarray (a decoded wire block); rows that need
+        ``reduce`` then reach it as lists of Python ints.
         """
         np = numpy_or_none()
         p = self.p
-        rows = list(rows)
+        if isinstance(rows, np.ndarray):
+            block, rows = rows, None
+        else:
+            rows = list(rows)
+            block = None
         if reduce is not None:
-            try:
-                block = np.array(rows)
-            except (ValueError, TypeError, OverflowError):
-                block = None
+            if block is None:
+                try:
+                    block = np.array(rows)
+                except (ValueError, TypeError, OverflowError):
+                    block = None
             if (block is not None and block.ndim == 2
                     and block.dtype.kind == "i" and block.shape[1] < p
                     and (block.size == 0 or (int(block.min()) >= 0
                                              and int(block.max()) < p))):
                 if block.shape[1] == p - 1:
                     return block.astype(np.int64, copy=False)
-                padded = np.zeros((len(rows), p - 1), dtype=np.int64)
+                padded = np.zeros((block.shape[0], p - 1), dtype=np.int64)
                 padded[:, :block.shape[1]] = block
                 return padded
+            if rows is None:
+                rows = block.tolist()
             rows = [row if len(row) < p and all(
                         type(c) is int and 0 <= c < p for c in row)
                     else reduce(row) for row in rows]
+        elif rows is None:
+            rows = block.tolist()
         matrix = np.zeros((len(rows), p - 1), dtype=np.int64)
         for index, row in enumerate(rows):
             if len(row):

@@ -28,7 +28,9 @@ from __future__ import annotations
 import abc
 import enum
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from collections.abc import Mapping
+from typing import (Any, Deque, Dict, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
@@ -40,6 +42,7 @@ __all__ = [
     "VerificationMode",
     "QueryStats",
     "FrontierResult",
+    "CoefficientRows",
     "ServerInterface",
     "LocalServerAdapter",
     "LookupOutcome",
@@ -221,6 +224,61 @@ class FrontierResult:
         self.round_trips = round_trips
 
 
+class CoefficientRows(Mapping):
+    """Share coefficient rows keyed by node id, held as one row-major block.
+
+    ``ids`` is the row order and ``width`` the row length.  ``matrix`` is
+    the whole block as one ``(len(ids), width)`` int64 ndarray when the
+    producer had one (numpy present, every value within int64), else
+    ``None`` and the rows are kept as lists of Python ints.  Indexing
+    returns one row as a list of Python ints either way, so nothing that
+    builds a :class:`Polynomial` from a row ever sees a numpy scalar.  The
+    durable store serves fetches in this form, the v4 wire decodes into
+    it, and FULL verification hands ``matrix`` to the evaluation domain
+    whole.
+    """
+
+    __slots__ = ("ids", "width", "matrix", "_rows", "_index")
+
+    def __init__(self, ids: Sequence[int], width: int, matrix: Any = None,
+                 rows: Optional[List[List[int]]] = None) -> None:
+        self.ids = list(ids)
+        self.width = int(width)
+        self.matrix = matrix
+        self._rows = rows
+        self._index: Optional[Dict[int, int]] = None
+
+    def constant_terms(self) -> List[int]:
+        """The first coefficient of every row, in ``ids`` order."""
+        if self.matrix is not None:
+            return self.matrix[:, 0].tolist()
+        return [row[0] for row in self._rows]
+
+    def _position(self) -> Dict[int, int]:
+        if self._index is None:
+            self._index = {node_id: index
+                           for index, node_id in enumerate(self.ids)}
+        return self._index
+
+    def __getitem__(self, node_id: int) -> List[int]:
+        index = self._position()[node_id]
+        if self._rows is not None:
+            return self._rows[index]
+        return self.matrix[index].tolist()
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._position()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"<CoefficientRows rows={len(self.ids)} width={self.width}>"
+
+
 class ServerInterface(abc.ABC):
     """The requests a client may send to the (untrusted) search server."""
 
@@ -257,13 +315,14 @@ class ServerInterface(abc.ABC):
         """Constant coefficients of server shares (CONSTANT_ONLY verification)."""
 
     def fetch_polynomial_rows(self, node_ids: Sequence[int]
-                              ) -> Dict[int, Sequence[int]]:
+                              ) -> Mapping[int, Sequence[int]]:
         """Server-share coefficient rows, as received (untrusted).
 
         What FULL verification consumes: rows may be unreduced, and the
         verifier normalises them.  The base implementation takes the
         coefficients of :meth:`fetch_polynomials`; wire transports return
-        the decoded rows without building a polynomial per node.
+        the decoded rows without building a polynomial per node (v4
+        sessions as one :class:`CoefficientRows` block).
         """
         return {node_id: poly.coeffs
                 for node_id, poly in self.fetch_polynomials(node_ids).items()}
@@ -776,8 +835,10 @@ class QueryEngine:
         ring = self.ring
         domain = ring.evaluation_domain()
         if domain is not None:
+            block = (server_rows.matrix
+                     if isinstance(server_rows, CoefficientRows) else None)
             received = domain.coefficient_matrix(
-                server_rows.values(),
+                server_rows.values() if block is None else block,
                 lambda row: ring.from_coefficients(row).coeffs)
             position = {node_id: index
                         for index, node_id in enumerate(server_rows)}

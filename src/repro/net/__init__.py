@@ -1,5 +1,5 @@
 """Instrumented client/server transport: protocol messages (v1, batched
-v2, update-capable v3), byte-counting channels (in-process and real
+v2, update-capable v3, packed-payload v4), byte-counting channels (in-process and real
 sockets), length-prefixed framing, the transport-agnostic serving core
 with multi-document tenancy, admission control, idempotent replay and
 version-checked update batches, pluggable share-store backends, the

@@ -5,7 +5,7 @@ This module is the serving tentpole on top of the transport-agnostic
 
 * :class:`AsyncSearchServer` multiplexes many client sessions over one
   event loop.  Frames are length-prefixed (:mod:`repro.net.framing`) and
-  carry the unchanged v1–v3 message encodings, so any framed client —
+  carry the unchanged v1–v4 message encodings, so any framed client —
   the blocking :class:`~repro.net.channel.SocketChannel`, the async
   :class:`AsyncServerInterface`, or a from-spec implementation of
   ``docs/protocol.md`` — talks to it.  v3 update batches
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from collections import deque
 
@@ -65,6 +65,8 @@ from .framing import (
     encode_frame,
 )
 from .messages import (
+    PACKED_FRONTIER_VERSION,
+    REQUEST_KINDS,
     SUPPORTED_PROTOCOL_VERSIONS,
     BusyResponse,
     ErrorResponse,
@@ -77,6 +79,7 @@ from .messages import (
     StructureRequest,
     StructureResponse,
     decode_message,
+    require_nodes,
 )
 from .server import SearchServer
 
@@ -394,7 +397,7 @@ class AsyncSearchServer:
         I/O for every other session while it waits.
         """
         try:
-            message = decode_message(payload)
+            message = decode_message(payload, REQUEST_KINDS)
         except ReproError as exc:
             return ErrorResponse(str(exc))
         try:
@@ -601,6 +604,7 @@ class AsyncServerInterface:
 
         response = await self._request(ChildrenRequest(node_ids),
                                        ChildrenResponse)
+        require_nodes(response.children, node_ids, "child list")
         return response.children
 
     async def evaluate(self, node_ids: Sequence[int], point: int
@@ -610,6 +614,7 @@ class AsyncServerInterface:
 
         response = await self._request(EvaluateRequest(node_ids, point),
                                        EvaluateResponse)
+        require_nodes(response.values, node_ids, f"evaluation at point {point}")
         return response.values
 
     async def fetch_polynomials(self, node_ids: Sequence[int]
@@ -620,35 +625,34 @@ class AsyncServerInterface:
                 (await self.fetch_polynomial_rows(node_ids)).items()}
 
     async def fetch_polynomial_rows(self, node_ids: Sequence[int]
-                                    ) -> Dict[int, Sequence[int]]:
+                                    ) -> Mapping[int, Sequence[int]]:
         """Server-share coefficient rows as decoded (FULL verification)."""
         from .messages import FetchPolynomialsRequest, FetchPolynomialsResponse
 
         if self.batched_rounds:
-            request = FrontierRequest(prune=self._take_prunes(),
-                                      include_children=False,
-                                      fetch_polynomials=node_ids)
-            response = await self._request(request, FrontierResponse)
-            return {node_id: response.polynomials[node_id]
-                    for node_id in node_ids}
-        response = await self._request(FetchPolynomialsRequest(node_ids),
-                                       FetchPolynomialsResponse)
-        return response.coefficients
+            request = self._frontier_request(include_children=False,
+                                             fetch_polynomials=node_ids)
+            rows = (await self._request(request, FrontierResponse)).polynomials
+        else:
+            rows = (await self._request(FetchPolynomialsRequest(node_ids),
+                                        FetchPolynomialsResponse)).coefficients
+        require_nodes(rows, node_ids, "share row")
+        return rows
 
     async def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
         """Constant coefficients of server shares (CONSTANT_ONLY mode)."""
         from .messages import FetchConstantsRequest, FetchConstantsResponse
 
         if self.batched_rounds:
-            request = FrontierRequest(prune=self._take_prunes(),
-                                      include_children=False,
-                                      fetch_constants=node_ids)
-            response = await self._request(request, FrontierResponse)
-            return {node_id: response.constants[node_id]
-                    for node_id in node_ids}
-        response = await self._request(FetchConstantsRequest(node_ids),
-                                       FetchConstantsResponse)
-        return response.constants
+            request = self._frontier_request(include_children=False,
+                                             fetch_constants=node_ids)
+            constants = (await self._request(request,
+                                             FrontierResponse)).constants
+        else:
+            constants = (await self._request(FetchConstantsRequest(node_ids),
+                                             FetchConstantsResponse)).constants
+        require_nodes(constants, node_ids, "constant")
+        return constants
 
     async def prune(self, node_ids: Sequence[int]) -> None:
         """Notify dead branches (buffered onto the next v2 request)."""
@@ -702,10 +706,19 @@ class AsyncServerInterface:
                 "begin_frontier needs a v2 session; this session speaks "
                 f"protocol version {self.protocol_version}")
         self._pending_prune.extend(prune)
-        request = FrontierRequest(node_ids, points, prune=self._take_prunes(),
-                                  include_children=include_children,
-                                  lookahead=lookahead)
+        request = self._frontier_request(node_ids, points,
+                                         include_children=include_children,
+                                         lookahead=lookahead)
         return self._send(request)
+
+    def _frontier_request(self, node_ids: Sequence[int] = (),
+                          points: Sequence[int] = (),
+                          **fields: object) -> FrontierRequest:
+        """A frontier request carrying the buffered prunes; packed on v4."""
+        return FrontierRequest(
+            node_ids, points, prune=self._take_prunes(),
+            packed=(self.protocol_version or 0) >= PACKED_FRONTIER_VERSION,
+            **fields)
 
     async def frontier_round(self, node_ids: Sequence[int],
                              points: Sequence[int],
@@ -737,13 +750,13 @@ class AsyncServerInterface:
         _raise_in_band_failure(response)
         if not isinstance(response, FrontierResponse):
             raise ProtocolError(f"unexpected response {response.kind!r}")
-        return FrontierResult(response.evaluations, response.children,
-                              round_trips=1)
+        return FrontierResult(response.checked_evaluations(node_ids, points),
+                              response.children, round_trips=1)
 
     async def verification_bundle(self, node_ids: Sequence[int],
                                   constants_only: bool = False
                                   ) -> Tuple[Dict[int, List[int]],
-                                             Dict[int, object], int]:
+                                             Mapping[int, object], int]:
         """Child lists plus share data for ``node_ids`` and their children.
 
         Share data as the sync adapter returns it: coefficient rows as
@@ -755,21 +768,16 @@ class AsyncServerInterface:
             needed = sorted(set(node_ids) | {
                 child for node_id in node_ids for child in children[node_id]})
             if constants_only:
-                data: Dict[int, object] = dict(
-                    await self.fetch_constants(needed))
+                data: Mapping[int, object] = await self.fetch_constants(needed)
             else:
-                data = dict(await self.fetch_polynomial_rows(needed))
+                data = await self.fetch_polynomial_rows(needed)
             return children, data, 2
-        request = FrontierRequest(
-            prune=self._take_prunes(), include_children=True,
+        request = self._frontier_request(
+            include_children=True,
             fetch_constants=node_ids if constants_only else (),
             fetch_polynomials=() if constants_only else node_ids)
         response = await self._request(request, FrontierResponse)
-        if constants_only:
-            data = dict(response.constants)
-        else:
-            data = dict(response.polynomials)
-        children = {node_id: response.children[node_id] for node_id in node_ids}
+        children, data = response.checked_closure(node_ids, constants_only)
         return children, data, 1
 
     async def close(self) -> None:

@@ -31,7 +31,7 @@ before surfacing :class:`~repro.errors.UpdateConflictError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..algebra.poly import Polynomial
 from ..core.query import FrontierResult, ServerInterface
@@ -40,6 +40,7 @@ from ..core.updates import UpdatableTree
 from ..errors import ProtocolError, SharingError, UpdateConflictError
 from .channel import InstrumentedChannel, LatencyModel, SocketChannel
 from .messages import (
+    PACKED_FRONTIER_VERSION,
     SUPPORTED_PROTOCOL_VERSIONS,
     BlobRequest,
     BlobResponse,
@@ -67,6 +68,7 @@ from .messages import (
     StructureResponse,
     UpdateRequest,
     UpdateResponse,
+    require_nodes,
 )
 from .server import SearchServer
 from .store import ShareStore
@@ -138,10 +140,12 @@ class RemoteServerAdapter(ServerInterface):
 
     def children_of(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
         response = self._request(ChildrenRequest(node_ids), ChildrenResponse)
+        require_nodes(response.children, node_ids, "child list")
         return response.children
 
     def evaluate(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
         response = self._request(EvaluateRequest(node_ids, point), EvaluateResponse)
+        require_nodes(response.values, node_ids, f"evaluation at point {point}")
         return response.values
 
     def fetch_polynomials(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
@@ -149,23 +153,24 @@ class RemoteServerAdapter(ServerInterface):
                 for node_id, row in self.fetch_polynomial_rows(node_ids).items()}
 
     def fetch_polynomial_rows(self, node_ids: Sequence[int]
-                              ) -> Dict[int, Sequence[int]]:
+                              ) -> Mapping[int, Sequence[int]]:
         """The decoded coefficient rows, with no polynomial per node."""
         if self.protocol_version >= 2:
-            response = self._frontier(fetch_polynomials=node_ids)
-            return {node_id: response.polynomials[node_id]
-                    for node_id in node_ids}
-        response = self._request(FetchPolynomialsRequest(node_ids),
-                                 FetchPolynomialsResponse)
-        return response.coefficients
+            rows = self._frontier(fetch_polynomials=node_ids).polynomials
+        else:
+            rows = self._request(FetchPolynomialsRequest(node_ids),
+                                 FetchPolynomialsResponse).coefficients
+        require_nodes(rows, node_ids, "share row")
+        return rows
 
     def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
         if self.protocol_version >= 2:
-            response = self._frontier(fetch_constants=node_ids)
-            return {node_id: response.constants[node_id] for node_id in node_ids}
-        response = self._request(FetchConstantsRequest(node_ids),
-                                 FetchConstantsResponse)
-        return response.constants
+            constants = self._frontier(fetch_constants=node_ids).constants
+        else:
+            constants = self._request(FetchConstantsRequest(node_ids),
+                                      FetchConstantsResponse).constants
+        require_nodes(constants, node_ids, "constant")
+        return constants
 
     def prune(self, node_ids: Sequence[int]) -> None:
         if self.protocol_version >= 2:
@@ -186,11 +191,12 @@ class RemoteServerAdapter(ServerInterface):
                   fetch_polynomials: Sequence[int] = (),
                   fetch_constants: Sequence[int] = (),
                   lookahead: int = 0) -> FrontierResponse:
-        request = FrontierRequest(node_ids, points, prune=self._take_prunes(),
-                                  include_children=include_children,
-                                  fetch_polynomials=fetch_polynomials,
-                                  fetch_constants=fetch_constants,
-                                  lookahead=lookahead)
+        request = FrontierRequest(
+            node_ids, points, prune=self._take_prunes(),
+            include_children=include_children,
+            fetch_polynomials=fetch_polynomials,
+            fetch_constants=fetch_constants, lookahead=lookahead,
+            packed=self.protocol_version >= PACKED_FRONTIER_VERSION)
         return self._request(request, FrontierResponse)
 
     def frontier_round(self, node_ids: Sequence[int], points: Sequence[int],
@@ -203,24 +209,22 @@ class RemoteServerAdapter(ServerInterface):
         response = self._frontier(node_ids, points,
                                   include_children=include_children,
                                   lookahead=lookahead)
-        return FrontierResult(response.evaluations, response.children,
-                              round_trips=1)
+        return FrontierResult(response.checked_evaluations(node_ids, points),
+                              response.children, round_trips=1)
 
     def verification_bundle(self, node_ids: Sequence[int],
                             constants_only: bool = False
-                            ) -> Tuple[Dict[int, List[int]], Dict[int, object], int]:
+                            ) -> Tuple[Dict[int, List[int]], Mapping[int, object], int]:
         if self.protocol_version < 2:
             return super().verification_bundle(node_ids,
                                                constants_only=constants_only)
         if constants_only:
             response = self._frontier(include_children=True,
                                       fetch_constants=node_ids)
-            data: Dict[int, object] = dict(response.constants)
         else:
             response = self._frontier(include_children=True,
                                       fetch_polynomials=node_ids)
-            data = dict(response.polynomials)
-        children = {node_id: response.children[node_id] for node_id in node_ids}
+        children, data = response.checked_closure(node_ids, constants_only)
         return children, data, 1
 
     # -- v3 updates -----------------------------------------------------------------

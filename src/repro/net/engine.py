@@ -36,6 +36,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.query import CoefficientRows
 from ..errors import (
     ProtocolError,
     ReproError,
@@ -795,7 +796,8 @@ class ServingCore:
         responses and verification closures still need.  Share evaluations
         run once per (node, point) per batch and each fetch is one batch
         share read; each request's response is then sliced out of the
-        union passes.
+        union passes.  A request asking for ``packed`` payloads (v4) gets
+        the same data in packed form, so one batch may mix both forms.
         """
         store = document.store
         child_cache: Dict[int, List[int]] = {}
@@ -862,7 +864,7 @@ class ServingCore:
             if message.include_children:
                 for node_id in frontier_nodes:
                     children[node_id] = child_cache[node_id]
-            polynomials: Dict[int, List[int]] = {}
+            polynomials: Optional[CoefficientRows] = None
             if message.fetch_polynomials:
                 fetched = self._fetch_ids(message.fetch_polynomials,
                                           message.include_children,
@@ -875,10 +877,11 @@ class ServingCore:
                                           message.include_children,
                                           child_cache, children)
                 self._observe_served(document, "constants_served", fetched)
-                constants = {node_id: row[0] for node_id, row
-                             in store.coefficient_rows(fetched).items()}
+                rows = store.coefficient_rows(fetched)
+                constants = dict(zip(rows.ids, rows.constant_terms()))
             responses.append(FrontierResponse(evaluations, children,
-                                              polynomials, constants))
+                                              polynomials, constants,
+                                              packed=message.packed))
         return responses
 
     @staticmethod
@@ -912,9 +915,8 @@ class ServingCore:
                                 message: FetchConstantsRequest
                                 ) -> FetchConstantsResponse:
         self._observe_served(document, "constants_served", message.node_ids)
-        return FetchConstantsResponse({
-            node_id: row[0] for node_id, row
-            in document.store.coefficient_rows(message.node_ids).items()})
+        rows = document.store.coefficient_rows(message.node_ids)
+        return FetchConstantsResponse(dict(zip(rows.ids, rows.constant_terms())))
 
     def _handle_prune(self, document: HostedDocument,
                       message: PruneNotice) -> Acknowledgement:

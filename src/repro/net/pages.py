@@ -35,6 +35,12 @@ SELECT's worth of shares decodes in a handful of array ops — the zero-copy
 half of the vectorized evaluation pipeline.  Decoders return ``None``
 (never wrong answers) whenever numpy is absent or a limb exceeds the
 native 64-bit width; callers fall back to the reference codec.
+
+The same blobs also travel on the wire: protocol v4 carries every numeric
+section of a ``frontier-ok`` response (node ids, evaluations, child lists,
+share rows) as one blob each, through :func:`encode_coefficients_array`
+and :func:`decode_int_vector`, which pick the array or the reference
+codec per vector.  Both codecs are linear in the vector length.
 """
 
 from __future__ import annotations
@@ -50,9 +56,11 @@ __all__ = [
     "DEFAULT_PAGE_BYTES",
     "encode_coefficients",
     "decode_coefficients",
+    "blob_count",
     "encode_coefficients_array",
     "decode_coefficients_array",
     "decode_coefficients_batch",
+    "decode_int_vector",
     "split_pages",
     "join_pages",
 ]
@@ -70,6 +78,24 @@ _HEADER = struct.Struct("<BBII")
 #: Flag bit: limbs are zigzag-encoded signed values.
 _FLAG_ZIGZAG = 0x01
 
+#: Target bits per group in the reference codec.  Each group is one
+#: Python int, so one group costs time quadratic in its size while the
+#: number of groups grows linearly with the vector; groups of about 2 kbit
+#: keep both small, and a share-sized vector is a single group.
+_GROUP_BITS = 2048
+
+#: Shortest list the list-facing codecs (:func:`encode_coefficients_array`
+#: given a list, :func:`decode_int_vector`) move through numpy; shorter
+#: ones take the reference codec, which is faster below it because
+#: numpy's per-call cost exceeds the work.
+_ARRAY_MIN_VALUES = 64
+
+#: Limbs per chunk in the array encoder's odd-width path (a multiple of
+#: eight, so every chunk but the last ends on a byte boundary);
+#: bounds its bit-matrix temporaries to at most 64 bytes per limb of one
+#: chunk, whatever the vector length.
+_ENCODE_CHUNK = 1 << 14
+
 
 def _zigzag(value: int) -> int:
     """Map a signed integer to an unsigned one (order-preserving around 0)."""
@@ -86,24 +112,42 @@ def encode_coefficients(coeffs: Sequence[int]) -> bytes:
 
     The limb width is the smallest number of bits that holds the largest
     (zigzag-mapped, when any coefficient is negative) value; an all-zero
-    vector uses width 0 and carries no payload at all.
+    vector uses width 0 and carries no payload at all.  Limbs are packed
+    in groups of a multiple of eight (eight ``width``-bit limbs fill
+    exactly ``width`` bytes), one integer per group, so the cost stays
+    linear in the vector length.
     """
     values = [int(c) for c in coeffs]
     flags = 0
-    if any(value < 0 for value in values):
+    if values and min(values) < 0:
         flags |= _FLAG_ZIGZAG
         values = [_zigzag(value) for value in values]
-    width = max((value.bit_length() for value in values), default=0)
+    width = max(values, default=0).bit_length()
     if width > 0xFFFFFFFF or len(values) > 0xFFFFFFFF:
         raise ProtocolError("coefficient vector exceeds the page encoding "
                             "limits (2^32 bits per limb / 2^32 limbs)")
     header = _HEADER.pack(PAGE_FORMAT_VERSION, flags, width, len(values))
     if width == 0:
         return header
-    stream = 0
-    for index, value in enumerate(values):
-        stream |= value << (index * width)
-    return header + stream.to_bytes((len(values) * width + 7) // 8, "little")
+    group = _group_limbs(width, len(values))
+    group_bytes = group * width // 8
+    remaining = (len(values) * width + 7) // 8
+    shifts = range(0, group * width, width)
+    chunks = [header]
+    for start in range(0, len(values), group):
+        stream = 0
+        for value, shift in zip(values[start:start + group], shifts):
+            stream |= value << shift
+        chunks.append(stream.to_bytes(min(group_bytes, remaining), "little"))
+        remaining -= group_bytes
+    return b"".join(chunks)
+
+
+def _group_limbs(width: int, count: int) -> int:
+    """Limbs per reference-codec group: a multiple of eight (whole bytes)
+    of about :data:`_GROUP_BITS` bits, and no more than ``count`` needs."""
+    limbs = 8 * max(1, _GROUP_BITS // (8 * width))
+    return min(limbs, (count + 7) // 8 * 8)
 
 
 def _parse_header(blob: bytes) -> Tuple[int, int, int]:
@@ -125,18 +169,36 @@ def _parse_header(blob: bytes) -> Tuple[int, int, int]:
     return flags, width, count
 
 
+def blob_count(blob: bytes) -> int:
+    """How many values a blob holds, from its validated header alone."""
+    return _parse_header(blob)[2]
+
+
 def decode_coefficients(blob: bytes) -> List[int]:
-    """Inverse of :func:`encode_coefficients` (loud on any corruption)."""
+    """Inverse of :func:`encode_coefficients` (loud on any corruption).
+
+    Reads the payload in the encoder's groups, so decoding is linear in
+    the vector length too.
+    """
     flags, width, count = _parse_header(blob)
-    if width == 0:
+    if width == 0 or count == 0:
         return [0] * count
-    stream = int.from_bytes(blob[_HEADER.size:], "little")
-    if stream >> (count * width):
+    payload = memoryview(blob)[_HEADER.size:]
+    mask = (1 << width) - 1
+    group = _group_limbs(width, count)
+    group_bytes = group * width // 8
+    values: List[int] = []
+    stream = limbs = 0
+    for offset, start in zip(range(0, len(payload), group_bytes),
+                             range(0, count, group)):
+        stream = int.from_bytes(payload[offset:offset + group_bytes], "little")
+        limbs = min(group, count - start)
+        values.extend([(stream >> shift) & mask
+                       for shift in range(0, limbs * width, width)])
+    if stream >> (limbs * width):
         raise ProtocolError(
             "coefficient blob has bits set beyond its announced "
             f"{count}×{width}-bit payload")
-    mask = (1 << width) - 1
-    values = [(stream >> (index * width)) & mask for index in range(count)]
     if flags & _FLAG_ZIGZAG:
         values = [_unzigzag(value) for value in values]
     return values
@@ -152,18 +214,27 @@ def _native_width_limit(flags: int) -> int:
 
 
 def encode_coefficients_array(values) -> bytes:
-    """Serialise a numpy ``int64`` vector, byte-identical to the int codec.
+    """Serialise an int vector through numpy, byte-identical to the int codec.
 
-    Accepts an integer ndarray (or any sequence, which — like the cases the
-    array path cannot express: numpy absent, magnitudes at or beyond
+    Accepts an integer ndarray or any sequence of ints, which is converted
+    to ``int64`` when every value fits.  What the array path cannot express
+    — numpy absent, a value beyond ``int64``, magnitudes at or beyond
     ``2^62`` where the zigzag shift would overflow — is routed through
-    :func:`encode_coefficients`).  The produced blob is byte-for-byte what
+    :func:`encode_coefficients`, and so is a sequence shorter than
+    :data:`_ARRAY_MIN_VALUES`.  The produced blob is byte-for-byte what
     :func:`encode_coefficients` yields for the same values, so the two
-    encoders are interchangeable on disk.
+    encoders are interchangeable on disk and on the wire.
     """
     np = numpy_or_none()
-    if np is None or not isinstance(values, np.ndarray):
-        return encode_coefficients([int(v) for v in values])
+    if np is None:
+        return encode_coefficients(values)
+    if not isinstance(values, np.ndarray):
+        if len(values) < _ARRAY_MIN_VALUES:
+            return encode_coefficients(values)
+        try:
+            values = np.array(values, dtype=np.int64)
+        except OverflowError:
+            return encode_coefficients(values)
     if values.dtype.kind != "i" or values.ndim != 1:
         return encode_coefficients([int(v) for v in values])
     values = values.astype(np.int64, copy=False)
@@ -186,12 +257,16 @@ def encode_coefficients_array(values) -> bytes:
     header = _HEADER.pack(PAGE_FORMAT_VERSION, flags, width, count)
     if width == 0:
         return header
+    lanes = values.astype("<u8").view(np.uint8).reshape(count, 8)
     if width % 8 == 0:
-        lanes = values.astype("<u8").view(np.uint8).reshape(count, 8)
         return header + lanes[:, :width // 8].tobytes()
-    bits = ((values[:, None] >> np.arange(width, dtype=np.int64)) & 1)
-    return header + np.packbits(
-        bits.astype(np.uint8).ravel(), bitorder="little").tobytes()
+    lanes = lanes[:, :(width + 7) // 8]
+    chunks = [header]
+    for start in range(0, count, _ENCODE_CHUNK):
+        bits = np.unpackbits(lanes[start:start + _ENCODE_CHUNK], axis=1,
+                             bitorder="little")[:, :width]
+        chunks.append(np.packbits(bits.ravel(), bitorder="little").tobytes())
+    return b"".join(chunks)
 
 
 def decode_coefficients_array(blob: bytes):
@@ -257,6 +332,15 @@ def decode_coefficients_batch(blobs: Sequence[bytes]):
         for row, index in enumerate(indices):
             result[index] = values[row]
     return result
+
+
+def decode_int_vector(blob: bytes) -> List[int]:
+    """Decode one blob to a list of Python ints, through numpy when it can
+    and the blob holds at least :data:`_ARRAY_MIN_VALUES` values."""
+    if blob_count(blob) < _ARRAY_MIN_VALUES:
+        return decode_coefficients(blob)
+    values = decode_coefficients_array(blob)
+    return decode_coefficients(blob) if values is None else values.tolist()
 
 
 def split_pages(blob: bytes, page_bytes: int = DEFAULT_PAGE_BYTES) -> List[bytes]:

@@ -43,7 +43,7 @@ from .framing import (
     FrameAssembler,
     encode_frame,
 )
-from .messages import ErrorResponse, decode_message
+from .messages import REQUEST_KINDS, ErrorResponse, decode_message
 from .store import InMemoryShareStore, ShareStore
 
 __all__ = ["ServerObservations", "SearchServer", "ThreadedSearchServer"]
@@ -126,7 +126,8 @@ class _FrameSessionHandler(socketserver.BaseRequestHandler):
                 server._request_started()
                 server._bytes_in.inc(len(payload))
                 try:
-                    response = server.core.handle(decode_message(payload))
+                    response = server.core.handle(
+                        decode_message(payload, REQUEST_KINDS))
                 except ReproError as exc:
                     # Busy shedding and transient failures keep their
                     # class on the wire (BusyResponse / retryable error).

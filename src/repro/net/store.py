@@ -43,6 +43,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing
 from ..algebra.vkernels import VecFpKernel, numpy_or_none
+from ..core.query import CoefficientRows
 from ..core.share_tree import ServerShareTree
 from ..errors import ProtocolError, SharingError
 from . import wal
@@ -283,21 +284,23 @@ class ShareStore(abc.ABC):
         shares = [self.share_of(node_id) for node_id in node_ids]
         return dict(zip(node_ids, self.ring.evaluate_many(shares, point)))
 
-    def coefficient_rows(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+    def coefficient_rows(self, node_ids: Sequence[int]) -> CoefficientRows:
         """Share coefficients of many nodes, as the wire carries them.
 
-        Each row is ascending and zero-padded to the ring's degree bound.
-        The base implementation reads :meth:`share_of` per node; the
-        durable backend serves the batch from one cache pass plus one
-        chunked load of the misses.
+        Each row is ascending and zero-padded to the ring's degree bound;
+        repeated ids are served once, in first-seen order.  The base
+        implementation reads :meth:`share_of` per node; the durable
+        backend serves the batch from one cache pass plus one chunked load
+        of the misses, as one int64 block on the vectorized tier.
         """
         width = self.ring.degree_bound
-        rows: Dict[int, List[int]] = {}
+        node_ids = list(dict.fromkeys(node_ids))
+        rows: List[List[int]] = []
         for node_id in node_ids:
             row = list(self.share_of(node_id).coeffs[:width])
             row.extend([0] * (width - len(row)))
-            rows[node_id] = row
-        return rows
+            rows.append(row)
+        return CoefficientRows(node_ids, width, rows=rows)
 
     def depth_of(self, node_id: int) -> int:
         """Depth of a node computed from the public structure."""
@@ -777,26 +780,33 @@ class SQLiteShareStore(ShareStore):
                        for node_id in node_ids]
         return dict(zip(node_ids, ring.evaluate_many(ordered, point)))
 
-    def coefficient_rows(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+    def coefficient_rows(self, node_ids: Sequence[int]) -> CoefficientRows:
         """Share coefficients of many nodes from one cache pass and one
         chunked load of the misses (the loader :meth:`evaluate_many` uses).
 
-        On the vectorized tier misses stay int64 rows, emitted with one
-        ``tolist()`` each; no :class:`Polynomial` is built.
+        On the vectorized tier the rows come back as one int64 block built
+        straight from the decoded and cached entries: no Python int per
+        coefficient and no :class:`Polynomial` per node.
         """
         kernel = self.ring.coefficient_ring.kernel()
         width = self.ring.degree_bound
-        rows: Dict[int, List[int]] = {}
+        node_ids = list(dict.fromkeys(node_ids))
         with self._lock:
-            entries, _ = self._entries_locked(
+            entries, as_rows = self._entries_locked(
                 node_ids, isinstance(kernel, VecFpKernel))
+            if as_rows:
+                matrix = self._row_matrix(node_ids, entries, width)
+                if matrix is not None:
+                    return CoefficientRows(node_ids, matrix.shape[1],
+                                           matrix=matrix)
+            rows: List[List[int]] = []
             for node_id in node_ids:
                 entry = entries[node_id]
                 row = (list(entry.coeffs) if isinstance(entry, Polynomial)
                        else entry.tolist())
                 row.extend([0] * (width - len(row)))
-                rows[node_id] = row
-        return rows
+                rows.append(row)
+        return CoefficientRows(node_ids, width, rows=rows)
 
     def _entries_locked(self, node_ids: Sequence[int], as_rows: bool
                         ) -> Tuple[Dict[int, Any], bool]:
@@ -857,6 +867,34 @@ class SQLiteShareStore(ShareStore):
             self._cache_put(node_id, row)
         return entries, True
 
+    @staticmethod
+    def _row_matrix(node_ids: Sequence[int], entries: Dict[int, Any],
+                    width: int = 0):
+        """Mixed row/Polynomial entries as one zero-padded int64 matrix.
+
+        At least ``width`` columns wide (wider if an entry is longer);
+        ``None`` when a cached polynomial's coefficient exceeds int64.
+        """
+        np = numpy_or_none()
+        longest = width
+        for entry in entries.values():
+            length = (len(entry.coeffs) if isinstance(entry, Polynomial)
+                      else int(entry.size))
+            if length > longest:
+                longest = length
+        matrix = np.zeros((len(node_ids), longest), dtype=np.int64)
+        try:
+            for index, node_id in enumerate(node_ids):
+                entry = entries[node_id]
+                if isinstance(entry, Polynomial):
+                    if entry.coeffs:
+                        matrix[index, :len(entry.coeffs)] = entry.coeffs
+                elif entry.size:
+                    matrix[index, :entry.size] = entry
+        except OverflowError:
+            return None
+        return matrix
+
     def _evaluate_rows_locked(self, vec: VecFpKernel,
                               node_ids: Sequence[int],
                               entries: Dict[int, Any],
@@ -867,22 +905,8 @@ class SQLiteShareStore(ShareStore):
         coercion, same final reduction — the property suite asserts the
         results bit-identical to the generic path.
         """
-        np = numpy_or_none()
         ring = self.ring
-        longest = 0
-        for entry in entries.values():
-            length = (len(entry.coeffs) if isinstance(entry, Polynomial)
-                      else int(entry.size))
-            if length > longest:
-                longest = length
-        matrix = np.zeros((len(node_ids), longest), dtype=np.int64)
-        for index, node_id in enumerate(node_ids):
-            entry = entries[node_id]
-            if isinstance(entry, Polynomial):
-                if entry.coeffs:
-                    matrix[index, :len(entry.coeffs)] = entry.coeffs
-            elif entry.size:
-                matrix[index, :entry.size] = entry
+        matrix = self._row_matrix(node_ids, entries)
         coerced = ring.coefficient_ring.coerce(point)
         values = vec.evaluate_matrix(matrix, coerced)
         modulus = ring.evaluation_modulus(point)

@@ -24,7 +24,7 @@ from repro.net import (
     connect_socket,
     start_async_server,
 )
-from repro.net.messages import EvaluateRequest, FrontierRequest
+from repro.net.messages import PROTOCOL_VERSION, EvaluateRequest, FrontierRequest
 from repro.workloads import figure1_document
 
 QUERIES = ["//client", "//name", "//client/name", "/customers/client/name"]
@@ -65,18 +65,22 @@ class TestFrontierBatchIdentity:
         return outsourced[1]
 
     def build_requests(self, tree):
+        """Each request twice: JSON and packed (v4), so the batch is mixed."""
         root = tree.root_id
         children = tree.child_ids(root)
         return [
-            FrontierRequest([root], [3]),
-            FrontierRequest(children, [3, 4], lookahead=1),
-            FrontierRequest([root], [4], lookahead=2,
-                            fetch_polynomials=[root]),
-            FrontierRequest(children[:1], [3], include_children=False,
-                            fetch_constants=children[:2]),
-            FrontierRequest([root], [3], prune=children[2:3]),
-            FrontierRequest([], [], include_children=True,
-                            fetch_polynomials=children[:2]),
+            FrontierRequest(node_ids, points, packed=packed, **fields)
+            for node_ids, points, fields in [
+                ([root], [3], {}),
+                (children, [3, 4], {"lookahead": 1}),
+                ([root], [4], {"lookahead": 2, "fetch_polynomials": [root]}),
+                (children[:1], [3], {"include_children": False,
+                                     "fetch_constants": children[:2]}),
+                ([root], [3], {"prune": children[2:3]}),
+                ([], [], {"include_children": True,
+                          "fetch_polynomials": children[:2]}),
+            ]
+            for packed in (False, True)
         ]
 
     def build_mixed_batch(self, tree):
@@ -281,7 +285,7 @@ class TestAsyncServerInterface:
             session = await AsyncServerInterface.open(
                 "127.0.0.1", async_handle.port, tree.ring)
             try:
-                assert session.protocol_version == 3
+                assert session.protocol_version == PROTOCOL_VERSION
                 assert session.batched_rounds
                 root = await session.root_id()
                 assert root == tree.root_id

@@ -219,7 +219,13 @@ class TestServedFetches:
             memory_server = SearchServer(tree)
             durable_server = SearchServer(durable)
             some = tree.node_ids()[::7]
-            messages = self.requests(durable) + [
+            packed = [FrontierRequest(request.node_ids, request.points,
+                                      request.prune, request.include_children,
+                                      request.fetch_polynomials,
+                                      request.fetch_constants,
+                                      request.lookahead, packed=True)
+                      for request in self.requests(durable)]
+            messages = self.requests(durable) + packed + [
                 ChildrenRequest(some), FetchPolynomialsRequest(some),
                 FetchConstantsRequest(some)]
             for message in messages:

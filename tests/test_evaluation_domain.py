@@ -151,10 +151,15 @@ def build_case(p, seed, tamperings):
     tags = {node_id: rng.choice(tag_pool) for node_id in children}
     full = encode(ring, children, tags)
     shares = {node_id: ring.random_element(rng) for node_id in children}
-    rows = {}
-    for node_id, polynomial in full.items():
-        row = list(ring.sub(polynomial, shares[node_id]).coeffs)
-        rows[node_id] = row + [0] * (p - 1 - len(row))
+
+    def served(polynomial):
+        """A row as the server sends it: padded to ``p - 1`` coefficients,
+        so a later tampering may index any of them."""
+        row = list(polynomial.coeffs)
+        return row + [0] * (p - 1 - len(row))
+
+    rows = {node_id: served(ring.sub(polynomial, shares[node_id]))
+            for node_id, polynomial in full.items()}
     candidates = sorted(rng.sample(sorted(children), rng.randint(1, size)))
     parents_of_kids = [n for n in candidates if children[n]]
     for kind in tamperings:
@@ -165,14 +170,14 @@ def build_case(p, seed, tamperings):
             row[index] = (row[index] + rng.randint(1, p - 1)) % p
         elif kind == "zero-child" and parents_of_kids:
             child = rng.choice(children[rng.choice(parents_of_kids)])
-            rows[child] = list(ring.neg(shares[child]).coeffs)
+            rows[child] = served(ring.neg(shares[child]))
         elif kind == "zero-divisors":
             pairs = [n for n in candidates if len(children[n]) >= 2]
             if pairs:
                 first, second = children[rng.choice(pairs)][:2]
                 for child, target in zip((first, second),
                                          split_zero_divisors(ring, rng)):
-                    rows[child] = list(ring.sub(target, shares[child]).coeffs)
+                    rows[child] = served(ring.sub(target, shares[child]))
         elif kind == "out-of-range":
             row[index] += p * rng.randint(1, 5)
         elif kind == "negative":

@@ -1,5 +1,7 @@
 """Property-based round-trips for the binary paged coefficient codec."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.net.pages import (
     decode_coefficients,
     decode_coefficients_array,
     decode_coefficients_batch,
+    decode_int_vector,
     encode_coefficients,
     encode_coefficients_array,
     join_pages,
@@ -153,6 +156,56 @@ class TestArrayCodec:
         stray[-1] |= 0x80
         with pytest.raises(ProtocolError):
             decode_coefficients_array(bytes(stray))
+
+
+def random_vector(width, signed, count, seed):
+    """``count`` values needing exactly ``width``-bit limbs (zigzag if signed)."""
+    rng = random.Random(seed)
+    if not signed:
+        values = [rng.getrandbits(width) for _ in range(count)]
+        values[rng.randrange(count)] = (1 << width) - 1
+        return values
+    # Zigzag maps [-2^(w-1), 2^(w-1)) onto w-bit limbs.
+    half = 1 << (width - 1)
+    values = [rng.getrandbits(width) - half for _ in range(count)]
+    values[rng.randrange(count)] = -half
+    return values
+
+
+def assert_codecs_agree(values):
+    """Reference and array codecs: same bytes, same values back."""
+    blob = encode_coefficients(values)
+    assert decode_coefficients(blob) == values
+    assert encode_coefficients_array(values) == blob
+    assert decode_int_vector(blob) == values
+    np = numpy_or_none()
+    if np is None:
+        return
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        array = None
+    if array is not None:
+        assert encode_coefficients_array(array) == blob
+    decoded = decode_coefficients_array(blob)
+    if decoded is not None:
+        assert decoded.tolist() == values
+
+
+class TestLongVectors:
+    """Both codecs stay linear-time and byte-identical on long vectors."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=100), st.booleans(),
+           st.integers(min_value=50_000, max_value=52_000),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_codecs_agree_on_long_vectors(self, width, signed, count, seed):
+        assert_codecs_agree(random_vector(width, signed, count, seed))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_every_width_up_to_100(self, signed):
+        for width in range(1, 101):
+            assert_codecs_agree(random_vector(width, signed, 1003, width))
 
 
 class TestPaging:

@@ -16,6 +16,7 @@ from repro.net import (
     connect_in_process,
 )
 from repro.net.messages import (
+    PROTOCOL_VERSION,
     EvaluateRequest,
     FrontierRequest,
     HelloRequest,
@@ -62,7 +63,7 @@ class TestHelloNegotiation:
     def test_adapter_negotiates(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
         adapter, _, _ = connect_in_process(server_tree)
-        assert adapter.protocol_version == 3
+        assert adapter.protocol_version == PROTOCOL_VERSION
         assert adapter.batched_rounds
 
     def test_forced_v1_session_is_hello_free(self, outsourced_catalog):

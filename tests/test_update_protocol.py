@@ -50,7 +50,7 @@ from repro.net import (
     start_async_server,
 )
 from repro.net.aio import AsyncServerInterface
-from repro.net.messages import decode_message
+from repro.net.messages import PROTOCOL_VERSION, decode_message
 from repro.net.retry import RetryPolicy
 from repro.workloads import (
     CatalogConfig,
@@ -343,7 +343,7 @@ class TestAsyncUpdateInterface:
                 session = await AsyncServerInterface.open(
                     "127.0.0.1", handle.port, tree.ring)
                 try:
-                    assert session.protocol_version == 3
+                    assert session.protocol_version == PROTOCOL_VERSION
                     root = await session.root_id()
                     share = (await session.fetch_polynomials([root]))[root]
                     coeffs = list(share.coeffs)
