@@ -726,9 +726,9 @@ def bench_update_latency(client, server_tree, subtree_sizes,
     """Insert/delete latency of crash-safe batches on the durable store.
 
     Each measurement inserts a fresh ``size``-node subtree under the root
-    of a SQLite-backed document (one WAL-journaled batch), then deletes it
-    again (another batch), keeping the document at its original size
-    between rounds.  ``per_node_ms`` flat across sizes is the linearity
+    of a SQLite-backed document (one batch, written as one SQLite
+    transaction), then deletes it again (another batch), keeping the
+    document at its original size between rounds.  ``per_node_ms`` flat across sizes is the linearity
     check: the pre-fix editor recomputed the whole descendant product per
     node (O(n²)) and rescanned the id table per node, so its per-node cost
     grew with the subtree.
@@ -799,15 +799,17 @@ def bench_update_evaluate_many(server_tree, batch: int = 512) -> Dict[str, Any]:
 
 def bench_update_wal_overhead(client, server_tree, subtree_size: int = 64,
                               repeat: int = 3) -> Dict[str, Any]:
-    """Per-operation cost of WAL-journaled durability vs the in-memory store.
+    """Per-operation cost of the durable store vs the in-memory store.
 
     The same insert+delete pair (one ``subtree_size``-node subtree under
     the root, then its removal) runs through the identical update planner
-    against the durable SQLite backend — where every batch is journaled to
-    the write-ahead log and flushed to coefficient pages — and against
+    against the durable SQLite backend — where every batch is written to
+    the coefficient pages as one SQLite transaction, paying for one commit
+    to SQLite's own WAL journal — and against
     :class:`~repro.net.store.InMemoryShareStore`, which applies the batch
     with no durability work at all.  The gap is the price of crash safety
-    per editing operation.
+    per editing operation.  The ``sqlite_wal`` and ``wal_overhead_*`` key
+    names stay as they are so that readers of earlier snapshots keep working.
     """
     from .core import UpdatableTree
     from .net import InMemoryShareStore, SQLiteShareStore
@@ -863,8 +865,8 @@ def run_update_benchmarks(quick: bool = False) -> Dict[str, Any]:
     One large skewed document (the BENCH_3 workload shape) is outsourced
     once; the same share tree is then written as a legacy v1 store (JSON
     coefficient rows) and a v2 store (binary coefficient pages) for the
-    size comparison, and edited through WAL-journaled batches for the
-    latency numbers.
+    size comparison, and edited through batches of one SQLite transaction
+    each for the latency numbers.
     """
     from .core import outsource_document
 
@@ -875,7 +877,7 @@ def run_update_benchmarks(quick: bool = False) -> Dict[str, Any]:
     return {
         "snapshot": UPDATES_SNAPSHOT_NAME,
         "description": "crash-safe dynamic updates on the durable store: "
-                       "WAL-journaled batch latency, binary coefficient "
+                       "one-transaction batch latency, binary coefficient "
                        "pages vs JSON rows, batched store evaluation",
         "config": {"quick": quick, "element_count": element_count,
                    "subtree_sizes": list(subtree_sizes),
@@ -1400,7 +1402,7 @@ def run_ops_benchmarks(quick: bool = False,
     * quota-enforcement overhead — the identical workload with per-tenant
       admission off vs on (generous buckets, zero shed), budgeted at a
       <3% p50 regression;
-    * the WAL-durability overhead per editing operation vs the in-memory
+    * the durable store's overhead per editing operation vs the in-memory
       store (the ops-facing cost of crash safety).
     """
     from .core import VerificationMode, outsource_document
@@ -1446,8 +1448,8 @@ def run_ops_benchmarks(quick: bool = False,
         "snapshot": OPS_SNAPSHOT_NAME,
         "description": "serving control plane: per-session latency "
                        "percentiles under concurrency, coalescing tick-size "
-                       "sweep, per-tenant quota enforcement overhead, WAL "
-                       "durability overhead per editing operation",
+                       "sweep, per-tenant quota enforcement overhead, "
+                       "durable-store overhead per editing operation",
         "config": {"quick": quick, "element_count": element_count,
                    "session_counts": list(session_counts),
                    "tick_sizes": list(tick_sizes),
@@ -1492,7 +1494,7 @@ def format_ops_summary(results: Dict[str, Any]) -> str:
         f"{quota['quota_shed']} shed)")
     wal = results["wal_overhead"]
     lines.append(
-        f"  WAL durability: {wal['backends']['sqlite_wal']['per_op_ms']:.2f} "
+        f"  durable writes: {wal['backends']['sqlite_wal']['per_op_ms']:.2f} "
         f"ms/op vs {wal['backends']['in_memory']['per_op_ms']:.2f} ms/op "
         f"in-memory (x{wal['wal_overhead_ratio']})")
     return "\n".join(lines)
@@ -1571,7 +1573,7 @@ def format_update_summary(results: Dict[str, Any]) -> str:
     wal = results.get("wal_overhead")
     if wal:
         lines.append(
-            f"  WAL overhead ({wal['subtree_nodes']}-node ops): "
+            f"  durable-write overhead ({wal['subtree_nodes']}-node ops): "
             f"{wal['backends']['sqlite_wal']['per_op_ms']:.2f} ms/op durable "
             f"vs {wal['backends']['in_memory']['per_op_ms']:.2f} ms/op "
             f"in-memory (x{wal['wal_overhead_ratio']})")

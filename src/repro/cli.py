@@ -178,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     migrate = commands.add_parser(
         "migrate-store",
         help="migrate a legacy share-store-sqlite-v1 file (JSON coefficient "
-             "rows) to the v2 format (binary coefficient pages + write-ahead "
-             "update log), losslessly and atomically")
+             "rows) to the v2 format (binary coefficient pages), losslessly "
+             "and atomically")
     migrate.add_argument("server_file", help="path to the v1 SQLite store")
 
     bench = commands.add_parser(
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the BENCH_7 control-plane benchmark "
                             "(per-session latency percentiles under "
                             "concurrency, coalescing tick-size sweep, quota "
-                            "enforcement overhead, WAL write overhead) "
+                            "enforcement overhead, durable-write overhead) "
                             "instead of the kernel suite")
     return parser
 
@@ -306,10 +306,17 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"backend:     {type(server_tree).__name__}")
     print(f"ring:        {server_tree.ring.name}")
     print(f"nodes:       {server_tree.node_count()}")
-    print(f"storage:     {server_tree.storage_bits()} bits "
-          f"({server_tree.storage_bits() // 8} bytes of share polynomials)")
-    depths = [server_tree.depth_of(node_id) for node_id in server_tree.node_ids()]
-    print(f"tree height: {max(depths) if depths else 0}")
+    storage_bits = server_tree.storage_bits()
+    print(f"storage:     {storage_bits} bits "
+          f"({storage_bits // 8} bytes of share polynomials)")
+    # The height from one child_lists read per level of the tree.
+    height = -1
+    level = [] if server_tree.root_id is None else [server_tree.root_id]
+    while level:
+        height += 1
+        lists = server_tree.child_lists(level)
+        level = [child for parent in level for child in lists[parent]]
+    print(f"tree height: {max(height, 0)}")
     print("note: the server sees structure and share polynomials only; "
           "tag names, the mapping and the seed never appear in this file")
     return 0

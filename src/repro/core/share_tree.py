@@ -246,6 +246,8 @@ def reconstruct_tree(client: ClientShareGenerator,
     for node_id in server.node_ids():
         combined = combine_additive(
             server.ring, [client.share_for(node_id), server.share_of(node_id)])
-        tree.add_node(node_id, server.parent_id(node_id), combined,
-                      server.depth_of(node_id))
+        parent_id = server.parent_id(node_id)
+        # Parents come first (add_node requires it), so their depth is known.
+        depth = tree.nodes[parent_id].depth + 1 if parent_id in tree.nodes else 0
+        tree.add_node(node_id, parent_id, combined, depth)
     return tree

@@ -26,10 +26,10 @@ therefore touches ``O(depth · fanout + |new subtree|)`` nodes.
 **Atomicity.**  Every public operation computes all of its new polynomials
 first (reads see the pre-update state throughout) and then pushes the
 whole mutation set as *one* :meth:`repro.net.store.ShareStore.transaction`
-batch.  On the durable SQLite backend that batch travels through a
-write-ahead update log, so a crash mid-update can never leave a torn tree
-whose ancestors no longer equal ``(x − tag) · ∏ children``; on the
-in-memory backend the batch is simply applied in one go.  Passing a
+batch.  On the durable SQLite backend that batch is written as one SQLite
+transaction, so a crash mid-update can never leave a torn tree whose
+ancestors no longer equal ``(x − tag) · ∏ children``; on the in-memory
+backend the batch is simply applied in one go.  Passing a
 ``lock`` (e.g. a :class:`~repro.net.engine.HostedDocument`'s document
 lock) additionally serialises each whole operation against concurrent
 query traffic on the same store.
@@ -101,8 +101,8 @@ class UpdatableTree:
     :meth:`~repro.net.store.ShareStore.transaction` batch, so
     ``server_tree`` may equally be any :class:`repro.net.store.ShareStore`
     backend — updates against the durable store persist atomically (the
-    batch is write-ahead logged and replayed or rolled back after a
-    crash).  ``lock``, when given, is held across each whole operation
+    batch commits as one SQLite transaction, which a crash rolls back
+    whole).  ``lock``, when given, is held across each whole operation
     (reads included); hand it a hosted document's lock so a coalesced
     serving tick never interleaves with a half-computed update.
     """

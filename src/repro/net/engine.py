@@ -931,8 +931,8 @@ class ServingCore:
         the base-version check and the batch application are one atomic
         step with respect to every other writer and every query handler.
         The batch goes through the store's transactional path — on the
-        durable backend that means the PR 5 write-ahead log, so a crash
-        mid-batch still tears nothing.  Nothing is applied on conflict.
+        durable backend one SQLite transaction, so a crash mid-batch still
+        tears nothing.  Nothing is applied on conflict.
         """
         store = document.store
         versions = document.versions

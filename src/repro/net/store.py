@@ -18,15 +18,15 @@ and :class:`~repro.core.updates.UpdatableTree` need), so every code path —
 queries, verification, dynamic updates — works identically against either
 backend.  Tests assert bit-identical query results across backends.
 
-Since format ``share-store-sqlite-v2`` the durable backend is also
-**crash-safe under multi-mutation updates**: every
+The durable backend is **crash-safe under multi-mutation updates**: every
 :class:`~repro.core.updates.UpdatableTree` operation travels as one
-:meth:`ShareStore.transaction` batch, which SQLite applies through the
-write-ahead update log of :mod:`repro.net.wal` (intent record, per-mutation
-apply, commit marker, checkpoint — replayed or rolled back on open).
-Coefficients are stored as binary pages (:mod:`repro.net.pages`) instead
-of the v1 JSON text rows; v1 files are migrated losslessly with
-:func:`migrate_share_store` (``python -m repro.cli migrate-store``).
+:meth:`ShareStore.transaction` batch, and :meth:`SQLiteShareStore.apply_batch`
+writes each batch inside one ``BEGIN IMMEDIATE … COMMIT``, so SQLite's own
+journal makes it all-or-nothing across exceptions and process death.
+Format ``share-store-sqlite-v2`` stores coefficients as binary pages
+(:mod:`repro.net.pages`) instead of the v1 JSON text rows; v1 files are
+migrated losslessly with :func:`migrate_share_store`
+(``python -m repro.cli migrate-store``).
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from ..algebra.vkernels import VecFpKernel, numpy_or_none
 from ..core.query import CoefficientRows
 from ..core.share_tree import ServerShareTree
 from ..errors import ProtocolError, SharingError
-from . import wal
 from .pages import (
     DEFAULT_PAGE_BYTES,
     decode_coefficients,
     decode_coefficients_batch,
     encode_coefficients,
     join_pages,
+    split_pages,
 )
 
 __all__ = [
@@ -100,6 +100,103 @@ def _id_chunks(node_ids: Sequence[int]) -> Iterator[Tuple[str, List[int]]]:
         yield ",".join("?" * width), chunk
 
 
+# -- node rows (shared by the batch writer, from_tree, migration and the drain) --------
+
+def _upsert_node(conn: sqlite3.Connection, node_id: int,
+                 parent: Optional[int], ord_: int) -> None:
+    """Write a node's structure row (idempotent).
+
+    A fresh row starts with an empty head segment; :func:`_write_node_pages`
+    fills it in the same transaction.
+    """
+    conn.execute(
+        "INSERT INTO nodes (node_id, parent, ord, head) VALUES (?, ?, ?, X'') "
+        "ON CONFLICT(node_id) DO UPDATE SET parent = excluded.parent, "
+        "ord = excluded.ord",
+        (node_id, parent, ord_))
+
+
+def _delete_node(conn: sqlite3.Connection, node_id: int) -> None:
+    """Remove a node's structure row and every overflow page (idempotent)."""
+    conn.execute("DELETE FROM pages WHERE node_id = ?", (node_id,))
+    conn.execute("DELETE FROM nodes WHERE node_id = ?", (node_id,))
+
+
+def _write_node_pages(conn: sqlite3.Connection, node_id: int, blob: bytes,
+                      page_bytes: int) -> bool:
+    """Replace a node's coefficient segments with the paged ``blob``.
+
+    Segment 0 (the head) goes inline into the node row; segments 1+ are
+    written as overflow page rows, after dropping the stale ones.  Returns
+    ``False``, writing nothing, when no node row has this id.
+    """
+    segments = split_pages(blob, page_bytes)
+    if not conn.execute("UPDATE nodes SET head = ? WHERE node_id = ?",
+                        (segments[0], node_id)).rowcount:
+        return False
+    conn.execute("DELETE FROM pages WHERE node_id = ?", (node_id,))
+    if len(segments) > 1:
+        conn.executemany(
+            "INSERT INTO pages (node_id, page_no, payload) VALUES (?, ?, ?)",
+            [(node_id, page_no, payload)
+             for page_no, payload in enumerate(segments[1:], start=1)])
+    return True
+
+
+def _drain_legacy_log(conn: sqlite3.Connection, page_bytes: int) -> str:
+    """Finish a batch that an earlier build left in its ``wal`` table.
+
+    Earlier builds logged every batch in a ``wal`` table (a ``begin``
+    marker, one row per mutation with redo and undo images, a ``commit``
+    marker) and applied it one commit per mutation.  A log with a commit
+    marker is replayed; one without is undone in reverse order, skipping
+    torn records (an unfinished intent was never applied).  The drain and
+    the ``DROP TABLE`` are one transaction.  Returns ``"clean"`` (no
+    table, or an empty one), ``"replayed"`` or ``"rolled-back"``.
+    """
+    if conn.execute("SELECT 1 FROM sqlite_master "
+                    "WHERE type = 'table' AND name = 'wal'").fetchone() is None:
+        return "clean"
+    with conn:
+        conn.execute("BEGIN IMMEDIATE")
+        rows = conn.execute("SELECT op, node_id, parent, ord, after, before "
+                            "FROM wal ORDER BY seq").fetchall()
+        for row in rows:
+            if row[0] not in ("begin", "commit", "add", "replace", "remove"):
+                raise ProtocolError(
+                    f"the legacy write-ahead log contains an unknown record "
+                    f"kind {row[0]!r}; refusing to guess at recovery")
+        records = [row for row in rows if row[0] in ("add", "replace", "remove")]
+        committed = any(row[0] == "commit" for row in rows)
+        if committed:
+            for op, node_id, parent, ord_, after, _ in records:
+                if op == "remove":
+                    _delete_node(conn, node_id)
+                    continue
+                if node_id is None or after is None:
+                    raise ProtocolError(
+                        f"legacy WAL {op!r} record for node {node_id!r} is "
+                        "missing its redo image; the log is corrupt")
+                if op == "add":
+                    _upsert_node(conn, node_id, parent, ord_)
+                _write_node_pages(conn, node_id, after, page_bytes)
+        else:
+            for op, node_id, parent, ord_, _, before in reversed(records):
+                if node_id is None:
+                    continue                    # torn: never applied
+                if op == "add":
+                    _delete_node(conn, node_id)
+                elif op == "replace" and before is not None:
+                    _write_node_pages(conn, node_id, before, page_bytes)
+                elif op == "remove" and before is not None and ord_ is not None:
+                    _upsert_node(conn, node_id, parent, ord_)
+                    _write_node_pages(conn, node_id, before, page_bytes)
+        conn.execute("DROP TABLE wal")
+    if not rows:
+        return "clean"
+    return "replayed" if committed else "rolled-back"
+
+
 class ShareStore(abc.ABC):
     """Storage backend for one document's server share tree."""
 
@@ -136,7 +233,7 @@ class ShareStore(abc.ABC):
             "store_cache_misses_total", document=self._metrics_document)
 
     def _record_recovery(self, result: str) -> None:
-        """Count one WAL recovery outcome ("replayed"/"rolled-back")."""
+        """Count one recovery outcome ("replayed"/"rolled-back")."""
         if self._metrics is not None and result != "clean":
             self._metrics.counter(
                 "store_recovery_total", document=self._metrics_document,
@@ -234,9 +331,9 @@ class ShareStore(abc.ABC):
         Mutations recorded on the returned :class:`StoreTransaction` are
         validated immediately against the pre-batch state but applied only
         when the ``with`` block exits cleanly, through
-        :meth:`apply_batch` — on the durable backend that application is
-        atomic across crashes (write-ahead logged), which is what makes
-        multi-node dynamic updates safe.
+        :meth:`apply_batch` — on the durable backend as one SQLite
+        transaction, atomic across crashes, which is what makes multi-node
+        dynamic updates safe.
         """
         return StoreTransaction(self)
 
@@ -302,15 +399,6 @@ class ShareStore(abc.ABC):
             rows.append(row)
         return CoefficientRows(node_ids, width, rows=rows)
 
-    def depth_of(self, node_id: int) -> int:
-        """Depth of a node computed from the public structure."""
-        depth = 0
-        current = self.parent_id(node_id)
-        while current is not None:
-            depth += 1
-            current = self.parent_id(current)
-        return depth
-
     def storage_bits(self) -> int:
         """Measured storage of all share polynomials (the §5 server cost)."""
         return sum(self.ring.element_storage_bits(self.share_of(node_id))
@@ -341,8 +429,7 @@ class StoreTransaction:
 
     Structural ops may not overlap within one batch: a node removed by the
     batch cannot also be added or replaced by it (and vice versa).  The
-    update layer never needs that, and refusing it keeps the write-ahead
-    images unambiguous.
+    update layer never needs that.
     """
 
     def __init__(self, store: ShareStore) -> None:
@@ -514,11 +601,13 @@ class SQLiteShareStore(ShareStore):
     in the document size.  All access is serialised by an internal lock;
     the connection is shared across threads.
 
-    Single mutations are atomic SQLite transactions.  Multi-mutation
-    batches (:meth:`transaction` / :meth:`apply_batch`) additionally go
-    through the application write-ahead log of :mod:`repro.net.wal`; an
-    interrupted batch is replayed or rolled back on the next open, and
-    ``last_recovery`` reports which of the two happened.
+    Every mutation commits through :meth:`apply_batch`, which writes a
+    whole batch in one SQLite transaction; the single-mutation methods are
+    one-op batches.  A batch that raises before its ``COMMIT`` is rolled
+    back and ``last_recovery`` reads ``"rolled-back"``; after a crash,
+    SQLite's journal does the same on the next open, unseen by the store.
+    A ``wal`` table left by an earlier build's write-ahead log is drained
+    and dropped on open (``last_recovery`` says how).
     """
 
     def __init__(self, path: str, ring: Optional[EncodingRing] = None,
@@ -534,11 +623,12 @@ class SQLiteShareStore(ShareStore):
         # first structural access and replaces the entry in place.
         self._cache: "OrderedDict[int, Any]" = OrderedDict()
         self._lock = threading.RLock()
-        #: Test-only crash-point hook; called with an increasing step index
-        #: at every batch crash point (after intent, after each mutation,
-        #: after the commit marker).  Raising from it simulates dying there.
+        #: Test-only crash-point hook; called with the batch's 1-based op
+        #: index after each op is written inside the transaction, and with
+        #: ``len(ops) + 1`` after COMMIT.  Raising from it fails the batch.
         self.fault_injection_hook = None
-        #: What opening this file required: "clean", "replayed" or "rolled-back".
+        #: The last recovery the store made: "clean", "replayed" or
+        #: "rolled-back" (see the class docstring).
         self.last_recovery = "clean"
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -571,7 +661,12 @@ class SQLiteShareStore(ShareStore):
                     f"share store {path!r} was written for ring {self.ring.name} "
                     f"but ring {ring.name} was requested")
             self.page_bytes = int(self._meta("page_bytes") or DEFAULT_PAGE_BYTES)
-            self.last_recovery = wal.recover(self._conn, self.page_bytes)
+            try:
+                self.last_recovery = _drain_legacy_log(self._conn,
+                                                       self.page_bytes)
+            except BaseException:
+                self._conn.close()
+                raise
         else:
             if ring is None:
                 self._conn.close()
@@ -592,7 +687,6 @@ class SQLiteShareStore(ShareStore):
                     "CREATE TABLE pages (node_id INTEGER NOT NULL, "
                     "page_no INTEGER NOT NULL, payload BLOB NOT NULL, "
                     "PRIMARY KEY (node_id, page_no)) WITHOUT ROWID")
-                wal.ensure_wal_table(self._conn)
                 self._set_meta("format", SQLITE_STORE_FORMAT)
                 self._set_meta("ring", json.dumps(ring_to_dict(ring),
                                                   separators=(",", ":")))
@@ -611,12 +705,11 @@ class SQLiteShareStore(ShareStore):
                     page_bytes=page_bytes)
         with store._lock, store._conn:
             for ord_, node_id in enumerate(store._preorder(tree)):
-                wal.upsert_node(store._conn, node_id, tree.parent_id(node_id),
-                                ord_)
-                wal.write_node_pages(
-                    store._conn, node_id,
-                    store._encode_share(tree.share_of(node_id)),
-                    store.page_bytes)
+                _upsert_node(store._conn, node_id, tree.parent_id(node_id),
+                             ord_)
+                _write_node_pages(store._conn, node_id,
+                                  store._encode_share(tree.share_of(node_id)),
+                                  store.page_bytes)
             store._next_ord = tree.node_count()
         return store
 
@@ -923,9 +1016,9 @@ class SQLiteShareStore(ShareStore):
     def bind_metrics(self, metrics: Any, document_id: str) -> None:
         """Bind instruments, back-reporting the open-time recovery outcome.
 
-        A store that replayed or rolled back its application WAL did so
-        *before* it was hosted; recording it at bind time means the event
-        still shows up in ``store_recovery_total`` for operators.
+        A store that drained a legacy log did so *before* it was hosted;
+        recording it at bind time means the event still shows up in
+        ``store_recovery_total`` for operators.
         """
         super().bind_metrics(metrics, document_id)
         self._record_recovery(self.last_recovery)
@@ -959,154 +1052,89 @@ class SQLiteShareStore(ShareStore):
             self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         return os.path.getsize(self.path)
 
-    # -- write side ------------------------------------------------------------------
+    # -- write side: one transaction per batch ------------------------------------------
     def add_node(self, node_id: int, parent_id: Optional[int],
                  share: Polynomial) -> None:
-        share = share if self.ring.is_canonical(share) else self.ring.reduce(share)
-        with self._lock:
-            if node_id in self:
-                raise SharingError(f"duplicate node id {node_id}")
-            if parent_id is None:
-                if self.root_id is not None:
-                    raise SharingError("the share tree already has a root")
-            elif parent_id not in self:
-                raise SharingError(f"parent {parent_id} of node {node_id} is unknown")
-            with self._conn:
-                wal.upsert_node(self._conn, node_id, parent_id, self._next_ord)
-                wal.write_node_pages(self._conn, node_id,
-                                     self._encode_share(share), self.page_bytes)
-            self._next_ord += 1
-            self._cache_put(node_id, share)
+        with self._lock, self.transaction() as txn:
+            txn.add_node(node_id, parent_id, share)
 
     def replace_share(self, node_id: int, share: Polynomial) -> None:
-        share = share if self.ring.is_canonical(share) else self.ring.reduce(share)
-        with self._lock:
-            if node_id not in self:
-                raise SharingError(f"unknown node id {node_id}")
-            with self._conn:
-                wal.write_node_pages(self._conn, node_id,
-                                     self._encode_share(share), self.page_bytes)
-            if node_id in self._cache:
-                self._cache[node_id] = share
+        with self._lock, self.transaction() as txn:
+            txn.replace_share(node_id, share)
 
     def remove_subtree(self, node_id: int) -> List[int]:
-        with self._lock:
-            if self.parent_id(node_id) is None:
-                raise SharingError("the root node cannot be removed")
-            removed = self.subtree_ids(node_id)
-            with self._conn:
-                for current in removed:
-                    wal.delete_node(self._conn, current)
-            for current in removed:
-                self._cache.pop(current, None)
-            return removed
+        with self._lock, self.transaction() as txn:
+            return txn.remove_subtree(node_id)
 
-    # -- crash-safe batches ------------------------------------------------------------
     def apply_batch(self, ops: Sequence[Tuple]) -> None:
-        """Apply a mutation batch through the write-ahead update log.
+        """Apply a mutation batch as one SQLite transaction.
 
-        Protocol (each numbered step is one committed SQLite transaction;
-        a crash between any two steps is recovered on the next open):
-
-        1. the full intent — ``begin`` marker plus one
-           :class:`~repro.net.wal.WalRecord` per mutation with redo *and*
-           undo images;
-        2..n+1. each mutation, applied to ``nodes``/``pages``;
-        n+2. the ``commit`` marker (the batch is now durable);
-        n+3. the checkpoint (log cleared).
-
-        If applying raises in-process (I/O error, injected fault), the
-        store immediately runs the same recovery the next open would, so a
-        *surviving* process also never observes a torn batch.
+        ``BEGIN IMMEDIATE`` takes the write lock before the batch's own
+        reads (the existence and subtree checks), so they and the writes
+        see one snapshot, and the single ``COMMIT`` makes the batch
+        durable.  A batch that raises before its ``COMMIT`` (a failed
+        check, an I/O error, the fault hook) is rolled back whole, so a
+        surviving process never observes a torn batch either.  After the
+        commit the batch is folded into the share LRU and the sibling-order
+        counter; after any failure both are rebuilt from disk instead.
         """
         if not ops:
             return
         started = time.perf_counter()
         try:
-            self._apply_batch_logged(ops)
+            with self._lock:
+                self._apply_batch_locked(ops)
         finally:
             if self._txn_seconds is not None:
                 self._txn_seconds.observe(time.perf_counter() - started)
 
-    def _apply_batch_logged(self, ops: Sequence[Tuple]) -> None:
-        with self._lock:
-            records = self._build_intent(ops)
-            with self._conn:
-                wal.write_intent(self._conn, records)
-            try:
-                self._fault_point(0)
-                for step, record in enumerate(records, start=1):
-                    with self._conn:
-                        wal.apply_record(self._conn, record, self.page_bytes)
-                    self._fault_point(step)
-                with self._conn:
-                    wal.mark_commit(self._conn)
-                self._fault_point(len(records) + 1)
-                with self._conn:
-                    wal.clear(self._conn)
-                self._apply_to_cache(records)
-            except BaseException:
-                # Recovery inspects the log: no commit marker yet rolls the
-                # batch back, a failure after the marker (checkpoint or
-                # cache fold) replays it — either way the log ends empty
-                # and the LRU/ord state is rebuilt from disk.
-                self._recover_in_place()
-                raise
-
-    def _fault_point(self, step: int) -> None:
-        hook = self.fault_injection_hook
-        if hook is not None:
-            hook(step)
-
-    def _recover_in_place(self) -> None:
-        """Best-effort recovery after a failed batch (see :meth:`apply_batch`).
-
-        Swallows secondary errors: if the connection itself is gone (a
-        simulated or real crash) the on-disk log is intact and the next
-        open recovers instead.
-        """
+    def _apply_batch_locked(self, ops: Sequence[Tuple]) -> None:
         try:
-            self.last_recovery = wal.recover(self._conn, self.page_bytes)
+            with self._conn:            # COMMIT on success, ROLLBACK on raise
+                self._conn.execute("BEGIN IMMEDIATE")
+                written = self._write_ops(ops)
+        except BaseException:
+            self.last_recovery = "rolled-back"
             self._record_recovery(self.last_recovery)
-            self._cache.clear()
-            self._next_ord = self._max_ord() + 1
-        except Exception:
-            pass
+            self._reload_cache_state()
+            raise
+        try:
+            self._fault_point(len(ops) + 1)
+            for node_id, share, added in written:
+                if share is None:
+                    self._cache.pop(node_id, None)
+                elif added or node_id in self._cache:
+                    self._cache_put(node_id, share)
+                if added:
+                    self._next_ord += 1
+        except BaseException:
+            self._reload_cache_state()
+            raise
 
-    def _build_intent(self, ops: Sequence[Tuple]) -> List[wal.WalRecord]:
-        """Expand batch ops into WAL records with redo and undo images.
+    def _write_ops(self, ops: Sequence[Tuple]
+                   ) -> List[Tuple[int, Optional[Polynomial], bool]]:
+        """Check and write ``ops`` inside the open transaction.
 
-        Before-images are read against an overlay of the earlier records
-        in the same batch, so e.g. a ``replace`` of a node added moments
-        before undoes to "absent", not to a stale disk read.
+        Returns one ``(node_id, share, added)`` entry per written node row,
+        in order (``share`` is ``None`` for a removal), for the cache fold.
         """
-        records: List[wal.WalRecord] = []
-        overlay: Dict[int, bytes] = {}
+        written: List[Tuple[int, Optional[Polynomial], bool]] = []
         next_ord = self._next_ord
-        for op in ops:
+        for step, op in enumerate(ops, start=1):
             kind = op[0]
-            if kind == "add":
-                _, node_id, parent_id, share = op
+            if kind in ("add", "replace"):
+                # ("add", id, parent, share) or ("replace", id, share)
+                node_id, share = op[1], op[-1]
                 share = (share if self.ring.is_canonical(share)
                          else self.ring.reduce(share))
-                blob = self._encode_share(share)
-                records.append(wal.WalRecord("add", node_id, parent_id,
-                                             next_ord, after=blob))
-                overlay[node_id] = blob
-                next_ord += 1
-            elif kind == "replace":
-                _, node_id, share = op
-                share = (share if self.ring.is_canonical(share)
-                         else self.ring.reduce(share))
-                before = overlay.get(node_id)
-                if before is None:
-                    before = self._load_blob(node_id)
-                    if before is None:
-                        raise SharingError(f"unknown node id {node_id}")
-                blob = self._encode_share(share)
-                records.append(wal.WalRecord("replace", node_id,
-                                             after=blob, before=before))
-                overlay[node_id] = blob
+                if kind == "add":
+                    _upsert_node(self._conn, node_id, op[2], next_ord)
+                    next_ord += 1
+                if not _write_node_pages(self._conn, node_id,
+                                         self._encode_share(share),
+                                         self.page_bytes):
+                    raise SharingError(f"unknown node id {node_id}")
+                written.append((node_id, share, kind == "add"))
             elif kind == "remove_subtree":
                 _, node_id, expected = op
                 removed = self.subtree_ids(node_id)
@@ -1115,28 +1143,22 @@ class SQLiteShareStore(ShareStore):
                         f"subtree {node_id} changed between transaction "
                         "recording and apply; refusing the batch")
                 for current in removed:
-                    row = self._conn.execute(
-                        "SELECT parent, ord FROM nodes WHERE node_id = ?",
-                        (current,)).fetchone()
-                    before = self._load_blob(current)
-                    records.append(wal.WalRecord(
-                        "remove", current, parent=row[0], ord=int(row[1]),
-                        before=before))
+                    _delete_node(self._conn, current)
+                    written.append((current, None, False))
             else:
                 raise ProtocolError(f"unknown batch op {kind!r}")
-        return records
+            self._fault_point(step)
+        return written
 
-    def _apply_to_cache(self, records: Sequence[wal.WalRecord]) -> None:
-        """Fold a successfully committed batch into the LRU and ord counter."""
-        for record in records:
-            if record.op == "remove":
-                self._cache.pop(record.node_id, None)
-            elif record.op in ("add", "replace"):
-                if record.op == "add" or record.node_id in self._cache:
-                    self._cache_put(record.node_id,
-                                    self._decode_share(record.after))
-                if record.op == "add":
-                    self._next_ord = record.ord + 1
+    def _reload_cache_state(self) -> None:
+        """Drop the share LRU and re-read the sibling-order counter."""
+        self._cache.clear()
+        self._next_ord = self._max_ord() + 1
+
+    def _fault_point(self, step: int) -> None:
+        hook = self.fault_injection_hook
+        if hook is not None:
+            hook(step)
 
     # -- lifecycle -------------------------------------------------------------------
     def close(self) -> None:
@@ -1279,11 +1301,10 @@ def migrate_share_store(path: str,
         with store._lock, store._conn:
             for ord_, (node_id, parent, coefficients) in enumerate(rows):
                 share = ring.from_coefficients(json.loads(coefficients))
-                wal.upsert_node(store._conn, int(node_id),
-                                None if parent is None else int(parent), ord_)
-                wal.write_node_pages(store._conn, int(node_id),
-                                     store._encode_share(share),
-                                     store.page_bytes)
+                _upsert_node(store._conn, int(node_id),
+                             None if parent is None else int(parent), ord_)
+                _write_node_pages(store._conn, int(node_id),
+                                  store._encode_share(share), store.page_bytes)
         after_bytes = store.file_bytes()
         store.close()
         os.replace(temp_path, path)

@@ -129,7 +129,27 @@ class TestInspectAndDecode:
         assert main(["inspect", server]) == 0
         output = capsys.readouterr().out
         assert "nodes:       5" in output
+        assert "tree height: 2" in output
         assert "structure and share polynomials only" in output
+
+    def test_inspect_sqlite_store(self, tmp_path, xml_file, outsourced_files,
+                                  capsys):
+        server = str(tmp_path / "server.db")
+        assert main(["outsource", xml_file, "--server-out", server,
+                     "--client-out", str(tmp_path / "client-db.json"),
+                     "--seed", "cli-test-seed", "--allow-p-minus-one",
+                     "--store", "sqlite"]) == 0
+        capsys.readouterr()
+        assert main(["inspect", server]) == 0
+        output = capsys.readouterr().out
+        assert "backend:     SQLiteShareStore" in output
+        assert "nodes:       5" in output
+        assert "tree height: 2" in output
+        # Same shares as the JSON file of the same seed: same storage line.
+        assert main(["inspect", outsourced_files[0]]) == 0
+        storage = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("storage:")]
+        assert storage and storage[0] in output
 
     def test_decode(self, outsourced_files, capsys):
         server, client = outsourced_files

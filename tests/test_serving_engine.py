@@ -362,7 +362,7 @@ class TestDocumentTransactions:
 
     def test_updates_under_document_lock_stay_consistent(self,
                                                          outsourced_catalog):
-        """Lookups racing WAL batches see pre- or post-update, nothing else."""
+        """Lookups racing update batches see pre- or post-update, nothing else."""
         from repro.core import UpdatableTree, choose_fp_ring
         from repro.xmltree import XmlElement
 

@@ -37,7 +37,6 @@ class TestInMemoryShareStore:
         assert store.share_of(node) == server_tree.share_of(node)
         assert store.child_ids(node) == server_tree.child_ids(node)
         assert store.parent_id(node) == server_tree.parent_id(node)
-        assert store.depth_of(node) == server_tree.depth_of(node)
         assert node in store and -1 not in store
 
     def test_as_share_store(self, outsourced_catalog):

@@ -38,7 +38,8 @@ def editable_setup(request, catalog_document, share_backend):
                                                 seed=b"update-seed")
     # ``share_backend`` routes the tree through the REPRO_STORE_BACKEND
     # backend (identity by default, a durable SQLite store in the CI
-    # matrix leg), so every update test also runs against the WAL path.
+    # matrix leg), so every update test also runs against the durable
+    # store's one-transaction batch path.
     return catalog_document, client, share_backend(server_tree)
 
 
