@@ -461,7 +461,7 @@ def run_serving_benchmarks(quick: bool = False) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Concurrent-throughput benchmark (BENCH_3): sync threaded vs async coalesced
+# Concurrent-throughput benchmark (BENCH_3): the socket transport under load
 # ---------------------------------------------------------------------------
 
 def _concurrency_document(element_count: int, seed: int = 7):
@@ -552,9 +552,49 @@ def _concurrent_lookups(client, ring, port: int, sessions: int,
         "lookups_per_s": round(lookups / elapsed, 3),
     }
     # Per-lookup latency distribution across every session: under
-    # concurrency the p99 column is where queueing (threaded) vs
-    # coalescing (async) actually shows up.
+    # concurrency the p99 column is where queueing behind other
+    # sessions' passes shows up.
     row.update(_percentiles(latencies))
+    return row
+
+
+def _served_round(client, ring, path: str, sessions: int,
+                  tags: List[str], reference: Dict[str, tuple],
+                  tick_size: int = 0, configure=None) -> Dict[str, Any]:
+    """One timed round of the socket transport on a fresh SQLite connection.
+
+    Boots :class:`~repro.net.server.ThreadedSearchServer` over a cold
+    store, runs one warm-up session and then the timed ``sessions``-way
+    round (every lookup asserted bit-identical to the in-memory
+    reference), and folds the serving stack's own accounting into the
+    row — including the proof that admitted == completed + shed + failed
+    with nothing in flight — plus the coalescer's pass counts.
+    """
+    from .net import SearchServer, SQLiteShareStore, ThreadedSearchServer
+
+    store = SQLiteShareStore(path)
+    server = SearchServer(store)
+    if configure is not None:
+        configure(server)
+    transport = ThreadedSearchServer(server, tick_size=tick_size).start()
+    try:
+        port = transport.address[1]
+        _concurrent_lookups(client, ring, port, 1, tags, reference)
+        row = _concurrent_lookups(client, ring, port, sessions, tags,
+                                  reference)
+        accounting = server.accounting()
+        row["accounting"] = accounting
+        row["accounting_reconciles"] = (
+            accounting["admitted"] == (accounting["completed"]
+                                       + accounting["shed"]
+                                       + accounting["failed"])
+            and accounting["inflight"] == 0)
+        row["coalesced_batches"] = transport.coalesced_batches
+        row["coalesced_requests"] = transport.coalesced_requests
+        row["largest_batch"] = transport.largest_batch
+    finally:
+        transport.stop()
+        store.close()
     return row
 
 
@@ -562,23 +602,19 @@ def run_concurrency_benchmarks(quick: bool = False,
                                session_counts: Optional[List[int]] = None,
                                element_count: Optional[int] = None,
                                lookups_per_session: int = 4) -> Dict[str, Any]:
-    """BENCH_3: concurrent lookup throughput, sync threaded vs async coalesced.
+    """BENCH_3: concurrent lookup throughput of the socket transport.
 
     One large document (>10^5 nodes in the full run, so the SQLite
-    backend's lazy share loading actually matters) is served over real TCP
-    by both socket transports; N sessions each run the same selective-tag
-    lookups.  The async server answers bit-identically (asserted here per
-    lookup against the in-memory reference) but coalesces concurrent
-    frontier rounds into single store passes, which is where its
-    throughput advantage comes from.
+    backend's lazy share loading actually matters) is served over real
+    TCP; N sessions each run the same selective-tag lookups, every answer
+    asserted against the in-memory reference.  Each session has its own
+    server thread, and concurrent frontier rounds coalesce into shared
+    store passes (``largest_batch`` says how far).  A tick-size sweep at
+    the largest session count bounds the pass width: ``1`` disables
+    coalescing, ``0`` drains everything queued.
     """
     from .core import VerificationMode, outsource_document
-    from .net import (
-        SearchServer,
-        SQLiteShareStore,
-        ThreadedSearchServer,
-        start_async_server,
-    )
+    from .net import SQLiteShareStore
 
     if session_counts is None:
         session_counts = [1, 4] if quick else [1, 4, 16, 64]
@@ -592,93 +628,42 @@ def run_concurrency_benchmarks(quick: bool = False,
                                  verification=VerificationMode.NONE).matches)
         for tag in tags}
 
-    results: Dict[str, Any] = {
-        "document_elements": document.size(),
-        "store_backend": "sqlite",
-        "tags": tags,
-        "lookups_per_session": len(tags),
-        "identical_to_reference": True,   # every session asserts per lookup
-        "session_counts": list(session_counts),
-        "modes": {},
-    }
-    def threaded_transport(store):
-        server = ThreadedSearchServer(SearchServer(store)).start()
-        return server.address[1], server.stop, None
-
-    def async_transport(store):
-        handle = start_async_server(SearchServer(store))
-        return handle.port, handle.stop, handle.server
-
+    tick_sizes = [1, 4, 0] if quick else [1, 4, 16, 0]
+    sweep_sessions = session_counts[-1]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bench3.db")
         SQLiteShareStore.from_tree(path, server_tree).close()
-        for mode, transport in (("sync_threaded", threaded_transport),
-                                ("async_coalesced", async_transport)):
-            rows: Dict[str, Any] = {}
-            for sessions in session_counts:
-                # Fresh store connection per configuration so every run
-                # starts from the same cold share cache, plus one
-                # single-session warm-up pass before timing.
-                store = SQLiteShareStore(path)
-                port, stop, async_server = transport(store)
-                try:
-                    _concurrent_lookups(client, store.ring, port, 1, tags,
-                                        reference)
-                    row = _concurrent_lookups(client, store.ring, port,
-                                              sessions, tags, reference)
-                    if async_server is not None:
-                        row["coalesced_batches"] = \
-                            async_server.coalesced_batches
-                        row["coalesced_requests"] = \
-                            async_server.coalesced_requests
-                        row["largest_batch"] = async_server.largest_batch
-                    rows[str(sessions)] = row
-                finally:
-                    stop()
-                    store.close()
-            results["modes"][mode] = rows
-
-        # Coalescing-tick-size sweep: the same async serving stack at the
-        # largest session count, with the coalescer's drain bound varied.
-        # tick=1 disables coalescing (one store pass per request), tick=0
-        # drains everything queued; intermediate ticks trade per-request
-        # latency (p99) against batch width.
-        tick_sizes = [1, 4, 0] if quick else [1, 4, 16, 0]
-        sweep_sessions = session_counts[-1]
-        ticks: Dict[str, Any] = {}
-        for tick in tick_sizes:
-            store = SQLiteShareStore(path)
-            handle = start_async_server(SearchServer(store), tick_size=tick)
-            try:
-                _concurrent_lookups(client, store.ring, handle.port, 1,
-                                    tags, reference)
-                row = _concurrent_lookups(client, store.ring, handle.port,
-                                          sweep_sessions, tags, reference)
-                row["coalesced_batches"] = handle.server.coalesced_batches
-                row["coalesced_requests"] = handle.server.coalesced_requests
-                row["largest_batch"] = handle.server.largest_batch
-            finally:
-                handle.stop()
-                store.close()
-            ticks[str(tick)] = row
-        results["tick_sweep"] = {"sessions": sweep_sessions,
-                                 "tick_sizes": list(tick_sizes),
-                                 "ticks": ticks}
-
-    results["speedup_by_sessions"] = {
-        key: round(results["modes"]["async_coalesced"][key]["lookups_per_s"]
-                   / results["modes"]["sync_threaded"][key]["lookups_per_s"], 2)
-        for key in results["modes"]["sync_threaded"]}
+        ring = server_tree.ring
+        # A fresh store connection per configuration, so every run starts
+        # from the same cold share cache.
+        rows = {str(sessions): _served_round(client, ring, path, sessions,
+                                             tags, reference)
+                for sessions in session_counts}
+        ticks = {str(tick): _served_round(client, ring, path, sweep_sessions,
+                                          tags, reference, tick_size=tick)
+                 for tick in tick_sizes}
     return {
         "snapshot": CONCURRENCY_SNAPSHOT_NAME,
-        "description": "concurrent serving throughput: asyncio transport with "
-                       "coalesced frontier rounds vs threaded sync transport, "
+        "description": "concurrent serving throughput of the socket "
+                       "transport (a thread per session, concurrent "
+                       "frontier rounds coalesced into shared passes), "
                        "SQLite backend, real TCP sessions",
         "config": {"quick": quick, "element_count": element_count,
                    "session_counts": list(session_counts),
                    "lookups_per_session": lookups_per_session,
                    "environment": _environment()},
-        "concurrency": results,
+        "concurrency": {
+            "document_elements": document.size(),
+            "store_backend": "sqlite",
+            "tags": tags,
+            "lookups_per_session": len(tags),
+            "identical_to_reference": True,   # every session asserts it
+            "session_counts": list(session_counts),
+            "by_sessions": rows,
+            "tick_sweep": {"sessions": sweep_sessions,
+                           "tick_sizes": list(tick_sizes),
+                           "ticks": ticks},
+        },
     }
 
 
@@ -1290,45 +1275,6 @@ def run_kernel_benchmarks(quick: bool = False) -> Dict[str, Any]:
 # Control-plane benchmark (BENCH_7): observability + admission overhead
 # ---------------------------------------------------------------------------
 
-def _ops_async_round(client, ring, path: str, sessions: int,
-                     tags: List[str], reference: Dict[str, tuple],
-                     tick_size: int = 0,
-                     configure=None) -> Dict[str, Any]:
-    """One timed async-serving round on a fresh SQLite store connection.
-
-    Boots the coalescing transport over a cold store, runs one warm-up
-    session and then the timed ``sessions``-way round (every lookup
-    asserted bit-identical to the in-memory reference), and folds the
-    serving stack's own accounting into the row — including the proof
-    that admitted == completed + shed + failed with nothing in flight.
-    """
-    from .net import SearchServer, SQLiteShareStore, start_async_server
-
-    store = SQLiteShareStore(path)
-    server = SearchServer(store)
-    if configure is not None:
-        configure(server)
-    handle = start_async_server(server, tick_size=tick_size)
-    try:
-        _concurrent_lookups(client, ring, handle.port, 1, tags, reference)
-        row = _concurrent_lookups(client, ring, handle.port, sessions,
-                                  tags, reference)
-        accounting = server.accounting()
-        row["accounting"] = accounting
-        row["accounting_reconciles"] = (
-            accounting["admitted"] == (accounting["completed"]
-                                       + accounting["shed"]
-                                       + accounting["failed"])
-            and accounting["inflight"] == 0)
-        row["coalesced_batches"] = handle.server.coalesced_batches
-        row["coalesced_requests"] = handle.server.coalesced_requests
-        row["largest_batch"] = handle.server.largest_batch
-    finally:
-        handle.stop()
-        store.close()
-    return row
-
-
 def bench_ops_quota_overhead(client, ring, path: str, tags: List[str],
                              reference: Dict[str, tuple], sessions: int = 4,
                              repeat: int = 3) -> Dict[str, Any]:
@@ -1357,13 +1303,13 @@ def bench_ops_quota_overhead(client, ring, path: str, tags: List[str],
     ratios: List[float] = []
     quota_shed = 0
     for _ in range(repeat):
-        row = _ops_async_round(client, ring, path, sessions, workload,
-                               reference)
+        row = _served_round(client, ring, path, sessions, workload,
+                            reference)
         assert row["accounting_reconciles"]
         round_baseline = row["p50_ms"]
         baseline_p50 = min(baseline_p50, round_baseline)
-        row = _ops_async_round(client, ring, path, sessions, workload,
-                               reference, configure=with_quota)
+        row = _served_round(client, ring, path, sessions, workload,
+                            reference, configure=with_quota)
         assert row["accounting_reconciles"]
         quota_p50 = min(quota_p50, row["p50_ms"])
         quota_shed += row["accounting"]["shed"]
@@ -1391,7 +1337,7 @@ def run_ops_benchmarks(quick: bool = False,
                        tick_sizes: Optional[List[int]] = None) -> Dict[str, Any]:
     """BENCH_7: the serving control plane under load.
 
-    Four sections, all over the async coalescing transport on the durable
+    Four sections, all over the socket transport on the durable
     SQLite backend with every lookup asserted bit-identical to the
     in-memory reference:
 
@@ -1429,11 +1375,11 @@ def run_ops_benchmarks(quick: bool = False,
         SQLiteShareStore.from_tree(path, server_tree).close()
         ring = server_tree.ring
         for sessions in session_counts:
-            latency_rows[str(sessions)] = _ops_async_round(
+            latency_rows[str(sessions)] = _served_round(
                 client, ring, path, sessions, tags, reference)
         sweep_sessions = session_counts[-1]
         for tick in tick_sizes:
-            ticks[str(tick)] = _ops_async_round(
+            ticks[str(tick)] = _served_round(
                 client, ring, path, sweep_sessions, tags, reference,
                 tick_size=tick)
         quota = bench_ops_quota_overhead(
@@ -1470,7 +1416,7 @@ def format_ops_summary(results: Dict[str, Any]) -> str:
     lines = [f"snapshot {results['snapshot']} "
              f"({results['config']['element_count']} elements, "
              f"{results['config']['lookups_per_session']} lookups/session, "
-             "async coalesced transport)"]
+             "socket transport)"]
     for sessions, row in sorted(results["latency_by_sessions"].items(),
                                 key=lambda kv: int(kv[0])):
         ok = "ok" if row["accounting_reconciles"] else "MISMATCH"
@@ -1586,25 +1532,18 @@ def format_concurrency_summary(results: Dict[str, Any]) -> str:
     lines = [f"snapshot {results['snapshot']} "
              f"({concurrency['document_elements']} elements, "
              f"{concurrency['store_backend']} backend)"]
-    sync_rows = concurrency["modes"]["sync_threaded"]
-    async_rows = concurrency["modes"]["async_coalesced"]
-    for key in sync_rows:
-        async_row = async_rows[key]
+    for key, row in concurrency["by_sessions"].items():
         lines.append(
-            f"  {key:>3} sessions: sync "
-            f"{sync_rows[key]['lookups_per_s']:8.2f} lookups/s   async "
-            f"{async_row['lookups_per_s']:8.2f} lookups/s   "
-            f"x{concurrency['speedup_by_sessions'][key]} "
-            f"(largest batch {async_row['largest_batch']})")
-    sweep = concurrency.get("tick_sweep")
-    if sweep:
-        for tick, row in sorted(sweep["ticks"].items(),
-                                key=lambda kv: int(kv[0])):
-            label = "unbounded" if tick == "0" else tick
-            lines.append(
-                f"  tick {label:>9} @ {sweep['sessions']} sessions: "
-                f"p99 {row['p99_ms']:7.2f} ms  "
-                f"largest batch {row['largest_batch']}")
+            f"  {key:>3} sessions: {row['lookups_per_s']:8.2f} lookups/s   "
+            f"p99 {row['p99_ms']:7.2f} ms  "
+            f"(largest batch {row['largest_batch']})")
+    sweep = concurrency["tick_sweep"]
+    for tick, row in sorted(sweep["ticks"].items(), key=lambda kv: int(kv[0])):
+        label = "unbounded" if tick == "0" else tick
+        lines.append(
+            f"  tick {label:>9} @ {sweep['sessions']} sessions: "
+            f"p99 {row['p99_ms']:7.2f} ms  "
+            f"largest batch {row['largest_batch']}")
     return "\n".join(lines)
 
 

@@ -19,7 +19,7 @@ Usage::
     python -m repro.cli bench --concurrency 16 --out BENCH_3.json
     python -m repro.cli bench --updates --out BENCH_4.json
     python -m repro.cli bench --ops --out BENCH_7.json
-    python -m repro.cli serve server.json --port 9653 --async \
+    python -m repro.cli serve server.json --port 9653 \
         --metrics-port 9100 --quota docs=50:100:2 --shared-pool 25
     python -m repro.cli stats --port 9653 --json
     python -m repro.cli edit client.json rename 5 --tag price --port 9653
@@ -118,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=9653,
                        help="TCP port; 0 picks a free one (default: 9653)")
     serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="use the asyncio transport with coalesced "
-                            "frontier rounds instead of a thread per session")
+                       help="accepted for compatibility; has no effect (there "
+                            "is one transport, which coalesces concurrent "
+                            "frontier rounds)")
     serve.add_argument("--document-id", default=None,
                        help="host the document under this id "
                             "(default: the v1-compatible default document)")
@@ -198,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "the kernel suite")
     bench.add_argument("--concurrency", type=int, default=None, metavar="N",
                        help="run the BENCH_3 concurrent-throughput benchmark "
-                            "(sync threaded vs async coalesced serving) with "
-                            "up to N sessions instead of the kernel suite")
+                            "(the socket transport at 1/4/16/64 sessions up to "
+                            "N, plus a coalescing tick-size sweep) instead of "
+                            "the kernel suite")
     bench.add_argument("--updates", action="store_true",
                        help="run the BENCH_4 dynamic-update benchmark "
                             "(crash-safe batches on the durable store, "
@@ -401,7 +403,7 @@ def _parse_pool_spec(spec: str) -> tuple:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .net import SearchServer, ThreadedSearchServer, start_async_server
+    from .net import SearchServer, ThreadedSearchServer
     from .obs import MetricsServer
 
     store = open_share_store(args.server_file)
@@ -417,7 +419,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shared_pool is not None:
         rate, burst = _parse_pool_spec(args.shared_pool)
         server.registry.configure_shared_pool(rate, burst=burst)
-    transport = "async (coalesced)" if args.use_async else "threaded"
     metrics_server = None
     try:
         if args.metrics_port is not None:
@@ -425,15 +426,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                            port=args.metrics_port,
                                            host=args.host,
                                            health=server.health).start()
-        if args.use_async:
-            handle = start_async_server(server, host=args.host, port=args.port)
-            host, port = args.host, handle.port
-        else:
-            threaded = ThreadedSearchServer(server, host=args.host,
-                                            port=args.port).start()
-            host, port = threaded.address
+        transport = ThreadedSearchServer(server, host=args.host,
+                                         port=args.port).start()
+        host, port = transport.address
         print(f"serving {args.server_file} on {host}:{port} "
-              f"[{transport} transport, {store.node_count()} nodes]")
+              f"[threaded transport, {store.node_count()} nodes]")
         if metrics_server is not None:
             print(f"metrics on http://{args.host}:{metrics_server.port}"
                   f"/metrics (health on /health)")
@@ -448,10 +445,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             pass
         finally:
-            if args.use_async:
-                handle.stop()
-            else:
-                threaded.stop()
+            transport.stop()
     finally:
         if metrics_server is not None:
             metrics_server.stop()

@@ -68,11 +68,10 @@ class AdaptiveLookahead:
     Instances are plain ``lookahead`` values: ``int(controller)`` (and
     hence :class:`~repro.net.messages.FrontierRequest`, which coerces with
     ``int``) sees the current depth, so a controller can be passed wherever
-    a fixed depth is accepted — ``QueryEngine(frontier_lookahead=...)``,
-    :meth:`ServerInterface.frontier_round`, or the async
-    ``AsyncServerInterface.begin_frontier``/``frontier_round`` pair.  The
-    engine feeds it automatically; callers driving a transport by hand
-    call :meth:`observe` with each round's frontier size and prune count.
+    a fixed depth is accepted — ``QueryEngine(frontier_lookahead=...)``
+    or :meth:`ServerInterface.frontier_round`.  The engine feeds it
+    automatically; callers driving a transport by hand call
+    :meth:`observe` with each round's frontier size and prune count.
     """
 
     #: How many per-round trajectory entries are retained (newest win), so
@@ -168,7 +167,12 @@ class VerificationMode(enum.Enum):
 
     #: Trusted server: only constant coefficients are transmitted and only the
     #: constant-term equation is checked.  Cheaper in bandwidth, weaker in
-    #: assurance (candidates whose check is inconclusive are accepted).
+    #: assurance: a candidate whose check fails is reported as an unverified
+    #: candidate, and a candidate whose subtree has at least
+    #: ``ring.degree_bound`` nodes can pass the check without carrying the
+    #: tag (its reduced product wraps, so the equation can hold by
+    #: coincidence) and is then reported as a match.  No true match is ever
+    #: missing from ``all_answers()``.
     CONSTANT_ONLY = "constant-only"
 
     #: No verification traffic at all: structural evidence only.  In the
@@ -874,10 +878,12 @@ class QueryEngine:
         """Cheap check using only constant coefficients (trusted-server mode).
 
         The constant-coefficient equation ``f_0 = (-t)·∏ (q_i)_0`` holds
-        exactly whenever the product ``(x-t)·∏ q_i`` does not wrap around the
-        ring modulus (small subtrees).  When it fails the node is reported as
-        an *unverified candidate* — the trusted server is believed, but the
-        reduced assurance is made visible to the caller.
+        for a node carrying ``t`` whenever the product ``(x-t)·∏ q_i`` does
+        not wrap around the ring modulus (subtrees of fewer than
+        ``degree_bound`` nodes).  When the check fails the node is reported
+        as an *unverified candidate*, so no true match is lost.  Passing is
+        not proof: once the product wraps, the equation can hold for a node
+        that does not carry ``t``, which is then confirmed as a match.
         """
         confirmed: List[int] = []
         inconclusive: List[int] = []

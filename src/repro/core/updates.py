@@ -104,7 +104,7 @@ class UpdatableTree:
     batch commits as one SQLite transaction, which a crash rolls back
     whole).  ``lock``, when given, is held across each whole operation
     (reads included); hand it a hosted document's lock so a coalesced
-    serving tick never interleaves with a half-computed update.
+    serving pass never interleaves with a half-computed update.
     """
 
     def __init__(self, ring: EncodingRing, mapping: TagMapping,

@@ -1,10 +1,11 @@
 """Instrumented client/server transport: protocol messages (v1, batched
-v2, update-capable v3, packed-payload v4), byte-counting channels (in-process and real
-sockets), length-prefixed framing, the transport-agnostic serving core
-with multi-document tenancy, admission control, idempotent replay and
-version-checked update batches, pluggable share-store backends, the
-sync/threaded and asyncio socket servers, the client-side proxies
-(including the remote editor with conflict rebase), and the
+v2, update-capable v3, packed-payload v4), byte-counting channels
+(in-process and real sockets), length-prefixed framing, the
+transport-agnostic serving core with multi-document tenancy, admission
+control, idempotent replay and version-checked update batches, pluggable
+share-store backends, the thread-per-session socket server that coalesces
+concurrent frontier rounds, the client-side proxies (including the
+remote editor with conflict rebase), and the
 fault-tolerance layer (deterministic fault injection plus the retrying,
 reconnecting resilient client).  All layers account through the shared
 observability registry (:mod:`repro.obs`): transports, the serving core,
@@ -13,12 +14,6 @@ the retry stack and the stores emit into one
 ``stats``/``health`` probes and out-of-band by the plaintext scrape
 endpoint."""
 
-from .aio import (
-    AsyncSearchServer,
-    AsyncServerHandle,
-    AsyncServerInterface,
-    start_async_server,
-)
 from .channel import ChannelStats, InstrumentedChannel, LatencyModel, SocketChannel
 from .client import (
     RemoteServerAdapter,
@@ -128,10 +123,6 @@ __all__ = [
     "SearchServer",
     "ServerObservations",
     "ThreadedSearchServer",
-    "AsyncSearchServer",
-    "AsyncServerInterface",
-    "AsyncServerHandle",
-    "start_async_server",
     "RemoteServerAdapter",
     "RemoteUpdatableTree",
     "connect",

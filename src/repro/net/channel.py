@@ -12,10 +12,9 @@ Two transports share the accounting:
 * :class:`InstrumentedChannel` — the in-process "network" used by the
   bandwidth experiments; what matters there are the counted costs, not
   sockets.
-* :class:`SocketChannel` — one real TCP session against a socket server
-  (:class:`~repro.net.server.ThreadedSearchServer` or
-  :class:`~repro.net.aio.AsyncSearchServer`), speaking the same message
-  encodings inside length-prefixed frames.  Each session owns its own
+* :class:`SocketChannel` — one real TCP session against the socket
+  server (:class:`~repro.net.server.ThreadedSearchServer`), speaking the
+  same message encodings inside length-prefixed frames.  Each session owns its own
   :class:`ChannelStats`, so byte and round-trip totals stay per-tenant
   even when many sessions hit one server.
 

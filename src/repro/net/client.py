@@ -639,10 +639,10 @@ def connect_socket(host: str, port: int, ring,
     :class:`RemoteServerAdapter` is the same object in-process callers
     use, so any existing :class:`~repro.core.query.QueryEngine` /
     :class:`~repro.core.ClientContext` code runs over a real TCP
-    connection unchanged — against either the threaded
-    :class:`~repro.net.server.ThreadedSearchServer` or the asyncio
-    :class:`~repro.net.aio.AsyncSearchServer` (both speak the same
-    frames).  Callers should ``channel.close()`` when done.
+    connection unchanged — against
+    :class:`~repro.net.server.ThreadedSearchServer` or any other server
+    that speaks the frames of ``docs/protocol.md``.  Callers should
+    ``channel.close()`` when done.
     """
     channel = SocketChannel(host, port, latency_model=latency_model,
                             timeout_s=timeout_s)

@@ -12,16 +12,15 @@ requires.
 
 :class:`ServingCore` is the engine itself: it answers every protocol
 message of :mod:`repro.net.messages` against the registry and knows
-nothing about transports.  Three transports share it unchanged:
+nothing about transports.  Two share it unchanged:
 
 * the in-process :class:`~repro.net.server.SearchServer` (a thin facade
   kept for the historical API),
-* the blocking socket server :class:`~repro.net.server.ThreadedSearchServer`
-  (thread per session),
-* the asyncio transport :class:`~repro.net.aio.AsyncSearchServer`, which
-  additionally funnels concurrent frontier requests into
+* the socket server :class:`~repro.net.server.ThreadedSearchServer`
+  (thread per session), which funnels concurrent frontier requests into
   :meth:`ServingCore.frontier_batch` — one lock acquisition and one
-  batched store pass per tick instead of one per session.
+  batched store pass for all the requests that queued together, instead
+  of one per session.
 
 The registry is the architectural seam future sharding PRs plug into: a
 shard is a registry subset, and a distributed deployment routes
@@ -34,7 +33,7 @@ import contextlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.query import CoefficientRows
 from ..errors import (
@@ -80,7 +79,6 @@ from .store import ShareStore, as_share_store
 
 __all__ = [
     "DEFAULT_DOCUMENT",
-    "AdmissionHook",
     "ServerObservations",
     "HostedDocument",
     "DocumentRegistry",
@@ -168,7 +166,7 @@ class HostedDocument:
         Yields a :class:`~repro.net.store.StoreTransaction` while holding
         the document lock for the whole batch — the same lock every
         handler and every coalesced :meth:`ServingCore.frontier_batch`
-        tick acquires — so concurrent query traffic observes either the
+        pass acquires — so concurrent query traffic observes either the
         full pre-batch or the full post-batch store, never a half-applied
         update.  Editors that compute their own polynomials
         (:class:`~repro.core.updates.UpdatableTree`) should instead be
@@ -185,31 +183,20 @@ class HostedDocument:
                 f"nodes={self.store.node_count()}>")
 
 
-#: Per-tenant admission hook: inspect a request *before* it is served and
-#: return ``None`` to admit it, or a retry-after hint (seconds, ``0.0`` is
-#: valid) to shed it with an in-band busy reply.
-AdmissionHook = Callable[["HostedDocument", Message], Optional[float]]
-
-
 class DocumentRegistry:
     """Thread-safe name → :class:`HostedDocument` mapping.
 
     The registry also owns the serving stack's control plane: one
     :class:`~repro.obs.MetricsRegistry` (every component of the stack
     emits into it) and one :class:`~repro.obs.FairShareAdmission`
-    instance holding per-tenant token-bucket quotas.  The PR 6 admission
-    *hooks* are retained for bespoke policies (maintenance drains,
-    kind-selective shedding); declarative quotas go through
-    :meth:`configure_quota` and are enforced after the hooks.
+    instance holding per-tenant token-bucket quotas, configured through
+    :meth:`configure_quota` and consulted by :meth:`admit`.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
                  admission: Optional[FairShareAdmission] = None) -> None:
         self._documents: Dict[str, HostedDocument] = {}
         self._lock = threading.Lock()
-        # Admission hooks keyed by document id; the ``None`` key is the
-        # registry-wide default consulted when no per-tenant hook exists.
-        self._admission: Dict[Optional[str], AdmissionHook] = {}
         #: The serving stack's single metrics registry.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Declarative per-tenant quotas (weighted fair-share admission).
@@ -269,23 +256,6 @@ class DocumentRegistry:
             "the request names no document and the server hosts "
             f"{hosted_count} documents; address one explicitly")
 
-    def set_admission_hook(self, hook: Optional[AdmissionHook],
-                           document_id: Optional[str] = None) -> None:
-        """Install (or with ``None`` remove) an admission hook.
-
-        A hook registered under a ``document_id`` guards that tenant only;
-        registered under ``None`` it becomes the registry-wide default for
-        tenants without their own hook.  Hooks implement per-tenant
-        quotas, maintenance drains, and the like; shedding is graceful —
-        the request is answered with a
-        :class:`~repro.net.messages.BusyResponse`, the session survives.
-        """
-        with self._lock:
-            if hook is None:
-                self._admission.pop(document_id, None)
-            else:
-                self._admission[document_id] = hook
-
     def configure_quota(self, document_id: str, rate_per_s: float,
                         burst: Optional[float] = None,
                         weight: float = 1.0) -> None:
@@ -313,18 +283,13 @@ class DocumentRegistry:
         """Per-tenant admitted/shed/borrowed accounting from the quota layer."""
         return self.quotas.ledger()
 
-    def admit(self, document: HostedDocument, message: Message) -> None:
-        """Consult admission hooks, then quotas; raises ``ServerBusyError`` to shed."""
-        with self._lock:
-            hook = self._admission.get(document.document_id,
-                                       self._admission.get(None))
-        if hook is not None:
-            retry_after_s = hook(document, message)
-            if retry_after_s is not None:
-                raise ServerBusyError(
-                    f"document {document.document_id!r} is not admitting "
-                    f"{message.kind!r} requests right now",
-                    retry_after_s=retry_after_s)
+    def admit(self, document: HostedDocument) -> None:
+        """Consult the tenant's quota; raises ``ServerBusyError`` to shed.
+
+        Shedding is graceful: the request is answered with a
+        :class:`~repro.net.messages.BusyResponse` carrying the bucket's
+        retry-after hint, and the session survives.
+        """
         retry_after_s = self.quotas.try_admit(document.document_id)
         if retry_after_s is not None:
             raise ServerBusyError(
@@ -362,10 +327,10 @@ class ServingCore:
     ledger feeds tenant-level leakage audits, the aggregate
     ``observations`` the whole-server view.
 
-    Transports call :meth:`handle` for one request at a time (the sync
-    paths), or :meth:`frontier_batch` with every
-    :class:`~repro.net.messages.FrontierRequest` that arrived in the same
-    scheduling tick — the batch is answered with **one** lock acquisition
+    Transports call :meth:`handle` for one request at a time, or
+    :meth:`frontier_batch` with every
+    :class:`~repro.net.messages.FrontierRequest` that queued during the
+    previous pass — the batch is answered with **one** lock acquisition
     and **one** batched ``evaluate_many`` pass per distinct query point
     for the whole batch, while staying bit-identical to handling each
     request alone (evaluations are per-share deterministic, so slicing a
@@ -483,8 +448,8 @@ class ServingCore:
                              reason: str = "backpressure") -> None:
         """Account a request a transport shed before it reached the engine.
 
-        The asyncio coalescer sheds on a full queue without calling
-        :meth:`handle`; counting the shed here keeps the reconciliation
+        The socket transport's coalescer sheds on a full queue without
+        calling :meth:`handle`; counting the shed here keeps the reconciliation
         invariant (total = completed + shed + failed) true across the
         whole stack, not just inside the engine.
         """
@@ -567,7 +532,7 @@ class ServingCore:
         if isinstance(message, HealthRequest):
             return self._handle_health(message)
         document = self.registry.resolve(message.document_id)
-        self.registry.admit(document, message)
+        self.registry.admit(document)
         with self._observations_lock:
             document.observations.requests_handled += 1
         response = self._dispatch_locked(document, message)
@@ -644,7 +609,7 @@ class ServingCore:
                 self.observations.requests_handled += 1
             try:
                 document = self.registry.resolve(message.document_id)
-                self.registry.admit(document, message)
+                self.registry.admit(document)
             except ReproError as exc:
                 responses[index] = self.error_response(exc)
                 outcome = ("shed" if isinstance(exc, ServerBusyError)

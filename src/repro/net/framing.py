@@ -2,9 +2,10 @@
 
 The in-process :class:`~repro.net.channel.InstrumentedChannel` hands whole
 message encodings to the handler, so it never needed delimiting.  Real
-sockets deliver a byte stream, so the socket transports (the asyncio
-server of :mod:`repro.net.aio` and the threaded baseline) wrap every
-message encoding in a frame::
+sockets deliver a byte stream, so the socket transport
+(:class:`~repro.net.server.ThreadedSearchServer`) and its client
+(:class:`~repro.net.channel.SocketChannel`) wrap every message encoding
+in a frame::
 
     +----------------+----------------------+
     | length (4B BE) | payload (length B)   |

@@ -890,8 +890,8 @@ class ErrorResponse(Message):
 class BusyResponse(Message):
     """The server shed this request under load; retry after the hint.
 
-    Sent instead of queueing unboundedly (the asyncio coalescer's bounded
-    queue) or instead of admitting a request over a tenant's quota
+    Sent instead of queueing unboundedly (the socket transport's bounded
+    coalescer queue) or instead of admitting a request over a tenant's quota
     (:meth:`~repro.net.engine.DocumentRegistry.admit`).  The session stays
     open — degradation is graceful, not a connection reset.  Clients
     surface it as :class:`~repro.errors.ServerBusyError`; resilient

@@ -130,3 +130,50 @@ def share_backend(tmp_path):
     yield wrap
     for store in opened:
         store.close()
+
+
+class StoreGate:
+    """Holds a store's first ``evaluate_many`` until the test opens it.
+
+    :meth:`wrap` returns a :class:`~repro.net.FaultyStore` whose ``delay``
+    rule on ``store:evaluate_many`` call 1 waits here instead of
+    sleeping, so the first frontier pass blocks inside the store at a
+    point the test controls: requests sent meanwhile queue behind it.
+    """
+
+    def __init__(self):
+        import threading
+
+        self.entered = threading.Event()
+        self.opened = threading.Event()
+
+    def wrap(self, tree):
+        from repro.net import FaultPlan, FaultRule, FaultyStore, InMemoryShareStore
+
+        plan = FaultPlan([FaultRule("store:evaluate_many", "delay", calls=[1])])
+        return FaultyStore(InMemoryShareStore(tree), plan, sleep=self._hold)
+
+    def _hold(self, _seconds):
+        self.entered.set()
+        assert self.opened.wait(timeout=30.0), "the store gate was never opened"
+
+    def open(self):
+        self.opened.set()
+
+    @staticmethod
+    def wait_for(predicate, timeout=10.0):
+        """Poll until ``predicate()`` holds (fails the test after ``timeout``)."""
+        import time
+
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "condition never held"
+            time.sleep(0.001)
+
+
+@pytest.fixture
+def store_gate():
+    """A fresh :class:`StoreGate`, opened at teardown so no thread hangs."""
+    gate = StoreGate()
+    yield gate
+    gate.open()

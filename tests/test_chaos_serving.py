@@ -6,8 +6,8 @@ runs the figure-1 lookup workload while a seeded
 :class:`~repro.net.faults.FaultPlan` resets connections, truncates
 response frames, fails store operations and sheds requests — at the
 hello, structure, frontier, verification and prune phases, over the
-in-process channel, the threaded socket server and the asyncio server —
-and every run must produce results bit-identical to the fault-free run.
+in-process channel and the socket server — and every run must produce
+results bit-identical to the fault-free run.
 
 The idempotency tests additionally pin the *server-side* invariant: a
 request replayed after an ambiguous failure (processed, reply lost) is
@@ -65,7 +65,6 @@ from repro.net import (
     flaky_handler,
     share_tree_from_dict,
     share_tree_to_dict,
-    start_async_server,
 )
 from repro.net.messages import FrontierRequest
 from repro.net.retry import RetryPolicy
@@ -366,74 +365,99 @@ class TestBusyAndAdmission:
         assert channel.busy_waits == 2
         assert channel.reconnects == 0  # busy never drops the session
 
-    def test_admission_hook_sheds_then_admits(self, outsourced, reference):
+    def test_quota_sheds_then_admits(self, outsourced, reference):
+        from repro.net.engine import DEFAULT_DOCUMENT, DocumentRegistry
+        from repro.obs import FairShareAdmission
+
         client, tree = outsourced
-        server = SearchServer(tree)
-        shed = {"remaining": 2, "seen": 0}
+        # How many admission-checked requests the workload sends (every
+        # one but the hello, which is admission-exempt).
+        counting_adapter, counting = connect_resilient(
+            lambda: InstrumentedChannel(SearchServer(tree).handle),
+            tree.ring, policy=fast_policy())
+        run_queries(client, counting_adapter)
+        requests = sum(1 for kind, _ in counting.transcript if kind != "hello")
 
-        def hook(document, message):
-            shed["seen"] += 1
-            if shed["remaining"] > 0:
-                shed["remaining"] -= 1
-                return 0.01
-            return None
+        clock = {"now": 0.0}
+        registry = DocumentRegistry(
+            admission=FairShareAdmission(clock=lambda: clock["now"]))
+        server = SearchServer(tree, registry=registry)
+        # A frozen clock and a burst two short of the workload: the last
+        # two requests find the bucket empty.  Each waits the bucket's
+        # hint, which the retry policy's sleep turns into clock time, so
+        # exactly one token has accrued when it retries.
+        registry.configure_quota(DEFAULT_DOCUMENT, 4.0, burst=requests - 2)
+        waits = []
 
-        server.registry.set_admission_hook(hook, document_id="default")
+        def sleep(seconds):
+            waits.append(seconds)
+            clock["now"] += seconds
+
         adapter, channel = connect_resilient(
             lambda: InstrumentedChannel(server.handle),
-            tree.ring, policy=fast_policy())
+            tree.ring, policy=fast_policy(sleep=sleep))
         assert run_queries(client, adapter) == reference
-        assert shed["seen"] >= 3
         assert channel.busy_waits == 2
+        assert waits == [0.25, 0.25]        # one token at 4 tokens/s
+        ledger = registry.quota_ledger()[DEFAULT_DOCUMENT]
+        assert (ledger["admitted"], ledger["shed"]) == (requests, 2)
 
-    def test_admission_hook_raises_for_plain_client(self, outsourced):
+    def test_quota_raises_for_plain_client(self, outsourced):
+        from repro.net.engine import DEFAULT_DOCUMENT, DocumentRegistry
+        from repro.obs import FairShareAdmission
+
         _, tree = outsourced
-        server = SearchServer(tree)
-        server.registry.set_admission_hook(lambda d, m: 0.5)
+        registry = DocumentRegistry(
+            admission=FairShareAdmission(clock=lambda: 0.0))
+        server = SearchServer(tree, registry=registry)
+        registry.configure_quota(DEFAULT_DOCUMENT, 2.0, burst=1)
         adapter, _ = connect(server)
+        assert adapter.frontier_round([tree.root_id], [3]).round_trips == 1
         with pytest.raises(ServerBusyError) as excinfo:
             adapter.frontier_round([tree.root_id], [3])
-        assert excinfo.value.retry_after_s == 0.5
-        server.registry.set_admission_hook(None)
+        assert excinfo.value.retry_after_s == 0.5   # one token at 2/s
+        registry.clear_quota(DEFAULT_DOCUMENT)
         assert adapter.frontier_round([tree.root_id], [3]).round_trips == 1
 
-    def test_async_bounded_queue_sheds_in_band(self, outsourced, reference):
-        client, tree = outsourced
-        handle = start_async_server(SearchServer(tree), queue_limit=1,
-                                    busy_retry_after_s=0.0)
+    def test_bounded_queue_sheds_in_band(self, outsourced, store_gate):
+        """A full coalescer queue answers busy; the shed session survives."""
+        _, tree = outsourced
+        transport = ThreadedSearchServer(
+            SearchServer(store_gate.wrap(tree)), queue_limit=1,
+            busy_retry_after_s=0.125).start()
+        request = FrontierRequest([tree.root_id], [3])
+        expected = SearchServer(tree).handle(request).encode()
+        channels = [SocketChannel(*transport.address) for _ in range(3)]
+        answers = {}
+
+        def send(index):
+            answers[index] = channels[index].request(request).encode()
+
         try:
-            # Saturate the one-slot coalescer queue from several resilient
-            # sessions at once; shed requests come back as busy frames and
-            # every session still completes bit-identically.
-            results = {}
-            errors = []
-
-            def worker(index):
-                try:
-                    adapter, channel = connect_resilient_socket(
-                        "127.0.0.1", handle.port, tree.ring,
-                        policy=fast_policy(max_attempts=50))
-                    try:
-                        results[index] = run_queries(client, adapter)
-                    finally:
-                        channel.close()
-                except Exception as exc:  # pragma: no cover - surfaced below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(index,))
-                       for index in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert not errors
-            assert all(results[index] == reference for index in range(4))
+            first = threading.Thread(target=send, args=(0,))
+            first.start()
+            assert store_gate.entered.wait(timeout=10.0)   # pass blocked
+            second = threading.Thread(target=send, args=(1,))
+            second.start()
+            store_gate.wait_for(lambda: transport.queue_depth == 1)
+            with pytest.raises(ServerBusyError) as excinfo:
+                channels[2].request(request)               # queue is full
+            assert excinfo.value.retry_after_s == 0.125
+            assert transport.shed_requests == 1
+            store_gate.open()
+            first.join(timeout=10.0)
+            second.join(timeout=10.0)
+            send(2)                       # the shed session is still open
+            assert answers == {0: expected, 1: expected, 2: expected}
+            assert transport.shed_requests == 1
         finally:
-            handle.stop()
+            for channel in channels:
+                channel.close()
+            transport.stop()
 
 
 class TestResilientSockets:
-    """The same fault schedules against both real socket servers."""
+    """The same fault schedules against the real socket server."""
 
     SOCKET_FAULTS = [
         ("hello:send", "reset-before-send", 1),
@@ -461,33 +485,15 @@ class TestResilientSockets:
         finally:
             server.stop()
 
-    @pytest.mark.parametrize("point,kind,call", SOCKET_FAULTS)
-    def test_async_server(self, outsourced, reference, point, kind, call):
-        client, tree = outsourced
-        handle = start_async_server(SearchServer(tree))
-        try:
-            plan = FaultPlan.single(point, kind, call=call, seed=CHAOS_SEED)
-            adapter, channel = connect_resilient(
-                lambda: FaultyChannel(
-                    SocketChannel("127.0.0.1", handle.port), plan),
-                tree.ring, policy=fast_policy())
-            try:
-                assert run_queries(client, adapter) == reference
-            finally:
-                channel.close()
-            assert plan.fires
-        finally:
-            handle.stop()
-
     def test_real_connection_death_mid_descent(self, outsourced, reference):
         """Kill the actual TCP connection (not an injected exception)."""
         client, tree = outsourced
-        handle = start_async_server(SearchServer(tree))
+        transport = ThreadedSearchServer(SearchServer(tree)).start()
         try:
             channels = []
 
             def factory():
-                channel = SocketChannel("127.0.0.1", handle.port)
+                channel = SocketChannel(*transport.address)
                 channels.append(channel)
                 return channel
 
@@ -502,7 +508,7 @@ class TestResilientSockets:
             assert resilient.reconnects >= 1
             resilient.close()
         finally:
-            handle.stop()
+            transport.stop()
 
 
 class TestSocketLeakRegression:
@@ -736,18 +742,6 @@ class TestGracefulShutdown:
             channel.close()
         server.stop()     # drains cleanly with nothing in flight
 
-    def test_async_stop_drains(self, outsourced, reference):
-        client, tree = outsourced
-        handle = start_async_server(SearchServer(tree), drain_timeout_s=5.0)
-        adapter, channel = connect_resilient_socket(
-            "127.0.0.1", handle.port, tree.ring, policy=fast_policy())
-        try:
-            assert run_queries(client, adapter) == reference
-        finally:
-            channel.close()
-        handle.stop()
-        assert handle.server.shed_requests == 0
-
 
 class TestControlPlaneAccounting:
     """Every admitted request is accounted exactly once, even under chaos."""
@@ -762,7 +756,7 @@ class TestControlPlaneAccounting:
         return accounting
 
     def test_transport_killed_mid_coalesced_round(self, outsourced):
-        """Stop the async transport under live sessions; the ledger balances.
+        """Stop the transport under live sessions; the ledger balances.
 
         Several socket sessions hammer coalesced lookups while the
         transport is torn down beneath them.  Whatever each session saw
@@ -775,14 +769,14 @@ class TestControlPlaneAccounting:
 
         client, tree = outsourced
         server = SearchServer(tree)
-        handle = start_async_server(server, drain_timeout_s=2.0)
+        transport = ThreadedSearchServer(server, drain_timeout_s=2.0).start()
         stop = threading.Event()
 
         def session(index):
             while not stop.is_set():
                 try:
                     adapter, channel = connect_socket(
-                        "127.0.0.1", handle.port, tree.ring, timeout_s=5.0)
+                        *transport.address, tree.ring, timeout_s=5.0)
                     try:
                         run_queries(client, adapter)
                     finally:
@@ -795,7 +789,7 @@ class TestControlPlaneAccounting:
         for thread in threads:
             thread.start()
         _time.sleep(0.3)        # let a few coalesced rounds get going
-        handle.stop()
+        transport.stop()
         stop.set()
         for thread in threads:
             thread.join(timeout=30.0)
@@ -840,38 +834,57 @@ class TestControlPlaneAccounting:
         assert ledger[DEFAULT_DOCUMENT]["shed"] == shed
         assert ledger[DEFAULT_DOCUMENT]["borrowed"] == 0.0
 
-    def test_backpressure_sheds_carry_reason_label(self, outsourced, reference):
-        """Transport-queue sheds reconcile with reason="backpressure"."""
+    def test_backpressure_sheds_carry_reason_label(self, outsourced,
+                                                   reference, store_gate):
+        """Transport-queue sheds reconcile with reason="backpressure".
+
+        Session A's pass blocks in the store, B's request queues, and C's
+        is shed; C's retry waits until A and B are answered, so exactly
+        one request is shed.  Then each session runs the workload alone.
+        """
         client, tree = outsourced
-        server = SearchServer(tree)
-        handle = start_async_server(server, queue_limit=1,
-                                    busy_retry_after_s=0.0)
+        server = SearchServer(store_gate.wrap(tree))
+        transport = ThreadedSearchServer(server, queue_limit=1,
+                                         busy_retry_after_s=0.0).start()
+        root = tree.root_id
+        expected = connect(SearchServer(tree))[0].frontier_round([root], [3])
+        rounds = {}
+
+        def first_round(index):
+            rounds[index] = sessions[index][0].frontier_round([root], [3])
+
+        threads = [threading.Thread(target=first_round, args=(index,))
+                   for index in range(3)]
+
+        def after_a_and_b(_seconds):
+            for thread in threads[:2]:
+                thread.join(timeout=10.0)
+
+        sessions = [connect_resilient_socket(
+            *transport.address, tree.ring,
+            policy=fast_policy(sleep=after_a_and_b)) for _ in range(3)]
         try:
-            errors = []
-
-            def worker(index):
-                try:
-                    adapter, channel = connect_resilient_socket(
-                        "127.0.0.1", handle.port, tree.ring,
-                        policy=fast_policy(max_attempts=50))
-                    try:
-                        assert run_queries(client, adapter) == reference
-                    finally:
-                        channel.close()
-                except Exception as exc:  # pragma: no cover - surfaced below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(index,))
-                       for index in range(4)]
+            threads[0].start()
+            assert store_gate.entered.wait(timeout=10.0)
+            threads[1].start()
+            store_gate.wait_for(lambda: transport.queue_depth == 1)
+            threads[2].start()
+            store_gate.wait_for(lambda: sessions[2][1].busy_waits == 1)
+            store_gate.open()
             for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert not errors
+                thread.join(timeout=30.0)
+            assert all((result.evaluations, result.children)
+                       == (expected.evaluations, expected.children)
+                       for result in rounds.values()) and len(rounds) == 3
+            for adapter, _ in sessions:
+                assert run_queries(client, adapter) == reference
         finally:
-            handle.stop()
+            for _, channel in sessions:
+                channel.close()
+            transport.stop()
         accounting = self._reconciled(server)
-        shed_by_reason = server.metrics.counter_total(
-            "server_requests_shed_total", reason="backpressure")
-        assert accounting["shed"] == handle.server.shed_requests
-        assert shed_by_reason == handle.server.shed_requests
+        assert accounting["shed"] == 1
+        assert transport.shed_requests == 1
+        assert server.metrics.counter_total("coalescer_shed_total") == 1
+        assert server.metrics.counter_total(
+            "server_requests_shed_total", reason="backpressure") == 1

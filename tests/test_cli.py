@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -248,13 +253,15 @@ class TestBench:
         assert snapshot["snapshot"] == "BENCH_3"
         concurrency = snapshot["concurrency"]
         assert concurrency["identical_to_reference"] is True
-        assert set(concurrency["modes"]) == {"sync_threaded", "async_coalesced"}
-        # Shape only — the async-beats-sync assertion needs the full-size
-        # document and lives in the recorded BENCH_3.json, not in a quick
-        # run on a tiny workload.
-        for mode in concurrency["modes"].values():
-            for row in mode.values():
-                assert row["lookups_per_s"] > 0.0
+        assert set(concurrency["by_sessions"]) == {"1", "2"}
+        assert set(concurrency["tick_sweep"]["ticks"]) == {"1", "4", "0"}
+        # Shape only: throughput on a quick run's tiny workload says
+        # nothing, so no ratio is asserted.
+        rows = list(concurrency["by_sessions"].values()) + \
+            list(concurrency["tick_sweep"]["ticks"].values())
+        for row in rows:
+            assert row["lookups_per_s"] > 0.0
+            assert row["accounting_reconciles"] is True
 
     def test_bench_concurrency_rejects_zero_sessions(self, capsys):
         assert main(["bench", "--concurrency", "0"]) == 2
@@ -269,3 +276,54 @@ class TestBench:
     def test_bench_kernels_flag_parses(self):
         args = build_parser().parse_args(["bench", "--kernels", "--quick"])
         assert args.kernels is True and args.quick is True
+
+
+class TestServe:
+    """``serve`` as a child process: banner, one verified lookup, Ctrl-C."""
+
+    @pytest.mark.parametrize("flags", [[], ["--async"]],
+                             ids=["plain", "async-flag"])
+    def test_serve_answers_a_full_lookup_and_exits_cleanly(
+            self, tmp_path, xml_file, outsourced_files, flags):
+        from repro.baselines import PlaintextSearchIndex
+        from repro.core import ClientContext, VerificationMode
+        from repro.net import connect_socket, ring_from_dict
+        from repro.xmltree import parse_document
+
+        server_file, client_file = outsourced_files
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        child = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", server_file,
+             "--port", "0"] + flags,
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        try:
+            assert select.select([child.stdout], [], [], 60.0)[0]
+            banner = child.stdout.readline()
+            assert banner.startswith(f"serving {server_file} on 127.0.0.1:")
+            port = int(banner.split(" on ", 1)[1].split()[0].rsplit(":", 1)[1])
+            with open(client_file, "r", encoding="utf-8") as handle:
+                state = json.load(handle)
+            ring = ring_from_dict(state["ring"])
+            client = ClientContext.from_secret_state(ring, state["secrets"])
+            adapter, channel = connect_socket("127.0.0.1", port, ring)
+            try:
+                outcome = client.lookup(adapter, "name",
+                                        verification=VerificationMode.FULL)
+            finally:
+                channel.close()
+            with open(xml_file, "r", encoding="utf-8") as handle:
+                document = parse_document(handle.read())
+            assert outcome.matches == \
+                PlaintextSearchIndex(document).lookup("name").matches
+            assert outcome.matches
+        finally:
+            child.send_signal(signal.SIGINT)
+            try:
+                child.wait(timeout=30.0)
+            finally:
+                child.kill()
+                child.stdout.close()
+                child.stderr.close()
+        assert child.returncode == 0

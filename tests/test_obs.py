@@ -371,10 +371,16 @@ class TestWireProbes:
         assert ok.status == "ok" and ok.detail["documents"] == 2
 
     def test_probes_are_hello_and_admission_exempt(self, outsourced):
+        from repro.net.engine import DEFAULT_DOCUMENT, DocumentRegistry
+        from repro.obs import FairShareAdmission
+
         _, tree = outsourced
-        server = SearchServer(tree)
-        # An admission hook that sheds everything must not block probes.
-        server.registry.set_admission_hook(lambda d, m: 0.5)
+        registry = DocumentRegistry(
+            admission=FairShareAdmission(clock=lambda: 0.0))
+        server = SearchServer(tree, registry=registry)
+        # A quota that sheds everything (half a token, a frozen clock)
+        # must not block probes.
+        registry.configure_quota(DEFAULT_DOCUMENT, 1.0, burst=0.5)
         stats = server.handle(StatsRequest())
         assert isinstance(stats, StatsResponse)
         health = server.handle(HealthRequest())

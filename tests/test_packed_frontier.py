@@ -8,48 +8,31 @@ same JSON object.  These tests pin
   child lists, share rows and constants, on ``F_p`` and ``Z``-ring trees
   (negative and wider-than-64-bit coefficients), with empty sections,
   several points and constants-only fetches;
-* compatibility: golden v2/v3 bytes, sessions pinned to v3, a server
-  that offers only v1–v3, and v4 vs v3 vs the plaintext baseline over
-  every transport with the sync and the async client;
+* compatibility: golden v2/v3 bytes, sessions pinned to v3 and a server
+  that offers only v1–v3 (v4 and v3 against the plaintext baseline over
+  every path is ``tests/test_oracle.py``'s);
 * untrusted input: every tampered packed payload and every omitted node
   raises :class:`~repro.errors.ProtocolError`, never a ``KeyError`` or a
   wrong answer;
 * the reference codec: a v4 socket lookup with numpy disabled.
 """
 
-import asyncio
 import base64
-import contextlib
 import json
 import os
 import socket
 import subprocess
 import sys
 import textwrap
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import PlaintextSearchIndex
-from repro.core import (
-    ServerInterface,
-    VerificationMode,
-    choose_int_ring,
-    outsource_document,
-)
-from repro.core.advanced import AdvancedQueryExecutor
+from repro.core import VerificationMode, choose_int_ring, outsource_document
 from repro.errors import ProtocolError
-from repro.net import (
-    AsyncServerInterface,
-    InstrumentedChannel,
-    SearchServer,
-    ThreadedSearchServer,
-    connect,
-    connect_socket,
-    start_async_server,
-)
+from repro.net import InstrumentedChannel, SearchServer, ThreadedSearchServer, connect
 from repro.net.client import RemoteServerAdapter
 from repro.net import messages
 from repro.net.framing import FrameAssembler, encode_frame
@@ -67,8 +50,6 @@ from repro.workloads import RandomXmlConfig, figure1_document, generate_random_d
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
-
-QUERIES = ["//client", "//name", "//client/name", "/customers/client/name"]
 
 
 @pytest.fixture(scope="module")
@@ -337,17 +318,19 @@ class TestTamperedPayloads:
         with pytest.raises(ProtocolError, match="announces more than"):
             decode_message(encoded)
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_servers_refuse_response_kinds_before_decoding(self, transport,
+    def test_server_refuses_response_kinds_before_decoding(self,
                                                            fp_outsourced):
         attack = json.dumps({"kind": "frontier-ok", "packed": {"evaluations": {
             "ids": "AQAAAAAA/////w==", "values": {}}}}).encode()
-        with socket_server(transport, fp_outsourced[2]) as address:
-            with socket.create_connection(address, timeout=30) as sock:
+        transport = ThreadedSearchServer(SearchServer(fp_outsourced[2])).start()
+        try:
+            with socket.create_connection(transport.address, timeout=30) as sock:
                 sock.sendall(encode_frame(attack))
                 refusal = decode_message(recv_frame(sock))
                 sock.sendall(encode_frame(HealthRequest().encode()))
                 health = decode_message(recv_frame(sock))
+        finally:
+            transport.stop()
         assert isinstance(refusal, ErrorResponse)
         assert "unexpected 'frontier-ok' message" in refusal.error
         assert health.status == "ok"
@@ -462,145 +445,6 @@ class TestCompatibility:
                        for request, response in frames)
 
 
-class SyncOverAsync(ServerInterface):
-    """Runs an :class:`AsyncServerInterface` under the synchronous engine.
-
-    Every call is scheduled on a background event loop, so a real
-    :class:`~repro.core.query.QueryEngine` drives the async client.
-    """
-
-    def __init__(self, host, port, ring, protocol_version):
-        self.loop = asyncio.new_event_loop()
-        self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
-        self.thread.start()
-        self.session = self._run(AsyncServerInterface.open(
-            host, port, ring, protocol_version=protocol_version))
-
-    def _run(self, coroutine):
-        return asyncio.run_coroutine_threadsafe(coroutine, self.loop).result(60)
-
-    @property
-    def batched_rounds(self):
-        return self.session.batched_rounds
-
-    def root_id(self):
-        return self._run(self.session.root_id())
-
-    def node_count(self):
-        return self._run(self.session.node_count())
-
-    def children_of(self, node_ids):
-        return self._run(self.session.children_of(node_ids))
-
-    def evaluate(self, node_ids, point):
-        return self._run(self.session.evaluate(node_ids, point))
-
-    def fetch_polynomials(self, node_ids):
-        return self._run(self.session.fetch_polynomials(node_ids))
-
-    def fetch_polynomial_rows(self, node_ids):
-        return self._run(self.session.fetch_polynomial_rows(node_ids))
-
-    def fetch_constants(self, node_ids):
-        return self._run(self.session.fetch_constants(node_ids))
-
-    def prune(self, node_ids):
-        self._run(self.session.prune(node_ids))
-
-    def frontier_round(self, node_ids, points, prune=(), include_children=True,
-                       lookahead=0):
-        return self._run(self.session.frontier_round(
-            node_ids, points, prune=prune, include_children=include_children,
-            lookahead=lookahead))
-
-    def verification_bundle(self, node_ids, constants_only=False):
-        return self._run(self.session.verification_bundle(
-            node_ids, constants_only=constants_only))
-
-    def close(self):
-        self._run(self.session.close())
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
-        self.loop.close()
-
-
-def answers(client, adapter, document):
-    """Lookups of every tag and the XPath set, as plain match lists."""
-    lookups = {tag: client.lookup(adapter, tag).matches
-               for tag in sorted(document.distinct_tags())}
-    xpaths = {query: AdvancedQueryExecutor(client.engine(adapter))
-              .execute(query).matches for query in QUERIES}
-    return lookups, xpaths
-
-
-def plaintext_answers(document):
-    index = PlaintextSearchIndex(document)
-    return ({tag: index.lookup(tag).matches
-             for tag in sorted(document.distinct_tags())},
-            {query: index.query(query).matches for query in QUERIES})
-
-
-@contextlib.contextmanager
-def socket_server(transport, tree):
-    """A threaded or async socket server over ``tree``; yields its address."""
-    if transport == "threaded":
-        server = ThreadedSearchServer(SearchServer(tree)).start()
-        address, stop = server.address, server.stop
-    else:
-        handle = start_async_server(SearchServer(tree))
-        address, stop = ("127.0.0.1", handle.port), handle.stop
-    try:
-        yield address
-    finally:
-        stop()
-
-
-class TestSessionsAgreeWithPlaintext:
-    @pytest.mark.parametrize("version", [3, 4])
-    def test_sync_client_in_process(self, version, fp_outsourced):
-        document, client, tree = fp_outsourced
-        adapter, _ = connect(SearchServer(tree), protocol_version=version)
-        assert adapter.protocol_version == version
-        assert answers(client, adapter, document) == plaintext_answers(document)
-
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    @pytest.mark.parametrize("version", [3, 4])
-    def test_sync_client(self, transport, version, fp_outsourced):
-        document, client, tree = fp_outsourced
-        with socket_server(transport, tree) as address:
-            adapter, channel = connect_socket(*address, tree.ring,
-                                              protocol_version=version)
-            try:
-                assert adapter.protocol_version == version
-                assert answers(client, adapter, document) == \
-                    plaintext_answers(document)
-            finally:
-                channel.close()
-
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    @pytest.mark.parametrize("version", [3, 4])
-    def test_async_client(self, transport, version, fp_outsourced):
-        document, client, tree = fp_outsourced
-        with socket_server(transport, tree) as address:
-            adapter = SyncOverAsync(*address, tree.ring, version)
-            try:
-                assert adapter.session.protocol_version == version
-                assert answers(client, adapter, document) == \
-                    plaintext_answers(document)
-            finally:
-                adapter.close()
-
-    def test_z_ring_sessions(self, z_outsourced):
-        document, client, tree = z_outsourced
-        server = SearchServer(tree)
-        expected = {tag: PlaintextSearchIndex(document).lookup(tag).matches
-                    for tag in sorted(document.distinct_tags())}
-        for version in (3, 4):
-            adapter, _ = connect(server, protocol_version=version)
-            assert {tag: client.lookup(adapter, tag).matches
-                    for tag in expected} == expected
-
-
 class DroppingServer(SearchServer):
     """A server that omits one node from one section of its frontier-ok."""
 
@@ -659,36 +503,6 @@ class TestOmittedNodes:
                              protocol_version=version)
         with pytest.raises(ProtocolError, match=f"omits the {section} of node"):
             adapter.verification_bundle([root])
-
-    @pytest.mark.parametrize("version", [3, 4])
-    @pytest.mark.parametrize("section", ["evaluation", "child list", "share row"])
-    def test_async_client_raises_protocol_error(self, section, version,
-                                                fp_outsourced):
-        _, _, tree = fp_outsourced
-        handle = start_async_server(DroppingServer(tree, section))
-
-        async def scenario():
-            session = await AsyncServerInterface.open(
-                "127.0.0.1", handle.port, tree.ring, protocol_version=version)
-            try:
-                root = tree.root_id
-                with pytest.raises(ProtocolError, match=f"omits the {section}"):
-                    if section == "evaluation":
-                        await session.frontier_round([root], [3])
-                    elif section == "child list":
-                        await session.verification_bundle([root])
-                    else:
-                        await session.fetch_polynomial_rows([root])
-                # The session survives the rejected response.
-                assert await session.root_id() == root
-            finally:
-                await session.close()
-
-        try:
-            asyncio.run(scenario())
-        finally:
-            handle.stop()
-
 
 def test_reference_codec_serves_a_v4_socket_lookup():
     """With numpy disabled both ends pack and unpack through the int codec."""

@@ -184,16 +184,6 @@ class TestMultiDocumentServer:
 
 
 class TestBatchedProtocol:
-    def test_v2_lookup_matches_v1(self, outsourced_catalog):
-        client, server_tree, _ = outsourced_catalog
-        server = SearchServer(server_tree)
-        for tag in ("customer", "product", "location", "warehouse"):
-            v1, _ = connect(server, protocol_version=1)
-            v2, _ = connect(server, protocol_version=2)
-            for mode in VerificationMode:
-                assert client.lookup(v1, tag, verification=mode).matches == \
-                    client.lookup(v2, tag, verification=mode).matches
-
     def test_v2_xpath_matches_v1_with_fewer_round_trips(self, outsourced_catalog):
         client, server_tree, _ = outsourced_catalog
         server = SearchServer(server_tree)

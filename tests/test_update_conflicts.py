@@ -38,7 +38,6 @@ from repro.net import (
     connect_socket,
     share_tree_from_dict,
     share_tree_to_dict,
-    start_async_server,
 )
 from repro.workloads import CatalogConfig, generate_catalog_document
 
@@ -137,20 +136,12 @@ class TestDisjointWriters:
         assert len(server.document().update_log) == \
             len(targets_one) + len(targets_two)
 
-    @pytest.mark.parametrize("transport", ["threaded", "async"])
-    def test_socket_race(self, transport, share_backend):
+    def test_socket_race(self, share_backend):
         client, tree, reference = outsourced_pair()
         targets_one, targets_two = disjoint_rename_targets(tree)
         core = SearchServer(share_backend(tree))
-        if transport == "threaded":
-            server = ThreadedSearchServer(core)
-            server.start()
-            address = server.address
-            stop = server.stop
-        else:
-            handle = start_async_server(core)
-            address = ("127.0.0.1", handle.port)
-            stop = handle.stop
+        transport = ThreadedSearchServer(core).start()
+        address = transport.address
         try:
             def make_adapter():
                 adapter, channel = connect_socket(address[0], address[1],
@@ -159,7 +150,7 @@ class TestDisjointWriters:
 
             self._race(client, make_adapter, targets_one, targets_two)
         finally:
-            stop()
+            transport.stop()
         expected = sequential_reference(client, reference,
                                         targets_one, targets_two)
         assert store_state(core.document().store) == expected

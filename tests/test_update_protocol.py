@@ -6,12 +6,12 @@ Three layers of proof, bottom up:
   directly: version checks, conflict answers, version bumping, the
   commit audit trail (``HostedDocument.update_log``) and idempotent
   replay of both outcomes (committed and conflicted).
-* **Transports** — the same edit script applied through
-  :class:`~repro.net.client.RemoteUpdatableTree` over the in-process
-  channel, the threaded socket server, the asyncio socket server and a
-  resilient session must leave the hosted store bit-identical to the
-  script applied by an in-process :class:`~repro.core.UpdatableTree` on
-  an identically seeded clone.
+* **Sessions** — the same edit script applied through
+  :class:`~repro.net.client.RemoteUpdatableTree` over a resilient session
+  must leave the hosted store bit-identical to the script applied by an
+  in-process :class:`~repro.core.UpdatableTree` on an identically seeded
+  clone, with a unique idempotency key per batch.  The same check over
+  every other path and store is ``tests/test_oracle.py``'s.
 * **Acceptance** — a 120k-node document served over real TCP, edited by
   a resilient remote client while 5% of all channel operations fault,
   converges to the in-process result with every batch applied exactly
@@ -19,18 +19,18 @@ Three layers of proof, bottom up:
   runs).
 """
 
-import asyncio
 import json
 import os
 
 import pytest
 
 from repro.core import (
+    ServerShareTree,
     UpdatableTree,
     choose_fp_ring,
     outsource_document,
 )
-from repro.errors import ProtocolError, UpdateConflictError
+from repro.errors import ProtocolError
 from repro.net import (
     ConflictResponse,
     FaultPlan,
@@ -44,13 +44,8 @@ from repro.net import (
     UpdateResponse,
     connect,
     connect_resilient,
-    connect_socket,
-    share_tree_from_dict,
-    share_tree_to_dict,
-    start_async_server,
 )
-from repro.net.aio import AsyncServerInterface
-from repro.net.messages import PROTOCOL_VERSION, decode_message
+from repro.net.messages import decode_message
 from repro.net.retry import RetryPolicy
 from repro.workloads import (
     CatalogConfig,
@@ -88,8 +83,16 @@ def store_state(store):
 
 
 def clone_tree(tree):
-    """An independent, bit-identical copy of a server share tree."""
-    return share_tree_from_dict(share_tree_to_dict(tree))
+    """An independent, bit-identical copy of a server share tree.
+
+    Shares are immutable (their coefficients are a tuple), so the copy
+    shares them and rebuilds only the structure: a serialisation round
+    trip of the 120k-node acceptance tree would take seconds.
+    """
+    copy = ServerShareTree(tree.ring)
+    for node_id in tree.node_ids():      # parents before children
+        copy.add_node(node_id, tree.parent_id(node_id), tree.share_of(node_id))
+    return copy
 
 
 def outsourced_pair():
@@ -246,7 +249,7 @@ class TestUpdateHandler:
 
 
 class TestRemoteMatchesLocal:
-    """One edit script, every transport, bit-identical stores."""
+    """One edit script, bit-identical stores."""
 
     def _run_remote(self, adapter, client, targets):
         editor = RemoteUpdatableTree(adapter, client.mapping,
@@ -267,46 +270,6 @@ class TestRemoteMatchesLocal:
                 local_report.removed_node_ids
             assert remote_report.affected_ancestors == \
                 local_report.affected_ancestors
-
-    def test_in_process(self, share_backend):
-        client, tree, reference = outsourced_pair()
-        targets = pick_targets(tree)
-        server = SearchServer(share_backend(tree))
-        adapter, _ = connect(server)
-        reports = self._run_remote(adapter, client, targets)
-        self._check(server, reference, client, targets, reports)
-
-    def test_threaded_socket(self, share_backend):
-        client, tree, reference = outsourced_pair()
-        targets = pick_targets(tree)
-        server = ThreadedSearchServer(SearchServer(share_backend(tree)))
-        server.start()
-        try:
-            host, port = server.address
-            adapter, channel = connect_socket(host, port, tree.ring)
-            try:
-                reports = self._run_remote(adapter, client, targets)
-            finally:
-                channel.close()
-        finally:
-            server.stop()
-        self._check(server.core, reference, client, targets, reports)
-
-    def test_async_socket(self, share_backend):
-        client, tree, reference = outsourced_pair()
-        targets = pick_targets(tree)
-        core = SearchServer(share_backend(tree))
-        handle = start_async_server(core)
-        try:
-            adapter, channel = connect_socket("127.0.0.1", handle.port,
-                                              tree.ring)
-            try:
-                reports = self._run_remote(adapter, client, targets)
-            finally:
-                channel.close()
-        finally:
-            handle.stop()
-        self._check(core, reference, client, targets, reports)
 
     def test_resilient_session_stamps_unique_request_ids(self, share_backend):
         client, tree, reference = outsourced_pair()
@@ -330,60 +293,6 @@ class TestRemoteMatchesLocal:
         with pytest.raises(ProtocolError):
             RemoteUpdatableTree(adapter, client.mapping,
                                 client.share_generator)
-
-
-class TestAsyncUpdateInterface:
-    """The coroutine twin of apply_update."""
-
-    def test_async_update_commit_and_conflict(self):
-        _, tree, _ = outsourced_pair()
-        handle = start_async_server(SearchServer(tree))
-        try:
-            async def scenario():
-                session = await AsyncServerInterface.open(
-                    "127.0.0.1", handle.port, tree.ring)
-                try:
-                    assert session.protocol_version == PROTOCOL_VERSION
-                    root = await session.root_id()
-                    share = (await session.fetch_polynomials([root]))[root]
-                    coeffs = list(share.coeffs)
-                    batch = [["replace", root, coeffs]]
-                    response = await session.update(
-                        UpdateRequest("touch", batch, {root: 0}))
-                    assert response.versions == {root: 1}
-                    assert response.applied == 1
-                    with pytest.raises(UpdateConflictError) as excinfo:
-                        await session.update(
-                            UpdateRequest("touch", batch, {root: 0}))
-                    assert excinfo.value.conflicts == [root]
-                    assert excinfo.value.versions == {root: 1}
-                    # The session survives the conflict.
-                    again = await session.update(
-                        UpdateRequest("touch", batch, {root: 1}))
-                    assert again.versions == {root: 2}
-                finally:
-                    await session.close()
-
-            asyncio.run(scenario())
-        finally:
-            handle.stop()
-
-    def test_async_v2_session_cannot_update(self):
-        _, tree, _ = outsourced_pair()
-        handle = start_async_server(SearchServer(tree))
-        try:
-            async def scenario():
-                session = await AsyncServerInterface.open(
-                    "127.0.0.1", handle.port, tree.ring, protocol_version=2)
-                try:
-                    with pytest.raises(ProtocolError):
-                        await session.update(UpdateRequest("noop", [], {}))
-                finally:
-                    await session.close()
-
-            asyncio.run(scenario())
-        finally:
-            handle.stop()
 
 
 class TestAcceptanceScale:

@@ -5,9 +5,10 @@ Every prime-field operation is computed three times — vectorized
 (``use_kernels(False)``) — and the results compared for exact equality,
 across primes on both sides of the native-width boundary, degrees on both
 sides of ``VECTOR_MIN_COEFFS``, and the empty/constant edge cases.  The
-same triple comparison is run end-to-end: batched SQLite store evaluation
-and full protocol lookups.  The :class:`AdaptiveLookahead` controller and
-the numpy-absent fallback (``REPRO_DISABLE_NUMPY``) are covered here too.
+same triple comparison is run on batched store evaluation (full protocol
+lookups across the tiers are ``tests/test_oracle.py``'s).  The
+:class:`AdaptiveLookahead` controller and the numpy-absent fallback
+(``REPRO_DISABLE_NUMPY``) are covered here too.
 """
 
 import os
@@ -234,29 +235,6 @@ class TestStoreTierIdentity:
         one = node_ids[:1]
         assert store.evaluate_many(one, 7) == \
             server_tree.evaluate_many(one, 7)
-
-    def test_full_lookup_identical_across_tiers(self, outsourced):
-        from repro.net import connect_in_process
-
-        (client, server_tree, _), document = outsourced
-        tags = sorted(document.distinct_tags())[:4]
-        answers = {}
-        for tier in ("vectorized", "flat", "generic"):
-            adapter, _, _ = connect_in_process(server_tree)
-            engine = client.engine(adapter, VerificationMode.NONE)
-            if tier == "generic":
-                with use_kernels(False):
-                    answers[tier] = [tuple(engine.lookup(t).matches)
-                                     for t in tags]
-            elif tier == "flat":
-                with use_vector_kernels(False):
-                    answers[tier] = [tuple(engine.lookup(t).matches)
-                                     for t in tags]
-            else:
-                answers[tier] = [tuple(engine.lookup(t).matches)
-                                 for t in tags]
-        assert answers["vectorized"] == answers["flat"] == answers["generic"]
-        assert any(answers["vectorized"])
 
 
 class TestAdaptiveLookahead:
