@@ -28,7 +28,7 @@ tests compare against.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, List, Sequence, Union
 
 from ..errors import TagRecoveryError
 from .vkernels import numpy_or_none
@@ -89,19 +89,18 @@ class EvaluationDomain:
 
     # -- coefficient rows --------------------------------------------------------
     def coefficient_matrix(self, rows: Sequence[Sequence[Any]],
-                           reduce: Optional[Callable[[Sequence[Any]],
-                                                     Sequence[int]]] = None):
-        """The int64 ``(len(rows), p-1)`` matrix of coefficient rows.
+                           reduce: Callable[[Sequence[Any]], Sequence[int]]):
+        """The int64 ``(len(rows), p-1)`` matrix of untrusted coefficient rows.
 
-        Without ``reduce`` the rows must already be canonical residues (the
-        client's own shares).  With it they are untrusted: a block of ints
-        in ``[0, p)`` no wider than ``p - 1`` is taken as is, and otherwise
-        every row that is not — too long, a non-int, a value out of range,
-        negative or beyond int64 — goes through ``reduce`` (the ring's
-        reference ``from_coefficients``), in order, so a malformed row
-        fails exactly where the reference path fails.  ``rows`` may also
-        be one 2-D integer ndarray (a decoded wire block); rows that need
-        ``reduce`` then reach it as lists of Python ints.
+        A block of ints in ``[0, p)`` no wider than ``p - 1`` is taken as
+        is; otherwise every row that is not — too long, a non-int, a value
+        out of range, negative or beyond int64 — goes through ``reduce``
+        (the ring's reference ``from_coefficients``), in order, so a
+        malformed row fails exactly where the reference path fails.
+        ``rows`` may also be one 2-D integer ndarray (a decoded wire
+        block); rows that need ``reduce`` then reach it as lists of Python
+        ints.  The client's own shares need none of this: they arrive as
+        a block (:meth:`ClientShareGenerator.share_rows`).
         """
         np = numpy_or_none()
         p = self.p
@@ -109,29 +108,24 @@ class EvaluationDomain:
             block, rows = rows, None
         else:
             rows = list(rows)
-            block = None
-        if reduce is not None:
-            if block is None:
-                try:
-                    block = np.array(rows)
-                except (ValueError, TypeError, OverflowError):
-                    block = None
-            if (block is not None and block.ndim == 2
-                    and block.dtype.kind == "i" and block.shape[1] < p
-                    and (block.size == 0 or (int(block.min()) >= 0
-                                             and int(block.max()) < p))):
-                if block.shape[1] == p - 1:
-                    return block.astype(np.int64, copy=False)
-                padded = np.zeros((block.shape[0], p - 1), dtype=np.int64)
-                padded[:, :block.shape[1]] = block
-                return padded
-            if rows is None:
-                rows = block.tolist()
-            rows = [row if len(row) < p and all(
-                        type(c) is int and 0 <= c < p for c in row)
-                    else reduce(row) for row in rows]
-        elif rows is None:
+            try:
+                block = np.array(rows)
+            except (ValueError, TypeError, OverflowError):
+                block = None
+        if (block is not None and block.ndim == 2
+                and block.dtype.kind == "i" and block.shape[1] < p
+                and (block.size == 0 or (int(block.min()) >= 0
+                                         and int(block.max()) < p))):
+            if block.shape[1] == p - 1:
+                return block.astype(np.int64, copy=False)
+            padded = np.zeros((block.shape[0], p - 1), dtype=np.int64)
+            padded[:, :block.shape[1]] = block
+            return padded
+        if rows is None:
             rows = block.tolist()
+        rows = [row if len(row) < p and all(
+                    type(c) is int and 0 <= c < p for c in row)
+                else reduce(row) for row in rows]
         matrix = np.zeros((len(rows), p - 1), dtype=np.int64)
         for index, row in enumerate(rows):
             if len(row):

@@ -350,6 +350,21 @@ class FpQuotientRing(EncodingRing):
         coeffs = poly_stream.residues(self.p - 1, self.p)
         return Polynomial._from_canonical(_trim(coeffs), self.field)
 
+    def random_rows_from_forks(self, stream: Any, labels: Sequence[Any]):
+        """:meth:`random_element_from_stream` of ``stream.fork(label)`` per label.
+
+        One int64 ``(len(labels), p - 1)`` block; row ``i`` holds the
+        coefficients of the element drawn from ``stream.fork(labels[i])``,
+        zero-padded to the degree bound (both draw
+        ``residues(p - 1, p)``).  Needs numpy: callers use it on the
+        vectorized tier only.
+        """
+        return stream.fork_residues(labels, self.p - 1, self.p)
+
+    def element_from_row(self, row: Any) -> Polynomial:
+        """The element whose coefficients are a canonical int64 ``row``."""
+        return Polynomial._from_canonical(_trim(row.tolist()), self.field)
+
     def evaluation_modulus(self, point: int) -> int:
         return self.p
 

@@ -528,19 +528,21 @@ class QueryEngine:
             result = self.server.frontier_round(alive, points,
                                                 include_children=False)
             stats.round_trips += result.round_trips
+            client_values = self.client_shares.evaluate_points(alive, points)
+            zero_at_all = [True] * len(alive)
             for point in points:
                 server_values = result.evaluations[point]
                 stats.evaluations += len(server_values)
-                client_values = self.client_shares.evaluate_many(alive, point)
                 modulus = self.ring.evaluation_modulus(point)
-                still_alive = []
-                for node_id in alive:
-                    total = client_values[node_id] + server_values[node_id]
+                for index, (node_id, client_value) in enumerate(
+                        zip(alive, client_values[point])):
+                    total = client_value + server_values[node_id]
                     if modulus is not None:
                         total %= modulus
-                    if self.ring.evaluation_is_zero(total, point):
-                        still_alive.append(node_id)
-                alive = still_alive
+                    if not self.ring.evaluation_is_zero(total, point):
+                        zero_at_all[index] = False
+            alive = [node_id for node_id, zero in zip(alive, zero_at_all)
+                     if zero]
             stats.nodes_evaluated += len(set(node_ids))
             return alive
         for tag in tags:
@@ -589,11 +591,11 @@ class QueryEngine:
         server_values = self.server.evaluate(node_ids, point)
         stats.round_trips += 1
         stats.evaluations += len(node_ids)
-        client_values = self.client_shares.evaluate_many(node_ids, point)
+        client_values = self.client_shares.evaluate_points(node_ids, [point])
         modulus = self.ring.evaluation_modulus(point)
         sums: Dict[int, int] = {}
-        for node_id in node_ids:
-            total = client_values[node_id] + server_values[node_id]
+        for node_id, client_value in zip(node_ids, client_values[point]):
+            total = client_value + server_values[node_id]
             sums[node_id] = total if modulus is None else total % modulus
         return sums
 
@@ -665,12 +667,12 @@ class QueryEngine:
             # A node stays alive only if its summed evaluation is zero at
             # *all* points (its subtree contains every queried tag).
             zero_at_all: Dict[int, bool] = {node_id: True for node_id in frontier}
+            client_values = self.client_shares.evaluate_points(frontier, points)
             for point in points:
-                client_values = self.client_shares.evaluate_many(frontier, point)
                 modulus = self.ring.evaluation_modulus(point)
                 received = server_values[point]
-                for node_id in frontier:
-                    total = client_values[node_id] + received[node_id]
+                for node_id, client_value in zip(frontier, client_values[point]):
+                    total = client_value + received[node_id]
                     if modulus is not None:
                         total %= modulus
                     evaluations[(node_id, point)] = total
@@ -847,9 +849,7 @@ class QueryEngine:
             position = {node_id: index
                         for index, node_id in enumerate(server_rows)}
             server = received[[position[node_id] for node_id in needed]]
-            client = domain.coefficient_matrix(
-                [self.client_shares.share_for(node_id).coeffs
-                 for node_id in needed])
+            client = self.client_shares.share_rows(needed)
             row_of = {node_id: index for index, node_id in enumerate(needed)}
             return domain.recover_tags(
                 domain.transform((client + server) % domain.p),
@@ -858,10 +858,9 @@ class QueryEngine:
                  for node_id in candidates])
         shares = {node_id: ring.from_coefficients(row)
                   for node_id, row in server_rows.items()}
-        polynomials = {
-            node_id: ring.add(self.client_shares.share_for(node_id),
-                              shares[node_id])
-            for node_id in needed}
+        client = self.client_shares.shares_for(needed)
+        polynomials = {node_id: ring.add(client[node_id], shares[node_id])
+                       for node_id in needed}
         results: List[Union[int, TagRecoveryError]] = []
         for node_id in candidates:
             try:
@@ -891,25 +890,29 @@ class QueryEngine:
             return confirmed, inconclusive
         children_map, bundled = self._verification_children(
             candidates, stats, constants_only=True)
+        needed = sorted(set(candidates) | {
+            child for node_id in candidates for child in children_map[node_id]})
         if bundled is None:
-            needed = sorted(set(candidates) | {
-                child for node_id in candidates for child in children_map[node_id]})
             server_constants = self.server.fetch_constants(needed)
             stats.round_trips += 1
             stats.constants_fetched += len(needed)
         else:
             server_constants = bundled
+        rows = self.client_shares.share_rows(needed)
+        if rows is None:
+            client_constants = {node_id: share.constant_term for node_id, share
+                                in self.client_shares.shares_for(needed).items()}
+        else:
+            client_constants = dict(zip(needed, rows[:, 0].tolist()))
         ring = self.ring.coefficient_ring
         for node_id in candidates:
             stats.candidates_verified += 1
-            node_constant = ring.add(
-                self.client_shares.share_for(node_id).constant_term,
-                server_constants[node_id])
+            node_constant = ring.add(client_constants[node_id],
+                                     server_constants[node_id])
             product = ring.one
             for child in children_map[node_id]:
-                child_constant = ring.add(
-                    self.client_shares.share_for(child).constant_term,
-                    server_constants[child])
+                child_constant = ring.add(client_constants[child],
+                                          server_constants[child])
                 product = ring.mul(product, child_constant)
             expected = ring.mul(ring.neg(ring.coerce(point)), product)
             if ring.eq(node_constant, expected):

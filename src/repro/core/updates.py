@@ -55,7 +55,7 @@ from ..algebra.quotient import EncodingRing
 from ..errors import QueryError
 from ..xmltree import XmlElement
 from .mapping import TagMapping
-from .share_tree import ClientShareGenerator, ServerShareTree
+from .share_tree import SHARE_CHUNK_NODES, ClientShareGenerator, ServerShareTree
 
 __all__ = ["UpdateReport", "UpdatableTree"]
 
@@ -297,12 +297,18 @@ class UpdatableTree:
         report = UpdateReport("refresh")
         with self._guard():
             with self._transaction() as txn:
-                for node_id in self.server_tree.node_ids():
-                    polynomial = self._node_polynomial(node_id)
-                    txn.replace_share(
-                        node_id,
-                        self.ring.sub(polynomial,
-                                      new_generator.share_for(node_id)))
-                    report.shares_rewritten += 1
+                node_ids = self.server_tree.node_ids()
+                for start in range(0, len(node_ids), SHARE_CHUNK_NODES):
+                    chunk = node_ids[start:start + SHARE_CHUNK_NODES]
+                    old_shares = self.client_shares.shares_for(chunk)
+                    new_shares = new_generator.shares_for(chunk)
+                    for node_id in chunk:
+                        polynomial = self.ring.add(
+                            old_shares[node_id],
+                            self.server_tree.share_of(node_id))
+                        txn.replace_share(
+                            node_id, self.ring.sub(polynomial,
+                                                   new_shares[node_id]))
+                        report.shares_rewritten += 1
         self.client_shares = new_generator
         return report

@@ -577,13 +577,14 @@ class ServingCore:
 
         Failures are isolated per request: a message naming an unknown
         document, or one whose coalesced group fails (unknown node id,
-        backend error), is answered with an in-band
-        :class:`~repro.net.messages.ErrorResponse` while every other
-        request is served normally.  A failed group is retried request by
-        request, so only the actual offenders error (requests already
-        counted stay counted once; the retried group's point/prune
-        observations may be recorded again, mirroring the partial
-        observations a failing sequential handler leaves behind).
+        backend error of any exception class), is answered with an in-band
+        :class:`~repro.net.messages.ErrorResponse` and accounted as failed
+        once, while every other request is served normally.  A failed
+        group is retried request by request, so only the actual offenders
+        error (requests already counted stay counted once; the retried
+        group's point/prune observations may be recorded again, mirroring
+        the partial observations a failing sequential handler leaves
+        behind).
         """
         groups: Dict[str, Tuple[HostedDocument, List[int]]] = {}
         responses: List[Optional[Message]] = [None] * len(messages)
@@ -626,7 +627,7 @@ class ServingCore:
                 with document.lock:
                     answered: List[Message] = list(
                         self._frontier_batch_locked(document, group))
-            except ReproError:
+            except Exception:  # noqa: BLE001 - retried request by request
                 answered = []
                 for message in group:
                     try:
@@ -636,6 +637,8 @@ class ServingCore:
                                                             [message])[0])
                     except ReproError as exc:
                         answered.append(self.error_response(exc))
+                    except Exception as exc:  # noqa: BLE001 - answered in-band
+                        answered.append(ErrorResponse(str(exc)))
             elapsed = time.perf_counter() - started
             for index, message, response in zip(indices, group, answered):
                 responses[index] = response

@@ -16,6 +16,7 @@ locks inside the registry.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional
@@ -78,6 +79,7 @@ class MetricsServer:
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
+        self._stopping = threading.Event()
 
     @property
     def port(self) -> int:
@@ -87,7 +89,7 @@ class MetricsServer:
     def start(self) -> "MetricsServer":
         """Start serving on a daemon thread; returns self for chaining."""
         thread = threading.Thread(
-            target=self._httpd.serve_forever,
+            target=self._serve,
             name="metrics-scrape",
             daemon=True,
         )
@@ -95,13 +97,29 @@ class MetricsServer:
         self._thread = thread
         return self
 
+    def _serve(self) -> None:
+        """Answer scrapes until :meth:`stop`.
+
+        Each ``handle_request`` blocks until the listener is readable, so
+        :meth:`stop` wakes the loop at once by shutting the listener down,
+        where ``serve_forever`` would notice a stop only at its next
+        0.5 s poll.
+        """
+        while not self._stopping.is_set():
+            self._httpd.handle_request()
+
     def stop(self) -> None:
         """Shut the server down and join the serving thread."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self._stopping.set()
+        try:
+            # Wakes the handle_request() blocked in the serving thread.
+            self._httpd.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.server_close()
 
     def __enter__(self) -> "MetricsServer":
         """Context-manager entry: start the server."""

@@ -24,7 +24,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
+
+from ..algebra.vkernels import numpy_or_none
 
 __all__ = ["derive_seed", "SeededStream", "DeterministicPRG"]
 
@@ -197,6 +199,103 @@ class SeededStream:
                 out.extend(v for v in candidates if v < bound)
         del out[count:]
         return out
+
+    def fork_residues(self, labels: Sequence[Union[bytes, str, int]],
+                      count: int, bound: int):
+        """``fork(label).residues(count, bound)`` for many labels at once.
+
+        Returns an ``(len(labels), count)`` int64 ndarray whose row ``i``
+        is exactly ``self.fork(labels[i]).residues(count, bound)``.  The
+        rows are drawn the way :meth:`residues` draws them, round by round:
+        a row short of ``count`` accepted values reads
+        ``ceil(need * limb_bytes / 32)`` whole blocks, slices them into
+        big-endian limbs, drops each round's tail bytes when the limb width
+        does not divide the block (3-byte limbs), and keeps the first
+        ``need`` candidates below ``bound``.  Only the hashing stays a
+        Python loop (the same ``HMAC(key, prefix || counter)`` blocks
+        :meth:`_block` computes); slicing and rejection run over every row
+        of a round in a few array operations.  Requires numpy and limbs of
+        at most 4 bytes (``bound < 2**32``).
+        """
+        np = numpy_or_none()
+        if np is None:
+            raise RuntimeError("fork_residues requires numpy")
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        bits = bound.bit_length()
+        n_bytes = (bits + 7) // 8
+        if n_bytes > 4:
+            raise ValueError("fork_residues handles limbs of at most 4 bytes")
+        shift = n_bytes * 8 - bits
+        out = np.zeros((len(labels), count), dtype=np.int64)
+        if not len(labels) or not count:
+            return out
+        # `_pack_labels((label,))` per label, without its per-call loop.
+        packed = [label.to_bytes(max(1, (label.bit_length() + 7) // 8), "big")
+                  if type(label) is int else _to_bytes(label)
+                  for label in labels]
+        prefixes = [self._prefix + len(part).to_bytes(4, "big") + part
+                    for part in packed]
+        filled = np.zeros(len(labels), dtype=np.int64)
+        counters = np.zeros(len(labels), dtype=np.int64)
+        columns = np.arange(count)
+        short = np.arange(len(labels))
+        # The first round reads the same number of blocks for every row.
+        rounds = [(short, -(-count * n_bytes // _BLOCK_BYTES))]
+        while rounds:
+            for rows, size in rounds:
+                values = self._limbs(
+                    [prefixes[row] for row in rows.tolist()],
+                    counters[rows].tolist(), size, n_bytes) >> shift
+                counters[rows] += size
+                accepted = values < bound
+                totals = accepted.sum(axis=1)
+                # Accepted limbs of every row, concatenated in row order;
+                # output column c of a row takes its (c - filled)-th one.
+                flat = values[accepted]
+                offset = columns - filled[rows][:, None]
+                take = (offset >= 0) & (offset < totals[:, None])
+                start = np.cumsum(totals) - totals
+                block = out[rows]
+                block[take] = flat[(start[:, None] + offset)[take]]
+                out[rows] = block
+                filled[rows] = np.minimum(filled[rows] + totals, count)
+            short = short[filled[short] < count]
+            blocks = -(-(count - filled[short]) * n_bytes // _BLOCK_BYTES)
+            rounds = [(short[blocks == size], size)
+                      for size in np.unique(blocks).tolist()]
+        return out
+
+    def _limbs(self, prefixes: List[bytes], starts: List[int], blocks: int,
+               n_bytes: int):
+        """Big-endian limbs of ``blocks`` stream blocks per fork, as int64.
+
+        Row ``i`` reads blocks ``starts[i] ..`` of the fork whose label
+        prefix is ``prefixes[i]`` and holds ``blocks * 32 // n_bytes`` limbs;
+        a 3-byte width drops the bytes past the last whole limb, as one
+        :meth:`residues` round does.
+        """
+        np = numpy_or_none()
+        inner_copy, outer_copy = self._inner.copy, self._outer.copy
+        parts: List[bytes] = []
+        for prefix, start in zip(prefixes, starts):
+            for counter in range(start, start + blocks):
+                inner = inner_copy()
+                inner.update(prefix + counter.to_bytes(8, "big"))
+                outer = outer_copy()
+                outer.update(inner.digest())
+                parts.append(outer.digest())
+        data = b"".join(parts)
+        per_row = blocks * _BLOCK_BYTES // n_bytes
+        if n_bytes == 3:
+            raw = np.frombuffer(data, dtype=np.uint8).reshape(
+                len(prefixes), blocks * _BLOCK_BYTES)[:, :3 * per_row]
+            raw = raw.reshape(len(prefixes), per_row, 3).astype(np.int64)
+            return raw[:, :, 0] << 16 | raw[:, :, 1] << 8 | raw[:, :, 2]
+        return np.frombuffer(data, dtype=f">u{n_bytes}").reshape(
+            len(prefixes), per_row).astype(np.int64)
 
 
 class DeterministicPRG:

@@ -92,18 +92,30 @@ class RowServer(ServerInterface):
 
 
 class FixedShares:
-    """The client's shares, handed out as-is."""
+    """The client's shares, handed out as-is (each form the engine asks for)."""
 
-    def __init__(self, shares):
+    def __init__(self, ring, shares):
+        self.ring = ring
         self.shares = shares
 
     def share_for(self, node_id):
         return self.shares[node_id]
 
+    def shares_for(self, node_ids):
+        return {node_id: self.shares[node_id] for node_id in node_ids}
+
+    def share_rows(self, node_ids):
+        np = numpy_or_none()
+        block = np.zeros((len(node_ids), self.ring.p - 1), dtype=np.int64)
+        for index, node_id in enumerate(node_ids):
+            coeffs = self.shares[node_id].coeffs
+            block[index, :len(coeffs)] = coeffs
+        return block
+
 
 def verify(ring, shares, children, rows, candidates, point):
     """Run FULL verification; the outcome or the failure's text."""
-    engine = QueryEngine(ring, None, FixedShares(shares),
+    engine = QueryEngine(ring, None, FixedShares(ring, shares),
                          RowServer(children, rows))
     try:
         return engine._verify_full(candidates, point, QueryStats())

@@ -189,6 +189,29 @@ class TestFrontierBatchIdentity:
         assert SearchServer(store).frontier_batch([]) == []
 
 
+class EvaluateFailsStore(InMemoryShareStore):
+    """A store whose share evaluation fails with a non-``ReproError``."""
+
+    def evaluate_many(self, node_ids, point):
+        raise RuntimeError("backend evaluation failed")
+
+
+def test_batch_accounts_backend_errors_once(outsourced):
+    """A store error outside the ReproError taxonomy fails a frontier request
+    in-band and is accounted exactly once, in frontier_batch as in handle."""
+    store = EvaluateFailsStore(outsourced[1])
+    core = SearchServer(store)
+    request = FrontierRequest([store.root_id], [3])
+    with pytest.raises(RuntimeError):
+        core.handle(request)
+    response, = core.frontier_batch([FrontierRequest([store.root_id], [3])])
+    assert isinstance(response, ErrorResponse)
+    assert "backend evaluation failed" in response.error
+    accounting = core.accounting()
+    assert (accounting["admitted"], accounting["failed"],
+            accounting["inflight"]) == (2, 2, 0)
+
+
 class TestFrontierBatchIdentitySQLite(TestFrontierBatchIdentity):
     """The same guarantees over the durable store's batch reads."""
 
