@@ -40,7 +40,7 @@ BULK_MIN_COEFFS = 768
 BULK_BLOCK_COEFFS = 1 << 18
 
 #: Nodes per :meth:`ClientShareGenerator.shares_for` call when every node
-#: of a tree needs its share (outsourcing, share refresh).
+#: of a tree needs its share (outsourcing, reconstruction, share refresh).
 SHARE_CHUNK_NODES = 1024
 
 
@@ -378,11 +378,15 @@ def reconstruct_tree(client: ClientShareGenerator,
     if client.ring != server.ring and client.ring.name != server.ring.name:
         raise SharingError("client and server use different rings")
     tree = PolynomialTree(server.ring)
-    for node_id in server.node_ids():
-        combined = combine_additive(
-            server.ring, [client.share_for(node_id), server.share_of(node_id)])
-        parent_id = server.parent_id(node_id)
-        # Parents come first (add_node requires it), so their depth is known.
-        depth = tree.nodes[parent_id].depth + 1 if parent_id in tree.nodes else 0
-        tree.add_node(node_id, parent_id, combined, depth)
+    node_ids = server.node_ids()
+    for start in range(0, len(node_ids), SHARE_CHUNK_NODES):
+        chunk = node_ids[start:start + SHARE_CHUNK_NODES]
+        client_shares = client.shares_for(chunk)
+        for node_id in chunk:
+            combined = combine_additive(
+                server.ring, [client_shares[node_id], server.share_of(node_id)])
+            parent_id = server.parent_id(node_id)
+            # Parents come first (add_node requires it), so their depth is known.
+            depth = tree.nodes[parent_id].depth + 1 if parent_id in tree.nodes else 0
+            tree.add_node(node_id, parent_id, combined, depth)
     return tree

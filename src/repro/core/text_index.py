@@ -38,7 +38,7 @@ from ..errors import QueryError
 from ..prg import DeterministicPRG, derive_seed
 from ..xmltree import XmlDocument
 from .query import QueryStats, ServerInterface, VerificationMode
-from .share_tree import ClientShareGenerator, ServerShareTree
+from .share_tree import ClientShareGenerator, ServerShareTree, share_tree
 from .encoder import PolynomialTree
 from .query import LocalServerAdapter, QueryEngine
 from .mapping import TagMapping
@@ -144,13 +144,9 @@ class ContentIndexBuilder:
             tree.add_node(index, parent_id, polynomial, element.depth())
 
         # Share the content tree and encrypt the raw text payloads.
-        generator = ClientShareGenerator(self.ring, self.prg.child("shares"))
-        server = ServerShareTree(self.ring)
+        generator, server = share_tree(tree, self.prg.child("shares"))
         store = EncryptedContentStore()
         for node in tree.iter_preorder():
-            client_share = generator.share_for(node.node_id)
-            server.add_node(node.node_id, node.parent_id,
-                            self.ring.sub(node.polynomial, client_share))
             element = elements[node.node_id]
             if element.text:
                 store.put(node.node_id,

@@ -220,16 +220,17 @@ class UpdatableTree:
 
             # 3. Push everything — new nodes plus every ancestor rewrite —
             #    as one atomic batch.
+            client_shares = self.client_shares.shares_for(
+                range(next_id, next_id + len(polynomials)))
             with self._transaction() as txn:
                 stack = [(element, parent_id)]
                 while stack:
                     node, node_parent = stack.pop()
                     node_id = next_id
                     next_id += 1
-                    client_share = self.client_shares.share_for(node_id)
                     txn.add_node(node_id, node_parent,
                                  self.ring.sub(polynomials[id(node)],
-                                               client_share))
+                                               client_shares[node_id]))
                     report.new_node_ids.append(node_id)
                     report.shares_rewritten += 1
                     stack.extend((child, node_id)

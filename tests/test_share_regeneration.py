@@ -218,7 +218,8 @@ class TestBulkRows:
         """Node ids whose draw needs ``extras`` blocks past the first round."""
         ring = FpQuotientRing(p)
         prg = DeterministicPRG(b"top-ups")
-        root = prg.stream("node-share")
+        generator = ClientShareGenerator(ring, prg)
+        root = generator._share_root
         first = first_round_blocks(p - 1, p)
         picked = {}
         for node_id in range(2000):
@@ -229,7 +230,6 @@ class TestBulkRows:
                     break
         assert sorted(picked) == list(extras)
         node_ids = [picked[extra] for extra in extras]
-        generator = ClientShareGenerator(ring, prg)
         with always_bulk():
             rows = generator.share_rows(node_ids)
         assert rows.tolist() == reference_rows(ring, prg, node_ids)
