@@ -898,12 +898,8 @@ class QueryEngine:
             stats.constants_fetched += len(needed)
         else:
             server_constants = bundled
-        rows = self.client_shares.share_rows(needed)
-        if rows is None:
-            client_constants = {node_id: share.constant_term for node_id, share
-                                in self.client_shares.shares_for(needed).items()}
-        else:
-            client_constants = dict(zip(needed, rows[:, 0].tolist()))
+        client_constants = {node_id: share.constant_term for node_id, share
+                            in self.client_shares.shares_for(needed).items()}
         ring = self.ring.coefficient_ring
         for node_id in candidates:
             stats.candidates_verified += 1

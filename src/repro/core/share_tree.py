@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
@@ -35,13 +36,10 @@ _SHARE_LABEL = "node-share"
 #: 12 nodes at p = 53, 3 at p = 251, below 1 at p = 1021.
 BULK_MIN_COEFFS = 768
 
-#: Largest block one bulk derivation builds, in coefficients (2 MiB of
-#: int64), so a 40k-node outsource at a large prime derives block by block.
+#: Largest block :meth:`ClientShareGenerator.iter_shares` derives at once,
+#: in coefficients (2 MiB of int64), so a whole-tree pass holds one bounded
+#: block whatever the tree's size and the prime.
 BULK_BLOCK_COEFFS = 1 << 18
-
-#: Nodes per :meth:`ClientShareGenerator.shares_for` call when every node
-#: of a tree needs its share (outsourcing, reconstruction, share refresh).
-SHARE_CHUNK_NODES = 1024
 
 
 class ClientShareGenerator:
@@ -118,17 +116,34 @@ class ClientShareGenerator:
                 for point in points}
 
     def shares_for(self, node_ids: Iterable[int]) -> Dict[int, Polynomial]:
-        """Client shares for several nodes at once.
+        """Client shares for several nodes at once, keyed by node id."""
+        return dict(self.iter_shares(dict.fromkeys(node_ids)))
 
-        On the vectorized tier the uncached ones are derived in bulk;
-        :func:`share_tree` and share refreshes call this in bounded chunks.
+    def iter_shares(self, node_ids: Iterable[int]
+                    ) -> Iterator[Tuple[int, Polynomial]]:
+        """``(node_id, share_for(node_id))`` for each of ``node_ids``, in order.
+
+        On the vectorized tier the uncached ones are derived in bulk, one
+        block of at most :data:`BULK_BLOCK_COEFFS` coefficients at a time,
+        so a pass over a whole tree (outsourcing, reconstruction, share
+        refresh) never holds more than one such block.
         """
-        node_ids = list(dict.fromkeys(node_ids))
         if self._row_kernel() is None:
-            return {node_id: self.share_for(node_id) for node_id in node_ids}
-        return {node_id: (entry if isinstance(entry, Polynomial)
-                          else self.ring.element_from_row(entry))
-                for node_id, entry in self._entries(node_ids).items()}
+            for node_id in node_ids:
+                yield node_id, self.share_for(node_id)
+            return
+        ring = self.ring
+        remaining = iter(node_ids)
+        step = max(1, BULK_BLOCK_COEFFS // ring.degree_bound)
+        while True:
+            chunk = list(islice(remaining, step))
+            if not chunk:
+                return
+            entries = self._entries(chunk)
+            for node_id in chunk:
+                entry = entries[node_id]
+                yield node_id, (entry if isinstance(entry, Polynomial)
+                                else ring.element_from_row(entry))
 
     def share_rows(self, node_ids: Sequence[int]):
         """The shares of ``node_ids`` as one ``(len, p - 1)`` int64 block.
@@ -166,10 +181,9 @@ class ClientShareGenerator:
         """Cache entries of ``node_ids`` (polynomials or int64 rows), misses derived.
 
         Misses worth fewer than :data:`BULK_MIN_COEFFS` coefficients are
-        derived one by one; more are derived in blocks of at most
-        :data:`BULK_BLOCK_COEFFS` coefficients.  The derived rows the cache
-        can keep are cached as copies; the others stay views of their
-        block, which lives only as long as the caller's batch.
+        derived one by one, more in one block.  The cache keeps copies of
+        the last ``cache_size`` derived rows, so no cached row holds the
+        block alive; the returned views die with the caller's batch.
         """
         entries: Dict[int, Any] = {}
         with self._cache_lock:
@@ -185,18 +199,11 @@ class ClientShareGenerator:
             for node_id in misses:
                 entries[node_id] = self.share_for(node_id)
             return entries
-        step = max(1, BULK_BLOCK_COEFFS // ring.degree_bound)
-        first_kept = len(misses) - max(self.cache_size, 0)
-        for start in range(0, len(misses), step):
-            chunk = misses[start:start + step]
-            block = ring.random_rows_from_forks(self._share_root, chunk)
-            fresh = []
-            for index, (node_id, row) in enumerate(zip(chunk, block), start):
-                if index >= first_kept:
-                    row = row.copy()
-                    fresh.append((node_id, row))
-                entries[node_id] = row
-            self._remember(fresh)
+        block = ring.random_rows_from_forks(self._share_root, misses)
+        entries.update(zip(misses, block))
+        kept = max(0, len(misses) - max(self.cache_size, 0))
+        self._remember([(node_id, row.copy())
+                        for node_id, row in zip(misses[kept:], block[kept:])])
         return entries
 
     def _remember(self, items: Sequence[Tuple[int, Any]]) -> None:
@@ -352,19 +359,15 @@ def share_tree(tree: PolynomialTree, prg: DeterministicPRG,
 
     Passing an existing ``generator`` (e.g. the one owned by a
     :class:`~repro.core.scheme.ClientContext`) leaves its share cache warm
-    for the queries that follow outsourcing.  Client shares are derived
-    :data:`SHARE_CHUNK_NODES` nodes at a time.
+    for the queries that follow outsourcing.
     """
     generator = generator or ClientShareGenerator(tree.ring, prg)
     server = ServerShareTree(tree.ring)
-    nodes = list(tree.iter_preorder())
-    for start in range(0, len(nodes), SHARE_CHUNK_NODES):
-        chunk = nodes[start:start + SHARE_CHUNK_NODES]
-        client_shares = generator.shares_for([node.node_id for node in chunk])
-        for node in chunk:
-            server_share = tree.ring.sub(node.polynomial,
-                                         client_shares[node.node_id])
-            server.add_node(node.node_id, node.parent_id, server_share)
+    node_ids = (node.node_id for node in tree.iter_preorder())
+    for node_id, client_share in generator.iter_shares(node_ids):
+        node = tree.nodes[node_id]
+        server.add_node(node_id, node.parent_id,
+                        tree.ring.sub(node.polynomial, client_share))
     return generator, server
 
 
@@ -378,15 +381,11 @@ def reconstruct_tree(client: ClientShareGenerator,
     if client.ring != server.ring and client.ring.name != server.ring.name:
         raise SharingError("client and server use different rings")
     tree = PolynomialTree(server.ring)
-    node_ids = server.node_ids()
-    for start in range(0, len(node_ids), SHARE_CHUNK_NODES):
-        chunk = node_ids[start:start + SHARE_CHUNK_NODES]
-        client_shares = client.shares_for(chunk)
-        for node_id in chunk:
-            combined = combine_additive(
-                server.ring, [client_shares[node_id], server.share_of(node_id)])
-            parent_id = server.parent_id(node_id)
-            # Parents come first (add_node requires it), so their depth is known.
-            depth = tree.nodes[parent_id].depth + 1 if parent_id in tree.nodes else 0
-            tree.add_node(node_id, parent_id, combined, depth)
+    for node_id, client_share in client.iter_shares(server.node_ids()):
+        combined = combine_additive(
+            server.ring, [client_share, server.share_of(node_id)])
+        parent_id = server.parent_id(node_id)
+        # Parents come first (add_node requires it), so their depth is known.
+        depth = tree.nodes[parent_id].depth + 1 if parent_id in tree.nodes else 0
+        tree.add_node(node_id, parent_id, combined, depth)
     return tree

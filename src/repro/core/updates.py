@@ -55,7 +55,7 @@ from ..algebra.quotient import EncodingRing
 from ..errors import QueryError
 from ..xmltree import XmlElement
 from .mapping import TagMapping
-from .share_tree import SHARE_CHUNK_NODES, ClientShareGenerator, ServerShareTree
+from .share_tree import ClientShareGenerator, ServerShareTree
 
 __all__ = ["UpdateReport", "UpdatableTree"]
 
@@ -220,17 +220,18 @@ class UpdatableTree:
 
             # 3. Push everything — new nodes plus every ancestor rewrite —
             #    as one atomic batch.
-            client_shares = self.client_shares.shares_for(
+            #    The new ids run from ``next_id`` in the order the walk
+            #    visits the nodes.
+            new_shares = self.client_shares.iter_shares(
                 range(next_id, next_id + len(polynomials)))
             with self._transaction() as txn:
                 stack = [(element, parent_id)]
                 while stack:
                     node, node_parent = stack.pop()
-                    node_id = next_id
-                    next_id += 1
+                    node_id, client_share = next(new_shares)
                     txn.add_node(node_id, node_parent,
                                  self.ring.sub(polynomials[id(node)],
-                                               client_shares[node_id]))
+                                               client_share))
                     report.new_node_ids.append(node_id)
                     report.shares_rewritten += 1
                     stack.extend((child, node_id)
@@ -299,17 +300,13 @@ class UpdatableTree:
         with self._guard():
             with self._transaction() as txn:
                 node_ids = self.server_tree.node_ids()
-                for start in range(0, len(node_ids), SHARE_CHUNK_NODES):
-                    chunk = node_ids[start:start + SHARE_CHUNK_NODES]
-                    old_shares = self.client_shares.shares_for(chunk)
-                    new_shares = new_generator.shares_for(chunk)
-                    for node_id in chunk:
-                        polynomial = self.ring.add(
-                            old_shares[node_id],
-                            self.server_tree.share_of(node_id))
-                        txn.replace_share(
-                            node_id, self.ring.sub(polynomial,
-                                                   new_shares[node_id]))
-                        report.shares_rewritten += 1
+                for (node_id, old_share), (_, new_share) in zip(
+                        self.client_shares.iter_shares(node_ids),
+                        new_generator.iter_shares(node_ids)):
+                    polynomial = self.ring.add(
+                        old_share, self.server_tree.share_of(node_id))
+                    txn.replace_share(node_id,
+                                      self.ring.sub(polynomial, new_share))
+                    report.shares_rewritten += 1
         self.client_shares = new_generator
         return report

@@ -11,9 +11,9 @@ runs) stays the reference; these tests hold the bulk rows to it:
 * hypothesis cases compare rows across primes with 1- and 2-byte limbs,
   duplicate ids, empty batches, disabled caches, hit/miss mixes and
   eviction, plus 3-byte limbs at the stream level and one 3-byte prime;
-* the selection rule, the small-batch threshold, the bounded blocks and the
-  one shared cache are checked directly, and a threaded stress test shares
-  one generator between overlapping frontiers.
+* the selection rule, the small-batch threshold, the bounded blocks of
+  whole-tree passes and the one shared cache are checked directly, and a
+  threaded stress test shares one generator between overlapping frontiers.
 
 Only the bulk cases need numpy; the reference cases run everywhere.
 """
@@ -39,10 +39,13 @@ from repro.algebra import (
 )
 from repro.algebra.poly import Polynomial
 from repro.algebra.vkernels import numpy_or_none
+from repro.core.encoder import PolynomialTree
 from repro.core.share_tree import (
     BULK_BLOCK_COEFFS,
     BULK_MIN_COEFFS,
     ClientShareGenerator,
+    reconstruct_tree,
+    share_tree,
 )
 from repro.prg import DeterministicPRG, SeededStream
 
@@ -122,6 +125,7 @@ class TestReference:
             generator = ClientShareGenerator(ring, prg)
             values = generator.evaluate_points(node_ids, [2, 7])
             shares = generator.shares_for(node_ids)
+            in_order = list(generator.iter_shares(node_ids))
             reference = ClientShareGenerator(ring, prg, cache_size=0)
             for point in (2, 7):
                 assert values[point] == [reference.evaluate(node_id, point)
@@ -129,6 +133,8 @@ class TestReference:
                 assert all(type(value) is int for value in values[point])
             assert shares == {node_id: reference.share_for(node_id)
                               for node_id in node_ids}
+            assert in_order == [(node_id, reference.share_for(node_id))
+                                for node_id in node_ids]
 
     def test_no_row_form_off_the_vectorized_tier(self):
         ring = FpQuotientRing(53)
@@ -298,16 +304,28 @@ class TestSelectionAndCache:
         generator.share_rows(list(range(below)) + list(range(100, 100 + below + 1)))
         assert spy == [below + 1]              # hits are not re-derived
 
-    def test_blocks_stay_bounded(self, spy):
+    def test_whole_tree_passes_hold_one_bounded_block(self, spy):
         ring = FpQuotientRing(1021)
         prg = DeterministicPRG(b"bounded")
-        generator = ClientShareGenerator(ring, prg, cache_size=16)
         rows_per_block = BULK_BLOCK_COEFFS // (ring.p - 1)
-        node_ids = list(range(2 * rows_per_block + 7))
-        shares = generator.shares_for(node_ids)
+        tree = PolynomialTree(ring)
+        tree.add_node(0, None, ring.from_tag_value(1), 0)
+        for node_id in range(1, 2 * rows_per_block + 7):
+            tree.add_node(node_id, 0, ring.from_tag_value(2), 1)
+        generator = ClientShareGenerator(ring, prg, cache_size=16)
+        shares = generator.iter_shares(range(len(tree.nodes)))
+        assert next(shares)[0] == 0
+        assert spy == [rows_per_block]             # one block, not the tree
+        assert [node_id for node_id, _ in shares] == list(
+            range(1, len(tree.nodes)))
         assert spy == [rows_per_block, rows_per_block, 7]
-        assert len(shares) == len(node_ids)
         assert len(generator._cache) == 16
+        spy.clear()
+        generator, server = share_tree(tree, prg, generator)
+        rebuilt = reconstruct_tree(generator, server)
+        assert spy and max(spy) <= rows_per_block
+        assert all(rebuilt.polynomial(node_id) == node.polynomial
+                   for node_id, node in tree.nodes.items())
 
     def test_one_cache_for_both_forms(self, spy):
         np = numpy_or_none()
