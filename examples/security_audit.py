@@ -16,8 +16,6 @@ Run with::
     python examples/security_audit.py
 """
 
-from collections import Counter
-
 from repro.analysis import audit_server_view, format_table, share_value_histogram
 from repro.core import outsource_document
 from repro.net import connect_in_process
@@ -48,9 +46,8 @@ def main() -> None:
         [[key, value] for key, value in report.as_dict().items()],
         title="Server view after 5 lookups (3 of them for the same tag)"))
     print()
-    point_counts = Counter(server.observations.points_seen)
     print("Query points seen by the server (point -> times queried):",
-          dict(point_counts))
+          dict(server.observations.point_counts))
     print("The server sees that one point recurred 3 times (query-pattern "
           "leakage) but never learns which tag name any point stands for.")
     print(f"\nTotal traffic for the 5 lookups: {channel.stats.total_bytes} bytes "

@@ -75,14 +75,13 @@ def audit_server_view(server: Union[SearchServer, LocalServerAdapter]) -> Leakag
     """Build a :class:`LeakageReport` from a server's recorded observations."""
     if isinstance(server, SearchServer):
         observations = server.observations
-        points = Counter(observations.points_seen)
         return LeakageReport(
             node_count=server.share_tree.node_count(),
             structure_known=True,
-            point_frequencies=dict(points),
-            evaluation_requests=len(observations.evaluated_nodes),
-            pruned_nodes=len(observations.pruned_nodes),
-            polynomials_served=len(observations.polynomials_served),
+            point_frequencies=dict(observations.point_counts),
+            evaluation_requests=observations.evaluation_requests,
+            pruned_nodes=observations.pruned_nodes,
+            polynomials_served=observations.polynomials_served,
         )
     if isinstance(server, LocalServerAdapter):
         points = Counter(server.observed_points)

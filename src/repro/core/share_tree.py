@@ -26,7 +26,8 @@ from ..prg import DeterministicPRG
 from ..sharing.additive import combine_additive
 from .encoder import PolynomialTree
 
-__all__ = ["ClientShareGenerator", "ServerShareTree", "share_tree", "reconstruct_tree"]
+__all__ = ["ClientShareGenerator", "TreeStructure", "ServerShareTree", "share_tree",
+           "reconstruct_tree"]
 
 _SHARE_LABEL = "node-share"
 
@@ -218,6 +219,144 @@ class ClientShareGenerator:
                 cache[node_id] = entry
 
 
+class TreeStructure:
+    """The public shape of a share tree: parent links and ordered child lists.
+
+    The server knows this shape by design: §4.3 descends it, and the
+    leakage audit counts it as public.  Every node has a parent entry
+    (``None`` for the root); only nodes with children have a child list,
+    kept in insertion order, which is document order.  Reads hand out
+    copies, so a caller that edits a returned list never edits the tree.
+    """
+
+    __slots__ = ("_parents", "_children", "root_id")
+
+    def __init__(self) -> None:
+        self._parents: Dict[int, Optional[int]] = {}
+        self._children: Dict[int, List[int]] = {}
+        #: Identifier of the root node (``None`` while the tree is empty).
+        self.root_id: Optional[int] = None
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Tuple[int, Optional[int]]]
+                  ) -> "TreeStructure":
+        """Bulk-load ``(node_id, parent_id)`` rows given in sibling order.
+
+        Unchecked, for rows a store wrote through :meth:`add`: parents may
+        come after their children, and the last parentless row is the root.
+        """
+        tree = cls()
+        parents = tree._parents
+        children = tree._children
+        for node_id, parent_id in rows:
+            parents[node_id] = parent_id
+            if parent_id is None:
+                tree.root_id = node_id
+            elif parent_id in children:
+                children[parent_id].append(node_id)
+            else:
+                children[parent_id] = [node_id]
+        return tree
+
+    # -- mutations --------------------------------------------------------------
+    def add(self, node_id: int, parent_id: Optional[int]) -> None:
+        """Attach ``node_id`` as the last child of ``parent_id`` (or as root)."""
+        parents = self._parents
+        if node_id in parents:
+            raise SharingError(f"duplicate node id {node_id}")
+        if parent_id is None:
+            if self.root_id is not None:
+                raise SharingError("the share tree already has a root")
+            self.root_id = node_id
+        elif parent_id not in parents:
+            raise SharingError(f"parent {parent_id} of node {node_id} is unknown")
+        else:
+            self._children.setdefault(parent_id, []).append(node_id)
+        parents[node_id] = parent_id
+
+    def remove_subtree(self, node_id: int) -> List[int]:
+        """Detach ``node_id`` and every descendant; returns :meth:`subtree`.
+
+        The root cannot be removed (the tree would lose its anchor).
+        """
+        parent_id = self.parent(node_id)
+        if parent_id is None:
+            raise SharingError("the root node cannot be removed")
+        removed = self.subtree(node_id)
+        for current in removed:
+            del self._parents[current]
+            self._children.pop(current, None)
+        siblings = self._children[parent_id]
+        siblings.remove(node_id)
+        if not siblings:
+            del self._children[parent_id]
+        return removed
+
+    # -- reads ------------------------------------------------------------------
+    def children(self, node_id: int) -> List[int]:
+        """A copy of the child list of ``node_id`` (document order)."""
+        if node_id not in self._parents:
+            raise SharingError(f"unknown node id {node_id}")
+        return list(self._children.get(node_id, ()))
+
+    def child_lists(self, node_ids: Iterable[int]) -> Dict[int, List[int]]:
+        """Copies of the child lists of ``node_ids``; names the first unknown id."""
+        parents = self._parents
+        children = self._children
+        lists: Dict[int, List[int]] = {}
+        for node_id in node_ids:
+            if node_id not in parents:
+                raise SharingError(f"unknown node id {node_id}")
+            lists[node_id] = list(children.get(node_id, ()))
+        return lists
+
+    def subtree(self, node_id: int) -> List[int]:
+        """``node_id`` and its descendants in stack-walk order.
+
+        A node, then its subtrees from the last child to the first.
+        """
+        if node_id not in self._parents:
+            raise SharingError(f"unknown node id {node_id}")
+        children = self._children
+        ordered: List[int] = []
+        stack = [node_id]
+        while stack:
+            current = stack.pop()
+            ordered.append(current)
+            stack.extend(children.get(current, ()))
+        return ordered
+
+    def parent(self, node_id: int) -> Optional[int]:
+        """Parent of ``node_id`` (``None`` for the root)."""
+        try:
+            return self._parents[node_id]
+        except KeyError:
+            raise SharingError(f"unknown node id {node_id}") from None
+
+    def depth(self, node_id: int) -> int:
+        """Number of edges between ``node_id`` and the root."""
+        depth = 0
+        current = self.parent(node_id)
+        while current is not None:
+            depth += 1
+            current = self._parents[current]
+        return depth
+
+    def node_ids(self) -> List[int]:
+        """All node identifiers, sorted."""
+        return sorted(self._parents)
+
+    def max_node_id(self) -> Optional[int]:
+        """Largest node id (``None`` for an empty tree)."""
+        return max(self._parents) if self._parents else None
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._parents
+
+    def __len__(self) -> int:
+        return len(self._parents)
+
+
 class ServerShareTree:
     """The server's half of the shared data: public structure + share polynomials.
 
@@ -228,30 +367,23 @@ class ServerShareTree:
     def __init__(self, ring: EncodingRing) -> None:
         self.ring = ring
         self.shares: Dict[int, Polynomial] = {}
-        self.parents: Dict[int, Optional[int]] = {}
-        self.children: Dict[int, List[int]] = {}
-        self.root_id: Optional[int] = None
+        #: The public structure (parents and ordered child lists).
+        self.structure = TreeStructure()
+
+    @property
+    def root_id(self) -> Optional[int]:
+        """Identifier of the root node (``None`` for an empty tree)."""
+        return self.structure.root_id
 
     # -- construction -----------------------------------------------------------
     def add_node(self, node_id: int, parent_id: Optional[int],
                  share: Polynomial) -> None:
         """Insert one node's share; parents must precede children."""
-        if node_id in self.shares:
-            raise SharingError(f"duplicate node id {node_id}")
-        if parent_id is None:
-            if self.root_id is not None:
-                raise SharingError("the share tree already has a root")
-            self.root_id = node_id
-        elif parent_id not in self.shares:
-            raise SharingError(f"parent {parent_id} of node {node_id} is unknown")
         # Shares produced by ring operations are already canonical; only
         # reduce foreign polynomials (e.g. deserialized or hand-built ones).
-        self.shares[node_id] = (share if self.ring.is_canonical(share)
-                                else self.ring.reduce(share))
-        self.parents[node_id] = parent_id
-        self.children.setdefault(node_id, [])
-        if parent_id is not None:
-            self.children[parent_id].append(node_id)
+        share = share if self.ring.is_canonical(share) else self.ring.reduce(share)
+        self.structure.add(node_id, parent_id)
+        self.shares[node_id] = share
 
     def replace_share(self, node_id: int, share: Polynomial) -> None:
         """Overwrite the share of an existing node (dynamic updates)."""
@@ -265,22 +397,9 @@ class ServerShareTree:
 
         The root cannot be removed (the tree would lose its anchor).
         """
-        if node_id not in self.shares:
-            raise SharingError(f"unknown node id {node_id}")
-        parent_id = self.parents[node_id]
-        if parent_id is None:
-            raise SharingError("the root node cannot be removed")
-        removed: List[int] = []
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            removed.append(current)
-            stack.extend(self.children.get(current, ()))
+        removed = self.structure.remove_subtree(node_id)
         for current in removed:
             del self.shares[current]
-            del self.parents[current]
-            self.children.pop(current, None)
-        self.children[parent_id].remove(node_id)
         return removed
 
     # -- queries the server can answer --------------------------------------------
@@ -302,19 +421,15 @@ class ServerShareTree:
 
     def child_ids(self, node_id: int) -> List[int]:
         """Public child list of a node."""
-        if node_id not in self.children:
-            raise SharingError(f"unknown node id {node_id}")
-        return list(self.children[node_id])
+        return self.structure.children(node_id)
 
     def parent_id(self, node_id: int) -> Optional[int]:
         """Public parent of a node."""
-        if node_id not in self.parents:
-            raise SharingError(f"unknown node id {node_id}")
-        return self.parents[node_id]
+        return self.structure.parent(node_id)
 
     def node_ids(self) -> List[int]:
         """All node identifiers."""
-        return sorted(self.shares)
+        return self.structure.node_ids()
 
     def max_node_id(self) -> Optional[int]:
         """Largest stored node id (``None`` for an empty tree).
@@ -322,7 +437,7 @@ class ServerShareTree:
         One pass over the id set; update batches call this once and then
         count locally instead of rescanning per inserted node.
         """
-        return max(self.shares) if self.shares else None
+        return self.structure.max_node_id()
 
     def node_count(self) -> int:
         """Number of nodes stored."""
@@ -330,12 +445,7 @@ class ServerShareTree:
 
     def depth_of(self, node_id: int) -> int:
         """Depth computed from the public structure."""
-        depth = 0
-        current = self.parents.get(node_id)
-        while current is not None:
-            depth += 1
-            current = self.parents.get(current)
-        return depth
+        return self.structure.depth(node_id)
 
     def storage_bits(self) -> int:
         """Measured storage of all share polynomials (the server-side cost, §5)."""

@@ -35,7 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..algebra.poly import Polynomial
 from ..core.query import FrontierResult, ServerInterface
-from ..core.share_tree import ServerShareTree
+from ..core.share_tree import ServerShareTree, TreeStructure
 from ..core.updates import UpdatableTree
 from ..errors import ProtocolError, SharingError, UpdateConflictError
 from .channel import InstrumentedChannel, LatencyModel, SocketChannel
@@ -312,9 +312,7 @@ class _RemoteStoreMirror(ShareStore):
         self.versions: Dict[int, int] = {}
         #: Label stamped on the next update batch (set by the editor).
         self.operation = "batch"
-        self._parents: Dict[int, Optional[int]] = {}
-        self._children: Dict[int, List[int]] = {}
-        self._root: Optional[int] = None
+        self._structure = TreeStructure()
         self._shares: Dict[int, Polynomial] = {}
         self.refresh()
 
@@ -327,29 +325,25 @@ class _RemoteStoreMirror(ShareStore):
         on demand against the server's current state.  Confirmed versions
         are kept — they are what the server told us, not what we cached.
         """
-        parents: Dict[int, Optional[int]] = {}
-        children: Dict[int, List[int]] = {}
+        structure = TreeStructure()
         root = self.server.root_id()
-        parents[root] = None
+        structure.add(root, None)
         frontier = [root]
         while frontier:
             chunk, frontier = frontier[:self.CHUNK], frontier[self.CHUNK:]
             for node_id, child_ids in self.server.children_of(chunk).items():
-                children[node_id] = list(child_ids)
                 for child in child_ids:
-                    parents[child] = node_id
+                    structure.add(child, node_id)
                 frontier.extend(child_ids)
-        self._parents = parents
-        self._children = children
-        self._root = root
+        self._structure = structure
         self._shares = {}
         self.versions = {nid: v for nid, v in self.versions.items()
-                         if nid in parents}
+                         if nid in structure}
 
     def prefetch(self, node_ids: Sequence[int]) -> None:
         """Bulk-fetch the shares of these nodes into the cache (one pass)."""
         missing = sorted({int(n) for n in node_ids
-                          if n not in self._shares and n in self._parents})
+                          if n not in self._shares and n in self._structure})
         while missing:
             chunk, missing = missing[:self.CHUNK], missing[self.CHUNK:]
             self._shares.update(self._fetch_shares(chunk))
@@ -384,37 +378,40 @@ class _RemoteStoreMirror(ShareStore):
     # -- read side (served from the mirror) -------------------------------------------
     @property
     def root_id(self) -> Optional[int]:
-        return self._root
+        return self._structure.root_id
 
     def node_count(self) -> int:
-        return len(self._parents)
+        return len(self._structure)
 
     def node_ids(self) -> List[int]:
-        return sorted(self._parents)
+        return self._structure.node_ids()
+
+    def max_node_id(self) -> Optional[int]:
+        return self._structure.max_node_id()
 
     def child_ids(self, node_id: int) -> List[int]:
-        try:
-            return list(self._children[node_id])
-        except KeyError:
-            raise SharingError(f"unknown node id {node_id}") from None
+        return self._structure.children(node_id)
+
+    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        return self._structure.child_lists(node_ids)
+
+    def subtree_ids(self, node_id: int) -> List[int]:
+        return self._structure.subtree(node_id)
 
     def parent_id(self, node_id: int) -> Optional[int]:
-        try:
-            return self._parents[node_id]
-        except KeyError:
-            raise SharingError(f"unknown node id {node_id}") from None
+        return self._structure.parent(node_id)
 
     def share_of(self, node_id: int) -> Polynomial:
         share = self._shares.get(node_id)
         if share is None:
-            if node_id not in self._parents:
+            if node_id not in self._structure:
                 raise SharingError(f"unknown node id {node_id}")
             share = self._fetch_shares([node_id])[node_id]
             self._shares[node_id] = share
         return share
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._parents
+        return node_id in self._structure
 
     # -- write side (whole batches only) ----------------------------------------------
     def add_node(self, node_id: int, parent_id: Optional[int],
@@ -467,30 +464,19 @@ class _RemoteStoreMirror(ShareStore):
         for op in ops:
             if op[0] == "add":
                 _, node_id, parent_id, share = op
-                self._parents[node_id] = parent_id
-                self._children[node_id] = []
-                if parent_id is None:
-                    self._root = node_id
-                else:
-                    self._children[parent_id].append(node_id)
+                self._structure.add(node_id, parent_id)
                 self._shares[node_id] = share
             elif op[0] == "replace":
                 _, node_id, share = op
                 self._shares[node_id] = share
             else:
-                _, node_id, removed = op
-                parent = self._parents.get(node_id)
-                if parent is not None and node_id in self._children.get(parent, ()):
-                    self._children[parent].remove(node_id)
-                for removed_id in removed:
-                    self._parents.pop(removed_id, None)
-                    self._children.pop(removed_id, None)
+                for removed_id in self._structure.remove_subtree(op[1]):
                     self._shares.pop(removed_id, None)
                     self.versions.pop(removed_id, None)
         self.versions.update(response.versions)
 
     def __repr__(self) -> str:
-        return (f"<_RemoteStoreMirror nodes={len(self._parents)} "
+        return (f"<_RemoteStoreMirror nodes={len(self._structure)} "
                 f"cached_shares={len(self._shares)}>")
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.query import CoefficientRows
@@ -106,27 +106,39 @@ class _UpdateConflict(Exception):
 
 
 class ServerObservations:
-    """Everything an honest-but-curious server learns while answering queries."""
+    """What an honest-but-curious server learns while answering queries, counted.
 
-    __slots__ = ("points_seen", "pruned_nodes", "evaluated_nodes",
+    The ledger keeps counts, not the ids behind them, so it does not grow
+    with traffic: one integer per kind of observation plus
+    ``point_counts``, which maps each query point to the number of
+    (request, point) evaluations that named it and is bounded by the
+    number of distinct points.
+    """
+
+    __slots__ = ("point_counts", "evaluation_requests", "pruned_nodes",
                  "polynomials_served", "constants_served", "requests_handled")
 
     def __init__(self) -> None:
-        self.points_seen: List[int] = []
-        self.pruned_nodes: List[int] = []
-        self.evaluated_nodes: List[int] = []
-        self.polynomials_served: List[int] = []
-        self.constants_served: List[int] = []
+        #: Query point -> how many (request, point) evaluations named it.
+        self.point_counts: Counter = Counter()
+        #: Node evaluations the server was asked for.
+        self.evaluation_requests = 0
+        #: Node ids clients reported as dead branches.
+        self.pruned_nodes = 0
+        #: Share polynomials served for verification.
+        self.polynomials_served = 0
+        #: Constant terms served (trusted-server verification).
+        self.constants_served = 0
         self.requests_handled = 0
 
     def as_dict(self) -> Dict[str, int]:
         """Counted summary for reports."""
         return {
-            "distinct_points_seen": len(set(self.points_seen)),
-            "evaluation_requests": len(self.evaluated_nodes),
-            "pruned_nodes": len(self.pruned_nodes),
-            "polynomials_served": len(self.polynomials_served),
-            "constants_served": len(self.constants_served),
+            "distinct_points_seen": len(self.point_counts),
+            "evaluation_requests": self.evaluation_requests,
+            "pruned_nodes": self.pruned_nodes,
+            "polynomials_served": self.polynomials_served,
+            "constants_served": self.constants_served,
             "requests_handled": self.requests_handled,
         }
 
@@ -657,19 +669,20 @@ class ServingCore:
                         node_ids: List[int]) -> None:
         with self._observations_lock:
             for ledger in (self.observations, document.observations):
-                ledger.points_seen.append(point)
-                ledger.evaluated_nodes.extend(node_ids)
+                ledger.point_counts[point] += 1
+                ledger.evaluation_requests += len(node_ids)
 
     def _observe_prune(self, document: HostedDocument, node_ids: List[int]) -> None:
         with self._observations_lock:
             for ledger in (self.observations, document.observations):
-                ledger.pruned_nodes.extend(node_ids)
+                ledger.pruned_nodes += len(node_ids)
 
     def _observe_served(self, document: HostedDocument, attribute: str,
                         node_ids: List[int]) -> None:
         with self._observations_lock:
             for ledger in (self.observations, document.observations):
-                getattr(ledger, attribute).extend(node_ids)
+                setattr(ledger, attribute,
+                        getattr(ledger, attribute) + len(node_ids))
 
     # -- handlers --------------------------------------------------------------------
     def _handle_hello(self, message: HelloRequest) -> HelloResponse:

@@ -138,6 +138,46 @@ def _int_keyed(mapping: Dict[Any, Any]) -> Dict[int, Any]:
     return {int(k): v for k, v in mapping.items()}
 
 
+# A decoded JSON value is an int, float, str, bool, None, list or dict, and
+# bool is a subclass of int: request fields are checked by exact type, so
+# 0.0, true or "0" never stand in for a node id, a point or a depth.
+
+def _int_field(body: Dict[str, Any], field: str, default: Any = None) -> int:
+    """The integer under ``field`` (required unless ``default`` is given)."""
+    value = body[field] if default is None else body.get(field, default)
+    if type(value) is not int:
+        raise ProtocolError(
+            f"field {field!r} must be an integer, not {value!r:.40}")
+    return value
+
+
+def _require_ints(values: Any, field: str) -> List[int]:
+    """``values`` if it is a list of integers, else a ProtocolError."""
+    if type(values) is not list:
+        raise ProtocolError(
+            f"field {field!r} must be a list of integers, not "
+            f"{type(values).__name__}")
+    for value in values:
+        if type(value) is not int:
+            raise ProtocolError(
+                f"field {field!r} must hold integers only, not {value!r:.40}")
+    return values
+
+
+def _int_list_field(body: Dict[str, Any], field: str,
+                    required: bool = True) -> List[int]:
+    """The list of integers under ``field`` (empty when optional and absent)."""
+    return _require_ints(body[field] if required else body.get(field, []), field)
+
+
+def _bool_field(body: Dict[str, Any], field: str, default: bool) -> bool:
+    value = body.get(field, default)
+    if type(value) is not bool:
+        raise ProtocolError(
+            f"field {field!r} must be true or false, not {value!r:.40}")
+    return value
+
+
 class Message:
     """Base class of all protocol messages."""
 
@@ -202,7 +242,7 @@ class HelloRequest(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "HelloRequest":
-        return cls(body["versions"])
+        return cls(_int_list_field(body, "versions"))
 
 
 class HelloResponse(Message):
@@ -271,7 +311,7 @@ class ChildrenRequest(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "ChildrenRequest":
-        return cls(body["node_ids"])
+        return cls(_int_list_field(body, "node_ids"))
 
 
 class ChildrenResponse(Message):
@@ -304,7 +344,7 @@ class EvaluateRequest(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "EvaluateRequest":
-        return cls(body["node_ids"], body["point"])
+        return cls(_int_list_field(body, "node_ids"), _int_field(body, "point"))
 
 
 class EvaluateResponse(Message):
@@ -381,10 +421,14 @@ class FrontierRequest(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "FrontierRequest":
-        return cls(body["node_ids"], body["points"], body.get("prune", ()),
-                   body.get("children", True), body.get("fetch_polynomials", ()),
-                   body.get("fetch_constants", ()), body.get("lookahead", 0),
-                   body.get("packed", False))
+        return cls(_int_list_field(body, "node_ids"),
+                   _int_list_field(body, "points"),
+                   _int_list_field(body, "prune", required=False),
+                   _bool_field(body, "children", True),
+                   _int_list_field(body, "fetch_polynomials", required=False),
+                   _int_list_field(body, "fetch_constants", required=False),
+                   _int_field(body, "lookahead", 0),
+                   _bool_field(body, "packed", False))
 
 
 def require_nodes(mapping: Mapping[int, Any], node_ids: Sequence[int],
@@ -671,7 +715,7 @@ class FetchPolynomialsRequest(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "FetchPolynomialsRequest":
-        return cls(body["node_ids"])
+        return cls(_int_list_field(body, "node_ids"))
 
 
 class FetchPolynomialsResponse(Message):
@@ -704,7 +748,7 @@ class FetchConstantsRequest(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "FetchConstantsRequest":
-        return cls(body["node_ids"])
+        return cls(_int_list_field(body, "node_ids"))
 
 
 class FetchConstantsResponse(Message):
@@ -736,7 +780,7 @@ class PruneNotice(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "PruneNotice":
-        return cls(body["node_ids"])
+        return cls(_int_list_field(body, "node_ids"))
 
 
 #: Wire op tags an :class:`UpdateRequest` batch may carry, with arity.
@@ -797,7 +841,24 @@ class UpdateRequest(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "UpdateRequest":
-        return cls(body["operation"], body["ops"], _int_keyed(body["base"]))
+        ops = body["ops"]
+        if type(ops) is not list:
+            raise ProtocolError("field 'ops' must be a list of update ops")
+        for op in ops:
+            if type(op) is not list:
+                raise ProtocolError(f"field 'ops' holds {op!r:.40}, not an op array")
+            # After the tag: node ids, and coefficient or id lists.
+            for value in op[1:]:
+                if type(value) is list:
+                    _require_ints(value, "ops")
+                elif type(value) is not int:
+                    raise ProtocolError(
+                        f"field 'ops' must hold integers only, not {value!r:.40}")
+        base = body["base"]
+        if type(base) is not dict:
+            raise ProtocolError("field 'base' must map node ids to versions")
+        _require_ints(list(base.values()), "base")
+        return cls(body["operation"], ops, _int_keyed(base))
 
 
 class UpdateResponse(Message):
@@ -1031,8 +1092,12 @@ def decode_message(data: bytes,
         body = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed message: {exc}") from exc
+    if type(body) is not dict:
+        raise ProtocolError(
+            f"malformed message: the body is a JSON {type(body).__name__}, "
+            "not an object")
     kind = body.pop("kind", None)
-    cls = _MESSAGE_TYPES.get(kind)
+    cls = _MESSAGE_TYPES.get(kind) if type(kind) is str else None
     if cls is None:
         raise ProtocolError(f"unknown message kind {kind!r}")
     if kinds is not None and kind not in kinds:
@@ -1041,7 +1106,7 @@ def decode_message(data: bytes,
     request_id = body.pop("request_id", None)
     try:
         message = cls.from_payload(body)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"malformed {kind!r} message: {exc}") from exc
     if document_id is not None:
         message.document_id = str(document_id)

@@ -64,7 +64,7 @@ def share_tree_to_dict(tree: ServerShareTree) -> Dict[str, Any]:
         "nodes": [
             {
                 "id": node_id,
-                "parent": tree.parents[node_id],
+                "parent": tree.parent_id(node_id),
                 "coefficients": [int(c) for c in tree.shares[node_id].coeffs],
             }
             for node_id in tree.node_ids()

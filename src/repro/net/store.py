@@ -7,10 +7,12 @@ reproduction:
 * :class:`InMemoryShareStore` — wraps a
   :class:`~repro.core.share_tree.ServerShareTree`; everything lives in
   process memory (the PR-1 behaviour, and still the fastest option);
-* :class:`SQLiteShareStore` — a durable single-file backend that keeps the
-  node table on disk and loads share polynomials *lazily* through an LRU
-  cache, so a server can host documents far larger than its memory and
-  restart without a separate load step.
+* :class:`SQLiteShareStore` — a durable single-file backend.  The public
+  structure (parents and sibling order) is held in memory, loaded by one
+  scan of the node table on first use, so it costs O(n) memory (about
+  160 bytes per node); the share polynomials stay on disk and load
+  *lazily* through an LRU cache, and a restart needs no separate load
+  step.
 
 Both expose the same read/write surface as ``ServerShareTree`` (the store
 API is a strict superset of what :class:`~repro.net.server.SearchServer`
@@ -44,7 +46,7 @@ from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing
 from ..algebra.vkernels import VecFpKernel, numpy_or_none
 from ..core.query import CoefficientRows
-from ..core.share_tree import ServerShareTree
+from ..core.share_tree import ServerShareTree, TreeStructure
 from ..errors import ProtocolError, SharingError
 from .pages import (
     DEFAULT_PAGE_BYTES,
@@ -261,9 +263,9 @@ class ShareStore(abc.ABC):
         """Child lists of many nodes in one read (one per descent level).
 
         Raises :class:`~repro.errors.SharingError` naming the first unknown
-        id.  The base implementation loops over :meth:`child_ids`, which is
-        all a memory-backed store needs; the durable backend answers with
-        one chunked ``SELECT``.
+        id.  The base implementation loops over :meth:`child_ids`; stores
+        that hold a :class:`~repro.core.share_tree.TreeStructure` answer
+        from it.  The lists are the caller's to change.
         """
         return {node_id: self.child_ids(node_id) for node_id in node_ids}
 
@@ -304,8 +306,7 @@ class ShareStore(abc.ABC):
 
         Used by :class:`~repro.core.updates.UpdatableTree` to allocate
         fresh ids with one query per batch instead of one full id scan per
-        inserted node.  Backends with an index on the id column should
-        override this.
+        inserted node.  Stores that hold their structure override this.
         """
         ids = self.node_ids()
         return max(ids) if ids else None
@@ -531,6 +532,12 @@ class InMemoryShareStore(ShareStore):
     def child_ids(self, node_id: int) -> List[int]:
         return self.tree.child_ids(node_id)
 
+    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        return self.tree.structure.child_lists(node_ids)
+
+    def subtree_ids(self, node_id: int) -> List[int]:
+        return self.tree.structure.subtree(node_id)
+
     def parent_id(self, node_id: int) -> Optional[int]:
         return self.tree.parent_id(node_id)
 
@@ -595,17 +602,23 @@ class SQLiteShareStore(ShareStore):
 
     The structure table (``node_id``, ``parent``, explicit sibling order
     ``ord``) and the binary coefficient pages (:mod:`repro.net.pages`)
-    live in SQLite under ``PRAGMA journal_mode=WAL``; share polynomials
-    are decoded on demand and kept in a bounded LRU cache, so opening a
-    store does *not* materialise the tree and resident memory stays flat
-    in the document size.  All access is serialised by an internal lock;
-    the connection is shared across threads.
+    live in SQLite under ``PRAGMA journal_mode=WAL``.  The structure is
+    also held in memory as a :class:`~repro.core.share_tree.TreeStructure`,
+    loaded by one scan of ``nodes`` on the first structural read; every
+    structural read (child lists, subtrees, parents, existence, root,
+    counts) is answered from it.  Share polynomials are decoded on demand
+    and kept in a bounded LRU cache, so the shares never all sit in
+    memory.  All access is serialised by an internal lock; the connection
+    is shared across threads.  The store assumes it is the file's only
+    writer: another process that edits the file is not seen by the
+    resident structure or the share cache.
 
     Every mutation commits through :meth:`apply_batch`, which writes a
-    whole batch in one SQLite transaction; the single-mutation methods are
-    one-op batches.  A batch that raises before its ``COMMIT`` is rolled
-    back and ``last_recovery`` reads ``"rolled-back"``; after a crash,
-    SQLite's journal does the same on the next open, unseen by the store.
+    whole batch in one SQLite transaction and applies it to the resident
+    structure as it goes; the single-mutation methods are one-op batches.
+    A batch that raises before its ``COMMIT`` is rolled back and
+    ``last_recovery`` reads ``"rolled-back"``; after a crash, SQLite's
+    journal does the same on the next open, unseen by the store.
     A ``wal`` table left by an earlier build's write-ahead log is drained
     and dropped on open (``last_recovery`` says how).
     """
@@ -622,6 +635,10 @@ class SQLiteShareStore(ShareStore):
         # the vectorized read path filled them; `_entry_share` converts on
         # first structural access and replaces the entry in place.
         self._cache: "OrderedDict[int, Any]" = OrderedDict()
+        # The resident structure and the next free sibling-order value,
+        # loaded together by `_tree_locked`; None until the first read.
+        self._structure: Optional[TreeStructure] = None
+        self._next_ord = 0
         self._lock = threading.RLock()
         #: Test-only crash-point hook; called with the batch's 1-based op
         #: index after each op is written inside the transaction, and with
@@ -682,7 +699,6 @@ class SQLiteShareStore(ShareStore):
                     "CREATE TABLE nodes (node_id INTEGER PRIMARY KEY, "
                     "parent INTEGER, ord INTEGER NOT NULL, "
                     "head BLOB NOT NULL)")
-                self._conn.execute("CREATE INDEX nodes_parent ON nodes (parent)")
                 self._conn.execute(
                     "CREATE TABLE pages (node_id INTEGER NOT NULL, "
                     "page_no INTEGER NOT NULL, payload BLOB NOT NULL, "
@@ -691,7 +707,6 @@ class SQLiteShareStore(ShareStore):
                 self._set_meta("ring", json.dumps(ring_to_dict(ring),
                                                   separators=(",", ":")))
                 self._set_meta("page_bytes", str(page_bytes))
-        self._next_ord = self._max_ord() + 1
 
     # -- construction ---------------------------------------------------------------
     @classmethod
@@ -710,7 +725,6 @@ class SQLiteShareStore(ShareStore):
                 _write_node_pages(store._conn, node_id,
                                   store._encode_share(tree.share_of(node_id)),
                                   store.page_bytes)
-            store._next_ord = tree.node_count()
         return store
 
     @staticmethod
@@ -741,65 +755,52 @@ class SQLiteShareStore(ShareStore):
             "INSERT INTO meta (key, value) VALUES (?, ?) "
             "ON CONFLICT(key) DO UPDATE SET value = excluded.value", (key, value))
 
-    def _max_ord(self) -> int:
-        row = self._conn.execute("SELECT MAX(ord) FROM nodes").fetchone()
-        return -1 if row is None or row[0] is None else int(row[0])
-
     # -- read side -------------------------------------------------------------------
+    def _tree_locked(self) -> TreeStructure:
+        """The resident structure, loaded by one scan of ``nodes`` if absent.
+
+        Rows stream in ``ord`` order, so child lists keep the stored
+        sibling order; the next free ``ord`` is read with it.
+        """
+        if self._structure is None:
+            self._structure = TreeStructure.from_rows(self._conn.execute(
+                "SELECT node_id, parent FROM nodes ORDER BY ord"))
+            last_ord = self._conn.execute("SELECT MAX(ord) FROM nodes").fetchone()[0]
+            self._next_ord = 0 if last_ord is None else last_ord + 1
+        return self._structure
+
     @property
     def root_id(self) -> Optional[int]:
         with self._lock:
-            row = self._conn.execute(
-                "SELECT node_id FROM nodes WHERE parent IS NULL").fetchone()
-        return None if row is None else int(row[0])
+            return self._tree_locked().root_id
 
     def node_count(self) -> int:
         with self._lock:
-            return int(self._conn.execute("SELECT COUNT(*) FROM nodes").fetchone()[0])
+            return len(self._tree_locked())
 
     def node_ids(self) -> List[int]:
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT node_id FROM nodes ORDER BY node_id").fetchall()
-        return [int(row[0]) for row in rows]
+            return self._tree_locked().node_ids()
 
     def max_node_id(self) -> Optional[int]:
         with self._lock:
-            row = self._conn.execute("SELECT MAX(node_id) FROM nodes").fetchone()
-        return None if row is None or row[0] is None else int(row[0])
+            return self._tree_locked().max_node_id()
 
     def child_ids(self, node_id: int) -> List[int]:
-        return self.child_lists([node_id])[node_id]
+        with self._lock:
+            return self._tree_locked().children(node_id)
 
     def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        """Child lists of many nodes: per chunk of ids, one existence check
-        and one ``WHERE parent IN (...) ORDER BY parent, ord``."""
-        lists: Dict[int, List[int]] = {node_id: [] for node_id in node_ids}
-        wanted = list(lists)
-        found = set()
         with self._lock:
-            for marks, chunk in _id_chunks(wanted):
-                found.update(row[0] for row in self._conn.execute(
-                    f"SELECT node_id FROM nodes WHERE node_id IN ({marks})",
-                    chunk))
-                for parent, child in self._conn.execute(
-                        f"SELECT parent, node_id FROM nodes "
-                        f"WHERE parent IN ({marks}) ORDER BY parent, ord",
-                        chunk):
-                    lists[parent].append(child)
-        if len(found) < len(wanted):
-            for node_id in wanted:
-                if node_id not in found:
-                    raise SharingError(f"unknown node id {node_id}")
-        return lists
+            return self._tree_locked().child_lists(node_ids)
+
+    def subtree_ids(self, node_id: int) -> List[int]:
+        with self._lock:
+            return self._tree_locked().subtree(node_id)
 
     def parent_id(self, node_id: int) -> Optional[int]:
         with self._lock:
-            row = self._conn.execute(
-                "SELECT parent FROM nodes WHERE node_id = ?", (node_id,)).fetchone()
-        if row is None:
-            raise SharingError(f"unknown node id {node_id}")
-        return None if row[0] is None else int(row[0])
+            return self._tree_locked().parent(node_id)
 
     def _load_blob(self, node_id: int) -> Optional[bytes]:
         row = self._conn.execute(
@@ -1009,9 +1010,7 @@ class SQLiteShareStore(ShareStore):
 
     def __contains__(self, node_id: int) -> bool:
         with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM nodes WHERE node_id = ?", (node_id,)).fetchone()
-        return row is not None
+            return node_id in self._tree_locked()
 
     def bind_metrics(self, metrics: Any, document_id: str) -> None:
         """Bind instruments, back-reporting the open-time recovery outcome.
@@ -1072,11 +1071,15 @@ class SQLiteShareStore(ShareStore):
         ``BEGIN IMMEDIATE`` takes the write lock before the batch's own
         reads (the existence and subtree checks), so they and the writes
         see one snapshot, and the single ``COMMIT`` makes the batch
-        durable.  A batch that raises before its ``COMMIT`` (a failed
-        check, an I/O error, the fault hook) is rolled back whole, so a
-        surviving process never observes a torn batch either.  After the
-        commit the batch is folded into the share LRU and the sibling-order
-        counter; after any failure both are rebuilt from disk instead.
+        durable.  Each op is applied to the resident structure as it is
+        written, so later ops of the batch (a removal's subtree check)
+        see earlier ones.  A batch that raises before its ``COMMIT`` (a
+        failed check, an I/O error, the fault hook) is rolled back whole,
+        so a surviving process never observes a torn batch either.  After
+        the commit the batch is folded into the share LRU and the
+        sibling-order counter; after any failure, before or after the
+        commit, the structure and the LRU are dropped and reloaded from
+        disk instead.
         """
         if not ops:
             return
@@ -1119,6 +1122,7 @@ class SQLiteShareStore(ShareStore):
         in order (``share`` is ``None`` for a removal), for the cache fold.
         """
         written: List[Tuple[int, Optional[Polynomial], bool]] = []
+        tree = self._tree_locked()
         next_ord = self._next_ord
         for step, op in enumerate(ops, start=1):
             kind = op[0]
@@ -1128,6 +1132,7 @@ class SQLiteShareStore(ShareStore):
                 share = (share if self.ring.is_canonical(share)
                          else self.ring.reduce(share))
                 if kind == "add":
+                    tree.add(node_id, op[2])
                     _upsert_node(self._conn, node_id, op[2], next_ord)
                     next_ord += 1
                 if not _write_node_pages(self._conn, node_id,
@@ -1137,7 +1142,7 @@ class SQLiteShareStore(ShareStore):
                 written.append((node_id, share, kind == "add"))
             elif kind == "remove_subtree":
                 _, node_id, expected = op
-                removed = self.subtree_ids(node_id)
+                removed = tree.remove_subtree(node_id)
                 if sorted(removed) != sorted(expected):
                     raise SharingError(
                         f"subtree {node_id} changed between transaction "
@@ -1151,9 +1156,10 @@ class SQLiteShareStore(ShareStore):
         return written
 
     def _reload_cache_state(self) -> None:
-        """Drop the share LRU and re-read the sibling-order counter."""
+        """Drop the share LRU and the resident structure (with its
+        sibling-order counter); the next read reloads them from disk."""
         self._cache.clear()
-        self._next_ord = self._max_ord() + 1
+        self._structure = None
 
     def _fault_point(self, step: int) -> None:
         hook = self.fault_injection_hook

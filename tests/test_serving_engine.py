@@ -1,6 +1,7 @@
 """Tests for the multi-document server engine, the hello negotiation and
 the batched v2 frontier protocol, including concurrent query handling."""
 
+import sys
 import threading
 
 import pytest
@@ -215,7 +216,32 @@ class TestBatchedProtocol:
         root = server_tree.root_id
         children = server_tree.child_ids(root)
         server.handle(FrontierRequest([root], [3], prune=children))
-        assert server.observations.pruned_nodes == children
+        assert server.observations.pruned_nodes == len(children)
+
+    def test_ledger_stays_bounded(self, outsourced_catalog):
+        # The ledger counts what the server observed; it keeps no ids, so
+        # a long-running server's ledger does not grow with its traffic.
+        _, server_tree, _ = outsourced_catalog
+        server = SearchServer(server_tree)
+        root = server_tree.root_id
+        request = FrontierRequest([root], [3, 5], prune=server_tree.child_ids(root),
+                                  fetch_polynomials=[root], lookahead=2)
+
+        def ledger_bytes(observations):
+            return sum(sys.getsizeof(getattr(observations, slot))
+                       for slot in type(observations).__slots__)
+
+        ledgers = (server.observations, server.document().observations)
+        server.handle(request)
+        after_one = [ledger_bytes(ledger) for ledger in ledgers]
+        one = server.observations.as_dict()
+        for _ in range(199):
+            server.handle(request)
+        for ledger, size in zip(ledgers, after_one):
+            assert ledger_bytes(ledger) <= size
+        assert server.observations.as_dict() == {
+            key: value * 200 if key != "distinct_points_seen" else value
+            for key, value in one.items()}
 
     def test_lookahead_expands_evaluations(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog

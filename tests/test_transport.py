@@ -383,6 +383,70 @@ class TestSocketTransports:
         assert len(served.session_stats) >= 8
 
 
+#: Request bodies decoding must refuse, each with the text its error names.
+MALFORMED_BODIES = [
+    (b'[1, 2]', "not an object"),
+    (b'"frontier"', "not an object"),
+    (b'{"kind": ["frontier"]}', "unknown message kind"),
+    (b'{"kind": "frontier", "node_ids": [0.0], "points": [3]}', "node_ids"),
+    (b'{"kind": "frontier", "node_ids": [true], "points": [3]}', "node_ids"),
+    (b'{"kind": "frontier", "node_ids": ["0"], "points": [3]}', "node_ids"),
+    (b'{"kind": "frontier", "node_ids": "0", "points": [3]}', "node_ids"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [2.7]}', "points"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "lookahead": 1.9}',
+     "lookahead"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "prune": [false]}',
+     "prune"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], '
+     b'"fetch_polynomials": ["1"]}', "fetch_polynomials"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], '
+     b'"fetch_constants": [1.5]}', "fetch_constants"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "children": 1}',
+     "children"),
+    (b'{"kind": "children", "node_ids": [0.0]}', "node_ids"),
+    (b'{"kind": "evaluate", "node_ids": [0], "point": 2.5}', "point"),
+    (b'{"kind": "evaluate", "node_ids": [null], "point": 3}', "node_ids"),
+    (b'{"kind": "fetch-polynomials", "node_ids": [[0]]}', "node_ids"),
+    (b'{"kind": "fetch-constants", "node_ids": {"0": 1}}', "node_ids"),
+    (b'{"kind": "prune", "node_ids": [true]}', "node_ids"),
+    (b'{"kind": "hello", "versions": [4.0]}', "versions"),
+    (b'{"kind": "update", "operation": "x", "ops": [["replace", 1.9, [2]]], '
+     b'"base": {}}', "ops"),
+    (b'{"kind": "update", "operation": "x", "ops": [["replace", 1, [2.7]]], '
+     b'"base": {}}', "ops"),
+    (b'{"kind": "update", "operation": "x", "ops": [["remove", 1, [true]]], '
+     b'"base": {}}', "ops"),
+    (b'{"kind": "update", "operation": "x", "ops": [], "base": {"1": 0.5}}',
+     "base"),
+]
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("body,named", MALFORMED_BODIES)
+    def test_refused_at_decode_and_the_session_survives(self, outsourced,
+                                                        served, body, named):
+        _, tree = outsourced
+        valid = FrontierRequest([tree.root_id], [3], lookahead=1, packed=True)
+        expected = SearchServer(tree).handle(valid).encode()
+        with raw_session(served) as sock:
+            sock.sendall(encode_frame(body) + encode_frame(valid.encode()))
+            error = decode_message(read_frame(sock))
+            assert isinstance(error, ErrorResponse)
+            assert named in error.error
+            assert read_frame(sock) == expected
+        accounting = served.core.accounting()
+        assert accounting["inflight"] == 0
+        assert accounting["admitted"] == (accounting["completed"]
+                                          + accounting["shed"]
+                                          + accounting["failed"])
+
+    @pytest.mark.parametrize("body", [b'[1]', b'"hello-ok"', b'7', b'null',
+                                      b'{"kind": "children-ok", "children": [1]}'])
+    def test_malformed_responses_are_protocol_errors(self, body):
+        with pytest.raises(ProtocolError, match="malformed"):
+            decode_message(body)
+
+
 class SlowSendServer(ThreadedSearchServer):
     """Writes each response late: a drain must wait for the write itself."""
 
