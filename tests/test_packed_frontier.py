@@ -8,9 +8,10 @@ same JSON object.  These tests pin
   child lists, share rows and constants, on ``F_p`` and ``Z``-ring trees
   (negative and wider-than-64-bit coefficients), with empty sections,
   several points and constants-only fetches;
-* compatibility: golden v2/v3 bytes, sessions pinned to v3 and a server
-  that offers only v1–v3 (v4 and v3 against the plaintext baseline over
-  every path is ``tests/test_oracle.py``'s);
+* compatibility: golden v4 frames of lookups, an XPath and an update
+  batch, sessions pinned to v3 and a server that offers only v1–v3 (v4
+  and v3 against the plaintext baseline over every path is
+  ``tests/test_oracle.py``'s);
 * untrusted input: every tampered packed payload and every omitted node
   raises :class:`~repro.errors.ProtocolError`, never a ``KeyError`` or a
   wrong answer;
@@ -32,7 +33,13 @@ from hypothesis import strategies as st
 from repro.baselines import PlaintextSearchIndex
 from repro.core import VerificationMode, choose_int_ring, outsource_document
 from repro.errors import ProtocolError
-from repro.net import InstrumentedChannel, SearchServer, ThreadedSearchServer, connect
+from repro.net import (
+    InstrumentedChannel,
+    RemoteUpdatableTree,
+    SearchServer,
+    ThreadedSearchServer,
+    connect,
+)
 from repro.net.client import RemoteServerAdapter
 from repro.net import messages
 from repro.net.framing import FrameAssembler, encode_frame
@@ -47,6 +54,7 @@ from repro.net.messages import (
 )
 from repro.net.pages import blob_count, encode_coefficients
 from repro.workloads import RandomXmlConfig, figure1_document, generate_random_document
+from repro.xmltree import parse_element
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -336,46 +344,136 @@ class TestTamperedPayloads:
         assert health.status == "ok"
 
 
-#: Frames of a v2 session (FULL lookup of ``client``) and a v3 session
-#: (CONSTANT_ONLY lookup of ``client``) on ``figure1_document(clients=2)``
-#: outsourced with seed ``b"golden-frames"``, as recorded before protocol
-#: v4 existed.  v1–v3 encodings must never move.
+#: The frames of four v4 sessions on ``figure1_document(clients=2)``
+#: outsourced with seed ``b"golden-frames"``, each hello exchange left
+#: out: a FULL and a CONSTANT_ONLY lookup of ``client``, the XPath
+#: ``/customers/client/name``, and one update batch (``<name/>`` inserted
+#: under node 3, once the editor has mirrored the structure).  These
+#: encodings must never move.
 GOLDEN_FRAMES = {
-    2: [
-        (b'{"kind":"hello","versions":[2]}',
-         b'{"documents":["default"],"kind":"hello-ok","node_count":5,'
-         b'"root_id":0,"version":2}'),
+    "full": [
         (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[0],'
-         b'"points":[1]}',
-         b'{"children":{"0":[1,3],"1":[2],"3":[4]},"evaluations":{"1":'
-         b'{"0":1,"1":3,"3":1}},"kind":"frontier-ok"}'),
-        (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[2,4],'
-         b'"points":[1]}',
-         b'{"children":{"2":[],"4":[]},"evaluations":{"1":{"2":1,"4":3}},'
-         b'"kind":"frontier-ok"}'),
+         b'"packed":true,"points":[1]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"children":{"counts":"AQACAAAAAwAAABY=",'
+         b'"ids":"AQADAAAABAAAAJkI","parents":"AQACAAAAAwAAADQ="},'
+         b'"evaluations":{"ids":"AQACAAAAAwAAADQ=",'
+         b'"values":{"1":"AQACAAAAAwAAAB0="}}}}'),
+        (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[2,'
+         b'4],"packed":true,"points":[1]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"children":{"counts":"AQAAAAAAAgAAAA==",'
+         b'"ids":"AQAAAAAAAAAAAA==","parents":"AQADAAAAAgAAACI="},'
+         b'"evaluations":{"ids":"AQADAAAAAgAAACI=",'
+         b'"values":{"1":"AQACAAAAAgAAAA0="}}}}'),
         (b'{"children":false,"fetch_polynomials":[0,1,3],"kind":"frontier",'
-         b'"node_ids":[],"points":[],"prune":[2,4]}',
-         b'{"children":{},"evaluations":{},"kind":"frontier-ok","polynomials":'
-         b'{"0":[0,4,0,2],"1":[4,3,3,3],"3":[4,1,2,4]}}'),
+         b'"node_ids":[],"packed":true,"points":[],"prune":[2,4]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"polynomials":{"ids":"AQACAAAAAwAAADQ=",'
+         b'"rows":"AQADAAAADAAAACDEbYwI","width":4}}}'),
     ],
-    3: [
-        (b'{"kind":"hello","versions":[3]}',
-         b'{"documents":["default"],"kind":"hello-ok","node_count":5,'
-         b'"root_id":0,"version":3}'),
+    "constant-only": [
         (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[0],'
-         b'"points":[1]}',
-         b'{"children":{"0":[1,3],"1":[2],"3":[4]},"evaluations":{"1":'
-         b'{"0":1,"1":3,"3":1}},"kind":"frontier-ok"}'),
-        (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[2,4],'
-         b'"points":[1]}',
-         b'{"children":{"2":[],"4":[]},"evaluations":{"1":{"2":1,"4":3}},'
-         b'"kind":"frontier-ok"}'),
+         b'"packed":true,"points":[1]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"children":{"counts":"AQACAAAAAwAAABY=",'
+         b'"ids":"AQADAAAABAAAAJkI","parents":"AQACAAAAAwAAADQ="},'
+         b'"evaluations":{"ids":"AQACAAAAAwAAADQ=",'
+         b'"values":{"1":"AQACAAAAAwAAAB0="}}}}'),
+        (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[2,'
+         b'4],"packed":true,"points":[1]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"children":{"counts":"AQAAAAAAAgAAAA==",'
+         b'"ids":"AQAAAAAAAAAAAA==","parents":"AQADAAAAAgAAACI="},'
+         b'"evaluations":{"ids":"AQADAAAAAgAAACI=",'
+         b'"values":{"1":"AQACAAAAAgAAAA0="}}}}'),
         (b'{"children":false,"fetch_constants":[0,1,3],"kind":"frontier",'
-         b'"node_ids":[],"points":[],"prune":[2,4]}',
-         b'{"children":{},"constants":{"0":0,"1":4,"3":4},"evaluations":{},'
-         b'"kind":"frontier-ok"}'),
+         b'"node_ids":[],"packed":true,"points":[],"prune":[2,4]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"constants":{"ids":"AQACAAAAAwAAADQ=",'
+         b'"values":"AQADAAAAAwAAACAB"}}}'),
+    ],
+    "xpath": [
+        (b'{"children":false,"kind":"frontier","node_ids":[0],'
+         b'"packed":true,"points":[2,1,3]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"evaluations":{"ids":"AQAAAAAAAQAAAA==",'
+         b'"values":{"1":"AQABAAAAAQAAAAE=","2":"AQADAAAAAQAAAAQ=",'
+         b'"3":"AQABAAAAAQAAAAE="}}}}'),
+        (b'{"children":true,"fetch_polynomials":[0],"kind":"frontier",'
+         b'"node_ids":[],"packed":true,"points":[]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"children":{"counts":"AQACAAAAAQAAAAI=",'
+         b'"ids":"AQACAAAAAgAAAA0=","parents":"AQAAAAAAAQAAAA=="},'
+         b'"polynomials":{"ids":"AQACAAAAAwAAADQ=",'
+         b'"rows":"AQADAAAADAAAACDEbYwI","width":4}}}'),
+        (b'{"children":false,"kind":"frontier","node_ids":[1,3],'
+         b'"packed":true,"points":[1,3]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"evaluations":{"ids":"AQACAAAAAgAAAA0=",'
+         b'"values":{"1":"AQACAAAAAgAAAAc=","3":"AQACAAAAAgAAAA0="}}}}'),
+        (b'{"children":true,"fetch_polynomials":[1,3],"kind":"frontier",'
+         b'"node_ids":[],"packed":true,"points":[]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"children":{"counts":"AQABAAAAAgAAAAM=",'
+         b'"ids":"AQADAAAAAgAAACI=","parents":"AQACAAAAAgAAAA0="},'
+         b'"polynomials":{"ids":"AQADAAAABAAAANEI",'
+         b'"rows":"AQADAAAAEAAAANwmgIzIbQ==","width":4}}}'),
+        (b'{"children":false,"kind":"frontier","node_ids":[2,4],'
+         b'"packed":true,"points":[3]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"evaluations":{"ids":"AQADAAAAAgAAACI=",'
+         b'"values":{"3":"AQABAAAAAgAAAAI="}}}}'),
+        (b'{"children":true,"fetch_polynomials":[2,4],"kind":"frontier",'
+         b'"node_ids":[],"packed":true,"points":[]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"children":{"counts":"AQAAAAAAAgAAAA==",'
+         b'"ids":"AQAAAAAAAAAAAA==","parents":"AQADAAAAAgAAACI="},'
+         b'"polynomials":{"ids":"AQADAAAAAgAAACI=",'
+         b'"rows":"AQADAAAACAAAAALIbQ==","width":4}}}'),
+    ],
+    "update": [
+        (b'{"children":false,"fetch_polynomials":[0,3],"kind":"frontier",'
+         b'"node_ids":[],"packed":true,"points":[]}',
+         b'{"kind":"frontier-ok",'
+         b'"packed":{"polynomials":{"ids":"AQACAAAAAgAAAAw=",'
+         b'"rows":"AQADAAAACAAAACDEiA==","width":4}}}'),
+        (b'{"base":{"0":0,"3":0},"kind":"update","operation":"insert",'
+         b'"ops":[["add",5,3,[0,4,1]],["replace",3,[2,0,4]],["replace",0,'
+         b'[0,4,0,2]]]}',
+         b'{"applied":3,"kind":"update-ok","versions":{"0":1,"3":1,"5":1}}'),
     ],
 }
+
+
+def golden_session_frames(name):
+    """The (request, response) frames of one golden session, hello left out."""
+    client, tree, _ = outsource_document(figure1_document(clients=2),
+                                         seed=b"golden-frames")
+    server = SearchServer(tree)
+    frames = []
+
+    def handler(message):
+        response = server.handle(message)
+        if message.kind != "hello":
+            frames.append((message.encode(), response.encode()))
+        return response
+
+    adapter = RemoteServerAdapter(InstrumentedChannel(handler), tree.ring)
+    if name == "update":
+        editor = RemoteUpdatableTree(adapter, client.mapping,
+                                     client.share_generator)
+        frames.clear()
+        assert editor.insert_subtree(3, parse_element("<name/>")) \
+            .new_node_ids == [5]
+    elif name == "xpath":
+        assert client.xpath(adapter, "/customers/client/name").matches \
+            == [2, 4]
+    else:
+        outcome = client.lookup(adapter, "client",
+                                verification=VerificationMode(name))
+        assert outcome.matches == [1, 3]
+    return frames
 
 
 def recorded_session(server, ring, version):
@@ -393,15 +491,9 @@ def recorded_session(server, ring, version):
 
 
 class TestCompatibility:
-    @pytest.mark.parametrize("version,mode", [(2, VerificationMode.FULL),
-                                              (3, VerificationMode.CONSTANT_ONLY)])
-    def test_golden_v2_and_v3_frames(self, version, mode):
-        document = figure1_document(clients=2)
-        client, tree, _ = outsource_document(document, seed=b"golden-frames")
-        adapter, frames = recorded_session(SearchServer(tree), tree.ring, version)
-        outcome = client.lookup(adapter, "client", verification=mode)
-        assert outcome.matches == [1, 3]
-        assert frames == GOLDEN_FRAMES[version]
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+    def test_golden_v4_frames(self, name):
+        assert golden_session_frames(name) == GOLDEN_FRAMES[name]
 
     def test_default_session_is_packed(self, fp_outsourced):
         _, client, tree = fp_outsourced
