@@ -40,7 +40,6 @@ from .workloads import RandomXmlConfig, generate_random_document
 
 __all__ = [
     "run_benchmarks",
-    "run_serving_benchmarks",
     "run_concurrency_benchmarks",
     "run_update_benchmarks",
     "run_fault_benchmarks",
@@ -48,7 +47,6 @@ __all__ = [
     "run_ops_benchmarks",
     "write_snapshot",
     "SNAPSHOT_NAME",
-    "SERVING_SNAPSHOT_NAME",
     "CONCURRENCY_SNAPSHOT_NAME",
     "UPDATES_SNAPSHOT_NAME",
     "FAULTS_SNAPSHOT_NAME",
@@ -57,8 +55,6 @@ __all__ = [
 ]
 
 SNAPSHOT_NAME = "BENCH_1"
-
-SERVING_SNAPSHOT_NAME = "BENCH_2"
 
 CONCURRENCY_SNAPSHOT_NAME = "BENCH_3"
 
@@ -265,198 +261,6 @@ def run_benchmarks(quick: bool = False, repeat: int = 3) -> Dict[str, Any]:
         "poly_mul_fp": bench_poly_mul(degrees, min_time=min_time, repeat=repeat),
         "quotient_reduce": bench_quotient_reduce(min_time=min_time, repeat=repeat),
         "end_to_end": bench_end_to_end(sizes, repeat=max(repeat, 5)),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Serving-engine benchmark (BENCH_2): protocol, backends, tenancy, concurrency
-# ---------------------------------------------------------------------------
-
-#: The figure-1 workload: the paper's worked example generalised to more
-#: clients, queried with the XPath shapes its §4.3 walks through.
-_SERVING_QUERIES = ["//client", "//name", "//client/name",
-                    "/customers/client/name", "//customers/client"]
-
-
-def _serving_document(clients: int = 8):
-    from .workloads import figure1_document
-
-    return figure1_document(clients=clients)
-
-
-def _run_query_session(client, server, query: str, protocol_version: int,
-                       lookahead: int = 1, document_id=None):
-    """One cold session: connect, run ``query``, return (matches, stats)."""
-    from .core.advanced import AdvancedQueryExecutor
-    from .net import connect
-
-    adapter, channel = connect(server, document_id=document_id,
-                               protocol_version=protocol_version)
-    engine = client.engine(adapter)
-    engine.frontier_lookahead = lookahead
-    result = AdvancedQueryExecutor(engine).execute(query)
-    return result.matches, channel.stats
-
-
-def bench_serving_protocol(clients: int = 8) -> Dict[str, Any]:
-    """Round trips/bytes per XPath lookup: batched v2 vs the v1 protocol.
-
-    Every lookup runs over a fresh session (the per-lookup cost a thin
-    client pays), with bit-identical answers asserted across protocol
-    versions.  The counts are deterministic — only the document size, the
-    queries and the protocol shape them — so the reduction factors are
-    stable across hosts.
-    """
-    from .net import SearchServer
-
-    document = _serving_document(clients)
-    client, server_tree, _ = outsource_document(document, seed=b"bench-serving")
-    server = SearchServer(server_tree)
-    queries: Dict[str, Any] = {}
-    totals = {"v1": [0, 0], "v2": [0, 0], "v2_lookahead2": [0, 0]}
-    for query in _SERVING_QUERIES:
-        row: Dict[str, Any] = {}
-        baseline_matches = None
-        for label, version, lookahead in (("v1", 1, 0), ("v2", 2, 1),
-                                          ("v2_lookahead2", 2, 2)):
-            matches, stats = _run_query_session(client, server, query,
-                                                version, lookahead)
-            if baseline_matches is None:
-                baseline_matches = matches
-            assert matches == baseline_matches, (query, label)
-            row[label] = {"round_trips": stats.round_trips,
-                          "total_bytes": stats.total_bytes}
-            totals[label][0] += stats.round_trips
-            totals[label][1] += stats.total_bytes
-        row["round_trip_reduction"] = round(
-            row["v1"]["round_trips"] / row["v2"]["round_trips"], 2)
-        queries[query] = row
-    return {
-        "document_elements": document.size(),
-        "queries": queries,
-        "aggregate": {
-            label: {"round_trips": value[0], "total_bytes": value[1]}
-            for label, value in totals.items()},
-        "round_trip_reduction": round(totals["v1"][0] / totals["v2"][0], 2),
-        "round_trip_reduction_lookahead2": round(
-            totals["v1"][0] / totals["v2_lookahead2"][0], 2),
-        "byte_ratio_v1_over_v2": round(totals["v1"][1] / totals["v2"][1], 2),
-    }
-
-
-def bench_serving_backends(clients: int = 8) -> Dict[str, Any]:
-    """Bit-identical answers from the in-memory and SQLite store backends."""
-    from .net import SQLiteShareStore, SearchServer
-
-    document = _serving_document(clients)
-    client, server_tree, _ = outsource_document(document, seed=b"bench-serving")
-    results: Dict[str, Any] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        store = SQLiteShareStore.from_tree(os.path.join(tmp, "figure1.db"),
-                                           server_tree)
-        servers = {"in_memory": SearchServer(server_tree),
-                   "sqlite": SearchServer(store)}
-        answers: Dict[str, List] = {}
-        timings: Dict[str, float] = {}
-        for backend, server in servers.items():
-            start = time.perf_counter()
-            answers[backend] = [
-                _run_query_session(client, server, query, 2)[0]
-                for query in _SERVING_QUERIES]
-            timings[backend] = time.perf_counter() - start
-        assert answers["in_memory"] == answers["sqlite"]
-        results = {
-            "identical_results": answers["in_memory"] == answers["sqlite"],
-            "in_memory_storage_bits": server_tree.storage_bits(),
-            "sqlite_file_bytes": store.file_bytes(),
-            "sqlite_shares_resident_after_queries": store.cached_share_count(),
-            "in_memory_query_ms": round(timings["in_memory"] * 1000, 3),
-            "sqlite_query_ms": round(timings["sqlite"] * 1000, 3),
-        }
-        store.close()
-    return results
-
-
-def bench_serving_concurrency(clients: int = 8, threads: int = 8,
-                              rounds: int = 3) -> Dict[str, Any]:
-    """Concurrent multi-tenant lookups vs the serial baseline.
-
-    One server hosts two documents; ``threads`` sessions (half per
-    document) each run the query workload ``rounds`` times.  Results must
-    be bit-identical to the serial run, and the per-session channel totals
-    must add up to exactly the requests the server handled.
-    """
-    from .net import SearchServer
-
-    documents = {"figure1-a": _serving_document(clients),
-                 "figure1-b": _serving_document(clients + 3)}
-    clients_ctx = {}
-    server = SearchServer()
-    for document_id, document in documents.items():
-        ctx, tree, _ = outsource_document(
-            document, seed=b"bench-" + document_id.encode())
-        server.add_document(document_id, tree)
-        clients_ctx[document_id] = ctx
-
-    def run_workload(document_id: str) -> List:
-        answers = []
-        for _ in range(rounds):
-            for query in _SERVING_QUERIES:
-                matches, _ = _run_query_session(
-                    clients_ctx[document_id], server, query, 2,
-                    document_id=document_id)
-                answers.append((query, tuple(matches)))
-        return answers
-
-    requests_before = server.observations.requests_handled
-    start = time.perf_counter()
-    serial = {document_id: run_workload(document_id)
-              for document_id in documents}
-    serial_s = time.perf_counter() - start
-
-    outcomes: Dict[int, List] = {}
-    workers = []
-    start = time.perf_counter()
-    for index in range(threads):
-        document_id = list(documents)[index % len(documents)]
-
-        def task(index=index, document_id=document_id):
-            outcomes[index] = (document_id, run_workload(document_id))
-
-        worker = threading.Thread(target=task)
-        workers.append(worker)
-        worker.start()
-    for worker in workers:
-        worker.join()
-    concurrent_s = time.perf_counter() - start
-
-    identical = all(answers == serial[document_id]
-                    for document_id, answers in outcomes.values())
-    return {
-        "threads": threads,
-        "documents": sorted(documents),
-        "lookups_per_thread": rounds * len(_SERVING_QUERIES),
-        "identical_to_serial": identical,
-        "serial_s": round(serial_s, 4),
-        "concurrent_s": round(concurrent_s, 4),
-        "requests_handled": server.observations.requests_handled - requests_before,
-    }
-
-
-def run_serving_benchmarks(quick: bool = False) -> Dict[str, Any]:
-    """The serving-engine suite (multi-document, backends, protocol v2)."""
-    clients = 4 if quick else 8
-    return {
-        "snapshot": SERVING_SNAPSHOT_NAME,
-        "description": "serving engine: batched frontier protocol vs v1, "
-                       "share-store backends, multi-document concurrency",
-        "config": {"quick": quick, "clients": clients,
-                   "queries": list(_SERVING_QUERIES),
-                   "environment": _environment()},
-        "protocol": bench_serving_protocol(clients),
-        "backends": bench_serving_backends(clients),
-        "concurrency": bench_serving_concurrency(
-            clients, threads=4 if quick else 8, rounds=2 if quick else 3),
     }
 
 
@@ -1130,7 +934,7 @@ def bench_kernel_evaluate_many(server_tree,
 
 def bench_kernel_lookups(client, server_tree, tags: List[str],
                          repeat: int = 3) -> Dict[str, Any]:
-    """End-to-end lookups/s per kernel tier over the in-process v2 transport.
+    """End-to-end lookups/s per kernel tier over the in-process transport.
 
     Each tier gets its own cold SQLite-backed server (so the share LRU of
     one tier never subsidises another), but every store is built — and
@@ -1544,34 +1348,6 @@ def format_concurrency_summary(results: Dict[str, Any]) -> str:
             f"  tick {label:>9} @ {sweep['sessions']} sessions: "
             f"p99 {row['p99_ms']:7.2f} ms  "
             f"largest batch {row['largest_batch']}")
-    return "\n".join(lines)
-
-
-def format_serving_summary(results: Dict[str, Any]) -> str:
-    """Human-readable one-screen summary of a serving snapshot."""
-    lines = [f"snapshot {results['snapshot']}"]
-    protocol = results["protocol"]
-    for query, row in protocol["queries"].items():
-        lines.append(
-            f"  {query:26s} v1: {row['v1']['round_trips']:3d} rt "
-            f"{row['v1']['total_bytes']:6d} B   v2: {row['v2']['round_trips']:3d} rt "
-            f"{row['v2']['total_bytes']:6d} B   x{row['round_trip_reduction']}")
-    lines.append(f"  round-trip reduction (aggregate): "
-                 f"x{protocol['round_trip_reduction']} "
-                 f"(x{protocol['round_trip_reduction_lookahead2']} with lookahead 2)")
-    backends = results["backends"]
-    lines.append(
-        f"  backends identical: {backends['identical_results']} "
-        f"(sqlite file {backends['sqlite_file_bytes']} B, "
-        f"{backends['sqlite_shares_resident_after_queries']} shares resident)")
-    concurrency = results["concurrency"]
-    lines.append(
-        f"  concurrency: {concurrency['threads']} threads x "
-        f"{concurrency['lookups_per_thread']} lookups on "
-        f"{len(concurrency['documents'])} documents, identical="
-        f"{concurrency['identical_to_serial']} "
-        f"(serial {concurrency['serial_s']}s, "
-        f"concurrent {concurrency['concurrent_s']}s)")
     return "\n".join(lines)
 
 

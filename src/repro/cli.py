@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "frontier rounds)")
     serve.add_argument("--document-id", default=None,
                        help="host the document under this id "
-                            "(default: the v1-compatible default document)")
+                            "(default: the server's default document)")
     serve.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                        help="also serve plaintext /metrics and /health on "
                             "this HTTP port (0 picks a free one)")
@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "in proportion to their weights")
 
     edit = commands.add_parser(
-        "edit", help="edit a *served* document over the wire (v3 update "
-                     "protocol with transparent conflict rebase)")
+        "edit", help="edit a *served* document over the wire (update "
+                     "batches with transparent conflict rebase)")
     edit.add_argument("client_file",
                       help="the client secret state written by `outsource`")
     edit.add_argument("operation", choices=["insert", "delete", "rename"],
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = commands.add_parser(
         "stats", help="query a running server's metrics snapshot over the "
-                      "wire (v3 stats probe)")
+                      "wire (the stats probe)")
     stats.add_argument("--host", default="127.0.0.1",
                        help="server host (default: 127.0.0.1)")
     stats.add_argument("--port", type=int, default=9653,
@@ -187,16 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="run the quick kernel benchmark suite and write a "
                       "JSON perf snapshot")
     bench.add_argument("--out", default=None,
-                       help="snapshot path (default: BENCH_1.json, or "
-                            "BENCH_2.json with --serving)")
+                       help="snapshot path (default: BENCH_1.json, or the "
+                            "selected suite's BENCH_N.json)")
     bench.add_argument("--quick", action="store_true",
                        help="smaller sizes/degrees for a fast smoke run")
     bench.add_argument("--repeat", type=int, default=3,
                        help="timing repetitions per measurement (default: 3)")
-    bench.add_argument("--serving", action="store_true",
-                       help="run the serving-engine benchmark (multi-document, "
-                            "concurrency, batched vs v1 protocol) instead of "
-                            "the kernel suite")
     bench.add_argument("--concurrency", type=int, default=None, metavar="N",
                        help="run the BENCH_3 concurrent-throughput benchmark "
                             "(the socket transport at 1/4/16/64 sessions up to "
@@ -539,7 +535,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         format_fault_summary,
         format_kernel_summary,
         format_ops_summary,
-        format_serving_summary,
         format_summary,
         format_update_summary,
         run_benchmarks,
@@ -547,14 +542,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_fault_benchmarks,
         run_kernel_benchmarks,
         run_ops_benchmarks,
-        run_serving_benchmarks,
         run_update_benchmarks,
         write_snapshot,
     )
 
     selected = [flag for flag, on in
-                (("--serving", args.serving),
-                 ("--concurrency", args.concurrency is not None),
+                (("--concurrency", args.concurrency is not None),
                  ("--updates", args.updates),
                  ("--faults", args.faults),
                  ("--kernels", args.kernels),
@@ -595,11 +588,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         out = args.out or "BENCH_3.json"
         write_snapshot(results, out)
         print(format_concurrency_summary(results))
-    elif args.serving:
-        results = run_serving_benchmarks(quick=args.quick)
-        out = args.out or "BENCH_2.json"
-        write_snapshot(results, out)
-        print(format_serving_summary(results))
     else:
         results = run_benchmarks(quick=args.quick, repeat=args.repeat)
         out = args.out or "BENCH_1.json"

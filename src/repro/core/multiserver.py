@@ -114,7 +114,7 @@ class ThresholdServerGroup(ServerInterface):
 
         Every member of the quorum is visited once for the whole round (all
         points at a time) instead of once per request kind, mirroring the
-        v2 single-server protocol: the round costs one parallel quorum
+        single-server wire protocol: the round costs one parallel quorum
         exchange, counted as one round trip.  ``lookahead`` is ignored —
         the group is in-process, so speculation would only waste work.
         """

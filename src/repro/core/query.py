@@ -54,7 +54,7 @@ __all__ = [
 class AdaptiveLookahead:
     """Speculation-depth controller driven by the observed prune rate.
 
-    Batched v2 transports accept a ``lookahead`` depth per
+    Batched transports accept a ``lookahead`` depth per
     :meth:`ServerInterface.frontier_round`: the server speculatively
     evaluates that many extra levels below the requested frontier.  Deep
     speculation is free bandwidth-wise only while the frontier stays alive
@@ -237,8 +237,8 @@ class CoefficientRows(Mapping):
     ``None`` and the rows are kept as lists of Python ints.  Indexing
     returns one row as a list of Python ints either way, so nothing that
     builds a :class:`Polynomial` from a row ever sees a numpy scalar.  The
-    durable store serves fetches in this form, the v4 wire decodes into
-    it, and FULL verification hands ``matrix`` to the evaluation domain
+    durable store serves fetches in this form, the wire decodes into it,
+    and FULL verification hands ``matrix`` to the evaluation domain
     whole.
     """
 
@@ -287,11 +287,12 @@ class ServerInterface(abc.ABC):
     """The requests a client may send to the (untrusted) search server."""
 
     #: True for transports that answer a whole frontier round natively in
-    #: one exchange (the batched v2 protocol).  The engine then evaluates
-    #: the full frontier at every point up front — extra share evaluations
-    #: for nodes that die at the first point, in exchange for O(depth)
-    #: round trips.  Chatty-but-minimal-work transports (in-process, v1)
-    #: leave this False and get the original lazy per-point descent.
+    #: one exchange (the wire protocol).  The engine then evaluates the
+    #: full frontier at every point up front — extra share evaluations for
+    #: nodes that die at the first point, in exchange for O(depth) round
+    #: trips.  The in-process reference (:class:`LocalServerAdapter`)
+    #: leaves this False and gets §4.3's lazy per-point descent, which
+    #: evaluates the fewest nodes.
     batched_rounds = False
 
     @abc.abstractmethod
@@ -324,9 +325,9 @@ class ServerInterface(abc.ABC):
 
         What FULL verification consumes: rows may be unreduced, and the
         verifier normalises them.  The base implementation takes the
-        coefficients of :meth:`fetch_polynomials`; wire transports return
-        the decoded rows without building a polynomial per node (v4
-        sessions as one :class:`CoefficientRows` block).
+        coefficients of :meth:`fetch_polynomials`; the wire adapter
+        returns the decoded rows without building a polynomial per node,
+        as one :class:`CoefficientRows` block.
         """
         return {node_id: poly.coeffs
                 for node_id, poly in self.fetch_polynomials(node_ids).items()}
@@ -341,11 +342,12 @@ class ServerInterface(abc.ABC):
                        lookahead: int = 0) -> FrontierResult:
         """One whole descent round: prune notice, evaluations, child lists.
 
-        The base implementation composes the per-kind primitives (one
-        exchange each — the v1 behaviour) and never speculates
-        (``lookahead`` is ignored: a chatty transport gains nothing from
-        it); transports that support the v2 wire protocol override it with
-        a single batched exchange that may cover several levels.
+        The base implementation composes the per-kind primitives, one
+        exchange each — §4.3's per-level exchange, which the in-process
+        reference runs — and never speculates (``lookahead`` is ignored: a
+        chatty transport gains nothing from it); the wire adapter
+        overrides it with a single batched exchange that may cover several
+        levels.
         """
         round_trips = 0
         if prune:
@@ -367,8 +369,8 @@ class ServerInterface(abc.ABC):
         """Child lists plus share data for ``node_ids`` *and their children*.
 
         Verification (Theorem 1/2) always needs a candidate's children, so
-        the v2 transport answers both in one exchange; the base
-        implementation composes the two v1 requests.  Returns
+        the wire adapter answers both in one exchange; the base
+        implementation composes two per-kind requests.  Returns
         ``(children, data, round_trips)`` where ``data`` maps every node in
         the closure to its share's coefficient row, as
         :meth:`fetch_polynomial_rows` returns it (or to its constant
@@ -474,7 +476,7 @@ class QueryEngine:
         self.client_shares = client_shares
         self.server = server
         self.verification = verification
-        #: Speculative depth per batched frontier exchange (v2 transports):
+        #: Speculative depth per batched frontier exchange:
         #: a fixed int, an :class:`AdaptiveLookahead` controller, or the
         #: string ``"adaptive"`` for a controller with default thresholds.
         if frontier_lookahead == "adaptive":

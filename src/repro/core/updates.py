@@ -39,7 +39,7 @@ query traffic on the same store.
 :class:`~repro.net.store.ShareStore` plus a ``transaction()``.
 :class:`~repro.net.client.RemoteUpdatableTree` exploits exactly that — it
 substitutes a client-side mirror of a *hosted* document, and the batch
-each operation records here travels to the server as one v3
+each operation records here travels to the server as one
 :class:`~repro.net.messages.UpdateRequest` instead of being applied
 in-process.  The arithmetic is identical either way, which is what makes
 the remote and in-process paths bit-identical by construction.

@@ -88,7 +88,7 @@ class TransportError(ProtocolError):
     error says nothing about the request, so a resilient client may
     reconnect and replay it.  The failure is *ambiguous*: the server may
     or may not have processed the request before the connection died,
-    which is why replayed v2 requests carry idempotency keys.
+    which is why replayed requests carry idempotency keys.
     """
 
 
@@ -122,7 +122,7 @@ class RetryExhaustedError(ProtocolError):
 
 
 class UpdateConflictError(ProtocolError):
-    """A v3 update batch was rejected because its base versions are stale.
+    """An update batch was rejected because its base versions are stale.
 
     Raised client-side from a
     :class:`~repro.net.messages.ConflictResponse`.  ``conflicts`` names

@@ -1,16 +1,16 @@
-"""Instrumented client/server transport: protocol messages (v1, batched
-v2, update-capable v3, packed-payload v4), byte-counting channels
-(in-process and real sockets), length-prefixed framing, the
-transport-agnostic serving core with multi-document tenancy, admission
-control, idempotent replay and version-checked update batches, pluggable
-share-store backends, the thread-per-session socket server that coalesces
-concurrent frontier rounds, the client-side proxies (including the
-remote editor with conflict rebase), and the
-fault-tolerance layer (deterministic fault injection plus the retrying,
-reconnecting resilient client).  All layers account through the shared
-observability registry (:mod:`repro.obs`): transports, the serving core,
-the retry stack and the stores emit into one
-:class:`~repro.obs.MetricsRegistry`, surfaced in-band by the v3
+"""Instrumented client/server transport: protocol messages (one wire
+generation: batched, packed frontier rounds plus update batches and
+operational probes), byte-counting channels (in-process and real
+sockets), length-prefixed framing, the transport-agnostic serving core
+with multi-document tenancy, admission control, idempotent replay and
+version-checked update batches, pluggable share-store backends, the
+thread-per-session socket server that coalesces concurrent frontier
+rounds, the client-side proxies (including the remote editor with
+conflict rebase), and the fault-tolerance layer (deterministic fault
+injection plus the retrying, reconnecting resilient client).  All layers
+account through the shared observability registry (:mod:`repro.obs`):
+transports, the serving core, the retry stack and the stores emit into
+one :class:`~repro.obs.MetricsRegistry`, surfaced in-band by the
 ``stats``/``health`` probes and out-of-band by the plaintext scrape
 endpoint."""
 
@@ -67,7 +67,6 @@ from .retry import (
 )
 from .server import SearchServer, ServerObservations, ThreadedSearchServer
 from .storage import (
-    InMemoryServerStore,
     load_share_tree,
     ring_from_dict,
     ring_to_dict,
@@ -140,7 +139,6 @@ __all__ = [
     "open_share_store",
     "migrate_share_store",
     "write_v1_share_store",
-    "InMemoryServerStore",
     "ring_to_dict",
     "ring_from_dict",
     "share_tree_to_dict",

@@ -234,8 +234,8 @@ class SocketChannel:
     """One client session over a real TCP socket, with per-session stats.
 
     Speaks the framed wire protocol of :mod:`repro.net.framing`: each
-    request is one frame carrying an unchanged v1/v2 message encoding, and
-    each response one frame back.  The channel is strictly synchronous
+    request is one frame carrying an unchanged message encoding, and each
+    response one frame back.  The channel is strictly synchronous
     from the caller's view (send, then wait), which is exactly what
     :class:`~repro.net.client.RemoteServerAdapter` needs — the adapter
     works over this channel and the in-process one interchangeably.

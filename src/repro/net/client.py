@@ -6,21 +6,21 @@ engine into protocol messages, sends them through an
 so every query run through it yields exact byte/round-trip measurements
 (experiments E10/E13).
 
-A session opens with the hello exchange: the client states every protocol
-version it speaks, the server picks the highest common one (and throws a
-loud error when there is none).  Version-2 sessions route whole descent
-rounds through the batched :class:`~repro.net.messages.FrontierRequest`
-and piggyback prune notices on the next outgoing request; version-1
-sessions reproduce the original request-per-kind exchange byte for byte.
-Every message is stamped with the session's document id, so one server —
-and one channel — can serve many tenants.
+A session opens with the hello exchange: the client states the protocol
+versions it speaks, and the server answers with the common one (or throws
+a loud error when there is none).  Every read then travels as a batched
+:class:`~repro.net.messages.FrontierRequest` — a whole descent round, a
+verification closure, or a single evaluation or child-list read — with
+buffered prune notices piggybacked on the next outgoing request.  Every
+message is stamped with the session's document id, so one server — and
+one channel — can serve many tenants.
 
-Version-3 sessions can also *edit* the hosted document:
+Sessions can also *edit* the hosted document:
 :class:`RemoteUpdatableTree` mirrors the
 :class:`~repro.core.updates.UpdatableTree` API over the wire.  It keeps a
-local structure mirror (:class:`_RemoteStoreMirror`) fed by the ordinary
-read messages, computes every new share client-side exactly as the
-in-process editor does, and pushes each operation as one
+local structure mirror (:class:`_RemoteStoreMirror`) fed by frontier
+reads, computes every new share client-side exactly as the in-process
+editor does, and pushes each operation as one
 :class:`~repro.net.messages.UpdateRequest` batch.  When the server
 answers with a :class:`~repro.net.messages.ConflictResponse` (another
 writer touched an overlapping path first), the tree refetches the
@@ -40,20 +40,11 @@ from ..core.updates import UpdatableTree
 from ..errors import ProtocolError, SharingError, UpdateConflictError
 from .channel import InstrumentedChannel, LatencyModel, SocketChannel
 from .messages import (
-    PACKED_FRONTIER_VERSION,
     SUPPORTED_PROTOCOL_VERSIONS,
     BlobRequest,
     BlobResponse,
-    ChildrenRequest,
-    ChildrenResponse,
     ConflictResponse,
     ErrorResponse,
-    EvaluateRequest,
-    EvaluateResponse,
-    FetchConstantsRequest,
-    FetchConstantsResponse,
-    FetchPolynomialsRequest,
-    FetchPolynomialsResponse,
     FrontierRequest,
     FrontierResponse,
     HealthRequest,
@@ -64,8 +55,6 @@ from .messages import (
     PruneNotice,
     StatsRequest,
     StatsResponse,
-    StructureRequest,
-    StructureResponse,
     UpdateRequest,
     UpdateResponse,
     require_nodes,
@@ -80,38 +69,29 @@ __all__ = ["RemoteServerAdapter", "RemoteUpdatableTree", "connect",
 class RemoteServerAdapter(ServerInterface):
     """A server proxy that speaks the wire protocol over a channel."""
 
+    #: Whole frontier rounds travel in one exchange.
+    batched_rounds = True
+
     def __init__(self, channel: InstrumentedChannel, ring,
-                 document_id: Optional[str] = None,
-                 protocol_version: Optional[int] = None) -> None:
+                 document_id: Optional[str] = None) -> None:
         self.channel = channel
         self.ring = ring
         self.document_id = document_id
         self._structure: Optional[Tuple[int, int]] = None
         self._pending_prune: List[int] = []
-        if protocol_version is None:
-            self.protocol_version = self._negotiate(SUPPORTED_PROTOCOL_VERSIONS)
-        elif protocol_version == 1:
-            # Legacy client: no hello exchange existed in protocol v1.
-            self.protocol_version = 1
-        else:
-            self.protocol_version = self._negotiate([protocol_version])
-
-    @property
-    def batched_rounds(self) -> bool:
-        """v2 sessions answer whole frontier rounds in one exchange."""
-        return self.protocol_version >= 2
+        self._negotiate()
 
     # -- session management ---------------------------------------------------------
-    def _negotiate(self, versions: Sequence[int]) -> int:
+    def _negotiate(self) -> None:
         """The hello exchange; also caches the structure summary it returns."""
-        response = self._request(HelloRequest(versions), HelloResponse)
-        if response.version not in versions:
+        response = self._request(HelloRequest(SUPPORTED_PROTOCOL_VERSIONS),
+                                 HelloResponse)
+        if response.version not in SUPPORTED_PROTOCOL_VERSIONS:
             raise ProtocolError(
                 f"server negotiated protocol version {response.version}, which "
-                f"this client did not offer ({list(versions)})")
+                f"this client did not offer ({list(SUPPORTED_PROTOCOL_VERSIONS)})")
         if response.root_id is not None:
             self._structure = (response.root_id, response.node_count)
-        return response.version
 
     def _request(self, message: Message, expected: type) -> Message:
         if self.document_id is not None:
@@ -123,8 +103,9 @@ class RemoteServerAdapter(ServerInterface):
 
     def _structure_summary(self) -> Tuple[int, int]:
         if self._structure is None:
-            response = self._request(StructureRequest(), StructureResponse)
-            self._structure = (response.root_id, response.node_count)
+            raise ProtocolError(
+                "the server's hello named no stored document for this "
+                "session")
         return self._structure
 
     def _take_prunes(self) -> List[int]:
@@ -139,14 +120,13 @@ class RemoteServerAdapter(ServerInterface):
         return self._structure_summary()[1]
 
     def children_of(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        response = self._request(ChildrenRequest(node_ids), ChildrenResponse)
-        require_nodes(response.children, node_ids, "child list")
-        return response.children
+        children = self._frontier(node_ids, include_children=True).children
+        require_nodes(children, node_ids, "child list")
+        return children
 
     def evaluate(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        response = self._request(EvaluateRequest(node_ids, point), EvaluateResponse)
-        require_nodes(response.values, node_ids, f"evaluation at point {point}")
-        return response.values
+        response = self._frontier(node_ids, [point])
+        return response.checked_evaluations(node_ids, [point])[point]
 
     def fetch_polynomials(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
         return {node_id: self.ring.from_coefficients(row)
@@ -155,29 +135,18 @@ class RemoteServerAdapter(ServerInterface):
     def fetch_polynomial_rows(self, node_ids: Sequence[int]
                               ) -> Mapping[int, Sequence[int]]:
         """The decoded coefficient rows, with no polynomial per node."""
-        if self.protocol_version >= 2:
-            rows = self._frontier(fetch_polynomials=node_ids).polynomials
-        else:
-            rows = self._request(FetchPolynomialsRequest(node_ids),
-                                 FetchPolynomialsResponse).coefficients
+        rows = self._frontier(fetch_polynomials=node_ids).polynomials
         require_nodes(rows, node_ids, "share row")
         return rows
 
     def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
-        if self.protocol_version >= 2:
-            constants = self._frontier(fetch_constants=node_ids).constants
-        else:
-            constants = self._request(FetchConstantsRequest(node_ids),
-                                      FetchConstantsResponse).constants
+        constants = self._frontier(fetch_constants=node_ids).constants
         require_nodes(constants, node_ids, "constant")
         return constants
 
     def prune(self, node_ids: Sequence[int]) -> None:
-        if self.protocol_version >= 2:
-            # Buffered: the ids ride along with the next v2 request.
-            self._pending_prune.extend(node_ids)
-            return
-        self._request(PruneNotice(node_ids), Message)
+        # Buffered: the ids ride along with the next request.
+        self._pending_prune.extend(node_ids)
 
     def flush_prunes(self) -> int:
         if not self._pending_prune:
@@ -195,16 +164,12 @@ class RemoteServerAdapter(ServerInterface):
             node_ids, points, prune=self._take_prunes(),
             include_children=include_children,
             fetch_polynomials=fetch_polynomials,
-            fetch_constants=fetch_constants, lookahead=lookahead,
-            packed=self.protocol_version >= PACKED_FRONTIER_VERSION)
+            fetch_constants=fetch_constants, lookahead=lookahead)
         return self._request(request, FrontierResponse)
 
     def frontier_round(self, node_ids: Sequence[int], points: Sequence[int],
                        prune: Sequence[int] = (), include_children: bool = True,
                        lookahead: int = 0) -> FrontierResult:
-        if self.protocol_version < 2:
-            return super().frontier_round(node_ids, points, prune=prune,
-                                          include_children=include_children)
         self._pending_prune.extend(prune)
         response = self._frontier(node_ids, points,
                                   include_children=include_children,
@@ -215,9 +180,6 @@ class RemoteServerAdapter(ServerInterface):
     def verification_bundle(self, node_ids: Sequence[int],
                             constants_only: bool = False
                             ) -> Tuple[Dict[int, List[int]], Mapping[int, object], int]:
-        if self.protocol_version < 2:
-            return super().verification_bundle(node_ids,
-                                               constants_only=constants_only)
         if constants_only:
             response = self._frontier(include_children=True,
                                       fetch_constants=node_ids)
@@ -227,9 +189,9 @@ class RemoteServerAdapter(ServerInterface):
         children, data = response.checked_closure(node_ids, constants_only)
         return children, data, 1
 
-    # -- v3 updates -----------------------------------------------------------------
+    # -- updates --------------------------------------------------------------------
     def apply_update(self, request: UpdateRequest) -> UpdateResponse:
-        """Send one v3 update batch; returns the commit confirmation.
+        """Send one update batch; returns the commit confirmation.
 
         A :class:`~repro.net.messages.ConflictResponse` surfaces as
         :class:`~repro.errors.UpdateConflictError` (carrying the
@@ -238,10 +200,6 @@ class RemoteServerAdapter(ServerInterface):
         in-process channel would have raised, so both transports behave
         identically.
         """
-        if self.protocol_version < 3:
-            raise ProtocolError(
-                f"remote updates need protocol v3; this session negotiated "
-                f"v{self.protocol_version}")
         response = self._request(request, Message)
         if isinstance(response, ErrorResponse):
             raise ProtocolError(response.error)
@@ -254,28 +212,20 @@ class RemoteServerAdapter(ServerInterface):
             raise ProtocolError(f"unexpected response {response.kind!r}")
         return response
 
-    # -- v3 control plane ------------------------------------------------------------
+    # -- control plane -------------------------------------------------------------
     def server_stats(self) -> Dict[str, object]:
-        """Fetch the server's metrics snapshot (v3 ``stats`` probe).
+        """Fetch the server's metrics snapshot (the ``stats`` probe).
 
         When this session is bound to a document, the server filters the
         snapshot to instruments without a document label plus those
         belonging to that document, and includes the tenant's admission
         ledger — one tenant cannot read another's traffic.
         """
-        if self.protocol_version < 3:
-            raise ProtocolError(
-                f"the stats probe needs protocol v3; this session "
-                f"negotiated v{self.protocol_version}")
         response = self._request(StatsRequest(), StatsResponse)
         return response.metrics
 
     def server_health(self) -> Dict[str, object]:
-        """Fetch the server's health summary (v3 ``health`` probe)."""
-        if self.protocol_version < 3:
-            raise ProtocolError(
-                f"the health probe needs protocol v3; this session "
-                f"negotiated v{self.protocol_version}")
+        """Fetch the server's health summary (the ``health`` probe)."""
         response = self._request(HealthRequest(), HealthResponse)
         summary: Dict[str, object] = {"status": response.status}
         summary.update(response.detail)
@@ -291,8 +241,8 @@ class RemoteServerAdapter(ServerInterface):
 class _RemoteStoreMirror(ShareStore):
     """A client-side :class:`~repro.net.store.ShareStore` view of a hosted document.
 
-    Reads are served from a locally mirrored structure (built with the
-    ordinary ``children`` messages) and a lazily fetched share cache, so
+    Reads are served from a locally mirrored structure (built with
+    child-list frontier reads) and a lazily fetched share cache, so
     the in-process update planner can run against it unchanged.  Writes
     only exist as whole batches: :meth:`apply_batch` — the hook a
     :class:`~repro.net.store.StoreTransaction` commits through — turns
@@ -302,7 +252,7 @@ class _RemoteStoreMirror(ShareStore):
     the ``base_versions`` vector of the next batch.
     """
 
-    #: Node ids per children/fetch request while mirroring structure.
+    #: Node ids per child-list or share request while mirroring.
     CHUNK = 4096
 
     def __init__(self, server: "RemoteServerAdapter") -> None:
@@ -484,7 +434,7 @@ class RemoteUpdatableTree(UpdatableTree):
     """Edit a hosted document over the wire with transparent rebase.
 
     The full :class:`~repro.core.updates.UpdatableTree` API — insert,
-    delete, rename, share refresh — against a v3 session
+    delete, rename, share refresh — against a session
     (:class:`RemoteServerAdapter` or the resilient subclass from
     :mod:`repro.net.retry`, so reconnect/replay under faults comes for
     free).  Each operation plans against a local mirror of the hosted
@@ -500,10 +450,6 @@ class RemoteUpdatableTree(UpdatableTree):
 
     def __init__(self, server: RemoteServerAdapter, mapping, client_shares,
                  max_rebases: int = 4) -> None:
-        if server.protocol_version < 3:
-            raise ProtocolError(
-                f"remote editing needs protocol v3; this session negotiated "
-                f"v{server.protocol_version}")
         self.server = server
         self.mirror = _RemoteStoreMirror(server)
         #: Conflict rounds one operation may absorb before giving up.
@@ -596,8 +542,7 @@ class RemoteUpdatableTree(UpdatableTree):
 
 
 def connect(server: SearchServer, document_id: Optional[str] = None,
-            latency_model: Optional[LatencyModel] = None,
-            protocol_version: Optional[int] = None
+            latency_model: Optional[LatencyModel] = None
             ) -> Tuple[RemoteServerAdapter, InstrumentedChannel]:
     """Open a fresh instrumented session against a (multi-document) server.
 
@@ -608,15 +553,13 @@ def connect(server: SearchServer, document_id: Optional[str] = None,
     channel = InstrumentedChannel(server.handle, latency_model=latency_model)
     document = server.registry.resolve(document_id)
     adapter = RemoteServerAdapter(channel, document.store.ring,
-                                  document_id=document_id,
-                                  protocol_version=protocol_version)
+                                  document_id=document_id)
     return adapter, channel
 
 
 def connect_socket(host: str, port: int, ring,
                    document_id: Optional[str] = None,
                    latency_model: Optional[LatencyModel] = None,
-                   protocol_version: Optional[int] = None,
                    timeout_s: Optional[float] = 30.0
                    ) -> Tuple[RemoteServerAdapter, SocketChannel]:
     """Open a synchronous session against a *socket* server.
@@ -633,8 +576,7 @@ def connect_socket(host: str, port: int, ring,
     channel = SocketChannel(host, port, latency_model=latency_model,
                             timeout_s=timeout_s)
     try:
-        adapter = RemoteServerAdapter(channel, ring, document_id=document_id,
-                                      protocol_version=protocol_version)
+        adapter = RemoteServerAdapter(channel, ring, document_id=document_id)
     except BaseException:
         # HELLO negotiation (or its first framed read) failed: the caller
         # never sees the channel, so it must be closed here or the socket
@@ -646,19 +588,14 @@ def connect_socket(host: str, port: int, ring,
 
 def connect_in_process(share_tree: Union[ServerShareTree, ShareStore],
                        encrypted_blob: Optional[bytes] = None,
-                       latency_model: Optional[LatencyModel] = None,
-                       protocol_version: Optional[int] = None
+                       latency_model: Optional[LatencyModel] = None
                        ) -> tuple:
     """Wire a server and a remote adapter through an instrumented channel.
 
     Returns ``(adapter, server, channel)``; the adapter plugs straight into
     :class:`repro.core.query.QueryEngine` / :class:`repro.core.ClientContext`.
-    ``protocol_version`` forces a wire generation (``1`` reproduces the
-    original per-request protocol, hello-free); by default the session
-    negotiates the newest one.
     """
     server = SearchServer(share_tree, encrypted_blob=encrypted_blob)
     channel = InstrumentedChannel(server.handle, latency_model=latency_model)
-    adapter = RemoteServerAdapter(channel, server.document().store.ring,
-                                  protocol_version=protocol_version)
+    adapter = RemoteServerAdapter(channel, server.document().store.ring)
     return adapter, server, channel

@@ -49,16 +49,8 @@ from .messages import (
     BlobRequest,
     BlobResponse,
     BusyResponse,
-    ChildrenRequest,
-    ChildrenResponse,
     ConflictResponse,
     ErrorResponse,
-    EvaluateRequest,
-    EvaluateResponse,
-    FetchConstantsRequest,
-    FetchConstantsResponse,
-    FetchPolynomialsRequest,
-    FetchPolynomialsResponse,
     FrontierRequest,
     FrontierResponse,
     HealthRequest,
@@ -69,8 +61,6 @@ from .messages import (
     PruneNotice,
     StatsRequest,
     StatsResponse,
-    StructureRequest,
-    StructureResponse,
     UpdateRequest,
     UpdateResponse,
     decode_message,
@@ -85,7 +75,7 @@ __all__ = [
     "ServingCore",
 ]
 
-#: Document id used when a client does not name one (v1 compatibility).
+#: Document id used when a client does not name one.
 DEFAULT_DOCUMENT = "default"
 
 
@@ -159,7 +149,7 @@ class HostedDocument:
         self.observations = ServerObservations()
         #: Optional opaque blob served to download-everything clients.
         self.encrypted_blob = encrypted_blob
-        #: Per-node version counters for v3 multi-writer conflict detection.
+        #: Per-node version counters for multi-writer conflict detection.
         #: A node absent from the map is at version 0; every committed
         #: update batch bumps the versions of the nodes it added or
         #: replaced and drops the nodes it removed.  Versions live with
@@ -250,11 +240,11 @@ class DocumentRegistry:
         return document
 
     def resolve(self, document_id: Optional[str]) -> HostedDocument:
-        """Like :meth:`get`, with v1-friendly defaulting for ``None``.
+        """Like :meth:`get`, with defaulting for ``None``.
 
         ``None`` addresses :data:`DEFAULT_DOCUMENT` when hosted, or the
-        single hosted document when there is exactly one — so a legacy
-        client keeps working against any single-tenant server.
+        single hosted document when there is exactly one — so a client
+        that names no document works against any single-tenant server.
         """
         if document_id is not None:
             return self.get(document_id)
@@ -556,18 +546,8 @@ class ServingCore:
     def _dispatch_locked(self, document: HostedDocument,
                          message: Message) -> Message:
         with document.lock:
-            if isinstance(message, StructureRequest):
-                return self._handle_structure(document)
-            if isinstance(message, ChildrenRequest):
-                return self._handle_children(document, message)
-            if isinstance(message, EvaluateRequest):
-                return self._handle_evaluate(document, message)
             if isinstance(message, FrontierRequest):
                 return self._frontier_batch_locked(document, [message])[0]
-            if isinstance(message, FetchPolynomialsRequest):
-                return self._handle_fetch_polynomials(document, message)
-            if isinstance(message, FetchConstantsRequest):
-                return self._handle_fetch_constants(document, message)
             if isinstance(message, PruneNotice):
                 return self._handle_prune(document, message)
             if isinstance(message, UpdateRequest):
@@ -748,22 +728,6 @@ class ServingCore:
         detail = self.health()
         return HealthResponse(detail.pop("status"), detail)
 
-    def _handle_structure(self, document: HostedDocument) -> StructureResponse:
-        root_id = document.store.root_id
-        if root_id is None:
-            raise ProtocolError("the server has no stored data")
-        return StructureResponse(root_id, document.store.node_count())
-
-    def _handle_children(self, document: HostedDocument,
-                         message: ChildrenRequest) -> ChildrenResponse:
-        return ChildrenResponse(document.store.child_lists(message.node_ids))
-
-    def _handle_evaluate(self, document: HostedDocument,
-                         message: EvaluateRequest) -> EvaluateResponse:
-        self._observe_points(document, message.point, message.node_ids)
-        return EvaluateResponse(
-            document.store.evaluate_many(message.node_ids, message.point))
-
     #: Hard ceiling on speculative evaluation depth per exchange.
     MAX_LOOKAHEAD = 4
 
@@ -777,8 +741,7 @@ class ServingCore:
         responses and verification closures still need.  Share evaluations
         run once per (node, point) per batch and each fetch is one batch
         share read; each request's response is then sliced out of the
-        union passes.  A request asking for ``packed`` payloads (v4) gets
-        the same data in packed form, so one batch may mix both forms.
+        union passes.
         """
         store = document.store
         child_cache: Dict[int, List[int]] = {}
@@ -826,7 +789,7 @@ class ServingCore:
         # request's response sliced out of the union passes.  With
         # ``include_children`` a fetch answers for the listed nodes plus
         # all their children (the Theorem-1/2 closure); without it the
-        # fetch is exact, matching the v1 semantics.
+        # fetch is exact.
         read_children([node_id
                        for message, frontier_nodes in zip(messages, frontiers)
                        if message.include_children
@@ -861,8 +824,7 @@ class ServingCore:
                 rows = store.coefficient_rows(fetched)
                 constants = dict(zip(rows.ids, rows.constant_terms()))
             responses.append(FrontierResponse(evaluations, children,
-                                              polynomials, constants,
-                                              packed=message.packed))
+                                              polynomials, constants))
         return responses
 
     @staticmethod
@@ -885,20 +847,6 @@ class ServingCore:
             closure.update(child_ids)
         return sorted(closure)
 
-    def _handle_fetch_polynomials(self, document: HostedDocument,
-                                  message: FetchPolynomialsRequest
-                                  ) -> FetchPolynomialsResponse:
-        self._observe_served(document, "polynomials_served", message.node_ids)
-        return FetchPolynomialsResponse(
-            document.store.coefficient_rows(message.node_ids))
-
-    def _handle_fetch_constants(self, document: HostedDocument,
-                                message: FetchConstantsRequest
-                                ) -> FetchConstantsResponse:
-        self._observe_served(document, "constants_served", message.node_ids)
-        rows = document.store.coefficient_rows(message.node_ids)
-        return FetchConstantsResponse(dict(zip(rows.ids, rows.constant_terms())))
-
     def _handle_prune(self, document: HostedDocument,
                       message: PruneNotice) -> Acknowledgement:
         self._observe_prune(document, message.node_ids)
@@ -906,7 +854,7 @@ class ServingCore:
 
     def _handle_update(self, document: HostedDocument,
                        message: UpdateRequest) -> Message:
-        """Apply one v3 mutation batch, or reject it with a conflict.
+        """Apply one mutation batch, or reject it with a conflict.
 
         Runs under the document lock (via :meth:`_dispatch_locked`), so
         the base-version check and the batch application are one atomic

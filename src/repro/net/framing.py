@@ -12,7 +12,7 @@ in a frame::
     +----------------+----------------------+
 
 ``length`` is an unsigned 32-bit big-endian integer counting the payload
-bytes only.  The payload is exactly one v1/v2 message encoding
+bytes only.  The payload is exactly one message encoding
 (:meth:`repro.net.messages.Message.encode`) — framing adds delimiting, not
 a new message format, so a captured payload decodes with
 :func:`repro.net.messages.decode_message` unchanged.

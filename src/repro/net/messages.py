@@ -6,45 +6,46 @@ response is a small message object with a deterministic serialisation
 (:meth:`Message.encode`) whose byte length is what the instrumented
 channel (:mod:`repro.net.channel`) accounts for.
 
-Four protocol generations coexist:
+The wire has one generation, :data:`PROTOCOL_VERSION`.  A session opens
+with :class:`HelloRequest`/:class:`HelloResponse`: the client lists the
+versions it speaks, and a server that shares none of them refuses the
+session loudly.  Then:
 
-* **v1** — the original strictly request-per-kind messages (structure,
-  children, evaluate, fetch, prune).  Their wire encoding is unchanged, so
-  v1 clients keep working and historical bandwidth figures stay valid.
-* **v2** — adds :class:`HelloRequest`/:class:`HelloResponse` (version
-  negotiation at connect; unknown versions are rejected loudly) and the
-  batched :class:`FrontierRequest`/:class:`FrontierResponse` pair that
-  carries evaluate + children + verification fetches + prune notices for a
-  whole frontier round in one exchange — O(depth) round trips per lookup
-  instead of O(depth × request kinds).
-* **v3** — adds the update triplet: :class:`UpdateRequest` carries one
-  whole mutation batch (the ops recorded by a
-  :class:`~repro.net.store.StoreTransaction`, in wire form) plus the
-  client's base version vector over every node the batch touches;
-  :class:`UpdateResponse` confirms a committed batch and returns the new
-  per-node versions; :class:`ConflictResponse` rejects a batch whose base
-  versions no longer match (another writer got there first) and names the
-  conflicting node ids so the client can refetch and rebase.  v3 also
-  adds the operational probes :class:`StatsRequest`/:class:`StatsResponse`
-  and :class:`HealthRequest`/:class:`HealthResponse` — hello-exempt like
-  the hello itself, admission-exempt, and tenant-filtered on the way out.
-* **v4** — v3 plus *packed* frontier payloads: a v4 session's
-  :class:`FrontierRequest` sets ``packed``, and the server then carries
-  every numeric section of the :class:`FrontierResponse` (the expanded
-  frontier's node ids and one value vector per point, the child lists,
-  the fetched share rows, the constants) as base64
-  :mod:`repro.net.pages` limb blobs inside the same JSON object, instead
-  of decimal JSON int maps.  On a served lookup that is ~0.4x the bytes
-  and a fraction of the encode/decode CPU.
+* :class:`FrontierRequest`/:class:`FrontierResponse` carry a whole §4.3
+  descent round in one exchange — share evaluations at the query points,
+  child lists, verification fetches and piggybacked prune notices — so a
+  lookup costs O(depth) round trips.  Every numeric section of the
+  response (the expanded frontier's node ids and one value vector per
+  point, the child lists, the fetched share rows, the constants) travels
+  as a base64 :mod:`repro.net.pages` limb blob inside the JSON object;
+  :class:`PruneNotice` delivers prune notices no later request carried.
+* :class:`UpdateRequest` carries one whole mutation batch (the ops
+  recorded by a :class:`~repro.net.store.StoreTransaction`, in wire form)
+  plus the client's base version vector over every node the batch
+  touches; :class:`UpdateResponse` confirms a committed batch and returns
+  the new per-node versions; :class:`ConflictResponse` rejects a batch
+  whose base versions no longer match (another writer got there first)
+  and names the conflicting node ids so the client can refetch and
+  rebase.
+* :class:`StatsRequest`/:class:`StatsResponse` and
+  :class:`HealthRequest`/:class:`HealthResponse` are the operational
+  probes — hello-exempt like the hello itself, admission-exempt, and
+  tenant-filtered on the way out.
+* :class:`BlobRequest`/:class:`BlobResponse` serve the
+  download-everything baseline.
+
+§4.3's per-level exchange (evaluate, prune, fetch children, fetch
+polynomials, one request each) has no wire form: it runs in process as
+the reference, :class:`~repro.core.query.LocalServerAdapter`.
 
 Every message additionally carries an optional ``document_id`` so one
-server can host many outsourced documents; omitting it (the v1 encoding)
-addresses the server's default document.  Messages may also carry an
-optional ``request_id`` — an idempotency key stamped by resilient clients
-so that a request replayed after an ambiguous transport failure is
-answered bit-identically from the server's idempotency cache instead of
-being processed (and observed) twice.  Both fields are omitted from the
-encoding when unset, so historical byte counts are unchanged.
+server can host many outsourced documents; omitting it addresses the
+server's default document.  Messages may also carry an optional
+``request_id`` — an idempotency key stamped by resilient clients so that
+a request replayed after an ambiguous transport failure is answered
+bit-identically from the server's idempotency cache instead of being
+processed (and observed) twice.  Both fields are omitted from the
+encoding when unset.
 
 Two in-band failure responses exist: :class:`ErrorResponse` (a request
 failed; ``retryable`` marks transient backend failures) and
@@ -52,13 +53,11 @@ failed; ``retryable`` marks transient backend failures) and
 ``retry_after_s`` backoff hint — graceful degradation instead of a
 dropped connection).
 
-The wire format is a compact JSON document.  v1–v3 encodings are *not*
-an optimised binary protocol, only a consistent yardstick so that the
-bandwidth comparisons between modes and baselines are meaningful; they
-stay byte-identical, and a session pinned to ``protocol_version=3``
-still measures them.  v4 keeps one JSON object per message and packs
-only the frontier payloads (request id lists stay JSON: they are a small
-fraction of a lookup's traffic).
+The wire format is one compact JSON object per message, with only the
+frontier payloads packed (request id lists stay JSON: they are a small
+fraction of a lookup's traffic).  Decoding checks every field by exact
+JSON type, requests and responses alike, and refuses a malformed message
+with a :class:`~repro.errors.ProtocolError` that names the field.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.query import CoefficientRows
@@ -82,24 +82,13 @@ from .pages import (
 __all__ = [
     "PROTOCOL_VERSION",
     "SUPPORTED_PROTOCOL_VERSIONS",
-    "PACKED_FRONTIER_VERSION",
     "MAX_PACKED_VALUES",
     "REQUEST_KINDS",
     "Message",
     "HelloRequest",
     "HelloResponse",
-    "StructureRequest",
-    "StructureResponse",
-    "ChildrenRequest",
-    "ChildrenResponse",
-    "EvaluateRequest",
-    "EvaluateResponse",
     "FrontierRequest",
     "FrontierResponse",
-    "FetchPolynomialsRequest",
-    "FetchPolynomialsResponse",
-    "FetchConstantsRequest",
-    "FetchConstantsResponse",
     "PruneNotice",
     "UpdateRequest",
     "UpdateResponse",
@@ -121,26 +110,18 @@ __all__ = [
 PROTOCOL_VERSION = 4
 
 #: Every generation this build can serve (negotiated in the hello exchange).
-SUPPORTED_PROTOCOL_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_VERSION,)
 
-#: First generation whose frontier requests ask for packed payloads.
-PACKED_FRONTIER_VERSION = 4
-
-#: Most values one packed payload may announce, summed over its blobs.  A
-#: JSON frame spends at least one byte per value, so no v1–v3 frame can
-#: carry more.  Checked from each blob's header before the blob is
-#: decoded, the cap keeps a few bytes of width-0 blob from announcing a
-#: giant vector.
+#: Most values one packed payload may announce, summed over its blobs: as
+#: many as a frame has bytes, the most a JSON int list could carry.
+#: Checked from each blob's header before the blob is decoded, the cap
+#: keeps a few bytes of width-0 blob from announcing a giant vector.
 MAX_PACKED_VALUES = MAX_FRAME_BYTES
 
 
-def _int_keyed(mapping: Dict[Any, Any]) -> Dict[int, Any]:
-    return {int(k): v for k, v in mapping.items()}
-
-
 # A decoded JSON value is an int, float, str, bool, None, list or dict, and
-# bool is a subclass of int: request fields are checked by exact type, so
-# 0.0, true or "0" never stand in for a node id, a point or a depth.
+# bool is a subclass of int: fields are checked by exact type, so 0.0, true
+# or "0" never stand in for a node id, a point, a depth or a version.
 
 def _int_field(body: Dict[str, Any], field: str, default: Any = None) -> int:
     """The integer under ``field`` (required unless ``default`` is given)."""
@@ -170,11 +151,29 @@ def _int_list_field(body: Dict[str, Any], field: str,
     return _require_ints(body[field] if required else body.get(field, []), field)
 
 
+def _int_map_field(body: Dict[str, Any], field: str) -> Dict[int, int]:
+    """The node id -> integer map under ``field`` (JSON keys are text)."""
+    mapping = body[field]
+    if type(mapping) is not dict:
+        raise ProtocolError(
+            f"field {field!r} must map node ids to integers, not "
+            f"{type(mapping).__name__}")
+    _require_ints(list(mapping.values()), field)
+    return {int(key): value for key, value in mapping.items()}
+
+
 def _bool_field(body: Dict[str, Any], field: str, default: bool) -> bool:
     value = body.get(field, default)
     if type(value) is not bool:
         raise ProtocolError(
             f"field {field!r} must be true or false, not {value!r:.40}")
+    return value
+
+
+def _str_field(body: Dict[str, Any], field: str) -> str:
+    value = body[field]
+    if type(value) is not str:
+        raise ProtocolError(f"field {field!r} must be text, not {value!r:.40}")
     return value
 
 
@@ -185,11 +184,11 @@ class Message:
     kind = "message"
 
     #: Which hosted document the message addresses; ``None`` means the
-    #: server's default document (and keeps the v1 wire encoding intact).
+    #: server's default document and leaves the field out of the encoding.
     document_id: Optional[str] = None
 
-    #: Optional idempotency key (see the module docstring); ``None`` keeps
-    #: the historical wire encoding byte-identical.
+    #: Optional idempotency key (see the module docstring); ``None`` leaves
+    #: the field out of the encoding.
     request_id: Optional[str] = None
 
     def payload(self) -> Dict[str, Any]:
@@ -249,7 +248,7 @@ class HelloResponse(Message):
     """The server's pick of protocol version, plus free structure data.
 
     ``root_id``/``node_count`` describe the addressed document when it
-    exists, saving the follow-up structure round trip of the v1 protocol.
+    exists, so a session needs no further exchange to find the root.
     """
 
     kind = "hello-ok"
@@ -271,100 +270,20 @@ class HelloResponse(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "HelloResponse":
-        return cls(body["version"], body.get("documents", ()),
-                   body.get("root_id"), body.get("node_count"))
-
-
-class StructureRequest(Message):
-    """Ask for the public summary of the stored tree (root id, node count)."""
-
-    kind = "structure"
-
-
-class StructureResponse(Message):
-    """Summary of the stored tree."""
-
-    kind = "structure-ok"
-
-    def __init__(self, root_id: int, node_count: int) -> None:
-        self.root_id = root_id
-        self.node_count = node_count
-
-    def payload(self) -> Dict[str, Any]:
-        return {"root_id": self.root_id, "node_count": self.node_count}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "StructureResponse":
-        return cls(body["root_id"], body["node_count"])
-
-
-class ChildrenRequest(Message):
-    """Ask for the child lists of a batch of nodes (public structure)."""
-
-    kind = "children"
-
-    def __init__(self, node_ids: Sequence[int]) -> None:
-        self.node_ids = list(node_ids)
-
-    def payload(self) -> Dict[str, Any]:
-        return {"node_ids": self.node_ids}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "ChildrenRequest":
-        return cls(_int_list_field(body, "node_ids"))
-
-
-class ChildrenResponse(Message):
-    """Child lists keyed by node id."""
-
-    kind = "children-ok"
-
-    def __init__(self, children: Dict[int, List[int]]) -> None:
-        self.children = {int(k): list(v) for k, v in children.items()}
-
-    def payload(self) -> Dict[str, Any]:
-        return {"children": {str(k): v for k, v in self.children.items()}}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "ChildrenResponse":
-        return cls(_int_keyed(body["children"]))
-
-
-class EvaluateRequest(Message):
-    """Ask the server to evaluate its shares of ``node_ids`` at ``point`` (§4.3)."""
-
-    kind = "evaluate"
-
-    def __init__(self, node_ids: Sequence[int], point: int) -> None:
-        self.node_ids = list(node_ids)
-        self.point = int(point)
-
-    def payload(self) -> Dict[str, Any]:
-        return {"node_ids": self.node_ids, "point": self.point}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "EvaluateRequest":
-        return cls(_int_list_field(body, "node_ids"), _int_field(body, "point"))
-
-
-class EvaluateResponse(Message):
-    """Per-node evaluation values of the server's shares."""
-
-    kind = "evaluate-ok"
-
-    def __init__(self, values: Dict[int, int]) -> None:
-        self.values = {int(k): int(v) for k, v in values.items()}
-
-    def payload(self) -> Dict[str, Any]:
-        return {"values": {str(k): v for k, v in self.values.items()}}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "EvaluateResponse":
-        return cls(_int_keyed(body["values"]))
+        documents = body.get("documents", [])
+        if type(documents) is not list or any(type(document_id) is not str
+                                              for document_id in documents):
+            raise ProtocolError("field 'documents' must be a list of "
+                                "document ids")
+        root_id = node_count = None
+        if "root_id" in body:
+            root_id = _int_field(body, "root_id")
+            node_count = _int_field(body, "node_count")
+        return cls(_int_field(body, "version"), documents, root_id, node_count)
 
 
 class FrontierRequest(Message):
-    """One whole descent round in a single exchange (protocol v2).
+    """One whole descent round in a single exchange.
 
     Carries, at once:
 
@@ -382,10 +301,12 @@ class FrontierRequest(Message):
     * ``fetch_polynomials`` / ``fetch_constants`` — verification fetches;
       the server answers for the listed nodes *and all their children*
       (Theorem-1/2 reconstruction always needs the closure), so the
-      client never pays a children round trip before verifying;
-    * ``packed`` (v4) — answer with packed payloads (see
-      :class:`FrontierResponse`); encoded only when true, so v2/v3
-      request bytes are unchanged.
+      client never pays a children round trip before verifying.
+
+    Every request encodes ``"packed": true``, asking for the packed
+    :class:`FrontierResponse`; a server refuses a request without it, so
+    a client that expects the JSON int maps of earlier generations fails
+    loudly instead of misreading the answer.
     """
 
     kind = "frontier"
@@ -394,7 +315,7 @@ class FrontierRequest(Message):
                  prune: Sequence[int] = (), include_children: bool = True,
                  fetch_polynomials: Sequence[int] = (),
                  fetch_constants: Sequence[int] = (),
-                 lookahead: int = 0, packed: bool = False) -> None:
+                 lookahead: int = 0) -> None:
         self.node_ids = list(node_ids)
         self.points = [int(p) for p in points]
         self.prune = list(prune)
@@ -402,11 +323,11 @@ class FrontierRequest(Message):
         self.fetch_polynomials = list(fetch_polynomials)
         self.fetch_constants = list(fetch_constants)
         self.lookahead = int(lookahead)
-        self.packed = bool(packed)
 
     def payload(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {"node_ids": self.node_ids, "points": self.points,
-                                "children": self.include_children}
+                                "children": self.include_children,
+                                "packed": True}
         if self.prune:
             body["prune"] = self.prune
         if self.fetch_polynomials:
@@ -415,20 +336,21 @@ class FrontierRequest(Message):
             body["fetch_constants"] = self.fetch_constants
         if self.lookahead:
             body["lookahead"] = self.lookahead
-        if self.packed:
-            body["packed"] = True
         return body
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "FrontierRequest":
+        if body.get("packed") is not True:
+            raise ProtocolError(
+                "field 'packed' must be true: frontier rounds are answered "
+                "in packed form only")
         return cls(_int_list_field(body, "node_ids"),
                    _int_list_field(body, "points"),
                    _int_list_field(body, "prune", required=False),
                    _bool_field(body, "children", True),
                    _int_list_field(body, "fetch_polynomials", required=False),
                    _int_list_field(body, "fetch_constants", required=False),
-                   _int_field(body, "lookahead", 0),
-                   _bool_field(body, "packed", False))
+                   _int_field(body, "lookahead", 0))
 
 
 def require_nodes(mapping: Mapping[int, Any], node_ids: Sequence[int],
@@ -506,13 +428,12 @@ def _section(sections: Dict[str, Any], name: str) -> Optional[Dict[str, Any]]:
 
 
 class FrontierResponse(Message):
-    """Everything a descent round needs, in one message (protocol v2).
+    """Everything a descent round needs, in one message.
 
-    The JSON form (v2/v3) carries decimal int maps.  The packed form (v4,
-    ``packed=True``) carries one object under ``"packed"`` whose sections
-    are base64 :mod:`repro.net.pages` limb blobs, in canonical order —
-    node ids ascending, each once; child lists in stored sibling order —
-    so equal responses encode to equal bytes:
+    The body is one object under ``"packed"`` whose sections are base64
+    :mod:`repro.net.pages` limb blobs, in canonical order — node ids
+    ascending, each once; child lists in stored sibling order — so equal
+    responses encode to equal bytes:
 
     * ``evaluations``: ``ids`` (the expanded frontier, shared by every
       point) and ``values``, one blob per point;
@@ -521,8 +442,7 @@ class FrontierResponse(Message):
       ``rows`` blob;
     * ``constants``: ``ids`` and ``values``.
 
-    Empty sections are left out.  Both forms decode to the same
-    attributes; packed share rows decode to one
+    Empty sections are left out.  Share rows decode to one
     :class:`~repro.core.query.CoefficientRows` block.  Decoding validates:
     malformed base64, a corrupt blob, a count that does not match its ids,
     negative or repeated ids and blobs announcing more than
@@ -534,15 +454,12 @@ class FrontierResponse(Message):
     def __init__(self, evaluations: Dict[int, Dict[int, int]],
                  children: Dict[int, List[int]],
                  polynomials: Optional[Mapping[int, Sequence[int]]] = None,
-                 constants: Optional[Dict[int, int]] = None,
-                 packed: bool = False) -> None:
+                 constants: Optional[Dict[int, int]] = None) -> None:
         #: ``point -> node_id -> server share evaluation``.
         self.evaluations = evaluations
         self.children = children
         self.polynomials = {} if polynomials is None else polynomials
         self.constants = {} if constants is None else constants
-        #: Encode the packed (v4) form.
-        self.packed = bool(packed)
 
     def checked_evaluations(self, node_ids: Sequence[int],
                             points: Sequence[int]) -> Dict[int, Dict[int, int]]:
@@ -574,20 +491,6 @@ class FrontierResponse(Message):
         return children, data
 
     def payload(self) -> Dict[str, Any]:
-        if self.packed:
-            return {"packed": self._packed_sections()}
-        body: Dict[str, Any] = {
-            "evaluations": {str(point): {str(k): v for k, v in values.items()}
-                            for point, values in self.evaluations.items()},
-            "children": {str(k): v for k, v in self.children.items()},
-        }
-        if self.polynomials:
-            body["polynomials"] = {str(k): v for k, v in self.polynomials.items()}
-        if self.constants:
-            body["constants"] = {str(k): v for k, v in self.constants.items()}
-        return body
-
-    def _packed_sections(self) -> Dict[str, Any]:
         sections: Dict[str, Any] = {}
         if self.evaluations:
             ids = sorted(set().union(*self.evaluations.values()))
@@ -631,25 +534,13 @@ class FrontierResponse(Message):
             sections["constants"] = {
                 "ids": _pack(ids),
                 "values": _pack([self.constants[node_id] for node_id in ids])}
-        return sections
+        return {"packed": sections}
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "FrontierResponse":
-        if "packed" in body:
-            sections = body["packed"]
-            if not isinstance(sections, dict):
-                raise ProtocolError("packed frontier payload is not an object")
-            return cls._from_packed(sections)
-        return cls({int(point): {int(k): int(v) for k, v in values.items()}
-                    for point, values in body["evaluations"].items()},
-                   {int(k): list(v) for k, v in body["children"].items()},
-                   {int(k): [int(c) for c in v]
-                    for k, v in body.get("polynomials", {}).items()},
-                   {int(k): int(v)
-                    for k, v in body.get("constants", {}).items()})
-
-    @classmethod
-    def _from_packed(cls, sections: Dict[str, Any]) -> "FrontierResponse":
+        sections = body.get("packed")
+        if not isinstance(sections, dict):
+            raise ProtocolError("packed frontier payload is not an object")
         reader = _PackedReader()
         evaluations: Dict[int, Dict[int, int]] = {}
         section = _section(sections, "evaluations")
@@ -699,72 +590,7 @@ class FrontierResponse(Message):
         if section is not None:
             ids = reader.ids(section["ids"], "constant ids")
             constants = dict(zip(ids, reader.ints(section["values"], len(ids))))
-        return cls(evaluations, children, polynomials, constants, packed=True)
-
-
-class FetchPolynomialsRequest(Message):
-    """Ask for the full share polynomials of a batch of nodes (verification)."""
-
-    kind = "fetch-polynomials"
-
-    def __init__(self, node_ids: Sequence[int]) -> None:
-        self.node_ids = list(node_ids)
-
-    def payload(self) -> Dict[str, Any]:
-        return {"node_ids": self.node_ids}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "FetchPolynomialsRequest":
-        return cls(_int_list_field(body, "node_ids"))
-
-
-class FetchPolynomialsResponse(Message):
-    """Coefficient vectors of the requested share polynomials."""
-
-    kind = "fetch-polynomials-ok"
-
-    def __init__(self, coefficients: Dict[int, List[int]]) -> None:
-        self.coefficients = {int(k): [int(c) for c in v]
-                             for k, v in coefficients.items()}
-
-    def payload(self) -> Dict[str, Any]:
-        return {"coefficients": {str(k): v for k, v in self.coefficients.items()}}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "FetchPolynomialsResponse":
-        return cls(_int_keyed(body["coefficients"]))
-
-
-class FetchConstantsRequest(Message):
-    """Ask only for constant coefficients (trusted-server mode, §4.3)."""
-
-    kind = "fetch-constants"
-
-    def __init__(self, node_ids: Sequence[int]) -> None:
-        self.node_ids = list(node_ids)
-
-    def payload(self) -> Dict[str, Any]:
-        return {"node_ids": self.node_ids}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "FetchConstantsRequest":
-        return cls(_int_list_field(body, "node_ids"))
-
-
-class FetchConstantsResponse(Message):
-    """Constant coefficients keyed by node id."""
-
-    kind = "fetch-constants-ok"
-
-    def __init__(self, constants: Dict[int, int]) -> None:
-        self.constants = {int(k): int(v) for k, v in constants.items()}
-
-    def payload(self) -> Dict[str, Any]:
-        return {"constants": {str(k): v for k, v in self.constants.items()}}
-
-    @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "FetchConstantsResponse":
-        return cls(_int_keyed(body["constants"]))
+        return cls(evaluations, children, polynomials, constants)
 
 
 class PruneNotice(Message):
@@ -806,7 +632,7 @@ def _check_update_ops(ops: Sequence[Sequence[Any]]) -> List[List[Any]]:
 
 
 class UpdateRequest(Message):
-    """Apply one mutation batch to the hosted document (v3).
+    """Apply one mutation batch to the hosted document.
 
     ``ops`` is the wire form of the batch a
     :class:`~repro.net.store.StoreTransaction` would record, in order:
@@ -854,15 +680,11 @@ class UpdateRequest(Message):
                 elif type(value) is not int:
                     raise ProtocolError(
                         f"field 'ops' must hold integers only, not {value!r:.40}")
-        base = body["base"]
-        if type(base) is not dict:
-            raise ProtocolError("field 'base' must map node ids to versions")
-        _require_ints(list(base.values()), "base")
-        return cls(body["operation"], ops, _int_keyed(base))
+        return cls(body["operation"], ops, _int_map_field(body, "base"))
 
 
 class UpdateResponse(Message):
-    """The batch committed; carries the new per-node versions (v3).
+    """The batch committed; carries the new per-node versions.
 
     ``versions`` holds the post-commit version of every node the batch
     added or replaced (removed nodes simply disappear from the server's
@@ -882,11 +704,12 @@ class UpdateResponse(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "UpdateResponse":
-        return cls(_int_keyed(body["versions"]), body["applied"])
+        return cls(_int_map_field(body, "versions"),
+                   _int_field(body, "applied"))
 
 
 class ConflictResponse(Message):
-    """The batch was rejected: its base versions are stale (v3).
+    """The batch was rejected: its base versions are stale.
 
     ``conflicts`` names every node id whose base version no longer
     matches (sorted, so the encoding is deterministic).  ``versions``
@@ -909,7 +732,8 @@ class ConflictResponse(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "ConflictResponse":
-        return cls(body["conflicts"], _int_keyed(body["versions"]))
+        return cls(_int_list_field(body, "conflicts"),
+                   _int_map_field(body, "versions"))
 
 
 class Acknowledgement(Message):
@@ -934,7 +758,7 @@ class ErrorResponse(Message):
         self.error = str(error)
         #: True for transient server-side failures (e.g. a store backend
         #: hiccup) that a resilient client should retry on the same
-        #: session; absent from the encoding when False (v2-compatible).
+        #: session; absent from the encoding when False.
         self.retryable = bool(retryable)
 
     def payload(self) -> Dict[str, Any]:
@@ -945,7 +769,8 @@ class ErrorResponse(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "ErrorResponse":
-        return cls(body["error"], body.get("retryable", False))
+        return cls(_str_field(body, "error"),
+                   _bool_field(body, "retryable", False))
 
 
 class BusyResponse(Message):
@@ -969,11 +794,17 @@ class BusyResponse(Message):
 
     @classmethod
     def from_payload(cls, body: Dict[str, Any]) -> "BusyResponse":
-        return cls(body.get("retry_after_s", 0.0))
+        value = body.get("retry_after_s", 0.0)
+        if (type(value) not in (int, float) or not math.isfinite(value)
+                or value < 0):
+            raise ProtocolError(
+                "field 'retry_after_s' must be a finite, non-negative number "
+                f"of seconds, not {value!r:.40}")
+        return cls(value)
 
 
 class StatsRequest(Message):
-    """Ask the server for its operational metrics (v3, hello-exempt).
+    """Ask the server for its operational metrics (hello-exempt).
 
     Like the hello exchange, a stats probe needs no prior negotiation —
     operators poke running servers with standalone tools.  It is also
@@ -1010,7 +841,7 @@ class StatsResponse(Message):
 
 
 class HealthRequest(Message):
-    """Liveness/readiness probe (v3, hello- and admission-exempt)."""
+    """Liveness/readiness probe (hello- and admission-exempt)."""
 
     kind = "health"
 
@@ -1060,10 +891,7 @@ class BlobResponse(Message):
 
 _MESSAGE_TYPES = {
     cls.kind: cls for cls in (
-        HelloRequest, HelloResponse, StructureRequest, StructureResponse,
-        ChildrenRequest, ChildrenResponse, EvaluateRequest, EvaluateResponse,
-        FrontierRequest, FrontierResponse, FetchPolynomialsRequest,
-        FetchPolynomialsResponse, FetchConstantsRequest, FetchConstantsResponse,
+        HelloRequest, HelloResponse, FrontierRequest, FrontierResponse,
         PruneNotice, UpdateRequest, UpdateResponse, ConflictResponse,
         Acknowledgement, ErrorResponse, BusyResponse,
         StatsRequest, StatsResponse, HealthRequest, HealthResponse,
@@ -1074,9 +902,8 @@ _MESSAGE_TYPES = {
 
 #: The kinds a client sends; servers decode no other kind.
 REQUEST_KINDS = frozenset(cls.kind for cls in (
-    HelloRequest, StructureRequest, ChildrenRequest, EvaluateRequest,
-    FrontierRequest, FetchPolynomialsRequest, FetchConstantsRequest,
-    PruneNotice, UpdateRequest, StatsRequest, HealthRequest, BlobRequest,
+    HelloRequest, FrontierRequest, PruneNotice, UpdateRequest, StatsRequest,
+    HealthRequest, BlobRequest,
 ))
 
 

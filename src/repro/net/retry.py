@@ -6,7 +6,7 @@ client-side fault tolerance unusually clean: the client's descent state
 :class:`~repro.core.query.QueryEngine` and
 :class:`~repro.net.client.RemoteServerAdapter`, so recovering from a dead
 connection only requires (1) a fresh channel, (2) replaying the HELLO
-negotiation to restore the session's protocol version, and (3) retrying
+negotiation to confirm the session's protocol version, and (3) retrying
 the one in-flight request.  The descent then *resumes* from the current
 frontier — no restart from the root.
 
@@ -18,7 +18,7 @@ Failure taxonomy (see :mod:`repro.errors`):
   reconnects, re-negotiates HELLO, and replays the request **with the
   same idempotency key**, so a server that did process it answers
   bit-identically from its idempotency cache instead of processing (and
-  observing) it twice.  This is exactly what makes v3
+  observing) it twice.  This is exactly what makes
   :class:`~repro.net.messages.UpdateRequest` batches safe to replay: a
   batch that *committed* before the reply was lost is answered with the
   cached :class:`~repro.net.messages.UpdateResponse` (or cached
@@ -317,7 +317,7 @@ class ResilientChannel:
 class ResilientServerInterface(RemoteServerAdapter):
     """A :class:`~repro.net.client.RemoteServerAdapter` that rides out faults.
 
-    Identical to the plain adapter — same descent, same batched v2
+    Identical to the plain adapter — same descent, same batched
     rounds, same byte-for-byte messages modulo the idempotency key — but
     every exchange goes through a :class:`ResilientChannel`, so the
     query engine on top never sees a reset connection or a shed request,
@@ -328,14 +328,12 @@ class ResilientServerInterface(RemoteServerAdapter):
 
     def __init__(self, channel_factory: Callable[[], object], ring,
                  document_id: Optional[str] = None,
-                 protocol_version: Optional[int] = None,
                  policy: Optional[RetryPolicy] = None,
                  request_id_prefix: Optional[str] = None) -> None:
         resilient = ResilientChannel(channel_factory, policy=policy,
                                      request_id_prefix=request_id_prefix)
         try:
-            super().__init__(resilient, ring, document_id=document_id,
-                             protocol_version=protocol_version)
+            super().__init__(resilient, ring, document_id=document_id)
         except BaseException:
             resilient.close()
             raise
@@ -347,7 +345,6 @@ class ResilientServerInterface(RemoteServerAdapter):
 
 def connect_resilient(channel_factory: Callable[[], object], ring,
                       document_id: Optional[str] = None,
-                      protocol_version: Optional[int] = None,
                       policy: Optional[RetryPolicy] = None,
                       request_id_prefix: Optional[str] = None
                       ) -> Tuple[ResilientServerInterface, ResilientChannel]:
@@ -359,7 +356,6 @@ def connect_resilient(channel_factory: Callable[[], object], ring,
     """
     adapter = ResilientServerInterface(channel_factory, ring,
                                        document_id=document_id,
-                                       protocol_version=protocol_version,
                                        policy=policy,
                                        request_id_prefix=request_id_prefix)
     return adapter, adapter.channel
@@ -367,7 +363,6 @@ def connect_resilient(channel_factory: Callable[[], object], ring,
 
 def connect_resilient_socket(host: str, port: int, ring,
                              document_id: Optional[str] = None,
-                             protocol_version: Optional[int] = None,
                              policy: Optional[RetryPolicy] = None,
                              latency_model: Optional[LatencyModel] = None,
                              timeout_s: Optional[float] = 30.0,
@@ -380,5 +375,5 @@ def connect_resilient_socket(host: str, port: int, ring,
                              timeout_s=timeout_s)
 
     return connect_resilient(factory, ring, document_id=document_id,
-                             protocol_version=protocol_version, policy=policy,
+                             policy=policy,
                              request_id_prefix=request_id_prefix)

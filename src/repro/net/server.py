@@ -10,7 +10,7 @@ of running one:
   single-document conveniences the original construction exposed.
 * :class:`ThreadedSearchServer` — the TCP transport: one OS thread per
   client session, length-prefixed frames (:mod:`repro.net.framing`)
-  carrying the unchanged v1–v4 message encodings.  Concurrent frontier
+  carrying the message encodings unchanged.  Concurrent frontier
   requests coalesce into shared
   :meth:`~repro.net.engine.ServingCore.frontier_batch` passes without a
   dispatcher thread: a session thread that finds no pass running answers

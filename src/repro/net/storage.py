@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing, IntQuotientRing
@@ -28,7 +28,6 @@ __all__ = [
     "share_tree_from_dict",
     "save_share_tree",
     "load_share_tree",
-    "InMemoryServerStore",
 ]
 
 
@@ -136,41 +135,3 @@ def load_share_tree(path: str) -> ServerShareTree:
             f"share tree file {path!r} holds a JSON {type(data).__name__}, "
             "not the expected object")
     return share_tree_from_dict(data)
-
-
-class InMemoryServerStore:
-    """A trivial keyed store of share trees (a multi-document 'database').
-
-    Lets one server process host several outsourced documents, addressed by
-    a collection name — the shape a real deployment of the scheme would
-    take.  Keys are opaque to the scheme itself.
-    """
-
-    def __init__(self) -> None:
-        self._trees: Dict[str, ServerShareTree] = {}
-
-    def put(self, name: str, tree: ServerShareTree) -> None:
-        """Store (or replace) a share tree under ``name``."""
-        self._trees[name] = tree
-
-    def get(self, name: str) -> ServerShareTree:
-        """Fetch a stored share tree; raises ``KeyError`` when absent."""
-        return self._trees[name]
-
-    def delete(self, name: str) -> None:
-        """Remove a stored share tree."""
-        del self._trees[name]
-
-    def names(self) -> list:
-        """All stored collection names, sorted."""
-        return sorted(self._trees)
-
-    def total_storage_bits(self) -> int:
-        """Aggregate storage of every stored tree."""
-        return sum(tree.storage_bits() for tree in self._trees.values())
-
-    def __len__(self) -> int:
-        return len(self._trees)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._trees

@@ -17,12 +17,7 @@ import pytest
 from repro.core import outsource_document
 from repro.errors import SharingError
 from repro.net import SQLiteShareStore, SearchServer
-from repro.net.messages import (
-    ChildrenRequest,
-    FetchConstantsRequest,
-    FetchPolynomialsRequest,
-    FrontierRequest,
-)
+from repro.net.messages import FrontierRequest
 from repro.net.storage import share_tree_from_dict, share_tree_to_dict
 from repro.net.store import _SQL_CHUNK, InMemoryShareStore
 from repro.workloads import RandomXmlConfig, generate_random_document
@@ -219,27 +214,24 @@ class TestServedFetches:
             memory_server = SearchServer(tree)
             durable_server = SearchServer(durable)
             some = tree.node_ids()[::7]
-            packed = [FrontierRequest(request.node_ids, request.points,
-                                      request.prune, request.include_children,
-                                      request.fetch_polynomials,
-                                      request.fetch_constants,
-                                      request.lookahead, packed=True)
-                      for request in self.requests(durable)]
-            messages = self.requests(durable) + packed + [
-                ChildrenRequest(some), FetchPolynomialsRequest(some),
-                FetchConstantsRequest(some)]
+            messages = self.requests(durable) + [
+                FrontierRequest(some, [], include_children=True),
+                FrontierRequest(include_children=False,
+                                fetch_polynomials=some),
+                FrontierRequest(include_children=False,
+                                fetch_constants=some)]
             for message in messages:
                 assert memory_server.handle(message).encode() == \
                     durable_server.handle(message).encode()
         finally:
             durable.close()
 
-    def test_v1_fetches_equal_per_node_reads(self, store):
+    def test_exact_fetches_equal_per_node_reads(self, store):
         some = store.node_ids()[::5]
-        server = SearchServer(store)
-        polynomials = server.handle(FetchPolynomialsRequest(some))
-        assert polynomials.coefficients == per_node_rows(store, some)
-        constants = server.handle(FetchConstantsRequest(some))
-        assert constants.constants == {
+        response = SearchServer(store).handle(FrontierRequest(
+            include_children=False, fetch_polynomials=some,
+            fetch_constants=some))
+        assert dict(response.polynomials) == per_node_rows(store, some)
+        assert response.constants == {
             node_id: int(store.share_of(node_id).constant_term)
             for node_id in some}

@@ -159,7 +159,6 @@ class TestFaultPlanDeterminism:
 PHASE_FAULTS = [
     ("hello:send", "reset-before-send", 1),
     ("hello:recv", "reset-after-send", 1),
-    ("structure:recv", "reset-after-send", 1),
     ("frontier:send", "reset-before-send", 2),
     ("frontier:send", "busy", 3),
     ("frontier:recv", "reset-after-send", 1),
@@ -177,12 +176,9 @@ class TestResilientInProcess:
         client, tree = outsourced
         server = SearchServer(tree)
         plan = FaultPlan.single(point, kind, call=call, seed=CHAOS_SEED)
-        # v2 sessions learn the structure from the hello reply, so the
-        # structure exchange only exists on a v1 session.
-        version = 1 if point.startswith("structure") else None
         adapter, channel = connect_resilient(
             lambda: FaultyChannel(InstrumentedChannel(server.handle), plan),
-            tree.ring, protocol_version=version, policy=fast_policy())
+            tree.ring, policy=fast_policy())
         assert run_queries(client, adapter) == reference
         assert plan.fires, "the scheduled fault never fired"
         assert channel.retries >= 1
@@ -197,7 +193,7 @@ class TestResilientInProcess:
             lambda: FaultyChannel(InstrumentedChannel(server.handle), plan),
             tree.ring, policy=fast_policy())
         assert run_queries(client, adapter) == reference
-        assert len(plan.fires) >= len(PHASE_FAULTS) - 1
+        assert len(plan.fires) >= len(PHASE_FAULTS)
         assert channel.reconnects >= 1
 
     def test_random_fault_rate_bit_identical(self, outsourced, reference):
@@ -801,7 +797,7 @@ class TestControlPlaneAccounting:
     def test_quota_sheds_reconcile_and_recover(self, outsourced):
         """Deterministic quota exhaustion: sheds counted, bucket refills."""
         from repro.net.engine import DEFAULT_DOCUMENT, DocumentRegistry
-        from repro.net.messages import StructureRequest
+        from repro.net.messages import PruneNotice
         from repro.obs import FairShareAdmission
 
         _, tree = outsourced
@@ -812,16 +808,16 @@ class TestControlPlaneAccounting:
         registry.configure_quota(DEFAULT_DOCUMENT, 1.0, burst=3)
 
         for _ in range(3):      # the burst allowance
-            server.handle(StructureRequest())
+            server.handle(PruneNotice([tree.root_id]))
         shed = 0
         for _ in range(4):
             with pytest.raises(ServerBusyError) as excinfo:
-                server.handle(StructureRequest())
+                server.handle(PruneNotice([tree.root_id]))
             assert excinfo.value.retry_after_s > 0
             shed += 1
         clock["now"] += 2.0     # two tokens refill at rate 1/s
         for _ in range(2):
-            server.handle(StructureRequest())
+            server.handle(PruneNotice([tree.root_id]))
 
         accounting = self._reconciled(server)
         assert accounting["shed"] == shed

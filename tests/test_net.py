@@ -10,7 +10,6 @@ from repro.errors import ProtocolError
 from repro.net import (
     ChannelStats,
     InstrumentedChannel,
-    InMemoryServerStore,
     LatencyModel,
     RemoteServerAdapter,
     SearchServer,
@@ -27,32 +26,21 @@ from repro.net.messages import (
     Acknowledgement,
     BlobRequest,
     BlobResponse,
-    ChildrenRequest,
-    ChildrenResponse,
-    EvaluateRequest,
-    EvaluateResponse,
-    FetchConstantsRequest,
-    FetchConstantsResponse,
-    FetchPolynomialsRequest,
-    FetchPolynomialsResponse,
+    FrontierRequest,
+    FrontierResponse,
+    HelloRequest,
+    HelloResponse,
     PruneNotice,
-    StructureRequest,
-    StructureResponse,
 )
 
 
 class TestMessages:
     @pytest.mark.parametrize("message", [
-        StructureRequest(),
-        StructureResponse(0, 17),
-        ChildrenRequest([1, 2, 3]),
-        ChildrenResponse({0: [1, 2], 2: []}),
-        EvaluateRequest([0, 1], 4),
-        EvaluateResponse({0: 3, 1: 0}),
-        FetchPolynomialsRequest([5]),
-        FetchPolynomialsResponse({5: [1, 2, 3, 4]}),
-        FetchConstantsRequest([0, 1]),
-        FetchConstantsResponse({0: -12, 1: 7}),
+        HelloRequest([4]),
+        HelloResponse(4, ["default"], root_id=0, node_count=17),
+        FrontierRequest([1, 2, 3], [4], fetch_constants=[0, 1]),
+        FrontierResponse({4: {0: 3, 1: 0}}, {0: [1, 2], 2: []},
+                         {5: [1, 2, 3, 4]}, {0: -12, 1: 7}),
         PruneNotice([9, 10]),
         Acknowledgement(),
         BlobRequest(),
@@ -64,7 +52,7 @@ class TestMessages:
         assert decoded.payload() == message.payload()
 
     def test_byte_size_matches_encoding(self):
-        message = EvaluateRequest([1, 2, 3], 9)
+        message = FrontierRequest([1, 2, 3], [9])
         assert message.byte_size() == len(message.encode())
 
     def test_malformed_messages_rejected(self):
@@ -74,8 +62,9 @@ class TestMessages:
             decode_message(json.dumps({"kind": "martian"}).encode())
 
     def test_negative_coefficients_survive(self):
-        response = FetchPolynomialsResponse({0: [-45, -265]})
-        assert decode_message(response.encode()).coefficients == {0: [-45, -265]}
+        response = FrontierResponse({}, {}, {0: [-45, -265]})
+        assert dict(decode_message(response.encode()).polynomials) == \
+            {0: [-45, -265]}
 
 
 class TestChannel:
@@ -92,7 +81,7 @@ class TestChannel:
 
     def test_reset(self):
         channel = InstrumentedChannel(lambda message: Acknowledgement())
-        channel.request(StructureRequest())
+        channel.request(BlobRequest())
         channel.reset()
         assert channel.stats.total_bytes == 0
         assert channel.transcript == []
@@ -100,7 +89,7 @@ class TestChannel:
     def test_handler_must_return_message(self):
         channel = InstrumentedChannel(lambda message: "nope")
         with pytest.raises(ProtocolError):
-            channel.request(StructureRequest())
+            channel.request(BlobRequest())
 
     def test_latency_model(self):
         model = LatencyModel(latency_s=0.05, bandwidth_bytes_per_s=1000)
@@ -112,7 +101,7 @@ class TestChannel:
         with pytest.raises(ValueError):
             LatencyModel(latency_s=-1)
         channel = InstrumentedChannel(lambda m: Acknowledgement(), latency_model=model)
-        channel.request(StructureRequest())
+        channel.request(BlobRequest())
         assert channel.simulated_seconds() > 0
         assert InstrumentedChannel(lambda m: Acknowledgement()).simulated_seconds() == 0.0
 
@@ -121,16 +110,16 @@ class TestSearchServer:
     def test_handles_all_request_kinds(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
         server = SearchServer(server_tree, encrypted_blob=b"blob")
-        structure = server.handle(StructureRequest())
-        assert structure.node_count == server_tree.node_count()
-        children = server.handle(ChildrenRequest([structure.root_id]))
-        assert children.children[structure.root_id]
-        evaluations = server.handle(EvaluateRequest([0, 1], 3))
-        assert set(evaluations.values) == {0, 1}
-        polys = server.handle(FetchPolynomialsRequest([0]))
-        assert len(polys.coefficients[0]) == server_tree.ring.degree_bound
-        constants = server.handle(FetchConstantsRequest([0]))
-        assert 0 in constants.constants
+        hello = server.handle(HelloRequest())
+        assert hello.node_count == server_tree.node_count()
+        frontier = server.handle(FrontierRequest([hello.root_id], [3]))
+        assert frontier.children[hello.root_id]
+        assert set(frontier.evaluations[3]) == {hello.root_id}
+        fetched = server.handle(FrontierRequest(
+            include_children=False, fetch_polynomials=[0],
+            fetch_constants=[0]))
+        assert len(fetched.polynomials[0]) == server_tree.ring.degree_bound
+        assert 0 in fetched.constants
         assert isinstance(server.handle(PruneNotice([1])), Acknowledgement)
         assert server.handle(BlobRequest()).blob == b"blob"
         assert server.storage_bits() > 0
@@ -138,7 +127,7 @@ class TestSearchServer:
     def test_observations_recorded(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
         server = SearchServer(server_tree)
-        server.handle(EvaluateRequest([0, 1, 2], 5))
+        server.handle(FrontierRequest([0, 1, 2], [5], include_children=False))
         server.handle(PruneNotice([2]))
         observed = server.observations.as_dict()
         assert observed["distinct_points_seen"] == 1
@@ -171,21 +160,10 @@ class TestRemoteAdapter:
     def test_structure_summary_cached(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
         adapter, _, channel = connect_in_process(server_tree)
-        adapter.root_id()
-        adapter.node_count()
-        # The v2 hello already carried the structure summary: no structure
-        # request ever crosses the channel.
-        assert channel.transcript.count(("structure", "structure-ok")) == 0
-        assert channel.transcript.count(("hello", "hello-ok")) == 1
-
-    def test_structure_summary_cached_v1(self, outsourced_catalog):
-        _, server_tree, _ = outsourced_catalog
-        adapter, _, channel = connect_in_process(server_tree, protocol_version=1)
-        adapter.root_id()
-        adapter.node_count()
-        # Legacy sessions fetch the structure exactly once (and never hello).
-        assert channel.transcript.count(("structure", "structure-ok")) == 1
-        assert channel.transcript.count(("hello", "hello-ok")) == 0
+        assert adapter.root_id() == server_tree.root_id
+        assert adapter.node_count() == server_tree.node_count()
+        # The hello carried the structure summary: nothing else crosses.
+        assert channel.transcript == [("hello", "hello-ok")]
 
     def test_download_blob(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
@@ -237,17 +215,3 @@ class TestPersistence:
             paper_document, ring=choose_int_ring(2), seed=b"persist-int")
         restored = share_tree_from_dict(share_tree_to_dict(server_tree))
         assert client.lookup(restored, "client").matches == [1, 3]
-
-    def test_in_memory_store(self, outsourced_catalog):
-        _, server_tree, _ = outsourced_catalog
-        store = InMemoryServerStore()
-        store.put("catalog", server_tree)
-        assert "catalog" in store
-        assert store.get("catalog") is server_tree
-        assert store.names() == ["catalog"]
-        assert store.total_storage_bits() == server_tree.storage_bits()
-        assert len(store) == 1
-        store.delete("catalog")
-        assert "catalog" not in store
-        with pytest.raises(KeyError):
-            store.get("catalog")

@@ -41,8 +41,8 @@ from repro.net.messages import (
     HealthRequest,
     HealthResponse,
     StatsRequest,
+    PruneNotice,
     StatsResponse,
-    StructureRequest,
 )
 from repro.net.retry import ResilientChannel, RetryPolicy
 from repro.obs import (
@@ -388,7 +388,7 @@ class TestWireProbes:
         assert isinstance(health, HealthResponse)
         assert health.status == "ok"
         with pytest.raises(ServerBusyError):
-            server.handle(StructureRequest())
+            server.handle(PruneNotice([tree.root_id]))
 
     def test_client_adapter_probe_methods(self, outsourced):
         client, tree = outsourced
@@ -410,8 +410,8 @@ class TestWireProbes:
         server = SearchServer()
         server.add_document("doc-a", tree)
         server.add_document("doc-b", tree)
-        server.handle(StructureRequest().for_document("doc-a"))
-        server.handle(StructureRequest().for_document("doc-b"))
+        server.handle(PruneNotice([tree.root_id]).for_document("doc-a"))
+        server.handle(PruneNotice([tree.root_id]).for_document("doc-b"))
         response = server.handle(StatsRequest().for_document("doc-a"))
         documents = set()
         for section in response.metrics["instruments"].values():
@@ -428,7 +428,7 @@ class TestWireProbes:
         server = SearchServer()
         server.add_document("doc-a", tree)
         server.registry.configure_quota("doc-a", 100.0, burst=100)
-        server.handle(StructureRequest().for_document("doc-a"))
+        server.handle(PruneNotice([tree.root_id]).for_document("doc-a"))
         response = server.handle(StatsRequest().for_document("doc-a"))
         assert response.metrics["quota"]["admitted"] == 1
         assert response.metrics["quota"]["shed"] == 0
@@ -493,7 +493,7 @@ class TestClientTimings:
         channel = ResilientChannel(
             lambda: InstrumentedChannel(server.handle),
             policy=self._policy())
-        channel.request(StructureRequest())
+        channel.request(PruneNotice([tree.root_id]))
         physical = channel.metrics.histograms(
             "client_attempt_physical_seconds")[0]
         logical = channel.metrics.histograms(
@@ -506,12 +506,12 @@ class TestClientTimings:
 
         _, tree = outsourced
         server = SearchServer(tree)
-        plan = FaultPlan([FaultRule("serve:structure", "busy", calls=[1, 2],
+        plan = FaultPlan([FaultRule("serve:prune", "busy", calls=[1, 2],
                                     retry_after_s=0.0)], seed=0)
         channel = ResilientChannel(
             lambda: InstrumentedChannel(flaky_handler(server.handle, plan)),
             policy=self._policy())
-        channel.request(StructureRequest())
+        channel.request(PruneNotice([tree.root_id]))
         physical = channel.metrics.histograms(
             "client_attempt_physical_seconds")[0]
         logical = channel.metrics.histograms(
@@ -523,11 +523,11 @@ class TestClientTimings:
 
 
 # ---------------------------------------------------------------------------
-# Protocol compatibility: v2 clients against the quota-enabled v3 server
+# Lookups against a quota-enabled server
 # ---------------------------------------------------------------------------
 
-class TestV2ClientCompatibility:
-    def test_v2_lookup_unchanged_with_quotas_enabled(self, outsourced):
+class TestQuotaCompatibility:
+    def test_lookup_unchanged_with_quotas_enabled(self, outsourced):
         client, tree = outsourced
         reference = client.lookup(
             tree, "client", verification=VerificationMode.NONE).matches
@@ -535,8 +535,7 @@ class TestV2ClientCompatibility:
         server = SearchServer(tree)
         server.registry.configure_quota(DEFAULT_DOCUMENT, 1000.0, burst=1000)
         server.registry.configure_shared_pool(100.0)
-        adapter, _ = connect(server, protocol_version=2)
-        assert adapter.protocol_version == 2
+        adapter, _ = connect(server)
         outcome = client.lookup(adapter, "client",
                                 verification=VerificationMode.FULL)
         assert outcome.matches == reference
@@ -544,16 +543,6 @@ class TestV2ClientCompatibility:
         assert accounting["shed"] == 0
         assert accounting["admitted"] == (accounting["completed"]
                                           + accounting["failed"])
-
-    def test_v2_client_cannot_use_probes(self, outsourced):
-        from repro.errors import ProtocolError
-
-        _, tree = outsourced
-        adapter, _ = connect(SearchServer(tree), protocol_version=2)
-        with pytest.raises(ProtocolError):
-            adapter.server_stats()
-        with pytest.raises(ProtocolError):
-            adapter.server_health()
 
 
 # ---------------------------------------------------------------------------

@@ -6,20 +6,20 @@ path matrix, instead of per feature:
 
 * **reference** — :class:`~repro.core.query.LocalServerAdapter` over the
   in-memory share tree on the generic kernel tier: §4.3's lazy descent;
-* **paths** — in-process sessions
-  (:func:`~repro.net.connect`) at protocol v1–v4, socket sessions
-  (:func:`~repro.net.connect_socket`) against
-  :class:`~repro.net.ThreadedSearchServer` at v1–v4, and a resilient
-  socket session (:func:`~repro.net.connect_resilient_socket`) at v4;
+* **paths** — an in-process session (:func:`~repro.net.connect`), a
+  socket session (:func:`~repro.net.connect_socket`) against
+  :class:`~repro.net.ThreadedSearchServer`, and a resilient socket
+  session (:func:`~repro.net.connect_resilient_socket`), all speaking the
+  one wire generation;
 * **other dimensions** — in-memory and SQLite stores; the vector, flat
   and generic kernel tiers (vector resolves to flat without numpy, and on
   ``Z`` rings); FULL, CONSTANT_ONLY and NONE verification.
 
-Each row runs a lookup of every tag and an XPath with absolute,
-descendant and child steps, and on v3+ paths an insert/rename/delete/insert
-edit script through :class:`~repro.net.RemoteUpdatableTree`.  Its answers
-must equal the reference's, per mode; a socket session's byte accounting
-must equal an in-process session's at the same version; after each edit
+Each row runs a lookup of every tag, an XPath with absolute, descendant
+and child steps, and an insert/rename/delete/insert edit script through
+:class:`~repro.net.RemoteUpdatableTree`.  Its answers must equal the
+reference's, per mode; a socket session's byte accounting must equal an
+in-process session's; after each edit
 the store must equal an in-process :class:`~repro.core.UpdatableTree` run
 of the script on a copy, with the same commit log and the same report,
 and after the script the answers must equal the reference over the edited
@@ -60,9 +60,7 @@ from repro.net import (
 from repro.workloads import RandomXmlConfig, figure1_document, generate_random_document
 from repro.xmltree import XmlElement, parse_document, parse_element
 
-PATHS = ([f"in-process-v{version}" for version in (1, 2, 3, 4)]
-         + [f"socket-v{version}" for version in (1, 2, 3, 4)]
-         + ["resilient-v4"])
+PATHS = ("in-process", "socket", "resilient")
 STORES = ("memory", "sqlite")
 TIERS = ("vector", "flat", "generic")
 MODES = (VerificationMode.FULL, VerificationMode.CONSTANT_ONLY,
@@ -89,14 +87,15 @@ FULL_PRODUCT = ("figure1-c2", "figure1-c8")
 
 
 def pairwise_rows():
-    """27 rows covering every pair of path, store, tier and mode values.
+    """9 rows covering every pair of path, store, tier and mode values.
 
-    Row ``(i, j)`` takes path ``i`` and tier ``j``; ``s = i + j`` picks
-    the store (``s mod 2``) and the mode (``s mod 3``).  Fixing any one
-    value, ``s`` runs over at least three consecutive integers, and over
-    six or more where both residues must vary together.
+    Row ``(i, j)`` takes path ``i``, tier ``j``, level ``(i + j) mod 3`` of
+    a third factor and mode ``(i + 2j) mod 3``: an orthogonal array of
+    strength 2, in which each pair of the four columns takes every pair
+    of levels.  Folding the third factor's three levels onto the two
+    stores (``level mod 2``) keeps every pair covered.
     """
-    return [(path, STORES[(i + j) % 2], tier, (MODES[(i + j) % 3],))
+    return [(path, STORES[(i + j) % 3 % 2], tier, (MODES[(i + 2 * j) % 3],))
             for i, path in enumerate(PATHS) for j, tier in enumerate(TIERS)]
 
 
@@ -149,7 +148,7 @@ def edit_targets(tree, document):
 
 
 def edit_script(editor, targets):
-    """insert, rename, delete, insert: the script every v3+ path replays.
+    """insert, rename, delete, insert: the script every path replays.
 
     Yields each edit's report as soon as the edit has committed.
     """
@@ -199,8 +198,8 @@ class Case:
         self.targets = edit_targets(self.tree, self.document)
         self._reference = {}
         self._edited = None
-        #: ``(version, modes) -> ChannelStats.as_dict()`` of in-process
-        #: read phases, recorded by the in-process rows as they run.
+        #: ``modes -> ChannelStats.as_dict()`` of in-process read phases,
+        #: recorded by the in-process rows as they run.
         self.in_process_stats = {}
 
     def reference(self, modes):
@@ -229,19 +228,17 @@ class Case:
             self._edited = (steps, answers)
         return self._edited
 
-    def expected_stats(self, version, modes):
-        """What a socket read phase at ``version`` must account.
+    def expected_stats(self, modes):
+        """What a socket read phase must account.
 
         A socket row whose in-process twin has not run (a ``-k``
         selection) runs the in-process read phase itself.
         """
-        key = (version, modes)
-        if key not in self.in_process_stats:
-            adapter, channel = connect(SearchServer(self.tree),
-                                       protocol_version=version)
+        if modes not in self.in_process_stats:
+            adapter, channel = connect(SearchServer(self.tree))
             read_phase(self, adapter, modes)
-            self.in_process_stats[key] = channel.stats.as_dict()
-        return self.in_process_stats[key]
+            self.in_process_stats[modes] = channel.stats.as_dict()
+        return self.in_process_stats[modes]
 
 
 @pytest.fixture(scope="module")
@@ -272,10 +269,10 @@ def kernel_tier(tier):
 
 
 @contextlib.contextmanager
-def hosted(case, store, editing, tmp_path):
-    """A server core over the row's store (a copy when the row edits)."""
+def hosted(case, store, tmp_path):
+    """A server core over a copy of the row's store (every row edits it)."""
     if store == "memory":
-        yield SearchServer(clone(case.tree) if editing else case.tree)
+        yield SearchServer(clone(case.tree))
         return
     durable = SQLiteShareStore.from_tree(str(tmp_path / "oracle.db"), case.tree)
     try:
@@ -287,20 +284,14 @@ def hosted(case, store, editing, tmp_path):
 @contextlib.contextmanager
 def session(path, core, ring):
     """``(adapter, channel)`` for one path."""
-    kind, version = path.rsplit("-v", 1)
-    version = int(version)
-    if kind == "in-process":
-        adapter, channel = connect(core, protocol_version=version)
-        assert adapter.protocol_version == version
-        yield adapter, channel
+    if path == "in-process":
+        yield connect(core)
         return
     transport = ThreadedSearchServer(core).start()
     try:
-        opener = connect_socket if kind == "socket" else connect_resilient_socket
-        adapter, channel = opener(*transport.address, ring,
-                                  protocol_version=version)
+        opener = connect_socket if path == "socket" else connect_resilient_socket
+        adapter, channel = opener(*transport.address, ring)
         try:
-            assert adapter.protocol_version == version
             yield adapter, channel
         finally:
             channel.close()
@@ -312,19 +303,14 @@ def session(path, core, ring):
 def test_path_matches_reference(row, cases, tmp_path):
     name, path, store, tier, modes = row
     case = cases(name)
-    version = int(path.rsplit("-v", 1)[1])
-    editing = version >= 3
     reference = case.reference(modes)
-    with kernel_tier(tier), hosted(case, store, editing, tmp_path) as core, \
+    with kernel_tier(tier), hosted(case, store, tmp_path) as core, \
             session(path, core, case.tree.ring) as (adapter, channel):
         assert read_phase(case, adapter, modes) == reference
-        if path.startswith("in-process"):
-            case.in_process_stats[(version, modes)] = channel.stats.as_dict()
-        elif path.startswith("socket"):
-            assert channel.stats.as_dict() == \
-                case.expected_stats(version, modes)
-        if not editing:
-            return
+        if path == "in-process":
+            case.in_process_stats[modes] = channel.stats.as_dict()
+        elif path == "socket":
+            assert channel.stats.as_dict() == case.expected_stats(modes)
         steps, answers = case.edited()
         editor = RemoteUpdatableTree(adapter, case.client.mapping,
                                      case.client.share_generator)

@@ -1,16 +1,15 @@
-"""Protocol v4 packed frontier payloads: codec, compatibility, untrusted input.
+"""Packed frontier payloads: codec, compatibility, untrusted input.
 
-A v4 session asks for packed ``frontier-ok`` payloads: every numeric
-section travels as a base64 :mod:`repro.net.pages` limb blob inside the
-same JSON object.  These tests pin
+Every ``frontier-ok`` payload is packed: each numeric section travels as a
+base64 :mod:`repro.net.pages` limb blob inside the JSON object.  These
+tests pin
 
-* the codec: the packed and JSON forms decode to the same evaluations,
-  child lists, share rows and constants, on ``F_p`` and ``Z``-ring trees
-  (negative and wider-than-64-bit coefficients), with empty sections,
-  several points and constants-only fetches;
-* compatibility: golden v4 frames of lookups, an XPath and an update
-  batch, sessions pinned to v3 and a server that offers only v1–v3 (v4
-  and v3 against the plaintext baseline over every path is
+* the codec: packed payloads decode to the evaluations, child lists,
+  share rows and constants the server produced, on ``F_p`` and
+  ``Z``-ring trees (negative and wider-than-64-bit coefficients), with
+  empty sections, several points and constants-only fetches;
+* compatibility: golden frames of lookups, an XPath and an update batch
+  (answers against the plaintext baseline over every path are
   ``tests/test_oracle.py``'s);
 * untrusted input: every tampered packed payload and every omitted node
   raises :class:`~repro.errors.ProtocolError`, never a ``KeyError`` or a
@@ -45,7 +44,6 @@ from repro.net import messages
 from repro.net.framing import FrameAssembler, encode_frame
 from repro.net.messages import (
     MAX_PACKED_VALUES,
-    PROTOCOL_VERSION,
     ErrorResponse,
     FrontierRequest,
     FrontierResponse,
@@ -99,12 +97,6 @@ def served_requests(tree):
     ]
 
 
-def packed_twin(request):
-    twin = decode_message(request.encode())
-    twin.packed = True
-    return twin
-
-
 def sections(response):
     """A decoded response's data as plain dicts and lists."""
     return (response.evaluations, response.children,
@@ -114,15 +106,14 @@ def sections(response):
 
 class TestPackedCodec:
     @pytest.mark.parametrize("ring", ["fp", "z"])
-    def test_packed_and_json_decode_identically(self, ring, fp_outsourced,
-                                                z_outsourced):
+    def test_packed_decodes_to_the_served_data(self, ring, fp_outsourced,
+                                               z_outsourced):
         _, _, tree = fp_outsourced if ring == "fp" else z_outsourced
         server = SearchServer(tree)
         for request in served_requests(tree):
-            plain = decode_message(server.handle(request).encode())
-            packed = decode_message(server.handle(packed_twin(request)).encode())
-            assert not plain.packed and packed.packed
-            assert sections(packed) == sections(plain)
+            served = server.handle(request)
+            packed = decode_message(served.encode())
+            assert sections(packed) == sections(served)
             assert all(type(value) is int
                        for values in packed.evaluations.values()
                        for value in values.values())
@@ -140,29 +131,21 @@ class TestPackedCodec:
         _, _, tree = fp_outsourced
         root = tree.root_id
         children = tree.child_ids(root)
-        forward = FrontierRequest(children, [4, 3], lookahead=1, packed=True,
+        forward = FrontierRequest(children, [4, 3], lookahead=1,
                                   fetch_polynomials=children)
         backward = FrontierRequest(children[::-1], [3, 4], lookahead=1,
-                                   packed=True, fetch_polynomials=children[::-1])
+                                   fetch_polynomials=children[::-1])
         server = SearchServer(tree)
         assert server.handle(forward).encode() == server.handle(backward).encode()
 
-    def test_packed_sections_shrink_a_large_fetch(self, fp_outsourced):
-        _, _, tree = fp_outsourced
-        request = FrontierRequest([], [], include_children=False,
-                                  fetch_polynomials=tree.node_ids())
-        server = SearchServer(tree)
-        plain = server.handle(request).encode()
-        packed = server.handle(packed_twin(request)).encode()
-        assert len(packed) < len(plain)
-
-    def test_flag_is_encoded_only_when_set(self):
-        request = FrontierRequest([1, 2], [3])
-        assert b"packed" not in request.encode()
-        assert decode_message(request.encode()).packed is False
-        request.packed = True
-        assert b'"packed":true' in request.encode()
-        assert decode_message(request.encode()).packed is True
+    def test_every_request_asks_for_packed_payloads(self):
+        encoded = FrontierRequest([1, 2], [3]).encode()
+        assert b'"packed":true' in encoded
+        assert decode_message(encoded).node_ids == [1, 2]
+        for flag in (b'', b',"packed":false'):
+            body = b'{"kind":"frontier","node_ids":[1],"points":[3]' + flag + b'}'
+            with pytest.raises(ProtocolError, match="'packed' must be true"):
+                decode_message(body)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -184,19 +167,17 @@ class TestPackedCodec:
                                                    max_size=width))
                        for node_id in data.draw(ids)}
         constants = {node_id: data.draw(values) for node_id in data.draw(ids)}
-        plain = decode_message(FrontierResponse(
-            evaluations, children, polynomials, constants).encode())
         packed = decode_message(FrontierResponse(
-            evaluations, children, polynomials, constants, packed=True).encode())
-        assert sections(packed) == sections(plain)
-        assert sections(plain) == (evaluations, children, polynomials, constants)
+            evaluations, children, polynomials, constants).encode())
+        assert sections(packed) == (evaluations, children, polynomials,
+                                    constants)
 
 
 def packed_body(tree):
     """A valid packed frontier-ok with all four sections, as parsed JSON."""
     root = tree.root_id
     children = tree.child_ids(root)
-    request = FrontierRequest(children, [3, 4], lookahead=1, packed=True,
+    request = FrontierRequest(children, [3, 4], lookahead=1,
                               fetch_polynomials=[root], fetch_constants=children)
     return json.loads(SearchServer(tree).handle(request).encode())
 
@@ -306,7 +287,8 @@ class TestTamperedPayloads:
         assert set(body["packed"]) == {"evaluations", "children",
                                        "polynomials", "constants"}
         decoded = decode_message(json.dumps(body).encode())
-        assert decoded.packed and decoded.polynomials and decoded.constants
+        assert decoded.evaluations and decoded.children
+        assert decoded.polynomials and decoded.constants
 
     @pytest.mark.parametrize("case", sorted(TAMPERINGS))
     def test_tampered_payload_raises_protocol_error(self, case, fp_outsourced):
@@ -321,7 +303,7 @@ class TestTamperedPayloads:
                     for text in blob_texts(body["packed"]))
         encoded = json.dumps(body).encode()
         monkeypatch.setattr(messages, "MAX_PACKED_VALUES", total)
-        assert decode_message(encoded).packed
+        assert decode_message(encoded).polynomials
         monkeypatch.setattr(messages, "MAX_PACKED_VALUES", total - 1)
         with pytest.raises(ProtocolError, match="announces more than"):
             decode_message(encoded)
@@ -476,35 +458,32 @@ def golden_session_frames(name):
     return frames
 
 
-def recorded_session(server, ring, version):
-    """An adapter whose channel records every (request, response) frame."""
-    frames = []
-
-    def handler(message):
-        response = server.handle(message)
-        frames.append((message.encode(), response.encode()))
-        return response
-
-    adapter = RemoteServerAdapter(InstrumentedChannel(handler), ring,
-                                  protocol_version=version)
-    return adapter, frames
-
-
 class TestCompatibility:
     @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
     def test_golden_v4_frames(self, name):
         assert golden_session_frames(name) == GOLDEN_FRAMES[name]
 
-    def test_default_session_is_packed(self, fp_outsourced):
+    def test_every_read_is_a_packed_frontier_round(self, fp_outsourced):
         _, client, tree = fp_outsourced
-        adapter, frames = recorded_session(SearchServer(tree), tree.ring, None)
-        assert adapter.protocol_version == PROTOCOL_VERSION == 4
+        server = SearchServer(tree)
+        frames = []
+
+        def handler(message):
+            response = server.handle(message)
+            frames.append((message.encode(), response.encode()))
+            return response
+
+        adapter = RemoteServerAdapter(InstrumentedChannel(handler), tree.ring)
         client.lookup(adapter, "name")
-        frontier = [(request, response) for request, response in frames
-                    if b'"kind":"frontier"' in request]
-        assert frontier
-        assert all(b'"packed":true' in request and b'"packed":{' in response
-                   for request, response in frontier)
+        adapter.children_of([tree.root_id])
+        adapter.evaluate([tree.root_id], 3)
+        reads = [(request, response) for request, response in frames
+                 if b'"kind":"hello"' not in request]
+        assert len(reads) >= 3
+        assert all(b'"kind":"frontier"' in request
+                   and b'"packed":true' in request
+                   and b'"packed":{' in response
+                   for request, response in reads)
 
     def test_v4_shares_are_built_from_python_ints(self, fp_outsourced):
         _, _, tree = fp_outsourced
@@ -515,26 +494,6 @@ class TestCompatibility:
                 for node_id in tree.node_ids()}
         assert all(type(c) is int for share in shares.values()
                    for c in share.coeffs)
-
-    def test_v3_pin_keeps_json(self, fp_outsourced):
-        _, client, tree = fp_outsourced
-        adapter, frames = recorded_session(SearchServer(tree), tree.ring, 3)
-        client.lookup(adapter, "name")
-        assert frames and not any(b"packed" in request + response
-                                  for request, response in frames)
-
-    def test_server_offering_up_to_v3_answers_in_json(self, fp_outsourced,
-                                                      monkeypatch):
-        from repro.net import engine
-
-        monkeypatch.setattr(engine, "SUPPORTED_PROTOCOL_VERSIONS", (1, 2, 3))
-        document, client, tree = fp_outsourced
-        adapter, frames = recorded_session(SearchServer(tree), tree.ring, None)
-        assert adapter.protocol_version == 3
-        assert client.lookup(adapter, "name").matches == \
-            PlaintextSearchIndex(document).lookup("name").matches
-        assert not any(b"packed" in request + response
-                       for request, response in frames)
 
 
 class DroppingServer(SearchServer):
@@ -575,26 +534,24 @@ class DroppingServer(SearchServer):
 
 
 class TestOmittedNodes:
-    @pytest.mark.parametrize("version", [3, 4])
     @pytest.mark.parametrize("section", ["evaluation", "share row"])
-    def test_lookup_raises_protocol_error(self, section, version, fp_outsourced):
+    def test_lookup_raises_protocol_error(self, section, fp_outsourced):
         _, client, tree = fp_outsourced
         server = DroppingServer(tree, section)
-        adapter, _ = connect(server, protocol_version=version)
+        adapter, _ = connect(server)
         with pytest.raises(ProtocolError, match=f"omits the {section}") as error:
             client.lookup(adapter, "name")
         assert str(error.value).endswith(f"of node {server.dropped[-1]}")
 
-    @pytest.mark.parametrize("version", [3, 4])
     @pytest.mark.parametrize("section", ["child list", "share row"])
-    def test_verification_bundle_raises_protocol_error(self, section, version,
+    def test_verification_bundle_raises_protocol_error(self, section,
                                                        fp_outsourced):
         _, _, tree = fp_outsourced
         root = tree.root_id
-        adapter, _ = connect(DroppingServer(tree, section),
-                             protocol_version=version)
+        adapter, _ = connect(DroppingServer(tree, section))
         with pytest.raises(ProtocolError, match=f"omits the {section} of node"):
             adapter.verification_bundle([root])
+
 
 def test_reference_codec_serves_a_v4_socket_lookup():
     """With numpy disabled both ends pack and unpack through the int codec."""
@@ -619,7 +576,6 @@ def test_reference_codec_serves_a_v4_socket_lookup():
         finally:
             server.stop()
         print(json.dumps({"numpy": numpy_or_none() is not None,
-                          "version": adapter.protocol_version,
                           "matches": matches}))
     """)
     env = dict(os.environ, REPRO_DISABLE_NUMPY="1", PYTHONPATH=SRC)
@@ -627,7 +583,6 @@ def test_reference_codec_serves_a_v4_socket_lookup():
         [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, check=True, timeout=300).stdout.strip().splitlines()[-1])
     assert result["numpy"] is False
-    assert result["version"] == 4
     plaintext = PlaintextSearchIndex(document)
     assert result["matches"] == {tag: plaintext.lookup(tag).matches
                                  for tag in sorted(document.distinct_tags())}

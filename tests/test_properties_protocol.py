@@ -13,70 +13,63 @@ from repro.net import (
     share_tree_to_dict,
 )
 from repro.net.messages import (
-    ChildrenRequest,
-    ChildrenResponse,
-    EvaluateRequest,
-    EvaluateResponse,
-    FetchConstantsResponse,
-    FetchPolynomialsResponse,
     FrontierRequest,
     FrontierResponse,
     HelloRequest,
+    HelloResponse,
     PruneNotice,
-    StructureResponse,
 )
 
 node_id_lists = st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=30)
+unique_ids = st.lists(st.integers(min_value=0, max_value=999), unique=True,
+                      max_size=12)
 values = st.integers(min_value=-(10 ** 12), max_value=10 ** 12)
 
 
 class TestMessageRoundTrips:
-    @given(node_id_lists, st.integers(min_value=0, max_value=10 ** 6))
-    def test_evaluate_request(self, node_ids, point):
-        message = EvaluateRequest(node_ids, point)
-        decoded = decode_message(message.encode())
-        assert decoded.node_ids == list(node_ids)
-        assert decoded.point == point
+    @given(st.lists(st.integers(min_value=1, max_value=50), unique=True,
+                    max_size=4), unique_ids, st.data())
+    def test_evaluations(self, points, node_ids, data):
+        evaluations = {point: {node_id: data.draw(values)
+                               for node_id in node_ids}
+                       for point in points}
+        decoded = decode_message(FrontierResponse(evaluations, {}).encode())
+        assert decoded.evaluations == evaluations
+
+    @given(unique_ids, st.integers(min_value=0, max_value=8), st.data())
+    def test_share_rows(self, node_ids, width, data):
+        rows = {node_id: data.draw(st.lists(values, min_size=width,
+                                            max_size=width))
+                for node_id in node_ids}
+        decoded = decode_message(FrontierResponse({}, {}, rows).encode())
+        assert dict(decoded.polynomials) == rows
 
     @given(st.dictionaries(st.integers(min_value=0, max_value=999), values, max_size=20))
-    def test_evaluate_response(self, mapping):
-        decoded = decode_message(EvaluateResponse(mapping).encode())
-        assert decoded.values == {int(k): int(v) for k, v in mapping.items()}
-
-    @given(st.dictionaries(st.integers(min_value=0, max_value=999),
-                           st.lists(values, max_size=8), max_size=10))
-    def test_polynomials_response(self, mapping):
-        decoded = decode_message(FetchPolynomialsResponse(mapping).encode())
-        assert decoded.coefficients == {int(k): [int(c) for c in v]
-                                        for k, v in mapping.items()}
-
-    @given(st.dictionaries(st.integers(min_value=0, max_value=999), values, max_size=20))
-    def test_constants_response(self, mapping):
-        decoded = decode_message(FetchConstantsResponse(mapping).encode())
-        assert decoded.constants == {int(k): int(v) for k, v in mapping.items()}
+    def test_constants(self, mapping):
+        decoded = decode_message(FrontierResponse({}, {}, None, mapping).encode())
+        assert decoded.constants == mapping
 
     @given(node_id_lists)
-    def test_prune_and_children_request(self, node_ids):
+    def test_prune_notice(self, node_ids):
         assert decode_message(PruneNotice(node_ids).encode()).node_ids == list(node_ids)
-        assert decode_message(
-            ChildrenRequest(node_ids).encode()).node_ids == list(node_ids)
 
     @given(st.dictionaries(st.integers(min_value=0, max_value=99),
                            st.lists(st.integers(min_value=0, max_value=99), max_size=6),
                            max_size=10))
-    def test_children_response(self, mapping):
-        decoded = decode_message(ChildrenResponse(mapping).encode())
-        assert decoded.children == {int(k): list(v) for k, v in mapping.items()}
+    def test_child_lists(self, mapping):
+        decoded = decode_message(FrontierResponse({}, mapping).encode())
+        assert decoded.children == mapping
 
     @given(st.integers(min_value=0, max_value=10 ** 6),
            st.integers(min_value=1, max_value=10 ** 6))
-    def test_structure_response(self, root_id, count):
-        decoded = decode_message(StructureResponse(root_id, count).encode())
+    def test_structure_summary(self, root_id, count):
+        decoded = decode_message(
+            HelloResponse(4, ["default"], root_id, count).encode())
         assert (decoded.root_id, decoded.node_count) == (root_id, count)
 
     @given(node_id_lists, st.integers(min_value=0, max_value=100))
     def test_byte_size_is_encoding_length(self, node_ids, point):
-        message = EvaluateRequest(node_ids, point)
+        message = FrontierRequest(node_ids, [point])
         assert message.byte_size() == len(message.encode())
 
 
@@ -92,7 +85,7 @@ class TestRingSerialisation:
         assert ring_from_dict(ring_to_dict(ring)) == ring
 
 
-class TestVersion2Messages:
+class TestSessionMessages:
     @given(node_id_lists, st.lists(st.integers(min_value=1, max_value=100),
                                    max_size=4),
            node_id_lists, st.booleans(),
@@ -112,21 +105,6 @@ class TestVersion2Messages:
         assert decoded.lookahead == lookahead
         assert decoded.document_id == document_id
 
-    @given(st.dictionaries(st.integers(min_value=1, max_value=50),
-                           st.dictionaries(st.integers(min_value=0, max_value=99),
-                                           values, max_size=6),
-                           max_size=4),
-           st.dictionaries(st.integers(min_value=0, max_value=99),
-                           st.lists(st.integers(min_value=0, max_value=99),
-                                    max_size=4),
-                           max_size=6))
-    def test_frontier_response(self, evaluations, children):
-        decoded = decode_message(FrontierResponse(evaluations, children).encode())
-        assert decoded.evaluations == {
-            int(point): {int(k): int(v) for k, v in vals.items()}
-            for point, vals in evaluations.items()}
-        assert decoded.children == {int(k): list(v) for k, v in children.items()}
-
     @given(st.lists(st.integers(min_value=1, max_value=99), min_size=1,
                     max_size=4, unique=True))
     def test_hello_roundtrip(self, versions):
@@ -134,12 +112,12 @@ class TestVersion2Messages:
         assert decoded.versions == list(versions)
 
     @given(node_id_lists)
-    def test_document_stamp_preserved_on_v1_messages(self, node_ids):
-        message = EvaluateRequest(node_ids, 3).for_document("tenant-7")
+    def test_document_stamp_preserved(self, node_ids):
+        message = FrontierRequest(node_ids, [3]).for_document("tenant-7")
         decoded = decode_message(message.encode())
         assert decoded.document_id == "tenant-7"
-        # Unstamped messages keep the exact v1 wire encoding.
-        assert b"document_id" not in EvaluateRequest(node_ids, 3).encode()
+        # Unstamped messages leave the field out of the encoding.
+        assert b"document_id" not in FrontierRequest(node_ids, [3]).encode()
 
 
 def _tree_strategy(ring):

@@ -1,5 +1,5 @@
 """Tests for the multi-document server engine, the hello negotiation and
-the batched v2 frontier protocol, including concurrent query handling."""
+the batched frontier protocol, including concurrent query handling."""
 
 import sys
 import threading
@@ -7,22 +7,28 @@ import threading
 import pytest
 
 from repro.core import VerificationMode, outsource_document
+from repro.core.query import LocalServerAdapter
 from repro.errors import ProtocolError
 from repro.net import (
     DEFAULT_DOCUMENT,
     DocumentRegistry,
+    FaultPlan,
+    FaultyChannel,
+    InstrumentedChannel,
+    RemoteServerAdapter,
+    RetryPolicy,
     SQLiteShareStore,
     SearchServer,
     connect,
     connect_in_process,
+    connect_resilient,
 )
 from repro.net.messages import (
     PROTOCOL_VERSION,
-    EvaluateRequest,
     FrontierRequest,
     HelloRequest,
     HelloResponse,
-    StructureRequest,
+    PruneNotice,
     decode_message,
 )
 from repro.workloads import CatalogConfig, generate_catalog_document
@@ -48,9 +54,9 @@ class TestHelloNegotiation:
     def test_highest_common_version_wins(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
         server = SearchServer(server_tree)
-        response = server.handle(HelloRequest([1, 2, 99]))
+        response = server.handle(HelloRequest([1, 2, 3, PROTOCOL_VERSION, 99]))
         assert isinstance(response, HelloResponse)
-        assert response.version == 2
+        assert response.version == PROTOCOL_VERSION
         assert response.documents == [DEFAULT_DOCUMENT]
         assert response.root_id == server_tree.root_id
         assert response.node_count == server_tree.node_count()
@@ -61,26 +67,56 @@ class TestHelloNegotiation:
         with pytest.raises(ProtocolError, match="no common version"):
             server.handle(HelloRequest([99, 100]))
 
+    def test_older_generations_rejected_loudly(self, outsourced_catalog):
+        _, server_tree, _ = outsourced_catalog
+        server = SearchServer(server_tree)
+        with pytest.raises(ProtocolError, match="no common version"):
+            server.handle(HelloRequest([1, 2, 3]))
+
     def test_adapter_negotiates(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
-        adapter, _, _ = connect_in_process(server_tree)
-        assert adapter.protocol_version == PROTOCOL_VERSION
+        adapter, _, channel = connect_in_process(server_tree)
+        assert channel.transcript == [("hello", "hello-ok")]
         assert adapter.batched_rounds
 
-    def test_forced_v1_session_is_hello_free(self, outsourced_catalog):
+    def test_adapter_refuses_a_version_it_did_not_offer(self):
+        channel = InstrumentedChannel(
+            lambda message: HelloResponse(PROTOCOL_VERSION + 1))
+        with pytest.raises(ProtocolError, match="did not offer"):
+            RemoteServerAdapter(channel, None)
+
+    def test_reconnect_refuses_a_hello_with_another_version(
+            self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
-        adapter, _, channel = connect_in_process(server_tree, protocol_version=1)
-        assert adapter.protocol_version == 1
-        assert not adapter.batched_rounds
-        assert channel.transcript == []
+        server = SearchServer(server_tree)
+        plan = FaultPlan.single("frontier:send", "reset-before-send", call=1)
+        versions = iter([PROTOCOL_VERSION, PROTOCOL_VERSION + 1])
+
+        def channel_factory():
+            version = next(versions)
+
+            def handler(message):
+                response = server.handle(message)
+                if isinstance(response, HelloResponse):
+                    response.version = version
+                return response
+
+            return FaultyChannel(InstrumentedChannel(handler), plan)
+
+        adapter, _ = connect_resilient(
+            channel_factory, server_tree.ring,
+            policy=RetryPolicy(sleep=lambda _s: None))
+        with pytest.raises(ProtocolError, match="re-negotiated"):
+            adapter.frontier_round([server_tree.root_id], [3])
+        assert plan.fires
 
     def test_hello_does_not_leak_other_tenants(self, two_document_server):
         server, _ = two_document_server
-        response = server.handle(HelloRequest([1, 2]).for_document("north"))
+        response = server.handle(HelloRequest().for_document("north"))
         assert response.documents == ["north"]
         # Unknown documents are rejected without enumerating hosted tenants.
         with pytest.raises(ProtocolError) as excinfo:
-            server.handle(HelloRequest([1, 2]).for_document("nowhere"))
+            server.handle(HelloRequest().for_document("nowhere"))
         assert "north" not in str(excinfo.value)
         assert "south" not in str(excinfo.value)
 
@@ -141,14 +177,14 @@ class TestMultiDocumentServer:
         server, _ = two_document_server
         with pytest.raises(ProtocolError, match="unknown document"):
             connect(server, document_id="nowhere")
-        request = EvaluateRequest([0], 3).for_document("nowhere")
+        request = FrontierRequest([0], [3]).for_document("nowhere")
         with pytest.raises(ProtocolError, match="unknown document"):
             server.handle(request)
 
     def test_unaddressed_request_on_multi_tenant_server(self, two_document_server):
         server, _ = two_document_server
         with pytest.raises(ProtocolError, match="address one explicitly"):
-            server.handle(StructureRequest())
+            server.handle(FrontierRequest([0], [3]))
 
     def test_per_document_observations(self, two_document_server):
         server, clients = two_document_server
@@ -185,16 +221,16 @@ class TestMultiDocumentServer:
 
 
 class TestBatchedProtocol:
-    def test_v2_xpath_matches_v1_with_fewer_round_trips(self, outsourced_catalog):
+    def test_xpath_matches_the_per_level_reference_in_fewer_round_trips(
+            self, outsourced_catalog):
         client, server_tree, _ = outsourced_catalog
-        server = SearchServer(server_tree)
-        totals = {}
-        for version in (1, 2):
-            adapter, channel = connect(server, protocol_version=version)
-            result = client.xpath(adapter, "//customer/order")
-            totals[version] = (result.matches, channel.stats.round_trips)
-        assert totals[1][0] == totals[2][0]
-        assert totals[2][1] < totals[1][1]
+        reference = client.xpath(LocalServerAdapter(server_tree),
+                                 "//customer/order")
+        adapter, channel = connect(SearchServer(server_tree))
+        batched = client.xpath(adapter, "//customer/order")
+        assert batched.matches == reference.matches
+        assert batched.stats.round_trips < reference.stats.round_trips
+        assert channel.stats.round_trips == batched.stats.round_trips + 1
 
     def test_frontier_request_round_trip(self):
         message = FrontierRequest([1, 2], [3], prune=[9], include_children=True,
@@ -363,7 +399,7 @@ class TestDocumentTransactions:
         answered = threading.Event()
 
         def query():
-            server.handle(StructureRequest())
+            server.handle(PruneNotice([server_tree.root_id]))
             answered.set()
 
         with document.transaction() as txn:

@@ -29,20 +29,25 @@ from repro.net import (
     FaultRule,
     FaultyStore,
     InMemoryShareStore,
+    InstrumentedChannel,
     SearchServer,
     ServingCore,
     ThreadedSearchServer,
     connect,
     connect_socket,
 )
+from repro.net.channel import SocketChannel
 from repro.net.framing import FRAME_HEADER_BYTES, decode_frame_length, encode_frame
 from repro.net.messages import (
+    PROTOCOL_VERSION,
+    BusyResponse,
     ErrorResponse,
-    EvaluateRequest,
     FrontierRequest,
-    StructureRequest,
+    HelloRequest,
+    PruneNotice,
     decode_message,
 )
+from repro.net.retry import ResilientChannel, RetryPolicy
 from repro.workloads import figure1_document
 
 QUERIES = ["//client", "//name", "//client/name", "/customers/client/name"]
@@ -106,11 +111,11 @@ class TestFrontierBatchIdentity:
         return outsourced[1]
 
     def build_requests(self, tree):
-        """Each request twice: JSON and packed (v4), so the batch is mixed."""
+        """Requests covering every section, some twice in one batch."""
         root = tree.root_id
         children = tree.child_ids(root)
         return [
-            FrontierRequest(node_ids, points, packed=packed, **fields)
+            FrontierRequest(node_ids, points, **fields)
             for node_ids, points, fields in [
                 ([root], [3], {}),
                 (children, [3, 4], {"lookahead": 1}),
@@ -121,7 +126,7 @@ class TestFrontierBatchIdentity:
                 ([], [], {"include_children": True,
                           "fetch_polynomials": children[:2]}),
             ]
-            for packed in (False, True)
+            for _ in range(2)
         ]
 
     def build_mixed_batch(self, tree):
@@ -165,7 +170,7 @@ class TestFrontierBatchIdentity:
     def test_batch_rejects_non_frontier_messages(self, store):
         server = SearchServer(store)
         with pytest.raises(ProtocolError):
-            server.frontier_batch([EvaluateRequest([0], 3)])
+            server.frontier_batch([PruneNotice([0])])
 
     def test_batch_isolates_bad_requests(self, store):
         from repro.net.messages import ErrorResponse, FrontierResponse
@@ -238,6 +243,12 @@ class TestSocketTransports:
         finally:
             channel.close()
 
+    def test_older_hello_refused_then_the_session_negotiates(self, served):
+        with SocketChannel(*served.address) as channel:
+            with pytest.raises(ProtocolError, match="no common version"):
+                channel.request(HelloRequest([1, 2, 3]))
+            assert channel.request(HelloRequest()).version == PROTOCOL_VERSION
+
     def test_oversized_request_rejected(self, outsourced):
         _, tree = outsourced
         transport = ThreadedSearchServer(SearchServer(tree),
@@ -255,13 +266,13 @@ class TestSocketTransports:
         transport = ThreadedSearchServer(SearchServer(tree),
                                          max_frame_bytes=192).start()
         try:
-            adapter, channel = connect_socket(*transport.address, tree.ring,
-                                              protocol_version=1)
-            # The request fits in the limit; the full-tree polynomial
-            # fetch response does not, so the server must answer with an
-            # in-band frame-limit error rather than dropping the session.
+            adapter, channel = connect_socket(*transport.address, tree.ring)
+            # The request fits in the limit; the full-tree verification
+            # bundle (share rows and child lists) does not, so the server
+            # must answer with an in-band frame-limit error rather than
+            # dropping the session.
             with pytest.raises(ProtocolError, match="frame limit"):
-                adapter.fetch_polynomials(tree.node_ids())
+                adapter.verification_bundle(tree.node_ids())
             # ... and the session still works for small exchanges.
             assert adapter.evaluate([tree.root_id], 3)
             channel.close()
@@ -285,9 +296,9 @@ class TestSocketTransports:
     def test_pipelined_frames_answered_in_order(self, outsourced, served):
         _, tree = outsourced
         root = tree.root_id
-        requests = [FrontierRequest([root], [3]), StructureRequest(),
+        requests = [FrontierRequest([root], [3]), PruneNotice([root]),
                     FrontierRequest(tree.child_ids(root), [4], lookahead=1),
-                    EvaluateRequest([987654], 3)]
+                    FrontierRequest([987654], [3], include_children=False)]
         reference = SearchServer(tree)
         expected = []
         for request in requests:
@@ -388,26 +399,38 @@ MALFORMED_BODIES = [
     (b'[1, 2]', "not an object"),
     (b'"frontier"', "not an object"),
     (b'{"kind": ["frontier"]}', "unknown message kind"),
-    (b'{"kind": "frontier", "node_ids": [0.0], "points": [3]}', "node_ids"),
-    (b'{"kind": "frontier", "node_ids": [true], "points": [3]}', "node_ids"),
-    (b'{"kind": "frontier", "node_ids": ["0"], "points": [3]}', "node_ids"),
-    (b'{"kind": "frontier", "node_ids": "0", "points": [3]}', "node_ids"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [2.7]}', "points"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "lookahead": 1.9}',
-     "lookahead"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "prune": [false]}',
-     "prune"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], '
+    (b'{"kind": "children", "node_ids": [0]}', "unknown message kind"),
+    (b'{"kind": "evaluate", "node_ids": [0], "point": 3}',
+     "unknown message kind"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3]}', "packed"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": false}',
+     "packed"),
+    (b'{"kind": "frontier", "node_ids": [0.0], "points": [3], "packed": true}',
+     "node_ids"),
+    (b'{"kind": "frontier", "node_ids": [true], "points": [3], "packed": true}',
+     "node_ids"),
+    (b'{"kind": "frontier", "node_ids": ["0"], "points": [3], "packed": true}',
+     "node_ids"),
+    (b'{"kind": "frontier", "node_ids": "0", "points": [3], "packed": true}',
+     "node_ids"),
+    (b'{"kind": "frontier", "node_ids": [null], "points": [3], "packed": true}',
+     "node_ids"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [2.7], "packed": true}',
+     "points"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
+     b'"lookahead": 1.9}', "lookahead"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
+     b'"prune": [false]}', "prune"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
      b'"fetch_polynomials": ["1"]}', "fetch_polynomials"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], '
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
+     b'"fetch_polynomials": [[0]]}', "fetch_polynomials"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
      b'"fetch_constants": [1.5]}', "fetch_constants"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "children": 1}',
-     "children"),
-    (b'{"kind": "children", "node_ids": [0.0]}', "node_ids"),
-    (b'{"kind": "evaluate", "node_ids": [0], "point": 2.5}', "point"),
-    (b'{"kind": "evaluate", "node_ids": [null], "point": 3}', "node_ids"),
-    (b'{"kind": "fetch-polynomials", "node_ids": [[0]]}', "node_ids"),
-    (b'{"kind": "fetch-constants", "node_ids": {"0": 1}}', "node_ids"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
+     b'"fetch_constants": {"0": 1}}', "fetch_constants"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
+     b'"children": 1}', "children"),
     (b'{"kind": "prune", "node_ids": [true]}', "node_ids"),
     (b'{"kind": "hello", "versions": [4.0]}', "versions"),
     (b'{"kind": "update", "operation": "x", "ops": [["replace", 1.9, [2]]], '
@@ -420,13 +443,42 @@ MALFORMED_BODIES = [
      "base"),
 ]
 
+#: Response bodies decoding must refuse, each with the text its error names.
+MALFORMED_RESPONSES = [
+    (b'[1]', "malformed"),
+    (b'"hello-ok"', "malformed"),
+    (b'7', "malformed"),
+    (b'null', "malformed"),
+    (b'{"kind": "frontier-ok", "evaluations": {}, "children": {}}', "packed"),
+    (b'{"kind": "hello-ok", "version": 4, "root_id": "x", "node_count": 2.5}',
+     "root_id"),
+    (b'{"kind": "hello-ok", "version": 4, "root_id": 0, "node_count": 2.5}',
+     "node_count"),
+    (b'{"kind": "hello-ok", "version": "4"}', "version"),
+    (b'{"kind": "hello-ok", "version": 4, "documents": [7]}', "documents"),
+    (b'{"kind": "update-ok", "versions": {"1": 1.5}, "applied": 1}',
+     "versions"),
+    (b'{"kind": "update-ok", "versions": {}, "applied": true}', "applied"),
+    (b'{"kind": "conflict", "conflicts": [1.7, true], "versions": {}}',
+     "conflicts"),
+    (b'{"kind": "conflict", "conflicts": [1], "versions": {"1": "2"}}',
+     "versions"),
+    (b'{"kind": "error", "error": "x", "retryable": "no"}', "retryable"),
+    (b'{"kind": "error", "error": 7}', "error"),
+    (b'{"kind": "busy", "retry_after_s": NaN}', "retry_after_s"),
+    (b'{"kind": "busy", "retry_after_s": Infinity}', "retry_after_s"),
+    (b'{"kind": "busy", "retry_after_s": -1}', "retry_after_s"),
+    (b'{"kind": "busy", "retry_after_s": "soon"}', "retry_after_s"),
+    (b'{"kind": "busy", "retry_after_s": true}', "retry_after_s"),
+]
+
 
 class TestMalformedRequests:
     @pytest.mark.parametrize("body,named", MALFORMED_BODIES)
     def test_refused_at_decode_and_the_session_survives(self, outsourced,
                                                         served, body, named):
         _, tree = outsourced
-        valid = FrontierRequest([tree.root_id], [3], lookahead=1, packed=True)
+        valid = FrontierRequest([tree.root_id], [3], lookahead=1)
         expected = SearchServer(tree).handle(valid).encode()
         with raw_session(served) as sock:
             sock.sendall(encode_frame(body) + encode_frame(valid.encode()))
@@ -440,11 +492,23 @@ class TestMalformedRequests:
                                           + accounting["shed"]
                                           + accounting["failed"])
 
-    @pytest.mark.parametrize("body", [b'[1]', b'"hello-ok"', b'7', b'null',
-                                      b'{"kind": "children-ok", "children": [1]}'])
-    def test_malformed_responses_are_protocol_errors(self, body):
-        with pytest.raises(ProtocolError, match="malformed"):
+    @pytest.mark.parametrize("body,named", MALFORMED_RESPONSES)
+    def test_malformed_responses_are_protocol_errors(self, body, named):
+        with pytest.raises(ProtocolError, match=named):
             decode_message(body)
+
+    def test_nan_busy_hint_surfaces_as_protocol_error(self):
+        """A busy reply whose hint is not a finite delay never reaches the
+        client's backoff sleep: the resilient channel raises it as a
+        protocol error instead of retrying."""
+        slept = []
+        channel = ResilientChannel(
+            lambda: InstrumentedChannel(
+                lambda message: BusyResponse(float("nan"))),
+            policy=RetryPolicy(sleep=slept.append))
+        with pytest.raises(ProtocolError, match="retry_after_s"):
+            channel.request(PruneNotice([0]))
+        assert slept == [] and channel.retries == 0
 
 
 class SlowSendServer(ThreadedSearchServer):
@@ -492,8 +556,7 @@ class TestCoalescing:
         children = tree.child_ids(root)
         return [FrontierRequest([root], [4]),
                 FrontierRequest(children, [3, 4], lookahead=1),
-                FrontierRequest([root], [3], fetch_polynomials=[root],
-                                packed=True)]
+                FrontierRequest([root], [3], fetch_polynomials=[root])]
 
     def hold_first_pass(self, transport, tree, store_gate):
         """Block one pass in the store, then queue three requests behind it.

@@ -1,4 +1,4 @@
-"""The v3 update protocol: remote edits are bit-identical to local ones.
+"""The update protocol: remote edits are bit-identical to local ones.
 
 Three layers of proof, bottom up:
 
@@ -42,7 +42,6 @@ from repro.net import (
     ThreadedSearchServer,
     UpdateRequest,
     UpdateResponse,
-    connect,
     connect_resilient,
 )
 from repro.net.messages import decode_message
@@ -283,16 +282,6 @@ class TestRemoteMatchesLocal:
         ids = [entry[0] for entry in server.document().update_log]
         assert all(ids), "resilient sessions must stamp idempotency keys"
         assert len(set(ids)) == len(ids)
-
-    def test_v2_session_cannot_update(self):
-        client, tree, _ = outsourced_pair()
-        server = SearchServer(tree)
-        adapter, _ = connect(server, protocol_version=2)
-        with pytest.raises(ProtocolError):
-            adapter.apply_update(UpdateRequest("noop", [], {}))
-        with pytest.raises(ProtocolError):
-            RemoteUpdatableTree(adapter, client.mapping,
-                                client.share_generator)
 
 
 class TestAcceptanceScale:
