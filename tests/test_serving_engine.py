@@ -61,17 +61,13 @@ class TestHelloNegotiation:
         assert response.root_id == server_tree.root_id
         assert response.node_count == server_tree.node_count()
 
-    def test_unknown_versions_rejected_loudly(self, outsourced_catalog):
+    @pytest.mark.parametrize("versions", [[99, 100], [1, 2, 3]])
+    def test_unknown_versions_rejected_loudly(self, outsourced_catalog,
+                                              versions):
         _, server_tree, _ = outsourced_catalog
         server = SearchServer(server_tree)
         with pytest.raises(ProtocolError, match="no common version"):
-            server.handle(HelloRequest([99, 100]))
-
-    def test_older_generations_rejected_loudly(self, outsourced_catalog):
-        _, server_tree, _ = outsourced_catalog
-        server = SearchServer(server_tree)
-        with pytest.raises(ProtocolError, match="no common version"):
-            server.handle(HelloRequest([1, 2, 3]))
+            server.handle(HelloRequest(versions))
 
     def test_adapter_negotiates(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog

@@ -111,7 +111,8 @@ class TestFrontierBatchIdentity:
         return outsourced[1]
 
     def build_requests(self, tree):
-        """Requests covering every section, some twice in one batch."""
+        """Requests covering every section, each twice, as two sessions
+        asking for the same round would send them."""
         root = tree.root_id
         children = tree.child_ids(root)
         return [
