@@ -84,8 +84,7 @@ class RemoteServerAdapter(ServerInterface):
     # -- session management ---------------------------------------------------------
     def _negotiate(self) -> None:
         """The hello exchange; also caches the structure summary it returns."""
-        response = self._request(HelloRequest(SUPPORTED_PROTOCOL_VERSIONS),
-                                 HelloResponse)
+        response = self._request(HelloRequest(), HelloResponse)
         if response.version not in SUPPORTED_PROTOCOL_VERSIONS:
             raise ProtocolError(
                 f"server negotiated protocol version {response.version}, which "
