@@ -26,10 +26,9 @@ and after the script the answers must equal the reference over the edited
 copy.  The reference
 itself is held against :class:`~repro.baselines.PlaintextSearchIndex`.
 
-The figure-1 documents run the full product of paths, stores, tiers and
-modes, every mode inside each row.  The other documents run a pairwise
-covering of the same values (every pair of values of two dimensions
-appears in some row), one mode per row.
+Every document runs the full product of paths, stores, tiers and modes.
+The figure-1 documents run every mode inside each row; the other
+documents run one mode per row, so a failure names its mode.
 """
 
 import contextlib
@@ -83,27 +82,13 @@ DOCUMENTS = {
                  lambda: choose_int_ring(2, random_bound=2 ** 80)),
     "one-element": (lambda: parse_document("<solo/>"), None),
 }
-FULL_PRODUCT = ("figure1-c2", "figure1-c8")
+ALL_MODES_PER_ROW = ("figure1-c2", "figure1-c8")
 
-
-def pairwise_rows():
-    """9 rows covering every pair of path, store, tier and mode values.
-
-    Row ``(i, j)`` takes path ``i``, tier ``j``, level ``(i + j) mod 3`` of
-    a third factor and mode ``(i + 2j) mod 3``: an orthogonal array of
-    strength 2, in which each pair of the four columns takes every pair
-    of levels.  Folding the third factor's three levels onto the two
-    stores (``level mod 2``) keeps every pair covered.
-    """
-    return [(path, STORES[(i + j) % 3 % 2], tier, (MODES[(i + 2 * j) % 3],))
-            for i, path in enumerate(PATHS) for j, tier in enumerate(TIERS)]
-
-
-ROWS = ([(name, path, store, tier, MODES)
-         for name in FULL_PRODUCT
-         for path, store, tier in itertools.product(PATHS, STORES, TIERS)]
-        + [(name,) + row for name in ("random-fp", "random-z", "one-element")
-           for row in pairwise_rows()])
+ROWS = [(name, path, store, tier, modes)
+        for name in DOCUMENTS
+        for path, store, tier in itertools.product(PATHS, STORES, TIERS)
+        for modes in ([MODES] if name in ALL_MODES_PER_ROW
+                      else [(mode,) for mode in MODES])]
 
 
 def row_id(row):
@@ -366,10 +351,10 @@ def test_reference_agrees_with_plaintext(name, cases):
                    for node_id in set(matches) - set(truth[tag]))
 
 
-def test_pairwise_rows_cover_every_pair():
-    rows = pairwise_rows()
+def test_rows_cover_every_combination():
     dimensions = (PATHS, STORES, TIERS, MODES)
-    for (a, first), (b, second) in itertools.combinations(
-            enumerate(dimensions), 2):
-        covered = {(row[a], row[b][0] if b == 3 else row[b]) for row in rows}
-        assert covered == set(itertools.product(first, second))
+    for name in DOCUMENTS:
+        covered = {(path, store, tier, mode)
+                   for row_name, path, store, tier, modes in ROWS
+                   if row_name == name for mode in modes}
+        assert covered == set(itertools.product(*dimensions)), name
