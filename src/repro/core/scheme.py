@@ -27,7 +27,12 @@ from ..algebra.quotient import (
     IntQuotientRing,
     default_int_modulus,
 )
-from ..errors import MappingCapacityError, QueryError, TagRecoveryError
+from ..errors import (
+    MappingCapacityError,
+    QueryError,
+    TagRecoveryError,
+    UpdateConflictError,
+)
 from ..prg import DeterministicPRG
 from ..xmltree import XmlDocument
 from ..xpath import LocationPath, TagQueryPlan
@@ -117,20 +122,37 @@ class ClientContext:
         return LocalServerAdapter(server)
 
     # -- queries ------------------------------------------------------------------
+    #: Attempts of one lookup or XPath query.  A query spans several
+    #: rounds; when another writer removes a node between two of them the
+    #: server refuses the round that names it with a conflict, and the
+    #: query restarts from the root with a fresh engine.
+    QUERY_ATTEMPTS = 4
+
+    def _restarting(self, run):
+        for attempt in range(1, self.QUERY_ATTEMPTS + 1):
+            try:
+                return run()
+            except UpdateConflictError:
+                if attempt == self.QUERY_ATTEMPTS:
+                    raise
+
     def lookup(self, server: Union[ServerInterface, ServerShareTree],
                tag: str,
                verification: Optional[VerificationMode] = None) -> LookupOutcome:
         """The basic element lookup ``//tag``."""
-        engine = self.engine(self.adapt(server), verification)
-        return engine.lookup(tag)
+        adapter = self.adapt(server)
+        return self._restarting(
+            lambda: self.engine(adapter, verification).lookup(tag))
 
     def xpath(self, server: Union[ServerInterface, ServerShareTree],
               query: Union[str, LocationPath, TagQueryPlan],
               strategy: AdvancedStrategy = AdvancedStrategy.SINGLE_PASS,
               verification: Optional[VerificationMode] = None) -> AdvancedQueryResult:
         """Evaluate an XPath-subset query (advanced querying, §4.3)."""
-        engine = self.engine(self.adapt(server), verification)
-        return AdvancedQueryExecutor(engine).execute(query, strategy)
+        adapter = self.adapt(server)
+        return self._restarting(
+            lambda: AdvancedQueryExecutor(self.engine(adapter, verification))
+            .execute(query, strategy))
 
     # -- decoding results -------------------------------------------------------------
     def tag_of(self, server: Union[ServerInterface, ServerShareTree],

@@ -131,7 +131,9 @@ class UpdateConflictError(ProtocolError):
     (a conflicting id absent from ``versions`` was removed).  Nothing was
     applied server-side — the caller refetches the conflicting subtrees
     and rebase-retries, which :class:`~repro.net.client.RemoteUpdatableTree`
-    does automatically up to its rebase cap.
+    does automatically up to its rebase cap.  A frontier request naming
+    nodes another writer removed is refused the same way (``versions``
+    empty); lookups and XPath queries restart on it from the root.
     """
 
     def __init__(self, message: str, conflicts=(), versions=None) -> None:

@@ -96,6 +96,11 @@ class RemoteServerAdapter(ServerInterface):
         if self.document_id is not None:
             message.for_document(self.document_id)
         response = self.channel.request(message)
+        if isinstance(response, ConflictResponse):
+            raise UpdateConflictError(
+                f"{message.kind} refused: nodes {response.conflicts} changed "
+                "under this client (refetch and retry)",
+                conflicts=response.conflicts, versions=response.versions)
         if not isinstance(response, expected):
             raise ProtocolError(f"unexpected response {response.kind!r}")
         return response
@@ -202,11 +207,6 @@ class RemoteServerAdapter(ServerInterface):
         response = self._request(request, Message)
         if isinstance(response, ErrorResponse):
             raise ProtocolError(response.error)
-        if isinstance(response, ConflictResponse):
-            raise UpdateConflictError(
-                f"update batch rejected: nodes {response.conflicts} changed "
-                "under this client (refetch and rebase)",
-                conflicts=response.conflicts, versions=response.versions)
         if not isinstance(response, UpdateResponse):
             raise ProtocolError(f"unexpected response {response.kind!r}")
         return response
@@ -295,34 +295,7 @@ class _RemoteStoreMirror(ShareStore):
                           if n not in self._shares and n in self._structure})
         while missing:
             chunk, missing = missing[:self.CHUNK], missing[self.CHUNK:]
-            self._shares.update(self._fetch_shares(chunk))
-
-    def _fetch_shares(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
-        """Fetch shares the mirror believes exist; staleness is a conflict.
-
-        A server that refuses to serve a share for a node the mirrored
-        structure still contains means another writer removed it since the
-        mirror was built — the *read-side* face of a version conflict, so
-        it raises :class:`~repro.errors.UpdateConflictError` and the
-        editor's rebase loop re-mirrors and retries.  Transport-level and
-        transient failures keep their own types (a resilient channel
-        handles those below us).
-        """
-        from ..errors import (
-            RetryExhaustedError,
-            TransientServerError,
-            TransportError,
-        )
-        try:
-            return self.server.fetch_polynomials(node_ids)
-        except (TransportError, TransientServerError, RetryExhaustedError,
-                UpdateConflictError):
-            raise
-        except (SharingError, ProtocolError) as exc:
-            raise UpdateConflictError(
-                f"the hosted document changed under this client while "
-                f"fetching shares ({exc}); refetch and rebase",
-                conflicts=[n for n in node_ids]) from exc
+            self._shares.update(self.server.fetch_polynomials(chunk))
 
     # -- read side (served from the mirror) -------------------------------------------
     @property
@@ -355,7 +328,7 @@ class _RemoteStoreMirror(ShareStore):
         if share is None:
             if node_id not in self._structure:
                 raise SharingError(f"unknown node id {node_id}")
-            share = self._fetch_shares([node_id])[node_id]
+            share = self.server.fetch_polynomials([node_id])[node_id]
             self._shares[node_id] = share
         return share
 

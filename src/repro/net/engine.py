@@ -40,7 +40,9 @@ from ..errors import (
     ProtocolError,
     ReproError,
     ServerBusyError,
+    SharingError,
     TransientServerError,
+    UpdateConflictError,
 )
 from ..obs import FairShareAdmission, MetricsRegistry
 from .messages import (
@@ -402,13 +404,17 @@ class ServingCore:
         """The in-band reply for a failed request, preserving its class.
 
         Busy shedding travels as a :class:`~repro.net.messages.BusyResponse`
-        with the retry-after hint, transient failures as a *retryable*
+        with the retry-after hint, a conflict (a frontier naming removed
+        nodes) as a :class:`~repro.net.messages.ConflictResponse`,
+        transient failures as a *retryable*
         :class:`~repro.net.messages.ErrorResponse`, everything else as a
         plain error — so resilient clients reconstruct the exception
         taxonomy of :mod:`repro.errors` across the wire.
         """
         if isinstance(exc, ServerBusyError):
             return BusyResponse(retry_after_s=exc.retry_after_s)
+        if isinstance(exc, UpdateConflictError):
+            return ConflictResponse(exc.conflicts, exc.versions)
         return ErrorResponse(str(exc),
                              retryable=isinstance(exc, TransientServerError))
 
@@ -638,7 +644,7 @@ class ServingCore:
                 outcome = "completed"
                 if isinstance(response, BusyResponse):
                     outcome = "shed"
-                elif isinstance(response, ErrorResponse):
+                elif isinstance(response, (ErrorResponse, ConflictResponse)):
                     outcome = "failed"
                 self._request_finished(message.kind, labels[index], outcome,
                                        elapsed)
@@ -735,6 +741,33 @@ class ServingCore:
                                messages: Sequence[FrontierRequest]
                                ) -> List[FrontierResponse]:
         """Serve one document's frontier requests under its (held) lock.
+
+        A request naming nodes the document no longer holds (another
+        writer removed them between the client's rounds) raises
+        :class:`~repro.errors.UpdateConflictError` naming them, so the
+        client can restart its query from the root instead of failing.
+        """
+        try:
+            return self._serve_frontiers_locked(document, messages)
+        except SharingError as exc:
+            store = document.store
+            missing = sorted({node_id for message in messages
+                              for node_id in (*message.node_ids,
+                                              *message.fetch_polynomials,
+                                              *message.fetch_constants)
+                              if node_id not in store})
+            if not missing:
+                raise
+            raise UpdateConflictError(
+                f"nodes {missing} are not in the document (another writer "
+                "removed them, or they never existed); restart the query "
+                "from the root",
+                conflicts=missing) from exc
+
+    def _serve_frontiers_locked(self, document: HostedDocument,
+                                messages: Sequence[FrontierRequest]
+                                ) -> List[FrontierResponse]:
+        """Answer frontier requests whose nodes the store holds.
 
         Child lists are read set-at-a-time: one store read per lookahead
         level across every request, and one more for the child lists the

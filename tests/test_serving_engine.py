@@ -457,3 +457,42 @@ class TestDocumentTransactions:
             stop.set()
             worker.join(timeout=10)
         assert not errors
+
+    def test_lookup_restarts_when_a_round_names_a_removed_node(self):
+        """A subtree removed between two rounds of one lookup: the round
+        naming it is refused with a conflict, and the lookup restarts from
+        the root and answers as of the later state."""
+        from repro.core import UpdatableTree, choose_fp_ring
+        from repro.xmltree import XmlElement
+
+        document_src = generate_catalog_document(
+            CatalogConfig(customers=3, products=2, seed=9))
+        ring = choose_fp_ring(len(document_src.distinct_tags()) + 4)
+        client, tree, _ = outsource_document(document_src, ring=ring,
+                                             seed=b"restarted-lookup")
+        server = SearchServer(tree)
+        document = server.document()
+        editor = UpdatableTree(client.ring, client.mapping,
+                               client.share_generator, document.store,
+                               lock=document.lock)
+        client.mapping.extend(["annex", "shelf"])
+        subtree = XmlElement("annex")
+        subtree.add("shelf")
+        annex, shelf = editor.insert_subtree(tree.root_id,
+                                             subtree).new_node_ids
+        adapter, channel = connect(server)
+        rounds = []
+
+        def remove_before_the_second_round(message):
+            if isinstance(message, FrontierRequest):
+                rounds.append(list(message.node_ids))
+                if len(rounds) == 2:
+                    editor.delete_subtree(annex)
+            return server.handle(message)
+
+        channel.handler = remove_before_the_second_round
+        outcome = client.lookup(adapter, "annex",
+                                verification=VerificationMode.NONE)
+        assert outcome.matches == []
+        assert rounds[:3] == [[tree.root_id], [shelf], [tree.root_id]]
+        assert server.accounting()["failed"] == 1

@@ -21,9 +21,9 @@ import time
 
 import pytest
 
-from repro.core import outsource_document
+from repro.core import UpdatableTree, outsource_document
 from repro.core.advanced import AdvancedQueryExecutor
-from repro.errors import ProtocolError, ReproError
+from repro.errors import ProtocolError, ReproError, UpdateConflictError
 from repro.net import (
     FaultPlan,
     FaultRule,
@@ -35,6 +35,8 @@ from repro.net import (
     ThreadedSearchServer,
     connect,
     connect_socket,
+    share_tree_from_dict,
+    share_tree_to_dict,
 )
 from repro.net.channel import SocketChannel
 from repro.net.framing import FRAME_HEADER_BYTES, decode_frame_length, encode_frame
@@ -131,20 +133,22 @@ class TestFrontierBatchIdentity:
         ]
 
     def build_mixed_batch(self, tree):
-        """``(request, None)`` for good requests, ``(request, text)`` for
-        bad ones whose error must name ``text``."""
+        """``(request, None)`` for good requests; ``(request, ids)`` for
+        requests naming nodes the document does not hold, answered with a
+        conflict naming exactly ``ids``; ``(request, text)`` for other bad
+        ones, whose error must name ``text``."""
         root = tree.root_id
         children = tree.child_ids(root)
         return [
             (FrontierRequest([root], [3]), None),
-            (FrontierRequest([987654], [3]), "987654"),    # unknown node id
+            (FrontierRequest([987654], [3]), [987654]),    # unknown node id
             (FrontierRequest([root], [4]), None),
             (FrontierRequest([root], [3]).for_document("nowhere"), "nowhere"),
             (FrontierRequest([root], [3], lookahead=2), None),
-            (FrontierRequest([987656], [3], lookahead=1), "987656"),
+            (FrontierRequest([987656], [3], lookahead=1), [987656]),
             (FrontierRequest(children, [4], include_children=True,
                              fetch_polynomials=[children[0], 987655]),
-             "987655"),
+             [987655]),
             (FrontierRequest(children, [3, 4], lookahead=1,
                              fetch_polynomials=children[:1]), None),
         ]
@@ -174,7 +178,7 @@ class TestFrontierBatchIdentity:
             server.frontier_batch([PruneNotice([0])])
 
     def test_batch_isolates_bad_requests(self, store):
-        from repro.net.messages import ErrorResponse, FrontierResponse
+        from repro.net.messages import ConflictResponse, FrontierResponse
 
         cases = self.build_mixed_batch(store)
         responses = SearchServer(store).frontier_batch(
@@ -187,6 +191,9 @@ class TestFrontierBatchIdentity:
             if error is None:
                 assert isinstance(response, FrontierResponse)
                 assert response.encode() == reference.handle(request).encode()
+            elif isinstance(error, list):
+                assert isinstance(response, ConflictResponse)
+                assert response.conflicts == error
             else:
                 assert isinstance(response, ErrorResponse)
                 assert error in response.error
@@ -243,6 +250,32 @@ class TestSocketTransports:
             assert adapter.evaluate([tree.root_id], 3)
         finally:
             channel.close()
+
+    def test_removed_node_is_a_conflict_and_session_survives(self,
+                                                              outsourced):
+        client, tree = outsourced
+        core = SearchServer(share_tree_from_dict(share_tree_to_dict(tree)))
+        document = core.document()
+        editor = UpdatableTree(client.ring, client.mapping,
+                               client.share_generator, document.store,
+                               lock=document.lock)
+        transport = ThreadedSearchServer(core).start()
+        try:
+            adapter, channel = connect_socket(*transport.address, tree.ring)
+            try:
+                assert adapter.evaluate([tree.root_id], 3)
+                doomed = tree.child_ids(tree.root_id)[0]
+                removed = editor.delete_subtree(doomed).removed_node_ids
+                with pytest.raises(UpdateConflictError) as caught:
+                    adapter.evaluate(removed, 3)
+                assert caught.value.conflicts == sorted(removed)
+                assert caught.value.versions == {}
+                assert adapter.evaluate([tree.root_id], 3)
+                assert core.accounting()["failed"] == 1
+            finally:
+                channel.close()
+        finally:
+            transport.stop()
 
     def test_older_hello_refused_then_the_session_negotiates(self, served):
         with SocketChannel(*served.address) as channel:
