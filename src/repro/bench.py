@@ -24,7 +24,7 @@ import statistics
 import tempfile
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .algebra import (
     FpQuotientRing,
@@ -92,26 +92,36 @@ def _environment() -> Dict[str, Any]:
     }
 
 
+def _batch_seconds(fn: Callable[[], Any], number: int) -> float:
+    """Wall time of ``number`` back-to-back calls of ``fn``."""
+    start = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return time.perf_counter() - start
+
+
+def _calibrate(fn: Callable[[], Any], min_time: float) -> Tuple[int, float]:
+    """``(number, seconds)`` of a batch of ``fn`` lasting ``min_time / 4`` s.
+
+    The batch grows fourfold until it lasts long enough (or reaches
+    65536 calls); ``fn`` is called once first to warm lazy tables.
+    """
+    fn()
+    number = 1
+    while True:
+        elapsed = _batch_seconds(fn, number)
+        if elapsed >= min_time / 4 or number >= 1 << 16:
+            return number, elapsed
+        number *= 4
+
+
 def _ops_per_sec(fn: Callable[[], Any], min_time: float = 0.10,
                  repeat: int = 3) -> float:
     """Best observed throughput of ``fn`` in operations per second."""
-    fn()  # warm-up (also forces lazy tables)
-    number = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        elapsed = time.perf_counter() - start
-        if elapsed >= min_time / 4 or number >= 1 << 16:
-            break
-        number *= 4
-    best = elapsed / number
+    number, best = _calibrate(fn, min_time)
     for _ in range(repeat - 1):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        best = min(best, (time.perf_counter() - start) / number)
-    return 1.0 / best
+        best = min(best, _batch_seconds(fn, number))
+    return number / best
 
 
 def _percentiles(latencies_s: List[float],
@@ -127,13 +137,34 @@ def _percentiles(latencies_s: List[float],
 
 def _timed_pair(fast: Callable[[], Any], generic: Callable[[], Any],
                 min_time: float, repeat: int) -> Dict[str, float]:
-    kernel_rate = _ops_per_sec(fast, min_time, repeat)
-    with use_kernels(False):
-        generic_rate = _ops_per_sec(generic, min_time, repeat)
+    """Kernel against generic throughput of one operation, timed as pairs.
+
+    After each side's batch is calibrated, ``2 * repeat + 1`` rounds
+    time one batch of each side back to back, alternating which goes
+    first.  ``speedup`` is the median per-round ratio, so a host that
+    slows down under one side's batches slows both halves of a pair
+    instead of moving the whole ratio; the rates are each side's best
+    batch.
+    """
+    sides = {True: fast, False: generic}
+    numbers: Dict[bool, int] = {}
+    for kernels, fn in sides.items():
+        with use_kernels(kernels):
+            numbers[kernels] = _calibrate(fn, min_time)[0]
+    per_call: Dict[bool, List[float]] = {True: [], False: []}
+    for round_index in range(2 * repeat + 1):
+        order = (True, False) if round_index % 2 == 0 else (False, True)
+        for kernels in order:
+            with use_kernels(kernels):
+                per_call[kernels].append(
+                    _batch_seconds(sides[kernels], numbers[kernels])
+                    / numbers[kernels])
+    ratios = [generic_s / fast_s
+              for fast_s, generic_s in zip(per_call[True], per_call[False])]
     return {
-        "kernel_ops_per_sec": round(kernel_rate, 2),
-        "generic_ops_per_sec": round(generic_rate, 2),
-        "speedup": round(kernel_rate / generic_rate, 2),
+        "kernel_ops_per_sec": round(1.0 / min(per_call[True]), 2),
+        "generic_ops_per_sec": round(1.0 / min(per_call[False]), 2),
+        "speedup": round(statistics.median(ratios), 2),
     }
 
 
