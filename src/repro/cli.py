@@ -34,7 +34,7 @@ import json
 import os
 import sys
 import threading
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .core import (

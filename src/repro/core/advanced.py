@@ -21,7 +21,7 @@ tree they touch, which is what experiment E11 measures.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from ..errors import QueryError
 from ..xpath import Axis, LocationPath, TagQueryPlan, compile_plan

@@ -17,7 +17,7 @@ and children always have larger identifiers than their parent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import FpQuotientRing
 from ..errors import QueryError, SharingError, ThresholdError
-from ..prg import DeterministicPRG
 from ..sharing.multiserver import ThresholdPolynomialSharing
 from ..xmltree import XmlDocument
 from .mapping import TagMapping

@@ -17,9 +17,8 @@ applications use:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..algebra.poly import Polynomial
 from ..algebra.primes import smallest_prime_at_least
 from ..algebra.quotient import (
     EncodingRing,

@@ -13,21 +13,24 @@ on demand ("only the seed has to be stored on the client").
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
-from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress, islice
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
-from ..algebra.vkernels import VecFpKernel, numpy_or_none
+from ..algebra.vkernels import VecFpKernel, fits_native_width, numpy_or_none
 from ..errors import SharingError
+from ..obs.metrics import Counter
 from ..prg import DeterministicPRG
 from ..sharing.additive import combine_additive
 from .encoder import PolynomialTree
 
-__all__ = ["ClientShareGenerator", "TreeStructure", "ServerShareTree", "share_tree",
-           "reconstruct_tree"]
+__all__ = ["ClientShareGenerator", "ShareRowCache", "TreeStructure",
+           "ServerShareTree", "share_tree", "reconstruct_tree"]
 
 _SHARE_LABEL = "node-share"
 
@@ -56,9 +59,9 @@ class ClientShareGenerator:
     :meth:`FpQuotientRing.evaluation_domain` uses) batches are served as
     int64 coefficient rows: the uncached nodes of a batch are derived
     together (:meth:`SeededStream.fork_residues`, bit-identical to
-    :meth:`share_for`) and evaluated or verified as one block.  There is one
-    cache: an entry is the :class:`Polynomial` :meth:`share_for` built or a
-    row copied out of a derived block, and either serves both forms.
+    :meth:`share_for`) and evaluated or verified as one block.  The cache
+    is a :class:`ShareRowCache`: a batch's cached rows come out in one
+    gather, and :meth:`share_for` builds its polynomial from the row.
     """
 
     def __init__(self, ring: EncodingRing, prg: DeterministicPRG,
@@ -66,28 +69,33 @@ class ClientShareGenerator:
         self.ring = ring
         self.prg = prg
         self.cache_size = cache_size
-        self._cache: "OrderedDict[int, Any]" = OrderedDict()
+        self._cache = ShareRowCache(cache_size, ring)
         # Shares are deterministic, so concurrent sessions may safely share
-        # one generator; the lock only protects the LRU bookkeeping.
+        # one generator; the lock guards the cache, never a derivation.
         self._cache_lock = threading.Lock()
         # Domain-separated root stream for shares: per-node streams are
         # cheap forks of it (no per-node seed derivation or key schedule).
         self._share_root = prg.stream(_SHARE_LABEL)
 
+    @property
+    def cache_hits(self) -> int:
+        """Shares served from the cache so far."""
+        return self._cache.hits.value
+
+    @property
+    def cache_misses(self) -> int:
+        """Shares derived because the cache lacked them (once per id per call)."""
+        return self._cache.misses.value
+
     def share_for(self, node_id: int) -> Polynomial:
         """The client's share polynomial for ``node_id`` (deterministic)."""
         with self._cache_lock:
-            entry = self._cache.get(node_id)
-            if entry is not None:
-                self._cache.move_to_end(node_id)
-        if isinstance(entry, Polynomial):
-            return entry
-        if entry is None:
+            share = self._cache.get(node_id)
+        if share is None:
             share = self.ring.random_element_from_stream(
                 self._share_root.fork(node_id))
-        else:
-            share = self.ring.element_from_row(entry)
-        self._remember([(node_id, share)])
+            with self._cache_lock:
+                self._cache.put(node_id, share)
         return share
 
     def evaluate(self, node_id: int, point: int) -> int:
@@ -111,7 +119,7 @@ class ClientShareGenerator:
         if kernel is None or not node_ids:
             shares = [self.share_for(node_id) for node_id in node_ids]
             return {point: ring.evaluate_many(shares, point) for point in points}
-        rows = self._row_block(node_ids)
+        rows = self._rows(node_ids)
         field = ring.coefficient_ring
         return {point: kernel.evaluate_matrix(rows, field.coerce(point))
                 for point in points}
@@ -140,11 +148,8 @@ class ClientShareGenerator:
             chunk = list(islice(remaining, step))
             if not chunk:
                 return
-            entries = self._entries(chunk)
-            for node_id in chunk:
-                entry = entries[node_id]
-                yield node_id, (entry if isinstance(entry, Polynomial)
-                                else ring.element_from_row(entry))
+            for node_id, row in zip(chunk, self._rows(chunk)):
+                yield node_id, ring.element_from_row(row)
 
     def share_rows(self, node_ids: Sequence[int]):
         """The shares of ``node_ids`` as one ``(len, p - 1)`` int64 block.
@@ -155,7 +160,7 @@ class ClientShareGenerator:
         """
         if self._row_kernel() is None:
             return None
-        return self._row_block(node_ids)
+        return self._rows(node_ids)
 
     def _row_kernel(self) -> Optional[VecFpKernel]:
         """The vectorized kernel when shares take the row form, else None."""
@@ -164,59 +169,24 @@ class ClientShareGenerator:
         kernel = self.ring.field.kernel()
         return kernel if isinstance(kernel, VecFpKernel) else None
 
-    def _row_block(self, node_ids: Sequence[int]):
-        """:meth:`share_rows` on the vectorized tier."""
-        np = numpy_or_none()
-        entries = self._entries(node_ids)
-        block = np.zeros((len(node_ids), self.ring.degree_bound), dtype=np.int64)
-        for index, node_id in enumerate(node_ids):
-            entry = entries[node_id]
-            if isinstance(entry, Polynomial):
-                if entry.coeffs:
-                    block[index, :len(entry.coeffs)] = entry.coeffs
-            else:
-                block[index] = entry
-        return block
+    def _rows(self, node_ids: Sequence[int]):
+        """:meth:`share_rows` on the vectorized tier: hits gathered under
+        the cache lock, misses derived outside it."""
+        return self._cache.fetch(node_ids, self._derive_rows, self._cache_lock)
 
-    def _entries(self, node_ids: Sequence[int]) -> Dict[int, Any]:
-        """Cache entries of ``node_ids`` (polynomials or int64 rows), misses derived.
-
-        Misses worth fewer than :data:`BULK_MIN_COEFFS` coefficients are
-        derived one by one, more in one block.  The cache keeps copies of
-        the last ``cache_size`` derived rows, so no cached row holds the
-        block alive; the returned views die with the caller's batch.
-        """
-        entries: Dict[int, Any] = {}
-        with self._cache_lock:
-            cache = self._cache
-            for node_id in node_ids:
-                entry = cache.get(node_id)
-                if entry is not None:
-                    cache.move_to_end(node_id)
-                entries[node_id] = entry
-        misses = [node_id for node_id, entry in entries.items() if entry is None]
+    def _derive_rows(self, node_ids: List[int]):
+        """Rows of uncached shares: one bulk block, or node by node when
+        they hold fewer than :data:`BULK_MIN_COEFFS` coefficients."""
         ring = self.ring
-        if len(misses) * ring.degree_bound < BULK_MIN_COEFFS:
-            for node_id in misses:
-                entries[node_id] = self.share_for(node_id)
-            return entries
-        block = ring.random_rows_from_forks(self._share_root, misses)
-        entries.update(zip(misses, block))
-        kept = max(0, len(misses) - max(self.cache_size, 0))
-        self._remember([(node_id, row.copy())
-                        for node_id, row in zip(misses[kept:], block[kept:])])
-        return entries
-
-    def _remember(self, items: Sequence[Tuple[int, Any]]) -> None:
-        """Cache ``items`` as the most recent entries, evicting LRU ones first."""
-        if self.cache_size <= 0 or not items:
-            return
-        with self._cache_lock:
-            cache = self._cache
-            for node_id, entry in items:
-                if node_id not in cache and len(cache) >= self.cache_size:
-                    cache.popitem(last=False)
-                cache[node_id] = entry
+        if len(node_ids) * ring.degree_bound >= BULK_MIN_COEFFS:
+            return ring.random_rows_from_forks(self._share_root, node_ids)
+        np = numpy_or_none()
+        rows = np.zeros((len(node_ids), ring.degree_bound), dtype=np.int64)
+        for row, node_id in zip(rows, node_ids):
+            coeffs = ring.random_element_from_stream(
+                self._share_root.fork(node_id)).coeffs
+            row[:len(coeffs)] = coeffs
+        return rows
 
 
 class TreeStructure:
@@ -355,6 +325,201 @@ class TreeStructure:
 
     def __len__(self) -> int:
         return len(self._parents)
+
+
+class ShareRowCache:
+    """A bounded LRU of share polynomials keyed by node id.
+
+    One class serves the durable store (server shares read from disk) and
+    the client generator (shares derived from the seed).  When the ring
+    can run on the vectorized tier (an ``F_p`` ring of native width, numpy
+    present) ``width`` is ``p - 1`` and the shares are held as int64
+    coefficient rows in one ``(capacity, width)`` slot matrix:
+    :meth:`fetch` reads a batch's hits out with one fancy-index read and
+    writes its misses in with one fancy-index write.  Otherwise ``width``
+    is ``None`` and the id map holds the polynomials themselves.  Either
+    way the id map is an ``OrderedDict`` in exact LRU order.  The matrix is
+    allocated zeroed on the first insert, so it never takes more than
+    ``capacity × width × 8`` bytes and untouched slots take no resident
+    memory.
+
+    ``hits`` counts shares served from the cache, ``misses`` the distinct
+    ids a call found uncached.  Not thread-safe by itself: the store calls
+    it under its own lock, and the generator hands its lock to
+    :meth:`fetch`, which holds it to look up (copying the rows out) and to
+    insert, but not while the misses load.
+    """
+
+    __slots__ = ("capacity", "width", "hits", "misses", "_ring", "_order",
+                 "_free", "_slots")
+
+    def __init__(self, capacity: int, ring: EncodingRing) -> None:
+        self.capacity = max(0, int(capacity))
+        #: Row length of the slot matrix; ``None`` when polynomials are kept.
+        self.width: Optional[int] = (
+            ring.degree_bound if isinstance(ring, FpQuotientRing)
+            and numpy_or_none() is not None and fits_native_width(ring.p)
+            else None)
+        self.hits = Counter()
+        self.misses = Counter()
+        self._ring = ring
+        # node id -> slot (row form) or polynomial, least recent first.
+        self._order: "OrderedDict[int, Any]" = OrderedDict()
+        # Slots freed by discard(); slots from len(_order) up are unused.
+        self._free: List[int] = []
+        self._slots = None
+
+    def get(self, node_id: int) -> Optional[Polynomial]:
+        """The cached share of ``node_id`` (now the most recent), or ``None``."""
+        entry = self._order.get(node_id)
+        if entry is None:
+            self.misses.inc()
+            return None
+        self._order.move_to_end(node_id)
+        self.hits.inc()
+        if self.width is None:
+            return entry
+        return self._ring.element_from_row(self._slots[entry])
+
+    def put(self, node_id: int, share: Polynomial) -> None:
+        """Cache ``share``: in place when ``node_id`` is cached, else as the
+        most recent entry, evicting the least recent one when full."""
+        if not self.capacity:
+            return
+        entry = self._order.get(node_id)
+        if entry is None:
+            entry = self._take(1)[0]
+        if self.width is None:
+            self._order[node_id] = share
+            return
+        self._order[node_id] = entry
+        row = self._matrix()[entry]
+        coeffs = share.coeffs
+        row[:len(coeffs)] = coeffs
+        row[len(coeffs):] = 0
+
+    def fetch(self, node_ids: Sequence[int],
+              load: Callable[[List[int]], Any], lock: Any = None) -> Any:
+        """The shares of ``node_ids``, the uncached ones loaded in one call.
+
+        A ``(len(node_ids), width)`` int64 block in row form, else a list
+        of polynomials.  Cached ids are refreshed in the order given.
+        ``load`` receives the distinct uncached ids in first-seen order
+        and returns their shares in the same form; the last ``capacity``
+        of them are cached, except ids another caller cached meanwhile.
+        ``lock``, when given, is held to look up and to insert, but not
+        around ``load``.
+        """
+        guard = contextlib.nullcontext() if lock is None else lock
+        with guard:
+            order = self._order
+            entries = list(map(order.get, node_ids))
+            if None not in entries:
+                self._refresh(node_ids)
+                self.hits.inc(len(entries))
+                return self._gather(entries)
+            cached = [entry is not None for entry in entries]
+            hit_at = list(compress(range(len(entries)), cached))
+            self._refresh(compress(node_ids, cached))
+            found = self._gather(list(compress(entries, cached)))
+            self.hits.inc(len(hit_at))
+            miss_at = [index for index, hit in enumerate(cached) if not hit]
+            missing = list(dict.fromkeys([node_ids[index] for index in miss_at]))
+            self.misses.inc(len(missing))
+        loaded = load(missing)
+        with guard:
+            self._insert(missing, loaded)
+        sources: Any = range(len(missing))
+        if len(missing) != len(miss_at):
+            position = {node_id: index for index, node_id in enumerate(missing)}
+            sources = [position[node_ids[index]] for index in miss_at]
+        if self.width is None:
+            fetched = [None] * len(node_ids)
+            for index, share in zip(hit_at, found):
+                fetched[index] = share
+            for index, source in zip(miss_at, sources):
+                fetched[index] = loaded[source]
+            return fetched
+        if not hit_at and len(missing) == len(miss_at):
+            return loaded
+        np = numpy_or_none()
+        fetched = np.empty((len(node_ids), self.width), dtype=np.int64)
+        if hit_at:
+            fetched[hit_at] = found
+        fetched[miss_at] = loaded if isinstance(sources, range) else loaded[sources]
+        return fetched
+
+    def discard(self, node_id: int) -> None:
+        """Forget ``node_id`` if it is cached."""
+        entry = self._order.pop(node_id, None)
+        if entry is not None and self.width is not None:
+            self._free.append(entry)
+
+    def clear(self) -> None:
+        """Forget every share (the counts stay)."""
+        self._order.clear()
+        self._free.clear()
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._order
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def _refresh(self, node_ids: Iterable[int]) -> None:
+        """Make cached ``node_ids`` the most recent entries, in order."""
+        move = self._order.move_to_end
+        for node_id in node_ids:
+            move(node_id)
+
+    def _gather(self, entries: List[Any]) -> Any:
+        """Cached entries as shares: one fancy-index read in row form."""
+        if self.width is None:
+            return entries
+        if not entries:
+            np = numpy_or_none()
+            return np.empty((0, self.width), dtype=np.int64)
+        return self._slots[entries]
+
+    def _insert(self, node_ids: List[int], loaded: Any) -> None:
+        """Cache the last ``capacity`` of ``node_ids`` (distinct) that are
+        not cached yet, in order, with one matrix write in row form."""
+        start = max(0, len(node_ids) - self.capacity)
+        order = self._order
+        kept: Any = range(start, len(node_ids))
+        if any(map(order.__contains__, node_ids[start:])):
+            kept = [index for index in kept if node_ids[index] not in order]
+        if not kept:
+            return
+        slots = self._take(len(kept))
+        if self.width is None:
+            order.update((node_ids[index], loaded[index]) for index in kept)
+            return
+        order.update(zip([node_ids[index] for index in kept], slots))
+        self._matrix()[slots] = (loaded[start:] if isinstance(kept, range)
+                                 else loaded[kept])
+
+    def _take(self, count: int) -> List[int]:
+        """Slots for ``count`` new entries (at most ``capacity``), evicting
+        the least recent entries to make room."""
+        order = self._order
+        popitem = order.popitem
+        taken = [popitem(last=False)[1]
+                 for _ in range(len(order) + count - self.capacity)]
+        free = self._free
+        reused = min(len(free), count - len(taken))
+        if reused:
+            taken.extend(free[-reused:])
+            del free[-reused:]
+        top = len(order) + len(free) + len(taken)
+        taken.extend(range(top, top + count - len(taken)))
+        return taken
+
+    def _matrix(self):
+        if self._slots is None:
+            np = numpy_or_none()
+            self._slots = np.zeros((self.capacity, self.width), dtype=np.int64)
+        return self._slots
 
 
 class ServerShareTree:

@@ -31,13 +31,13 @@ from __future__ import annotations
 import hashlib
 import hmac
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..algebra.quotient import EncodingRing
 from ..errors import QueryError
 from ..prg import DeterministicPRG, derive_seed
 from ..xmltree import XmlDocument
-from .query import QueryStats, ServerInterface, VerificationMode
+from .query import QueryStats, VerificationMode
 from .share_tree import ClientShareGenerator, ServerShareTree, share_tree
 from .encoder import PolynomialTree
 from .query import LocalServerAdapter, QueryEngine

@@ -280,7 +280,7 @@ def decode_coefficients_array(blob: bytes):
     return None if rows is None else rows[0]
 
 
-def decode_coefficients_batch(blobs: Sequence[bytes]):
+def decode_coefficients_batch(blobs: Sequence[bytes], out=None):
     """Decode many blobs to ``int64`` ndarrays in a few vectorized passes.
 
     Blobs are grouped by identical ``(flags, width, count)`` header; each
@@ -290,6 +290,11 @@ def decode_coefficients_batch(blobs: Sequence[bytes]):
     ``blobs``, or ``None`` when numpy is absent or **any** blob's width
     exceeds the native lane — mixed-width fallback keeps the caller on one
     code path per batch.  Headers are validated (and raise) either way.
+
+    With ``out``, a ``(len(blobs), width)`` int64 array, each group is
+    written straight into its rows instead (row ``i`` is blob ``i``
+    zero-padded to ``width``; a blob holding more values raises
+    :class:`ProtocolError`) and ``out`` is returned.
     """
     np = numpy_or_none()
     headers = [_parse_header(blob) for blob in blobs]
@@ -303,7 +308,14 @@ def decode_coefficients_batch(blobs: Sequence[bytes]):
         groups.setdefault(header, []).append(index)
     result: List[Optional[object]] = [None] * len(blobs)
     for (flags, width, count), indices in groups.items():
+        if out is not None and count > out.shape[1]:
+            raise ProtocolError(
+                f"coefficient blob holds {count} values but a row holds "
+                f"{out.shape[1]}")
         if width == 0:
+            if out is not None:
+                out[indices] = 0
+                continue
             for index in indices:
                 result[index] = np.zeros(count, dtype=np.int64)
             continue
@@ -329,9 +341,14 @@ def decode_coefficients_batch(blobs: Sequence[bytes]):
         if flags & _FLAG_ZIGZAG:
             values = np.where(values & 1,
                               -((values + 1) >> 1), values >> 1)
+        if out is not None:
+            out[indices, :count] = values
+            if count < out.shape[1]:
+                out[indices, count:] = 0
+            continue
         for row, index in enumerate(indices):
             result[index] = values[row]
-    return result
+    return result if out is None else out
 
 
 def decode_int_vector(blob: bytes) -> List[int]:

@@ -39,14 +39,13 @@ import os
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing
 from ..algebra.vkernels import VecFpKernel, numpy_or_none
 from ..core.query import CoefficientRows
-from ..core.share_tree import ServerShareTree, TreeStructure
+from ..core.share_tree import ServerShareTree, ShareRowCache, TreeStructure
 from ..errors import ProtocolError, SharingError
 from .pages import (
     DEFAULT_PAGE_BYTES,
@@ -607,9 +606,11 @@ class SQLiteShareStore(ShareStore):
     loaded by one scan of ``nodes`` on the first structural read; every
     structural read (child lists, subtrees, parents, existence, root,
     counts) is answered from it.  Share polynomials are decoded on demand
-    and kept in a bounded LRU cache, so the shares never all sit in
-    memory.  All access is serialised by an internal lock; the connection
-    is shared across threads.  The store assumes it is the file's only
+    and kept in a :class:`~repro.core.share_tree.ShareRowCache` of
+    ``cache_size`` shares (on the vectorized tier's rings one int64 slot
+    matrix of at most ``cache_size × (p − 1) × 8`` bytes), so the shares
+    never all sit in memory.  All access is serialised by an internal
+    lock; the connection is shared across threads.  The store assumes it is the file's only
     writer: another process that edits the file is not seen by the
     resident structure or the share cache.
 
@@ -631,10 +632,6 @@ class SQLiteShareStore(ShareStore):
 
         self.path = path
         self.cache_size = cache_size
-        # Entries are Polynomials, or decoded int64 coefficient rows when
-        # the vectorized read path filled them; `_entry_share` converts on
-        # first structural access and replaces the entry in place.
-        self._cache: "OrderedDict[int, Any]" = OrderedDict()
         # The resident structure and the next free sibling-order value,
         # loaded together by `_tree_locked`; None until the first read.
         self._structure: Optional[TreeStructure] = None
@@ -707,6 +704,9 @@ class SQLiteShareStore(ShareStore):
                 self._set_meta("ring", json.dumps(ring_to_dict(ring),
                                                   separators=(",", ":")))
                 self._set_meta("page_bytes", str(page_bytes))
+        # The share LRU: int64 rows in one slot matrix on the vectorized
+        # tier's rings, decoded polynomials otherwise.
+        self._cache = ShareRowCache(cache_size, self.ring)
 
     # -- construction ---------------------------------------------------------------
     @classmethod
@@ -802,211 +802,100 @@ class SQLiteShareStore(ShareStore):
         with self._lock:
             return self._tree_locked().parent(node_id)
 
-    def _load_blob(self, node_id: int) -> Optional[bytes]:
-        row = self._conn.execute(
-            "SELECT head FROM nodes WHERE node_id = ?", (node_id,)).fetchone()
-        if row is None:
-            return None
-        rows = self._conn.execute(
-            "SELECT payload FROM pages WHERE node_id = ? ORDER BY page_no",
-            (node_id,)).fetchall()
-        return join_pages([row[0]] + [overflow[0] for overflow in rows])
-
-    def _cache_put(self, node_id: int, entry: Any) -> None:
-        if self.cache_size > 0:
-            if not isinstance(entry, Polynomial):
-                # Decoded rows from a batch decode are views into one group
-                # matrix; copy so a cached row never pins its whole batch.
-                entry = entry.copy()
-            self._cache[node_id] = entry
-            if len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-
-    def _entry_share(self, node_id: int, entry: Any) -> Polynomial:
-        """A cache entry as a Polynomial, upgrading int64 rows in place."""
-        if isinstance(entry, Polynomial):
-            return entry
-        share = self.ring.from_coefficients(entry.tolist())
-        if node_id in self._cache:
-            self._cache[node_id] = share
-        return share
-
     def share_of(self, node_id: int) -> Polynomial:
         with self._lock:
-            entry = self._cache.get(node_id)
-            if entry is not None:
-                self._cache.move_to_end(node_id)
-                if self._cache_hits is not None:
-                    self._cache_hits.inc()
-                return self._entry_share(node_id, entry)
-            if self._cache_misses is not None:
-                self._cache_misses.inc()
-            blob = self._load_blob(node_id)
-            if blob is None:
-                raise SharingError(f"unknown node id {node_id}")
-            share = self._decode_share(blob)
-            self._cache_put(node_id, share)
-            return share
+            fetched = self._cache.fetch([node_id], self._load_locked)
+        return self._as_shares(fetched)[0]
 
     def evaluate_many(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
         """Evaluate many node shares at one point: one lock round, one
         ``SELECT ... IN`` per chunk of cache misses, one batched ring pass.
 
-        When the ring's kernel is the vectorized tier, cache misses never
-        become Python coefficient lists at all: the head+overflow blobs are
-        batch-decoded into int64 rows (:func:`decode_coefficients_batch`),
-        scattered into one padded matrix together with any cached entries,
-        and evaluated in a single :meth:`VecFpKernel.evaluate_matrix` pass —
-        one chunked SELECT, one array decode, one batched ring pass.  Any
-        fallback condition (no numpy, flat/generic tier, limbs beyond the
-        native width) reverts to the decoded-Polynomial path, which remains
-        bit-identical.
+        On the vectorized tier the cached rows and the decoded misses form
+        one int64 block (:meth:`ShareRowCache.fetch`) evaluated in a single
+        :meth:`VecFpKernel.evaluate_matrix` pass, whose values are reduced
+        mod ``p`` as :meth:`EncodingRing.evaluate_many`'s are; no
+        coefficient becomes a Python int.  The other tiers evaluate
+        polynomials, which stays bit-identical.
         """
         ring = self.ring
         kernel = ring.coefficient_ring.kernel()
-        vec = kernel if isinstance(kernel, VecFpKernel) else None
         with self._lock:
-            entries, as_rows = self._entries_locked(node_ids, vec is not None)
-            if vec is not None and as_rows:
-                return dict(zip(node_ids, self._evaluate_rows_locked(
-                    vec, node_ids, entries, point)))
-            ordered = [self._entry_share(node_id, entries[node_id])
-                       for node_id in node_ids]
-        return dict(zip(node_ids, ring.evaluate_many(ordered, point)))
+            fetched = self._cache.fetch(node_ids, self._load_locked)
+        if isinstance(kernel, VecFpKernel):
+            values = kernel.evaluate_matrix(
+                fetched, ring.coefficient_ring.coerce(point))
+        else:
+            values = ring.evaluate_many(self._as_shares(fetched), point)
+        return dict(zip(node_ids, values))
 
     def coefficient_rows(self, node_ids: Sequence[int]) -> CoefficientRows:
         """Share coefficients of many nodes from one cache pass and one
         chunked load of the misses (the loader :meth:`evaluate_many` uses).
 
-        On the vectorized tier the rows come back as one int64 block built
-        straight from the decoded and cached entries: no Python int per
-        coefficient and no :class:`Polynomial` per node.
+        On the vectorized tier's rings the rows are the int64 block the
+        cache returns: no Python int per coefficient and no
+        :class:`Polynomial` per node.
         """
-        kernel = self.ring.coefficient_ring.kernel()
         width = self.ring.degree_bound
         node_ids = list(dict.fromkeys(node_ids))
         with self._lock:
-            entries, as_rows = self._entries_locked(
-                node_ids, isinstance(kernel, VecFpKernel))
-            if as_rows:
-                matrix = self._row_matrix(node_ids, entries, width)
-                if matrix is not None:
-                    return CoefficientRows(node_ids, matrix.shape[1],
-                                           matrix=matrix)
-            rows: List[List[int]] = []
-            for node_id in node_ids:
-                entry = entries[node_id]
-                row = (list(entry.coeffs) if isinstance(entry, Polynomial)
-                       else entry.tolist())
-                row.extend([0] * (width - len(row)))
-                rows.append(row)
+            fetched = self._cache.fetch(node_ids, self._load_locked)
+        if self._cache.width is not None:
+            return CoefficientRows(node_ids, width, matrix=fetched)
+        rows: List[List[int]] = []
+        for share in fetched:
+            row = list(share.coeffs)
+            row.extend([0] * (width - len(row)))
+            rows.append(row)
         return CoefficientRows(node_ids, width, rows=rows)
 
-    def _entries_locked(self, node_ids: Sequence[int], as_rows: bool
-                        ) -> Tuple[Dict[int, Any], bool]:
-        """Cache entries for ``node_ids``, loading the misses in one pass.
+    def _as_shares(self, fetched: Any) -> List[Polynomial]:
+        """What the cache fetched, as polynomials (rows are converted)."""
+        if self._cache.width is None:
+            return fetched
+        return [self.ring.element_from_row(row) for row in fetched]
 
-        Misses are read with one ``SELECT ... IN`` per chunk and, when
-        ``as_rows``, batch-decoded into int64 rows; the returned flag says
-        whether that decode happened (``False`` when it fell back to
-        Polynomials, e.g. limbs beyond the native width).
+    def _load_locked(self, node_ids: List[int]) -> Any:
+        """The stored shares of ``node_ids``, in the cache's form.
+
+        Heads come with one ``SELECT ... IN`` per chunk; ``pages`` is read
+        only for heads that fill a whole page, the only ones that can
+        continue there.  In row form each header group decodes straight
+        into one ``(len, width)`` block.
         """
-        entries: Dict[int, Any] = {}
-        misses: List[int] = []
+        heads: Dict[int, bytes] = {}
+        for marks, chunk in _id_chunks(node_ids):
+            heads.update(self._conn.execute(
+                f"SELECT node_id, head FROM nodes WHERE node_id IN ({marks})",
+                chunk))
+        full = [node_id for node_id, head in heads.items()
+                if len(head) >= self.page_bytes]
+        overflow: Dict[int, List[bytes]] = {}
+        for marks, chunk in _id_chunks(full):
+            for node_id, payload in self._conn.execute(
+                    f"SELECT node_id, payload FROM pages "
+                    f"WHERE node_id IN ({marks}) ORDER BY node_id, page_no",
+                    chunk):
+                overflow.setdefault(node_id, []).append(payload)
+        blobs: List[bytes] = []
         for node_id in node_ids:
-            cached = self._cache.get(node_id)
-            if cached is not None:
-                self._cache.move_to_end(node_id)
-                entries[node_id] = cached
-            elif node_id not in entries:
-                entries[node_id] = None
-                misses.append(node_id)
-        if self._cache_hits is not None:
-            hits = len(entries) - len(misses)
-            if hits:
-                self._cache_hits.inc(hits)
-            if misses:
-                self._cache_misses.inc(len(misses))
-        if not misses:
-            return entries, as_rows
-        blobs: Dict[int, List[bytes]] = {}
-        for marks, chunk in _id_chunks(misses):
-            rows = self._conn.execute(
-                f"SELECT node_id, head FROM nodes "
-                f"WHERE node_id IN ({marks})", chunk).fetchall()
-            for row_node, head in rows:
-                blobs[int(row_node)] = [head]
-            rows = self._conn.execute(
-                f"SELECT node_id, page_no, payload FROM pages "
-                f"WHERE node_id IN ({marks}) ORDER BY node_id, page_no",
-                chunk).fetchall()
-            for row_node, _, payload in rows:
-                blobs[int(row_node)].append(payload)
-        joined: List[bytes] = []
-        for node_id in misses:
-            payloads = blobs.get(node_id)
-            if payloads is None:
+            head = heads.get(node_id)
+            if head is None:
                 raise SharingError(f"unknown node id {node_id}")
-            joined.append(join_pages(payloads))
-        # Called through the module global on purpose: profilers wrap it there.
-        rows64 = decode_coefficients_batch(joined) if as_rows else None
-        if rows64 is None:
-            for node_id, blob in zip(misses, joined):
-                share = self._decode_share(blob)
-                entries[node_id] = share
-                self._cache_put(node_id, share)
-            return entries, False
-        for node_id, row in zip(misses, rows64):
-            entries[node_id] = row
-            self._cache_put(node_id, row)
-        return entries, True
-
-    @staticmethod
-    def _row_matrix(node_ids: Sequence[int], entries: Dict[int, Any],
-                    width: int = 0):
-        """Mixed row/Polynomial entries as one zero-padded int64 matrix.
-
-        At least ``width`` columns wide (wider if an entry is longer);
-        ``None`` when a cached polynomial's coefficient exceeds int64.
-        """
+            pages = overflow.get(node_id)
+            blobs.append(head if pages is None else join_pages([head] + pages))
+        width = self._cache.width
+        if width is None:
+            return [self._decode_share(blob) for blob in blobs]
         np = numpy_or_none()
-        longest = width
-        for entry in entries.values():
-            length = (len(entry.coeffs) if isinstance(entry, Polynomial)
-                      else int(entry.size))
-            if length > longest:
-                longest = length
-        matrix = np.zeros((len(node_ids), longest), dtype=np.int64)
-        try:
-            for index, node_id in enumerate(node_ids):
-                entry = entries[node_id]
-                if isinstance(entry, Polynomial):
-                    if entry.coeffs:
-                        matrix[index, :len(entry.coeffs)] = entry.coeffs
-                elif entry.size:
-                    matrix[index, :entry.size] = entry
-        except OverflowError:
-            return None
-        return matrix
-
-    def _evaluate_rows_locked(self, vec: VecFpKernel,
-                              node_ids: Sequence[int],
-                              entries: Dict[int, Any],
-                              point: int) -> List[int]:
-        """One padded-matrix evaluation over mixed row/Polynomial entries.
-
-        Mirrors :meth:`EncodingRing.evaluate_many` exactly: same point
-        coercion, same final reduction — the property suite asserts the
-        results bit-identical to the generic path.
-        """
-        ring = self.ring
-        matrix = self._row_matrix(node_ids, entries)
-        coerced = ring.coefficient_ring.coerce(point)
-        values = vec.evaluate_matrix(matrix, coerced)
-        modulus = ring.evaluation_modulus(point)
-        if modulus is None:
-            return values
-        return [value % modulus for value in values]
+        block = np.empty((len(blobs), width), dtype=np.int64)
+        # Called through the module global on purpose: profilers wrap it there.
+        if decode_coefficients_batch(blobs, out=block) is None:
+            raise ProtocolError(
+                f"share store {self.path!r} holds coefficients wider than "
+                f"its ring {self.ring.name} allows; the store is corrupt")
+        return block
 
     def __contains__(self, node_id: int) -> bool:
         with self._lock:
@@ -1015,11 +904,15 @@ class SQLiteShareStore(ShareStore):
     def bind_metrics(self, metrics: Any, document_id: str) -> None:
         """Bind instruments, back-reporting the open-time recovery outcome.
 
-        A store that drained a legacy log did so *before* it was hosted;
-        recording it at bind time means the event still shows up in
+        The share LRU counts its hits and misses straight into the bound
+        ``store_cache_*_total`` counters from here on.  A store that
+        drained a legacy log did so *before* it was hosted; recording it at
+        bind time means the event still shows up in
         ``store_recovery_total`` for operators.
         """
         super().bind_metrics(metrics, document_id)
+        self._cache.hits = self._cache_hits
+        self._cache.misses = self._cache_misses
         self._record_recovery(self.last_recovery)
 
     def cached_share_count(self) -> int:
@@ -1105,9 +998,9 @@ class SQLiteShareStore(ShareStore):
             self._fault_point(len(ops) + 1)
             for node_id, share, added in written:
                 if share is None:
-                    self._cache.pop(node_id, None)
+                    self._cache.discard(node_id)
                 elif added or node_id in self._cache:
-                    self._cache_put(node_id, share)
+                    self._cache.put(node_id, share)
                 if added:
                     self._next_ord += 1
         except BaseException:

@@ -11,7 +11,6 @@ from repro.net import (
     ChannelStats,
     InstrumentedChannel,
     LatencyModel,
-    RemoteServerAdapter,
     SearchServer,
     connect_in_process,
     decode_message,

@@ -328,26 +328,29 @@ class TestSelectionAndCache:
                    for node_id, node in tree.nodes.items())
 
     def test_one_cache_for_both_forms(self, spy):
-        np = numpy_or_none()
+        """share_for and the row paths read and fill one row cache."""
         ring = FpQuotientRing(251)
         prg = DeterministicPRG(b"one-cache")
         generator = ClientShareGenerator(ring, prg, cache_size=8)
-        generator.share_for(1)                     # a Polynomial entry
+        generator.share_for(1)                     # cached as a row
         rows = generator.share_rows(list(range(1, 11)))
         assert spy == [9]                          # node 1 was a hit
-        entries = list(generator._cache.items())
-        assert [node_id for node_id, _ in entries] == list(range(3, 11))
-        for _, entry in entries:
-            # Copies, not views into the derived block.
-            assert isinstance(entry, np.ndarray) and entry.base is None
-        share = generator.share_for(10)            # a row entry serves it
-        assert isinstance(generator._cache[10], Polynomial)
-        assert padded(share, 250) == rows[-1].tolist()
+        assert (generator.cache_hits, generator.cache_misses) == (1, 10)
+        assert [node_id for node_id in range(1, 11)
+                if node_id in generator._cache] == list(range(3, 11))
+        expected = rows.copy()
+        rows[:] = 0                                # the caller's copy only
+        share = generator.share_for(10)            # a row serves it
+        assert isinstance(share, Polynomial)
+        assert padded(share, 250) == expected[-1].tolist()
         shares = generator.shares_for(range(3, 11))
         assert [padded(shares[node_id], 250) for node_id in range(3, 11)
-                ] == rows[2:].tolist()
+                ] == expected[2:].tolist()
         generator.evaluate_points(list(range(3, 11)), [2])
+        assert generator.share_rows(list(range(3, 11))).tolist() == \
+            expected[2:].tolist()
         assert spy == [9]                          # every later call hit
+        assert (generator.cache_hits, generator.cache_misses) == (1 + 1 + 3 * 8, 10)
         assert len(generator._cache) == 8
 
     def test_disabled_cache_keeps_nothing(self, spy):
@@ -363,7 +366,12 @@ class TestSelectionAndCache:
 
 @numpy_present
 def test_shared_generator_under_threads():
-    """Overlapping frontiers on one generator from more threads than cores."""
+    """Overlapping frontiers on one generator from more threads than cores.
+
+    Every frontier is larger than the cache, so gathers race miss fills
+    that evict and reuse the slots other sessions are reading; rows must
+    still come out right, and every cached slot must hold its id's row.
+    """
     ring = FpQuotientRing(53)
     prg = DeterministicPRG(b"threads")
     cache_size = 48
@@ -381,17 +389,21 @@ def test_shared_generator_under_threads():
                 index = step % len(frontiers)
                 frontier = frontiers[index]
                 step += 1
-                if step % 3 == 0:
+                if step % 4 == 0:
                     values = generator.evaluate_points(frontier, [5])[5]
                     assert values == [ring.evaluate(
                         Polynomial(row, ring.field), 5)
                         for row in expected[index]]
-                elif step % 3 == 1:
+                elif step % 4 == 1:
                     assert generator.share_rows(frontier).tolist() == expected[index]
-                else:
+                elif step % 4 == 2:
                     shares = generator.shares_for(frontier)
                     assert [padded(shares[node_id], 52) for node_id in frontier
                             ] == expected[index]
+                else:
+                    picked = frontier[step % 7::7]
+                    assert [padded(generator.share_for(node_id), 52)
+                            for node_id in picked] == expected[index][step % 7::7]
                 with generator._cache_lock:
                     assert len(generator._cache) <= cache_size
         except BaseException as exc:  # noqa: BLE001 - surfaced below
@@ -410,4 +422,10 @@ def test_shared_generator_under_threads():
         sys.setswitchinterval(switch_interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(generator._cache) <= cache_size
+    cache = generator._cache
+    assert len(cache) <= cache_size
+    assert generator.cache_hits > 0 and generator.cache_misses > 0
+    cached = list(cache._order.items())
+    assert len({slot for _, slot in cached}) == len(cached)
+    assert cache._slots[[slot for _, slot in cached]].tolist() == \
+        reference_rows(ring, prg, [node_id for node_id, _ in cached])
