@@ -922,10 +922,13 @@ def bench_kernel_evaluate_many(server_tree,
     """Cold-cache SQLite ``evaluate_many`` passes/s per kernel tier.
 
     This is the satellite row-path microbenchmark in both directions: the
-    "flat" tier is the before (head+overflow blobs decoded limb-by-limb
-    into Python coefficient lists, evaluated via the shared power table —
-    the BENCH_4 batched path), "vectorized" the after (one grouped array
-    decode feeding one matrix evaluation, no per-coefficient Python ints).
+    "flat" tier evaluates polynomials via the shared power table (the
+    BENCH_4 batched path), "vectorized" one matrix (no per-coefficient
+    Python ints).  With numpy present the store decodes misses through
+    the grouped array codec on every tier, because its share cache keeps
+    int64 rows on such rings, and the flat and generic tiers build their
+    polynomials from those rows; ``BENCH_6.json`` was recorded while the
+    flat tier still decoded limb by limb into Python lists.
     ``cache_size=0`` keeps every pass cold so the decode path is what is
     measured; bit-identity across tiers is asserted per batch.
     """
