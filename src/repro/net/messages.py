@@ -914,10 +914,15 @@ def decode_message(data: bytes,
     ``kinds``, when given, lists the kinds the caller accepts: a message of
     any other kind is refused before its body is decoded.  Servers pass
     :data:`REQUEST_KINDS`, so a client cannot make them decode a response.
+    Every frame that does not decode raises
+    :class:`~repro.errors.ProtocolError`.
     """
     try:
         body = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides bad UTF-8 and bad JSON (both ValueErrors), the parser
+        # gives up on nesting past its recursion limit and on integer
+        # literals past Python's int-conversion digit limit.
         raise ProtocolError(f"malformed message: {exc}") from exc
     if type(body) is not dict:
         raise ProtocolError(

@@ -42,6 +42,7 @@ from repro.net.channel import SocketChannel
 from repro.net.framing import FRAME_HEADER_BYTES, decode_frame_length, encode_frame
 from repro.net.messages import (
     PROTOCOL_VERSION,
+    REQUEST_KINDS,
     BusyResponse,
     ErrorResponse,
     FrontierRequest,
@@ -428,6 +429,26 @@ class TestSocketTransports:
         assert len(served.session_stats) >= 8
 
 
+#: Frames the JSON parser itself gives up on, with a ValueError or a
+#: RecursionError rather than a JSON syntax error: arrays nested past its
+#: recursion limit, and an integer literal past Python's 4,300-digit
+#: int-conversion limit.  One request-kind and one response-kind frame
+#: each; decoding must refuse all four with a ProtocolError.
+NESTED = b"[" * 100_000
+LONG_INT = b"9" * 5000
+UNPARSABLE_REQUESTS = [
+    pytest.param(b'{"kind": "frontier", "node_ids": ' + NESTED, "malformed",
+                 id="nested-arrays"),
+    pytest.param(b'{"kind": "hello", "versions": [' + LONG_INT + b']}',
+                 "malformed", id="5000-digit-int"),
+]
+UNPARSABLE_RESPONSES = [
+    pytest.param(b'{"kind": "frontier-ok", "evaluations": ' + NESTED,
+                 "malformed", id="nested-arrays"),
+    pytest.param(b'{"kind": "hello-ok", "version": ' + LONG_INT + b'}',
+                 "malformed", id="5000-digit-int"),
+]
+
 #: Request bodies decoding must refuse, each with the text its error names.
 MALFORMED_BODIES = [
     (b'[1, 2]', "not an object"),
@@ -475,7 +496,7 @@ MALFORMED_BODIES = [
      b'"base": {}}', "ops"),
     (b'{"kind": "update", "operation": "x", "ops": [], "base": {"1": 0.5}}',
      "base"),
-]
+] + UNPARSABLE_REQUESTS
 
 #: Response bodies decoding must refuse, each with the text its error names.
 MALFORMED_RESPONSES = [
@@ -504,7 +525,7 @@ MALFORMED_RESPONSES = [
     (b'{"kind": "busy", "retry_after_s": -1}', "retry_after_s"),
     (b'{"kind": "busy", "retry_after_s": "soon"}', "retry_after_s"),
     (b'{"kind": "busy", "retry_after_s": true}', "retry_after_s"),
-]
+] + UNPARSABLE_RESPONSES
 
 
 class TestMalformedRequests:
@@ -530,6 +551,11 @@ class TestMalformedRequests:
     def test_malformed_responses_are_protocol_errors(self, body, named):
         with pytest.raises(ProtocolError, match=named):
             decode_message(body)
+
+    @pytest.mark.parametrize("body,named", UNPARSABLE_REQUESTS)
+    def test_unparsable_requests_are_protocol_errors(self, body, named):
+        with pytest.raises(ProtocolError, match=named):
+            decode_message(body, REQUEST_KINDS)
 
     def test_nan_busy_hint_surfaces_as_protocol_error(self):
         """A busy reply whose hint is not a finite delay never reaches the
