@@ -12,6 +12,12 @@ snapshot written by ``python -m repro.cli bench`` or by
 the wall-clock rates vary with the host.  Snapshots are written with
 sorted keys and a stable schema so future perf PRs can diff against
 ``BENCH_1.json``.
+
+Two more suites serve the socket transport: BENCH_3 (``bench
+--concurrency N``, concurrent lookup throughput) and BENCH_7 (``bench
+--ops``, the control plane).  The other ``BENCH_N.json`` files are frozen
+history with no generator left; the served protocol is measured by
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -41,28 +47,16 @@ from .workloads import RandomXmlConfig, generate_random_document
 __all__ = [
     "run_benchmarks",
     "run_concurrency_benchmarks",
-    "run_update_benchmarks",
-    "run_fault_benchmarks",
-    "run_kernel_benchmarks",
     "run_ops_benchmarks",
     "write_snapshot",
     "SNAPSHOT_NAME",
     "CONCURRENCY_SNAPSHOT_NAME",
-    "UPDATES_SNAPSHOT_NAME",
-    "FAULTS_SNAPSHOT_NAME",
-    "KERNELS_SNAPSHOT_NAME",
     "OPS_SNAPSHOT_NAME",
 ]
 
 SNAPSHOT_NAME = "BENCH_1"
 
 CONCURRENCY_SNAPSHOT_NAME = "BENCH_3"
-
-UPDATES_SNAPSHOT_NAME = "BENCH_4"
-
-FAULTS_SNAPSHOT_NAME = "BENCH_5"
-
-KERNELS_SNAPSHOT_NAME = "BENCH_6"
 
 OPS_SNAPSHOT_NAME = "BENCH_7"
 
@@ -74,7 +68,7 @@ _BENCH_PRIME = 10007
 def _environment() -> Dict[str, Any]:
     """python/numpy/platform stamp written into every snapshot config block.
 
-    BENCH_1→6 trajectories are only comparable when the host is known;
+    Snapshot trajectories are only comparable when the host is known;
     ``numpy: null`` additionally records that a snapshot measured the
     fallback (flat-tier) dispatch rather than the vectorized one.
     """
@@ -113,15 +107,6 @@ def _calibrate(fn: Callable[[], Any], min_time: float) -> Tuple[int, float]:
         if elapsed >= min_time / 4 or number >= 1 << 16:
             return number, elapsed
         number *= 4
-
-
-def _ops_per_sec(fn: Callable[[], Any], min_time: float = 0.10,
-                 repeat: int = 3) -> float:
-    """Best observed throughput of ``fn`` in operations per second."""
-    number, best = _calibrate(fn, min_time)
-    for _ in range(repeat - 1):
-        best = min(best, _batch_seconds(fn, number))
-    return number / best
 
 
 def _percentiles(latencies_s: List[float],
@@ -503,7 +488,8 @@ def run_concurrency_benchmarks(quick: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# Dynamic-update benchmark (BENCH_4): crash-safe batches + binary pages
+# Control-plane benchmark (BENCH_7): observability, admission and
+# durable-write overhead
 # ---------------------------------------------------------------------------
 
 def _update_subtree(size: int, tags: List[str], seed: int):
@@ -521,100 +507,6 @@ def _update_subtree(size: int, tags: List[str], seed: int):
         parent = nodes[rng.randrange(len(nodes))]
         nodes.append(parent.add(tags[(index * 7) % len(tags)]))
     return root
-
-
-def bench_update_file_size(server_tree) -> Dict[str, Any]:
-    """On-disk size of the same share tree: v1 JSON rows vs v2 binary pages."""
-    from .net import SQLiteShareStore, write_v1_share_store
-
-    with tempfile.TemporaryDirectory() as tmp:
-        v1_bytes = write_v1_share_store(os.path.join(tmp, "v1.db"), server_tree)
-        v2 = SQLiteShareStore.from_tree(os.path.join(tmp, "v2.db"), server_tree)
-        v2_bytes = v2.file_bytes()
-        v2.close()
-    return {
-        "nodes": server_tree.node_count(),
-        "share_bits": server_tree.storage_bits(),
-        "v1_json_rows_bytes": v1_bytes,
-        "v2_binary_pages_bytes": v2_bytes,
-        "shrink_factor": round(v1_bytes / v2_bytes, 2),
-    }
-
-
-def bench_update_latency(client, server_tree, subtree_sizes,
-                         repeat: int = 3) -> Dict[str, Any]:
-    """Insert/delete latency of crash-safe batches on the durable store.
-
-    Each measurement inserts a fresh ``size``-node subtree under the root
-    of a SQLite-backed document (one batch, written as one SQLite
-    transaction), then deletes it again (another batch), keeping the
-    document at its original size between rounds.  ``per_node_ms`` flat across sizes is the linearity
-    check: the pre-fix editor recomputed the whole descendant product per
-    node (O(n²)) and rescanned the id table per node, so its per-node cost
-    grew with the subtree.
-    """
-    from .core import UpdatableTree
-    from .net import SQLiteShareStore
-
-    tags = sorted(client.mapping.tags())
-    results: Dict[str, Any] = {"subtree_sizes": list(subtree_sizes), "sizes": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        store = SQLiteShareStore.from_tree(os.path.join(tmp, "updates.db"),
-                                           server_tree)
-        editor = UpdatableTree(client.ring, client.mapping,
-                               client.share_generator, store)
-        root_id = store.root_id
-        for size in subtree_sizes:
-            insert_best = delete_best = float("inf")
-            for round_index in range(repeat):
-                subtree = _update_subtree(size, tags, seed=size + round_index)
-                start = time.perf_counter()
-                report = editor.insert_subtree(root_id, subtree)
-                insert_best = min(insert_best, time.perf_counter() - start)
-                assert len(report.new_node_ids) == size
-                start = time.perf_counter()
-                removed = editor.delete_subtree(report.new_node_ids[0])
-                delete_best = min(delete_best, time.perf_counter() - start)
-                assert len(removed.removed_node_ids) == size
-            results["sizes"][str(size)] = {
-                "insert_ms": round(insert_best * 1000, 3),
-                "insert_per_node_ms": round(insert_best * 1000 / size, 4),
-                "delete_ms": round(delete_best * 1000, 3),
-                "delete_per_node_ms": round(delete_best * 1000 / size, 4),
-            }
-        store.close()
-    rows = [results["sizes"][str(size)]["insert_per_node_ms"]
-            for size in subtree_sizes]
-    # Per-node cost of the largest vs the smallest subtree: ~1 means the
-    # insert scales linearly in the subtree size (the quadratic editor
-    # scaled this with the subtree size itself).
-    results["insert_linearity_ratio"] = round(rows[-1] / rows[0], 2)
-    return results
-
-
-def bench_update_evaluate_many(server_tree, batch: int = 512) -> Dict[str, Any]:
-    """Batched SQLite ``evaluate_many`` vs the generic per-node fallback."""
-    from .net import ShareStore, SQLiteShareStore
-
-    node_ids = server_tree.node_ids()[:batch]
-    point = 3
-    with tempfile.TemporaryDirectory() as tmp:
-        store = SQLiteShareStore.from_tree(os.path.join(tmp, "eval.db"),
-                                           server_tree, cache_size=0)
-        batched = _ops_per_sec(lambda: store.evaluate_many(node_ids, point),
-                               min_time=0.05)
-        per_node = _ops_per_sec(
-            lambda: ShareStore.evaluate_many(store, node_ids, point),
-            min_time=0.05)
-        assert (store.evaluate_many(node_ids, point)
-                == ShareStore.evaluate_many(store, node_ids, point))
-        store.close()
-    return {
-        "batch_nodes": len(node_ids),
-        "batched_passes_per_sec": round(batched, 2),
-        "per_node_passes_per_sec": round(per_node, 2),
-        "speedup": round(batched / per_node, 2),
-    }
 
 
 def bench_update_wal_overhead(client, server_tree, subtree_size: int = 64,
@@ -678,440 +570,6 @@ def bench_update_wal_overhead(client, server_tree, subtree_size: int = 64,
         "wal_overhead_ratio": round(wal_ms / memory_ms, 2),
     }
 
-
-def run_update_benchmarks(quick: bool = False) -> Dict[str, Any]:
-    """BENCH_4: durable dynamic updates — latency, crash-safety cost, size.
-
-    One large skewed document (the BENCH_3 workload shape) is outsourced
-    once; the same share tree is then written as a legacy v1 store (JSON
-    coefficient rows) and a v2 store (binary coefficient pages) for the
-    size comparison, and edited through batches of one SQLite transaction
-    each for the latency numbers.
-    """
-    from .core import outsource_document
-
-    element_count = 4000 if quick else 120_000
-    subtree_sizes = [8, 32, 128] if quick else [8, 32, 128, 512]
-    document = _concurrency_document(element_count)
-    client, server_tree, _ = outsource_document(document, seed=b"bench-4")
-    return {
-        "snapshot": UPDATES_SNAPSHOT_NAME,
-        "description": "crash-safe dynamic updates on the durable store: "
-                       "one-transaction batch latency, binary coefficient "
-                       "pages vs JSON rows, batched store evaluation",
-        "config": {"quick": quick, "element_count": element_count,
-                   "subtree_sizes": list(subtree_sizes),
-                   "environment": _environment()},
-        "file_size": bench_update_file_size(server_tree),
-        "update_latency": bench_update_latency(client, server_tree,
-                                               subtree_sizes),
-        "evaluate_many": bench_update_evaluate_many(server_tree),
-        # Last: the in-memory leg edits server_tree in place (net-zero
-        # structurally, but ancestor shares are re-randomised).
-        "wal_overhead": bench_update_wal_overhead(
-            client, server_tree, subtree_size=32 if quick else 128,
-            repeat=2 if quick else 3),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Fault-tolerance benchmark (BENCH_5): availability and latency under faults
-# ---------------------------------------------------------------------------
-
-def _fault_plans(rate: float, seed: int):
-    """Deterministic (channel, store) fault plans for one sweep point.
-
-    The headline ``rate`` is split across the four injected failure
-    classes — connection reset (before and after send), truncated
-    response frame, in-band busy shedding — on the channel side, plus
-    transient store failures on the server side, so every recovery path
-    of the resilient stack is exercised in one sweep.
-    """
-    from .net import FaultPlan, FaultRule
-
-    if rate <= 0.0:
-        return FaultPlan(seed=seed), FaultPlan(seed=seed + 1)
-    per_kind = rate / 4.0
-    channel_plan = FaultPlan([
-        FaultRule("*:send", "reset-before-send", rate=per_kind),
-        FaultRule("*:send", "busy", rate=per_kind),
-        FaultRule("*:recv", "reset-after-send", rate=per_kind),
-        FaultRule("*:recv", "truncate-response", rate=per_kind),
-    ], seed=seed)
-    store_plan = FaultPlan([
-        FaultRule("store:evaluate_many", "store-error", rate=per_kind),
-    ], seed=seed + 1)
-    return channel_plan, store_plan
-
-
-def run_fault_benchmarks(quick: bool = False,
-                         rates: Optional[List[float]] = None,
-                         seed: int = 0) -> Dict[str, Any]:
-    """BENCH_5: lookup availability and latency percentiles vs fault rate.
-
-    The figure-1 workload runs over a real TCP session against the
-    threaded server while a seeded fault plan resets connections,
-    truncates response frames, sheds requests and fails store passes at
-    the swept rate.  The client is the resilient stack with its real
-    (bounded, jittered) backoff, so the latency columns price recovery
-    honestly; every completed lookup is asserted bit-identical to the
-    fault-free reference, and availability counts the lookups that
-    completed within the retry policy's attempts/deadline bounds.
-    """
-    from .core import VerificationMode, outsource_document
-    from .errors import ReproError
-    from .net import (
-        FaultyChannel,
-        FaultyStore,
-        InMemoryShareStore,
-        SearchServer,
-        SocketChannel,
-        ThreadedSearchServer,
-        connect_resilient,
-    )
-    from .net.retry import RetryPolicy
-    from .workloads import figure1_document
-
-    if rates is None:
-        rates = [0.0, 0.05] if quick else [0.0, 0.02, 0.05, 0.10]
-    repeats = 4 if quick else 12
-    tags = ["client", "name", "customers"]
-    document = figure1_document(clients=6)
-    client, server_tree, _ = outsource_document(document, seed=b"bench-5")
-    reference = {
-        tag: tuple(client.lookup(server_tree, tag,
-                                 verification=VerificationMode.NONE).matches)
-        for tag in tags}
-
-    rows: Dict[str, Any] = {}
-    for rate in rates:
-        channel_plan, store_plan = _fault_plans(rate, seed)
-        store = FaultyStore(InMemoryShareStore(server_tree), store_plan)
-        server = ThreadedSearchServer(SearchServer(store)).start()
-        try:
-            host, port = server.address
-
-            def factory(host=host, port=port, plan=channel_plan):
-                return FaultyChannel(SocketChannel(host, port), plan)
-
-            def fresh_session():
-                policy = RetryPolicy(max_attempts=10, deadline_s=30.0,
-                                     base_backoff_s=0.002,
-                                     max_backoff_s=0.05, seed=seed)
-                return connect_resilient(factory, server_tree.ring,
-                                         policy=policy)
-
-            adapter, channel = fresh_session()
-            latencies: List[float] = []
-            completed = failed = 0
-            physical = {"retries": 0, "reconnects": 0, "busy_waits": 0}
-
-            def absorb(resilient) -> None:
-                physical["retries"] += resilient.retries
-                physical["reconnects"] += resilient.reconnects
-                physical["busy_waits"] += resilient.busy_waits
-
-            for _ in range(repeats):
-                for tag in tags:
-                    lookup_start = time.perf_counter()
-                    try:
-                        outcome = client.lookup(
-                            adapter, tag,
-                            verification=VerificationMode.NONE)
-                    except ReproError:
-                        # Retry-exhausted mid-descent: the lookup is lost.
-                        # Count it against availability and open a fresh
-                        # session for the next one.
-                        failed += 1
-                        absorb(channel)
-                        channel.close()
-                        adapter, channel = fresh_session()
-                        continue
-                    latencies.append(time.perf_counter() - lookup_start)
-                    assert tuple(outcome.matches) == reference[tag], tag
-                    completed += 1
-            absorb(channel)
-            channel.close()
-        finally:
-            server.stop()
-        row: Dict[str, Any] = {
-            "lookups": completed + failed,
-            "completed": completed,
-            "availability": round(completed / (completed + failed), 4),
-            "faults_injected": len(channel_plan.fires) + len(store_plan.fires),
-            "identical_to_reference": True,  # asserted per completed lookup
-        }
-        row.update(physical)
-        if latencies:
-            row.update(_percentiles(latencies))
-        rows[f"{rate:.2f}"] = row
-    assert rows[f"{rates[0]:.2f}"]["availability"] == 1.0 or rates[0] > 0.0
-    return {
-        "snapshot": FAULTS_SNAPSHOT_NAME,
-        "description": "fault-tolerant serving: lookup availability and "
-                       "latency percentiles vs injected fault rate "
-                       "(connection resets, truncated frames, busy "
-                       "shedding, store failures) over the resilient "
-                       "retry/reconnect/replay client",
-        "config": {"quick": quick, "rates": [f"{rate:.2f}" for rate in rates],
-                   "repeats": repeats, "tags": tags, "seed": seed,
-                   "document_elements": document.size(),
-                   "environment": _environment()},
-        "faults": rows,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Vectorized-kernel benchmark (BENCH_6): array tier vs flat tier vs generic
-# ---------------------------------------------------------------------------
-
-#: Tier order: fastest dispatch first; "flat" is the BENCH_1–5 kernel path
-#: (and the BENCH_4 batched-store path), "generic" the paper-reference one.
-_KERNEL_TIERS = ("vectorized", "flat", "generic")
-
-
-def _tier_context(tier: str):
-    """Context manager pinning kernel dispatch to one tier."""
-    import contextlib
-
-    from .algebra import use_vector_kernels
-
-    stack = contextlib.ExitStack()
-    if tier == "generic":
-        stack.enter_context(use_kernels(False))
-    elif tier == "flat":
-        stack.enter_context(use_kernels(True))
-        stack.enter_context(use_vector_kernels(False))
-    elif tier == "vectorized":
-        stack.enter_context(use_kernels(True))
-        stack.enter_context(use_vector_kernels(True))
-    else:  # pragma: no cover - guarded by _KERNEL_TIERS
-        raise ValueError(f"unknown kernel tier {tier!r}")
-    return stack
-
-
-def bench_kernel_poly_mul(degrees=(64, 128, 256), p: int = _BENCH_PRIME,
-                          min_time: float = 0.10,
-                          repeat: int = 3) -> Dict[str, Any]:
-    """Dense ``F_p`` multiplication throughput per kernel tier."""
-    field = PrimeField(p)
-    rng = random.Random(0xBE7C)
-    results: Dict[str, Any] = {"p": p, "degrees": {}}
-    for degree in degrees:
-        a = Polynomial([rng.randrange(p) for _ in range(degree)] + [1], field)
-        b = Polynomial([rng.randrange(p) for _ in range(degree)] + [1], field)
-        rates: Dict[str, float] = {}
-        products = {}
-        for tier in _KERNEL_TIERS:
-            with _tier_context(tier):
-                products[tier] = (a * b).coeffs
-                rates[tier] = _ops_per_sec(lambda: a * b, min_time, repeat)
-        assert products["vectorized"] == products["flat"] == products["generic"]
-        results["degrees"][str(degree)] = {
-            **{f"{tier}_ops_per_sec": round(rates[tier], 2)
-               for tier in _KERNEL_TIERS},
-            "speedup_vs_flat": round(rates["vectorized"] / rates["flat"], 2),
-            "speedup_vs_generic": round(
-                rates["vectorized"] / rates["generic"], 2),
-        }
-    return results
-
-
-def bench_kernel_evaluate_many(server_tree,
-                               batches=(512, 4096)) -> Dict[str, Any]:
-    """Cold-cache SQLite ``evaluate_many`` passes/s per kernel tier.
-
-    This is the satellite row-path microbenchmark in both directions: the
-    "flat" tier evaluates polynomials via the shared power table (the
-    BENCH_4 batched path), "vectorized" one matrix (no per-coefficient
-    Python ints).  With numpy present the store decodes misses through
-    the grouped array codec on every tier, because its share cache keeps
-    int64 rows on such rings, and the flat and generic tiers build their
-    polynomials from those rows; ``BENCH_6.json`` was recorded while the
-    flat tier still decoded limb by limb into Python lists.
-    ``cache_size=0`` keeps every pass cold so the decode path is what is
-    measured; bit-identity across tiers is asserted per batch.
-    """
-    from .net import SQLiteShareStore
-
-    point = 3
-    results: Dict[str, Any] = {"batches": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        store = SQLiteShareStore.from_tree(os.path.join(tmp, "eval.db"),
-                                           server_tree, cache_size=0)
-        all_ids = store.node_ids()
-        for batch in batches:
-            node_ids = all_ids[:batch]
-            rates: Dict[str, float] = {}
-            answers = {}
-            for tier in _KERNEL_TIERS:
-                with _tier_context(tier):
-                    answers[tier] = store.evaluate_many(node_ids, point)
-                    rates[tier] = _ops_per_sec(
-                        lambda: store.evaluate_many(node_ids, point),
-                        min_time=0.05)
-            assert (answers["vectorized"] == answers["flat"]
-                    == answers["generic"])
-            results["batches"][str(batch)] = {
-                "batch_nodes": len(node_ids),
-                **{f"{tier}_passes_per_sec": round(rates[tier], 2)
-                   for tier in _KERNEL_TIERS},
-                "speedup_vs_flat": round(
-                    rates["vectorized"] / rates["flat"], 2),
-                "speedup_vs_generic": round(
-                    rates["vectorized"] / rates["generic"], 2),
-                "bit_identical": True,
-            }
-        store.close()
-    return results
-
-
-def bench_kernel_lookups(client, server_tree, tags: List[str],
-                         repeat: int = 3) -> Dict[str, Any]:
-    """End-to-end lookups/s per kernel tier over the in-process transport.
-
-    Each tier gets its own cold SQLite-backed server (so the share LRU of
-    one tier never subsidises another), but every store is built — and
-    every tier warmed with one untimed pass — *before* any timing starts,
-    and the timed rounds interleave the tiers.  Measuring a tier right
-    after its own ``from_tree`` bulk write would charge that tier for
-    page-cache churn the others never see; interleaving spreads drift
-    evenly so the best-of-``repeat`` ratios are stable.  Matches are
-    asserted identical across tiers.
-    """
-    from .core import VerificationMode
-    from .net import SQLiteShareStore, SearchServer, connect
-
-    results: Dict[str, Any] = {"tiers": {}, "tags": list(tags)}
-    rates: Dict[str, float] = {}
-    reference = None
-    with tempfile.TemporaryDirectory() as tmp:
-        stores = {}
-        engines = {}
-        try:
-            for tier in _KERNEL_TIERS:
-                stores[tier] = SQLiteShareStore.from_tree(
-                    os.path.join(tmp, f"{tier}.db"), server_tree,
-                    cache_size=0)
-                adapter, _ = connect(SearchServer(stores[tier]))
-                engines[tier] = client.engine(adapter, VerificationMode.NONE)
-                engines[tier].frontier_lookahead = 2
-
-            def run_all(tier):
-                engine = engines[tier]
-                return [tuple(engine.lookup(tag).matches) for tag in tags]
-
-            for tier in _KERNEL_TIERS:
-                with _tier_context(tier):
-                    answers = run_all(tier)
-                if reference is None:
-                    reference = answers
-                else:
-                    assert answers == reference, \
-                        f"tier {tier} answered differently"
-            best = {tier: float("inf") for tier in _KERNEL_TIERS}
-            for _ in range(repeat):
-                for tier in _KERNEL_TIERS:
-                    with _tier_context(tier):
-                        start = time.perf_counter()
-                        run_all(tier)
-                        elapsed = time.perf_counter() - start
-                    best[tier] = min(best[tier], elapsed)
-        finally:
-            for store in stores.values():
-                store.close()
-        for tier in _KERNEL_TIERS:
-            rates[tier] = len(tags) / best[tier]
-            results["tiers"][tier] = {
-                "lookups_per_s": round(rates[tier], 2)}
-    results["speedup_vs_flat"] = round(
-        rates["vectorized"] / rates["flat"], 2)
-    results["speedup_vs_generic"] = round(
-        rates["vectorized"] / rates["generic"], 2)
-    return results
-
-
-def bench_adaptive_lookahead(client, server_tree,
-                             tags: List[str]) -> Dict[str, Any]:
-    """Round trips per descent policy: fixed lookahead depths vs adaptive.
-
-    The workload and answers are deterministic, so the round-trip counts
-    are host-independent; the adaptive row also records the controller's
-    trajectory (rounds observed, deepen/back-off steps, final depth).
-    """
-    from .core import AdaptiveLookahead, VerificationMode
-    from .net import SearchServer, connect
-
-    policies = [("fixed-0", 0), ("fixed-1", 1), ("fixed-2", 2),
-                ("fixed-4", 4), ("adaptive", None)]
-    results: Dict[str, Any] = {"policies": {}}
-    reference = None
-    for name, depth in policies:
-        controller = AdaptiveLookahead() if depth is None else None
-        adapter, channel = connect(SearchServer(server_tree))
-        engine = client.engine(adapter, VerificationMode.NONE)
-        engine.frontier_lookahead = controller if depth is None else depth
-        round_trips = 0
-        evaluations = 0
-        answers = []
-        for tag in tags:
-            outcome = engine.lookup(tag)
-            answers.append(tuple(outcome.matches))
-            round_trips += outcome.stats.round_trips
-            evaluations += outcome.stats.evaluations
-        if reference is None:
-            reference = answers
-        else:
-            assert answers == reference, f"policy {name} answered differently"
-        row = {"round_trips": round_trips,
-               "server_evaluations": evaluations,
-               "total_bytes": channel.stats.total_bytes}
-        if controller is not None:
-            row["controller"] = {"final_depth": controller.depth,
-                                 "rounds": controller.rounds,
-                                 "deepened": controller.deepened,
-                                 "backed_off": controller.backed_off}
-        results["policies"][name] = row
-    return results
-
-
-def run_kernel_benchmarks(quick: bool = False) -> Dict[str, Any]:
-    """BENCH_6: vectorized kernel tier + zero-copy pages vs flat vs generic.
-
-    One large skewed document (the BENCH_3/BENCH_4 workload shape) is
-    outsourced once.  The store batch numbers are directly comparable to
-    BENCH_4's ``evaluate_many`` (same shape, same ``cache_size=0``): its
-    batched path is exactly this snapshot's "flat" tier.  Without numpy
-    the vectorized tier silently falls back to flat — the environment
-    stamp (``config.environment.numpy``) records which one was measured.
-    """
-    element_count = 4000 if quick else 120_000
-    degrees = (64, 128) if quick else (64, 128, 256)
-    batches = (256,) if quick else (512, 4096)
-    document = _concurrency_document(element_count)
-    client, server_tree, _ = outsource_document(document, seed=b"bench-6")
-    tags = _selective_tags(document, 4 if quick else 6)
-    return {
-        "snapshot": KERNELS_SNAPSHOT_NAME,
-        "description": "native-width vectorized kernels + zero-copy "
-                       "coefficient pages: array tier vs flat kernels vs "
-                       "generic reference, adaptive speculation depth",
-        "config": {"quick": quick, "element_count": element_count,
-                   "ring": server_tree.ring.name,
-                   "degrees": list(degrees), "batches": list(batches),
-                   "tags": list(tags),
-                   "environment": _environment()},
-        "poly_mul": bench_kernel_poly_mul(degrees),
-        "evaluate_many": bench_kernel_evaluate_many(server_tree, batches),
-        "end_to_end": bench_kernel_lookups(client, server_tree, tags),
-        "adaptive_lookahead": bench_adaptive_lookahead(client, server_tree,
-                                                       tags),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Control-plane benchmark (BENCH_7): observability + admission overhead
-# ---------------------------------------------------------------------------
 
 def bench_ops_quota_overhead(client, ring, path: str, tags: List[str],
                              reference: Dict[str, tuple], sessions: int = 4,
@@ -1281,86 +739,6 @@ def format_ops_summary(results: Dict[str, Any]) -> str:
         f"  durable writes: {wal['backends']['sqlite_wal']['per_op_ms']:.2f} "
         f"ms/op vs {wal['backends']['in_memory']['per_op_ms']:.2f} ms/op "
         f"in-memory (x{wal['wal_overhead_ratio']})")
-    return "\n".join(lines)
-
-
-def format_kernel_summary(results: Dict[str, Any]) -> str:
-    """Human-readable one-screen summary of a BENCH_6 snapshot."""
-    env = results["config"]["environment"]
-    lines = [f"snapshot {results['snapshot']} "
-             f"({results['config']['element_count']} elements, "
-             f"numpy {env['numpy'] or 'absent'})"]
-    for degree, row in sorted(results["poly_mul"]["degrees"].items(),
-                              key=lambda item: int(item[0])):
-        lines.append(
-            f"  poly mul deg {degree:>4}: vectorized "
-            f"{row['vectorized_ops_per_sec']:>12.0f} ops/s  "
-            f"(flat x{row['speedup_vs_flat']}, "
-            f"generic x{row['speedup_vs_generic']})")
-    for batch, row in sorted(results["evaluate_many"]["batches"].items(),
-                             key=lambda item: int(item[0])):
-        lines.append(
-            f"  evaluate_many({batch:>5}): vectorized "
-            f"{row['vectorized_passes_per_sec']:>8.2f} passes/s  "
-            f"(flat x{row['speedup_vs_flat']}, "
-            f"generic x{row['speedup_vs_generic']})")
-    e2e = results["end_to_end"]
-    for tier in _KERNEL_TIERS:
-        lines.append(f"  end-to-end {tier:>10}: "
-                     f"{e2e['tiers'][tier]['lookups_per_s']:>8.2f} lookups/s")
-    lines.append(f"  end-to-end speedup: x{e2e['speedup_vs_flat']} vs flat, "
-                 f"x{e2e['speedup_vs_generic']} vs generic")
-    adaptive = results["adaptive_lookahead"]["policies"]
-    parts = [f"{name} {row['round_trips']} rt" for name, row in
-             sorted(adaptive.items())]
-    lines.append("  descent round trips: " + ", ".join(parts))
-    return "\n".join(lines)
-
-
-def format_fault_summary(results: Dict[str, Any]) -> str:
-    """Human-readable one-screen summary of a BENCH_5 snapshot."""
-    lines = [f"snapshot {results['snapshot']} "
-             f"({results['config']['document_elements']} elements, "
-             f"{results['config']['repeats']}x{len(results['config']['tags'])} "
-             "lookups per rate)"]
-    for rate, row in sorted(results["faults"].items()):
-        lines.append(
-            f"  fault rate {rate}: availability {row['availability']:.2%}  "
-            f"p50 {row.get('p50_ms', float('nan')):7.2f} ms  "
-            f"p95 {row.get('p95_ms', float('nan')):7.2f} ms  "
-            f"p99 {row.get('p99_ms', float('nan')):7.2f} ms  "
-            f"({row['faults_injected']} faults, {row['retries']} retries, "
-            f"{row['reconnects']} reconnects)")
-    return "\n".join(lines)
-
-
-def format_update_summary(results: Dict[str, Any]) -> str:
-    """Human-readable one-screen summary of a BENCH_4 snapshot."""
-    size = results["file_size"]
-    lines = [f"snapshot {results['snapshot']} ({size['nodes']} nodes)",
-             f"  store file: v1 JSON rows {size['v1_json_rows_bytes']} B, "
-             f"v2 binary pages {size['v2_binary_pages_bytes']} B "
-             f"({size['shrink_factor']}x smaller)"]
-    latency = results["update_latency"]
-    for key, row in sorted(latency["sizes"].items(), key=lambda kv: int(kv[0])):
-        lines.append(
-            f"  insert {key:>4}-node subtree: {row['insert_ms']:8.2f} ms "
-            f"({row['insert_per_node_ms']:.3f} ms/node)   delete "
-            f"{row['delete_ms']:8.2f} ms")
-    lines.append(f"  insert linearity ratio (per-node, largest/smallest): "
-                 f"x{latency['insert_linearity_ratio']}")
-    many = results["evaluate_many"]
-    lines.append(
-        f"  evaluate_many({many['batch_nodes']} nodes): batched "
-        f"{many['batched_passes_per_sec']:.1f}/s vs per-node "
-        f"{many['per_node_passes_per_sec']:.1f}/s (x{many['speedup']})")
-    wal = results.get("wal_overhead")
-    if wal:
-        lines.append(
-            f"  durable-write overhead ({wal['subtree_nodes']}-node ops): "
-            f"{wal['backends']['sqlite_wal']['per_op_ms']:.2f} ms/op durable "
-            f"vs {wal['backends']['in_memory']['per_op_ms']:.2f} ms/op "
-            f"in-memory (x{wal['wal_overhead_ratio']})")
     return "\n".join(lines)
 
 

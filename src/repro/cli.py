@@ -17,7 +17,6 @@ Usage::
     python -m repro.cli decode server.json client.json 3
     python -m repro.cli bench --quick --out BENCH_1.json
     python -m repro.cli bench --concurrency 16 --out BENCH_3.json
-    python -m repro.cli bench --updates --out BENCH_4.json
     python -m repro.cli bench --ops --out BENCH_7.json
     python -m repro.cli serve server.json --port 9653 \
         --metrics-port 9100 --quota docs=50:100:2 --shared-pool 25
@@ -198,25 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(the socket transport at 1/4/16/64 sessions up to "
                             "N, plus a coalescing tick-size sweep) instead of "
                             "the kernel suite")
-    bench.add_argument("--updates", action="store_true",
-                       help="run the BENCH_4 dynamic-update benchmark "
-                            "(crash-safe batches on the durable store, "
-                            "insert/delete latency scaling, binary-page vs "
-                            "JSON-row file size) instead of the kernel suite")
-    bench.add_argument("--faults", action="store_true",
-                       help="run the BENCH_5 fault-tolerance benchmark "
-                            "(lookup availability and latency percentiles "
-                            "under injected connection resets, truncated "
-                            "frames, busy shedding and store failures) "
-                            "instead of the kernel suite")
-    bench.add_argument("--fault-seed", type=int, default=0, metavar="SEED",
-                       help="seed of the BENCH_5 fault plans (default: 0)")
-    bench.add_argument("--kernels", action="store_true",
-                       help="run the BENCH_6 vectorized-kernel benchmark "
-                            "(array tier vs flat kernels vs generic reference "
-                            "for multiplication, batched store evaluation and "
-                            "end-to-end lookups, plus adaptive speculation "
-                            "depth) instead of the default suite")
     bench.add_argument("--ops", action="store_true",
                        help="run the BENCH_7 control-plane benchmark "
                             "(per-session latency percentiles under "
@@ -532,28 +512,16 @@ def _cmd_migrate_store(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import (
         format_concurrency_summary,
-        format_fault_summary,
-        format_kernel_summary,
         format_ops_summary,
         format_summary,
-        format_update_summary,
         run_benchmarks,
         run_concurrency_benchmarks,
-        run_fault_benchmarks,
-        run_kernel_benchmarks,
         run_ops_benchmarks,
-        run_update_benchmarks,
         write_snapshot,
     )
 
-    selected = [flag for flag, on in
-                (("--concurrency", args.concurrency is not None),
-                 ("--updates", args.updates),
-                 ("--faults", args.faults),
-                 ("--kernels", args.kernels),
-                 ("--ops", args.ops)) if on]
-    if len(selected) > 1:
-        print(f"error: {' and '.join(selected)} select different benchmark "
+    if args.concurrency is not None and args.ops:
+        print("error: --concurrency and --ops select different benchmark "
               "suites; pass one of them", file=sys.stderr)
         return 2
     if args.ops:
@@ -561,21 +529,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         out = args.out or "BENCH_7.json"
         write_snapshot(results, out)
         print(format_ops_summary(results))
-    elif args.kernels:
-        results = run_kernel_benchmarks(quick=args.quick)
-        out = args.out or "BENCH_6.json"
-        write_snapshot(results, out)
-        print(format_kernel_summary(results))
-    elif args.faults:
-        results = run_fault_benchmarks(quick=args.quick, seed=args.fault_seed)
-        out = args.out or "BENCH_5.json"
-        write_snapshot(results, out)
-        print(format_fault_summary(results))
-    elif args.updates:
-        results = run_update_benchmarks(quick=args.quick)
-        out = args.out or "BENCH_4.json"
-        write_snapshot(results, out)
-        print(format_update_summary(results))
     elif args.concurrency is not None:
         if args.concurrency < 1:
             print("error: --concurrency needs at least one session",

@@ -6,7 +6,6 @@ from .advanced import AdvancedQueryExecutor, AdvancedQueryResult, AdvancedStrate
 from .encoder import PolynomialNode, PolynomialTree, encode_document, encode_element
 from .mapping import TagMapping
 from .query import (
-    AdaptiveLookahead,
     FrontierResult,
     LocalServerAdapter,
     LookupOutcome,
@@ -55,7 +54,6 @@ __all__ = [
     "TreeStructure",
     "share_tree",
     "reconstruct_tree",
-    "AdaptiveLookahead",
     "QueryEngine",
     "QueryStats",
     "FrontierResult",

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import abc
 import enum
-from collections import deque
 from collections.abc import Mapping
-from typing import (Any, Deque, Dict, Iterator, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
@@ -46,115 +45,8 @@ __all__ = [
     "ServerInterface",
     "LocalServerAdapter",
     "LookupOutcome",
-    "AdaptiveLookahead",
     "QueryEngine",
 ]
-
-
-class AdaptiveLookahead:
-    """Speculation-depth controller driven by the observed prune rate.
-
-    Batched transports accept a ``lookahead`` depth per
-    :meth:`ServerInterface.frontier_round`: the server speculatively
-    evaluates that many extra levels below the requested frontier.  Deep
-    speculation is free bandwidth-wise only while the frontier stays alive
-    — every child of a node that turns out dead was evaluated and shipped
-    for nothing.  This controller tracks the fraction of each round's
-    frontier that got pruned and adjusts the depth one step at a time:
-    deepen while the prune rate stays at or below ``deepen_below``, back
-    off when it reaches ``backoff_above`` (between the two thresholds the
-    depth holds).
-
-    Instances are plain ``lookahead`` values: ``int(controller)`` (and
-    hence :class:`~repro.net.messages.FrontierRequest`, which coerces with
-    ``int``) sees the current depth, so a controller can be passed wherever
-    a fixed depth is accepted — ``QueryEngine(frontier_lookahead=...)``
-    or :meth:`ServerInterface.frontier_round`.  The engine feeds it
-    automatically; callers driving a transport by hand call
-    :meth:`observe` with each round's frontier size and prune count.
-    """
-
-    #: How many per-round trajectory entries are retained (newest win), so
-    #: a long-lived serving controller cannot grow without bound.
-    TRAJECTORY_LIMIT = 1024
-
-    def __init__(self, initial: int = 1, min_depth: int = 0,
-                 max_depth: int = 4, deepen_below: float = 0.25,
-                 backoff_above: float = 0.5,
-                 trajectory_limit: int = TRAJECTORY_LIMIT) -> None:
-        if not 0 <= min_depth <= max_depth:
-            raise ValueError(
-                f"need 0 <= min_depth <= max_depth, got {min_depth}..{max_depth}")
-        if not 0.0 <= deepen_below <= backoff_above:
-            raise ValueError(
-                f"need 0 <= deepen_below <= backoff_above, got "
-                f"{deepen_below}/{backoff_above}")
-        self.min_depth = min_depth
-        self.max_depth = max_depth
-        self.deepen_below = deepen_below
-        self.backoff_above = backoff_above
-        self.depth = max(min_depth, min(initial, max_depth))
-        #: Rounds observed (diagnostics; mirrored into bench output).
-        self.rounds = 0
-        #: Depth increases / decreases taken so far.
-        self.deepened = 0
-        self.backed_off = 0
-        #: Bounded per-round history: the prune-rate trajectory the
-        #: controller steered by, exported via :meth:`trajectory` /
-        #: :meth:`as_dict` for the observability layer and BENCH_7.
-        self._trajectory: Deque[Dict[str, float]] = deque(
-            maxlen=max(int(trajectory_limit), 1))
-
-    def observe(self, frontier_size: int, pruned: int) -> int:
-        """Fold one descent round's outcome in; returns the new depth."""
-        if frontier_size > 0:
-            self.rounds += 1
-            rate = pruned / frontier_size
-            if rate <= self.deepen_below and self.depth < self.max_depth:
-                self.depth += 1
-                self.deepened += 1
-            elif rate >= self.backoff_above and self.depth > self.min_depth:
-                self.depth -= 1
-                self.backed_off += 1
-            self._trajectory.append({
-                "round": self.rounds,
-                "frontier_size": int(frontier_size),
-                "pruned": int(pruned),
-                "prune_rate": rate,
-                "depth": self.depth,
-            })
-        return self.depth
-
-    def trajectory(self) -> List[Dict[str, float]]:
-        """Per-round history entries, oldest first (bounded, newest win).
-
-        Each entry records the round number, the observed frontier size
-        and prune count, the resulting prune rate, and the depth the
-        controller chose *after* folding that round in.
-        """
-        return [dict(entry) for entry in self._trajectory]
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly summary plus the trajectory (for stats/bench payloads)."""
-        return {
-            "depth": self.depth,
-            "min_depth": self.min_depth,
-            "max_depth": self.max_depth,
-            "rounds": self.rounds,
-            "deepened": self.deepened,
-            "backed_off": self.backed_off,
-            "trajectory": self.trajectory(),
-        }
-
-    def __int__(self) -> int:
-        return self.depth
-
-    def __index__(self) -> int:
-        return self.depth
-
-    def __repr__(self) -> str:
-        return (f"AdaptiveLookahead(depth={self.depth}, rounds={self.rounds}, "
-                f"deepened={self.deepened}, backed_off={self.backed_off})")
 
 
 class VerificationMode(enum.Enum):
@@ -467,21 +359,19 @@ class LookupOutcome:
 class QueryEngine:
     """Client-side query engine implementing the §4.3 protocol."""
 
+    #: Tree levels the server evaluates speculatively below each batched
+    #: frontier exchange: one level halves the descent's round trips, at
+    #: the price of evaluating children of nodes that turn out dead.
+    FRONTIER_LOOKAHEAD = 1
+
     def __init__(self, ring: EncodingRing, mapping: TagMapping,
                  client_shares: ClientShareGenerator, server: ServerInterface,
-                 verification: VerificationMode = VerificationMode.FULL,
-                 frontier_lookahead: int = 1) -> None:
+                 verification: VerificationMode = VerificationMode.FULL) -> None:
         self.ring = ring
         self.mapping = mapping
         self.client_shares = client_shares
         self.server = server
         self.verification = verification
-        #: Speculative depth per batched frontier exchange:
-        #: a fixed int, an :class:`AdaptiveLookahead` controller, or the
-        #: string ``"adaptive"`` for a controller with default thresholds.
-        if frontier_lookahead == "adaptive":
-            frontier_lookahead = AdaptiveLookahead()
-        self.frontier_lookahead = frontier_lookahead
         # Cache of the public structure discovered so far (children lists).
         self._children_cache: Dict[int, List[int]] = {}
 
@@ -627,19 +517,10 @@ class QueryEngine:
         """Descent over a batched transport.
 
         Each exchange covers the current frontier *plus*
-        ``frontier_lookahead`` speculated levels; the engine consumes the
-        speculated evaluations locally and only goes back to the server
-        when the frontier outruns the data it already holds.  With an
-        :class:`AdaptiveLookahead` controller the depth is re-read before
-        every exchange and the controller observes every round's prune
-        outcome, so speculation deepens on alive-heavy workloads and backs
-        off as soon as speculated children start getting pruned.
+        :attr:`FRONTIER_LOOKAHEAD` speculated levels; the engine consumes
+        the speculated evaluations locally and only goes back to the
+        server when the frontier outruns the data it already holds.
         """
-        lookahead = self.frontier_lookahead
-        if lookahead == "adaptive":
-            lookahead = self.frontier_lookahead = AdaptiveLookahead()
-        controller = (lookahead if isinstance(lookahead, AdaptiveLookahead)
-                      else None)
         frontier: List[int] = (list(start_nodes) if start_nodes is not None
                                else [self.server.root_id()])
         zero_nodes: Set[int] = set()
@@ -657,7 +538,7 @@ class QueryEngine:
                    for point in points for node_id in frontier):
                 result = self.server.frontier_round(
                     frontier, points, prune=pending_dead,
-                    lookahead=int(lookahead))
+                    lookahead=self.FRONTIER_LOOKAHEAD)
                 pending_dead = []
                 stats.round_trips += result.round_trips
                 for point in points:
@@ -685,8 +566,6 @@ class QueryEngine:
             pending_dead.extend(dead)
             pruned.update(dead)
             stats.nodes_pruned += len(dead)
-            if controller is not None:
-                controller.observe(len(frontier), len(dead))
             zero_nodes.update(alive)
             frontier = [child for node_id in alive
                         for child in known_children.get(node_id, [])]

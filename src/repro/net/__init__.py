@@ -34,7 +34,6 @@ from .faults import (
     FaultRule,
     FaultyChannel,
     FaultyStore,
-    flaky_handler,
 )
 from .framing import (
     FRAME_HEADER_BYTES,
@@ -82,7 +81,6 @@ from .store import (
     as_share_store,
     migrate_share_store,
     open_share_store,
-    write_v1_share_store,
 )
 
 __all__ = [
@@ -104,7 +102,6 @@ __all__ = [
     "FaultPlan",
     "FaultyChannel",
     "FaultyStore",
-    "flaky_handler",
     "RetryPolicy",
     "ResilientChannel",
     "ResilientServerInterface",
@@ -138,7 +135,6 @@ __all__ = [
     "as_share_store",
     "open_share_store",
     "migrate_share_store",
-    "write_v1_share_store",
     "ring_to_dict",
     "ring_from_dict",
     "share_tree_to_dict",

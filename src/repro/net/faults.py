@@ -5,7 +5,7 @@ so every fault decision here is a pure function of a :class:`FaultPlan`'s
 seed and call counters — never of wall-clock time or process state.  The
 same plan against the same request sequence fires the same faults, which
 is what lets `tests/test_chaos_serving.py` assert *bit-identical* lookup
-results under failure and `bench --faults` sweep reproducible fault rates.
+results under failure.
 
 The plan is consulted at named **fault points**:
 
@@ -17,7 +17,7 @@ The plan is consulted at named **fault points**:
 
 Rules match points by exact name or ``fnmatch`` pattern (``"*:send"``,
 ``"store:*"``) and fire either on explicit call numbers (the Nth call to
-that point, 1-based) or at a seeded rate.  Three wrappers consume plans:
+that point, 1-based) or at a seeded rate.  Two wrappers consume plans:
 
 * :class:`FaultyChannel` — wraps any client channel and injects transport
   faults (connection reset before/after the exchange, truncated response,
@@ -32,12 +32,6 @@ that point, 1-based) or at a seeded rate.  Three wrappers consume plans:
   fails chosen operations with
   :class:`~repro.errors.TransientServerError`, which the serving engine
   reports in-band as a retryable error.
-* :class:`flaky_handler` — wraps a ``Message -> Message`` handler for
-  in-process servers, shedding chosen requests with a
-  :class:`~repro.net.messages.BusyResponse`.
-
-The harness is shared by the chaos tests, ``bench --faults`` and the CLI
-so all three observe identical failure semantics.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.poly import Polynomial
 from ..errors import ServerBusyError, TransientServerError, TransportError
-from .messages import BusyResponse, Message
+from .messages import Message
 from .store import ShareStore
 
 __all__ = [
@@ -58,7 +52,6 @@ __all__ = [
     "FaultPlan",
     "FaultyChannel",
     "FaultyStore",
-    "flaky_handler",
 ]
 
 #: Every fault kind a rule may name.
@@ -66,7 +59,7 @@ FAULT_KINDS = (
     "reset-before-send",   # connection dies before the request is sent
     "reset-after-send",    # request processed, response lost (ambiguous)
     "truncate-response",   # response frame cut short mid-read
-    "busy",                # injected in-band BusyResponse / ServerBusyError
+    "busy",                # ServerBusyError, as a shed request's reply raises
     "delay",               # request delayed by ``delay_s`` then served
     "store-error",         # store operation fails transiently
 )
@@ -370,24 +363,3 @@ class FaultyStore(ShareStore):
 
     def __repr__(self) -> str:
         return f"FaultyStore({self.store!r}, plan={self.plan!r})"
-
-
-def flaky_handler(handler: Callable[[Message], Message], plan: FaultPlan,
-                  retry_after_s: float = 0.0) -> Callable[[Message], Message]:
-    """Wrap a server handler so chosen requests are shed with a busy reply.
-
-    Consults ``"serve:<kind>"`` per incoming request; a firing ``busy``
-    rule answers :class:`~repro.net.messages.BusyResponse` without
-    touching the engine — exactly what an overloaded server's bounded
-    queue does, minus the load.  Used to exercise the busy-path of
-    resilient clients against in-process servers deterministically.
-    """
-
-    def wrapped(message: Message) -> Message:
-        rule = plan.decide(f"serve:{message.kind}")
-        if rule is not None and rule.kind == "busy":
-            hint = rule.retry_after_s or retry_after_s
-            return BusyResponse(retry_after_s=hint)
-        return handler(message)
-
-    return wrapped

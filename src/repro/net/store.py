@@ -64,7 +64,6 @@ __all__ = [
     "as_share_store",
     "open_share_store",
     "migrate_share_store",
-    "write_v1_share_store",
 ]
 
 #: Format marker written into every SQLite store; unknown formats are
@@ -560,33 +559,6 @@ class InMemoryShareStore(ShareStore):
         return self.tree.evaluate(node_id, point)
 
     def evaluate_many(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        """Batched evaluation; rides the vectorized kernel tier when active.
-
-        The resident shares are scattered into one padded int64 matrix and
-        evaluated in a single :meth:`VecFpKernel.evaluate_matrix` pass —
-        the same point coercion and final reduction as
-        :meth:`EncodingRing.evaluate_many`, so the result stays
-        bit-identical to the generic path (asserted by the tier-identity
-        suite).  Without numpy, on the flat/generic tiers, or for rings
-        beyond the native width, this falls back to the wrapped tree's
-        batched path unchanged.
-        """
-        kernel = self.ring.coefficient_ring.kernel()
-        if node_ids and isinstance(kernel, VecFpKernel):
-            shares = [self.tree.share_of(node_id) for node_id in node_ids]
-            longest = max(len(share.coeffs) for share in shares)
-            if longest:
-                np = numpy_or_none()
-                matrix = np.zeros((len(shares), longest), dtype=np.int64)
-                for index, share in enumerate(shares):
-                    if share.coeffs:
-                        matrix[index, :len(share.coeffs)] = share.coeffs
-                coerced = self.ring.coefficient_ring.coerce(point)
-                values = kernel.evaluate_matrix(matrix, coerced)
-                modulus = self.ring.evaluation_modulus(point)
-                if modulus is not None:
-                    values = [value % modulus for value in values]
-                return dict(zip(node_ids, values))
         return self.tree.evaluate_many(node_ids, point)
 
     def storage_bits(self) -> int:
@@ -1111,43 +1083,6 @@ def open_share_store(path: str) -> ShareStore:
         raise ProtocolError(
             f"cannot open share store {path!r}: header {magic!r} is not "
             f"SQLite and the JSON loader failed ({exc})") from exc
-
-
-# -- legacy v1 format -----------------------------------------------------------------
-
-def write_v1_share_store(path: str, tree: ServerShareTree) -> int:
-    """Write a legacy ``share-store-sqlite-v1`` file (JSON coefficient rows).
-
-    Kept so migration tooling, tests and the BENCH_4 size comparison can
-    fabricate the PR-2 on-disk format; new stores are always v2.  Returns
-    the file size in bytes.
-    """
-    from .storage import ring_to_dict
-
-    if os.path.exists(path):
-        os.remove(path)
-    conn = sqlite3.connect(path)
-    try:
-        with conn:
-            conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
-            conn.execute("CREATE TABLE nodes (node_id INTEGER PRIMARY KEY, "
-                         "parent INTEGER, coefficients TEXT NOT NULL)")
-            conn.execute("CREATE INDEX nodes_parent ON nodes (parent)")
-            conn.execute("INSERT INTO meta (key, value) VALUES ('format', ?)",
-                         (LEGACY_SQLITE_STORE_FORMAT,))
-            conn.execute("INSERT INTO meta (key, value) VALUES ('ring', ?)",
-                         (json.dumps(ring_to_dict(tree.ring),
-                                     separators=(",", ":")),))
-            for node_id in SQLiteShareStore._preorder(tree):
-                conn.execute(
-                    "INSERT INTO nodes (node_id, parent, coefficients) "
-                    "VALUES (?, ?, ?)",
-                    (node_id, tree.parent_id(node_id),
-                     json.dumps([int(c) for c in tree.share_of(node_id).coeffs],
-                                separators=(",", ":"))))
-    finally:
-        conn.close()
-    return os.path.getsize(path)
 
 
 def migrate_share_store(path: str,

@@ -62,7 +62,6 @@ from repro.net import (
     connect_resilient,
     connect_resilient_socket,
     connect_socket,
-    flaky_handler,
     share_tree_from_dict,
     share_tree_to_dict,
 )
@@ -349,18 +348,6 @@ class TestStoreFaults:
 class TestBusyAndAdmission:
     """Graceful degradation: busy replies, admission hooks, bounded queue."""
 
-    def test_flaky_handler_busy_survived(self, outsourced, reference):
-        client, tree = outsourced
-        server = SearchServer(tree)
-        plan = FaultPlan([FaultRule("serve:frontier", "busy", calls=[1, 2],
-                                    retry_after_s=0.01)], seed=CHAOS_SEED)
-        adapter, channel = connect_resilient(
-            lambda: InstrumentedChannel(flaky_handler(server.handle, plan)),
-            tree.ring, policy=fast_policy())
-        assert run_queries(client, adapter) == reference
-        assert channel.busy_waits == 2
-        assert channel.reconnects == 0  # busy never drops the session
-
     def test_quota_sheds_then_admits(self, outsourced, reference):
         from repro.net.engine import DEFAULT_DOCUMENT, DocumentRegistry
         from repro.obs import FairShareAdmission
@@ -394,6 +381,7 @@ class TestBusyAndAdmission:
             tree.ring, policy=fast_policy(sleep=sleep))
         assert run_queries(client, adapter) == reference
         assert channel.busy_waits == 2
+        assert channel.reconnects == 0      # busy never drops the session
         assert waits == [0.25, 0.25]        # one token at 4 tokens/s
         ledger = registry.quota_ledger()[DEFAULT_DOCUMENT]
         assert (ledger["admitted"], ledger["shed"]) == (requests, 2)
@@ -480,6 +468,32 @@ class TestResilientSockets:
             assert plan.fires
         finally:
             server.stop()
+
+    def test_fault_rate_with_store_failures(self, outsourced, reference):
+        """Channel faults at a rate, over TCP, while store passes fail too."""
+        client, tree = outsourced
+        channel_plan = FaultPlan.at_rate(
+            0.05, kinds=["reset-before-send", "busy", "reset-after-send",
+                         "truncate-response"], seed=CHAOS_SEED)
+        store_plan = FaultPlan.at_rate(
+            0.1, kinds=["store-error"], point="store:evaluate_many",
+            seed=CHAOS_SEED + 1)
+        server = ThreadedSearchServer(SearchServer(
+            FaultyStore(InMemoryShareStore(tree), store_plan))).start()
+        try:
+            host, port = server.address
+            adapter, channel = connect_resilient(
+                lambda: FaultyChannel(SocketChannel(host, port), channel_plan),
+                tree.ring, policy=fast_policy(max_attempts=20))
+            try:
+                for _ in range(3):
+                    assert run_queries(client, adapter) == reference
+            finally:
+                channel.close()
+        finally:
+            server.stop()
+        assert channel_plan.fires and store_plan.fires
+        assert channel.reconnects >= 1 and channel.busy_waits >= 1
 
     def test_real_connection_death_mid_descent(self, outsourced, reference):
         """Kill the actual TCP connection (not an injected exception)."""

@@ -263,19 +263,31 @@ class TestBench:
             assert row["lookups_per_s"] > 0.0
             assert row["accounting_reconciles"] is True
 
+    def test_bench_ops_writes_bench7_snapshot(self, tmp_path, capsys):
+        out = str(tmp_path / "BENCH_7_TEST.json")
+        assert main(["bench", "--ops", "--quick", "--out", out]) == 0
+        assert "snapshot BENCH_7" in capsys.readouterr().out
+        with open(out, "r", encoding="utf-8") as handle:
+            snapshot = json.load(handle)
+        assert snapshot["snapshot"] == "BENCH_7"
+        assert snapshot["config"]["identical_to_reference"] is True
+        rows = list(snapshot["latency_by_sessions"].values()) + \
+            list(snapshot["tick_sweep"]["ticks"].values())
+        assert all(row["accounting_reconciles"] is True for row in rows)
+        assert snapshot["quota_overhead"]["quota_shed"] == 0
+        # Shape only, as above: the durable-write section inserts and
+        # deletes subtrees through both backends; no ratio is asserted.
+        assert set(snapshot["wal_overhead"]["backends"]) == {"sqlite_wal",
+                                                             "in_memory"}
+
     def test_bench_concurrency_rejects_zero_sessions(self, capsys):
         assert main(["bench", "--concurrency", "0"]) == 2
         assert "at least one session" in capsys.readouterr().err
 
     def test_bench_suite_flags_are_mutually_exclusive(self, capsys):
-        assert main(["bench", "--kernels", "--faults"]) == 2
+        assert main(["bench", "--concurrency", "2", "--ops"]) == 2
         err = capsys.readouterr().err
-        assert "--kernels" in err and "--faults" in err
-        assert main(["bench", "--kernels", "--updates"]) == 2
-
-    def test_bench_kernels_flag_parses(self):
-        args = build_parser().parse_args(["bench", "--kernels", "--quick"])
-        assert args.kernels is True and args.quick is True
+        assert "--concurrency" in err and "--ops" in err
 
 
 class TestServe:

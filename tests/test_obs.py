@@ -11,8 +11,6 @@ Covers the PR-wide invariants of the unified metrics subsystem:
   call sites;
 * deterministic token-bucket and weighted fair-share admission under an
   injected clock;
-* the :class:`~repro.core.query.AdaptiveLookahead` prune-rate trajectory
-  export;
 * the v3 ``stats``/``health`` wire probes, including tenant filtering,
   and the plaintext HTTP scrape endpoint;
 * client-side logical vs physical attempt timings in the retry stack;
@@ -27,7 +25,6 @@ import urllib.request
 import pytest
 
 from repro.core import VerificationMode, outsource_document
-from repro.core.query import AdaptiveLookahead
 from repro.errors import ServerBusyError
 from repro.net import (
     ChannelStats,
@@ -307,53 +304,6 @@ class TestFairShareAdmission:
 
 
 # ---------------------------------------------------------------------------
-# AdaptiveLookahead trajectory export
-# ---------------------------------------------------------------------------
-
-class TestAdaptiveLookaheadTrajectory:
-    def test_trajectory_records_each_round(self):
-        lookahead = AdaptiveLookahead(initial=1, max_depth=3)
-        lookahead.observe(10, 0)        # prune rate 0: deepen
-        lookahead.observe(10, 9)        # prune rate 0.9: back off
-        trajectory = lookahead.trajectory()
-        assert [entry["round"] for entry in trajectory] == [1, 2]
-        assert trajectory[0]["prune_rate"] == 0.0
-        assert trajectory[0]["depth"] == 2
-        assert trajectory[1]["prune_rate"] == pytest.approx(0.9)
-        assert trajectory[1]["depth"] == 1
-
-    def test_empty_frontier_not_recorded(self):
-        lookahead = AdaptiveLookahead()
-        lookahead.observe(0, 0)
-        assert lookahead.trajectory() == []
-        assert lookahead.rounds == 0
-
-    def test_trajectory_is_bounded(self):
-        lookahead = AdaptiveLookahead(trajectory_limit=8)
-        for round_index in range(50):
-            lookahead.observe(10, 3 + (round_index % 3))
-        trajectory = lookahead.trajectory()
-        assert len(trajectory) == 8
-        assert trajectory[-1]["round"] == 50    # newest entries win
-        assert lookahead.rounds == 50           # counters keep full history
-
-    def test_as_dict_round_trips_through_json(self):
-        lookahead = AdaptiveLookahead()
-        lookahead.observe(10, 1)
-        payload = json.loads(json.dumps(lookahead.as_dict()))
-        assert payload["rounds"] == 1
-        assert payload["trajectory"][0]["frontier_size"] == 10
-        assert set(payload) >= {"depth", "deepened", "backed_off",
-                                "trajectory"}
-
-    def test_trajectory_returns_copies(self):
-        lookahead = AdaptiveLookahead()
-        lookahead.observe(10, 1)
-        lookahead.trajectory()[0]["depth"] = 999
-        assert lookahead.trajectory()[0]["depth"] != 999
-
-
-# ---------------------------------------------------------------------------
 # Wire probes: stats and health
 # ---------------------------------------------------------------------------
 
@@ -502,14 +452,14 @@ class TestClientTimings:
         assert logical.count == 1
 
     def test_busy_retries_add_physical_attempts(self, outsourced):
-        from repro.net import FaultPlan, FaultRule, flaky_handler
+        from repro.net import FaultPlan, FaultRule, FaultyChannel
 
         _, tree = outsourced
         server = SearchServer(tree)
-        plan = FaultPlan([FaultRule("serve:prune", "busy", calls=[1, 2],
+        plan = FaultPlan([FaultRule("prune:send", "busy", calls=[1, 2],
                                     retry_after_s=0.0)], seed=0)
         channel = ResilientChannel(
-            lambda: InstrumentedChannel(flaky_handler(server.handle, plan)),
+            lambda: FaultyChannel(InstrumentedChannel(server.handle), plan),
             policy=self._policy())
         channel.request(PruneNotice([tree.root_id]))
         physical = channel.metrics.histograms(

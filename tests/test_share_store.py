@@ -1,5 +1,8 @@
 """Tests for the pluggable share-store backends (in-memory and SQLite)."""
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.core import UpdatableTree, outsource_document
@@ -11,9 +14,10 @@ from repro.net import (
     as_share_store,
     migrate_share_store,
     open_share_store,
+    ring_to_dict,
     save_share_tree,
-    write_v1_share_store,
 )
+from repro.net.store import LEGACY_SQLITE_STORE_FORMAT
 from repro.xmltree import XmlElement
 
 
@@ -276,12 +280,35 @@ class TestStoreTransactions:
         assert new_id in server_tree
 
 
+def _write_v1_store(path, tree):
+    """Write ``tree`` in the legacy v1 format: one JSON coefficient row per
+    node, in preorder, beside an index on ``parent``."""
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute("CREATE TABLE nodes (node_id INTEGER PRIMARY KEY, "
+                     "parent INTEGER, coefficients TEXT NOT NULL)")
+        conn.execute("CREATE INDEX nodes_parent ON nodes (parent)")
+        conn.executemany("INSERT INTO meta (key, value) VALUES (?, ?)", [
+            ("format", LEGACY_SQLITE_STORE_FORMAT),
+            ("ring", json.dumps(ring_to_dict(tree.ring)))])
+        stack = [tree.root_id]
+        while stack:
+            node_id = stack.pop()
+            coefficients = [int(c) for c in tree.share_of(node_id).coeffs]
+            conn.execute("INSERT INTO nodes (node_id, parent, coefficients) "
+                         "VALUES (?, ?, ?)", (node_id, tree.parent_id(node_id),
+                                              json.dumps(coefficients)))
+            stack.extend(reversed(tree.child_ids(node_id)))
+    conn.close()
+
+
 class TestMigration:
     def test_v1_file_rejected_with_migration_hint(self, outsourced_catalog,
                                                   tmp_path):
         _, server_tree, _ = outsourced_catalog
         path = str(tmp_path / "legacy.db")
-        write_v1_share_store(path, server_tree)
+        _write_v1_store(path, server_tree)
         with pytest.raises(ProtocolError, match="migrate-store"):
             SQLiteShareStore(path)
         with pytest.raises(ProtocolError, match="migrate-store"):
@@ -290,7 +317,7 @@ class TestMigration:
     def test_migration_is_lossless(self, outsourced_catalog, tmp_path):
         client, server_tree, _ = outsourced_catalog
         path = str(tmp_path / "legacy.db")
-        write_v1_share_store(path, server_tree)
+        _write_v1_store(path, server_tree)
         stats = migrate_share_store(path)
         assert stats["nodes"] == server_tree.node_count()
         store = SQLiteShareStore(path)
@@ -306,7 +333,7 @@ class TestMigration:
                                               tmp_path):
         _, server_tree, _ = outsourced_catalog
         path = str(tmp_path / "legacy.db")
-        write_v1_share_store(path, server_tree)
+        _write_v1_store(path, server_tree)
         first = migrate_share_store(path)
         second = migrate_share_store(path)     # already v2: a no-op
         assert second["before_bytes"] == second["after_bytes"]
@@ -317,8 +344,6 @@ class TestMigration:
             migrate_share_store(str(json_path))
 
     def test_foreign_sqlite_database_rejected(self, tmp_path):
-        import sqlite3
-
         path = str(tmp_path / "foreign.db")
         conn = sqlite3.connect(path)
         conn.execute("CREATE TABLE unrelated (x INTEGER)")

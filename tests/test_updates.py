@@ -1,5 +1,7 @@
 """Tests for dynamic updates to an outsourced document."""
 
+import random
+
 import pytest
 
 from repro.baselines import PlaintextSearchIndex
@@ -93,6 +95,44 @@ class TestInsert:
         tags = _decoded_tags(client, server_tree)
         assert tags.count("audit") == 1 and tags.count("entry") == 1
         assert len(tags) == document.size() + 2
+
+
+class TestInsertCost:
+    """Inserting an n-node subtree costs n ring products and one id query.
+
+    The subtree is encoded bottom-up once (one product per edge, n − 1)
+    and multiplied into its only ancestor, the root; its ids come from one
+    ``max_node_id`` call.  An editor that recomputes every node's
+    descendant product, or queries the ids per node, is quadratic in n
+    and fails the count.
+    """
+
+    @pytest.mark.parametrize("size", [8, 128])
+    def test_insert_under_root_counts_work(self, editable_setup, monkeypatch,
+                                           size):
+        _, client, server_tree = editable_setup
+        tags = sorted(client.mapping.tags())
+        rng = random.Random(size)
+        nodes = [XmlElement(tags[0])]
+        for index in range(1, size):
+            parent = nodes[rng.randrange(index)]
+            nodes.append(parent.add(tags[index % len(tags)]))
+        calls = {"mul": 0, "max_node_id": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(client.ring, "mul",
+                            counted("mul", client.ring.mul))
+        monkeypatch.setattr(server_tree, "max_node_id",
+                            counted("max_node_id", server_tree.max_node_id))
+        report = _editor(client, server_tree).insert_subtree(
+            server_tree.root_id, nodes[0])
+        assert len(report.new_node_ids) == size
+        assert calls == {"mul": size, "max_node_id": 1}
 
 
 class TestDelete:

@@ -7,8 +7,7 @@ across primes on both sides of the native-width boundary, degrees on both
 sides of ``VECTOR_MIN_COEFFS``, and the empty/constant edge cases.  The
 same triple comparison is run on batched store evaluation (full protocol
 lookups across the tiers are ``tests/test_oracle.py``'s).  The
-:class:`AdaptiveLookahead` controller and the numpy-absent fallback
-(``REPRO_DISABLE_NUMPY``) are covered here too.
+numpy-absent fallback (``REPRO_DISABLE_NUMPY``) is covered here too.
 """
 
 import os
@@ -34,7 +33,7 @@ from repro.algebra import (
 )
 from repro.algebra.kernels import FpKernel
 from repro.algebra.vkernels import NATIVE_LIMB_BITS, VECTOR_MIN_COEFFS
-from repro.core import AdaptiveLookahead, VerificationMode, outsource_document
+from repro.core import outsource_document
 from repro.workloads import RandomXmlConfig, generate_random_document
 
 numpy_present = pytest.mark.skipif(numpy_or_none() is None,
@@ -235,65 +234,6 @@ class TestStoreTierIdentity:
         one = node_ids[:1]
         assert store.evaluate_many(one, 7) == \
             server_tree.evaluate_many(one, 7)
-
-
-class TestAdaptiveLookahead:
-    def test_initial_depth_clamped(self):
-        assert AdaptiveLookahead().depth == 1
-        assert AdaptiveLookahead(initial=9).depth == 4
-        assert AdaptiveLookahead(initial=-3, min_depth=1).depth == 1
-        assert int(AdaptiveLookahead(initial=2)) == 2
-        assert [0, 10, 20][AdaptiveLookahead(initial=2)] == 20  # __index__
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveLookahead(min_depth=3, max_depth=2)
-        with pytest.raises(ValueError):
-            AdaptiveLookahead(min_depth=-1)
-        with pytest.raises(ValueError):
-            AdaptiveLookahead(deepen_below=0.6, backoff_above=0.5)
-
-    def test_deepen_hold_backoff(self):
-        controller = AdaptiveLookahead(initial=1)
-        assert controller.observe(10, 0) == 2      # rate 0.0: deepen
-        assert controller.observe(10, 3) == 2      # rate 0.3: hold
-        assert controller.observe(10, 8) == 1      # rate 0.8: back off
-        assert controller.observe(0, 0) == 1       # empty round: ignored
-        assert (controller.rounds, controller.deepened,
-                controller.backed_off) == (3, 1, 1)
-
-    def test_depth_stays_in_bounds(self):
-        controller = AdaptiveLookahead(initial=0, min_depth=0, max_depth=2)
-        for _ in range(6):
-            controller.observe(4, 0)
-        assert controller.depth == 2
-        for _ in range(6):
-            controller.observe(4, 4)
-        assert controller.depth == 0
-
-    def test_engine_accepts_adaptive_string_and_controller(self):
-        from repro.net import connect_in_process
-
-        document = generate_random_document(
-            RandomXmlConfig(element_count=200, tag_vocabulary_size=12,
-                            tag_skew=1.3, seed=23))
-        client, server_tree, _ = outsource_document(document, seed=b"adapt")
-        tags = sorted(document.distinct_tags())[:3]
-
-        def run(lookahead):
-            adapter, _, _ = connect_in_process(server_tree)
-            engine = client.engine(adapter, VerificationMode.NONE)
-            engine.frontier_lookahead = lookahead
-            return [tuple(engine.lookup(t).matches) for t in tags], engine
-
-        fixed, _ = run(2)
-        via_string, engine = run("adaptive")
-        assert isinstance(engine.frontier_lookahead, AdaptiveLookahead)
-        assert engine.frontier_lookahead.rounds > 0
-        controller = AdaptiveLookahead(initial=2, max_depth=3)
-        via_controller, _ = run(controller)
-        assert controller.rounds > 0
-        assert fixed == via_string == via_controller
 
 
 class TestNumpyAbsentFallback:
