@@ -69,6 +69,7 @@ class EvaluationDomain:
         #: The nonzero points ``a = 1..p-1``, column order of every table.
         self.points = np.arange(1, p, dtype=np.int64)
         self._table = None
+        self._inverses = None
 
     def _powers(self):
         """``table[d, j] = a_j^d mod p`` as float64 (built once).
@@ -138,6 +139,30 @@ class EvaluationDomain:
         cols = matrix.shape[1]
         values = matrix.astype(np.float64) @ self._powers()[:cols]
         return values.astype(np.int64) % self.p
+
+    def inverse_transform(self, values):
+        """Coefficient rows of int64 value rows: the inverse of :meth:`transform`.
+
+        ``values`` is ``(rows, p-1)`` with entries in ``[0, p)``, column
+        ``j`` the value at ``a = j + 1``.  Since ``Σ_a a^e`` is ``p - 1 ≡
+        -1`` when ``p - 1`` divides ``e`` and ``0`` otherwise, the
+        coefficient of ``x^k`` is ``f_k = -Σ_a f(a)·a^{-k}``.  Substituting
+        ``b = a^{-1}`` makes that ``-Σ_b f(b^{-1})·b^k``: the power table
+        of :meth:`transform`, read with its columns permuted by inversion,
+        so no second ``(p-1)²`` table is kept.  One float64 product, exact
+        for the same reason as the forward one (every partial sum stays
+        below ``(p-1)·p² < 2^53``).
+        """
+        np = numpy_or_none()
+        p = self.p
+        if self._inverses is None:
+            # a^{-1} = a^{p-2}; column j of the permuted block holds the
+            # value at the inverse of a_j.
+            self._inverses = np.array(
+                [pow(a, p - 2, p) - 1 for a in range(1, p)], dtype=np.int64)
+        permuted = values[:, self._inverses].astype(np.float64)
+        coefficients = (permuted @ self._powers().T).astype(np.int64)
+        return np.negative(coefficients, out=coefficients) % p
 
     # -- Theorem 1/2 ---------------------------------------------------------------
     def recover_tags(self, values, nodes: Sequence[int],

@@ -383,11 +383,11 @@ class QueryEngine:
         stats = outcome.stats
         stats.points_sent += 1
 
-        zero_nodes, pruned, evaluations = self._descend([point], stats)
+        zero_nodes, pruned = self._descend([point], stats)
         outcome.zero_nodes = sorted(zero_nodes)
         outcome.pruned_nodes = sorted(pruned)
 
-        self._classify_candidates(outcome, point, evaluations, stats)
+        self._classify_candidates(outcome, point, stats)
         stats.round_trips += self.server.flush_prunes()
         return outcome
 
@@ -402,7 +402,7 @@ class QueryEngine:
         stats = stats if stats is not None else QueryStats()
         points = [self.mapping.value(tag) for tag in tags]
         stats.points_sent += len(set(points))
-        zero_nodes, _, _ = self._descend(points, stats, start_nodes=start_nodes)
+        zero_nodes, _ = self._descend(points, stats, start_nodes=start_nodes)
         return zero_nodes, stats
 
     def filter_containing(self, node_ids: Sequence[int], tags: Sequence[str],
@@ -493,7 +493,7 @@ class QueryEngine:
 
     def _descend(self, points: Sequence[int], stats: QueryStats,
                  start_nodes: Optional[Sequence[int]] = None
-                 ) -> Tuple[Set[int], Set[int], Dict[Tuple[int, int], int]]:
+                 ) -> Tuple[Set[int], Set[int]]:
         """Breadth-first descent pruning on *all* ``points`` simultaneously.
 
         Each level is one :meth:`ServerInterface.frontier_round`: the whole
@@ -503,9 +503,8 @@ class QueryEngine:
         branches found at one level are reported as the prune list of the
         *next* level's round — batched transports piggyback them for free.
 
-        Returns ``(zero_nodes, pruned_nodes, evaluations)`` where
-        ``evaluations[(node_id, point)]`` is the summed evaluation value and
-        ``zero_nodes`` are the nodes whose sums are zero at *every* point.
+        Returns ``(zero_nodes, pruned_nodes)``, where ``zero_nodes`` are
+        the nodes whose summed evaluations are zero at *every* point.
         """
         if self.server.batched_rounds:
             return self._descend_batched(points, stats, start_nodes)
@@ -513,7 +512,7 @@ class QueryEngine:
 
     def _descend_batched(self, points: Sequence[int], stats: QueryStats,
                          start_nodes: Optional[Sequence[int]] = None
-                         ) -> Tuple[Set[int], Set[int], Dict[Tuple[int, int], int]]:
+                         ) -> Tuple[Set[int], Set[int]]:
         """Descent over a batched transport.
 
         Each exchange covers the current frontier *plus*
@@ -525,7 +524,6 @@ class QueryEngine:
                                else [self.server.root_id()])
         zero_nodes: Set[int] = set()
         pruned: Set[int] = set()
-        evaluations: Dict[Tuple[int, int], int] = {}
         touched: Set[int] = set()
         pending_dead: List[int] = []
         # Server data received so far: per-point evaluations and child lists.
@@ -558,7 +556,6 @@ class QueryEngine:
                     total = client_value + received[node_id]
                     if modulus is not None:
                         total %= modulus
-                    evaluations[(node_id, point)] = total
                     if not self.ring.evaluation_is_zero(total, point):
                         zero_at_all[node_id] = False
             alive = [node_id for node_id in frontier if zero_at_all[node_id]]
@@ -572,11 +569,11 @@ class QueryEngine:
         if pending_dead:
             self.server.prune(pending_dead)
         stats.nodes_evaluated += len(touched)
-        return zero_nodes, pruned, evaluations
+        return zero_nodes, pruned
 
     def _descend_lazy(self, points: Sequence[int], stats: QueryStats,
                       start_nodes: Optional[Sequence[int]] = None
-                      ) -> Tuple[Set[int], Set[int], Dict[Tuple[int, int], int]]:
+                      ) -> Tuple[Set[int], Set[int]]:
         """Descent over a chatty transport: lazy per-point evaluation.
 
         Nodes dead at an earlier point are never evaluated at later points
@@ -587,7 +584,6 @@ class QueryEngine:
                                else [self.server.root_id()])
         zero_nodes: Set[int] = set()
         pruned: Set[int] = set()
-        evaluations: Dict[Tuple[int, int], int] = {}
         touched: Set[int] = set()
 
         while frontier:
@@ -597,12 +593,8 @@ class QueryEngine:
                 if not alive:
                     break
                 sums = self._sum_evaluations(alive, point, stats)
-                still_alive = []
-                for node_id in alive:
-                    evaluations[(node_id, point)] = sums[node_id]
-                    if self.ring.evaluation_is_zero(sums[node_id], point):
-                        still_alive.append(node_id)
-                alive = still_alive
+                alive = [node_id for node_id in alive
+                         if self.ring.evaluation_is_zero(sums[node_id], point)]
             dead = [node_id for node_id in frontier if node_id not in alive]
             if dead:
                 self.server.prune(dead)
@@ -614,11 +606,10 @@ class QueryEngine:
             children_map = self._children(alive, stats)
             frontier = [child for node_id in alive for child in children_map[node_id]]
         stats.nodes_evaluated += len(touched)
-        return zero_nodes, pruned, evaluations
+        return zero_nodes, pruned
 
     # -- candidate classification & verification -----------------------------------------------
     def _classify_candidates(self, outcome: LookupOutcome, point: int,
-                             evaluations: Dict[Tuple[int, int], int],
                              stats: QueryStats) -> None:
         zero_set = set(outcome.zero_nodes)
         children_map = self._children(sorted(zero_set), stats) if zero_set else {}

@@ -20,6 +20,7 @@ from itertools import compress, islice
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
+from ..algebra.kernels import _trim
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
 from ..algebra.vkernels import VecFpKernel, fits_native_width, numpy_or_none
@@ -27,7 +28,7 @@ from ..errors import SharingError
 from ..obs.metrics import Counter
 from ..prg import DeterministicPRG
 from ..sharing.additive import combine_additive
-from .encoder import PolynomialTree
+from .encoder import MATERIALISE_LOCK, PolynomialTree
 
 __all__ = ["ClientShareGenerator", "ShareRowCache", "TreeStructure",
            "ServerShareTree", "share_tree", "reconstruct_tree"]
@@ -527,13 +528,61 @@ class ServerShareTree:
 
     This is everything the untrusted server stores.  It intentionally has no
     reference to the tag mapping, the client seed or the original document.
+
+    A tree built by :meth:`from_rows` holds its shares as one int64
+    coefficient block and builds the share polynomials on the first read
+    of :attr:`shares` (every share read goes through it), under a lock, so
+    concurrent readers build them once; a mutation reads them first.
+    Structural reads never build them.
     """
 
     def __init__(self, ring: EncodingRing) -> None:
         self.ring = ring
-        self.shares: Dict[int, Polynomial] = {}
+        self._shares: Dict[int, Polynomial] = {}
         #: The public structure (parents and ordered child lists).
         self.structure = TreeStructure()
+        # The int64 share block until the polynomials are built.
+        self._rows: Any = None
+
+    @classmethod
+    def from_rows(cls, ring: EncodingRing, structure: TreeStructure,
+                  block: Any) -> "ServerShareTree":
+        """A tree of ``structure`` whose node ``i`` has the canonical share
+        coefficients ``block[i]`` (int64, zero-padded to the degree bound).
+        The structure's ids must be its pre-order positions
+        ``0 .. len(block) - 1``, as :func:`encode_element` numbers nodes."""
+        tree = cls(ring)
+        tree.structure = structure
+        tree._rows = block
+        return tree
+
+    @property
+    def shares(self) -> Dict[int, Polynomial]:
+        """Share polynomials by node id (built on first use for row-backed trees)."""
+        if self._rows is not None:
+            self._materialise()
+        return self._shares
+
+    def share_rows(self) -> Any:
+        """The int64 share block of a row-backed tree whose polynomials are
+        not built yet (row ``i`` is node ``i``), else ``None``."""
+        return self._rows
+
+    def _materialise(self) -> None:
+        with MATERIALISE_LOCK:
+            block = self._rows
+            if block is None:
+                return
+            field = self.ring.coefficient_ring
+            shares: Dict[int, Polynomial] = {}
+            step = max(1, BULK_BLOCK_COEFFS // block.shape[1])
+            for start in range(0, len(block), step):
+                for node_id, coeffs in enumerate(
+                        block[start:start + step].tolist(), start):
+                    shares[node_id] = Polynomial._from_canonical(
+                        _trim(coeffs), field)
+            self._shares = shares
+            self._rows = None
 
     @property
     def root_id(self) -> Optional[int]:
@@ -544,27 +593,30 @@ class ServerShareTree:
     def add_node(self, node_id: int, parent_id: Optional[int],
                  share: Polynomial) -> None:
         """Insert one node's share; parents must precede children."""
+        shares = self.shares
         # Shares produced by ring operations are already canonical; only
         # reduce foreign polynomials (e.g. deserialized or hand-built ones).
         share = share if self.ring.is_canonical(share) else self.ring.reduce(share)
         self.structure.add(node_id, parent_id)
-        self.shares[node_id] = share
+        shares[node_id] = share
 
     def replace_share(self, node_id: int, share: Polynomial) -> None:
         """Overwrite the share of an existing node (dynamic updates)."""
-        if node_id not in self.shares:
+        shares = self.shares
+        if node_id not in shares:
             raise SharingError(f"unknown node id {node_id}")
-        self.shares[node_id] = (share if self.ring.is_canonical(share)
-                                else self.ring.reduce(share))
+        shares[node_id] = (share if self.ring.is_canonical(share)
+                           else self.ring.reduce(share))
 
     def remove_subtree(self, node_id: int) -> List[int]:
         """Remove ``node_id`` and every descendant; returns the removed ids.
 
         The root cannot be removed (the tree would lose its anchor).
         """
+        shares = self.shares
         removed = self.structure.remove_subtree(node_id)
         for current in removed:
-            del self.shares[current]
+            del shares[current]
         return removed
 
     # -- queries the server can answer --------------------------------------------
@@ -606,7 +658,7 @@ class ServerShareTree:
 
     def node_count(self) -> int:
         """Number of nodes stored."""
-        return len(self.shares)
+        return len(self.structure)
 
     def depth_of(self, node_id: int) -> int:
         """Depth computed from the public structure."""
@@ -618,13 +670,13 @@ class ServerShareTree:
                    for share in self.shares.values())
 
     def __len__(self) -> int:
-        return len(self.shares)
+        return len(self.structure)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self.shares
+        return node_id in self.structure
 
     def __repr__(self) -> str:
-        return f"<ServerShareTree ring={self.ring.name} nodes={len(self.shares)}>"
+        return f"<ServerShareTree ring={self.ring.name} nodes={len(self)}>"
 
 
 def share_tree(tree: PolynomialTree, prg: DeterministicPRG,
@@ -635,8 +687,17 @@ def share_tree(tree: PolynomialTree, prg: DeterministicPRG,
     Passing an existing ``generator`` (e.g. the one owned by a
     :class:`~repro.core.scheme.ClientContext`) leaves its share cache warm
     for the queries that follow outsourcing.
+
+    A row-backed tree (:meth:`PolynomialTree.from_rows`) on the vectorized
+    tier is split as arrays into a row-backed server tree: the client rows
+    come from the generator's bulk path in :meth:`iter_shares`' blocks of
+    at most :data:`BULK_BLOCK_COEFFS` coefficients, and each block of
+    server rows is ``(coefficients - client) mod p``, written in place.
     """
     generator = generator or ClientShareGenerator(tree.ring, prg)
+    form = tree.row_form()
+    if form is not None and generator._row_kernel() is not None:
+        return generator, _split_rows(tree.ring, form, generator)
     server = ServerShareTree(tree.ring)
     node_ids = (node.node_id for node in tree.iter_preorder())
     for node_id, client_share in generator.iter_shares(node_ids):
@@ -644,6 +705,23 @@ def share_tree(tree: PolynomialTree, prg: DeterministicPRG,
         server.add_node(node_id, node.parent_id,
                         tree.ring.sub(node.polynomial, client_share))
     return generator, server
+
+
+def _split_rows(ring: FpQuotientRing, form: Tuple[List[Optional[int]], List[int], Any],
+                generator: ClientShareGenerator) -> ServerShareTree:
+    """The row-backed server tree of a row-backed plaintext tree."""
+    np = numpy_or_none()
+    parents, _, block = form
+    server = np.empty_like(block)
+    step = max(1, BULK_BLOCK_COEFFS // ring.degree_bound)
+    for start in range(0, len(block), step):
+        stop = min(len(block), start + step)
+        rows = server[start:stop]
+        np.subtract(block[start:stop], generator._rows(list(range(start, stop))),
+                    out=rows)
+        rows %= ring.p
+    structure = TreeStructure.from_rows(enumerate(parents))
+    return ServerShareTree.from_rows(ring, structure, server)
 
 
 def reconstruct_tree(client: ClientShareGenerator,

@@ -17,7 +17,11 @@ The plan is consulted at named **fault points**:
 
 Rules match points by exact name or ``fnmatch`` pattern (``"*:send"``,
 ``"store:*"``) and fire either on explicit call numbers (the Nth call to
-that point, 1-based) or at a seeded rate.  Two wrappers consume plans:
+that point, 1-based) or at a seeded rate.  A rule fires only at points
+where its kind acts (:data:`KIND_PHASES`): a connection reset before the
+send is meaningless once the response is back, so a pattern rule skips
+such points without drawing, logging or counting, and a rule naming an
+exact point its kind cannot act at is refused.  Two wrappers consume plans:
 
 * :class:`FaultyChannel` — wraps any client channel and injects transport
   faults (connection reset before/after the exchange, truncated response,
@@ -48,6 +52,7 @@ from .store import ShareStore
 
 __all__ = [
     "FAULT_KINDS",
+    "KIND_PHASES",
     "FaultRule",
     "FaultPlan",
     "FaultyChannel",
@@ -64,6 +69,27 @@ FAULT_KINDS = (
     "store-error",         # store operation fails transiently
 )
 
+#: The fault-point phases at which each kind acts: ``"send"`` and
+#: ``"recv"`` are :class:`FaultyChannel`'s two points per exchange,
+#: ``"store"`` is :class:`FaultyStore`'s.
+KIND_PHASES = {
+    "reset-before-send": ("send",),
+    "reset-after-send": ("recv",),
+    "truncate-response": ("recv",),
+    "busy": ("send", "recv"),
+    "delay": ("send", "recv", "store"),
+    "store-error": ("store",),
+}
+
+
+def _point_phase(point: str) -> Optional[str]:
+    """``"store"``, ``"send"`` or ``"recv"`` for a fault point; ``None``
+    for a name that is none of the three."""
+    if point.startswith("store:"):
+        return "store"
+    kind, _, phase = point.rpartition(":")
+    return phase if kind and phase in ("send", "recv") else None
+
 
 class FaultRule:
     """One deterministic fault source: where, what, and when it fires.
@@ -74,7 +100,8 @@ class FaultRule:
     rule on a seeded coin flip per call.  ``max_fires`` caps the total
     number of firings (the default for ``calls`` rules is ``len(calls)``,
     for rate rules unlimited) so a plan can model "the network blips once"
-    without the retry then looping forever.
+    without the retry then looping forever.  An exact ``point`` whose
+    phase its ``kind`` does not act at (:data:`KIND_PHASES`) is refused.
     """
 
     def __init__(self, point: str, kind: str, rate: float = 0.0,
@@ -86,6 +113,12 @@ class FaultRule:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate}")
         self.point = str(point)
+        phase = _point_phase(self.point)
+        if (phase not in (None, *KIND_PHASES[kind])
+                and not any(c in "*?[" for c in self.point)):
+            raise ValueError(f"a {kind!r} fault cannot act at {point!r}; it "
+                             f"acts at {' and '.join(KIND_PHASES[kind])} "
+                             "points")
         self.kind = kind
         self.rate = float(rate)
         self.calls = frozenset(int(c) for c in calls)
@@ -99,8 +132,9 @@ class FaultRule:
         self.fired = 0
 
     def matches(self, point: str) -> bool:
-        """Whether this rule watches the given fault point."""
-        return self.point == point or fnmatchcase(point, self.point)
+        """Whether this rule watches the given fault point and can act there."""
+        return ((self.point == point or fnmatchcase(point, self.point))
+                and _point_phase(point) in KIND_PHASES[self.kind])
 
     def __repr__(self) -> str:
         where = f"calls={sorted(self.calls)}" if self.calls else f"rate={self.rate}"
@@ -136,7 +170,8 @@ class FaultPlan:
     @classmethod
     def at_rate(cls, rate: float, kinds: Sequence[str] = ("reset-after-send",),
                 point: str = "*", seed: int = 0) -> "FaultPlan":
-        """A plan firing each listed kind at ``rate`` on every matching point."""
+        """A plan firing each listed kind at ``rate`` on every matching
+        point where that kind acts."""
         return cls([FaultRule(point, kind, rate=rate) for kind in kinds],
                    seed=seed)
 
@@ -144,7 +179,8 @@ class FaultPlan:
         """Advance the counter for ``point`` and return the firing rule, if any.
 
         Explicit call schedules win over rate rules; at most one rule
-        fires per call so a fault is never double-injected.
+        fires per call so a fault is never double-injected.  Rules whose
+        kind cannot act at ``point`` are skipped before any coin flip.
         """
         with self._lock:
             call = self._counters.get(point, 0) + 1
@@ -194,13 +230,15 @@ class FaultyChannel:
     stand in for either channel flavour.  Fault points are
     ``"<kind>:send"`` (consulted before the exchange) and
     ``"<kind>:recv"`` (after it).  ``sleep`` is injectable so tests can
-    run delay faults without real waiting.
+    run delay faults without real waiting.  ``injected`` logs the
+    ``(point, kind)`` of every fault this channel injected.
     """
 
     def __init__(self, channel, plan: FaultPlan,
                  sleep: Optional[Callable[[float], None]] = None) -> None:
         self.channel = channel
         self.plan = plan
+        self.injected: List[Tuple[str, str]] = []
         if sleep is None:
             import time
             sleep = time.sleep
@@ -215,23 +253,20 @@ class FaultyChannel:
         return self.channel.transcript
 
     def request(self, message: Message) -> Message:
-        rule = self.plan.decide(f"{message.kind}:send")
+        point = f"{message.kind}:send"
+        rule = self.plan.decide(point)
         if rule is not None:
             if rule.kind == "reset-before-send":
                 # The server never saw the request: replaying it cannot
                 # double-count anything, but the client can't know that.
+                self.injected.append((point, rule.kind))
                 raise TransportError(
                     f"injected connection reset before sending "
-                    f"{message.kind!r} (call "
-                    f"{self.plan.calls_seen(f'{message.kind}:send')})")
-            if rule.kind == "busy":
-                raise ServerBusyError(
-                    f"injected busy shedding of {message.kind!r}",
-                    retry_after_s=rule.retry_after_s)
-            if rule.kind == "delay":
-                self._sleep(rule.delay_s)
+                    f"{message.kind!r} (call {self.plan.calls_seen(point)})")
+            self._busy_or_delay(point, rule, message)
         response = self.channel.request(message)
-        rule = self.plan.decide(f"{message.kind}:recv")
+        point = f"{message.kind}:recv"
+        rule = self.plan.decide(point)
         if rule is not None:
             if rule.kind in ("reset-after-send", "truncate-response"):
                 # The exchange completed server-side; only the reply is
@@ -241,16 +276,24 @@ class FaultyChannel:
                 detail = ("connection reset after send"
                           if rule.kind == "reset-after-send"
                           else "response frame truncated")
+                self.injected.append((point, rule.kind))
                 raise TransportError(
                     f"injected {detail} for {message.kind!r} (call "
-                    f"{self.plan.calls_seen(f'{message.kind}:recv')})")
-            if rule.kind == "busy":
-                raise ServerBusyError(
-                    f"injected busy shedding of {message.kind!r}",
-                    retry_after_s=rule.retry_after_s)
-            if rule.kind == "delay":
-                self._sleep(rule.delay_s)
+                    f"{self.plan.calls_seen(point)})")
+            self._busy_or_delay(point, rule, message)
         return response
+
+    def _busy_or_delay(self, point: str, rule: FaultRule,
+                       message: Message) -> None:
+        """Inject the two kinds that act in either phase."""
+        if rule.kind == "busy":
+            self.injected.append((point, rule.kind))
+            raise ServerBusyError(
+                f"injected busy shedding of {message.kind!r}",
+                retry_after_s=rule.retry_after_s)
+        if rule.kind == "delay":
+            self.injected.append((point, rule.kind))
+            self._sleep(rule.delay_s)
 
     def simulated_seconds(self) -> float:
         simulated = getattr(self.channel, "simulated_seconds", None)

@@ -61,6 +61,7 @@ __all__ = [
     "decode_coefficients_array",
     "decode_coefficients_batch",
     "decode_int_vector",
+    "encode_coefficient_rows",
     "split_pages",
     "join_pages",
 ]
@@ -267,6 +268,43 @@ def encode_coefficients_array(values) -> bytes:
                              bitorder="little")[:, :width]
         chunks.append(np.packbits(bits.ravel(), bitorder="little").tobytes())
     return b"".join(chunks)
+
+
+def encode_coefficient_rows(rows) -> List[bytes]:
+    """:func:`encode_coefficients` of every row of a block, trailing zeros cut.
+
+    ``rows`` is a 2-D int64 ndarray of values in ``[0, 2^53)``, such as a
+    share tree's zero-padded coefficient rows; blob ``i`` is byte for byte
+    :func:`encode_coefficients` of row ``i`` without its trailing zeros
+    (the coefficients of the polynomial the row holds).  Rows are grouped
+    by their ``(count, width)`` header and each group is packed in one
+    ``unpackbits``/``packbits`` pass.
+    """
+    np = numpy_or_none()
+    nonzero = rows != 0
+    counts = np.where(nonzero.any(axis=1),
+                      rows.shape[1] - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    # frexp's exponent is the bit length of an integer below 2^53.
+    widths = np.frexp(rows.max(axis=1, initial=0).astype(np.float64))[1]
+    keys = counts * 64 + widths
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    blobs: List[bytes] = [b""] * len(rows)
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
+        members = order[start:stop]
+        count = int(counts[members[0]])
+        width = int(widths[members[0]])
+        header = _HEADER.pack(PAGE_FORMAT_VERSION, 0, width, count)
+        lanes = rows[members, :count].astype("<u8").view(np.uint8)
+        lanes = lanes.reshape(len(members), count, 8)[:, :, :(width + 7) // 8]
+        bits = np.unpackbits(lanes, axis=2, bitorder="little")[:, :, :width]
+        packed = np.packbits(bits.reshape(len(members), count * width),
+                             axis=1, bitorder="little")
+        size = packed.shape[1]
+        data = packed.tobytes()
+        for row, index in enumerate(members.tolist()):
+            blobs[index] = header + data[row * size:(row + 1) * size]
+    return blobs
 
 
 def decode_coefficients_array(blob: bytes):

@@ -51,6 +51,7 @@ from .pages import (
     DEFAULT_PAGE_BYTES,
     decode_coefficients,
     decode_coefficients_batch,
+    encode_coefficient_rows,
     encode_coefficients,
     join_pages,
     split_pages,
@@ -84,6 +85,10 @@ _SQLITE_MAGIC = b"SQLite format 3\x00"
 #: SQLite caps host parameters per statement; stay well under the limit.
 _SQL_CHUNK = 500
 
+#: Coefficients of share rows :meth:`SQLiteShareStore.from_tree` encodes
+#: at once (128 KiB of int64), which bounds its array temporaries.
+_WRITE_COEFFS = 1 << 14
+
 
 def _id_chunks(node_ids: Sequence[int]) -> Iterator[Tuple[str, List[int]]]:
     """``IN (...)`` placeholders and parameters for chunks of ``node_ids``.
@@ -98,6 +103,15 @@ def _id_chunks(node_ids: Sequence[int]) -> Iterator[Tuple[str, List[int]]]:
         width = 1 << (len(chunk) - 1).bit_length()
         chunk.extend([chunk[-1]] * (width - len(chunk)))
         yield ",".join("?" * width), chunk
+
+
+def _row_blobs(block: Any) -> Iterator[Tuple[int, bytes]]:
+    """``(node_id, blob)`` of a row-backed share tree in pre-order (its id
+    order), encoded :data:`_WRITE_COEFFS` coefficients of rows at a time."""
+    step = max(1, _WRITE_COEFFS // block.shape[1])
+    for start in range(0, len(block), step):
+        yield from enumerate(encode_coefficient_rows(block[start:start + step]),
+                             start)
 
 
 # -- node rows (shared by the batch writer, from_tree, migration and the drain) --------
@@ -123,18 +137,21 @@ def _delete_node(conn: sqlite3.Connection, node_id: int) -> None:
 
 
 def _write_node_pages(conn: sqlite3.Connection, node_id: int, blob: bytes,
-                      page_bytes: int) -> bool:
+                      page_bytes: int, fresh: bool = False) -> bool:
     """Replace a node's coefficient segments with the paged ``blob``.
 
     Segment 0 (the head) goes inline into the node row; segments 1+ are
-    written as overflow page rows, after dropping the stale ones.  Returns
-    ``False``, writing nothing, when no node row has this id.
+    written as overflow page rows, after dropping the stale ones (none
+    when ``fresh``: the node was first written in this transaction to a
+    new file).  Returns ``False``, writing nothing, when no node row has
+    this id.
     """
     segments = split_pages(blob, page_bytes)
     if not conn.execute("UPDATE nodes SET head = ? WHERE node_id = ?",
                         (segments[0], node_id)).rowcount:
         return False
-    conn.execute("DELETE FROM pages WHERE node_id = ?", (node_id,))
+    if not fresh:
+        conn.execute("DELETE FROM pages WHERE node_id = ?", (node_id,))
     if len(segments) > 1:
         conn.executemany(
             "INSERT INTO pages (node_id, page_no, payload) VALUES (?, ?, ?)",
@@ -685,18 +702,31 @@ class SQLiteShareStore(ShareStore):
     def from_tree(cls, path: str, tree: ServerShareTree,
                   cache_size: int = 4096,
                   page_bytes: int = DEFAULT_PAGE_BYTES) -> "SQLiteShareStore":
-        """Create (or overwrite) a store file from an in-memory share tree."""
+        """Create (or overwrite) a store file from an in-memory share tree.
+
+        Each node is written with one upsert and one head write, in
+        pre-order, in one transaction.  A row-backed tree
+        (:meth:`ServerShareTree.share_rows`) has its blobs encoded from
+        its share block in array passes
+        (:func:`~repro.net.pages.encode_coefficient_rows`, byte-identical
+        to the per-share encoder), so the file is the same byte for byte.
+        """
         if os.path.exists(path):
             os.remove(path)
         store = cls(path, ring=tree.ring, cache_size=cache_size,
                     page_bytes=page_bytes)
+        block = tree.share_rows()
+        if block is None:
+            blobs = ((node_id, store._encode_share(tree.share_of(node_id)))
+                     for node_id in store._preorder(tree))
+        else:
+            blobs = _row_blobs(block)
         with store._lock, store._conn:
-            for ord_, node_id in enumerate(store._preorder(tree)):
+            for ord_, (node_id, blob) in enumerate(blobs):
                 _upsert_node(store._conn, node_id, tree.parent_id(node_id),
                              ord_)
-                _write_node_pages(store._conn, node_id,
-                                  store._encode_share(tree.share_of(node_id)),
-                                  store.page_bytes)
+                _write_node_pages(store._conn, node_id, blob, store.page_bytes,
+                                  fresh=True)
         return store
 
     @staticmethod

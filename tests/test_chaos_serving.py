@@ -151,6 +151,38 @@ class TestFaultPlanDeterminism:
         with pytest.raises(ValueError):
             FaultRule("x", "delay", rate=1.5)
 
+    @pytest.mark.parametrize("point,kind", [
+        ("frontier:recv", "reset-before-send"),
+        ("frontier:send", "reset-after-send"),
+        ("hello:send", "truncate-response"),
+        ("frontier:send", "store-error"),
+        ("store:evaluate_many", "busy"),
+        ("store:apply_batch", "reset-after-send"),
+    ])
+    def test_exact_point_of_the_wrong_phase_is_refused(self, point, kind):
+        with pytest.raises(ValueError, match="cannot act"):
+            FaultRule(point, kind, calls=[1])
+
+    def test_rate_rules_skip_points_their_kind_cannot_act_at(self):
+        """A skipped rule draws no coin, logs no fire and leaves the call
+        to a rule that acts there."""
+        plan = FaultPlan.at_rate(
+            1.0, kinds=["reset-before-send", "reset-after-send",
+                        "store-error"], seed=CHAOS_SEED)
+        for point in ["frontier:send", "frontier:recv", "store:evaluate_many",
+                      "hello:send", "prune:recv"]:
+            plan.decide(point)
+        assert [(point, kind) for point, _, kind in plan.fires] == [
+            ("frontier:send", "reset-before-send"),
+            ("frontier:recv", "reset-after-send"),
+            ("store:evaluate_many", "store-error"),
+            ("hello:send", "reset-before-send"),
+            ("prune:recv", "reset-after-send"),
+        ]
+        kinds = {rule.kind: rule.fired for rule in plan.rules}
+        assert kinds == {"reset-before-send": 2, "reset-after-send": 2,
+                         "store-error": 1}
+
 
 #: One scheduled fault per protocol phase; each must be survived with
 #: bit-identical results.  ``call`` targets a mid-descent exchange where
@@ -480,11 +512,17 @@ class TestResilientSockets:
             seed=CHAOS_SEED + 1)
         server = ThreadedSearchServer(SearchServer(
             FaultyStore(InMemoryShareStore(tree), store_plan))).start()
+        faulty = []
+
+        def factory():
+            faulty.append(FaultyChannel(SocketChannel(host, port),
+                                        channel_plan))
+            return faulty[-1]
+
         try:
             host, port = server.address
             adapter, channel = connect_resilient(
-                lambda: FaultyChannel(SocketChannel(host, port), channel_plan),
-                tree.ring, policy=fast_policy(max_attempts=20))
+                factory, tree.ring, policy=fast_policy(max_attempts=20))
             try:
                 for _ in range(3):
                     assert run_queries(client, adapter) == reference
@@ -494,6 +532,11 @@ class TestResilientSockets:
             server.stop()
         assert channel_plan.fires and store_plan.fires
         assert channel.reconnects >= 1 and channel.busy_waits >= 1
+        # Every logged fire was injected: no rule fired where its kind
+        # cannot act.
+        injected = [fault for wrapper in faulty for fault in wrapper.injected]
+        assert injected == [(point, kind)
+                            for point, _, kind in channel_plan.fires]
 
     def test_real_connection_death_mid_descent(self, outsourced, reference):
         """Kill the actual TCP connection (not an injected exception)."""

@@ -14,6 +14,7 @@ from repro.net.pages import (
     decode_coefficients_array,
     decode_coefficients_batch,
     decode_int_vector,
+    encode_coefficient_rows,
     encode_coefficients,
     encode_coefficients_array,
     join_pages,
@@ -98,6 +99,23 @@ class TestArrayCodec:
         np = numpy_or_none()
         values = np.asarray(coeffs, dtype=np.int64)
         assert encode_coefficients_array(values) == encode_coefficients(coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=40).flatmap(lambda width: st.lists(
+        st.tuples(st.lists(st.integers(min_value=0, max_value=2 ** 52),
+                           min_size=width, max_size=width),
+                  st.integers(min_value=0, max_value=width)).map(
+            lambda pair: pair[0][:pair[1]] + [0] * (width - pair[1])),
+        min_size=1, max_size=12)))
+    def test_row_encode_matches_per_trimmed_row(self, rows):
+        np = numpy_or_none()
+        expected = []
+        for row in rows:
+            count = len(row)
+            while count and not row[count - 1]:
+                count -= 1
+            expected.append(encode_coefficients(row[:count]))
+        assert encode_coefficient_rows(np.array(rows, dtype=np.int64)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(native_vectors, max_size=12))

@@ -34,6 +34,7 @@ from repro.errors import ProtocolError
 from repro.net import (
     ConflictResponse,
     FaultPlan,
+    FaultRule,
     FaultyChannel,
     InstrumentedChannel,
     RemoteUpdatableTree,
@@ -306,6 +307,12 @@ class TestAcceptanceScale:
             plan = FaultPlan.at_rate(
                 0.05, kinds=["reset-after-send", "reset-before-send"],
                 seed=CHAOS_SEED + 29)
+            # Two scheduled faults make sure faults flow however short the
+            # session is (REPRO_UPDATE_SCALE shrinks it): a lost frontier
+            # request and a lost update reply, which must be replayed.
+            plan.rules += [
+                FaultRule("frontier:send", "reset-before-send", calls=[3]),
+                FaultRule("update:recv", "reset-after-send", calls=[2])]
             adapter, channel = connect_resilient(
                 lambda: FaultyChannel(SocketChannel(host, port), plan),
                 tree.ring, policy=fast_policy(max_attempts=40))
