@@ -16,9 +16,10 @@ session loudly.  Then:
   child lists, verification fetches and piggybacked prune notices — so a
   lookup costs O(depth) round trips.  Every numeric section of the
   response (the expanded frontier's node ids and one value vector per
-  point, the child lists, the fetched share rows, the constants) travels
-  as a base64 :mod:`repro.net.pages` limb blob inside the JSON object;
-  :class:`PruneNotice` delivers prune notices no later request carried.
+  point, the child lists, the fetched share rows, the constants) and
+  every id list of the request travels as a raw :mod:`repro.net.pages`
+  limb blob in the message's binary tail; :class:`PruneNotice` delivers
+  prune notices no later request carried.
 * :class:`UpdateRequest` carries one whole mutation batch (the ops
   recorded by a :class:`~repro.net.store.StoreTransaction`, in wire form)
   plus the client's base version vector over every node the batch
@@ -53,17 +54,20 @@ failed; ``retryable`` marks transient backend failures) and
 ``retry_after_s`` backoff hint — graceful degradation instead of a
 dropped connection).
 
-The wire format is one compact JSON object per message, with only the
-frontier payloads packed (request id lists stay JSON: they are a small
-fraction of a lookup's traffic).  Decoding checks every field by exact
-JSON type, requests and responses alike, and refuses a malformed message
-with a :class:`~repro.errors.ProtocolError` that names the field.
+A message is its compact JSON head, then, only when it carries binary
+sections, a newline and the binary tail: the sections' limb blobs back to
+back, in the canonical order the head names under ``"sections"``.
+Compact JSON never holds a raw newline, so the first one ends the head,
+and a message without sections is exactly one JSON object.  Only
+:class:`FrontierRequest`, :class:`FrontierResponse`, :class:`PruneNotice`
+and :class:`BlobResponse` have sections.  Decoding checks every field by
+exact JSON type, every blob against the tail and the head, requests and
+responses alike, and refuses a malformed message with a
+:class:`~repro.errors.ProtocolError` that names what is wrong.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
 from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -72,11 +76,14 @@ from ..core.query import CoefficientRows
 from ..errors import ProtocolError
 from .framing import MAX_FRAME_BYTES
 from .pages import (
-    blob_count,
+    blob_extent,
+    decode_byte_string,
     decode_coefficients,
     decode_coefficients_array,
     decode_int_vector,
+    encode_byte_string,
     encode_coefficients_array,
+    encode_int_vector,
 )
 
 __all__ = [
@@ -107,16 +114,21 @@ __all__ = [
 ]
 
 #: Newest protocol generation this build speaks.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Every generation this build can serve (negotiated in the hello exchange).
 SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_VERSION,)
 
-#: Most values one packed payload may announce, summed over its blobs: as
-#: many as a frame has bytes, the most a JSON int list could carry.
-#: Checked from each blob's header before the blob is decoded, the cap
-#: keeps a few bytes of width-0 blob from announcing a giant vector.
+#: Most values one message's tail may announce, summed over its blobs.
+#: Checked from each blob's header before the blob is decoded, together
+#: with :data:`VALUES_PER_TAIL_BYTE`, the cap keeps a few bytes of width-0
+#: blob from announcing a giant vector.
 MAX_PACKED_VALUES = MAX_FRAME_BYTES
+
+#: Most values a message may announce per byte of its encoding: a 1-bit
+#: limb packs eight to a byte.  Whatever a sender's blob headers claim,
+#: what a message decodes to then stays proportional to its size.
+VALUES_PER_TAIL_BYTE = 8
 
 
 # A decoded JSON value is an int, float, str, bool, None, list or dict, and
@@ -191,9 +203,22 @@ class Message:
     #: the field out of the encoding.
     request_id: Optional[str] = None
 
+    #: Names of the binary sections this kind may carry, in their
+    #: canonical tail order; empty for kinds that are one JSON object.
+    SECTIONS: Tuple[str, ...] = ()
+
     def payload(self) -> Dict[str, Any]:
-        """The JSON-serialisable body of the message."""
-        return {}
+        """The JSON head's fields (the binary sections are :meth:`parts`')."""
+        return self.parts()[0]
+
+    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+        """The JSON head's fields and the binary sections' blobs.
+
+        Sections map a name of :attr:`SECTIONS` to its blobs; an empty
+        section is left out.  Kinds without sections override
+        :meth:`payload` alone.
+        """
+        return {}, {}
 
     def for_document(self, document_id: Optional[str]) -> "Message":
         """Stamp the message with a document id (returns self for chaining)."""
@@ -206,14 +231,25 @@ class Message:
         return self
 
     def encode(self) -> bytes:
-        """Deterministic wire encoding."""
+        """Deterministic wire encoding: the JSON head, then any binary tail."""
+        if self.SECTIONS:
+            fields, sections = self.parts()
+        else:
+            fields, sections = self.payload(), {}
         body = {"kind": self.kind}
         if self.document_id is not None:
             body["document_id"] = self.document_id
         if self.request_id is not None:
             body["request_id"] = self.request_id
-        body.update(self.payload())
-        return json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        body.update(fields)
+        names = [name for name in self.SECTIONS if name in sections]
+        if names:
+            body["sections"] = names
+        head = json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        if not names:
+            return head
+        return b"\n".join([head, b"".join(blob for name in names
+                                           for blob in sections[name])])
 
     def byte_size(self) -> int:
         """Number of bytes this message occupies on the wire."""
@@ -223,6 +259,11 @@ class Message:
     def from_payload(cls, body: Dict[str, Any]) -> "Message":
         """Rebuild an instance from a decoded payload (inverse of payload())."""
         return cls()
+
+    @classmethod
+    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "Message":
+        """Rebuild a sectioned message from its head and its tail."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.payload()!r}>"
@@ -303,13 +344,15 @@ class FrontierRequest(Message):
       (Theorem-1/2 reconstruction always needs the closure), so the
       client never pays a children round trip before verifying.
 
-    Every request encodes ``"packed": true``, asking for the packed
-    :class:`FrontierResponse`; a server refuses a request without it, so
-    a client that expects the JSON int maps of earlier generations fails
-    loudly instead of misreading the answer.
+    The four id lists are the binary sections, one blob each, in the
+    order given; ``points``, ``children`` and ``lookahead`` stay in the
+    JSON head.  A head that still carries an id list (the v4 form) is
+    refused, so an old client fails loudly instead of asking for an empty
+    frontier.
     """
 
     kind = "frontier"
+    SECTIONS = ("node_ids", "prune", "fetch_polynomials", "fetch_constants")
 
     def __init__(self, node_ids: Sequence[int] = (), points: Sequence[int] = (),
                  prune: Sequence[int] = (), include_children: bool = True,
@@ -324,32 +367,20 @@ class FrontierRequest(Message):
         self.fetch_constants = list(fetch_constants)
         self.lookahead = int(lookahead)
 
-    def payload(self) -> Dict[str, Any]:
-        body: Dict[str, Any] = {"node_ids": self.node_ids, "points": self.points,
-                                "children": self.include_children,
-                                "packed": True}
-        if self.prune:
-            body["prune"] = self.prune
-        if self.fetch_polynomials:
-            body["fetch_polynomials"] = self.fetch_polynomials
-        if self.fetch_constants:
-            body["fetch_constants"] = self.fetch_constants
+    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+        body: Dict[str, Any] = {"points": self.points,
+                                "children": self.include_children}
         if self.lookahead:
             body["lookahead"] = self.lookahead
-        return body
+        return body, {name: [encode_int_vector(getattr(self, name))]
+                      for name in self.SECTIONS if getattr(self, name)}
 
     @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "FrontierRequest":
-        if body.get("packed") is not True:
-            raise ProtocolError(
-                "field 'packed' must be true: frontier rounds are answered "
-                "in packed form only")
-        return cls(_int_list_field(body, "node_ids"),
-                   _int_list_field(body, "points"),
-                   _int_list_field(body, "prune", required=False),
-                   _bool_field(body, "children", True),
-                   _int_list_field(body, "fetch_polynomials", required=False),
-                   _int_list_field(body, "fetch_constants", required=False),
+    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierRequest":
+        _only_fields(body, ("points", "children", "lookahead"), cls.kind)
+        lists = [tail.ints() if name in tail else [] for name in cls.SECTIONS]
+        return cls(lists[0], _int_list_field(body, "points"), lists[1],
+                   _bool_field(body, "children", True), lists[2], lists[3],
                    _int_field(body, "lookahead", 0))
 
 
@@ -367,46 +398,66 @@ def require_nodes(mapping: Mapping[int, Any], node_ids: Sequence[int],
                 f"the server's response omits the {what} of node {node_id}")
 
 
-def _pack(values: Any) -> str:
-    """One base64 limb blob for an int vector (list or int64 ndarray)."""
-    return base64.b64encode(encode_coefficients_array(values)).decode("ascii")
+def _only_fields(body: Dict[str, Any], allowed: Sequence[str],
+                 kind: str) -> None:
+    """Refuse head fields a sectioned kind does not have.
 
-
-class _PackedReader:
-    """Decodes the blobs of one packed payload, at most
-    :data:`MAX_PACKED_VALUES` values in all."""
-
-    def __init__(self) -> None:
-        self.remaining = MAX_PACKED_VALUES
-
-    def blob(self, text: Any, count: Optional[int] = None) -> bytes:
-        """The blob of a packed section, checking its limb count when given."""
-        if not isinstance(text, str):
+    The v4 forms of these kinds carried their numbers in JSON fields that
+    v5 moved into the tail; refusing them keeps an old peer from being
+    read as an empty message.
+    """
+    for field in body:
+        if field not in allowed:
             raise ProtocolError(
-                f"packed section holds {type(text).__name__}, not base64 text")
-        try:
-            blob = base64.b64decode(text, validate=True)
-        except binascii.Error as exc:
+                f"unexpected field {field!r} in the head of a {kind!r} "
+                "message (protocol v5 carries numeric sections in the "
+                "binary tail)")
+
+
+class _Tail:
+    """The binary tail of one message, read blob by blob.
+
+    ``names`` are the sections the head announces, checked against the
+    kind's canonical order.  Every blob's header is validated, its extent
+    held to the tail and its count to the message's value budget (at most
+    :data:`MAX_PACKED_VALUES`, and :data:`VALUES_PER_TAIL_BYTE` per byte
+    of the message) before the blob is decoded.
+    """
+
+    def __init__(self, data: memoryview, start: int, names: Sequence[str]) -> None:
+        self.data = data
+        self.offset = start
+        self.names = names
+        self.budget = min(MAX_PACKED_VALUES, VALUES_PER_TAIL_BYTE * len(data))
+        self.remaining = self.budget
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.names
+
+    def blob(self, count: Optional[int] = None) -> memoryview:
+        """The next blob, checking its limb count when given."""
+        if self.offset >= len(self.data):
             raise ProtocolError(
-                f"packed section is not valid base64: {exc}") from exc
-        announced = blob_count(blob)
+                "the binary tail ends before the sections its head names")
+        _, _, announced, end = blob_extent(self.data, self.offset)
         if count is not None and announced != count:
             raise ProtocolError(
                 f"packed section holds {announced} values where {count} "
                 "are due")
         if announced > self.remaining:
             raise ProtocolError(
-                f"packed payload announces more than {MAX_PACKED_VALUES} "
-                "values")
+                f"packed payload announces more than {self.budget} values")
         self.remaining -= announced
+        blob = self.data[self.offset:end]
+        self.offset = end
         return blob
 
-    def ints(self, text: Any, count: Optional[int] = None) -> List[int]:
-        return decode_int_vector(self.blob(text, count))
+    def ints(self, count: Optional[int] = None) -> List[int]:
+        return decode_int_vector(self.blob(count))
 
-    def ids(self, text: Any, section: str) -> List[int]:
+    def ids(self, section: str) -> List[int]:
         """Node ids of a packed section: ascending, each once, non-negative."""
-        ids = self.ints(text)
+        ids = self.ints()
         previous = -1
         for node_id in ids:
             if node_id <= previous:
@@ -419,37 +470,57 @@ class _PackedReader:
             previous = node_id
         return ids
 
+    def finish(self) -> None:
+        """Refuse bytes after the last section the head names."""
+        if self.offset != len(self.data):
+            raise ProtocolError(
+                f"{len(self.data) - self.offset} bytes follow the last "
+                "section the head names")
 
-def _section(sections: Dict[str, Any], name: str) -> Optional[Dict[str, Any]]:
-    section = sections.get(name)
-    if section is not None and not isinstance(section, dict):
-        raise ProtocolError(f"packed {name} is not an object")
-    return section
+
+def _section_names(body: Dict[str, Any], cls: type) -> List[str]:
+    """The head's section names: known to ``cls``, in canonical order, once."""
+    names = body.pop("sections", [])
+    if type(names) is not list or any(type(name) is not str for name in names):
+        raise ProtocolError("field 'sections' must be a list of section names")
+    known = cls.SECTIONS
+    positions = [known.index(name) if name in known else -1 for name in names]
+    if -1 in positions:
+        unknown = names[positions.index(-1)]
+        raise ProtocolError(
+            f"a {cls.kind!r} message has no section {unknown!r:.40}")
+    if positions != sorted(set(positions)):
+        raise ProtocolError(
+            f"the sections of a {cls.kind!r} message repeat or are out of "
+            "their canonical order")
+    return names
 
 
 class FrontierResponse(Message):
     """Everything a descent round needs, in one message.
 
-    The body is one object under ``"packed"`` whose sections are base64
-    :mod:`repro.net.pages` limb blobs, in canonical order — node ids
-    ascending, each once; child lists in stored sibling order — so equal
-    responses encode to equal bytes:
+    Every number travels in the binary tail as :mod:`repro.net.pages`
+    limb blobs, in canonical order — sections in :attr:`SECTIONS` order,
+    points ascending, node ids ascending and each once, child lists in
+    stored sibling order — so equal responses encode to equal bytes:
 
-    * ``evaluations``: ``ids`` (the expanded frontier, shared by every
-      point) and ``values``, one blob per point;
-    * ``children``: ``parents``, ``counts`` and the concatenated ``ids``;
-    * ``polynomials``: ``ids``, the row ``width`` and one row-major
-      ``rows`` blob;
-    * ``constants``: ``ids`` and ``values``.
+    * ``evaluations``: the ids of the expanded frontier, shared by every
+      point, then one value blob per point of the head's ``points``;
+    * ``children``: parents, counts and the concatenated child ids;
+    * ``polynomials``: ids, then one row-major blob of rows of the head's
+      ``width``, at the narrowest limb width;
+    * ``constants``: ids and values.
 
     Empty sections are left out.  Share rows decode to one
     :class:`~repro.core.query.CoefficientRows` block.  Decoding validates:
-    malformed base64, a corrupt blob, a count that does not match its ids,
-    negative or repeated ids and blobs announcing more than
-    :data:`MAX_PACKED_VALUES` values in all raise :class:`ProtocolError`.
+    a corrupt blob, a blob that runs past the tail, bytes after the last
+    section, a count that does not match its ids, negative or repeated ids
+    and blobs announcing more values than the budget raise
+    :class:`ProtocolError`.
     """
 
     kind = "frontier-ok"
+    SECTIONS = ("evaluations", "children", "polynomials", "constants")
 
     def __init__(self, evaluations: Dict[int, Dict[int, int]],
                  children: Dict[int, List[int]],
@@ -490,27 +561,31 @@ class FrontierResponse(Message):
             require_nodes(data, child_ids, what)
         return children, data
 
-    def payload(self) -> Dict[str, Any]:
-        sections: Dict[str, Any] = {}
+    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+        body: Dict[str, Any] = {}
+        sections: Dict[str, List[bytes]] = {}
         if self.evaluations:
+            points = sorted(self.evaluations)
             ids = sorted(set().union(*self.evaluations.values()))
-            values: Dict[str, str] = {}
-            for point, by_node in self.evaluations.items():
+            blobs = [encode_int_vector(ids)]
+            for point in points:
+                by_node = self.evaluations[point]
                 if len(by_node) != len(ids):
                     raise ProtocolError(
                         "packed evaluations must cover the same nodes at "
                         "every point")
-                values[str(point)] = _pack([by_node[node_id] for node_id in ids])
-            sections["evaluations"] = {"ids": _pack(ids), "values": values}
+                blobs.append(encode_int_vector(list(map(by_node.__getitem__,
+                                                        ids))))
+            body["points"] = points
+            sections["evaluations"] = blobs
         if self.children:
             parents = sorted(self.children)
-            sections["children"] = {
-                "parents": _pack(parents),
-                "counts": _pack([len(self.children[node_id])
-                                 for node_id in parents]),
-                "ids": _pack([child for node_id in parents
-                              for child in self.children[node_id]]),
-            }
+            lists = list(map(self.children.__getitem__, parents))
+            sections["children"] = [
+                encode_int_vector(parents),
+                encode_int_vector(list(map(len, lists))),
+                encode_int_vector([child for child_ids in lists
+                                   for child in child_ids])]
         if self.polynomials:
             rows = self.polynomials
             ids = sorted(rows)
@@ -527,55 +602,52 @@ class FrontierResponse(Message):
                     row = list(rows[node_id])
                     flat.extend(row)
                     flat.extend([0] * (width - len(row)))
-            sections["polynomials"] = {"ids": _pack(ids), "width": width,
-                                       "rows": _pack(flat)}
+            body["width"] = width
+            sections["polynomials"] = [encode_int_vector(ids),
+                                       encode_coefficients_array(flat)]
         if self.constants:
             ids = sorted(self.constants)
-            sections["constants"] = {
-                "ids": _pack(ids),
-                "values": _pack([self.constants[node_id] for node_id in ids])}
-        return {"packed": sections}
+            sections["constants"] = [
+                encode_int_vector(ids),
+                encode_int_vector(list(map(self.constants.__getitem__, ids)))]
+        return body, sections
 
     @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "FrontierResponse":
-        sections = body.get("packed")
-        if not isinstance(sections, dict):
-            raise ProtocolError("packed frontier payload is not an object")
-        reader = _PackedReader()
+    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierResponse":
+        _only_fields(body, ("points", "width"), cls.kind)
         evaluations: Dict[int, Dict[int, int]] = {}
-        section = _section(sections, "evaluations")
-        if section is not None:
-            ids = reader.ids(section["ids"], "evaluation ids")
-            values_by_point = section["values"]
-            if not isinstance(values_by_point, dict):
-                raise ProtocolError("packed evaluation values are not an object")
-            for point, text in values_by_point.items():
-                values = reader.ints(text, len(ids))
-                evaluations[int(point)] = dict(zip(ids, values))
+        if "evaluations" in tail:
+            points = _int_list_field(body, "points")
+            if any(a >= b for a, b in zip(points, points[1:])):
+                raise ProtocolError("field 'points' must be ascending, each "
+                                    "point once")
+            ids = tail.ids("evaluation ids")
+            for point in points:
+                evaluations[point] = dict(zip(ids, tail.ints(len(ids))))
+        elif "points" in body:
+            raise ProtocolError("field 'points' names no evaluations section")
         children: Dict[int, List[int]] = {}
-        section = _section(sections, "children")
-        if section is not None:
-            parents = reader.ids(section["parents"], "child-list parents")
-            counts = reader.ints(section["counts"], len(parents))
-            if any(count < 0 for count in counts):
+        if "children" in tail:
+            parents = tail.ids("child-list parents")
+            counts = tail.ints(len(parents))
+            if counts and min(counts) < 0:
                 raise ProtocolError("negative child count in the packed "
                                     "child lists")
-            flat = reader.ints(section["ids"], sum(counts))
-            if any(child < 0 for child in flat):
+            flat = tail.ints(sum(counts))
+            if flat and min(flat) < 0:
                 raise ProtocolError("negative node id in the packed child lists")
             offset = 0
             for parent, count in zip(parents, counts):
                 children[parent] = flat[offset:offset + count]
                 offset += count
         polynomials: Mapping[int, Sequence[int]] = {}
-        section = _section(sections, "polynomials")
-        if section is not None:
-            ids = reader.ids(section["ids"], "polynomial ids")
-            width = section["width"]
+        if "polynomials" in tail:
+            ids = tail.ids("polynomial ids")
+            width = body.get("width")
             if type(width) is not int or not 0 <= width <= MAX_PACKED_VALUES:
-                raise ProtocolError(f"packed row width {width!r} is not an "
+                raise ProtocolError(f"packed row width {width!r:.40} is not an "
                                     f"int in [0, {MAX_PACKED_VALUES}]")
-            blob = reader.blob(section["rows"], len(ids) * width)
+            blob = tail.blob(len(ids) * width)
             matrix = decode_coefficients_array(blob)
             if matrix is not None:
                 polynomials = CoefficientRows(
@@ -585,28 +657,36 @@ class FrontierResponse(Message):
                 polynomials = CoefficientRows(
                     ids, width, rows=[flat[index * width:(index + 1) * width]
                                       for index in range(len(ids))])
+        elif "width" in body:
+            raise ProtocolError("field 'width' names no polynomials section")
         constants: Dict[int, int] = {}
-        section = _section(sections, "constants")
-        if section is not None:
-            ids = reader.ids(section["ids"], "constant ids")
-            constants = dict(zip(ids, reader.ints(section["values"], len(ids))))
+        if "constants" in tail:
+            ids = tail.ids("constant ids")
+            constants = dict(zip(ids, tail.ints(len(ids))))
         return cls(evaluations, children, polynomials, constants)
 
 
 class PruneNotice(Message):
-    """Tell the server that these subtrees are dead branches for this query."""
+    """Tell the server that these subtrees are dead branches for this query.
+
+    The node ids are the one binary section.
+    """
 
     kind = "prune"
+    SECTIONS = ("node_ids",)
 
     def __init__(self, node_ids: Sequence[int]) -> None:
         self.node_ids = list(node_ids)
 
-    def payload(self) -> Dict[str, Any]:
-        return {"node_ids": self.node_ids}
+    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+        if not self.node_ids:
+            return {}, {}
+        return {}, {"node_ids": [encode_int_vector(self.node_ids)]}
 
     @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "PruneNotice":
-        return cls(_int_list_field(body, "node_ids"))
+    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "PruneNotice":
+        _only_fields(body, (), cls.kind)
+        return cls(tail.ints() if "node_ids" in tail else [])
 
 
 #: Wire op tags an :class:`UpdateRequest` batch may carry, with arity.
@@ -874,19 +954,26 @@ class BlobRequest(Message):
 
 
 class BlobResponse(Message):
-    """The whole encrypted blob (hex-encoded on the wire)."""
+    """The whole encrypted blob, raw in the tail.
+
+    Its one section is a page blob of 8-bit limbs, one per byte.
+    """
 
     kind = "blob-ok"
+    SECTIONS = ("blob",)
 
     def __init__(self, blob: bytes) -> None:
         self.blob = bytes(blob)
 
-    def payload(self) -> Dict[str, Any]:
-        return {"blob": self.blob.hex()}
+    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+        if not self.blob:
+            return {}, {}
+        return {}, {"blob": [encode_byte_string(self.blob)]}
 
     @classmethod
-    def from_payload(cls, body: Dict[str, Any]) -> "BlobResponse":
-        return cls(bytes.fromhex(body["blob"]))
+    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "BlobResponse":
+        _only_fields(body, (), cls.kind)
+        return cls(decode_byte_string(tail.blob()) if "blob" in tail else b"")
 
 
 _MESSAGE_TYPES = {
@@ -917,8 +1004,11 @@ def decode_message(data: bytes,
     Every frame that does not decode raises
     :class:`~repro.errors.ProtocolError`.
     """
+    if type(data) is not bytes:
+        data = bytes(data)
+    newline = data.find(b"\n")
     try:
-        body = json.loads(data.decode("utf-8"))
+        body = json.loads((data if newline < 0 else data[:newline]).decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # Besides bad UTF-8 and bad JSON (both ValueErrors), the parser
         # gives up on nesting past its recursion limit and on integer
@@ -937,7 +1027,22 @@ def decode_message(data: bytes,
     document_id = body.pop("document_id", None)
     request_id = body.pop("request_id", None)
     try:
-        message = cls.from_payload(body)
+        if not cls.SECTIONS:
+            if newline >= 0:
+                raise ProtocolError(
+                    f"a {kind!r} message has no sections, but a binary "
+                    "tail follows its head")
+            message = cls.from_payload(body)
+        else:
+            names = _section_names(body, cls)
+            if newline >= 0 and not names:
+                raise ProtocolError(
+                    f"the head of a {kind!r} message names no sections, "
+                    "but a binary tail follows it")
+            tail = _Tail(memoryview(data), len(data) if newline < 0
+                         else newline + 1, names)
+            message = cls.from_parts(body, tail)
+            tail.finish()
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"malformed {kind!r} message: {exc}") from exc
     if document_id is not None:

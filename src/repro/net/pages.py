@@ -36,16 +36,24 @@ half of the vectorized evaluation pipeline.  Decoders return ``None``
 (never wrong answers) whenever numpy is absent or a limb exceeds the
 native 64-bit width; callers fall back to the reference codec.
 
-The same blobs also travel on the wire: protocol v4 carries every numeric
-section of a ``frontier-ok`` response (node ids, evaluations, child lists,
-share rows) as one blob each, through :func:`encode_coefficients_array`
-and :func:`decode_int_vector`, which pick the array or the reference
-codec per vector.  Both codecs are linear in the vector length.
+The same blobs also travel on the wire, raw, in the binary tail of a
+protocol v5 message: every numeric section of a ``frontier-ok`` response
+(node ids, evaluations, child lists, share rows, constants) and every id
+list of a request is one blob.  Share rows keep the narrowest width
+(:func:`encode_coefficients_array`); every other vector takes
+:func:`encode_int_vector`, which rounds a non-negative vector's width up
+to 8, 16, 32 or 64 bits, so :func:`decode_int_vector` reads it with one
+stdlib :mod:`array` call, with no numpy call and no loop per value.
+A byte string travels as a blob of 8-bit limbs
+(:func:`encode_byte_string`), and :func:`blob_extent` finds where a blob
+inside a longer buffer ends.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from ..algebra.vkernels import numpy_or_none
@@ -61,6 +69,10 @@ __all__ = [
     "decode_coefficients_array",
     "decode_coefficients_batch",
     "decode_int_vector",
+    "encode_int_vector",
+    "encode_byte_string",
+    "decode_byte_string",
+    "blob_extent",
     "encode_coefficient_rows",
     "split_pages",
     "join_pages",
@@ -90,6 +102,13 @@ _GROUP_BITS = 2048
 #: ones take the reference codec, which is faster below it because
 #: numpy's per-call cost exceeds the work.
 _ARRAY_MIN_VALUES = 64
+
+#: stdlib :mod:`array` typecodes by item width in bits: the byte-aligned
+#: limb widths :func:`encode_int_vector` rounds up to.
+_ARRAY_CODES = {8 * array(code).itemsize: code for code in "QLIHB"}
+
+#: Limbs are little-endian; a big-endian host swaps the array's bytes.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 #: Limbs per chunk in the array encoder's odd-width path (a multiple of
 #: eight, so every chunk but the last ends on a byte boundary);
@@ -173,6 +192,30 @@ def _parse_header(blob: bytes) -> Tuple[int, int, int]:
 def blob_count(blob: bytes) -> int:
     """How many values a blob holds, from its validated header alone."""
     return _parse_header(blob)[2]
+
+
+def blob_extent(data, offset: int = 0) -> Tuple[int, int, int, int]:
+    """``(flags, width, count, end)`` of the blob at ``offset`` of ``data``.
+
+    ``data`` holds blobs back to back (a message's binary tail); ``end``
+    is where this blob's payload stops.  Raises :class:`ProtocolError`
+    when the header or the payload it announces runs past ``data``.
+    """
+    if len(data) - offset < _HEADER.size:
+        raise ProtocolError(
+            f"a blob header at byte {offset} runs past the end of the "
+            f"{len(data)}-byte buffer")
+    version, flags, width, count = _HEADER.unpack_from(data, offset)
+    if version != PAGE_FORMAT_VERSION:
+        raise ProtocolError(
+            f"coefficient blob has format version {version}; this build "
+            f"reads version {PAGE_FORMAT_VERSION}")
+    end = offset + _HEADER.size + (count * width + 7) // 8
+    if end > len(data):
+        raise ProtocolError(
+            f"a blob of {count} limbs of {width} bits at byte {offset} runs "
+            f"past the end of the {len(data)}-byte buffer")
+    return flags, width, count, end
 
 
 def decode_coefficients(blob: bytes) -> List[int]:
@@ -389,13 +432,70 @@ def decode_coefficients_batch(blobs: Sequence[bytes], out=None):
     return result if out is None else out
 
 
+def encode_int_vector(values: Sequence[int]) -> bytes:
+    """A blob of ``values`` with a byte-aligned limb width when it can.
+
+    A vector of non-negative values below ``2^64`` gets the narrowest of
+    8, 16, 32 and 64 bits that holds its largest value (width 0 when every
+    value is 0), packed by one stdlib :mod:`array` call.  Negative or
+    wider values take :func:`encode_coefficients_array`'s narrowest
+    (zigzag) width.  Either way the blob is a valid page blob that every
+    decoder reads.
+    """
+    if not values:
+        return _HEADER.pack(PAGE_FORMAT_VERSION, 0, 0, 0)
+    low, high = int(min(values)), int(max(values))
+    if low < 0 or high >> 64:
+        return encode_coefficients_array(values)
+    bits = high.bit_length()
+    width = 0 if bits == 0 else next(width for width in (8, 16, 32, 64)
+                                     if bits <= width)
+    header = _HEADER.pack(PAGE_FORMAT_VERSION, 0, width, len(values))
+    if width == 0:
+        return header
+    limbs = array(_ARRAY_CODES[width], values)
+    if _BIG_ENDIAN:
+        limbs.byteswap()
+    return header + limbs.tobytes()
+
+
 def decode_int_vector(blob: bytes) -> List[int]:
-    """Decode one blob to a list of Python ints, through numpy when it can
-    and the blob holds at least :data:`_ARRAY_MIN_VALUES` values."""
-    if blob_count(blob) < _ARRAY_MIN_VALUES:
+    """Decode one blob to a list of Python ints.
+
+    Byte-aligned unsigned limbs (what :func:`encode_int_vector` writes)
+    take one stdlib :mod:`array` read; other widths go through numpy when
+    it is present and the blob holds at least :data:`_ARRAY_MIN_VALUES`
+    values, else through the reference codec.
+    """
+    flags, width, count = _parse_header(blob)
+    if width == 0:
+        return [0] * count
+    code = None if flags else _ARRAY_CODES.get(width)
+    if code is not None:
+        limbs = array(code)
+        limbs.frombytes(blob[_HEADER.size:])
+        if _BIG_ENDIAN:
+            limbs.byteswap()
+        return limbs.tolist()
+    if count < _ARRAY_MIN_VALUES:
         return decode_coefficients(blob)
     values = decode_coefficients_array(blob)
     return decode_coefficients(blob) if values is None else values.tolist()
+
+
+def encode_byte_string(data: bytes) -> bytes:
+    """A blob of 8-bit limbs, one per byte: ``data`` raw behind a header."""
+    return _HEADER.pack(PAGE_FORMAT_VERSION, 0, 8, len(data)) + bytes(data)
+
+
+def decode_byte_string(blob: bytes) -> bytes:
+    """Inverse of :func:`encode_byte_string`; other blobs raise."""
+    flags, width, _ = _parse_header(blob)
+    if flags or width != 8:
+        raise ProtocolError(
+            f"a byte-string blob holds plain 8-bit limbs, not {width}-bit "
+            f"limbs with flags {flags:#x}")
+    return bytes(blob[_HEADER.size:])
 
 
 def split_pages(blob: bytes, page_bytes: int = DEFAULT_PAGE_BYTES) -> List[bytes]:

@@ -1,23 +1,24 @@
 """Packed frontier payloads: codec, compatibility, untrusted input.
 
-Every ``frontier-ok`` payload is packed: each numeric section travels as a
-base64 :mod:`repro.net.pages` limb blob inside the JSON object.  These
-tests pin
+Protocol v5 carries every numeric section of a ``frontier-ok`` and every
+id list of a ``frontier`` or ``prune`` as a raw :mod:`repro.net.pages`
+limb blob in the message's binary tail, after the JSON head and a
+newline.  These tests pin
 
 * the codec: packed payloads decode to the evaluations, child lists,
   share rows and constants the server produced, on ``F_p`` and
   ``Z``-ring trees (negative and wider-than-64-bit coefficients), with
   empty sections, several points and constants-only fetches;
-* compatibility: golden frames of lookups, an XPath and an update batch
+* compatibility: golden frames of lookups, an XPath and an update batch,
+  the content they decode to and the server's ledger after each session
   (answers against the plaintext baseline over every path are
   ``tests/test_oracle.py``'s);
-* untrusted input: every tampered packed payload and every omitted node
+* untrusted input: every tampered head or tail and every omitted node
   raises :class:`~repro.errors.ProtocolError`, never a ``KeyError`` or a
   wrong answer;
-* the reference codec: a v4 socket lookup with numpy disabled.
+* the reference codec: a socket lookup with numpy disabled.
 """
 
-import base64
 import json
 import os
 import socket
@@ -50,7 +51,12 @@ from repro.net.messages import (
     HealthRequest,
     decode_message,
 )
-from repro.net.pages import blob_count, encode_coefficients
+from repro.net.pages import (
+    blob_count,
+    blob_extent,
+    decode_coefficients,
+    encode_coefficients,
+)
 from repro.workloads import RandomXmlConfig, figure1_document, generate_random_document
 from repro.xmltree import parse_element
 
@@ -104,6 +110,23 @@ def sections(response):
             response.constants)
 
 
+def split_frame(frame):
+    """``(head, blobs)``: the parsed JSON head and the tail's blobs."""
+    head, _, tail = frame.partition(b"\n")
+    blobs, offset = [], 0
+    while offset < len(tail):
+        end = blob_extent(tail, offset)[3]
+        blobs.append(tail[offset:end])
+        offset = end
+    return json.loads(head), blobs
+
+
+def join_frame(head, blobs):
+    """Inverse of :func:`split_frame` (the head re-serialised compactly)."""
+    encoded = json.dumps(head, separators=(",", ":")).encode()
+    return encoded + b"\n" + b"".join(blobs) if blobs else encoded
+
+
 class TestPackedCodec:
     @pytest.mark.parametrize("ring", ["fp", "z"])
     def test_packed_decodes_to_the_served_data(self, ring, fp_outsourced,
@@ -138,14 +161,24 @@ class TestPackedCodec:
         server = SearchServer(tree)
         assert server.handle(forward).encode() == server.handle(backward).encode()
 
-    def test_every_request_asks_for_packed_payloads(self):
-        encoded = FrontierRequest([1, 2], [3]).encode()
-        assert b'"packed":true' in encoded
-        assert decode_message(encoded).node_ids == [1, 2]
-        for flag in (b'', b',"packed":false'):
-            body = b'{"kind":"frontier","node_ids":[1],"points":[3]' + flag + b'}'
-            with pytest.raises(ProtocolError, match="'packed' must be true"):
-                decode_message(body)
+    def test_request_id_lists_travel_in_the_tail(self):
+        encoded = FrontierRequest([1, 2], [3], prune=[7]).encode()
+        head, blobs = split_frame(encoded)
+        assert head == {"children": True, "kind": "frontier", "points": [3],
+                        "sections": ["node_ids", "prune"]}
+        assert [decode_coefficients(blob) for blob in blobs] == [[1, 2], [7]]
+        decoded = decode_message(encoded)
+        assert (decoded.node_ids, decoded.prune) == ([1, 2], [7])
+
+    @pytest.mark.parametrize("body", [
+        b'{"kind":"frontier","node_ids":[1],"points":[3]}',
+        b'{"kind":"frontier","node_ids":[1],"points":[3],"packed":false}',
+        b'{"kind":"frontier","node_ids":[1],"points":[3],"packed":true}',
+        b'{"kind":"prune","node_ids":[1]}',
+    ], ids=["unflagged", "packed-false", "packed-true", "prune"])
+    def test_v4_request_forms_are_refused(self, body):
+        with pytest.raises(ProtocolError, match="unexpected field"):
+            decode_message(body)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -173,102 +206,101 @@ class TestPackedCodec:
                                     constants)
 
 
-def packed_body(tree):
-    """A valid packed frontier-ok with all four sections, as parsed JSON."""
+def packed_frame(tree):
+    """A valid frontier-ok with all four sections, split into head and blobs.
+
+    Blobs: 0 evaluation ids, 1-2 values at points 3 and 4, 3 parents,
+    4 child counts, 5 child ids, 6 polynomial ids, 7 rows, 8 constant ids,
+    9 constant values.
+    """
     root = tree.root_id
     children = tree.child_ids(root)
     request = FrontierRequest(children, [3, 4], lookahead=1,
                               fetch_polynomials=[root], fetch_constants=children)
-    return json.loads(SearchServer(tree).handle(request).encode())
+    return split_frame(SearchServer(tree).handle(request).encode())
 
 
-def blob_text(values):
-    return base64.b64encode(encode_coefficients(values)).decode("ascii")
+def blob(values):
+    """A narrowest-width blob, as the pages codec writes for share rows."""
+    return encode_coefficients(values)
 
 
-def decoded_blob(text):
-    from repro.net.pages import decode_coefficients
-
-    return decode_coefficients(base64.b64decode(text))
-
-
-def corrupt(text, mutate):
-    blob = bytearray(base64.b64decode(text))
-    mutate(blob)
-    return base64.b64encode(bytes(blob)).decode("ascii")
-
-
-def _set(path, value):
-    def apply(body):
-        target = body["packed"]
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value(target[path[-1]]) if callable(value) else value
+def values_of(index, change):
+    """Replace blob ``index`` by a blob of ``change(its values)``."""
+    def apply(head, blobs):
+        blobs[index] = blob(change(decode_coefficients(blobs[index])))
     return apply
 
 
-def _first_point_values(mutate):
-    def apply(body):
-        values = body["packed"]["evaluations"]["values"]
-        point = sorted(values)[0]
-        values[point] = mutate(values[point])
+def replace_blob(index, new):
+    def apply(head, blobs):
+        blobs[index] = new
     return apply
 
 
-def _flip_version(blob):
-    blob[0] ^= 0x7F
+def set_field(field, value):
+    def apply(head, blobs):
+        head[field] = value(head[field]) if callable(value) else value
+    return apply
 
 
-def _drop_last_byte(blob):
-    del blob[-1]
+def _stray_bits():
+    stray = bytearray(blob([1, 1, 1]))
+    stray[-1] |= 0x80
+    return bytes(stray)
+
+
+def _flip_version(head, blobs):
+    rows = bytearray(blobs[7])
+    rows[0] ^= 0x7F
+    blobs[7] = bytes(rows)
+
+
+def _drop_a_byte(head, blobs):
+    blobs[7] = blobs[7][:-1]
+
+
+def _truncate_tail(head, blobs):
+    blobs[-1] = blobs[-1][:-1]
+
+
+def _row_width_beyond_the_cap(head, blobs):
+    head["width"] = MAX_PACKED_VALUES + 1
+    blobs[6:8] = [blob([]), blob([])]
 
 
 TAMPERINGS = {
-    "not base64": _set(["evaluations", "ids"], "!!not-base64!!"),
-    "not text": _set(["children", "counts"], 17),
-    "header": _set(["polynomials", "rows"], lambda text: corrupt(text, _flip_version)),
-    "length": _set(["constants", "values"], lambda text: corrupt(text, _drop_last_byte)),
-    "stray bits": _set(["evaluations", "ids"],
-                       lambda text: corrupt(blob_text([1, 1, 1]),
-                                            lambda blob: blob.__setitem__(-1, 0x80))),
-    "values vs ids": _first_point_values(
-        lambda text: blob_text(decoded_blob(text)[:-1])),
-    "child counts vs child ids": _set(
-        ["children", "counts"],
-        lambda text: blob_text([count + 1 for count in decoded_blob(text)])),
-    "rows vs ids x width": _set(["polynomials", "width"], lambda width: width + 1),
-    "constants vs ids": _set(["constants", "values"],
-                             lambda text: blob_text(decoded_blob(text) + [1])),
-    "negative id": _set(["constants", "ids"],
-                        lambda text: blob_text([-1] + decoded_blob(text)[1:])),
-    "duplicate id": _set(["evaluations", "ids"],
-                         lambda text: blob_text(decoded_blob(text)[:1] * 2
-                                                + decoded_blob(text)[2:])),
-    "out of order ids": _set(["children", "parents"],
-                             lambda text: blob_text(decoded_blob(text)[::-1])),
-    "negative child count": _set(
-        ["children", "counts"],
-        lambda text: blob_text([-1] + decoded_blob(text)[1:])),
-    "negative child id": _set(["children", "ids"],
-                              lambda text: blob_text([-5] + decoded_blob(text)[1:])),
-    "width not an int": _set(["polynomials", "width"], "52"),
-    "section not an object": _set(["children"], [1, 2]),
-    "values not an object": _set(["evaluations", "values"], ["x"]),
-    "payload not an object": lambda body: body.__setitem__("packed", [1]),
+    "tail truncated": _truncate_tail,
+    "sections not a list": set_field("sections", 17),
+    "header": _flip_version,
+    "length": _drop_a_byte,
+    "stray bits": replace_blob(0, _stray_bits()),
+    "values vs ids": values_of(1, lambda values: values[:-1]),
+    "child counts vs child ids": values_of(
+        4, lambda counts: [count + 1 for count in counts]),
+    "rows vs ids x width": set_field("width", lambda width: width + 1),
+    "constants vs ids": values_of(9, lambda values: values + [1]),
+    "negative id": values_of(8, lambda ids: [-1] + ids[1:]),
+    "duplicate id": values_of(0, lambda ids: ids[:1] * 2 + ids[2:]),
+    "out of order ids": values_of(3, lambda ids: ids[::-1]),
+    "negative child count": values_of(4, lambda counts: [-1] + counts[1:]),
+    "negative child id": values_of(5, lambda ids: [-5] + ids[1:]),
+    "width not an int": set_field("width", "52"),
+    "unknown section": set_field("sections",
+                                 lambda names: names[:1] + ["rows"] + names[1:]),
+    "points not a list": set_field("points", ["x"]),
+    "sections out of order": set_field("sections", lambda names: names[::-1]),
     # Ten bytes of width-0 blob announcing 2^32 - 1 values.
-    "count beyond the cap": _set(["evaluations", "ids"], "AQAAAAAA/////w=="),
-    "row width beyond the cap": lambda body: body["packed"]["polynomials"].update(
-        ids=blob_text([]), width=MAX_PACKED_VALUES + 1, rows=blob_text([])),
+    "count beyond the cap": replace_blob(0, bytes.fromhex("0100 00000000 ffffffff")),
+    "row width beyond the cap": _row_width_beyond_the_cap,
+    "bytes after the last section": lambda head, blobs: blobs.append(blob([1])),
+    "a section the tail lacks": lambda head, blobs: blobs.__delitem__(
+        slice(8, None)),
+    "fewer sections named than sent": set_field(
+        "sections", lambda names: names[:-1]),
+    "points repeat": set_field("points", lambda points: points[:1] * 2),
+    "v4 packed field": set_field("packed", {}),
 }
-
-
-def blob_texts(value):
-    """Every base64 blob text of a packed payload."""
-    if isinstance(value, str):
-        yield value
-    elif isinstance(value, dict):
-        for item in value.values():
-            yield from blob_texts(item)
 
 
 def recv_frame(sock):
@@ -282,36 +314,59 @@ def recv_frame(sock):
 
 
 class TestTamperedPayloads:
-    def test_untampered_body_decodes(self, fp_outsourced):
-        body = packed_body(fp_outsourced[2])
-        assert set(body["packed"]) == {"evaluations", "children",
-                                       "polynomials", "constants"}
-        decoded = decode_message(json.dumps(body).encode())
+    def test_untampered_frame_decodes(self, fp_outsourced):
+        head, blobs = packed_frame(fp_outsourced[2])
+        assert head["sections"] == ["evaluations", "children",
+                                    "polynomials", "constants"]
+        assert len(blobs) == 10
+        decoded = decode_message(join_frame(head, blobs))
         assert decoded.evaluations and decoded.children
         assert decoded.polynomials and decoded.constants
 
     @pytest.mark.parametrize("case", sorted(TAMPERINGS))
     def test_tampered_payload_raises_protocol_error(self, case, fp_outsourced):
-        body = packed_body(fp_outsourced[2])
-        TAMPERINGS[case](body)
+        head, blobs = packed_frame(fp_outsourced[2])
+        TAMPERINGS[case](head, blobs)
         with pytest.raises(ProtocolError):
-            decode_message(json.dumps(body).encode())
+            decode_message(join_frame(head, blobs))
+
+    @pytest.mark.parametrize("frame", [
+        b'{"kind":"hello","versions":[5]}\n' + blob([1]),
+        b'{"kind":"ack"}\n',
+        b'{"kind":"frontier-ok"}\n' + blob([1]),
+        b'{"kind":"prune"}\n',
+    ], ids=["hello", "ack", "frontier-ok", "prune"])
+    def test_a_tail_the_head_does_not_name_is_refused(self, frame):
+        with pytest.raises(ProtocolError, match="tail"):
+            decode_message(frame)
 
     def test_announced_counts_share_one_budget(self, fp_outsourced, monkeypatch):
-        body = packed_body(fp_outsourced[2])
-        total = sum(blob_count(base64.b64decode(text))
-                    for text in blob_texts(body["packed"]))
-        encoded = json.dumps(body).encode()
+        head, blobs = packed_frame(fp_outsourced[2])
+        total = sum(blob_count(data) for data in blobs)
+        encoded = join_frame(head, blobs)
         monkeypatch.setattr(messages, "MAX_PACKED_VALUES", total)
         assert decode_message(encoded).polynomials
         monkeypatch.setattr(messages, "MAX_PACKED_VALUES", total - 1)
         with pytest.raises(ProtocolError, match="announces more than"):
             decode_message(encoded)
 
+    def test_announced_counts_are_bounded_by_the_frame_size(self):
+        """A zero-width blob costs ten bytes whatever count it announces,
+        so a message may announce at most eight values per byte of it."""
+        def frame(count):
+            return join_frame({"kind": "frontier-ok", "sections": ["children"]},
+                              [blob([0]), blob([count]), blob([0] * count)])
+
+        assert decode_message(frame(100)).children == {0: [0] * 100}
+        assert messages.VALUES_PER_TAIL_BYTE * len(frame(1000)) < 1000
+        with pytest.raises(ProtocolError, match="announces more than"):
+            decode_message(frame(1000))
+
     def test_server_refuses_response_kinds_before_decoding(self,
                                                            fp_outsourced):
-        attack = json.dumps({"kind": "frontier-ok", "packed": {"evaluations": {
-            "ids": "AQAAAAAA/////w==", "values": {}}}}).encode()
+        attack = (b'{"kind":"frontier-ok","points":[3],'
+                  b'"sections":["evaluations"]}\n'
+                  + bytes.fromhex("0100 00000000 ffffffff"))
         transport = ThreadedSearchServer(SearchServer(fp_outsourced[2])).start()
         try:
             with socket.create_connection(transport.address, timeout=30) as sock:
@@ -326,110 +381,261 @@ class TestTamperedPayloads:
         assert health.status == "ok"
 
 
-#: The frames of four v4 sessions on ``figure1_document(clients=2)``
+#: The frames of four sessions on ``figure1_document(clients=2)``
 #: outsourced with seed ``b"golden-frames"``, each hello exchange left
 #: out: a FULL and a CONSTANT_ONLY lookup of ``client``, the XPath
 #: ``/customers/client/name``, and one update batch (``<name/>`` inserted
-#: under node 3, once the editor has mirrored the structure).  These
+#: under node 3, once the editor has mirrored the structure).  Each line
+#: of a tail is one blob, starting with its 10-byte header.  These
 #: encodings must never move.
 GOLDEN_FRAMES = {
-    "full": [
-        (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[0],'
-         b'"packed":true,"points":[1]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"children":{"counts":"AQACAAAAAwAAABY=",'
-         b'"ids":"AQADAAAABAAAAJkI","parents":"AQACAAAAAwAAADQ="},'
-         b'"evaluations":{"ids":"AQACAAAAAwAAADQ=",'
-         b'"values":{"1":"AQACAAAAAwAAAB0="}}}}'),
-        (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[2,'
-         b'4],"packed":true,"points":[1]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"children":{"counts":"AQAAAAAAAgAAAA==",'
-         b'"ids":"AQAAAAAAAAAAAA==","parents":"AQADAAAAAgAAACI="},'
-         b'"evaluations":{"ids":"AQADAAAAAgAAACI=",'
-         b'"values":{"1":"AQACAAAAAgAAAA0="}}}}'),
-        (b'{"children":false,"fetch_polynomials":[0,1,3],"kind":"frontier",'
-         b'"node_ids":[],"packed":true,"points":[],"prune":[2,4]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"polynomials":{"ids":"AQACAAAAAwAAADQ=",'
-         b'"rows":"AQADAAAADAAAACDEbYwI","width":4}}}'),
-    ],
     "constant-only": [
-        (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[0],'
-         b'"packed":true,"points":[1]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"children":{"counts":"AQACAAAAAwAAABY=",'
-         b'"ids":"AQADAAAABAAAAJkI","parents":"AQACAAAAAwAAADQ="},'
-         b'"evaluations":{"ids":"AQACAAAAAwAAADQ=",'
-         b'"values":{"1":"AQACAAAAAwAAAB0="}}}}'),
-        (b'{"children":true,"kind":"frontier","lookahead":1,"node_ids":[2,'
-         b'4],"packed":true,"points":[1]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"children":{"counts":"AQAAAAAAAgAAAA==",'
-         b'"ids":"AQAAAAAAAAAAAA==","parents":"AQADAAAAAgAAACI="},'
-         b'"evaluations":{"ids":"AQADAAAAAgAAACI=",'
-         b'"values":{"1":"AQACAAAAAgAAAA0="}}}}'),
-        (b'{"children":false,"fetch_constants":[0,1,3],"kind":"frontier",'
-         b'"node_ids":[],"packed":true,"points":[],"prune":[2,4]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"constants":{"ids":"AQACAAAAAwAAADQ=",'
-         b'"values":"AQADAAAAAwAAACAB"}}}'),
+        (b'{"children":true,"kind":"frontier","lookahead":1,"points":[1],'
+         b'"sections":["node_ids"]}\n'
+         b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00',
+         b'{"kind":"frontier-ok","points":[1],"sections":["evaluations",'
+         b'"children"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x01\x03\x01'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x02\x01\x01'
+         b'\x01\x00\x08\x00\x00\x00\x04\x00\x00\x00\x01\x03\x02\x04'),
+        (b'{"children":true,"kind":"frontier","lookahead":1,"points":[1],'
+         b'"sections":["node_ids"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04',
+         b'{"kind":"frontier-ok","points":[1],"sections":["evaluations",'
+         b'"children"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x00\x00\x00\x00\x02\x00\x00\x00'
+         b'\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00'),
+        (b'{"children":false,"kind":"frontier","points":[],'
+         b'"sections":["prune","fetch_constants"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03',
+         b'{"kind":"frontier-ok","sections":["constants"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x04\x04'),
     ],
-    "xpath": [
-        (b'{"children":false,"kind":"frontier","node_ids":[0],'
-         b'"packed":true,"points":[2,1,3]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"evaluations":{"ids":"AQAAAAAAAQAAAA==",'
-         b'"values":{"1":"AQABAAAAAQAAAAE=","2":"AQADAAAAAQAAAAQ=",'
-         b'"3":"AQABAAAAAQAAAAE="}}}}'),
-        (b'{"children":true,"fetch_polynomials":[0],"kind":"frontier",'
-         b'"node_ids":[],"packed":true,"points":[]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"children":{"counts":"AQACAAAAAQAAAAI=",'
-         b'"ids":"AQACAAAAAgAAAA0=","parents":"AQAAAAAAAQAAAA=="},'
-         b'"polynomials":{"ids":"AQACAAAAAwAAADQ=",'
-         b'"rows":"AQADAAAADAAAACDEbYwI","width":4}}}'),
-        (b'{"children":false,"kind":"frontier","node_ids":[1,3],'
-         b'"packed":true,"points":[1,3]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"evaluations":{"ids":"AQACAAAAAgAAAA0=",'
-         b'"values":{"1":"AQACAAAAAgAAAAc=","3":"AQACAAAAAgAAAA0="}}}}'),
-        (b'{"children":true,"fetch_polynomials":[1,3],"kind":"frontier",'
-         b'"node_ids":[],"packed":true,"points":[]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"children":{"counts":"AQABAAAAAgAAAAM=",'
-         b'"ids":"AQADAAAAAgAAACI=","parents":"AQACAAAAAgAAAA0="},'
-         b'"polynomials":{"ids":"AQADAAAABAAAANEI",'
-         b'"rows":"AQADAAAAEAAAANwmgIzIbQ==","width":4}}}'),
-        (b'{"children":false,"kind":"frontier","node_ids":[2,4],'
-         b'"packed":true,"points":[3]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"evaluations":{"ids":"AQADAAAAAgAAACI=",'
-         b'"values":{"3":"AQABAAAAAgAAAAI="}}}}'),
-        (b'{"children":true,"fetch_polynomials":[2,4],"kind":"frontier",'
-         b'"node_ids":[],"packed":true,"points":[]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"children":{"counts":"AQAAAAAAAgAAAA==",'
-         b'"ids":"AQAAAAAAAAAAAA==","parents":"AQADAAAAAgAAACI="},'
-         b'"polynomials":{"ids":"AQADAAAAAgAAACI=",'
-         b'"rows":"AQADAAAACAAAAALIbQ==","width":4}}}'),
+    "full": [
+        (b'{"children":true,"kind":"frontier","lookahead":1,"points":[1],'
+         b'"sections":["node_ids"]}\n'
+         b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00',
+         b'{"kind":"frontier-ok","points":[1],"sections":["evaluations",'
+         b'"children"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x01\x03\x01'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x02\x01\x01'
+         b'\x01\x00\x08\x00\x00\x00\x04\x00\x00\x00\x01\x03\x02\x04'),
+        (b'{"children":true,"kind":"frontier","lookahead":1,"points":[1],'
+         b'"sections":["node_ids"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04',
+         b'{"kind":"frontier-ok","points":[1],"sections":["evaluations",'
+         b'"children"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x00\x00\x00\x00\x02\x00\x00\x00'
+         b'\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00'),
+        (b'{"children":false,"kind":"frontier","points":[],'
+         b'"sections":["prune","fetch_polynomials"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03',
+         b'{"kind":"frontier-ok","sections":["polynomials"],"width":4}\n'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03'
+         b'\x01\x00\x03\x00\x00\x00\x0c\x00\x00\x00 \xc4m\x8c\x08'),
     ],
     "update": [
-        (b'{"children":false,"fetch_polynomials":[0,3],"kind":"frontier",'
-         b'"node_ids":[],"packed":true,"points":[]}',
-         b'{"kind":"frontier-ok",'
-         b'"packed":{"polynomials":{"ids":"AQACAAAAAgAAAAw=",'
-         b'"rows":"AQADAAAACAAAACDEiA==","width":4}}}'),
+        (b'{"children":false,"kind":"frontier","points":[],'
+         b'"sections":["fetch_polynomials"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x00\x03',
+         b'{"kind":"frontier-ok","sections":["polynomials"],"width":4}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x00\x03'
+         b'\x01\x00\x03\x00\x00\x00\x08\x00\x00\x00 \xc4\x88'),
         (b'{"base":{"0":0,"3":0},"kind":"update","operation":"insert",'
          b'"ops":[["add",5,3,[0,4,1]],["replace",3,[2,0,4]],["replace",0,'
          b'[0,4,0,2]]]}',
-         b'{"applied":3,"kind":"update-ok","versions":{"0":1,"3":1,"5":1}}'),
+         b'{"applied":3,"kind":"update-ok","versions":{"0":1,"3":1,'
+         b'"5":1}}'),
     ],
+    "xpath": [
+        (b'{"children":false,"kind":"frontier","points":[2,1,3],'
+         b'"sections":["node_ids"]}\n'
+         b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00',
+         b'{"kind":"frontier-ok","points":[1,2,3],'
+         b'"sections":["evaluations"]}\n'
+         b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00'
+         b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x01'
+         b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x04'
+         b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x01'),
+        (b'{"children":true,"kind":"frontier","points":[],'
+         b'"sections":["fetch_polynomials"]}\n'
+         b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00',
+         b'{"kind":"frontier-ok","sections":["children","polynomials"],'
+         b'"width":4}\n'
+         b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00'
+         b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x02'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03'
+         b'\x01\x00\x03\x00\x00\x00\x0c\x00\x00\x00 \xc4m\x8c\x08'),
+        (b'{"children":false,"kind":"frontier","points":[1,3],'
+         b'"sections":["node_ids"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03',
+         b'{"kind":"frontier-ok","points":[1,3],'
+         b'"sections":["evaluations"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x03\x01'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'),
+        (b'{"children":true,"kind":"frontier","points":[],'
+         b'"sections":["fetch_polynomials"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03',
+         b'{"kind":"frontier-ok","sections":["children","polynomials"],'
+         b'"width":4}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x01'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x08\x00\x00\x00\x04\x00\x00\x00\x01\x02\x03\x04'
+         b'\x01\x00\x03\x00\x00\x00\x10\x00\x00\x00\xdc&\x80\x8c\xc8m'),
+        (b'{"children":false,"kind":"frontier","points":[3],'
+         b'"sections":["node_ids"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04',
+         b'{"kind":"frontier-ok","points":[3],'
+         b'"sections":["evaluations"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x00\x01'),
+        (b'{"children":true,"kind":"frontier","points":[],'
+         b'"sections":["fetch_polynomials"]}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04',
+         b'{"kind":"frontier-ok","sections":["children","polynomials"],'
+         b'"width":4}\n'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x00\x00\x00\x00\x02\x00\x00\x00'
+         b'\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
+         b'\x01\x00\x03\x00\x00\x00\x08\x00\x00\x00\x02\xc8m'),
+    ],
+
 }
 
+#: What the golden sessions' frames decode to, recorded from the protocol
+#: v4 frames these sessions sent before v5: per exchange, the request as
+#: ``(kind, node_ids, points, prune, children, fetch_polynomials,
+#: fetch_constants, lookahead)`` or ``(kind, operation, ops, base)``, and
+#: the response as ``(kind, evaluations, children, share rows,
+#: constants)`` or ``(kind, versions, applied)``.  A new wire generation
+#: changes the bytes, never this.
+GOLDEN_CONTENT = {'constant-only': [(('frontier', [0], [1], [], True, [], [], 1),
+                                     ('frontier-ok',
+                                      {1: {0: 1, 1: 3, 3: 1}},
+                                      {0: [1, 3], 1: [2], 3: [4]},
+                                      {},
+                                      {})),
+                                    (('frontier', [2, 4], [1], [], True, [], [], 1),
+                                     ('frontier-ok',
+                                      {1: {2: 1, 4: 3}},
+                                      {2: [], 4: []},
+                                      {},
+                                      {})),
+                                    (('frontier', [], [], [2, 4], False, [], [0, 1, 3], 0),
+                                     ('frontier-ok', {}, {}, {}, {0: 0, 1: 4, 3: 4}))],
+                  'full': [(('frontier', [0], [1], [], True, [], [], 1),
+                            ('frontier-ok',
+                             {1: {0: 1, 1: 3, 3: 1}},
+                             {0: [1, 3], 1: [2], 3: [4]},
+                             {},
+                             {})),
+                           (('frontier', [2, 4], [1], [], True, [], [], 1),
+                            ('frontier-ok', {1: {2: 1, 4: 3}}, {2: [], 4: []}, {}, {})),
+                           (('frontier', [], [], [2, 4], False, [0, 1, 3], [], 0),
+                            ('frontier-ok',
+                             {},
+                             {},
+                             {0: [0, 4, 0, 2], 1: [4, 3, 3, 3], 3: [4, 1, 2, 4]},
+                             {}))],
+                  'update': [(('frontier', [], [], [], False, [0, 3], [], 0),
+                              ('frontier-ok',
+                               {},
+                               {},
+                               {0: [0, 4, 0, 2], 3: [4, 1, 2, 4]},
+                               {})),
+                             (('update',
+                               'insert',
+                               [['add', 5, 3, [0, 4, 1]],
+                                ['replace', 3, [2, 0, 4]],
+                                ['replace', 0, [0, 4, 0, 2]]],
+                               {0: 0, 3: 0}),
+                              ('update-ok', {0: 1, 3: 1, 5: 1}, 3))],
+                  'xpath': [(('frontier', [0], [2, 1, 3], [], False, [], [], 0),
+                             ('frontier-ok', {1: {0: 1}, 2: {0: 4}, 3: {0: 1}}, {}, {}, {})),
+                            (('frontier', [], [], [], True, [0], [], 0),
+                             ('frontier-ok',
+                              {},
+                              {0: [1, 3]},
+                              {0: [0, 4, 0, 2], 1: [4, 3, 3, 3], 3: [4, 1, 2, 4]},
+                              {})),
+                            (('frontier', [1, 3], [1, 3], [], False, [], [], 0),
+                             ('frontier-ok',
+                              {1: {1: 3, 3: 1}, 3: {1: 1, 3: 3}},
+                              {},
+                              {},
+                              {})),
+                            (('frontier', [], [], [], True, [1, 3], [], 0),
+                             ('frontier-ok',
+                              {},
+                              {1: [2], 3: [4]},
+                              {1: [4, 3, 3, 3],
+                               2: [2, 0, 0, 4],
+                               3: [4, 1, 2, 4],
+                               4: [4, 3, 3, 3]},
+                              {})),
+                            (('frontier', [2, 4], [3], [], False, [], [], 0),
+                             ('frontier-ok', {3: {2: 0, 4: 1}}, {}, {}, {})),
+                            (('frontier', [], [], [], True, [2, 4], [], 0),
+                             ('frontier-ok',
+                              {},
+                              {2: [], 4: []},
+                              {2: [2, 0, 0, 4], 4: [4, 3, 3, 3]},
+                              {}))]}
 
-def golden_session_frames(name):
-    """The (request, response) frames of one golden session, hello left out."""
+#: The server's ledger after each golden session, as
+#: ``(ServerObservations.as_dict(), point_counts)``, recorded under
+#: protocol v4: what the honest-but-curious server learns does not depend
+#: on the wire generation.
+GOLDEN_LEDGERS = {'constant-only': ({'distinct_points_seen': 1,
+                                     'evaluation_requests': 5,
+                                     'pruned_nodes': 2,
+                                     'polynomials_served': 0,
+                                     'constants_served': 3,
+                                     'requests_handled': 3},
+                                    {1: 2}),
+                  'full': ({'distinct_points_seen': 1,
+                            'evaluation_requests': 5,
+                            'pruned_nodes': 2,
+                            'polynomials_served': 3,
+                            'constants_served': 0,
+                            'requests_handled': 3},
+                           {1: 2}),
+                  'update': ({'distinct_points_seen': 0,
+                              'evaluation_requests': 0,
+                              'pruned_nodes': 0,
+                              'polynomials_served': 2,
+                              'constants_served': 0,
+                              'requests_handled': 5},
+                             {}),
+                  'xpath': ({'distinct_points_seen': 3,
+                             'evaluation_requests': 9,
+                             'pruned_nodes': 0,
+                             'polynomials_served': 9,
+                             'constants_served': 0,
+                             'requests_handled': 6},
+                            {1: 2, 2: 1, 3: 3})}
+
+
+def golden_session(name):
+    """The (request, response) frames of one golden session, hello left
+    out, and the server core that answered it."""
     client, tree, _ = outsource_document(figure1_document(clients=2),
                                          seed=b"golden-frames")
     server = SearchServer(tree)
@@ -455,13 +661,40 @@ def golden_session_frames(name):
         outcome = client.lookup(adapter, "client",
                                 verification=VerificationMode(name))
         assert outcome.matches == [1, 3]
-    return frames
+    return frames, server
+
+
+def content(message):
+    """A decoded message's data, in :data:`GOLDEN_CONTENT`'s form."""
+    if message.kind == "frontier":
+        return (message.kind, message.node_ids, message.points, message.prune,
+                message.include_children, message.fetch_polynomials,
+                message.fetch_constants, message.lookahead)
+    if message.kind == "frontier-ok":
+        return (message.kind,) + sections(message)
+    if message.kind == "update":
+        return (message.kind, message.operation, message.ops,
+                message.base_versions)
+    return (message.kind, message.versions, message.applied)
 
 
 class TestCompatibility:
     @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
-    def test_golden_v4_frames(self, name):
-        assert golden_session_frames(name) == GOLDEN_FRAMES[name]
+    def test_golden_v5_frames(self, name):
+        assert golden_session(name)[0] == GOLDEN_FRAMES[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+    def test_golden_frames_decode_to_the_v4_content(self, name):
+        assert [(content(decode_message(request)),
+                 content(decode_message(response)))
+                for request, response in GOLDEN_FRAMES[name]] \
+            == GOLDEN_CONTENT[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+    def test_golden_sessions_leave_the_v4_ledger(self, name):
+        ledger = golden_session(name)[1].document().observations
+        assert (ledger.as_dict(), dict(ledger.point_counts)) \
+            == GOLDEN_LEDGERS[name]
 
     def test_every_read_is_a_packed_frontier_round(self, fp_outsourced):
         _, client, tree = fp_outsourced
@@ -477,15 +710,18 @@ class TestCompatibility:
         client.lookup(adapter, "name")
         adapter.children_of([tree.root_id])
         adapter.evaluate([tree.root_id], 3)
-        reads = [(request, response) for request, response in frames
+        reads = [(split_frame(request)[0], split_frame(response)[0])
+                 for request, response in frames
                  if b'"kind":"hello"' not in request]
         assert len(reads) >= 3
-        assert all(b'"kind":"frontier"' in request
-                   and b'"packed":true' in request
-                   and b'"packed":{' in response
+        assert all(request["kind"] == "frontier"
+                   and set(request) <= {"kind", "points", "children",
+                                        "lookahead", "sections"}
+                   and response["kind"] == "frontier-ok"
+                   and set(response) <= {"kind", "points", "width", "sections"}
                    for request, response in reads)
 
-    def test_v4_shares_are_built_from_python_ints(self, fp_outsourced):
+    def test_shares_are_built_from_python_ints(self, fp_outsourced):
         _, _, tree = fp_outsourced
         adapter, _ = connect(SearchServer(tree))
         shares = adapter.fetch_polynomials(tree.node_ids())
@@ -553,7 +789,7 @@ class TestOmittedNodes:
             adapter.verification_bundle([root])
 
 
-def test_reference_codec_serves_a_v4_socket_lookup():
+def test_reference_codec_serves_a_socket_lookup():
     """With numpy disabled both ends pack and unpack through the int codec."""
     document = generate_random_document(
         RandomXmlConfig(element_count=120, tag_vocabulary_size=10, seed=11))

@@ -50,6 +50,7 @@ from repro.net.messages import (
     PruneNotice,
     decode_message,
 )
+from repro.net.pages import encode_coefficients
 from repro.net.retry import ResilientChannel, RetryPolicy
 from repro.workloads import figure1_document
 
@@ -281,7 +282,7 @@ class TestSocketTransports:
     def test_older_hello_refused_then_the_session_negotiates(self, served):
         with SocketChannel(*served.address) as channel:
             with pytest.raises(ProtocolError, match="no common version"):
-                channel.request(HelloRequest([1, 2, 3]))
+                channel.request(HelloRequest([1, 2, 3, 4]))
             assert channel.request(HelloRequest()).version == PROTOCOL_VERSION
 
     def test_oversized_request_rejected(self, outsourced):
@@ -299,7 +300,7 @@ class TestSocketTransports:
     def test_oversized_response_becomes_in_band_error(self, outsourced):
         _, tree = outsourced
         transport = ThreadedSearchServer(SearchServer(tree),
-                                         max_frame_bytes=192).start()
+                                         max_frame_bytes=160).start()
         try:
             adapter, channel = connect_socket(*transport.address, tree.ring)
             # The request fits in the limit; the full-tree verification
@@ -449,7 +450,14 @@ UNPARSABLE_RESPONSES = [
                  "malformed", id="5000-digit-int"),
 ]
 
+#: A valid node-id blob, [0, 1], and the head of a frontier request that
+#: names one node-id section.
+IDS_BLOB = encode_coefficients([0, 1])
+FRONTIER_HEAD = b'{"kind":"frontier","points":[3],"sections":["node_ids"]}'
+
 #: Request bodies decoding must refuse, each with the text its error names.
+#: The protocol v4 forms of ``frontier`` and ``prune`` (JSON id lists, the
+#: ``packed`` flag) are among them: a v5 server refuses them in-band.
 MALFORMED_BODIES = [
     (b'[1, 2]', "not an object"),
     (b'"frontier"', "not an object"),
@@ -457,37 +465,36 @@ MALFORMED_BODIES = [
     (b'{"kind": "children", "node_ids": [0]}', "unknown message kind"),
     (b'{"kind": "evaluate", "node_ids": [0], "point": 3}',
      "unknown message kind"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3]}', "packed"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3]}',
+     "unexpected field 'node_ids'"),
     (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": false}',
-     "packed"),
-    (b'{"kind": "frontier", "node_ids": [0.0], "points": [3], "packed": true}',
-     "node_ids"),
-    (b'{"kind": "frontier", "node_ids": [true], "points": [3], "packed": true}',
-     "node_ids"),
-    (b'{"kind": "frontier", "node_ids": ["0"], "points": [3], "packed": true}',
-     "node_ids"),
-    (b'{"kind": "frontier", "node_ids": "0", "points": [3], "packed": true}',
-     "node_ids"),
-    (b'{"kind": "frontier", "node_ids": [null], "points": [3], "packed": true}',
-     "node_ids"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [2.7], "packed": true}',
-     "points"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
-     b'"lookahead": 1.9}', "lookahead"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
-     b'"prune": [false]}', "prune"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
-     b'"fetch_polynomials": ["1"]}', "fetch_polynomials"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
-     b'"fetch_polynomials": [[0]]}', "fetch_polynomials"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
-     b'"fetch_constants": [1.5]}', "fetch_constants"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
-     b'"fetch_constants": {"0": 1}}', "fetch_constants"),
-    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true, '
-     b'"children": 1}', "children"),
-    (b'{"kind": "prune", "node_ids": [true]}', "node_ids"),
+     "unexpected field"),
+    (b'{"kind": "frontier", "node_ids": [0], "points": [3], "packed": true}',
+     "unexpected field"),
+    (FRONTIER_HEAD, "ends before"),
+    (FRONTIER_HEAD + b"\n" + IDS_BLOB[:5], "runs past"),
+    (FRONTIER_HEAD + b"\n" + IDS_BLOB[:-1], "runs past"),
+    (FRONTIER_HEAD + b"\n" + b"\x07" + IDS_BLOB[1:], "format version"),
+    (FRONTIER_HEAD + b"\n" + IDS_BLOB + IDS_BLOB, "follow the last section"),
+    (b'{"kind":"frontier","points":[3],"sections":["node_ids","node_ids"]}'
+     b"\n" + IDS_BLOB + IDS_BLOB, "canonical order"),
+    (b'{"kind":"frontier","points":[3],"sections":["nodes"]}\n' + IDS_BLOB,
+     "no section 'nodes'"),
+    (b'{"kind":"frontier","points":[3],"sections":{"node_ids":1}}\n'
+     + IDS_BLOB, "sections"),
+    (b'{"kind":"frontier","points":[3]}\n' + IDS_BLOB, "names no sections"),
+    (b'{"kind": "frontier", "points": [2.7]}', "points"),
+    (b'{"kind": "frontier", "points": [3], "lookahead": 1.9}', "lookahead"),
+    (b'{"kind": "frontier", "points": [3], "children": 1}', "children"),
+    (b'{"kind":"frontier","points":[3],"sections":["fetch_polynomials"]}\n'
+     + bytes.fromhex("0100 00000000 ffffffff"), "announces more than"),
+    (b'{"kind":"frontier","points":[3],"sections":["fetch_constants"]}\n'
+     + IDS_BLOB[:-1] + b"\x80", "bits set beyond"),
+    (b'{"kind": "prune", "node_ids": [true]}', "unexpected field 'node_ids'"),
+    (b'{"kind":"prune","sections":["node_ids"]}\n' + IDS_BLOB[:9],
+     "runs past"),
     (b'{"kind": "hello", "versions": [4.0]}', "versions"),
+    (b'{"kind":"hello","versions":[5]}\n' + IDS_BLOB, "has no sections"),
     (b'{"kind": "update", "operation": "x", "ops": [["replace", 1.9, [2]]], '
      b'"base": {}}', "ops"),
     (b'{"kind": "update", "operation": "x", "ops": [["replace", 1, [2.7]]], '
@@ -504,7 +511,12 @@ MALFORMED_RESPONSES = [
     (b'"hello-ok"', "malformed"),
     (b'7', "malformed"),
     (b'null', "malformed"),
-    (b'{"kind": "frontier-ok", "evaluations": {}, "children": {}}', "packed"),
+    (b'{"kind": "frontier-ok", "evaluations": {}, "children": {}}',
+     "unexpected field"),
+    (b'{"kind": "frontier-ok", "packed": {}}', "unexpected field 'packed'"),
+    (b'{"kind":"frontier-ok","sections":["constants"]}\n' + IDS_BLOB,
+     "ends before"),
+    (b'{"kind":"blob-ok","blob":"00ff"}', "unexpected field 'blob'"),
     (b'{"kind": "hello-ok", "version": 4, "root_id": "x", "node_count": 2.5}',
      "root_id"),
     (b'{"kind": "hello-ok", "version": 4, "root_id": 0, "node_count": 2.5}',
