@@ -28,7 +28,7 @@ them.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..algebra.evaldomain import EvaluationDomain
 from ..algebra.kernels import _trim
@@ -218,14 +218,19 @@ class PolynomialTree:
             yield self.nodes[node_id]
 
     def iter_postorder(self) -> Iterator[PolynomialNode]:
-        """Post-order traversal (children before parents)."""
-        def _walk(node_id: int) -> Iterator[PolynomialNode]:
-            for child_id in self.nodes[node_id].child_ids:
-                yield from _walk(child_id)
-            yield self.nodes[node_id]
-
-        if self.root_id is not None:
-            yield from _walk(self.root_id)
+        """Post-order traversal (children before parents), iterative."""
+        if self.root_id is None:
+            return
+        nodes = self.nodes
+        stack = [(self.root_id, iter(nodes[self.root_id].child_ids))]
+        while stack:
+            node_id, children = stack[-1]
+            child_id = next(children, None)
+            if child_id is None:
+                stack.pop()
+                yield nodes[node_id]
+            else:
+                stack.append((child_id, iter(nodes[child_id].child_ids)))
 
     def node_ids(self) -> List[int]:
         """All node identifiers in pre-order."""
@@ -379,9 +384,16 @@ def _segment_products(rows, heads, p: int):
 
 
 def encode_document(document: XmlDocument, mapping: TagMapping,
-                    ring: EncodingRing) -> PolynomialTree:
-    """Encode a whole document (convenience wrapper over :func:`encode_element`)."""
-    missing = [tag for tag in document.distinct_tags() if tag not in mapping]
+                    ring: EncodingRing,
+                    tags: Optional[Sequence[str]] = None) -> PolynomialTree:
+    """Encode a whole document (convenience wrapper over :func:`encode_element`).
+
+    ``tags`` are the document's distinct tags when the caller has them
+    already; otherwise they are collected here.
+    """
+    if tags is None:
+        tags = document.distinct_tags()
+    missing = [tag for tag in tags if tag not in mapping]
     if missing:
         raise EncodingError(
             f"the mapping lacks values for tags {missing}; call mapping.extend() first")

@@ -251,18 +251,20 @@ def outsource_document(document: XmlDocument,
     deployment would discard it (the client keeps only the seed and mapping,
     the server keeps only its share tree).
     """
-    ring = ring or choose_fp_ring(document, strict=strict)
+    # One walk collects the tags the ring, the mapping and the encoder need.
+    tags = document.distinct_tags()
+    ring = ring or choose_fp_ring(len(tags), strict=strict)
     if mapping is None:
         if isinstance(ring, FpQuotientRing):
             max_value = ring.p - 2 if strict else ring.p - 1
         else:
             max_value = None
-        mapping = TagMapping.for_tags(document.distinct_tags(), max_value=max_value,
+        mapping = TagMapping.for_tags(tags, max_value=max_value,
                                       rng=mapping_rng, strict=strict)
     else:
-        mapping.extend(document.distinct_tags())
+        mapping.extend(tags)
     prg = DeterministicPRG(seed) if seed is not None else DeterministicPRG.generate()
-    tree = encode_document(document, mapping, ring)
+    tree = encode_document(document, mapping, ring, tags)
     client = ClientContext(ring, mapping, prg, verification)
     # Split with the client's own generator so its share cache is already
     # warm when the first queries arrive.

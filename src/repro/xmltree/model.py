@@ -11,18 +11,20 @@ whole substrate is built from scratch, as the reproduction brief requires.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["XmlElement", "XmlDocument", "TreeStatistics"]
 
-_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_:")
-_NAME_CHARS = _NAME_START | set("0123456789-.")
+#: A tag name: an ASCII letter, ``_`` or ``:``, then letters, digits and
+#: ``_:.-``.
+_TAG_NAME = re.compile(r"[A-Za-z_:][A-Za-z0-9_:.\-]*")
 
 
 def _validate_tag(tag: str) -> str:
     if not tag:
         raise ValueError("tag names must be non-empty")
-    if tag[0] not in _NAME_START or any(c not in _NAME_CHARS for c in tag):
+    if _TAG_NAME.fullmatch(tag) is None:
         raise ValueError(f"invalid XML tag name: {tag!r}")
     return tag
 
@@ -109,10 +111,20 @@ class XmlElement:
             stack.extend(reversed(node.children))
 
     def iter_postorder(self) -> Iterator["XmlElement"]:
-        """Post-order traversal (children before parents)."""
-        for child in self.children:
-            yield from child.iter_postorder()
-        yield self
+        """Post-order traversal (children before parents).
+
+        Iterative, like every walk of this model, so a document of any
+        depth walks without touching Python's recursion limit.
+        """
+        stack = [(self, iter(self.children))]
+        while stack:
+            node, children = stack[-1]
+            child = next(children, None)
+            if child is None:
+                stack.pop()
+                yield node
+            else:
+                stack.append((child, iter(child.children)))
 
     def descendants(self) -> Iterator["XmlElement"]:
         """All strict descendants in pre-order."""
@@ -142,26 +154,39 @@ class XmlElement:
 
     def height(self) -> int:
         """Height of the subtree (a leaf has height 0)."""
-        if not self.children:
-            return 0
-        return 1 + max(child.height() for child in self.children)
+        height = 0
+        stack = [(self, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > height:
+                height = depth
+            stack.extend((child, depth + 1) for child in node.children)
+        return height
 
     # -- copying / equality -------------------------------------------------------------
     def clone(self) -> "XmlElement":
         """Deep copy of the subtree rooted at this element."""
         copy = XmlElement(self.tag, dict(self.attributes), self.text)
-        for child in self.children:
-            copy.add_child(child.clone())
+        stack = [(self, copy)]
+        while stack:
+            source, target = stack.pop()
+            for child in source.children:
+                twin = target.add_child(
+                    XmlElement(child.tag, dict(child.attributes), child.text))
+                stack.append((child, twin))
         return copy
 
     def structurally_equal(self, other: "XmlElement") -> bool:
         """True when both subtrees have identical tags, text, attributes and shape."""
-        if (self.tag != other.tag or self.text != other.text
-                or self.attributes != other.attributes
-                or len(self.children) != len(other.children)):
-            return False
-        return all(a.structurally_equal(b)
-                   for a, b in zip(self.children, other.children))
+        stack = [(self, other)]
+        while stack:
+            mine, theirs = stack.pop()
+            if (mine.tag != theirs.tag or mine.text != theirs.text
+                    or mine.attributes != theirs.attributes
+                    or len(mine.children) != len(theirs.children)):
+                return False
+            stack.extend(zip(mine.children, theirs.children))
+        return True
 
     def __repr__(self) -> str:
         return f"<XmlElement {self.tag!r} children={len(self.children)}>"

@@ -18,7 +18,8 @@ documents the paper works with and for the synthetic workloads.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import re
+from typing import List, Tuple
 
 from ..errors import XmlParseError
 from .model import XmlDocument, XmlElement
@@ -34,6 +35,9 @@ _ENTITY_TABLE = {
 }
 
 _WHITESPACE = " \t\r\n"
+
+#: The first character that ends a tag or attribute name.
+_NAME_END = re.compile(r"[ \t\r\n/>=]")
 
 
 class _Cursor:
@@ -108,12 +112,11 @@ def _decode_entities(text: str, cursor: _Cursor) -> str:
 
 def _parse_name(cursor: _Cursor) -> str:
     start = cursor.pos
-    while not cursor.eof() and cursor.peek() not in _WHITESPACE + "/>=":
-        cursor.advance()
-    name = cursor.text[start:cursor.pos]
-    if not name:
+    end = _NAME_END.search(cursor.text, start)
+    cursor.pos = len(cursor.text) if end is None else end.start()
+    if cursor.pos == start:
         raise cursor.error("expected a name")
-    return name
+    return cursor.text[start:cursor.pos]
 
 
 def _parse_attributes(cursor: _Cursor) -> dict:
@@ -166,44 +169,65 @@ def _skip_misc(cursor: _Cursor) -> None:
 
 
 def _parse_element(cursor: _Cursor) -> XmlElement:
-    cursor.expect("<")
-    tag = _parse_name(cursor)
-    attributes = _parse_attributes(cursor)
-    cursor.skip_whitespace()
-    if cursor.peek(2) == "/>":
-        cursor.advance(2)
-        return XmlElement(tag, attributes)
-    cursor.expect(">")
+    """Parse one element and its subtree, iteratively.
 
-    element = XmlElement(tag, attributes)
-    text_parts: List[str] = []
+    ``open_elements`` holds the elements whose closing tag is still due,
+    each with its text parts, so a document of any depth parses without
+    touching Python's recursion limit.
+    """
+    open_elements: List[Tuple[XmlElement, List[str]]] = []
+    text = cursor.text
     while True:
-        if cursor.eof():
-            raise cursor.error(f"unexpected end of input inside <{tag}>")
-        if cursor.peek(4) == "<!--":
-            end = cursor.find("-->")
-            if end == -1:
-                raise cursor.error("unterminated comment")
-            cursor.pos = end + 3
-        elif cursor.peek(2) == "</":
-            cursor.advance(2)
-            closing = _parse_name(cursor)
-            cursor.skip_whitespace()
-            cursor.expect(">")
-            if closing != tag:
-                raise cursor.error(
-                    f"mismatched closing tag </{closing}> for <{tag}>")
-            element.text = _decode_entities("".join(text_parts).strip(), cursor)
-            return element
-        elif cursor.peek() == "<":
-            element.add_child(_parse_element(cursor))
+        # The cursor is at the "<" of an element's start tag.
+        cursor.expect("<")
+        tag = _parse_name(cursor)
+        attributes = _parse_attributes(cursor)
+        cursor.skip_whitespace()
+        if text.startswith("/>", cursor.pos):
+            cursor.pos += 2
+            element = XmlElement(tag, attributes)
+            if not open_elements:
+                return element
+            open_elements[-1][0].add_child(element)
         else:
-            start = cursor.pos
-            next_tag = cursor.find("<")
-            if next_tag == -1:
-                raise cursor.error(f"unexpected end of input inside <{tag}>")
-            text_parts.append(cursor.text[start:next_tag])
-            cursor.pos = next_tag
+            cursor.expect(">")
+            element = XmlElement(tag, attributes)
+            if open_elements:
+                open_elements[-1][0].add_child(element)
+            open_elements.append((element, []))
+        # Content of the innermost open element, up to the next start tag.
+        while True:
+            element, text_parts = open_elements[-1]
+            if cursor.eof():
+                raise cursor.error(
+                    f"unexpected end of input inside <{element.tag}>")
+            if text.startswith("<!--", cursor.pos):
+                end = cursor.find("-->")
+                if end == -1:
+                    raise cursor.error("unterminated comment")
+                cursor.pos = end + 3
+            elif text.startswith("</", cursor.pos):
+                cursor.pos += 2
+                closing = _parse_name(cursor)
+                cursor.skip_whitespace()
+                cursor.expect(">")
+                if closing != element.tag:
+                    raise cursor.error(
+                        f"mismatched closing tag </{closing}> for <{element.tag}>")
+                element.text = _decode_entities("".join(text_parts).strip(),
+                                                cursor)
+                open_elements.pop()
+                if not open_elements:
+                    return element
+            elif text.startswith("<", cursor.pos):
+                break
+            else:
+                next_tag = cursor.find("<")
+                if next_tag == -1:
+                    raise cursor.error(
+                        f"unexpected end of input inside <{element.tag}>")
+                text_parts.append(text[cursor.pos:next_tag])
+                cursor.pos = next_tag
 
 
 def parse_element(text: str) -> XmlElement:

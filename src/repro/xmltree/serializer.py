@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from .model import XmlDocument, XmlElement
 
@@ -24,29 +24,42 @@ def serialize_element(element: XmlElement, indent: int = 2, _level: int = 0) -> 
     """Pretty-print an element subtree as XML text.
 
     ``indent=0`` produces compact single-line output (useful for byte-size
-    accounting in the download-all baseline).
+    accounting in the download-all baseline).  The walk is iterative, so
+    a subtree of any depth serialises.
     """
-    pad = " " * (indent * _level) if indent else ""
     newline = "\n" if indent else ""
-    attributes = "".join(
-        f' {name}="{_escape(value, _ATTR_ESCAPES)}"'
-        for name, value in element.attributes.items()
-    )
-    if not element.children and not element.text:
-        return f"{pad}<{element.tag}{attributes}/>"
-    parts: List[str] = [f"{pad}<{element.tag}{attributes}>"]
-    if element.text:
-        if element.children:
-            parts.append(f"{newline}{pad}{_escape(element.text, _ESCAPES)}" if indent
-                         else _escape(element.text, _ESCAPES))
+    parts: List[str] = []
+    # (element, level, closing): an element to open, or one to close once
+    # its children are out.
+    stack: List[Tuple[XmlElement, int, bool]] = [(element, _level, False)]
+    while stack:
+        node, level, closing = stack.pop()
+        pad = " " * (indent * level) if indent else ""
+        if closing:
+            parts.append(f"{newline}{pad}</{node.tag}>")
+            continue
+        if node is not element:
+            parts.append(newline)
+        attributes = "".join(
+            f' {name}="{_escape(value, _ATTR_ESCAPES)}"'
+            for name, value in node.attributes.items()
+        )
+        if not node.children and not node.text:
+            parts.append(f"{pad}<{node.tag}{attributes}/>")
+            continue
+        parts.append(f"{pad}<{node.tag}{attributes}>")
+        if node.text:
+            if node.children:
+                parts.append(f"{newline}{pad}{_escape(node.text, _ESCAPES)}"
+                             if indent else _escape(node.text, _ESCAPES))
+            else:
+                parts.append(_escape(node.text, _ESCAPES))
+        if node.children:
+            stack.append((node, level, True))
+            stack.extend((child, level + 1, False)
+                         for child in reversed(node.children))
         else:
-            parts.append(_escape(element.text, _ESCAPES))
-    for child in element.children:
-        parts.append(newline + serialize_element(child, indent, _level + 1))
-    if element.children:
-        parts.append(f"{newline}{pad}</{element.tag}>")
-    else:
-        parts.append(f"</{element.tag}>")
+            parts.append(f"</{node.tag}>")
     return "".join(parts)
 
 
