@@ -19,7 +19,10 @@ Each row runs a lookup of every tag, an XPath with absolute, descendant
 and child steps, and an insert/rename/delete/insert edit script through
 :class:`~repro.net.RemoteUpdatableTree`.  Its answers must equal the
 reference's, per mode; a socket session's byte accounting must equal an
-in-process session's; after each edit
+in-process session's; what the server learned in the read phase (its
+:class:`~repro.net.engine.ServerObservations` ledger) must equal an
+in-process session's on every socket and resilient row, so no store,
+tier or transport changes the leakage; after each edit
 the store must equal an in-process :class:`~repro.core.UpdatableTree` run
 of the script on a copy, with the same commit log and the same report,
 and after the script the answers must equal the reference over the edited
@@ -186,6 +189,9 @@ class Case:
         #: ``modes -> ChannelStats.as_dict()`` of in-process read phases,
         #: recorded by the in-process rows as they run.
         self.in_process_stats = {}
+        #: ``modes -> ledger(...)`` of in-process read phases, recorded
+        #: the same way.
+        self.in_process_ledgers = {}
 
     def reference(self, modes):
         missing = [mode for mode in modes if mode not in self._reference]
@@ -213,17 +219,26 @@ class Case:
             self._edited = (steps, answers)
         return self._edited
 
-    def expected_stats(self, modes):
-        """What a socket read phase must account.
+    def expected(self, modes):
+        """What a socket read phase must account, and the ledger it must
+        leave.
 
-        A socket row whose in-process twin has not run (a ``-k``
-        selection) runs the in-process read phase itself.
+        A row whose in-process twin has not run (a ``-k`` selection) runs
+        the in-process read phase itself.
         """
-        if modes not in self.in_process_stats:
-            adapter, channel = connect(SearchServer(self.tree))
+        if modes not in self.in_process_ledgers:
+            core = SearchServer(self.tree)
+            adapter, channel = connect(core)
             read_phase(self, adapter, modes)
             self.in_process_stats[modes] = channel.stats.as_dict()
-        return self.in_process_stats[modes]
+            self.in_process_ledgers[modes] = ledger(core)
+        return self.in_process_stats[modes], self.in_process_ledgers[modes]
+
+
+def ledger(core):
+    """What the server learned about the hosted document, in counts."""
+    observations = core.document().observations
+    return observations.as_dict(), dict(observations.point_counts)
 
 
 @pytest.fixture(scope="module")
@@ -294,8 +309,12 @@ def test_path_matches_reference(row, cases, tmp_path):
         assert read_phase(case, adapter, modes) == reference
         if path == "in-process":
             case.in_process_stats[modes] = channel.stats.as_dict()
-        elif path == "socket":
-            assert channel.stats.as_dict() == case.expected_stats(modes)
+            case.in_process_ledgers[modes] = ledger(core)
+        else:
+            stats, learned = case.expected(modes)
+            assert ledger(core) == learned
+            if path == "socket":
+                assert channel.stats.as_dict() == stats
         steps, answers = case.edited()
         editor = RemoteUpdatableTree(adapter, case.client.mapping,
                                      case.client.share_generator)
