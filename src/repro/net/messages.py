@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.query import CoefficientRows
@@ -157,10 +158,9 @@ def _require_ints(values: Any, field: str) -> List[int]:
     return values
 
 
-def _int_list_field(body: Dict[str, Any], field: str,
-                    required: bool = True) -> List[int]:
-    """The list of integers under ``field`` (empty when optional and absent)."""
-    return _require_ints(body[field] if required else body.get(field, []), field)
+def _int_list_field(body: Dict[str, Any], field: str) -> List[int]:
+    """The list of integers under ``field``."""
+    return _require_ints(body[field], field)
 
 
 def _int_map_field(body: Dict[str, Any], field: str) -> Dict[int, int]:
@@ -208,17 +208,16 @@ class Message:
     SECTIONS: Tuple[str, ...] = ()
 
     def payload(self) -> Dict[str, Any]:
-        """The JSON head's fields (the binary sections are :meth:`parts`')."""
-        return self.parts()[0]
+        """The JSON head's fields."""
+        return {}
 
-    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
-        """The JSON head's fields and the binary sections' blobs.
+    def sections(self) -> Dict[str, List[bytes]]:
+        """The binary sections: a name of :attr:`SECTIONS` -> its blobs.
 
-        Sections map a name of :attr:`SECTIONS` to its blobs; an empty
-        section is left out.  Kinds without sections override
-        :meth:`payload` alone.
+        An empty section is left out, so most messages of a kind with
+        sections still carry only some of them.
         """
-        return {}, {}
+        return {}
 
     def for_document(self, document_id: Optional[str]) -> "Message":
         """Stamp the message with a document id (returns self for chaining)."""
@@ -232,16 +231,13 @@ class Message:
 
     def encode(self) -> bytes:
         """Deterministic wire encoding: the JSON head, then any binary tail."""
-        if self.SECTIONS:
-            fields, sections = self.parts()
-        else:
-            fields, sections = self.payload(), {}
+        sections = self.sections()
         body = {"kind": self.kind}
         if self.document_id is not None:
             body["document_id"] = self.document_id
         if self.request_id is not None:
             body["request_id"] = self.request_id
-        body.update(fields)
+        body.update(self.payload())
         names = [name for name in self.SECTIONS if name in sections]
         if names:
             body["sections"] = names
@@ -261,8 +257,8 @@ class Message:
         return cls()
 
     @classmethod
-    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "Message":
-        """Rebuild a sectioned message from its head and its tail."""
+    def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "Message":
+        """Rebuild a message of a kind with sections from its head and tail."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -367,16 +363,19 @@ class FrontierRequest(Message):
         self.fetch_constants = list(fetch_constants)
         self.lookahead = int(lookahead)
 
-    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+    def payload(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {"points": self.points,
                                 "children": self.include_children}
         if self.lookahead:
             body["lookahead"] = self.lookahead
-        return body, {name: [encode_int_vector(getattr(self, name))]
-                      for name in self.SECTIONS if getattr(self, name)}
+        return body
+
+    def sections(self) -> Dict[str, List[bytes]]:
+        return {name: [encode_int_vector(getattr(self, name))]
+                for name in self.SECTIONS if getattr(self, name)}
 
     @classmethod
-    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierRequest":
+    def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierRequest":
         _only_fields(body, ("points", "children", "lookahead"), cls.kind)
         lists = [tail.ints() if name in tail else [] for name in cls.SECTIONS]
         return cls(lists[0], _int_list_field(body, "points"), lists[1],
@@ -561,8 +560,21 @@ class FrontierResponse(Message):
             require_nodes(data, child_ids, what)
         return children, data
 
-    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+    def _row_width(self) -> int:
+        rows = self.polynomials
+        if isinstance(rows, CoefficientRows):
+            return rows.width          # its rows are zero-padded to it
+        return max(len(rows[node_id]) for node_id in rows)
+
+    def payload(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {}
+        if self.evaluations:
+            body["points"] = sorted(self.evaluations)
+        if self.polynomials:
+            body["width"] = self._row_width()
+        return body
+
+    def sections(self) -> Dict[str, List[bytes]]:
         sections: Dict[str, List[bytes]] = {}
         if self.evaluations:
             points = sorted(self.evaluations)
@@ -576,7 +588,6 @@ class FrontierResponse(Message):
                         "every point")
                 blobs.append(encode_int_vector(list(map(by_node.__getitem__,
                                                         ids))))
-            body["points"] = points
             sections["evaluations"] = blobs
         if self.children:
             parents = sorted(self.children)
@@ -584,8 +595,7 @@ class FrontierResponse(Message):
             sections["children"] = [
                 encode_int_vector(parents),
                 encode_int_vector(list(map(len, lists))),
-                encode_int_vector([child for child_ids in lists
-                                   for child in child_ids])]
+                encode_int_vector(list(chain.from_iterable(lists)))]
         if self.polynomials:
             rows = self.polynomials
             ids = sorted(rows)
@@ -594,15 +604,14 @@ class FrontierResponse(Message):
                 if ids != rows.ids:
                     matrix = matrix[sorted(range(len(rows.ids)),
                                            key=rows.ids.__getitem__)]
-                width, flat = rows.width, matrix.ravel()
+                flat = matrix.ravel()
             else:
-                width = max(len(rows[node_id]) for node_id in ids)
+                width = self._row_width()
                 flat = []
                 for node_id in ids:
                     row = list(rows[node_id])
                     flat.extend(row)
                     flat.extend([0] * (width - len(row)))
-            body["width"] = width
             sections["polynomials"] = [encode_int_vector(ids),
                                        encode_coefficients_array(flat)]
         if self.constants:
@@ -610,10 +619,10 @@ class FrontierResponse(Message):
             sections["constants"] = [
                 encode_int_vector(ids),
                 encode_int_vector(list(map(self.constants.__getitem__, ids)))]
-        return body, sections
+        return sections
 
     @classmethod
-    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierResponse":
+    def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierResponse":
         _only_fields(body, ("points", "width"), cls.kind)
         evaluations: Dict[int, Dict[int, int]] = {}
         if "evaluations" in tail:
@@ -678,13 +687,13 @@ class PruneNotice(Message):
     def __init__(self, node_ids: Sequence[int]) -> None:
         self.node_ids = list(node_ids)
 
-    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
+    def sections(self) -> Dict[str, List[bytes]]:
         if not self.node_ids:
-            return {}, {}
-        return {}, {"node_ids": [encode_int_vector(self.node_ids)]}
+            return {}
+        return {"node_ids": [encode_int_vector(self.node_ids)]}
 
     @classmethod
-    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "PruneNotice":
+    def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "PruneNotice":
         _only_fields(body, (), cls.kind)
         return cls(tail.ints() if "node_ids" in tail else [])
 
@@ -965,13 +974,11 @@ class BlobResponse(Message):
     def __init__(self, blob: bytes) -> None:
         self.blob = bytes(blob)
 
-    def parts(self) -> Tuple[Dict[str, Any], Dict[str, List[bytes]]]:
-        if not self.blob:
-            return {}, {}
-        return {}, {"blob": [encode_byte_string(self.blob)]}
+    def sections(self) -> Dict[str, List[bytes]]:
+        return {"blob": [encode_byte_string(self.blob)]} if self.blob else {}
 
     @classmethod
-    def from_parts(cls, body: Dict[str, Any], tail: "_Tail") -> "BlobResponse":
+    def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "BlobResponse":
         _only_fields(body, (), cls.kind)
         return cls(decode_byte_string(tail.blob()) if "blob" in tail else b"")
 
@@ -1041,7 +1048,7 @@ def decode_message(data: bytes,
                     "but a binary tail follows it")
             tail = _Tail(memoryview(data), len(data) if newline < 0
                          else newline + 1, names)
-            message = cls.from_parts(body, tail)
+            message = cls.from_sections(body, tail)
             tail.finish()
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"malformed {kind!r} message: {exc}") from exc

@@ -35,8 +35,8 @@ from repro.net.messages import (
 
 class TestMessages:
     @pytest.mark.parametrize("message", [
-        HelloRequest([4]),
-        HelloResponse(4, ["default"], root_id=0, node_count=17),
+        HelloRequest([5]),
+        HelloResponse(5, ["default"], root_id=0, node_count=17),
         FrontierRequest([1, 2, 3], [4], fetch_constants=[0, 1]),
         FrontierResponse({4: {0: 3, 1: 0}}, {0: [1, 2], 2: []},
                          {5: [1, 2, 3, 4]}, {0: -12, 1: 7}),
@@ -49,6 +49,7 @@ class TestMessages:
         decoded = decode_message(message.encode())
         assert type(decoded) is type(message)
         assert decoded.payload() == message.payload()
+        assert decoded.encode() == message.encode()
 
     def test_byte_size_matches_encoding(self):
         message = FrontierRequest([1, 2, 3], [9])
