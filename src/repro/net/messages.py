@@ -122,14 +122,14 @@ SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_VERSION,)
 
 #: Most values one message's tail may announce, summed over its blobs.
 #: Checked from each blob's header before the blob is decoded, together
-#: with :data:`VALUES_PER_TAIL_BYTE`, the cap keeps a few bytes of width-0
+#: with :data:`VALUES_PER_MESSAGE_BYTE`, the cap keeps a few bytes of width-0
 #: blob from announcing a giant vector.
 MAX_PACKED_VALUES = MAX_FRAME_BYTES
 
 #: Most values a message may announce per byte of its encoding: a 1-bit
 #: limb packs eight to a byte.  Whatever a sender's blob headers claim,
 #: what a message decodes to then stays proportional to its size.
-VALUES_PER_TAIL_BYTE = 8
+VALUES_PER_MESSAGE_BYTE = 8
 
 
 # A decoded JSON value is an int, float, str, bool, None, list or dict, and
@@ -419,7 +419,7 @@ class _Tail:
     ``names`` are the sections the head announces, checked against the
     kind's canonical order.  Every blob's header is validated, its extent
     held to the tail and its count to the message's value budget (at most
-    :data:`MAX_PACKED_VALUES`, and :data:`VALUES_PER_TAIL_BYTE` per byte
+    :data:`MAX_PACKED_VALUES`, and :data:`VALUES_PER_MESSAGE_BYTE` per byte
     of the message) before the blob is decoded.
     """
 
@@ -427,7 +427,8 @@ class _Tail:
         self.data = data
         self.offset = start
         self.names = names
-        self.budget = min(MAX_PACKED_VALUES, VALUES_PER_TAIL_BYTE * len(data))
+        self.budget = min(MAX_PACKED_VALUES,
+                          VALUES_PER_MESSAGE_BYTE * len(data))
         self.remaining = self.budget
 
     def __contains__(self, name: str) -> bool:

@@ -64,7 +64,6 @@ __all__ = [
     "DEFAULT_PAGE_BYTES",
     "encode_coefficients",
     "decode_coefficients",
-    "blob_count",
     "encode_coefficients_array",
     "decode_coefficients_array",
     "decode_coefficients_batch",
@@ -170,36 +169,13 @@ def _group_limbs(width: int, count: int) -> int:
     return min(limbs, (count + 7) // 8 * 8)
 
 
-def _parse_header(blob: bytes) -> Tuple[int, int, int]:
-    """Validate a blob's header and length; return ``(flags, width, count)``."""
-    if len(blob) < _HEADER.size:
-        raise ProtocolError(
-            f"coefficient blob of {len(blob)} bytes is shorter than the "
-            f"{_HEADER.size}-byte header")
-    version, flags, width, count = _HEADER.unpack_from(blob)
-    if version != PAGE_FORMAT_VERSION:
-        raise ProtocolError(
-            f"coefficient blob has format version {version}; this build "
-            f"reads version {PAGE_FORMAT_VERSION}")
-    expected = _HEADER.size + (count * width + 7) // 8
-    if len(blob) != expected:
-        raise ProtocolError(
-            f"coefficient blob is {len(blob)} bytes but the header announces "
-            f"{count} limbs of {width} bits ({expected} bytes total)")
-    return flags, width, count
-
-
-def blob_count(blob: bytes) -> int:
-    """How many values a blob holds, from its validated header alone."""
-    return _parse_header(blob)[2]
-
-
 def blob_extent(data, offset: int = 0) -> Tuple[int, int, int, int]:
     """``(flags, width, count, end)`` of the blob at ``offset`` of ``data``.
 
-    ``data`` holds blobs back to back (a message's binary tail); ``end``
-    is where this blob's payload stops.  Raises :class:`ProtocolError`
-    when the header or the payload it announces runs past ``data``.
+    ``data`` holds one blob, or several back to back (a message's binary
+    tail); ``end`` is where this blob's payload stops.  Raises
+    :class:`ProtocolError` for a wrong format version and when the header
+    or the payload it announces runs past ``data``.
     """
     if len(data) - offset < _HEADER.size:
         raise ProtocolError(
@@ -216,6 +192,16 @@ def blob_extent(data, offset: int = 0) -> Tuple[int, int, int, int]:
             f"a blob of {count} limbs of {width} bits at byte {offset} runs "
             f"past the end of the {len(data)}-byte buffer")
     return flags, width, count, end
+
+
+def _parse_header(blob: bytes) -> Tuple[int, int, int]:
+    """Validate a blob's header and length; return ``(flags, width, count)``."""
+    flags, width, count, end = blob_extent(blob)
+    if end != len(blob):
+        raise ProtocolError(
+            f"coefficient blob is {len(blob)} bytes but the header announces "
+            f"{count} limbs of {width} bits ({end} bytes total)")
+    return flags, width, count
 
 
 def decode_coefficients(blob: bytes) -> List[int]:

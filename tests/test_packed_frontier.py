@@ -52,7 +52,6 @@ from repro.net.messages import (
     decode_message,
 )
 from repro.net.pages import (
-    blob_count,
     blob_extent,
     decode_coefficients,
     encode_coefficients,
@@ -342,7 +341,7 @@ class TestTamperedPayloads:
 
     def test_announced_counts_share_one_budget(self, fp_outsourced, monkeypatch):
         head, blobs = packed_frame(fp_outsourced[2])
-        total = sum(blob_count(data) for data in blobs)
+        total = sum(blob_extent(data)[2] for data in blobs)
         encoded = join_frame(head, blobs)
         monkeypatch.setattr(messages, "MAX_PACKED_VALUES", total)
         assert decode_message(encoded).polynomials
@@ -358,7 +357,7 @@ class TestTamperedPayloads:
                               [blob([0]), blob([count]), blob([0] * count)])
 
         assert decode_message(frame(100)).children == {0: [0] * 100}
-        assert messages.VALUES_PER_TAIL_BYTE * len(frame(1000)) < 1000
+        assert messages.VALUES_PER_MESSAGE_BYTE * len(frame(1000)) < 1000
         with pytest.raises(ProtocolError, match="announces more than"):
             decode_message(frame(1000))
 
