@@ -64,7 +64,7 @@ class TestMessageRoundTrips:
            st.integers(min_value=1, max_value=10 ** 6))
     def test_structure_summary(self, root_id, count):
         decoded = decode_message(
-            HelloResponse(4, ["default"], root_id, count).encode())
+            HelloResponse(5, ["default"], root_id, count).encode())
         assert (decoded.root_id, decoded.node_count) == (root_id, count)
 
     @given(node_id_lists, st.integers(min_value=0, max_value=100))
