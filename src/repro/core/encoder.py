@@ -28,7 +28,7 @@ them.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..algebra.evaldomain import EvaluationDomain
 from ..algebra.kernels import _trim
@@ -384,16 +384,9 @@ def _segment_products(rows, heads, p: int):
 
 
 def encode_document(document: XmlDocument, mapping: TagMapping,
-                    ring: EncodingRing,
-                    tags: Optional[Sequence[str]] = None) -> PolynomialTree:
-    """Encode a whole document (convenience wrapper over :func:`encode_element`).
-
-    ``tags`` are the document's distinct tags when the caller has them
-    already; otherwise they are collected here.
-    """
-    if tags is None:
-        tags = document.distinct_tags()
-    missing = [tag for tag in tags if tag not in mapping]
+                    ring: EncodingRing) -> PolynomialTree:
+    """Encode a whole document (convenience wrapper over :func:`encode_element`)."""
+    missing = [tag for tag in document.distinct_tags() if tag not in mapping]
     if missing:
         raise EncodingError(
             f"the mapping lacks values for tags {missing}; call mapping.extend() first")

@@ -36,7 +36,7 @@ from ..prg import DeterministicPRG
 from ..xmltree import XmlDocument
 from ..xpath import LocationPath, TagQueryPlan
 from .advanced import AdvancedQueryExecutor, AdvancedQueryResult, AdvancedStrategy
-from .encoder import PolynomialTree, encode_document
+from .encoder import PolynomialTree, encode_element
 from .mapping import TagMapping
 from .query import (
     LocalServerAdapter,
@@ -264,7 +264,7 @@ def outsource_document(document: XmlDocument,
     else:
         mapping.extend(tags)
     prg = DeterministicPRG(seed) if seed is not None else DeterministicPRG.generate()
-    tree = encode_document(document, mapping, ring, tags)
+    tree = encode_element(document.root, mapping, ring)
     client = ClientContext(ring, mapping, prg, verification)
     # Split with the client's own generator so its share cache is already
     # warm when the first queries arrive.
