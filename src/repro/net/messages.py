@@ -341,8 +341,9 @@ class FrontierRequest(Message):
       client never pays a children round trip before verifying.
 
     The four id lists are the binary sections, one blob each, in the
-    order given; ``points``, ``children`` and ``lookahead`` stay in the
-    JSON head.  A head that still carries an id list (the v4 form) is
+    order given; an id that repeats in ``node_ids`` or a fetch list is
+    refused.  ``points``, ``children`` and ``lookahead`` stay in the JSON
+    head.  A head that still carries an id list (the v4 form) is
     refused, so an old client fails loudly instead of asking for an empty
     frontier.
     """
@@ -377,9 +378,15 @@ class FrontierRequest(Message):
     @classmethod
     def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierRequest":
         _only_fields(body, ("points", "children", "lookahead"), cls.kind)
-        lists = [tail.ints() if name in tail else [] for name in cls.SECTIONS]
-        return cls(lists[0], _int_list_field(body, "points"), lists[1],
-                   _bool_field(body, "children", True), lists[2], lists[3],
+        # Prune ids may repeat: the server only counts them, and a client
+        # descending from nested context nodes reaches, and prunes, some
+        # nodes more than once.  The lists it expands or fetches may not.
+        lists = {name: tail.ints() if name == "prune" else tail.distinct(name)
+                 for name in cls.SECTIONS if name in tail}
+        return cls(lists.get("node_ids", []), _int_list_field(body, "points"),
+                   lists.get("prune", []), _bool_field(body, "children", True),
+                   lists.get("fetch_polynomials", []),
+                   lists.get("fetch_constants", []),
                    _int_field(body, "lookahead", 0))
 
 
@@ -454,6 +461,18 @@ class _Tail:
 
     def ints(self, count: Optional[int] = None) -> List[int]:
         return decode_int_vector(self.blob(count))
+
+    def distinct(self, section: str) -> List[int]:
+        """Node ids of a request section: each once, in the sender's order.
+
+        The server expands, evaluates or fetches every such id, so a
+        repeat would cost it work per value announced rather than per
+        byte: a width-0 blob lists node 0 any number of times in ten bytes.
+        """
+        ids = self.ints()
+        if len(set(ids)) != len(ids):
+            raise ProtocolError(f"node ids repeat in the packed {section}")
+        return ids
 
     def ids(self, section: str) -> List[int]:
         """Node ids of a packed section: ascending, each once, non-negative."""

@@ -1,10 +1,12 @@
 """Property-based tests for the wire protocol and persistence formats."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algebra import FpQuotientRing, IntQuotientRing, default_int_modulus
 from repro.core import ServerShareTree
+from repro.errors import ProtocolError
 from repro.net import (
     decode_message,
     ring_from_dict,
@@ -21,6 +23,9 @@ from repro.net.messages import (
 )
 
 node_id_lists = st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=30)
+#: The id lists a server expands or fetches: any order, each id once.
+distinct_id_lists = st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                             unique=True, max_size=30)
 unique_ids = st.lists(st.integers(min_value=0, max_value=999), unique=True,
                       max_size=12)
 values = st.integers(min_value=-(10 ** 12), max_value=10 ** 12)
@@ -52,6 +57,16 @@ class TestMessageRoundTrips:
     @given(node_id_lists)
     def test_prune_notice(self, node_ids):
         assert decode_message(PruneNotice(node_ids).encode()).node_ids == list(node_ids)
+
+    @given(distinct_id_lists.filter(bool), st.data())
+    def test_repeated_request_ids_are_refused(self, node_ids, data):
+        repeated = data.draw(st.permutations(
+            node_ids + [data.draw(st.sampled_from(node_ids))]))
+        for message in (FrontierRequest(repeated, [3]),
+                        FrontierRequest(fetch_polynomials=repeated),
+                        FrontierRequest(fetch_constants=repeated)):
+            with pytest.raises(ProtocolError, match="node ids repeat"):
+                decode_message(message.encode())
 
     @given(st.dictionaries(st.integers(min_value=0, max_value=99),
                            st.lists(st.integers(min_value=0, max_value=99), max_size=6),
@@ -86,8 +101,8 @@ class TestRingSerialisation:
 
 
 class TestSessionMessages:
-    @given(node_id_lists, st.lists(st.integers(min_value=1, max_value=100),
-                                   max_size=4),
+    @given(distinct_id_lists, st.lists(st.integers(min_value=1, max_value=100),
+                                       max_size=4),
            node_id_lists, st.booleans(),
            st.integers(min_value=0, max_value=4),
            st.one_of(st.none(), st.text(min_size=1, max_size=12)))
@@ -111,7 +126,7 @@ class TestSessionMessages:
         decoded = decode_message(HelloRequest(versions).encode())
         assert decoded.versions == list(versions)
 
-    @given(node_id_lists)
+    @given(distinct_id_lists)
     def test_document_stamp_preserved(self, node_ids):
         message = FrontierRequest(node_ids, [3]).for_document("tenant-7")
         decoded = decode_message(message.encode())

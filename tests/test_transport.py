@@ -490,6 +490,12 @@ MALFORMED_BODIES = [
      + bytes.fromhex("0100 00000000 ffffffff"), "announces more than"),
     (b'{"kind":"frontier","points":[3],"sections":["fetch_constants"]}\n'
      + IDS_BLOB[:-1] + b"\x80", "bits set beyond"),
+    # Node 0 listed 4,000 times by a 10-byte width-0 blob, with lookahead
+    # 4; the long request id lifts the per-byte budget above the count.
+    pytest.param(FrontierRequest([0] * 4000, [3], lookahead=4).with_request_id(
+        "r" * 600).encode(), "node ids repeat", id="root-listed-4000-times"),
+    pytest.param(FrontierRequest([0], [3], fetch_constants=[1, 1]).encode(),
+                 "node ids repeat", id="fetch-repeats"),
     (b'{"kind": "prune", "node_ids": [true]}', "unexpected field 'node_ids'"),
     (b'{"kind":"prune","sections":["node_ids"]}\n' + IDS_BLOB[:9],
      "runs past"),
