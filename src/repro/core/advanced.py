@@ -69,10 +69,16 @@ class AdvancedQueryExecutor:
     def execute(self, query: Union[str, LocationPath, TagQueryPlan],
                 strategy: AdvancedStrategy = AdvancedStrategy.SINGLE_PASS
                 ) -> AdvancedQueryResult:
-        """Evaluate a location path and return the matching node ids."""
+        """Evaluate a location path and return the matching node ids.
+
+        The query starts with an empty memo (:meth:`QueryEngine.begin_query`),
+        which its steps then share: a step whose nodes an earlier step has
+        already evaluated at its points sends no round for them.
+        """
         plan = query if isinstance(query, TagQueryPlan) else compile_plan(query)
         result = AdvancedQueryResult(plan, strategy)
         stats = result.stats
+        self.engine.begin_query()
 
         context: Optional[List[int]] = None  # None = the virtual document context
         try:

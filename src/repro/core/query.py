@@ -357,7 +357,25 @@ class LookupOutcome:
 
 
 class QueryEngine:
-    """Client-side query engine implementing the §4.3 protocol."""
+    """Client-side query engine implementing the §4.3 protocol.
+
+    The engine does each piece of a query's work once:
+
+    * a descent enters each node into its frontier at most once, so when
+      its start nodes nest (a descendant step from nested context nodes)
+      the subtrees below the inner ones are walked, evaluated and pruned
+      once;
+    * over a batched transport a memo holds the server evaluations
+      (``point -> node -> value``) and the child lists the query has
+      received.  A descent level or a child-axis filter whose round would
+      return nothing the memo lacks sends no round; when a round is
+      needed it is the whole-frontier round, unchanged.
+
+    The memo belongs to one query: it starts empty at every
+    :meth:`lookup` and every advanced query (:meth:`begin_query`).  Kept
+    longer, it would answer a later query from values and child lists
+    that a rename, an insert or another writer has since changed.
+    """
 
     #: Tree levels the server evaluates speculatively below each batched
     #: frontier exchange: one level halves the descent's round trips, at
@@ -372,12 +390,26 @@ class QueryEngine:
         self.client_shares = client_shares
         self.server = server
         self.verification = verification
-        # Cache of the public structure discovered so far (children lists).
+        # The query's memo: the child lists it has received and, over a
+        # batched transport, the server evaluations, ``point -> node_id ->
+        # value``.
         self._children_cache: Dict[int, List[int]] = {}
+        self._server_values: Dict[int, Dict[int, int]] = {}
 
     # -- public entry points ----------------------------------------------------------
+    def begin_query(self) -> None:
+        """Forget the evaluations and child lists earlier queries received.
+
+        :meth:`lookup` and :class:`~repro.core.advanced.AdvancedQueryExecutor`
+        call it when a query starts; a caller composing the primitives
+        below into queries of its own calls it between them.
+        """
+        self._children_cache.clear()
+        self._server_values.clear()
+
     def lookup(self, tag: str) -> LookupOutcome:
         """Evaluate the element lookup ``//tag`` (§4.3 "Element Lookup")."""
+        self.begin_query()
         point = self.mapping.value(tag)
         outcome = LookupOutcome(tag, point)
         stats = outcome.stats
@@ -411,30 +443,19 @@ class QueryEngine:
 
         A single evaluation round per tag (or, over a batched transport, one
         exchange for *all* tags), no descent — used by the advanced query
-        executor for child-axis steps.
+        executor for child-axis steps.  Over a batched transport the round
+        is skipped when the query's memo already holds every node's value
+        at every point, as it does for the children of context nodes that
+        an earlier descendant step descended through.
         """
         alive = list(node_ids)
         if self.server.batched_rounds and alive and tags:
             points = [self.mapping.value(tag) for tag in tags]
             stats.points_sent += len(set(points))
-            result = self.server.frontier_round(alive, points,
-                                                include_children=False)
-            stats.round_trips += result.round_trips
-            client_values = self.client_shares.evaluate_points(alive, points)
-            zero_at_all = [True] * len(alive)
-            for point in points:
-                server_values = result.evaluations[point]
-                stats.evaluations += len(server_values)
-                modulus = self.ring.evaluation_modulus(point)
-                for index, (node_id, client_value) in enumerate(
-                        zip(alive, client_values[point])):
-                    total = client_value + server_values[node_id]
-                    if modulus is not None:
-                        total %= modulus
-                    if not self.ring.evaluation_is_zero(total, point):
-                        zero_at_all[index] = False
-            alive = [node_id for node_id, zero in zip(alive, zero_at_all)
-                     if zero]
+            if not self._received(alive, points, children=False):
+                self._round(alive, points, stats, include_children=False)
+            alive = [node_id for node_id, zero
+                     in zip(alive, self._zero_at_all(alive, points)) if zero]
             stats.nodes_evaluated += len(set(node_ids))
             return alive
         for tag in tags:
@@ -496,12 +517,14 @@ class QueryEngine:
                  ) -> Tuple[Set[int], Set[int]]:
         """Breadth-first descent pruning on *all* ``points`` simultaneously.
 
-        Each level is one :meth:`ServerInterface.frontier_round`: the whole
-        frontier is evaluated at every query point and its child lists are
-        fetched speculatively in the same exchange (children of nodes that
-        turn out dead cost bytes but never an extra round trip).  Dead
-        branches found at one level are reported as the prune list of the
-        *next* level's round — batched transports piggyback them for free.
+        Each level costs at most one :meth:`ServerInterface.frontier_round`:
+        the whole frontier is evaluated at every query point and its child
+        lists are fetched speculatively in the same exchange (children of
+        nodes that turn out dead cost bytes but never an extra round trip).
+        Dead branches found at one level are reported as the prune list of
+        the *next* round — batched transports piggyback them for free.
+        Each node enters the frontier at most once, even when start nodes
+        lie below other start nodes.
 
         Returns ``(zero_nodes, pruned_nodes)``, where ``zero_nodes`` are
         the nodes whose summed evaluations are zero at *every* point.
@@ -510,62 +533,108 @@ class QueryEngine:
             return self._descend_batched(points, stats, start_nodes)
         return self._descend_lazy(points, stats, start_nodes)
 
+    def _received(self, node_ids: Sequence[int], points: Sequence[int],
+                  children: bool) -> bool:
+        """Whether the query holds all a round over ``node_ids`` would return.
+
+        That is each node's server evaluation at every point and, for a
+        round that asks for child lists, each node's child list.  A
+        child-axis filter's values arrive without child lists, so values
+        alone never let a descent read a node as a leaf.
+        """
+        if children and any(node_id not in self._children_cache
+                            for node_id in node_ids):
+            return False
+        return all(node_id in self._server_values.get(point, ())
+                   for point in points for node_id in node_ids)
+
+    def _round(self, node_ids: Sequence[int], points: Sequence[int],
+               stats: QueryStats, include_children: bool,
+               prune: Sequence[int] = (), lookahead: int = 0) -> None:
+        """One frontier round; what it returns goes into the query's memo."""
+        result = self.server.frontier_round(
+            node_ids, points, prune=prune, include_children=include_children,
+            lookahead=lookahead)
+        stats.round_trips += result.round_trips
+        for point in points:
+            received = result.evaluations[point]
+            self._server_values.setdefault(point, {}).update(received)
+            stats.evaluations += len(received)
+        self._children_cache.update(result.children)
+
+    def _zero_at_all(self, node_ids: Sequence[int],
+                     points: Sequence[int]) -> List[bool]:
+        """Per node, whether its summed evaluation is zero at *every* point.
+
+        The server's halves come from the query's memo; the client
+        evaluates its own shares of ``node_ids`` at every point at once.
+        """
+        zero = [True] * len(node_ids)
+        client_values = self.client_shares.evaluate_points(node_ids, points)
+        for point in points:
+            modulus = self.ring.evaluation_modulus(point)
+            received = self._server_values[point]
+            for index, (node_id, client_value) in enumerate(
+                    zip(node_ids, client_values[point])):
+                total = client_value + received[node_id]
+                if modulus is not None:
+                    total %= modulus
+                if not self.ring.evaluation_is_zero(total, point):
+                    zero[index] = False
+        return zero
+
+    @staticmethod
+    def _next_level(alive: Sequence[int], children: Mapping[int, List[int]],
+                    touched: Set[int]) -> List[int]:
+        """The children of ``alive`` that the descent has not touched yet.
+
+        When start nodes nest, the nodes below an inner start node entered
+        the descent with it, so they and their subtrees are walked once.
+        The returned nodes are added to ``touched``.
+        """
+        level = [child for node_id in alive for child in children[node_id]
+                 if child not in touched]
+        touched.update(level)
+        return level
+
     def _descend_batched(self, points: Sequence[int], stats: QueryStats,
                          start_nodes: Optional[Sequence[int]] = None
                          ) -> Tuple[Set[int], Set[int]]:
         """Descent over a batched transport.
 
         Each exchange covers the current frontier *plus*
-        :attr:`FRONTIER_LOOKAHEAD` speculated levels; the engine consumes
-        the speculated evaluations locally and only goes back to the
-        server when the frontier outruns the data it already holds.
+        :attr:`FRONTIER_LOOKAHEAD` speculated levels.  A level whose values
+        and child lists the query's memo already holds (speculated by an
+        earlier exchange, or received by an earlier step of the same
+        query) is decided locally; the engine goes back to the server only
+        when the frontier outruns the memo.  Each node enters the frontier
+        at most once, even when start nodes lie below other start nodes.
         """
         frontier: List[int] = (list(start_nodes) if start_nodes is not None
                                else [self.server.root_id()])
         zero_nodes: Set[int] = set()
         pruned: Set[int] = set()
-        touched: Set[int] = set()
+        touched: Set[int] = set(frontier)
         pending_dead: List[int] = []
-        # Server data received so far: per-point evaluations and child lists.
-        server_values: Dict[int, Dict[int, int]] = {point: {} for point in points}
-        known_children: Dict[int, List[int]] = {}
 
         while frontier:
-            touched.update(frontier)
-            if any(node_id not in server_values[point]
-                   for point in points for node_id in frontier):
-                result = self.server.frontier_round(
-                    frontier, points, prune=pending_dead,
-                    lookahead=self.FRONTIER_LOOKAHEAD)
+            if not self._received(frontier, points, children=True):
+                self._round(frontier, points, stats, include_children=True,
+                            prune=pending_dead,
+                            lookahead=self.FRONTIER_LOOKAHEAD)
                 pending_dead = []
-                stats.round_trips += result.round_trips
-                for point in points:
-                    received = result.evaluations[point]
-                    server_values[point].update(received)
-                    stats.evaluations += len(received)
-                known_children.update(result.children)
-                self._children_cache.update(result.children)
             # A node stays alive only if its summed evaluation is zero at
             # *all* points (its subtree contains every queried tag).
-            zero_at_all: Dict[int, bool] = {node_id: True for node_id in frontier}
-            client_values = self.client_shares.evaluate_points(frontier, points)
-            for point in points:
-                modulus = self.ring.evaluation_modulus(point)
-                received = server_values[point]
-                for node_id, client_value in zip(frontier, client_values[point]):
-                    total = client_value + received[node_id]
-                    if modulus is not None:
-                        total %= modulus
-                    if not self.ring.evaluation_is_zero(total, point):
-                        zero_at_all[node_id] = False
-            alive = [node_id for node_id in frontier if zero_at_all[node_id]]
-            dead = [node_id for node_id in frontier if not zero_at_all[node_id]]
+            zero_at_all = self._zero_at_all(frontier, points)
+            alive = [node_id for node_id, zero in zip(frontier, zero_at_all)
+                     if zero]
+            dead = [node_id for node_id, zero in zip(frontier, zero_at_all)
+                    if not zero]
             pending_dead.extend(dead)
             pruned.update(dead)
             stats.nodes_pruned += len(dead)
             zero_nodes.update(alive)
-            frontier = [child for node_id in alive
-                        for child in known_children.get(node_id, [])]
+            frontier = self._next_level(alive, self._children_cache, touched)
         if pending_dead:
             self.server.prune(pending_dead)
         stats.nodes_evaluated += len(touched)
@@ -579,15 +648,16 @@ class QueryEngine:
         Nodes dead at an earlier point are never evaluated at later points
         and only the live part of the frontier has its children fetched —
         minimal server work and bytes, at one exchange per request kind.
+        Each node enters the frontier at most once, as in the batched
+        descent.
         """
         frontier: List[int] = (list(start_nodes) if start_nodes is not None
                                else [self.server.root_id()])
         zero_nodes: Set[int] = set()
         pruned: Set[int] = set()
-        touched: Set[int] = set()
+        touched: Set[int] = set(frontier)
 
         while frontier:
-            touched.update(frontier)
             alive: List[int] = list(frontier)
             for point in points:
                 if not alive:
@@ -603,8 +673,8 @@ class QueryEngine:
             zero_nodes.update(alive)
             if not alive:
                 break
-            children_map = self._children(alive, stats)
-            frontier = [child for node_id in alive for child in children_map[node_id]]
+            frontier = self._next_level(alive, self._children(alive, stats),
+                                        touched)
         stats.nodes_evaluated += len(touched)
         return zero_nodes, pruned
 

@@ -178,6 +178,8 @@ class RemoteServerAdapter(ServerInterface):
         response = self._frontier(node_ids, points,
                                   include_children=include_children,
                                   lookahead=lookahead)
+        if include_children:
+            require_nodes(response.children, node_ids, "child list")
         return FrontierResult(response.checked_evaluations(node_ids, points),
                               response.children, round_trips=1)
 

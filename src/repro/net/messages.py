@@ -378,9 +378,10 @@ class FrontierRequest(Message):
     @classmethod
     def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierRequest":
         _only_fields(body, ("points", "children", "lookahead"), cls.kind)
-        # Prune ids may repeat: the server only counts them, and a client
-        # descending from nested context nodes reaches, and prunes, some
-        # nodes more than once.  The lists it expands or fetches may not.
+        # Prune ids may repeat, and the server accepts and counts each:
+        # separate steps of one query may prune the same node, and older
+        # clients repeat ids within a step.  The lists it expands or
+        # fetches may not repeat.
         lists = {name: tail.ints() if name == "prune" else tail.distinct(name)
                  for name in cls.SECTIONS if name in tail}
         return cls(lists.get("node_ids", []), _int_list_field(body, "points"),

@@ -3,15 +3,24 @@
 import pytest
 
 from repro.baselines import PlaintextSearchIndex
-from repro.core import AdvancedStrategy, choose_int_ring, outsource_document
+from repro.core import (
+    AdvancedQueryExecutor,
+    AdvancedStrategy,
+    QueryStats,
+    choose_int_ring,
+    outsource_document,
+)
+from repro.net import InstrumentedChannel, RemoteUpdatableTree, SearchServer
+from repro.net.client import RemoteServerAdapter
 from repro.workloads import (
     CATALOG_QUERIES,
     XMARK_QUERIES,
     XMarkConfig,
+    figure1_document,
     generate_catalog_document,
     generate_xmark_document,
 )
-from repro.xmltree import parse_document
+from repro.xmltree import parse_document, parse_element
 
 
 class TestCorrectness:
@@ -126,3 +135,90 @@ class TestStrategyComparison:
         assert result.strategy is AdvancedStrategy.SINGLE_PASS
         assert len(result.per_step_candidates) == 2
         assert str(result.plan.path) == "//customer/order"
+
+
+def recorded_session(tree):
+    """A wire adapter over an in-process server, and the requests it sends."""
+    server = SearchServer(tree)
+    requests = []
+
+    def handler(message):
+        requests.append(message)
+        return server.handle(message)
+
+    return RemoteServerAdapter(InstrumentedChannel(handler), tree.ring), requests
+
+
+class TestQueryMemo:
+    """Over a batched transport a query keeps the evaluations and child
+    lists it received, for that query only."""
+
+    def test_a_reused_engine_sees_edits_committed_between_queries(self):
+        """Each query starts from an empty memo.  A memo kept across
+        lookups would answer ``//client`` with ``[1, 3]`` after the first
+        rename and fail verification on ``//name`` after the insert (stale
+        child lists); one kept across XPaths would answer
+        ``//client/client`` with ``[]`` after the second rename."""
+        document = figure1_document(clients=2)
+        client, tree, _ = outsource_document(document, seed=b"memo-scope")
+        adapter, _ = recorded_session(tree)
+        engine = client.engine(adapter)
+        executor = AdvancedQueryExecutor(engine)
+        editor = RemoteUpdatableTree(adapter, client.mapping,
+                                     client.share_generator)
+        # customers 0 holds client 1 (name 2) and client 3 (name 4).
+        assert engine.lookup("client").matches == [1, 3]
+        assert engine.lookup("name").matches == [2, 4]
+        editor.rename_node(1, "name")
+        assert engine.lookup("client").matches == [3]
+        editor.insert_subtree(1, parse_element("<name/>"))
+        assert engine.lookup("name").matches == [1, 2, 4, 5]
+        assert executor.execute("//client/name").matches == [4]
+        editor.rename_node(4, "client")
+        assert executor.execute("//client/client").matches == [4]
+
+    def test_a_child_step_sends_no_round_for_values_it_holds(
+            self, outsourced_catalog, catalog_document):
+        """``//customer/order``'s first step evaluated every child of each
+        ``customer`` at both points, so its child step filters them
+        without a round: every evaluation round is a descent round, which
+        asks for child lists."""
+        client, server_tree, _ = outsourced_catalog
+        adapter, requests = recorded_session(server_tree)
+        result = client.xpath(adapter, "//customer/order")
+        assert result.matches == PlaintextSearchIndex(catalog_document).query(
+            "//customer/order").matches
+        rounds = [request for request in requests
+                  if request.kind == "frontier" and request.points]
+        assert rounds and all(request.include_children for request in rounds)
+
+    def test_a_descent_over_filtered_nodes_asks_for_their_child_lists(
+            self, outsourced_catalog):
+        """A filter's values arrive without child lists, so a descent from
+        the same nodes at the same points still sends its first round."""
+        client, server_tree, _ = outsourced_catalog
+        adapter, requests = recorded_session(server_tree)
+        top = server_tree.child_ids(server_tree.root_id)
+        tags = ["customer", "order"]
+        expected, _ = client.engine(adapter).containment_frontier(
+            tags, start_nodes=top)
+        assert set(expected) - set(top)
+
+        engine = client.engine(adapter)
+        stats = QueryStats()
+        engine.filter_containing(top, tags, stats)
+        del requests[:]
+        zero_nodes, _ = engine.containment_frontier(tags, start_nodes=top,
+                                                    stats=stats)
+        assert zero_nodes == expected
+        assert requests[0].node_ids == top and requests[0].include_children
+
+    def test_a_descendant_wildcard_step_walks_the_whole_subtree(
+            self, outsourced_catalog, catalog_document):
+        """``//customer//*`` prunes on no point, so its descent learns the
+        subtree from child lists alone and must fetch every one of them."""
+        client, server_tree, _ = outsourced_catalog
+        adapter, _ = recorded_session(server_tree)
+        for query in ("//customer//*", "/company//*"):
+            assert client.xpath(adapter, query).matches == \
+                PlaintextSearchIndex(catalog_document).query(query).matches

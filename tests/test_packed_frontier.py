@@ -31,7 +31,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import PlaintextSearchIndex
-from repro.core import VerificationMode, choose_int_ring, outsource_document
+from repro.core import (
+    AdvancedQueryExecutor,
+    VerificationMode,
+    choose_int_ring,
+    outsource_document,
+)
 from repro.errors import ProtocolError
 from repro.net import (
     InstrumentedChannel,
@@ -179,13 +184,19 @@ class TestPackedCodec:
         with pytest.raises(ProtocolError, match="unexpected field"):
             decode_message(body)
 
-    def test_a_nested_descendant_query_repeats_prunes_and_is_answered(self):
+    def test_a_nested_descendant_query_walks_each_node_once(self,
+                                                            monkeypatch):
         """``//tag2//tag0`` here descends from the children of nested
-        ``tag2`` nodes, reaching some nodes twice, so its prune lists
-        repeat ids; every request still decodes and the answer is the
-        plaintext one."""
+        ``tag2`` nodes.  The descent walks the subtrees below the inner
+        ones once: no node enters two of its frontiers, no prune list
+        repeats an id, and the answer is the plaintext one.  (The server
+        still accepts repeated prune ids; the ``prune`` and ``frontier``
+        properties in ``tests/test_properties_protocol.py`` send them.)"""
         document = generate_random_document(RandomXmlConfig(
             element_count=20, tag_vocabulary_size=3, max_depth=8, seed=0))
+        assert any(ancestor.tag == "tag2"
+                   for element in document.find_all("tag2")
+                   for ancestor in element.ancestors())
         client, tree, _ = outsource_document(document, seed=b"nested-prunes")
         server = SearchServer(tree)
         requests = []
@@ -194,12 +205,34 @@ class TestPackedCodec:
             requests.append(message)
             return server.handle(message)
 
-        adapter = RemoteServerAdapter(InstrumentedChannel(handler), tree.ring)
-        result = client.xpath(adapter, "//tag2//tag0")
+        engine = client.engine(
+            RemoteServerAdapter(InstrumentedChannel(handler), tree.ring))
+        descents = []     # per descent, the node ids of each client frontier
+        descend = engine._descend
+        evaluate_points = engine.client_shares.evaluate_points
+
+        def recording_descend(*args, **kwargs):
+            descents.append([])
+            return descend(*args, **kwargs)
+
+        def recording_evaluate_points(node_ids, points):
+            descents[-1].extend(node_ids)
+            return evaluate_points(node_ids, points)
+
+        monkeypatch.setattr(engine, "_descend", recording_descend)
+        monkeypatch.setattr(engine.client_shares, "evaluate_points",
+                            recording_evaluate_points)
+        result = AdvancedQueryExecutor(engine).execute("//tag2//tag0")
         assert result.matches == PlaintextSearchIndex(document).query(
             "//tag2//tag0").matches
-        assert any(len(set(request.prune)) < len(request.prune)
-                   for request in requests if request.kind == "frontier")
+        assert len(descents) == 2
+        assert all(len(entered) == len(set(entered)) for entered in descents)
+        prunes = [request.prune if request.kind == "frontier"
+                  else request.node_ids
+                  for request in requests if request.kind in ("frontier",
+                                                              "prune")]
+        assert any(prunes)
+        assert all(len(ids) == len(set(ids)) for ids in prunes)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -787,6 +820,10 @@ class DroppingServer(SearchServer):
               and message.fetch_polynomials):
             victim = max(message.fetch_polynomials)
             response.children.pop(victim)
+        elif (self.section == "descent child list" and message.include_children
+              and message.node_ids and message.points):
+            victim = max(message.node_ids)
+            response.children.pop(victim)
         else:
             return response
         self.dropped.append(victim)
@@ -800,6 +837,17 @@ class TestOmittedNodes:
         server = DroppingServer(tree, section)
         adapter, _ = connect(server)
         with pytest.raises(ProtocolError, match=f"omits the {section}") as error:
+            client.lookup(adapter, "name")
+        assert str(error.value).endswith(f"of node {server.dropped[-1]}")
+
+    def test_a_descent_round_without_a_child_list_raises_protocol_error(
+            self, fp_outsourced):
+        """The descent reads each frontier node's child list from its
+        round; a missing one is an error, never a leaf."""
+        _, client, tree = fp_outsourced
+        server = DroppingServer(tree, "descent child list")
+        adapter, _ = connect(server)
+        with pytest.raises(ProtocolError, match="omits the child list") as error:
             client.lookup(adapter, "name")
         assert str(error.value).endswith(f"of node {server.dropped[-1]}")
 
