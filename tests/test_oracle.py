@@ -16,9 +16,11 @@ path matrix, instead of per feature:
   ``Z`` rings); FULL, CONSTANT_ONLY and NONE verification.
 
 Each row runs a lookup of every tag, an XPath with absolute, descendant
-and child steps, and an insert/rename/delete/insert edit script through
-:class:`~repro.net.RemoteUpdatableTree`.  Its answers must equal the
-reference's, per mode; a socket session's byte accounting must equal an
+and child steps (plus, where a tag nests, a ``//T//U`` whose second step
+starts from nested context nodes), and an insert/rename/delete/insert
+edit script through :class:`~repro.net.RemoteUpdatableTree`.  Its
+answers must equal the reference's, per mode; a socket session's byte
+accounting must equal an
 in-process session's; what the server learned in the read phase (its
 :class:`~repro.net.engine.ServerObservations` ledger) must equal an
 in-process session's on every socket and resilient row, so no store,
@@ -116,14 +118,31 @@ def store_state(store):
 
 
 def xpath_queries(document):
-    """An absolute query with a descendant and a child step to one leaf."""
+    """An absolute query with a descendant and a child step to one leaf,
+    then :func:`nested_queries`."""
     root = document.root
     if not root.children:
         return [f"/{root.tag}", f"//{root.tag}"]
     parent = next((child for child in root.children if child.children),
                   root.children[0])
     inner = parent.children[0].tag if parent.children else root.tag
-    return [f"/{root.tag}//{parent.tag}/{inner}"]
+    return [f"/{root.tag}//{parent.tag}/{inner}"] + nested_queries(document)
+
+
+def nested_queries(document):
+    """``//T//U`` from the first element with a ``T`` ancestor of its own
+    tag and a descendant, ``U`` the least tag below it (so it has an
+    answer); empty when no tag nests.
+
+    Its second step descends from nested context nodes, the one case
+    where a descent could reach a node twice.
+    """
+    for element in document.iter():
+        below = sorted({node.tag for node in element.descendants()})
+        if below and any(ancestor.tag == element.tag
+                         for ancestor in element.ancestors()):
+            return [f"//{element.tag}//{below[0]}"]
+    return []
 
 
 def edit_targets(tree, document):
@@ -368,6 +387,14 @@ def test_reference_agrees_with_plaintext(name, cases):
         assert set(truth[tag]) <= set(matches) | set(unverified)
         assert all(subtree_size(case.tree, node_id) >= degree_bound
                    for node_id in set(matches) - set(truth[tag]))
+
+
+def test_random_documents_query_from_nested_contexts(cases):
+    for name in ("random-fp", "random-z"):
+        case = cases(name)
+        (query,) = nested_queries(case.document)
+        assert query in case.queries
+        assert case.plaintext.query(query).matches
 
 
 def test_rows_cover_every_combination():
