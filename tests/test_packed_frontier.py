@@ -817,12 +817,8 @@ class DroppingServer(SearchServer):
                                     in response.polynomials.items()
                                     if node_id != victim}
         elif (self.section == "child list" and message.include_children
-              and message.fetch_polynomials):
-            victim = max(message.fetch_polynomials)
-            response.children.pop(victim)
-        elif (self.section == "descent child list" and message.include_children
-              and message.node_ids and message.points):
-            victim = max(message.node_ids)
+              and (message.fetch_polynomials or message.points)):
+            victim = max(message.fetch_polynomials or message.node_ids)
             response.children.pop(victim)
         else:
             return response
@@ -831,23 +827,12 @@ class DroppingServer(SearchServer):
 
 
 class TestOmittedNodes:
-    @pytest.mark.parametrize("section", ["evaluation", "share row"])
+    @pytest.mark.parametrize("section", ["evaluation", "share row", "child list"])
     def test_lookup_raises_protocol_error(self, section, fp_outsourced):
         _, client, tree = fp_outsourced
         server = DroppingServer(tree, section)
         adapter, _ = connect(server)
         with pytest.raises(ProtocolError, match=f"omits the {section}") as error:
-            client.lookup(adapter, "name")
-        assert str(error.value).endswith(f"of node {server.dropped[-1]}")
-
-    def test_a_descent_round_without_a_child_list_raises_protocol_error(
-            self, fp_outsourced):
-        """The descent reads each frontier node's child list from its
-        round; a missing one is an error, never a leaf."""
-        _, client, tree = fp_outsourced
-        server = DroppingServer(tree, "descent child list")
-        adapter, _ = connect(server)
-        with pytest.raises(ProtocolError, match="omits the child list") as error:
             client.lookup(adapter, "name")
         assert str(error.value).endswith(f"of node {server.dropped[-1]}")
 
