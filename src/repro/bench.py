@@ -517,14 +517,14 @@ def bench_update_wal_overhead(client, server_tree, subtree_size: int = 64,
     the root, then its removal) runs through the identical update planner
     against the durable SQLite backend — where every batch is written to
     the coefficient pages as one SQLite transaction, paying for one commit
-    to SQLite's own WAL journal — and against
-    :class:`~repro.net.store.InMemoryShareStore`, which applies the batch
-    with no durability work at all.  The gap is the price of crash safety
+    to SQLite's own WAL journal — and against the in-memory
+    :class:`~repro.core.share_tree.ServerShareTree`, which applies the
+    batch with no durability work at all.  The gap is the price of crash safety
     per editing operation.  The ``sqlite_wal`` and ``wal_overhead_*`` key
     names stay as they are so that readers of earlier snapshots keep working.
     """
     from .core import UpdatableTree
-    from .net import InMemoryShareStore, SQLiteShareStore
+    from .net import SQLiteShareStore
 
     tags = sorted(client.mapping.tags())
 
@@ -556,10 +556,9 @@ def bench_update_wal_overhead(client, server_tree, subtree_size: int = 64,
                                client.share_generator, store)
         backends["sqlite_wal"] = best_pair(editor, store.root_id)
         store.close()
-    memory = InMemoryShareStore(server_tree)
     editor = UpdatableTree(client.ring, client.mapping,
-                           client.share_generator, memory)
-    backends["in_memory"] = best_pair(editor, memory.root_id)
+                           client.share_generator, server_tree)
+    backends["in_memory"] = best_pair(editor, server_tree.root_id)
     wal_ms = backends["sqlite_wal"]["per_op_ms"]
     memory_ms = backends["in_memory"]["per_op_ms"]
     return {

@@ -4,21 +4,21 @@ A small operational tool so the library can be driven without writing
 Python: outsource an XML file, inspect what the server would store, run
 queries against a stored server file, and decode results.  The client's
 secrets (seed + mapping) live in a separate JSON file that never needs to
-leave the client machine; the server file contains only what the untrusted
-server is allowed to see.
+leave the client machine; the server file, a SQLite share store, contains
+only what the untrusted server is allowed to see.
 
 Usage::
 
-    python -m repro.cli outsource data.xml --server-out server.json \
+    python -m repro.cli outsource data.xml --server-out server.db \
         --client-out client.json --seed my-secret
-    python -m repro.cli query server.json client.json "//client/name"
-    python -m repro.cli lookup server.json client.json client --mode none
-    python -m repro.cli inspect server.json
-    python -m repro.cli decode server.json client.json 3
+    python -m repro.cli query server.db client.json "//client/name"
+    python -m repro.cli lookup server.db client.json client --mode none
+    python -m repro.cli inspect server.db
+    python -m repro.cli decode server.db client.json 3
     python -m repro.cli bench --quick --out BENCH_1.json
     python -m repro.cli bench --concurrency 16 --out BENCH_3.json
     python -m repro.cli bench --ops --out BENCH_7.json
-    python -m repro.cli serve server.json --port 9653 \
+    python -m repro.cli serve server.db --port 9653 \
         --metrics-port 9100 --quota docs=50:100:2 --shared-pool 25
     python -m repro.cli stats --port 9653 --json
     python -m repro.cli edit client.json rename 5 --tag price --port 9653
@@ -45,12 +45,7 @@ from .core import (
     outsource_document,
 )
 from .errors import ReproError
-from .net import (
-    SQLiteShareStore,
-    open_share_store,
-    ring_to_dict,
-    save_share_tree,
-)
+from .net import SQLiteShareStore, open_share_store, ring_to_dict
 from .xmltree import parse_document
 
 __all__ = ["main", "build_parser"]
@@ -69,17 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
         "outsource", help="encode, split and store an XML document")
     outsource.add_argument("xml_file", help="path to the plaintext XML document")
     outsource.add_argument("--server-out", required=True,
-                           help="where to write the server's share tree (JSON)")
+                           help="where to write the server's share store "
+                                "(a SQLite file)")
     outsource.add_argument("--client-out", required=True,
                            help="where to write the client's secret state (JSON)")
     outsource.add_argument("--seed", default=None,
                            help="client seed (hex or passphrase); random if omitted")
     outsource.add_argument("--ring", choices=["fp", "int"], default="fp",
                            help="encoding ring: F_p[x]/(x^(p-1)-1) or Z[x]/(x^2+1)")
-    outsource.add_argument("--store", choices=["json", "sqlite"], default="json",
-                           help="server-side backend: one JSON blob (loaded "
-                                "whole) or a durable SQLite file with lazy "
-                                "share loading (default: json)")
     outsource.add_argument("--allow-p-minus-one", action="store_true",
                            help="allow mapping values equal to p-1 (paper's example)")
 
@@ -233,12 +225,9 @@ def _cmd_outsource(args: argparse.Namespace) -> int:
     client, server_tree, _ = outsource_document(
         document, ring=ring, seed=_seed_bytes(args.seed), strict=strict)
 
-    if args.store == "sqlite":
-        store = SQLiteShareStore.from_tree(args.server_out, server_tree)
-        size = store.file_bytes()
-        store.close()
-    else:
-        size = save_share_tree(server_tree, args.server_out)
+    store = SQLiteShareStore.from_tree(args.server_out, server_tree)
+    size = store.file_bytes()
+    store.close()
     with open(args.client_out, "w", encoding="utf-8") as handle:
         json.dump({"ring": ring_to_dict(ring), "secrets": client.secret_state()},
                   handle, indent=2)

@@ -25,6 +25,7 @@ from .scheme import ClientContext, choose_fp_ring, choose_int_ring, outsource_do
 from .share_tree import (
     ClientShareGenerator,
     ServerShareTree,
+    ShareStore,
     TreeStructure,
     reconstruct_tree,
     share_tree,
@@ -51,6 +52,7 @@ __all__ = [
     "verify_node_claim",
     "ClientShareGenerator",
     "ServerShareTree",
+    "ShareStore",
     "TreeStructure",
     "share_tree",
     "reconstruct_tree",

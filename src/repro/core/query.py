@@ -28,14 +28,13 @@ from __future__ import annotations
 import abc
 import enum
 from collections.abc import Mapping
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
 from ..errors import QueryError, TagRecoveryError, VerificationError
 from .mapping import TagMapping
-from .share_tree import ClientShareGenerator, ServerShareTree
+from .share_tree import ClientShareGenerator, CoefficientRows, ServerShareTree
 
 __all__ = [
     "VerificationMode",
@@ -120,61 +119,6 @@ class FrontierResult:
         self.round_trips = round_trips
 
 
-class CoefficientRows(Mapping):
-    """Share coefficient rows keyed by node id, held as one row-major block.
-
-    ``ids`` is the row order and ``width`` the row length.  ``matrix`` is
-    the whole block as one ``(len(ids), width)`` int64 ndarray when the
-    producer had one (numpy present, every value within int64), else
-    ``None`` and the rows are kept as lists of Python ints.  Indexing
-    returns one row as a list of Python ints either way, so nothing that
-    builds a :class:`Polynomial` from a row ever sees a numpy scalar.  The
-    durable store serves fetches in this form, the wire decodes into it,
-    and FULL verification hands ``matrix`` to the evaluation domain
-    whole.
-    """
-
-    __slots__ = ("ids", "width", "matrix", "_rows", "_index")
-
-    def __init__(self, ids: Sequence[int], width: int, matrix: Any = None,
-                 rows: Optional[List[List[int]]] = None) -> None:
-        self.ids = list(ids)
-        self.width = int(width)
-        self.matrix = matrix
-        self._rows = rows
-        self._index: Optional[Dict[int, int]] = None
-
-    def constant_terms(self) -> List[int]:
-        """The first coefficient of every row, in ``ids`` order."""
-        if self.matrix is not None:
-            return self.matrix[:, 0].tolist()
-        return [row[0] for row in self._rows]
-
-    def _position(self) -> Dict[int, int]:
-        if self._index is None:
-            self._index = {node_id: index
-                           for index, node_id in enumerate(self.ids)}
-        return self._index
-
-    def __getitem__(self, node_id: int) -> List[int]:
-        index = self._position()[node_id]
-        if self._rows is not None:
-            return self._rows[index]
-        return self.matrix[index].tolist()
-
-    def __contains__(self, node_id: object) -> bool:
-        return node_id in self._position()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __repr__(self) -> str:
-        return f"<CoefficientRows rows={len(self.ids)} width={self.width}>"
-
-
 class ServerInterface(abc.ABC):
     """The requests a client may send to the (untrusted) search server."""
 
@@ -228,32 +172,18 @@ class ServerInterface(abc.ABC):
     def prune(self, node_ids: Sequence[int]) -> None:
         """Inform the server that these subtrees are dead for the current query."""
 
-    # -- batched protocol (default: composed from the primitives above) ---------------
+    # -- batched protocol ---------------------------------------------------------------
     def frontier_round(self, node_ids: Sequence[int], points: Sequence[int],
                        prune: Sequence[int] = (), include_children: bool = True,
                        lookahead: int = 0) -> FrontierResult:
         """One whole descent round: prune notice, evaluations, child lists.
 
-        The base implementation composes the per-kind primitives, one
-        exchange each — §4.3's per-level exchange, which the in-process
-        reference runs — and never speculates (``lookahead`` is ignored: a
-        chatty transport gains nothing from it); the wire adapter
-        overrides it with a single batched exchange that may cover several
-        levels.
+        Only servers with :attr:`batched_rounds` answer it, in one exchange
+        that may cover ``lookahead`` further levels; the engine runs §4.3's
+        lazy per-point descent against every other server.
         """
-        round_trips = 0
-        if prune:
-            self.prune(list(prune))
-            round_trips += 1
-        evaluations: Dict[int, Dict[int, int]] = {}
-        for point in points:
-            evaluations[point] = self.evaluate(node_ids, point)
-            round_trips += 1
-        children: Dict[int, List[int]] = {}
-        if include_children and node_ids:
-            children = self.children_of(node_ids)
-            round_trips += 1
-        return FrontierResult(evaluations, children, round_trips)
+        raise NotImplementedError(
+            f"{type(self).__name__} does not answer batched frontier rounds")
 
     def verification_bundle(self, node_ids: Sequence[int],
                             constants_only: bool = False

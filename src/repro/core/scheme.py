@@ -46,7 +46,8 @@ from .query import (
     ServerInterface,
     VerificationMode,
 )
-from .share_tree import ClientShareGenerator, ServerShareTree, share_tree
+from .share_tree import (ClientShareGenerator, ServerShareTree, ShareStore,
+                         share_tree)
 
 __all__ = [
     "choose_fp_ring",
@@ -108,13 +109,12 @@ class ClientContext:
                            verification or self.verification)
 
     @staticmethod
-    def adapt(server: Union[ServerInterface, ServerShareTree]) -> ServerInterface:
-        """Accept a server interface, a raw share tree, or a share store.
+    def adapt(server: Union[ServerInterface, ShareStore]) -> ServerInterface:
+        """Accept a server interface or a share store.
 
-        Anything that is not already a :class:`ServerInterface` is wrapped
-        in a :class:`LocalServerAdapter` — the adapter only needs the
-        ``ServerShareTree`` read API, which every
-        :class:`repro.net.store.ShareStore` backend also provides.
+        A :class:`~repro.core.share_tree.ShareStore` (the in-memory
+        ``ServerShareTree`` or a durable store) is wrapped in a
+        :class:`LocalServerAdapter`.
         """
         if isinstance(server, ServerInterface):
             return server
@@ -135,7 +135,7 @@ class ClientContext:
                 if attempt == self.QUERY_ATTEMPTS:
                     raise
 
-    def lookup(self, server: Union[ServerInterface, ServerShareTree],
+    def lookup(self, server: Union[ServerInterface, ShareStore],
                tag: str,
                verification: Optional[VerificationMode] = None) -> LookupOutcome:
         """The basic element lookup ``//tag``."""
@@ -143,7 +143,7 @@ class ClientContext:
         return self._restarting(
             lambda: self.engine(adapter, verification).lookup(tag))
 
-    def xpath(self, server: Union[ServerInterface, ServerShareTree],
+    def xpath(self, server: Union[ServerInterface, ShareStore],
               query: Union[str, LocationPath, TagQueryPlan],
               strategy: AdvancedStrategy = AdvancedStrategy.SINGLE_PASS,
               verification: Optional[VerificationMode] = None) -> AdvancedQueryResult:
@@ -154,7 +154,7 @@ class ClientContext:
             .execute(query, strategy))
 
     # -- decoding results -------------------------------------------------------------
-    def tag_of(self, server: Union[ServerInterface, ServerShareTree],
+    def tag_of(self, server: Union[ServerInterface, ShareStore],
                node_id: int) -> str:
         """Recover the tag name of one node by Theorem 1/2 reconstruction."""
         adapter = self.adapt(server)
@@ -167,7 +167,7 @@ class ClientContext:
             raise value
         return self.mapping.tag(value)
 
-    def tag_path_of(self, server: Union[ServerInterface, ServerShareTree],
+    def tag_path_of(self, server: Union[ServerInterface, ShareStore],
                     node_id: int) -> str:
         """Slash-separated tag path of a node, recovered from the shares.
 

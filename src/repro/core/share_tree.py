@@ -9,13 +9,22 @@ Because the client polynomials come from a seeded deterministic PRG
 (:class:`repro.prg.DeterministicPRG`), the client does not need to store
 its tree at all — it keeps the seed and regenerates the share of any node
 on demand ("only the seed has to be stored on the client").
+
+The server's half is a :class:`ShareStore`: the read and write surface
+that the serving engine and the update planner use.  Two stores implement
+it: :class:`ServerShareTree` keeps everything in process memory, and
+:class:`repro.net.store.SQLiteShareStore` keeps the shares in one durable
+file.
 """
 
 from __future__ import annotations
 
+import abc
 import contextlib
 import threading
+import time
 from collections import OrderedDict
+from collections.abc import Mapping
 from itertools import compress, islice
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -24,13 +33,14 @@ from ..algebra.kernels import _trim
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
 from ..algebra.vkernels import VecFpKernel, fits_native_width, numpy_or_none
-from ..errors import SharingError
+from ..errors import ProtocolError, SharingError
 from ..obs.metrics import Counter
 from ..prg import DeterministicPRG
 from ..sharing.additive import combine_additive
 from .encoder import MATERIALISE_LOCK, PolynomialTree
 
 __all__ = ["ClientShareGenerator", "ShareRowCache", "TreeStructure",
+           "CoefficientRows", "ShareStore", "StoreTransaction",
            "ServerShareTree", "share_tree", "reconstruct_tree"]
 
 _SHARE_LABEL = "node-share"
@@ -523,11 +533,378 @@ class ShareRowCache:
         return self._slots
 
 
-class ServerShareTree:
+class CoefficientRows(Mapping):
+    """Share coefficient rows keyed by node id, held as one row-major block.
+
+    ``ids`` is the row order and ``width`` the row length.  ``matrix`` is
+    the whole block as one ``(len(ids), width)`` int64 ndarray when the
+    producer had one (numpy present, every value within int64), else
+    ``None`` and the rows are kept as lists of Python ints.  Indexing
+    returns one row as a list of Python ints either way, so nothing that
+    builds a :class:`Polynomial` from a row ever sees a numpy scalar.  The
+    durable store serves fetches in this form, the wire decodes into it,
+    and FULL verification hands ``matrix`` to the evaluation domain
+    whole.
+    """
+
+    __slots__ = ("ids", "width", "matrix", "_rows", "_index")
+
+    def __init__(self, ids: Sequence[int], width: int, matrix: Any = None,
+                 rows: Optional[List[List[int]]] = None) -> None:
+        self.ids = list(ids)
+        self.width = int(width)
+        self.matrix = matrix
+        self._rows = rows
+        self._index: Optional[Dict[int, int]] = None
+
+    def constant_terms(self) -> List[int]:
+        """The first coefficient of every row, in ``ids`` order."""
+        if self.matrix is not None:
+            return self.matrix[:, 0].tolist()
+        return [row[0] for row in self._rows]
+
+    def _position(self) -> Dict[int, int]:
+        if self._index is None:
+            self._index = {node_id: index
+                           for index, node_id in enumerate(self.ids)}
+        return self._index
+
+    def __getitem__(self, node_id: int) -> List[int]:
+        index = self._position()[node_id]
+        if self._rows is not None:
+            return self._rows[index]
+        return self.matrix[index].tolist()
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._position()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"<CoefficientRows rows={len(self.ids)} width={self.width}>"
+
+
+class ShareStore(abc.ABC):
+    """Storage backend for one document's server share tree."""
+
+    #: The encoding ring of the stored polynomials.
+    ring: EncodingRing
+
+    # Metrics instruments, bound when the store becomes a hosted document
+    # (:meth:`bind_metrics`); ``None`` until then, so an unhosted store
+    # pays nothing.
+    _metrics = None
+    _metrics_document = ""
+    _txn_seconds = None
+    _cache_hits = None
+    _cache_misses = None
+
+    # -- observability ----------------------------------------------------------------
+    def bind_metrics(self, metrics: Any, document_id: str) -> None:
+        """Emit this store's operational signals into ``metrics``.
+
+        Called by :meth:`~repro.net.engine.DocumentRegistry.add` when the
+        store is hosted.  Binds transaction latency
+        (``store_transaction_seconds``) and page-cache hit/miss counters
+        (``store_cache_hits_total``/``store_cache_misses_total``), all
+        labelled with the hosting document; durable backends additionally
+        report recovery events (``store_recovery_total``).
+        """
+        self._metrics = metrics
+        self._metrics_document = str(document_id)
+        self._txn_seconds = metrics.histogram(
+            "store_transaction_seconds", document=self._metrics_document)
+        self._cache_hits = metrics.counter(
+            "store_cache_hits_total", document=self._metrics_document)
+        self._cache_misses = metrics.counter(
+            "store_cache_misses_total", document=self._metrics_document)
+
+    def _record_recovery(self, result: str) -> None:
+        """Count one recovery outcome ("replayed"/"rolled-back")."""
+        if self._metrics is not None and result != "clean":
+            self._metrics.counter(
+                "store_recovery_total", document=self._metrics_document,
+                result=result).inc()
+
+    # -- read side (what the query protocol needs) ---------------------------------
+    @property
+    @abc.abstractmethod
+    def root_id(self) -> Optional[int]:
+        """Identifier of the root node (``None`` for an empty store)."""
+
+    @abc.abstractmethod
+    def node_count(self) -> int:
+        """Number of nodes stored."""
+
+    @abc.abstractmethod
+    def node_ids(self) -> List[int]:
+        """All node identifiers, sorted."""
+
+    @abc.abstractmethod
+    def child_ids(self, node_id: int) -> List[int]:
+        """Public child list of a node (document order)."""
+
+    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        """Child lists of many nodes in one read (one per descent level).
+
+        Raises :class:`~repro.errors.SharingError` naming the first unknown
+        id.  The base implementation loops over :meth:`child_ids`; stores
+        that hold a :class:`~repro.core.share_tree.TreeStructure` answer
+        from it.  The lists are the caller's to change.
+        """
+        return {node_id: self.child_ids(node_id) for node_id in node_ids}
+
+    def subtree_ids(self, node_id: int) -> List[int]:
+        """``node_id`` and all its descendants, read one level at a time.
+
+        The ids come in the order of a stack walk (a node, then its
+        subtrees from the last child to the first), the order
+        ``ServerShareTree.remove_subtree`` returns.
+        """
+        lists: Dict[int, List[int]] = {}
+        level = [node_id]
+        while level:
+            lists.update(self.child_lists(level))
+            level = [child for parent in level for child in lists[parent]]
+        ordered: List[int] = []
+        stack = [node_id]
+        while stack:
+            current = stack.pop()
+            ordered.append(current)
+            stack.extend(lists[current])
+        return ordered
+
+    @abc.abstractmethod
+    def parent_id(self, node_id: int) -> Optional[int]:
+        """Public parent of a node."""
+
+    @abc.abstractmethod
+    def share_of(self, node_id: int) -> Polynomial:
+        """The stored share polynomial of a node."""
+
+    @abc.abstractmethod
+    def __contains__(self, node_id: int) -> bool:
+        """Whether the store holds a node with this id."""
+
+    def max_node_id(self) -> Optional[int]:
+        """Largest stored node id (``None`` for an empty store).
+
+        Used by :class:`~repro.core.updates.UpdatableTree` to allocate
+        fresh ids with one query per batch instead of one full id scan per
+        inserted node.  Stores that hold their structure override this.
+        """
+        ids = self.node_ids()
+        return max(ids) if ids else None
+
+    # -- write side (outsourcing and dynamic updates) ------------------------------
+    @abc.abstractmethod
+    def add_node(self, node_id: int, parent_id: Optional[int],
+                 share: Polynomial) -> None:
+        """Insert one node's share; parents must precede children."""
+
+    @abc.abstractmethod
+    def replace_share(self, node_id: int, share: Polynomial) -> None:
+        """Overwrite the share of an existing node (dynamic updates)."""
+
+    @abc.abstractmethod
+    def remove_subtree(self, node_id: int) -> List[int]:
+        """Remove a node and every descendant; returns the removed ids."""
+
+    # -- transactional batches -------------------------------------------------------
+    def transaction(self) -> "StoreTransaction":
+        """Open a buffered mutation batch (a context manager).
+
+        Mutations recorded on the returned :class:`StoreTransaction` are
+        validated immediately against the pre-batch state but applied only
+        when the ``with`` block exits cleanly, through
+        :meth:`apply_batch` — on the durable backend as one SQLite
+        transaction, atomic across crashes, which is what makes multi-node
+        dynamic updates safe.
+        """
+        return StoreTransaction(self)
+
+    def apply_batch(self, ops: Sequence[Tuple]) -> None:
+        """Apply a validated batch of mutation ops.
+
+        The base implementation simply replays the ops through the
+        single-mutation methods; it provides batching semantics (one call
+        site, one lock round on backends that lock per call) but no crash
+        atomicity — memory-backed stores have no durable state to tear.
+        """
+        started = time.perf_counter()
+        try:
+            self._apply_ops(ops)
+        finally:
+            if self._txn_seconds is not None:
+                self._txn_seconds.observe(time.perf_counter() - started)
+
+    def _apply_ops(self, ops: Sequence[Tuple]) -> None:
+        for op in ops:
+            kind = op[0]
+            if kind == "add":
+                _, node_id, parent_id, share = op
+                self.add_node(node_id, parent_id, share)
+            elif kind == "replace":
+                _, node_id, share = op
+                self.replace_share(node_id, share)
+            elif kind == "remove_subtree":
+                _, node_id, expected = op
+                removed = self.remove_subtree(node_id)
+                if sorted(removed) != sorted(expected):
+                    raise SharingError(
+                        f"subtree {node_id} changed between transaction "
+                        "recording and apply; refusing the batch")
+            else:
+                raise ProtocolError(f"unknown batch op {kind!r}")
+
+    # -- generic helpers (shared by every backend) ----------------------------------
+    def evaluate(self, node_id: int, point: int) -> int:
+        """Evaluate the stored share of a node at a query point."""
+        return self.ring.evaluate(self.share_of(node_id), point)
+
+    def evaluate_many(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
+        """Evaluate many node shares at one point (one batched pass)."""
+        shares = [self.share_of(node_id) for node_id in node_ids]
+        return dict(zip(node_ids, self.ring.evaluate_many(shares, point)))
+
+    def coefficient_rows(self, node_ids: Sequence[int]) -> CoefficientRows:
+        """Share coefficients of many nodes, as the wire carries them.
+
+        Each row is ascending and zero-padded to the ring's degree bound;
+        repeated ids are served once, in first-seen order.  The base
+        implementation reads :meth:`share_of` per node; the durable
+        backend serves the batch from one cache pass plus one chunked load
+        of the misses, as one int64 block on the vectorized tier.
+        """
+        width = self.ring.degree_bound
+        node_ids = list(dict.fromkeys(node_ids))
+        rows: List[List[int]] = []
+        for node_id in node_ids:
+            row = list(self.share_of(node_id).coeffs[:width])
+            row.extend([0] * (width - len(row)))
+            rows.append(row)
+        return CoefficientRows(node_ids, width, rows=rows)
+
+    def storage_bits(self) -> int:
+        """Measured storage of all share polynomials (the §5 server cost)."""
+        return sum(self.ring.element_storage_bits(self.share_of(node_id))
+                   for node_id in self.node_ids())
+
+    def close(self) -> None:
+        """Release backend resources (no-op for memory-backed stores)."""
+
+    def __len__(self) -> int:
+        return len(self.node_ids())
+
+    def __enter__(self) -> "ShareStore":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
+class StoreTransaction:
+    """A buffered batch of mutations against one :class:`ShareStore`.
+
+    Mutations are validated against the **pre-batch** state when recorded
+    and applied together on clean exit; an exception inside the ``with``
+    block discards the batch without touching the store.  Reads performed
+    while the transaction is open still see the pre-batch state — callers
+    (:class:`~repro.core.updates.UpdatableTree`) therefore compute every
+    new polynomial first and only then record the writes.
+
+    Structural ops may not overlap within one batch: a node removed by the
+    batch cannot also be added or replaced by it (and vice versa).  The
+    update layer never needs that.
+    """
+
+    def __init__(self, store: ShareStore) -> None:
+        self._store = store
+        self._ops: List[Tuple] = []
+        self._added: set = set()
+        self._replaced: set = set()
+        self._removed: set = set()
+        self._added_root = False
+        self._done = False
+
+    # -- recording -----------------------------------------------------------------
+    def _open_check(self, node_id: int) -> None:
+        if self._done:
+            raise ProtocolError("this store transaction has already finished")
+        if node_id in self._removed:
+            raise SharingError(
+                f"node {node_id} was removed earlier in this transaction")
+
+    def add_node(self, node_id: int, parent_id: Optional[int],
+                 share: Polynomial) -> None:
+        """Buffer one node insertion (parents must precede children)."""
+        self._open_check(node_id)
+        if node_id in self._added or node_id in self._store:
+            raise SharingError(f"duplicate node id {node_id}")
+        if parent_id is None:
+            if self._store.root_id is not None or self._added_root:
+                raise SharingError("the share tree already has a root")
+            self._added_root = True
+        elif parent_id not in self._added and (
+                parent_id not in self._store or parent_id in self._removed):
+            raise SharingError(f"parent {parent_id} of node {node_id} is unknown")
+        self._added.add(node_id)
+        self._ops.append(("add", node_id, parent_id, share))
+
+    def replace_share(self, node_id: int, share: Polynomial) -> None:
+        """Buffer one share overwrite of an existing (or just-added) node."""
+        self._open_check(node_id)
+        if node_id not in self._added and node_id not in self._store:
+            raise SharingError(f"unknown node id {node_id}")
+        self._replaced.add(node_id)
+        self._ops.append(("replace", node_id, share))
+
+    def remove_subtree(self, node_id: int) -> List[int]:
+        """Buffer the removal of a whole subtree; returns the doomed ids."""
+        self._open_check(node_id)
+        if node_id not in self._store:
+            raise SharingError(f"unknown node id {node_id}")
+        if self._store.parent_id(node_id) is None:
+            raise SharingError("the root node cannot be removed")
+        removed = self._store.subtree_ids(node_id)
+        overlap = set(removed) & (self._added | self._replaced)
+        if overlap:
+            raise SharingError(
+                f"nodes {sorted(overlap)} were touched earlier in this "
+                "transaction and cannot also be removed by it")
+        self._removed.update(removed)
+        self._ops.append(("remove_subtree", node_id, removed))
+        return removed
+
+    # -- lifecycle -----------------------------------------------------------------
+    @property
+    def ops(self) -> List[Tuple]:
+        """The buffered ops (recorded order)."""
+        return list(self._ops)
+
+    def __enter__(self) -> "StoreTransaction":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._done:
+            return
+        self._done = True
+        if exc_type is None and self._ops:
+            self._store.apply_batch(self._ops)
+
+
+class ServerShareTree(ShareStore):
     """The server's half of the shared data: public structure + share polynomials.
 
     This is everything the untrusted server stores.  It intentionally has no
     reference to the tag mapping, the client seed or the original document.
+    It is the in-memory :class:`ShareStore`: a server hosts it as it is,
+    and its mutation batches (:meth:`ShareStore.transaction`) apply in one
+    go, with no durable state to tear.
 
     A tree built by :meth:`from_rows` holds its shares as one int64
     coefficient block and builds the share polynomials on the first read
@@ -627,18 +1004,17 @@ class ServerShareTree:
         except KeyError:
             raise SharingError(f"unknown node id {node_id}") from None
 
-    def evaluate(self, node_id: int, point: int) -> int:
-        """Evaluate the server's share of a node at a query point (§4.3)."""
-        return self.ring.evaluate(self.share_of(node_id), point)
-
-    def evaluate_many(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        """Evaluate many node shares at one point (one batched pass)."""
-        shares = [self.share_of(node_id) for node_id in node_ids]
-        return dict(zip(node_ids, self.ring.evaluate_many(shares, point)))
-
     def child_ids(self, node_id: int) -> List[int]:
         """Public child list of a node."""
         return self.structure.children(node_id)
+
+    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        """Copies of the child lists of ``node_ids``, from the structure."""
+        return self.structure.child_lists(node_ids)
+
+    def subtree_ids(self, node_id: int) -> List[int]:
+        """``node_id`` and its descendants, from the structure."""
+        return self.structure.subtree(node_id)
 
     def parent_id(self, node_id: int) -> Optional[int]:
         """Public parent of a node."""

@@ -25,7 +25,7 @@ therefore touches ``O(depth · fanout + |new subtree|)`` nodes.
 
 **Atomicity.**  Every public operation computes all of its new polynomials
 first (reads see the pre-update state throughout) and then pushes the
-whole mutation set as *one* :meth:`repro.net.store.ShareStore.transaction`
+whole mutation set as *one* :meth:`repro.core.share_tree.ShareStore.transaction`
 batch.  On the durable SQLite backend that batch is written as one SQLite
 transaction, so a crash mid-update can never leave a torn tree whose
 ancestors no longer equal ``(x − tag) · ∏ children``; on the in-memory
@@ -36,7 +36,7 @@ query traffic on the same store.
 
 **Remote editing.**  Nothing in the planner assumes the store is local:
 ``server_tree`` only needs the read surface of a
-:class:`~repro.net.store.ShareStore` plus a ``transaction()``.
+:class:`~repro.core.share_tree.ShareStore` plus a ``transaction()``.
 :class:`~repro.net.client.RemoteUpdatableTree` exploits exactly that — it
 substitutes a client-side mirror of a *hosted* document, and the batch
 each operation records here travels to the server as one
@@ -55,7 +55,7 @@ from ..algebra.quotient import EncodingRing
 from ..errors import QueryError
 from ..xmltree import XmlElement
 from .mapping import TagMapping
-from .share_tree import ClientShareGenerator, ServerShareTree
+from .share_tree import ClientShareGenerator, ShareStore
 
 __all__ = ["UpdateReport", "UpdatableTree"]
 
@@ -98,9 +98,9 @@ class UpdatableTree:
     report captures.
 
     All mutations of one operation are pushed as a single
-    :meth:`~repro.net.store.ShareStore.transaction` batch, so
-    ``server_tree`` may equally be any :class:`repro.net.store.ShareStore`
-    backend — updates against the durable store persist atomically (the
+    :meth:`~repro.core.share_tree.ShareStore.transaction` batch, so
+    ``server_tree`` may be any :class:`~repro.core.share_tree.ShareStore`
+    — updates against the durable store persist atomically (the
     batch commits as one SQLite transaction, which a crash rolls back
     whole).  ``lock``, when given, is held across each whole operation
     (reads included); hand it a hosted document's lock so a coalesced
@@ -109,7 +109,7 @@ class UpdatableTree:
 
     def __init__(self, ring: EncodingRing, mapping: TagMapping,
                  client_shares: ClientShareGenerator,
-                 server_tree: ServerShareTree,
+                 server_tree: ShareStore,
                  lock: Optional[ContextManager] = None) -> None:
         self.ring = ring
         self.mapping = mapping
@@ -121,14 +121,6 @@ class UpdatableTree:
     def _guard(self) -> ContextManager:
         """The operation-wide lock (a null context when none was given)."""
         return self.lock if self.lock is not None else contextlib.nullcontext()
-
-    def _transaction(self):
-        """One buffered mutation batch against the server tree/store."""
-        # Imported lazily: repro.core must not depend on repro.net at import
-        # time (net's transports import core).
-        from ..net.store import as_share_store
-
-        return as_share_store(self.server_tree).transaction()
 
     def _node_polynomial(self, node_id: int) -> Polynomial:
         """Reconstruct the true polynomial of a node (client + server share)."""
@@ -224,7 +216,7 @@ class UpdatableTree:
             #    visits the nodes.
             new_shares = self.client_shares.iter_shares(
                 range(next_id, next_id + len(polynomials)))
-            with self._transaction() as txn:
+            with self.server_tree.transaction() as txn:
                 stack = [(element, parent_id)]
                 while stack:
                     node, node_parent = stack.pop()
@@ -263,7 +255,7 @@ class UpdatableTree:
             #    recomputation (the removed child is skipped from its
             #    parent's product; deeper ancestors multiply the freshly
             #    recomputed override of the ancestor below them).
-            with self._transaction() as txn:
+            with self.server_tree.transaction() as txn:
                 report.removed_node_ids = txn.remove_subtree(node_id)
                 self._recompute_path(txn, ancestors, own_values, {node_id},
                                      report)
@@ -282,7 +274,7 @@ class UpdatableTree:
             own_values = {node: self._own_tag_value(node) for node in affected}
             own_values[node_id] = self.mapping.value(new_tag)
 
-            with self._transaction() as txn:
+            with self.server_tree.transaction() as txn:
                 self._recompute_path(txn, affected, own_values, set(), report)
         report.affected_ancestors = affected
         return report
@@ -298,7 +290,7 @@ class UpdatableTree:
         """
         report = UpdateReport("refresh")
         with self._guard():
-            with self._transaction() as txn:
+            with self.server_tree.transaction() as txn:
                 node_ids = self.server_tree.node_ids()
                 for (node_id, old_share), (_, new_share) in zip(
                         self.client_shares.iter_shares(node_ids),

@@ -3,7 +3,7 @@ generation: batched, packed frontier rounds plus update batches and
 operational probes), byte-counting channels (in-process and real
 sockets), length-prefixed framing, the transport-agnostic serving core
 with multi-document tenancy, admission control, idempotent replay and
-version-checked update batches, pluggable share-store backends, the
+version-checked update batches, the durable SQLite share store, the
 thread-per-session socket server that coalesces concurrent frontier
 rounds, the client-side proxies (including the remote editor with
 conflict rebase), and the fault-tolerance layer (deterministic fault
@@ -14,6 +14,7 @@ one :class:`~repro.obs.MetricsRegistry`, surfaced in-band by the
 ``stats``/``health`` probes and out-of-band by the plaintext scrape
 endpoint."""
 
+from ..core.share_tree import ShareStore, StoreTransaction
 from .channel import ChannelStats, InstrumentedChannel, LatencyModel, SocketChannel
 from .client import (
     RemoteServerAdapter,
@@ -66,22 +67,12 @@ from .retry import (
 )
 from .server import SearchServer, ServerObservations, ThreadedSearchServer
 from .storage import (
-    load_share_tree,
     ring_from_dict,
     ring_to_dict,
-    save_share_tree,
     share_tree_from_dict,
     share_tree_to_dict,
 )
-from .store import (
-    InMemoryShareStore,
-    ShareStore,
-    SQLiteShareStore,
-    StoreTransaction,
-    as_share_store,
-    migrate_share_store,
-    open_share_store,
-)
+from .store import SQLiteShareStore, migrate_share_store, open_share_store
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -130,15 +121,11 @@ __all__ = [
     "ServingCore",
     "ShareStore",
     "StoreTransaction",
-    "InMemoryShareStore",
     "SQLiteShareStore",
-    "as_share_store",
     "open_share_store",
     "migrate_share_store",
     "ring_to_dict",
     "ring_from_dict",
     "share_tree_to_dict",
     "share_tree_from_dict",
-    "save_share_tree",
-    "load_share_tree",
 ]

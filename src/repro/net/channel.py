@@ -50,16 +50,16 @@ __all__ = ["ChannelStats", "LatencyModel", "InstrumentedChannel",
 class ChannelStats:
     """Byte and message accounting for one channel, as a registry view.
 
-    Historically this class held four plain integers.  It is now a view
-    over four :class:`~repro.obs.metrics.Counter` instruments, so channel
-    accounting flows through the same :class:`~repro.obs.MetricsRegistry`
-    as every other operational signal.  The attribute API is unchanged:
-    ``stats.bytes_to_server += n`` still works (property getter + setter),
-    as do ``as_dict``/``reset``/``total_bytes``/``round_trips``.
+    A view over four :class:`~repro.obs.metrics.Counter` instruments, so
+    channel accounting flows through the same
+    :class:`~repro.obs.MetricsRegistry` as every other operational signal.
+    A transport records each message with :meth:`record_request` or
+    :meth:`record_response`, which add its bytes and one message; the
+    totals are read-only attributes.
 
     Constructed bare (``ChannelStats()``) the view owns a private
-    registry — per-session accounting stays isolated, exactly as the old
-    integers did.  Passing ``registry=`` (plus optional label dimensions)
+    registry, so per-session accounting stays isolated.  Passing
+    ``registry=`` (plus optional label dimensions)
     shares instruments with a serving stack's registry instead.
     """
 
@@ -76,41 +76,35 @@ class ChannelStats:
         self._requests = registry.counter("channel_requests_total", **labels)
         self._responses = registry.counter("channel_responses_total", **labels)
 
+    def record_request(self, size: int) -> None:
+        """Count one client→server message of ``size`` bytes."""
+        self._to_server.inc(size)
+        self._requests.inc()
+
+    def record_response(self, size: int) -> None:
+        """Count one server→client message of ``size`` bytes."""
+        self._to_client.inc(size)
+        self._responses.inc()
+
     @property
     def bytes_to_server(self) -> int:
         """Bytes sent client→server."""
         return self._to_server.value
-
-    @bytes_to_server.setter
-    def bytes_to_server(self, value: int) -> None:
-        self._to_server.set(value)
 
     @property
     def bytes_to_client(self) -> int:
         """Bytes sent server→client."""
         return self._to_client.value
 
-    @bytes_to_client.setter
-    def bytes_to_client(self, value: int) -> None:
-        self._to_client.set(value)
-
     @property
     def requests(self) -> int:
         """Requests sent."""
         return self._requests.value
 
-    @requests.setter
-    def requests(self, value: int) -> None:
-        self._requests.set(value)
-
     @property
     def responses(self) -> int:
         """Responses received."""
         return self._responses.value
-
-    @responses.setter
-    def responses(self, value: int) -> None:
-        self._responses.set(value)
 
     @property
     def total_bytes(self) -> int:
@@ -197,16 +191,14 @@ class InstrumentedChannel:
         """
         encoded = message.encode()
         with self._stats_lock:
-            self.stats.bytes_to_server += len(encoded)
-            self.stats.requests += 1
+            self.stats.record_request(len(encoded))
         server_view = decode_message(encoded)
         response = self.handler(server_view)
         if not isinstance(response, Message):
             raise ProtocolError("the server handler must return a Message")
         encoded_response = response.encode()
         with self._stats_lock:
-            self.stats.bytes_to_client += len(encoded_response)
-            self.stats.responses += 1
+            self.stats.record_response(len(encoded_response))
             self.transcript.append((server_view.kind, response.kind))
         decoded = decode_message(encoded_response)
         if isinstance(decoded, BusyResponse):
@@ -305,13 +297,11 @@ class SocketChannel:
             except OSError as exc:
                 raise TransportError(
                     f"cannot send the request frame: {exc}") from exc
-            self.stats.bytes_to_server += len(encoded)
-            self.stats.requests += 1
+            self.stats.record_request(len(encoded))
             header = self._recv_exactly(FRAME_HEADER_BYTES)
             length = decode_frame_length(header, self.max_frame_bytes)
             payload = self._recv_exactly(length)
-            self.stats.bytes_to_client += len(payload)
-            self.stats.responses += 1
+            self.stats.record_response(len(payload))
             response = decode_message(payload)
             self.transcript.append((message.kind, response.kind))
         if isinstance(response, BusyResponse):

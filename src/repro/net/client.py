@@ -31,11 +31,11 @@ before surfacing :class:`~repro.errors.UpdateConflictError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..algebra.poly import Polynomial
 from ..core.query import FrontierResult, ServerInterface
-from ..core.share_tree import ServerShareTree, TreeStructure
+from ..core.share_tree import ShareStore, TreeStructure
 from ..core.updates import UpdatableTree
 from ..errors import ProtocolError, SharingError, UpdateConflictError
 from .channel import InstrumentedChannel, LatencyModel, SocketChannel
@@ -60,7 +60,6 @@ from .messages import (
     require_nodes,
 )
 from .server import SearchServer
-from .store import ShareStore
 
 __all__ = ["RemoteServerAdapter", "RemoteUpdatableTree", "connect",
            "connect_in_process", "connect_socket"]
@@ -240,13 +239,13 @@ class RemoteServerAdapter(ServerInterface):
 
 
 class _RemoteStoreMirror(ShareStore):
-    """A client-side :class:`~repro.net.store.ShareStore` view of a hosted document.
+    """A client-side :class:`~repro.core.share_tree.ShareStore` view of a hosted document.
 
     Reads are served from a locally mirrored structure (built with
     child-list frontier reads) and a lazily fetched share cache, so
     the in-process update planner can run against it unchanged.  Writes
     only exist as whole batches: :meth:`apply_batch` — the hook a
-    :class:`~repro.net.store.StoreTransaction` commits through — turns
+    :class:`~repro.core.share_tree.StoreTransaction` commits through — turns
     the buffered ops into one :class:`~repro.net.messages.UpdateRequest`,
     sends it, and folds the committed batch into the mirror.  The mirror
     also tracks the per-node versions the server reported, which become
@@ -560,7 +559,7 @@ def connect_socket(host: str, port: int, ring,
     return adapter, channel
 
 
-def connect_in_process(share_tree: Union[ServerShareTree, ShareStore],
+def connect_in_process(share_tree: ShareStore,
                        encrypted_blob: Optional[bytes] = None,
                        latency_model: Optional[LatencyModel] = None
                        ) -> tuple:

@@ -3,7 +3,7 @@
 A production deployment of the scheme hosts many outsourced documents for
 many tenants in one server process.  :class:`DocumentRegistry` owns that
 mapping: each :class:`HostedDocument` bundles a pluggable
-:class:`~repro.net.store.ShareStore` backend with a per-document lock (so
+:class:`~repro.core.share_tree.ShareStore` with a per-document lock (so
 concurrent sessions on *different* documents never contend, and concurrent
 sessions on the *same* document serialise store access) and its own
 :class:`ServerObservations` ledger — the honest-but-curious view is
@@ -35,7 +35,7 @@ import time
 from collections import Counter, OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.query import CoefficientRows
+from ..core.share_tree import CoefficientRows, ShareStore
 from ..errors import (
     ProtocolError,
     ReproError,
@@ -67,7 +67,6 @@ from .messages import (
     UpdateResponse,
     decode_message,
 )
-from .store import ShareStore, as_share_store
 
 __all__ = [
     "DEFAULT_DOCUMENT",
@@ -167,7 +166,7 @@ class HostedDocument:
     def transaction(self) -> Iterator[Any]:
         """An atomic update batch against this document, under its lock.
 
-        Yields a :class:`~repro.net.store.StoreTransaction` while holding
+        Yields a :class:`~repro.core.share_tree.StoreTransaction` while holding
         the document lock for the whole batch — the same lock every
         handler and every coalesced :meth:`ServingCore.frontier_batch`
         pass acquires — so concurrent query traffic observes either the
@@ -206,19 +205,20 @@ class DocumentRegistry:
         #: Declarative per-tenant quotas (weighted fair-share admission).
         self.quotas = admission if admission is not None else FairShareAdmission()
 
-    def add(self, document_id: str, store: Any,
+    def add(self, document_id: str, store: ShareStore,
             encrypted_blob: Optional[bytes] = None) -> HostedDocument:
-        """Host a document; ``store`` may be a ShareStore or a ServerShareTree."""
-        document = HostedDocument(str(document_id), as_share_store(store),
+        """Host a document's store (an in-memory tree or a durable file)."""
+        if not isinstance(store, ShareStore):
+            raise ProtocolError(
+                f"cannot host a {type(store).__name__} as a share store")
+        document = HostedDocument(str(document_id), store,
                                   encrypted_blob=encrypted_blob)
         with self._lock:
             if document.document_id in self._documents:
                 raise ProtocolError(
                     f"document {document.document_id!r} is already hosted")
             self._documents[document.document_id] = document
-        bind = getattr(document.store, "bind_metrics", None)
-        if bind is not None:
-            bind(self.metrics, document.document_id)
+        store.bind_metrics(self.metrics, document.document_id)
         return document
 
     def remove(self, document_id: str) -> HostedDocument:
@@ -787,7 +787,10 @@ class ServingCore:
 
         # Pass 1: prune notices, then the speculative expansion of every
         # request's frontier (the requested nodes plus up to ``lookahead``
-        # further levels of the induced subtree), level by level.
+        # further levels of the induced subtree), level by level.  A node
+        # the frontier already holds is not expanded again: a frontier
+        # that lists a node and its parent evaluates the node once, and
+        # its own listing already reaches deeper below it.
         for message in messages:
             if message.prune:
                 self._observe_prune(document, message.prune)
@@ -795,6 +798,7 @@ class ServingCore:
         levels = [list(message.node_ids) for message in messages]
         depths = [min(max(message.lookahead, 0), self.MAX_LOOKAHEAD)
                   for message in messages]
+        held = [set(message.node_ids) for message in messages]
         for depth in range(max(depths, default=0)):
             active = [index for index, level in enumerate(levels)
                       if level and depth < depths[index]]
@@ -803,9 +807,13 @@ class ServingCore:
             read_children([node_id for index in active
                            for node_id in levels[index]])
             for index in active:
-                levels[index] = [child for node_id in levels[index]
-                                 for child in child_cache[node_id]]
-                frontiers[index] = frontiers[index] + levels[index]
+                seen = held[index]
+                level = [child for node_id in levels[index]
+                         for child in child_cache[node_id]
+                         if child not in seen]
+                seen.update(level)
+                levels[index] = level
+                frontiers[index] = frontiers[index] + level
 
         # Pass 2: the coalesced evaluation — one batched store pass per
         # distinct query point over the union of every request's frontier.

@@ -32,7 +32,7 @@ exact point its kind cannot act at is refused.  Two wrappers consume plans:
   processed the request and recorded its observations) and only the
   response is lost — the ambiguous failure that idempotency keys exist
   for.
-* :class:`FaultyStore` — wraps a :class:`~repro.net.store.ShareStore` and
+* :class:`FaultyStore` — wraps a :class:`~repro.core.share_tree.ShareStore` and
   fails chosen operations with
   :class:`~repro.errors.TransientServerError`, which the serving engine
   reports in-band as a retryable error.
@@ -46,9 +46,9 @@ from fnmatch import fnmatchcase
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.poly import Polynomial
+from ..core.share_tree import ShareStore
 from ..errors import ServerBusyError, TransientServerError, TransportError
 from .messages import Message
-from .store import ShareStore
 
 __all__ = [
     "FAULT_KINDS",

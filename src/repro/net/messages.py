@@ -21,7 +21,7 @@ session loudly.  Then:
   limb blob in the message's binary tail; :class:`PruneNotice` delivers
   prune notices no later request carried.
 * :class:`UpdateRequest` carries one whole mutation batch (the ops
-  recorded by a :class:`~repro.net.store.StoreTransaction`, in wire form)
+  recorded by a :class:`~repro.core.share_tree.StoreTransaction`, in wire form)
   plus the client's base version vector over every node the batch
   touches; :class:`UpdateResponse` confirms a committed batch and returns
   the new per-node versions; :class:`ConflictResponse` rejects a batch
@@ -532,7 +532,7 @@ class FrontierResponse(Message):
     * ``constants``: ids and values.
 
     Empty sections are left out.  Share rows decode to one
-    :class:`~repro.core.query.CoefficientRows` block.  Decoding validates:
+    :class:`~repro.core.share_tree.CoefficientRows` block.  Decoding validates:
     a corrupt blob, a blob that runs past the tail, bytes after the last
     section, a count that does not match its ids, negative or repeated ids
     and blobs announcing more values than the budget raise
@@ -745,7 +745,7 @@ class UpdateRequest(Message):
     """Apply one mutation batch to the hosted document.
 
     ``ops`` is the wire form of the batch a
-    :class:`~repro.net.store.StoreTransaction` would record, in order:
+    :class:`~repro.core.share_tree.StoreTransaction` would record, in order:
 
     * ``["add", node_id, parent_id, coeffs]`` — attach a new node holding
       the given server-share coefficients,

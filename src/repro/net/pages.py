@@ -28,13 +28,14 @@ Alongside the reference int codec live **array codecs**
 :func:`decode_coefficients_batch`): byte-identical encoders and decoders
 that move blobs to/from numpy ``int64`` arrays without materialising a
 Python int per coefficient.  Byte-aligned limb widths decode as a
-``frombuffer`` view widened to 8-byte lanes; odd widths go through one
-vectorized ``unpackbits``/weight-dot pass.  The batch decoder additionally
-groups blobs by identical ``(flags, width, count)`` header so a whole
-SELECT's worth of shares decodes in a handful of array ops — the zero-copy
-half of the vectorized evaluation pipeline.  Decoders return ``None``
-(never wrong answers) whenever numpy is absent or a limb exceeds the
-native 64-bit width; callers fall back to the reference codec.
+``frombuffer`` view widened to 8-byte lanes; odd widths go through
+vectorized ``unpackbits``/weight-dot passes of bounded size.  The batch
+decoder additionally groups blobs by identical ``(flags, width, count)``
+header so a whole SELECT's worth of shares decodes in a handful of array
+ops — the zero-copy half of the vectorized evaluation pipeline.  Decoders
+return ``None`` (never wrong answers) whenever numpy is absent or a limb
+exceeds the native 64-bit width; callers fall back to the reference
+codec.
 
 The same blobs also travel on the wire, raw, in the binary tail of a
 protocol v5 message: every numeric section of a ``frontier-ok`` response
@@ -114,6 +115,11 @@ _BIG_ENDIAN = sys.byteorder == "big"
 #: bounds its bit-matrix temporaries to at most 64 bytes per limb of one
 #: chunk, whatever the vector length.
 _ENCODE_CHUNK = 1 << 14
+
+#: Payload bits the array decoders' odd-width path unpacks per pass, so
+#: its int64-per-bit temporary (64 bytes per payload byte) stays under
+#: 512 KiB whatever the batch or the blob holds.
+_DECODE_BITS = 1 << 16
 
 
 def _zigzag(value: int) -> int:
@@ -352,9 +358,10 @@ def decode_coefficients_batch(blobs: Sequence[bytes], out=None):
 
     Blobs are grouped by identical ``(flags, width, count)`` header; each
     group's payloads are joined and decoded in one ``frombuffer`` view
-    (byte-aligned widths) or one ``unpackbits``/weight-dot pass (odd
-    widths).  Returns a list of ``(count,)`` int64 arrays parallel to
-    ``blobs``, or ``None`` when numpy is absent or **any** blob's width
+    (byte-aligned widths) or in ``unpackbits``/weight-dot passes of at
+    most :data:`_DECODE_BITS` payload bits each (odd widths).  Returns a
+    list of ``(count,)`` int64 arrays parallel to ``blobs``, or ``None``
+    when numpy is absent or **any** blob's width
     exceeds the native lane — mixed-width fallback keeps the caller on one
     code path per batch.  Headers are validated (and raise) either way.
 
@@ -397,14 +404,7 @@ def decode_coefficients_batch(blobs: Sequence[bytes], out=None):
                                                    lane_bytes)
             values = lanes.view("<u8")[:, :, 0].astype(np.int64)
         else:
-            bits = np.unpackbits(raw, axis=1, bitorder="little")
-            if bits[:, count * width:].any():
-                raise ProtocolError(
-                    "coefficient blob has bits set beyond its announced "
-                    f"{count}×{width}-bit payload")
-            weights = np.int64(1) << np.arange(width, dtype=np.int64)
-            values = bits[:, :count * width].astype(np.int64)
-            values = values.reshape(len(indices), count, width) @ weights
+            values = _unpack_limbs(raw, count, width)
         if flags & _FLAG_ZIGZAG:
             values = np.where(values & 1,
                               -((values + 1) >> 1), values >> 1)
@@ -416,6 +416,36 @@ def decode_coefficients_batch(blobs: Sequence[bytes], out=None):
         for row, index in enumerate(indices):
             result[index] = values[row]
     return result if out is None else out
+
+
+def _unpack_limbs(raw, count: int, width: int):
+    """The ``(rows, count)`` int64 limbs of ``raw``'s odd-width payload rows.
+
+    Each pass unpacks whole rows, or, for a row longer than a pass, a run
+    of its limbs that starts on a byte boundary (a multiple of eight
+    limbs), of at most :data:`_DECODE_BITS` payload bits.  A row's padding
+    bits must be zero.
+    """
+    np = numpy_or_none()
+    values = np.empty((len(raw), count), dtype=np.int64)
+    weights = np.int64(1) << np.arange(width, dtype=np.int64)
+    step = max(8, _DECODE_BITS // width // 8 * 8)
+    rows = max(1, step // max(count, 1))
+    for row in range(0, len(raw), rows):
+        block = raw[row:row + rows]
+        for first in range(0, count, step):
+            last = min(count, first + step)
+            used = (last - first) * width
+            bits = np.unpackbits(
+                block[:, first * width // 8:(last * width + 7) // 8],
+                axis=1, bitorder="little")
+            if last == count and bits[:, used:].any():
+                raise ProtocolError(
+                    "coefficient blob has bits set beyond its announced "
+                    f"{count}×{width}-bit payload")
+            values[row:row + rows, first:last] = bits[:, :used].astype(
+                np.int64).reshape(len(block), last - first, width) @ weights
+    return values
 
 
 def encode_int_vector(values: Sequence[int]) -> bytes:

@@ -266,10 +266,8 @@ class ResilientChannel:
                 if negotiating:
                     self._hello_request = message
                     self._negotiated_version = response.version
-                self.stats.bytes_to_server += message.byte_size()
-                self.stats.bytes_to_client += response.byte_size()
-                self.stats.requests += 1
-                self.stats.responses += 1
+                self.stats.record_request(message.byte_size())
+                self.stats.record_response(response.byte_size())
                 self.transcript.append((message.kind, response.kind))
                 self._logical_seconds.observe(policy.clock() - started)
                 return response

@@ -30,9 +30,9 @@ from __future__ import annotations
 import socket
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional
 
-from ..core.share_tree import ServerShareTree
+from ..core.share_tree import ShareStore
 from ..errors import ProtocolError, ReproError
 from .channel import ChannelStats
 from .engine import (
@@ -56,7 +56,6 @@ from .messages import (
     Message,
     decode_message,
 )
-from .store import InMemoryShareStore, ShareStore
 
 __all__ = ["ServerObservations", "SearchServer", "ThreadedSearchServer"]
 
@@ -72,7 +71,7 @@ class SearchServer(ServingCore):
     transport at the same time.
     """
 
-    def __init__(self, share_tree: Optional[Union[ServerShareTree, ShareStore]] = None,
+    def __init__(self, share_tree: Optional[ShareStore] = None,
                  encrypted_blob: Optional[bytes] = None,
                  registry: Optional[DocumentRegistry] = None) -> None:
         super().__init__(registry)
@@ -82,7 +81,7 @@ class SearchServer(ServingCore):
 
     # -- hosting ----------------------------------------------------------------------
     def add_document(self, document_id: str,
-                     store: Union[ServerShareTree, ShareStore],
+                     store: ShareStore,
                      encrypted_blob: Optional[bytes] = None) -> HostedDocument:
         """Host another outsourced document under ``document_id``."""
         return self.registry.add(document_id, store, encrypted_blob=encrypted_blob)
@@ -96,12 +95,9 @@ class SearchServer(ServingCore):
         return self.registry.resolve(document_id)
 
     @property
-    def share_tree(self) -> Union[ServerShareTree, ShareStore]:
-        """The default document's data (kept for single-document callers)."""
-        store = self.registry.resolve(None).store
-        if isinstance(store, InMemoryShareStore):
-            return store.tree
-        return store
+    def share_tree(self) -> ShareStore:
+        """The default document's store (kept for single-document callers)."""
+        return self.registry.resolve(None).store
 
     @property
     def encrypted_blob(self) -> Optional[bytes]:
@@ -300,8 +296,7 @@ class ThreadedSearchServer:
                     self._send(sock, ErrorResponse(str(exc)), stats)
                     return
                 for payload in payloads:
-                    stats.bytes_to_server += len(payload)
-                    stats.requests += 1
+                    stats.record_request(len(payload))
                     self._bytes_in.inc(len(payload))
                     # In flight until the response is written: stop()
                     # drains answers, not just handler calls.
@@ -334,8 +329,7 @@ class ThreadedSearchServer:
                               f"{exc}").encode(), self.max_frame_bytes)
         sock.sendall(frame)
         size = len(frame) - FRAME_HEADER_BYTES
-        stats.bytes_to_client += size
-        stats.responses += 1
+        stats.record_response(size)
         self._bytes_out.inc(size)
 
     def _answer(self, payload: bytes) -> Message:

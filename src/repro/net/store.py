@@ -1,30 +1,30 @@
-"""Pluggable server-side share-store backends.
+"""The durable server-side share store, and the server file it keeps.
 
 The server engine does not care *where* its half of the shared polynomial
-tree lives; it talks to a :class:`ShareStore`.  Two backends ship with the
-reproduction:
+tree lives; it talks to a :class:`~repro.core.share_tree.ShareStore`.  Two
+stores implement it:
 
-* :class:`InMemoryShareStore` — wraps a
-  :class:`~repro.core.share_tree.ServerShareTree`; everything lives in
-  process memory (the PR-1 behaviour, and still the fastest option);
-* :class:`SQLiteShareStore` — a durable single-file backend.  The public
-  structure (parents and sibling order) is held in memory, loaded by one
-  scan of the node table on first use, so it costs O(n) memory (about
-  160 bytes per node); the share polynomials stay on disk and load
-  *lazily* through an LRU cache, and a restart needs no separate load
-  step.
+* :class:`~repro.core.share_tree.ServerShareTree` — everything lives in
+  process memory (the fastest option, and what outsourcing produces);
+* :class:`SQLiteShareStore` — a durable single-file backend, and the only
+  server file format.  The public structure (parents and sibling order)
+  is held in memory, loaded by one scan of the node table on first use,
+  so it costs O(n) memory (about 160 bytes per node); the share
+  polynomials stay on disk and load *lazily* through an LRU cache, and a
+  restart needs no separate load step.
 
-Both expose the same read/write surface as ``ServerShareTree`` (the store
-API is a strict superset of what :class:`~repro.net.server.SearchServer`
-and :class:`~repro.core.updates.UpdatableTree` need), so every code path —
-queries, verification, dynamic updates — works identically against either
-backend.  Tests assert bit-identical query results across backends.
+Both expose the same read/write surface (what
+:class:`~repro.net.server.SearchServer` and
+:class:`~repro.core.updates.UpdatableTree` need), so every code path —
+queries, verification, dynamic updates — works identically against
+either store.  Tests assert bit-identical query results across them.
 
 The durable backend is **crash-safe under multi-mutation updates**: every
 :class:`~repro.core.updates.UpdatableTree` operation travels as one
-:meth:`ShareStore.transaction` batch, and :meth:`SQLiteShareStore.apply_batch`
-writes each batch inside one ``BEGIN IMMEDIATE … COMMIT``, so SQLite's own
-journal makes it all-or-nothing across exceptions and process death.
+:meth:`~repro.core.share_tree.ShareStore.transaction` batch, and
+:meth:`SQLiteShareStore.apply_batch` writes each batch inside one
+``BEGIN IMMEDIATE … COMMIT``, so SQLite's own journal makes it
+all-or-nothing across exceptions and process death.
 Format ``share-store-sqlite-v2`` stores coefficients as binary pages
 (:mod:`repro.net.pages`) instead of the v1 JSON text rows; v1 files are
 migrated losslessly with :func:`migrate_share_store`
@@ -33,7 +33,6 @@ migrated losslessly with :func:`migrate_share_store`
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import sqlite3
@@ -44,8 +43,13 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing
 from ..algebra.vkernels import VecFpKernel, numpy_or_none
-from ..core.query import CoefficientRows
-from ..core.share_tree import ServerShareTree, ShareRowCache, TreeStructure
+from ..core.share_tree import (
+    CoefficientRows,
+    ServerShareTree,
+    ShareRowCache,
+    ShareStore,
+    TreeStructure,
+)
 from ..errors import ProtocolError, SharingError
 from .pages import (
     DEFAULT_PAGE_BYTES,
@@ -56,13 +60,10 @@ from .pages import (
     join_pages,
     split_pages,
 )
+from .storage import ring_from_dict, ring_to_dict
 
 __all__ = [
-    "ShareStore",
-    "StoreTransaction",
-    "InMemoryShareStore",
     "SQLiteShareStore",
-    "as_share_store",
     "open_share_store",
     "migrate_share_store",
 ]
@@ -214,377 +215,6 @@ def _drain_legacy_log(conn: sqlite3.Connection, page_bytes: int) -> str:
     return "replayed" if committed else "rolled-back"
 
 
-class ShareStore(abc.ABC):
-    """Storage backend for one document's server share tree."""
-
-    #: The encoding ring of the stored polynomials.
-    ring: EncodingRing
-
-    # Metrics instruments, bound when the store becomes a hosted document
-    # (:meth:`bind_metrics`); ``None`` until then, so an unhosted store
-    # pays nothing.
-    _metrics = None
-    _metrics_document = ""
-    _txn_seconds = None
-    _cache_hits = None
-    _cache_misses = None
-
-    # -- observability ----------------------------------------------------------------
-    def bind_metrics(self, metrics: Any, document_id: str) -> None:
-        """Emit this store's operational signals into ``metrics``.
-
-        Called by :meth:`~repro.net.engine.DocumentRegistry.add` when the
-        store is hosted.  Binds transaction latency
-        (``store_transaction_seconds``) and page-cache hit/miss counters
-        (``store_cache_hits_total``/``store_cache_misses_total``), all
-        labelled with the hosting document; durable backends additionally
-        report recovery events (``store_recovery_total``).
-        """
-        self._metrics = metrics
-        self._metrics_document = str(document_id)
-        self._txn_seconds = metrics.histogram(
-            "store_transaction_seconds", document=self._metrics_document)
-        self._cache_hits = metrics.counter(
-            "store_cache_hits_total", document=self._metrics_document)
-        self._cache_misses = metrics.counter(
-            "store_cache_misses_total", document=self._metrics_document)
-
-    def _record_recovery(self, result: str) -> None:
-        """Count one recovery outcome ("replayed"/"rolled-back")."""
-        if self._metrics is not None and result != "clean":
-            self._metrics.counter(
-                "store_recovery_total", document=self._metrics_document,
-                result=result).inc()
-
-    # -- read side (what the query protocol needs) ---------------------------------
-    @property
-    @abc.abstractmethod
-    def root_id(self) -> Optional[int]:
-        """Identifier of the root node (``None`` for an empty store)."""
-
-    @abc.abstractmethod
-    def node_count(self) -> int:
-        """Number of nodes stored."""
-
-    @abc.abstractmethod
-    def node_ids(self) -> List[int]:
-        """All node identifiers, sorted."""
-
-    @abc.abstractmethod
-    def child_ids(self, node_id: int) -> List[int]:
-        """Public child list of a node (document order)."""
-
-    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        """Child lists of many nodes in one read (one per descent level).
-
-        Raises :class:`~repro.errors.SharingError` naming the first unknown
-        id.  The base implementation loops over :meth:`child_ids`; stores
-        that hold a :class:`~repro.core.share_tree.TreeStructure` answer
-        from it.  The lists are the caller's to change.
-        """
-        return {node_id: self.child_ids(node_id) for node_id in node_ids}
-
-    def subtree_ids(self, node_id: int) -> List[int]:
-        """``node_id`` and all its descendants, read one level at a time.
-
-        The ids come in the order of a stack walk (a node, then its
-        subtrees from the last child to the first), the order
-        ``ServerShareTree.remove_subtree`` returns.
-        """
-        lists: Dict[int, List[int]] = {}
-        level = [node_id]
-        while level:
-            lists.update(self.child_lists(level))
-            level = [child for parent in level for child in lists[parent]]
-        ordered: List[int] = []
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            ordered.append(current)
-            stack.extend(lists[current])
-        return ordered
-
-    @abc.abstractmethod
-    def parent_id(self, node_id: int) -> Optional[int]:
-        """Public parent of a node."""
-
-    @abc.abstractmethod
-    def share_of(self, node_id: int) -> Polynomial:
-        """The stored share polynomial of a node."""
-
-    @abc.abstractmethod
-    def __contains__(self, node_id: int) -> bool:
-        """Whether the store holds a node with this id."""
-
-    def max_node_id(self) -> Optional[int]:
-        """Largest stored node id (``None`` for an empty store).
-
-        Used by :class:`~repro.core.updates.UpdatableTree` to allocate
-        fresh ids with one query per batch instead of one full id scan per
-        inserted node.  Stores that hold their structure override this.
-        """
-        ids = self.node_ids()
-        return max(ids) if ids else None
-
-    # -- write side (outsourcing and dynamic updates) ------------------------------
-    @abc.abstractmethod
-    def add_node(self, node_id: int, parent_id: Optional[int],
-                 share: Polynomial) -> None:
-        """Insert one node's share; parents must precede children."""
-
-    @abc.abstractmethod
-    def replace_share(self, node_id: int, share: Polynomial) -> None:
-        """Overwrite the share of an existing node (dynamic updates)."""
-
-    @abc.abstractmethod
-    def remove_subtree(self, node_id: int) -> List[int]:
-        """Remove a node and every descendant; returns the removed ids."""
-
-    # -- transactional batches -------------------------------------------------------
-    def transaction(self) -> "StoreTransaction":
-        """Open a buffered mutation batch (a context manager).
-
-        Mutations recorded on the returned :class:`StoreTransaction` are
-        validated immediately against the pre-batch state but applied only
-        when the ``with`` block exits cleanly, through
-        :meth:`apply_batch` — on the durable backend as one SQLite
-        transaction, atomic across crashes, which is what makes multi-node
-        dynamic updates safe.
-        """
-        return StoreTransaction(self)
-
-    def apply_batch(self, ops: Sequence[Tuple]) -> None:
-        """Apply a validated batch of mutation ops.
-
-        The base implementation simply replays the ops through the
-        single-mutation methods; it provides batching semantics (one call
-        site, one lock round on backends that lock per call) but no crash
-        atomicity — memory-backed stores have no durable state to tear.
-        """
-        started = time.perf_counter()
-        try:
-            self._apply_ops(ops)
-        finally:
-            if self._txn_seconds is not None:
-                self._txn_seconds.observe(time.perf_counter() - started)
-
-    def _apply_ops(self, ops: Sequence[Tuple]) -> None:
-        for op in ops:
-            kind = op[0]
-            if kind == "add":
-                _, node_id, parent_id, share = op
-                self.add_node(node_id, parent_id, share)
-            elif kind == "replace":
-                _, node_id, share = op
-                self.replace_share(node_id, share)
-            elif kind == "remove_subtree":
-                _, node_id, expected = op
-                removed = self.remove_subtree(node_id)
-                if sorted(removed) != sorted(expected):
-                    raise SharingError(
-                        f"subtree {node_id} changed between transaction "
-                        "recording and apply; refusing the batch")
-            else:
-                raise ProtocolError(f"unknown batch op {kind!r}")
-
-    # -- generic helpers (shared by every backend) ----------------------------------
-    def evaluate(self, node_id: int, point: int) -> int:
-        """Evaluate the stored share of a node at a query point."""
-        return self.ring.evaluate(self.share_of(node_id), point)
-
-    def evaluate_many(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        """Evaluate many node shares at one point (one batched pass)."""
-        shares = [self.share_of(node_id) for node_id in node_ids]
-        return dict(zip(node_ids, self.ring.evaluate_many(shares, point)))
-
-    def coefficient_rows(self, node_ids: Sequence[int]) -> CoefficientRows:
-        """Share coefficients of many nodes, as the wire carries them.
-
-        Each row is ascending and zero-padded to the ring's degree bound;
-        repeated ids are served once, in first-seen order.  The base
-        implementation reads :meth:`share_of` per node; the durable
-        backend serves the batch from one cache pass plus one chunked load
-        of the misses, as one int64 block on the vectorized tier.
-        """
-        width = self.ring.degree_bound
-        node_ids = list(dict.fromkeys(node_ids))
-        rows: List[List[int]] = []
-        for node_id in node_ids:
-            row = list(self.share_of(node_id).coeffs[:width])
-            row.extend([0] * (width - len(row)))
-            rows.append(row)
-        return CoefficientRows(node_ids, width, rows=rows)
-
-    def storage_bits(self) -> int:
-        """Measured storage of all share polynomials (the §5 server cost)."""
-        return sum(self.ring.element_storage_bits(self.share_of(node_id))
-                   for node_id in self.node_ids())
-
-    def close(self) -> None:
-        """Release backend resources (no-op for memory-backed stores)."""
-
-    def __len__(self) -> int:
-        return len(self.node_ids())
-
-    def __enter__(self) -> "ShareStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class StoreTransaction:
-    """A buffered batch of mutations against one :class:`ShareStore`.
-
-    Mutations are validated against the **pre-batch** state when recorded
-    and applied together on clean exit; an exception inside the ``with``
-    block discards the batch without touching the store.  Reads performed
-    while the transaction is open still see the pre-batch state — callers
-    (:class:`~repro.core.updates.UpdatableTree`) therefore compute every
-    new polynomial first and only then record the writes.
-
-    Structural ops may not overlap within one batch: a node removed by the
-    batch cannot also be added or replaced by it (and vice versa).  The
-    update layer never needs that.
-    """
-
-    def __init__(self, store: ShareStore) -> None:
-        self._store = store
-        self._ops: List[Tuple] = []
-        self._added: set = set()
-        self._replaced: set = set()
-        self._removed: set = set()
-        self._added_root = False
-        self._done = False
-
-    # -- recording -----------------------------------------------------------------
-    def _open_check(self, node_id: int) -> None:
-        if self._done:
-            raise ProtocolError("this store transaction has already finished")
-        if node_id in self._removed:
-            raise SharingError(
-                f"node {node_id} was removed earlier in this transaction")
-
-    def add_node(self, node_id: int, parent_id: Optional[int],
-                 share: Polynomial) -> None:
-        """Buffer one node insertion (parents must precede children)."""
-        self._open_check(node_id)
-        if node_id in self._added or node_id in self._store:
-            raise SharingError(f"duplicate node id {node_id}")
-        if parent_id is None:
-            if self._store.root_id is not None or self._added_root:
-                raise SharingError("the share tree already has a root")
-            self._added_root = True
-        elif parent_id not in self._added and (
-                parent_id not in self._store or parent_id in self._removed):
-            raise SharingError(f"parent {parent_id} of node {node_id} is unknown")
-        self._added.add(node_id)
-        self._ops.append(("add", node_id, parent_id, share))
-
-    def replace_share(self, node_id: int, share: Polynomial) -> None:
-        """Buffer one share overwrite of an existing (or just-added) node."""
-        self._open_check(node_id)
-        if node_id not in self._added and node_id not in self._store:
-            raise SharingError(f"unknown node id {node_id}")
-        self._replaced.add(node_id)
-        self._ops.append(("replace", node_id, share))
-
-    def remove_subtree(self, node_id: int) -> List[int]:
-        """Buffer the removal of a whole subtree; returns the doomed ids."""
-        self._open_check(node_id)
-        if node_id not in self._store:
-            raise SharingError(f"unknown node id {node_id}")
-        if self._store.parent_id(node_id) is None:
-            raise SharingError("the root node cannot be removed")
-        removed = self._store.subtree_ids(node_id)
-        overlap = set(removed) & (self._added | self._replaced)
-        if overlap:
-            raise SharingError(
-                f"nodes {sorted(overlap)} were touched earlier in this "
-                "transaction and cannot also be removed by it")
-        self._removed.update(removed)
-        self._ops.append(("remove_subtree", node_id, removed))
-        return removed
-
-    # -- lifecycle -----------------------------------------------------------------
-    @property
-    def ops(self) -> List[Tuple]:
-        """The buffered ops (recorded order)."""
-        return list(self._ops)
-
-    def __enter__(self) -> "StoreTransaction":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._done:
-            return
-        self._done = True
-        if exc_type is None and self._ops:
-            self._store.apply_batch(self._ops)
-
-
-class InMemoryShareStore(ShareStore):
-    """A :class:`ShareStore` view over an in-memory ``ServerShareTree``."""
-
-    def __init__(self, tree: ServerShareTree) -> None:
-        #: The wrapped tree (shared, not copied).
-        self.tree = tree
-        self.ring = tree.ring
-
-    @property
-    def root_id(self) -> Optional[int]:
-        return self.tree.root_id
-
-    def node_count(self) -> int:
-        return self.tree.node_count()
-
-    def node_ids(self) -> List[int]:
-        return self.tree.node_ids()
-
-    def max_node_id(self) -> Optional[int]:
-        return self.tree.max_node_id()
-
-    def child_ids(self, node_id: int) -> List[int]:
-        return self.tree.child_ids(node_id)
-
-    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        return self.tree.structure.child_lists(node_ids)
-
-    def subtree_ids(self, node_id: int) -> List[int]:
-        return self.tree.structure.subtree(node_id)
-
-    def parent_id(self, node_id: int) -> Optional[int]:
-        return self.tree.parent_id(node_id)
-
-    def share_of(self, node_id: int) -> Polynomial:
-        return self.tree.share_of(node_id)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.tree
-
-    def add_node(self, node_id: int, parent_id: Optional[int],
-                 share: Polynomial) -> None:
-        self.tree.add_node(node_id, parent_id, share)
-
-    def replace_share(self, node_id: int, share: Polynomial) -> None:
-        self.tree.replace_share(node_id, share)
-
-    def remove_subtree(self, node_id: int) -> List[int]:
-        return self.tree.remove_subtree(node_id)
-
-    def evaluate(self, node_id: int, point: int) -> int:
-        return self.tree.evaluate(node_id, point)
-
-    def evaluate_many(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        return self.tree.evaluate_many(node_ids, point)
-
-    def storage_bits(self) -> int:
-        return self.tree.storage_bits()
-
-    def __repr__(self) -> str:
-        return f"<InMemoryShareStore nodes={self.tree.node_count()}>"
-
-
 class SQLiteShareStore(ShareStore):
     """Durable single-file backend with lazy share loading (format v2).
 
@@ -616,9 +246,6 @@ class SQLiteShareStore(ShareStore):
     def __init__(self, path: str, ring: Optional[EncodingRing] = None,
                  cache_size: int = 4096,
                  page_bytes: int = DEFAULT_PAGE_BYTES) -> None:
-        # Imported here: storage.py imports this module at load time.
-        from .storage import ring_from_dict, ring_to_dict
-
         self.path = path
         self.cache_size = cache_size
         # The resident structure and the next free sibling-order value,
@@ -1071,48 +698,30 @@ class SQLiteShareStore(ShareStore):
         return f"<SQLiteShareStore path={self.path!r}>"
 
 
-def as_share_store(source: Any) -> ShareStore:
-    """Coerce a tree or store into a :class:`ShareStore` (stores pass through)."""
-    if isinstance(source, ShareStore):
-        return source
-    if isinstance(source, ServerShareTree):
-        return InMemoryShareStore(source)
-    raise ProtocolError(f"cannot build a share store from {type(source).__name__}")
+def open_share_store(path: str) -> SQLiteShareStore:
+    """Open a server file: a SQLite share store, whose shares load lazily.
 
-
-def open_share_store(path: str) -> ShareStore:
-    """Open a server file written by either backend, sniffing the format.
-
-    SQLite files are recognised by their magic header and opened lazily;
-    anything else is treated as the JSON format of
-    :func:`repro.net.storage.load_share_tree` (fully materialised).
-    Empty, truncated or unrecognisable files are rejected with a
-    :class:`~repro.errors.ProtocolError` naming the path and the sniffed
-    header instead of dying inside a decoder.
+    Any other file — empty, truncated, or the JSON share tree that older
+    builds wrote — is rejected with a :class:`~repro.errors.ProtocolError`
+    naming the path and the sniffed header instead of dying inside a
+    decoder.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(_SQLITE_MAGIC))
     if magic == _SQLITE_MAGIC:
         return SQLiteShareStore(path)
     if not magic:
-        raise ProtocolError(
-            f"share store {path!r} is empty — neither a SQLite store nor a "
-            "JSON share tree")
+        raise ProtocolError(f"share store {path!r} is empty, not a SQLite "
+                            "share store")
     if _SQLITE_MAGIC.startswith(magic):
         raise ProtocolError(
             f"share store {path!r} is a truncated SQLite file "
             f"(header {magic!r}, {len(magic)} of {len(_SQLITE_MAGIC)} magic "
             "bytes); restore it from a backup")
-    from .storage import load_share_tree
-
-    try:
-        return InMemoryShareStore(load_share_tree(path))
-    except ProtocolError:
-        raise
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(
-            f"cannot open share store {path!r}: header {magic!r} is not "
-            f"SQLite and the JSON loader failed ({exc})") from exc
+    raise ProtocolError(
+        f"{path!r} is not a SQLite share store (header {magic!r}); the JSON "
+        "share-tree files of older builds are no longer read: re-run "
+        "`python -m repro.cli outsource` to write a SQLite server file")
 
 
 def migrate_share_store(path: str,
@@ -1124,8 +733,6 @@ def migrate_share_store(path: str,
     file untouched.  Returns ``{"nodes", "before_bytes", "after_bytes"}``.
     A file already in v2 format is left alone (``nodes`` still reported).
     """
-    from .storage import ring_from_dict
-
     with open(path, "rb") as handle:
         if handle.read(len(_SQLITE_MAGIC)) != _SQLITE_MAGIC:
             raise ProtocolError(

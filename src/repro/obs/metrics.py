@@ -75,11 +75,6 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def set(self, value: int) -> None:
-        """Force the counter to ``value`` (used by view-style adapters)."""
-        with self._lock:
-            self._value = int(value)
-
     @property
     def value(self) -> int:
         """Current count."""
@@ -88,7 +83,8 @@ class Counter:
 
     def reset(self) -> None:
         """Zero the counter."""
-        self.set(0)
+        with self._lock:
+            self._value = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name!r}, {self.labels!r}, value={self.value})"

@@ -148,10 +148,10 @@ class StoreGate:
         self.opened = threading.Event()
 
     def wrap(self, tree):
-        from repro.net import FaultPlan, FaultRule, FaultyStore, InMemoryShareStore
+        from repro.net import FaultPlan, FaultRule, FaultyStore
 
         plan = FaultPlan([FaultRule("store:evaluate_many", "delay", calls=[1])])
-        return FaultyStore(InMemoryShareStore(tree), plan, sleep=self._hold)
+        return FaultyStore(tree, plan, sleep=self._hold)
 
     def _hold(self, _seconds):
         self.entered.set()

@@ -19,7 +19,7 @@ from repro.errors import SharingError
 from repro.net import SQLiteShareStore, SearchServer
 from repro.net.messages import FrontierRequest
 from repro.net.storage import share_tree_from_dict, share_tree_to_dict
-from repro.net.store import _SQL_CHUNK, InMemoryShareStore
+from repro.net.store import _SQL_CHUNK
 from repro.workloads import RandomXmlConfig, generate_random_document
 
 
@@ -37,7 +37,7 @@ def store(request, outsourced_large, tmp_path):
     """A fresh store of each backend over the same tree."""
     tree = share_tree_from_dict(outsourced_large[1])
     if request.param == "memory":
-        yield InMemoryShareStore(tree)
+        yield tree
         return
     durable = SQLiteShareStore.from_tree(str(tmp_path / "batch.db"), tree)
     yield durable

@@ -51,7 +51,6 @@ from repro.net import (
     FaultRule,
     FaultyChannel,
     FaultyStore,
-    InMemoryShareStore,
     InstrumentedChannel,
     RemoteServerAdapter,
     RemoteUpdatableTree,
@@ -350,7 +349,7 @@ class TestStoreFaults:
         client, tree = outsourced
         plan = FaultPlan([FaultRule("store:evaluate_many", "store-error",
                                     calls=[1, 3])], seed=CHAOS_SEED)
-        server = SearchServer(FaultyStore(InMemoryShareStore(tree), plan))
+        server = SearchServer(FaultyStore(tree, plan))
         adapter, _ = connect_resilient(
             lambda: InstrumentedChannel(server.handle),
             tree.ring, policy=fast_policy())
@@ -362,7 +361,7 @@ class TestStoreFaults:
         plan = FaultPlan([FaultRule("store:evaluate_many", "store-error",
                                     calls=[2])], seed=CHAOS_SEED)
         server = ThreadedSearchServer(
-            SearchServer(FaultyStore(InMemoryShareStore(tree), plan)))
+            SearchServer(FaultyStore(tree, plan)))
         server.start()
         try:
             host, port = server.address
@@ -511,7 +510,7 @@ class TestResilientSockets:
             0.1, kinds=["store-error"], point="store:evaluate_many",
             seed=CHAOS_SEED + 1)
         server = ThreadedSearchServer(SearchServer(
-            FaultyStore(InMemoryShareStore(tree), store_plan))).start()
+            FaultyStore(tree, store_plan))).start()
         faulty = []
 
         def factory():
@@ -739,7 +738,7 @@ class TestUpdateFaults:
 
         plan = FaultPlan([FaultRule("store:apply_batch", "store-error",
                                     calls=[1, 3])], seed=CHAOS_SEED)
-        server = SearchServer(FaultyStore(InMemoryShareStore(tree), plan))
+        server = SearchServer(FaultyStore(tree, plan))
         adapter, _ = connect_resilient(
             lambda: InstrumentedChannel(server.handle),
             tree.ring, policy=fast_policy())
@@ -761,7 +760,7 @@ class TestUpdateFaults:
         targets = _edit_targets(tree)
         plan = FaultPlan([FaultRule("store:apply_batch", "store-error",
                                     calls=[1])], seed=CHAOS_SEED)
-        server = SearchServer(FaultyStore(InMemoryShareStore(tree), plan))
+        server = SearchServer(FaultyStore(tree, plan))
         before = _store_fingerprint(server.document().store)
 
         adapter, _ = connect(server)

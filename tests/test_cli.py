@@ -23,7 +23,7 @@ def xml_file(tmp_path):
 
 @pytest.fixture
 def outsourced_files(tmp_path, xml_file, capsys):
-    server = str(tmp_path / "server.json")
+    server = str(tmp_path / "server.db")
     client = str(tmp_path / "client.json")
     code = main(["outsource", xml_file, "--server-out", server,
                  "--client-out", client, "--seed", "cli-test-seed",
@@ -61,32 +61,41 @@ class TestParser:
 
 class TestOutsource:
     def test_creates_both_files(self, tmp_path, xml_file, capsys):
-        server = tmp_path / "server.json"
+        from repro.algebra import FpQuotientRing
+        from repro.net import SQLiteShareStore, open_share_store
+
+        server = tmp_path / "server.db"
         client = tmp_path / "client.json"
         code = main(["outsource", xml_file, "--server-out", str(server),
                      "--client-out", str(client), "--seed", "deadbeef"])
         output = capsys.readouterr().out
         assert code == 0
         assert "outsourced 5 elements" in output
-        server_data = json.loads(server.read_text())
+        with open_share_store(str(server)) as store:
+            assert isinstance(store, SQLiteShareStore)
+            assert isinstance(store.ring, FpQuotientRing)
+            assert store.node_count() == 5
         client_data = json.loads(client.read_text())
-        assert server_data["ring"]["kind"] == "fp"
         assert "secrets" in client_data and "mapping" in client_data["secrets"]
         # No tag name leaks into the server file.
-        assert "customers" not in server.read_text()
+        assert b"customers" not in server.read_bytes()
 
     def test_int_ring_option(self, tmp_path, xml_file, capsys):
-        server = tmp_path / "server.json"
+        from repro.algebra import IntQuotientRing
+        from repro.net import open_share_store
+
+        server = tmp_path / "server.db"
         client = tmp_path / "client.json"
         code = main(["outsource", xml_file, "--server-out", str(server),
                      "--client-out", str(client), "--ring", "int"])
         assert code == 0
-        assert json.loads(server.read_text())["ring"]["kind"] == "int"
+        with open_share_store(str(server)) as store:
+            assert isinstance(store.ring, IntQuotientRing)
         capsys.readouterr()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["outsource", str(tmp_path / "missing.xml"),
-                     "--server-out", str(tmp_path / "s.json"),
+                     "--server-out", str(tmp_path / "s.db"),
                      "--client-out", str(tmp_path / "c.json")])
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -133,28 +142,10 @@ class TestInspectAndDecode:
         server, _ = outsourced_files
         assert main(["inspect", server]) == 0
         output = capsys.readouterr().out
-        assert "nodes:       5" in output
-        assert "tree height: 2" in output
-        assert "structure and share polynomials only" in output
-
-    def test_inspect_sqlite_store(self, tmp_path, xml_file, outsourced_files,
-                                  capsys):
-        server = str(tmp_path / "server.db")
-        assert main(["outsource", xml_file, "--server-out", server,
-                     "--client-out", str(tmp_path / "client-db.json"),
-                     "--seed", "cli-test-seed", "--allow-p-minus-one",
-                     "--store", "sqlite"]) == 0
-        capsys.readouterr()
-        assert main(["inspect", server]) == 0
-        output = capsys.readouterr().out
         assert "backend:     SQLiteShareStore" in output
         assert "nodes:       5" in output
         assert "tree height: 2" in output
-        # Same shares as the JSON file of the same seed: same storage line.
-        assert main(["inspect", outsourced_files[0]]) == 0
-        storage = [line for line in capsys.readouterr().out.splitlines()
-                   if line.startswith("storage:")]
-        assert storage and storage[0] in output
+        assert "structure and share polynomials only" in output
 
     def test_decode(self, outsourced_files, capsys):
         server, client = outsourced_files
@@ -163,8 +154,8 @@ class TestInspectAndDecode:
 
     def test_mismatched_client_and_server(self, tmp_path, xml_file, capsys):
         # Outsource twice with different rings; mixing the files must fail.
-        fp_server, fp_client = str(tmp_path / "s1.json"), str(tmp_path / "c1.json")
-        int_server, int_client = str(tmp_path / "s2.json"), str(tmp_path / "c2.json")
+        fp_server, fp_client = str(tmp_path / "s1.db"), str(tmp_path / "c1.json")
+        int_server, int_client = str(tmp_path / "s2.db"), str(tmp_path / "c2.json")
         main(["outsource", xml_file, "--server-out", fp_server,
               "--client-out", fp_client, "--allow-p-minus-one"])
         main(["outsource", xml_file, "--server-out", int_server,

@@ -22,7 +22,7 @@ from repro.core import (
     choose_int_ring,
     outsource_document,
 )
-from repro.net import connect_in_process, load_share_tree, save_share_tree
+from repro.net import SQLiteShareStore, connect_in_process
 from repro.prg import DeterministicPRG
 from repro.workloads import (
     CatalogConfig,
@@ -53,16 +53,17 @@ class TestFullJourneyCatalog:
         assert report.tag_names_seen == 0
         assert report.distinct_points_seen >= 3
 
-        # 4. Persist the server state, reload it, and keep querying with a client
-        #    rebuilt purely from its secret state (seed + mapping).
-        path = str(tmp_path / "outsourced.json")
-        save_share_tree(server_tree, path)
-        restarted_tree = load_share_tree(path)
+        # 4. Persist the server state, close and reopen the store, and keep
+        #    querying with a client rebuilt purely from its secret state
+        #    (seed + mapping).
+        path = str(tmp_path / "outsourced.db")
+        SQLiteShareStore.from_tree(path, server_tree).close()
         restored_client = ClientContext.from_secret_state(
             client.ring, client.secret_state())
-        for query in queries:
-            assert restored_client.xpath(restarted_tree, query).matches == \
-                plaintext.query(query).matches
+        with SQLiteShareStore(path) as restarted:
+            for query in queries:
+                assert restored_client.xpath(restarted, query).matches == \
+                    plaintext.query(query).matches
 
     def test_all_systems_agree_on_answers(self):
         document = generate_catalog_document(CatalogConfig(customers=5, products=4))

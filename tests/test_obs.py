@@ -6,9 +6,8 @@ Covers the PR-wide invariants of the unified metrics subsystem:
   bucket — and the percentile clamping rules;
 * the registry as the single source of truth: get-or-create identity,
   label-filtered totals, deterministic snapshots, Prometheus-style text;
-* :class:`~repro.net.channel.ChannelStats` re-expressed as a registry
-  view without breaking its historical ``stats.bytes_to_server += n``
-  call sites;
+* :class:`~repro.net.channel.ChannelStats` as a registry view that
+  transports feed through one recording call per direction;
 * deterministic token-bucket and weighted fair-share admission under an
   injected clock;
 * the v3 ``stats``/``health`` wire probes, including tenant filtering,
@@ -181,30 +180,32 @@ class TestMetricsRegistry:
 
 
 class TestChannelStatsView:
-    def test_augmented_assignment_still_works(self):
+    def test_each_recording_call_adds_bytes_and_one_message(self):
         stats = ChannelStats()
-        stats.bytes_to_server += 10
-        stats.bytes_to_client += 4
-        stats.requests += 1
-        stats.responses += 1
+        stats.record_request(10)
+        stats.record_response(4)
+        assert (stats.requests, stats.responses) == (1, 1)
         assert stats.total_bytes == 14
         assert stats.round_trips == 1
         assert stats.as_dict()["bytes_to_server"] == 10
+        with pytest.raises(AttributeError):
+            stats.bytes_to_server = 0
 
     def test_private_registries_keep_sessions_isolated(self):
         one, two = ChannelStats(), ChannelStats()
-        one.bytes_to_server += 7
+        one.record_request(7)
         assert two.bytes_to_server == 0
 
     def test_shared_registry_exposes_channel_counters(self):
         registry = MetricsRegistry()
         stats = ChannelStats(registry)
-        stats.bytes_to_server += 3
+        stats.record_request(3)
         assert registry.counter_total("channel_bytes_to_server") == 3
 
     def test_reset(self):
         stats = ChannelStats()
-        stats.requests += 2
+        stats.record_request(2)
+        stats.record_request(2)
         stats.reset()
         assert stats.requests == 0 and stats.total_bytes == 0
 

@@ -7,7 +7,7 @@ arrays and written to the durable store from one share block.  Under
 ``use_vector_kernels(False)`` the same document takes today's per-node
 ``ring.mul``/``ring.sub`` path, which stays the reference.  These tests
 hold the two to equal plaintext polynomials, equal server shares,
-byte-identical ``from_tree`` files and equal ``save_share_tree`` JSON,
+byte-identical ``from_tree`` files and equal ``share_tree_to_dict`` forms,
 on documents that put the level-by-level products at their edges: a
 deep chain and a root with thousands of children.  They also check the
 inverse transform, that a row-backed tree answers every read exactly as
@@ -33,7 +33,7 @@ from repro.core.encoder import (
 )
 from repro.core.mapping import TagMapping
 from repro.net import SQLiteShareStore
-from repro.net.storage import save_share_tree
+from repro.net.storage import share_tree_to_dict
 from repro.workloads import RandomXmlConfig, figure1_document, generate_random_document
 from repro.xmltree import XmlDocument, XmlElement
 
@@ -131,12 +131,10 @@ class TestBothPathsAgree:
                 files.append(path.read_bytes())
             assert files[0] == files[1]
 
-    def test_equal_json_files(self, both_paths, tmp_path):
+    def test_equal_share_tree_dicts(self, both_paths):
         _, _, (_, fast_server, _), (_, reference_server, _) = both_paths
-        save_share_tree(fast_server, str(tmp_path / "fast.json"))
-        save_share_tree(reference_server, str(tmp_path / "reference.json"))
-        assert ((tmp_path / "fast.json").read_bytes()
-                == (tmp_path / "reference.json").read_bytes())
+        assert share_tree_to_dict(fast_server) == \
+            share_tree_to_dict(reference_server)
 
     def test_client_cache_holds_the_same_ids(self, both_paths):
         document, _, (fast_client, _, _), (reference_client, _, _) = both_paths

@@ -1,6 +1,7 @@
 """Property-based round-trips for the binary paged coefficient codec."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.algebra import numpy_or_none
 from repro.errors import ProtocolError
+from repro.net import pages
 from repro.net.pages import (
     DEFAULT_PAGE_BYTES,
     decode_coefficients,
@@ -137,6 +139,10 @@ class TestArrayCodec:
         assert decode_coefficients_array(encode_coefficients([])).tolist() == []
         assert decode_coefficients_array(
             encode_coefficients([0] * 9)).tolist() == [0] * 9
+        # A header may announce zero limbs of a nonzero width.
+        empty = pages._HEADER.pack(pages.PAGE_FORMAT_VERSION, 0, 5, 0)
+        assert [row.tolist() for row in
+                decode_coefficients_batch([empty, empty])] == [[], []]
 
     def test_zigzag_negative_values(self):
         values = [-1, 0, 7, -128, 2 ** 40, -(2 ** 40)]
@@ -224,6 +230,59 @@ class TestLongVectors:
     def test_every_width_up_to_100(self, signed):
         for width in range(1, 101):
             assert_codecs_agree(random_vector(width, signed, 1003, width))
+
+
+@numpy_present
+class TestDecodeMemory:
+    """The odd-width array decoder works in passes of bounded size."""
+
+    #: Traced peak bytes a decode may take above its result's own bytes.
+    BOUND = 3 << 19
+
+    @staticmethod
+    def decode_traced(blobs):
+        """``(rows, peak traced bytes minus the rows' bytes)``."""
+        tracemalloc.start()
+        try:
+            rows = decode_coefficients_batch(blobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return rows, peak - sum(row.nbytes for row in rows)
+
+    def test_one_round_of_share_rows_at_p53(self):
+        # A response's share rows at p = 53 travel as one blob of 6-bit
+        # limbs: 700 rows of 52 coefficients, 27.3 kB.
+        values = random_vector(6, False, 700 * 52, 53)
+        rows, overhead = self.decode_traced([encode_coefficients(values)])
+        assert rows[0].tolist() == values
+        assert overhead < self.BOUND
+
+    def test_a_store_batch_at_p1021(self):
+        # 300 shares of 1020 10-bit coefficients, one header group.
+        vectors = [random_vector(10, False, 1020, seed) for seed in range(300)]
+        rows, overhead = self.decode_traced(
+            [encode_coefficients(values) for values in vectors])
+        assert [row.tolist() for row in rows] == vectors
+        assert overhead < self.BOUND
+
+    @pytest.mark.parametrize("width", [1, 3, 6, 13, 31, 62])
+    def test_small_passes_stay_bit_identical(self, width, monkeypatch):
+        # Passes of 64 bits split rows into runs of eight limbs and batch
+        # whole short rows; both cuts must leave every value in place.
+        monkeypatch.setattr(pages, "_DECODE_BITS", 64)
+        vectors = [random_vector(width, signed, count, seed)
+                   for seed, (signed, count) in enumerate(
+                       [(False, 9)] * 4 + [(True, 9)] * 3
+                       + [(False, 3)] * 5 + [(False, 200)] * 2)]
+        rows = decode_coefficients_batch(
+            [encode_coefficients(values) for values in vectors])
+        assert [row.tolist() for row in rows] == vectors
+        stray = bytearray(encode_coefficients(vectors[0]))
+        if 9 * width % 8:
+            stray[-1] |= 0x80
+            with pytest.raises(ProtocolError):
+                decode_coefficients_batch([bytes(stray)])
 
 
 class TestPaging:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.algebra import FpQuotientRing
 from repro.core import ServerShareTree
 from repro.errors import SharingError
-from repro.net import InMemoryShareStore, SQLiteShareStore
+from repro.net import SQLiteShareStore
 
 RING = FpQuotientRing(5)
 
@@ -97,7 +97,7 @@ def test_structure_survives_batches_and_injected_failures(scripts, fail_seed, se
     directory = tempfile.mkdtemp(prefix="resident-")
     path = os.path.join(directory, "store.db")
     store = SQLiteShareStore.from_tree(path, _tree(random.Random(seed)))
-    reference = InMemoryShareStore(_tree(random.Random(seed)))
+    reference = _tree(random.Random(seed))
     chooser = random.Random(fail_seed)
     next_id = store.node_count()
     try:

@@ -6,7 +6,8 @@ import threading
 
 import pytest
 
-from repro.core import VerificationMode, outsource_document
+from repro.baselines import PlaintextSearchIndex
+from repro.core import AdvancedStrategy, VerificationMode, outsource_document
 from repro.core.query import LocalServerAdapter
 from repro.errors import ProtocolError
 from repro.net import (
@@ -19,6 +20,7 @@ from repro.net import (
     RetryPolicy,
     SQLiteShareStore,
     SearchServer,
+    ServingCore,
     connect,
     connect_in_process,
     connect_resilient,
@@ -31,7 +33,12 @@ from repro.net.messages import (
     PruneNotice,
     decode_message,
 )
-from repro.workloads import CatalogConfig, generate_catalog_document
+from repro.workloads import (
+    CatalogConfig,
+    RandomXmlConfig,
+    generate_catalog_document,
+    generate_random_document,
+)
 
 
 @pytest.fixture
@@ -205,7 +212,7 @@ class TestMultiDocumentServer:
         server, clients = two_document_server
         north_tree = server.document("north").store
         store = SQLiteShareStore.from_tree(str(tmp_path / "north.db"),
-                                           north_tree.tree)
+                                           north_tree)
         server.add_document("north-disk", store)
         mem_adapter, _ = connect(server, document_id="north")
         disk_adapter, _ = connect(server, document_id="north-disk")
@@ -285,6 +292,31 @@ class TestBatchedProtocol:
         assert set(deep.evaluations[3]) == {root} | set(server_tree.child_ids(root))
         # Speculated nodes come with their child lists for frontier building.
         assert set(deep.children) == set(deep.evaluations[3])
+
+    def test_lookahead_evaluates_a_held_node_once(self, monkeypatch):
+        # A left-to-right //T//U descends from nested context nodes, so a
+        # round can list a node beside its parent.  The parent's lookahead
+        # must not evaluate the node again, nor count it twice in the
+        # ledger's evaluation_requests.
+        document = generate_random_document(
+            RandomXmlConfig(element_count=120, tag_vocabulary_size=8, seed=3))
+        client, server_tree, _ = outsource_document(document, seed=b"held")
+        observed = []
+        observe = ServingCore._observe_points
+
+        def record(core, hosted, point, node_ids):
+            observed.append(list(node_ids))
+            observe(core, hosted, point, node_ids)
+
+        monkeypatch.setattr(ServingCore, "_observe_points", record)
+        adapter, _ = connect(SearchServer(server_tree))
+        query = "//tag3//tag0"
+        result = client.xpath(adapter, query,
+                              strategy=AdvancedStrategy.LEFT_TO_RIGHT)
+        assert result.matches == \
+            PlaintextSearchIndex(document).query(query).matches
+        assert observed
+        assert [ids for ids in observed if len(set(ids)) != len(ids)] == []
 
     def test_verification_closure_fetch(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog

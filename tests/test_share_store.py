@@ -1,4 +1,4 @@
-"""Tests for the pluggable share-store backends (in-memory and SQLite)."""
+"""Tests for the share stores: the in-memory tree and the SQLite file."""
 
 import json
 import sqlite3
@@ -8,14 +8,13 @@ import pytest
 from repro.core import UpdatableTree, outsource_document
 from repro.errors import ProtocolError, SharingError
 from repro.net import (
-    InMemoryShareStore,
+    SearchServer,
     ShareStore,
     SQLiteShareStore,
-    as_share_store,
     migrate_share_store,
     open_share_store,
     ring_to_dict,
-    save_share_tree,
+    share_tree_to_dict,
 )
 from repro.net.store import LEGACY_SQLITE_STORE_FORMAT
 from repro.xmltree import XmlElement
@@ -29,27 +28,31 @@ def sqlite_store(outsourced_catalog, tmp_path):
     store.close()
 
 
-class TestInMemoryShareStore:
-    def test_mirrors_tree(self, outsourced_catalog):
+class TestInMemoryTree:
+    def test_tree_reads_match_the_generic_store(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
-        store = InMemoryShareStore(server_tree)
-        assert store.root_id == server_tree.root_id
-        assert store.node_count() == server_tree.node_count()
-        assert store.node_ids() == server_tree.node_ids()
-        assert store.storage_bits() == server_tree.storage_bits()
-        node = server_tree.node_ids()[1]
-        assert store.share_of(node) == server_tree.share_of(node)
-        assert store.child_ids(node) == server_tree.child_ids(node)
-        assert store.parent_id(node) == server_tree.parent_id(node)
-        assert node in store and -1 not in store
+        assert isinstance(server_tree, ShareStore)
+        node_ids = server_tree.node_ids()
+        node = node_ids[1]
+        # The structure's answers equal the base class's per-node loops.
+        assert server_tree.child_lists(node_ids) == \
+            ShareStore.child_lists(server_tree, node_ids)
+        assert server_tree.subtree_ids(node) == \
+            ShareStore.subtree_ids(server_tree, node)
+        assert server_tree.storage_bits() == \
+            ShareStore.storage_bits(server_tree)
+        assert server_tree.evaluate_many(node_ids, 3) == \
+            {node_id: server_tree.evaluate(node_id, 3) for node_id in node_ids}
+        with pytest.raises(SharingError):
+            server_tree.child_lists([node, 10 ** 6])
+        assert node in server_tree and -1 not in server_tree
 
-    def test_as_share_store(self, outsourced_catalog):
+    def test_server_hosts_the_tree_and_refuses_a_non_store(
+            self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
-        store = as_share_store(server_tree)
-        assert isinstance(store, InMemoryShareStore)
-        assert as_share_store(store) is store
-        with pytest.raises(ProtocolError):
-            as_share_store("nonsense")
+        assert SearchServer(server_tree).document().store is server_tree
+        with pytest.raises(ProtocolError, match="str"):
+            SearchServer("nonsense")
 
 
 class TestSQLiteShareStore:
@@ -162,8 +165,6 @@ class TestSQLiteShareStore:
         _, server_tree, _ = outsourced_catalog
         assert sqlite_store.max_node_id() == max(server_tree.node_ids())
         assert server_tree.max_node_id() == max(server_tree.node_ids())
-        assert InMemoryShareStore(server_tree).max_node_id() == \
-            max(server_tree.node_ids())
 
     def test_evaluate_many_batched_matches_generic(self, outsourced_catalog,
                                                    tmp_path):
@@ -272,9 +273,8 @@ class TestStoreTransactions:
 
     def test_in_memory_transaction_writes_through(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
-        store = as_share_store(server_tree)
         new_id = server_tree.max_node_id() + 1
-        with store.transaction() as txn:
+        with server_tree.transaction() as txn:
             txn.add_node(new_id, server_tree.root_id,
                          server_tree.share_of(server_tree.root_id))
         assert new_id in server_tree
@@ -339,8 +339,8 @@ class TestMigration:
         assert second["before_bytes"] == second["after_bytes"]
         assert first["nodes"] == second["nodes"]
         json_path = tmp_path / "tree.json"
-        save_share_tree(server_tree, str(json_path))
-        with pytest.raises(ProtocolError):
+        json_path.write_text(json.dumps(share_tree_to_dict(server_tree)))
+        with pytest.raises(ProtocolError, match="not a SQLite share store"):
             migrate_share_store(str(json_path))
 
     def test_foreign_sqlite_database_rejected(self, tmp_path):
@@ -412,13 +412,17 @@ class TestOpenShareStore:
         assert isinstance(store, SQLiteShareStore)
         store.close()
 
-    def test_sniffs_json(self, outsourced_catalog, tmp_path):
+    def test_json_share_tree_refused(self, outsourced_catalog, tmp_path):
+        # The JSON server file of older builds is refused loudly, whole or
+        # torn, with the path and the way to a SQLite file.
         _, server_tree, _ = outsourced_catalog
-        path = str(tmp_path / "sniff.json")
-        save_share_tree(server_tree, path)
-        store = open_share_store(path)
-        assert isinstance(store, InMemoryShareStore)
-        assert store.node_count() == server_tree.node_count()
+        path = tmp_path / "server.json"
+        payload = json.dumps(share_tree_to_dict(server_tree)).encode()
+        for content in (payload, payload[:40]):
+            path.write_bytes(content)
+            with pytest.raises(ProtocolError, match="outsource") as excinfo:
+                open_share_store(str(path))
+            assert "server.json" in str(excinfo.value)
 
     def test_empty_file_rejected_loudly(self, tmp_path):
         path = tmp_path / "empty.db"
@@ -439,54 +443,3 @@ class TestOpenShareStore:
             open_share_store(str(path))
         assert "garbage.bin" in str(excinfo.value)
         assert "PNG" in str(excinfo.value)
-
-    def test_truncated_json_rejected_loudly(self, outsourced_catalog,
-                                            tmp_path):
-        _, server_tree, _ = outsourced_catalog
-        path = tmp_path / "torn.json"
-        save_share_tree(server_tree, str(path))
-        path.write_bytes(path.read_bytes()[:40])
-        with pytest.raises(ProtocolError, match="torn.json"):
-            open_share_store(str(path))
-
-
-class TestAtomicSave:
-    def test_no_temp_files_left(self, outsourced_catalog, tmp_path):
-        _, server_tree, _ = outsourced_catalog
-        path = tmp_path / "server.json"
-        size = save_share_tree(server_tree, str(path))
-        assert size == path.stat().st_size
-        assert [p.name for p in tmp_path.iterdir()] == ["server.json"]
-
-    def test_overwrite_is_atomic_replace(self, outsourced_catalog, tmp_path):
-        from repro.net import load_share_tree
-
-        _, server_tree, _ = outsourced_catalog
-        path = tmp_path / "server.json"
-        save_share_tree(server_tree, str(path))
-        first_inode = path.stat().st_ino
-        save_share_tree(server_tree, str(path))
-        # A fresh inode replaced the old file; the content stays loadable.
-        assert path.stat().st_ino != first_inode
-        assert load_share_tree(str(path)).node_count() == server_tree.node_count()
-
-    def test_failed_write_preserves_existing_file(self, outsourced_catalog,
-                                                  tmp_path, monkeypatch):
-        from repro.net import load_share_tree, storage
-
-        _, server_tree, _ = outsourced_catalog
-        path = tmp_path / "server.json"
-        save_share_tree(server_tree, str(path))
-        original = path.read_bytes()
-
-        def explode(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(storage.os, "replace", explode)
-        with pytest.raises(OSError):
-            save_share_tree(server_tree, str(path))
-        monkeypatch.undo()
-        # The original file is untouched and no temp debris remains.
-        assert path.read_bytes() == original
-        assert [p.name for p in tmp_path.iterdir()] == ["server.json"]
-        assert load_share_tree(str(path)).node_count() == server_tree.node_count()

@@ -14,6 +14,7 @@ Answers against the plaintext baseline across every path are
 ``tests/test_oracle.py``'s job.
 """
 
+import copy
 import socket
 import sys
 import threading
@@ -28,7 +29,6 @@ from repro.net import (
     FaultPlan,
     FaultRule,
     FaultyStore,
-    InMemoryShareStore,
     InstrumentedChannel,
     SearchServer,
     ServingCore,
@@ -204,17 +204,15 @@ class TestFrontierBatchIdentity:
         assert SearchServer(store).frontier_batch([]) == []
 
 
-class EvaluateFailsStore(InMemoryShareStore):
-    """A store whose share evaluation fails with a non-``ReproError``."""
-
-    def evaluate_many(self, node_ids, point):
-        raise RuntimeError("backend evaluation failed")
+def _fail_evaluation(node_ids, point):
+    raise RuntimeError("backend evaluation failed")
 
 
 def test_batch_accounts_backend_errors_once(outsourced):
     """A store error outside the ReproError taxonomy fails a frontier request
     in-band and is accounted exactly once, in frontier_batch as in handle."""
-    store = EvaluateFailsStore(outsourced[1])
+    store = copy.copy(outsourced[1])
+    store.evaluate_many = _fail_evaluation
     core = SearchServer(store)
     request = FrontierRequest([store.root_id], [3])
     with pytest.raises(RuntimeError):
@@ -746,7 +744,7 @@ class TestCoalescing:
         _, tree = outsourced
         plan = FaultPlan([FaultRule("store:evaluate_many", "delay", rate=1.0,
                                     delay_s=0.0005)], seed=0)
-        core = SearchServer(FaultyStore(InMemoryShareStore(tree), plan))
+        core = SearchServer(FaultyStore(tree, plan))
         transport = ThreadedSearchServer(core).start()
         root = tree.root_id
         requests = [FrontierRequest([root], [point], lookahead=point % 3)

@@ -218,22 +218,20 @@ class TestStoreTierIdentity:
         store.close()
 
     def test_in_memory_evaluate_many_identical_across_tiers(self, outsourced):
-        from repro.net import InMemoryShareStore
-
         (client, server_tree, _), _ = outsourced
-        store = InMemoryShareStore(server_tree)
-        node_ids = store.node_ids()
+        node_ids = server_tree.node_ids()
         for point in (3, 5, 11):
             vectorized, flat, generic = _evaluate_store_three_ways(
-                store, node_ids, point)
+                server_tree, node_ids, point)
             assert vectorized == flat == generic
             # ... and all of them equal the tree's own scalar walk.
-            assert vectorized == server_tree.evaluate_many(node_ids, point)
+            assert vectorized == {node_id: server_tree.evaluate(node_id, point)
+                                  for node_id in node_ids}
         # Edge cases: empty request and a single constant-share node.
-        assert store.evaluate_many([], 3) == {}
+        assert server_tree.evaluate_many([], 3) == {}
         one = node_ids[:1]
-        assert store.evaluate_many(one, 7) == \
-            server_tree.evaluate_many(one, 7)
+        assert server_tree.evaluate_many(one, 7) == \
+            {one[0]: server_tree.evaluate(one[0], 7)}
 
 
 class TestNumpyAbsentFallback:
