@@ -9,7 +9,7 @@ of Shamir secret sharing (:mod:`repro.sharing.shamir`).
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from .kernels import FpKernel, kernels_enabled
 from .modint import modinv

@@ -12,12 +12,12 @@ extension field is mainly exercised by tests and by users who want
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..errors import AlgebraError
 from .fp import PrimeField
 from .kernels import kernels_enabled
-from .poly import Polynomial, is_irreducible_mod_p, poly_gcd
+from .poly import Polynomial, is_irreducible_mod_p
 from .primes import is_prime
 from .rings import CoefficientRing
 

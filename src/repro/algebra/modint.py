@@ -8,7 +8,7 @@ secret sharing substrate (:mod:`repro.sharing.shamir`).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = [
     "egcd",

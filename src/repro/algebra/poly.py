@@ -14,9 +14,9 @@ empty coefficient tuple and degree ``-1``.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
-from .rings import CoefficientRing, IntegerRing, ZZ
+from .rings import CoefficientRing, ZZ
 
 __all__ = ["Polynomial", "poly_gcd", "is_irreducible_mod_p"]
 

@@ -12,7 +12,7 @@ proofs for primes).
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .modint import is_perfect_power
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from .kernels import Z_KERNEL, kernels_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .kernels import FpKernel, ZKernel
+    from .kernels import ZKernel
 
 __all__ = ["CoefficientRing", "IntegerRing", "ZZ"]
 

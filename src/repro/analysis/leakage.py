@@ -21,7 +21,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Union
 
 from ..core.query import LocalServerAdapter
 from ..core.share_tree import ServerShareTree

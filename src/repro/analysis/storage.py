@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from ..algebra.quotient import EncodingRing, FpQuotientRing, IntQuotientRing
-from ..core.encoder import PolynomialTree, encode_document
+from ..algebra.quotient import FpQuotientRing, IntQuotientRing
+from ..core.encoder import encode_document
 from ..core.mapping import TagMapping
 from ..xmltree import XmlDocument
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..prg import DeterministicPRG, derive_seed
 from ..xmltree import XmlDocument, XmlElement

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..xmltree import XmlDocument, XmlElement
+from ..xmltree import XmlDocument
 
 __all__ = ["preorder_index", "element_ids", "BaselineStats", "BaselineResult"]
 

@@ -22,11 +22,10 @@ import hashlib
 import hmac
 from typing import Dict, List, Union
 
-from ..errors import QueryError
 from ..prg import DeterministicPRG, derive_seed
 from ..xmltree import XmlDocument
-from ..xpath import LocationPath, evaluate_xpath, parse_xpath
-from .common import BaselineResult, BaselineStats, element_ids, preorder_index
+from ..xpath import LocationPath, parse_xpath
+from .common import BaselineResult, BaselineStats, preorder_index
 
 __all__ = ["LinearScanIndex", "LinearScanClient", "build_linear_scan"]
 

@@ -9,7 +9,7 @@ query answers are checked against it.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Union
+from typing import Union
 
 from ..xmltree import XmlDocument, serialize_document
 from ..xpath import LocationPath, evaluate_xpath

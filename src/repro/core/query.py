@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
+from ..algebra.vkernels import numpy_or_none
 from ..errors import QueryError, TagRecoveryError, VerificationError
 from .mapping import TagMapping
 from .share_tree import ClientShareGenerator, CoefficientRows, ServerShareTree
@@ -84,8 +85,8 @@ class QueryStats:
         self.evaluations = 0           # (node, point) evaluation pairs
         self.nodes_pruned = 0          # nodes reported as dead branches
         self.round_trips = 0           # request/response exchanges with the server
-        self.candidates_verified = 0   # candidate nodes run through verification
-        self.polynomials_fetched = 0   # full share polynomials transferred
+        self.candidates_verified = 0   # Theorem-1/2 tag recoveries run
+        self.polynomials_fetched = 0   # server share rows fetched
         self.constants_fetched = 0     # constant coefficients transferred
         self.points_sent = 0           # query points revealed to the server
 
@@ -299,12 +300,18 @@ class QueryEngine:
       (``point -> node -> value``) and the child lists the query has
       received.  A descent level or a child-axis filter whose round would
       return nothing the memo lacks sends no round; when a round is
-      needed it is the whole-frontier round, unchanged.
+      needed it is the whole-frontier round, unchanged;
+    * FULL verification keeps the server share rows the query has
+      received and the tag value of every node it has recovered
+      (:meth:`tag_values`): a node is recovered once per query, and a
+      share row crosses the wire once per query, unless a closure whose
+      child lists the query lacks brings it again in its one exchange.
 
     The memo belongs to one query: it starts empty at every
     :meth:`lookup` and every advanced query (:meth:`begin_query`).  Kept
-    longer, it would answer a later query from values and child lists
-    that a rename, an insert or another writer has since changed.
+    longer, it would answer a later query from values, child lists, rows
+    and tags that a rename, an insert or another writer has since
+    changed.
     """
 
     #: Tree levels the server evaluates speculatively below each batched
@@ -320,15 +327,18 @@ class QueryEngine:
         self.client_shares = client_shares
         self.server = server
         self.verification = verification
-        # The query's memo: the child lists it has received and, over a
+        # The query's memo: the child lists it has received; over a
         # batched transport, the server evaluations, ``point -> node_id ->
-        # value``.
+        # value``; the server share rows, ``node_id -> the block that
+        # holds its row`` as received; and the recovered tag values.
         self._children_cache: Dict[int, List[int]] = {}
         self._server_values: Dict[int, Dict[int, int]] = {}
+        self._row_blocks: Dict[int, Mapping[int, Sequence[int]]] = {}
+        self._tags: Dict[int, int] = {}
 
     # -- public entry points ----------------------------------------------------------
     def begin_query(self) -> None:
-        """Forget the evaluations and child lists earlier queries received.
+        """Forget what earlier queries received and recovered.
 
         :meth:`lookup` and :class:`~repro.core.advanced.AdvancedQueryExecutor`
         call it when a query starts; a caller composing the primitives
@@ -336,6 +346,8 @@ class QueryEngine:
         """
         self._children_cache.clear()
         self._server_values.clear()
+        self._row_blocks.clear()
+        self._tags.clear()
 
     def lookup(self, tag: str) -> LookupOutcome:
         """Evaluate the element lookup ``//tag`` (§4.3 "Element Lookup")."""
@@ -416,6 +428,30 @@ class QueryEngine:
     def children_of(self, node_ids: Sequence[int], stats: QueryStats) -> Dict[int, List[int]]:
         """Public child lists (cached; counts a round trip on cache misses)."""
         return self._children(node_ids, stats)
+
+    def tag_values(self, node_ids: Sequence[int],
+                   stats: QueryStats) -> Dict[int, int]:
+        """The tag value of each of ``node_ids``, by Theorem-1/2 recovery.
+
+        A node this query has already recovered is answered from its
+        memo.  The others are recovered together from the share rows of
+        their closure (each node and its children, :meth:`_closure_rows`).
+        Raises :class:`~repro.errors.VerificationError` when the server's
+        rows are inconsistent with the encoding invariant.
+        """
+        fresh = [node_id for node_id in dict.fromkeys(node_ids)
+                 if node_id not in self._tags]
+        if fresh:
+            children_map, needed, rows = self._closure_rows(fresh, stats)
+            values = self._recover_tags(fresh, children_map, needed, rows)
+            for node_id, value in zip(fresh, values):
+                stats.candidates_verified += 1
+                if isinstance(value, TagRecoveryError):
+                    raise VerificationError(
+                        f"node {node_id}: the server's polynomials are "
+                        "inconsistent with the encoding invariant") from value
+                self._tags[node_id] = value
+        return {node_id: self._tags[node_id] for node_id in node_ids}
 
     # -- protocol internals --------------------------------------------------------------
     def _children(self, node_ids: Sequence[int], stats: QueryStats) -> Dict[int, List[int]]:
@@ -671,34 +707,72 @@ class QueryEngine:
 
     def _verify_full(self, candidates: Sequence[int], point: int,
                      stats: QueryStats) -> Tuple[List[int], List[int]]:
-        """Exact verification: recover each candidate's tag value (eq. (1)–(3))."""
-        confirmed: List[int] = []
-        rejected: List[int] = []
-        if not candidates:
-            return confirmed, rejected
-        children_map, server_rows = self._verification_children(
+        """Exact verification: a candidate is confirmed when its recovered
+        tag value (eq. (1)–(3), :meth:`tag_values`) is ``point``."""
+        values = self.tag_values(candidates, stats)
+        confirmed = [node_id for node_id in candidates if values[node_id] == point]
+        rejected = [node_id for node_id in candidates if values[node_id] != point]
+        return confirmed, rejected
+
+    def _closure_rows(self, candidates: Sequence[int], stats: QueryStats
+                      ) -> Tuple[Dict[int, List[int]], List[int],
+                                 Mapping[int, Sequence[int]]]:
+        """``(children, closure, rows)``: the candidates' child lists, their
+        closure (each candidate and its children) and its server share rows.
+
+        Rows the query holds are not fetched again: one fetch brings those
+        it lacks, and no round is sent when it lacks none.  A closure
+        whose child lists the query lacks comes whole in one
+        :meth:`ServerInterface.verification_bundle`.  Rows that all came
+        in one fetch are returned as that fetch's block, as received.
+        """
+        children_map, bundled = self._verification_children(
             candidates, stats, constants_only=False)
         needed = sorted(set(candidates) | {
             child for node_id in candidates for child in children_map[node_id]})
-        if server_rows is None:
-            server_rows = self.server.fetch_polynomial_rows(needed)
+        if bundled is not None:
+            self._row_blocks.update(dict.fromkeys(bundled, bundled))
+            return children_map, needed, bundled
+        missing = [node_id for node_id in needed
+                   if node_id not in self._row_blocks]
+        if missing:
+            fetched = self.server.fetch_polynomial_rows(missing)
             stats.round_trips += 1
-            stats.polynomials_fetched += len(needed)
-        values = self._recover_tags(candidates, children_map, needed,
-                                    server_rows)
-        for node_id, value in zip(candidates, values):
-            stats.candidates_verified += 1
-            if isinstance(value, TagRecoveryError):
-                raise VerificationError(
-                    f"node {node_id}: the server's polynomials are inconsistent "
-                    "with the encoding invariant") from value
-            (confirmed if value == point else rejected).append(node_id)
-        return confirmed, rejected
+            stats.polynomials_fetched += len(missing)
+            self._row_blocks.update(dict.fromkeys(fetched, fetched))
+            if len(missing) == len(needed):
+                return children_map, needed, fetched
+        return children_map, needed, self._held_rows(needed)
+
+    def _held_rows(self, node_ids: Sequence[int]
+                   ) -> Mapping[int, Sequence[int]]:
+        """The memo's rows of ``node_ids``: the block that holds them all,
+        else one block gathered from the blocks that do.
+
+        Wire blocks of one width are gathered into one int64 block; rows
+        of any other kind into a dict of rows.
+        """
+        groups: Dict[int, Tuple[Mapping[int, Sequence[int]], List[int]]] = {}
+        for node_id in node_ids:
+            block = self._row_blocks[node_id]
+            groups.setdefault(id(block), (block, []))[1].append(node_id)
+        parts = list(groups.values())
+        if len(parts) == 1:
+            return parts[0][0]
+        width = getattr(parts[0][0], "width", None)
+        if all(isinstance(block, CoefficientRows) and block.matrix is not None
+               and block.width == width for block, _ in parts):
+            return CoefficientRows(
+                [node_id for _, ids in parts for node_id in ids], width,
+                matrix=numpy_or_none().concatenate(
+                    [block.matrix_rows(ids) for block, ids in parts]))
+        return {node_id: self._row_blocks[node_id][node_id]
+                for node_id in node_ids}
 
     def _recover_tags(self, candidates: Sequence[int],
                       children_map: Dict[int, List[int]],
                       needed: Sequence[int],
-                      server_rows: Dict[int, Sequence[int]]
+                      server_rows: Mapping[int, Sequence[int]]
                       ) -> List[Union[int, TagRecoveryError]]:
         """Each candidate's tag value, or the error that stops verification.
 
@@ -728,8 +802,8 @@ class QueryEngine:
                 [row_of[node_id] for node_id in candidates],
                 [[row_of[child] for child in children_map[node_id]]
                  for node_id in candidates])
-        shares = {node_id: ring.from_coefficients(row)
-                  for node_id, row in server_rows.items()}
+        shares = {node_id: ring.from_coefficients(server_rows[node_id])
+                  for node_id in needed}
         client = self.client_shares.shares_for(needed)
         polynomials = {node_id: ring.add(client[node_id], shares[node_id])
                        for node_id in needed}

@@ -26,12 +26,7 @@ from ..algebra.quotient import (
     IntQuotientRing,
     default_int_modulus,
 )
-from ..errors import (
-    MappingCapacityError,
-    QueryError,
-    TagRecoveryError,
-    UpdateConflictError,
-)
+from ..errors import MappingCapacityError, QueryError, UpdateConflictError
 from ..prg import DeterministicPRG
 from ..xmltree import XmlDocument
 from ..xpath import LocationPath, TagQueryPlan
@@ -156,54 +151,68 @@ class ClientContext:
     # -- decoding results -------------------------------------------------------------
     def tag_of(self, server: Union[ServerInterface, ShareStore],
                node_id: int) -> str:
-        """Recover the tag name of one node by Theorem 1/2 reconstruction."""
-        adapter = self.adapt(server)
-        engine = self.engine(adapter)
-        children = engine.children_of([node_id], QueryStats())[node_id]
-        needed = [node_id] + list(children)
-        value = engine._recover_tags([node_id], {node_id: children}, needed,
-                                     adapter.fetch_polynomial_rows(needed))[0]
-        if isinstance(value, TagRecoveryError):
-            raise value
-        return self.mapping.tag(value)
+        """Recover the tag name of one node by Theorem 1/2 reconstruction.
+
+        Raises :class:`~repro.errors.VerificationError` when the server's
+        polynomials are inconsistent with the encoding invariant.
+        """
+        engine = self.engine(self.adapt(server))
+        return self.mapping.tag(engine.tag_values([node_id], QueryStats())[node_id])
 
     def tag_path_of(self, server: Union[ServerInterface, ShareStore],
                     node_id: int) -> str:
         """Slash-separated tag path of a node, recovered from the shares.
 
         Demonstrates that query answers can be turned back into meaningful
-        locations without the client storing the document.
+        locations without the client storing the document.  The path's
+        tags are recovered together, through one engine: one closure fetch
+        and one batched recovery.
         """
         adapter = self.adapt(server)
-        path_tags: List[str] = []
-        current: Optional[int] = node_id
+        engine = self.engine(adapter)
+        stats = QueryStats()
+        path = self._path_to_root(adapter, engine, node_id, stats)
+        values = engine.tag_values(path, stats)
+        return "/".join(self.mapping.tag(values[current])
+                        for current in reversed(path))
+
+    @staticmethod
+    def _path_to_root(server: ServerInterface, engine: QueryEngine,
+                      node_id: int, stats: QueryStats) -> List[int]:
+        """``node_id`` and its ancestors, up to the root.
+
+        A local store names each parent.  Any other server's structure is
+        walked from the root one level per round, up to the level that
+        holds ``node_id``.
+        """
+        if isinstance(server, LocalServerAdapter):
+            parent_of = server.share_tree.parent_id
+        else:
+            root = server.root_id()
+            parents: Dict[int, Optional[int]] = {root: None}
+            level = [root]
+            while node_id not in parents:
+                if not level:
+                    raise QueryError(f"unknown node id {node_id}")
+                children = engine.children_of(level, stats)
+                next_level: List[int] = []
+                for parent_id in level:
+                    for child in children[parent_id]:
+                        if child not in parents:
+                            parents[child] = parent_id
+                            next_level.append(child)
+                level = next_level
+            parent_of = parents.get
+        path: List[int] = []
         visited = set()
+        current: Optional[int] = node_id
         while current is not None:
             if current in visited:
                 raise QueryError("cycle detected in the server's structure data")
             visited.add(current)
-            path_tags.append(self.tag_of(adapter, current))
-            current = self._parent_of(adapter, current)
-        return "/".join(reversed(path_tags))
-
-    @staticmethod
-    def _parent_of(server: ServerInterface, node_id: int) -> Optional[int]:
-        if isinstance(server, LocalServerAdapter):
-            return server.share_tree.parent_id(node_id)
-        # Generic fallback: walk the structure from the root.
-        parent: Dict[int, Optional[int]] = {server.root_id(): None}
-        frontier = [server.root_id()]
-        while frontier:
-            children_map = server.children_of(frontier)
-            next_frontier: List[int] = []
-            for parent_id, children in children_map.items():
-                for child in children:
-                    parent[child] = parent_id
-                    next_frontier.append(child)
-            frontier = next_frontier
-        if node_id not in parent:
-            raise QueryError(f"unknown node id {node_id}")
-        return parent[node_id]
+            path.append(current)
+            current = parent_of(current)
+        return path
 
     # -- persistence ---------------------------------------------------------------------
     #: Identifies how client shares are derived from the seed.  Server shares

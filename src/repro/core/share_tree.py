@@ -57,6 +57,15 @@ BULK_MIN_COEFFS = 768
 BULK_BLOCK_COEFFS = 1 << 18
 
 
+def _row_kernel(ring: EncodingRing) -> Optional[VecFpKernel]:
+    """The vectorized kernel when ``ring``'s shares take the row form
+    (int64 coefficient blocks), else None."""
+    if not isinstance(ring, FpQuotientRing):
+        return None
+    kernel = ring.field.kernel()
+    return kernel if isinstance(kernel, VecFpKernel) else None
+
+
 class ClientShareGenerator:
     """Regenerates the client's random share for any node from the seed.
 
@@ -126,7 +135,7 @@ class ClientShareGenerator:
         vectorized tier, one list of polynomials otherwise.
         """
         ring = self.ring
-        kernel = self._row_kernel()
+        kernel = _row_kernel(self.ring)
         if kernel is None or not node_ids:
             shares = [self.share_for(node_id) for node_id in node_ids]
             return {point: ring.evaluate_many(shares, point) for point in points}
@@ -148,7 +157,7 @@ class ClientShareGenerator:
         so a pass over a whole tree (outsourcing, reconstruction, share
         refresh) never holds more than one such block.
         """
-        if self._row_kernel() is None:
+        if _row_kernel(self.ring) is None:
             for node_id in node_ids:
                 yield node_id, self.share_for(node_id)
             return
@@ -169,16 +178,9 @@ class ClientShareGenerator:
         degree bound.  ``None`` off the vectorized tier, where callers use
         :meth:`share_for` per node.
         """
-        if self._row_kernel() is None:
+        if _row_kernel(self.ring) is None:
             return None
         return self._rows(node_ids)
-
-    def _row_kernel(self) -> Optional[VecFpKernel]:
-        """The vectorized kernel when shares take the row form, else None."""
-        if not isinstance(self.ring, FpQuotientRing):
-            return None
-        kernel = self.ring.field.kernel()
-        return kernel if isinstance(kernel, VecFpKernel) else None
 
     def _rows(self, node_ids: Sequence[int]):
         """:meth:`share_rows` on the vectorized tier: hits gathered under
@@ -562,6 +564,12 @@ class CoefficientRows(Mapping):
         if self.matrix is not None:
             return self.matrix[:, 0].tolist()
         return [row[0] for row in self._rows]
+
+    def matrix_rows(self, node_ids: Sequence[int]) -> Any:
+        """The rows of ``node_ids`` (each held here) as one int64 block,
+        in that order; for blocks whose ``matrix`` is set."""
+        position = self._position()
+        return self.matrix[[position[node_id] for node_id in node_ids]]
 
     def _position(self) -> Dict[int, int]:
         if self._index is None:
@@ -1004,6 +1012,23 @@ class ServerShareTree(ShareStore):
         except KeyError:
             raise SharingError(f"unknown node id {node_id}") from None
 
+    def coefficient_rows(self, node_ids: Sequence[int]) -> CoefficientRows:
+        """Share coefficients of many nodes, as the wire carries them.
+
+        On the vectorized tier the rows are one ``(n, p - 1)`` int64
+        block filled from the polynomials.  The other tiers build one
+        list per node, as the base class does.
+        """
+        if _row_kernel(self.ring) is None:
+            return super().coefficient_rows(node_ids)
+        node_ids = list(dict.fromkeys(node_ids))
+        shares = [self.share_of(node_id) for node_id in node_ids]
+        width = self.ring.degree_bound
+        matrix = numpy_or_none().zeros((len(node_ids), width), dtype="int64")
+        for row, share in zip(matrix, shares):
+            row[:len(share.coeffs)] = share.coeffs
+        return CoefficientRows(node_ids, width, matrix=matrix)
+
     def child_ids(self, node_id: int) -> List[int]:
         """Public child list of a node."""
         return self.structure.children(node_id)
@@ -1072,7 +1097,7 @@ def share_tree(tree: PolynomialTree, prg: DeterministicPRG,
     """
     generator = generator or ClientShareGenerator(tree.ring, prg)
     form = tree.row_form()
-    if form is not None and generator._row_kernel() is not None:
+    if form is not None and _row_kernel(generator.ring) is not None:
         return generator, _split_rows(tree.ring, form, generator)
     server = ServerShareTree(tree.ring)
     node_ids = (node.node_id for node in tree.iter_preorder())

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from ..algebra.vkernels import numpy_or_none
 

@@ -10,7 +10,7 @@ deterministic PRG so that only the seed needs to be stored
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing

@@ -20,7 +20,7 @@ Two constructions are provided:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from ..algebra.fp import PrimeField
 from ..algebra.interpolate import lagrange_evaluate_at
@@ -28,7 +28,7 @@ from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
 from ..errors import SharingError, ThresholdError
 from .additive import combine_additive, split_additively_n
-from .shamir import ShamirScheme, ShamirShare
+from .shamir import ShamirScheme
 
 __all__ = ["ThresholdPolynomialSharing", "AdditiveMultiServerSharing"]
 

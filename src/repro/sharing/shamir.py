@@ -13,7 +13,7 @@ the multi-server sharing of polynomial trees
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..algebra.fp import PrimeField
 from ..algebra.interpolate import lagrange_evaluate_at

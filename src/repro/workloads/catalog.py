@@ -11,7 +11,6 @@ kind of document a thin client would want to query with paths such as
 from __future__ import annotations
 
 import random
-from typing import List
 
 from ..xmltree import XmlDocument, XmlElement
 

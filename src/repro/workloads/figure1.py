@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..algebra.poly import Polynomial
 from ..algebra.quotient import FpQuotientRing, IntQuotientRing, default_int_modulus
-from ..algebra.rings import ZZ
 from ..core.mapping import TagMapping
 from ..xmltree import XmlDocument, XmlElement
 

@@ -16,7 +16,7 @@ generator exposes exactly those knobs so the benchmarks can sweep them:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..xmltree import XmlDocument, XmlElement
 

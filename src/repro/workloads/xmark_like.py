@@ -11,7 +11,6 @@ larger tag vocabulary and recursive-looking structures.
 from __future__ import annotations
 
 import random
-from typing import List
 
 from ..xmltree import XmlDocument, XmlElement
 

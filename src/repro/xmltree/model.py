@@ -12,7 +12,7 @@ whole substrate is built from scratch, as the reproduction brief requires.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["XmlElement", "XmlDocument", "TreeStatistics"]
 

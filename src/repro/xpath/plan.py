@@ -15,7 +15,7 @@ Wildcard steps contribute structure but no containment test.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..errors import QueryError
 from .ast import Axis, LocationPath, Step

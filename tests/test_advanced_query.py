@@ -6,11 +6,13 @@ from repro.baselines import PlaintextSearchIndex
 from repro.core import (
     AdvancedQueryExecutor,
     AdvancedStrategy,
+    LocalServerAdapter,
     QueryStats,
     choose_int_ring,
     outsource_document,
 )
-from repro.net import InstrumentedChannel, RemoteUpdatableTree, SearchServer
+from repro.errors import TagRecoveryError, VerificationError
+from repro.net import InstrumentedChannel, RemoteUpdatableTree, SearchServer, connect
 from repro.net.client import RemoteServerAdapter
 from repro.workloads import (
     CATALOG_QUERIES,
@@ -217,3 +219,99 @@ class TestQueryMemo:
                                                     stats=stats)
         assert zero_nodes == expected
         assert requests[0].node_ids == top and requests[0].include_children
+
+
+#: ``//client//city`` anchors client 1 (closure: 0, 1, 2, 3, 6, 9) in its
+#: first step, then address 3 and city 5 (closure: 3, 4, 5) in its
+#: second: street 4 is a row only the second step's anchor fetches.
+TAMPER_DOCUMENT = ("<customers><client><name/><address><street/><city/>"
+                   "</address></client><client><name/><phone/></client>"
+                   "<supplier><name/><city/></supplier></customers>")
+TAMPER_QUERY = "//client//city"
+
+
+def broken(row, p):
+    """``row`` with its ``x`` coefficient moved, so the node's polynomial
+    is no longer ``(x - t)`` times its children's product."""
+    row = list(row) + [0] * (2 - len(row))
+    row[1] = (row[1] + 1) % p
+    return row
+
+
+class TamperingLocalAdapter(LocalServerAdapter):
+    """The in-process server, serving one node's share row broken."""
+
+    def __init__(self, tree, node_id):
+        super().__init__(tree)
+        self.node_id = node_id
+
+    def fetch_polynomial_rows(self, node_ids):
+        rows = dict(super().fetch_polynomial_rows(node_ids))
+        if self.node_id in rows:
+            rows[self.node_id] = broken(rows[self.node_id], self.share_tree.ring.p)
+        return rows
+
+
+def tampering_session(tree, node_id):
+    """A :func:`~repro.net.connect` session whose server breaks
+    ``node_id``'s share row in every response, and the set of row ids
+    each response carried."""
+    server = SearchServer(tree)
+    handle = server.handle
+    served = []
+
+    def tampering_handle(message):
+        response = handle(message)
+        rows = getattr(response, "polynomials", None)
+        if rows:
+            served.append(set(rows))
+            response.polynomials = {
+                row_id: broken(row, tree.ring.p) if row_id == node_id else list(row)
+                for row_id, row in rows.items()}
+        return response
+
+    server.handle = tampering_handle
+    adapter, _ = connect(server)
+    return adapter, served
+
+
+class TestTamperedRows:
+    """FULL verification catches a broken share row in either anchor step
+    of an XPath, over the in-process server and over the wire, although
+    the second step recovers part of its closure from rows the first
+    step received."""
+
+    @pytest.fixture(scope="class")
+    def outsourced(self):
+        return outsource_document(parse_document(TAMPER_DOCUMENT), seed=b"tamper")
+
+    def test_the_steps_fetch_the_rows_the_cases_break(self, outsourced):
+        client, tree, _ = outsourced
+        adapter, served = tampering_session(tree, None)
+        assert client.xpath(adapter, TAMPER_QUERY).matches == [5]
+        first, *later = served
+        assert 1 in first
+        assert 4 in set().union(*later) - first
+
+    @pytest.mark.parametrize("transport", ["local", "connect"])
+    @pytest.mark.parametrize("node_id", [1, 4],
+                             ids=["first-step-row", "second-step-row"])
+    def test_a_broken_row_fails_the_xpath(self, outsourced, transport, node_id):
+        client, tree, _ = outsourced
+        adapter = (TamperingLocalAdapter(tree, node_id) if transport == "local"
+                   else tampering_session(tree, node_id)[0])
+        with pytest.raises(VerificationError):
+            client.xpath(adapter, TAMPER_QUERY)
+
+    @pytest.mark.parametrize("transport", ["local", "connect"])
+    def test_a_broken_row_fails_tag_recovery(self, outsourced, transport):
+        """``tag_of`` and ``tag_path_of`` raise :class:`VerificationError`
+        for a broken row, as a query does, from the
+        :class:`TagRecoveryError` of its reconstruction."""
+        client, tree, _ = outsourced
+        adapter = (TamperingLocalAdapter(tree, 1) if transport == "local"
+                   else tampering_session(tree, 1)[0])
+        for recover in (client.tag_of, client.tag_path_of):
+            with pytest.raises(VerificationError) as caught:
+                recover(adapter, 1)
+            assert isinstance(caught.value.__cause__, TagRecoveryError)

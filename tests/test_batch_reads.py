@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from repro.algebra.vkernels import VecFpKernel
 from repro.core import outsource_document
 from repro.errors import SharingError
 from repro.net import SQLiteShareStore, SearchServer
@@ -90,7 +91,11 @@ class TestCoefficientRows:
         # Warm part of the cache through the evaluation path first, so the
         # batch read mixes cached entries with loaded misses.
         store.evaluate_many(node_ids[:300], 3)
-        assert store.coefficient_rows(node_ids) == per_node_rows(store, node_ids)
+        rows = store.coefficient_rows(node_ids)
+        assert rows == per_node_rows(store, node_ids)
+        # Both stores serve the vectorized tier's rows as one int64 block.
+        vectorized = isinstance(store.ring.field.kernel(), VecFpKernel)
+        assert (rows.matrix is not None) == vectorized
 
     def test_rows_are_padded_to_the_degree_bound(self, store):
         rows = store.coefficient_rows(store.node_ids()[:50])

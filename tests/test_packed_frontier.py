@@ -191,7 +191,9 @@ class TestPackedCodec:
         ones once: no node enters two of its frontiers, no prune list
         repeats an id, and the answer is the plaintext one.  (The server
         still accepts repeated prune ids; the ``prune`` and ``frontier``
-        properties in ``tests/test_properties_protocol.py`` send them.)"""
+        properties in ``tests/test_properties_protocol.py`` send them.)
+        The two anchor steps' Theorem-1/2 closures overlap, and no share
+        row is served twice in the query."""
         document = generate_random_document(RandomXmlConfig(
             element_count=20, tag_vocabulary_size=3, max_depth=8, seed=0))
         assert any(ancestor.tag == "tag2"
@@ -200,10 +202,14 @@ class TestPackedCodec:
         client, tree, _ = outsource_document(document, seed=b"nested-prunes")
         server = SearchServer(tree)
         requests = []
+        served_rows = []
 
         def handler(message):
             requests.append(message)
-            return server.handle(message)
+            response = server.handle(message)
+            if isinstance(response, FrontierResponse):
+                served_rows.extend(response.polynomials)
+            return response
 
         engine = client.engine(
             RemoteServerAdapter(InstrumentedChannel(handler), tree.ring))
@@ -233,6 +239,7 @@ class TestPackedCodec:
                                                               "prune")]
         assert any(prunes)
         assert all(len(ids) == len(set(ids)) for ids in prunes)
+        assert served_rows and len(served_rows) == len(set(served_rows))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -12,7 +12,12 @@ from repro.core import (
     outsource_document,
 )
 from repro.errors import MappingCapacityError
-from repro.workloads import figure1_document, generate_catalog_document
+from repro.workloads import (
+    RandomXmlConfig,
+    figure1_document,
+    generate_catalog_document,
+    generate_random_document,
+)
 
 
 class TestRingChoice:
@@ -93,11 +98,26 @@ class TestClientContext:
         assert client.tag_path_of(server_tree, 0) == "customers"
 
     def test_tag_path_via_remote_adapter(self, paper_document):
-        from repro.net import connect_in_process
+        """Over a session the structure is walked from the root once, up
+        to the node's level, and the path's tags come in one closure
+        fetch: at most depth + 2 round trips."""
+        from repro.net import SearchServer, connect, connect_in_process
 
         client, server_tree, _ = outsource_document(paper_document, seed=b"paths")
         adapter, _, _ = connect_in_process(server_tree)
         assert client.tag_path_of(adapter, 4) == "customers/client/name"
+
+        document = generate_random_document(RandomXmlConfig(
+            element_count=200, tag_vocabulary_size=6, max_depth=9, seed=4))
+        client, server_tree, _ = outsource_document(document, seed=b"deep-path")
+        deepest = max(server_tree.node_ids(), key=server_tree.depth_of)
+        depth = server_tree.depth_of(deepest)
+        assert depth >= 6
+        adapter, channel = connect(SearchServer(server_tree))
+        before = channel.stats.round_trips
+        assert client.tag_path_of(adapter, deepest) == \
+            client.tag_path_of(server_tree, deepest)
+        assert channel.stats.round_trips - before <= depth + 2
 
     def test_adapt_accepts_adapter_and_tree(self, paper_document):
         from repro.core import LocalServerAdapter
