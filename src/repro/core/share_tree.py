@@ -565,6 +565,16 @@ class CoefficientRows(Mapping):
             return self.matrix[:, 0].tolist()
         return [row[0] for row in self._rows]
 
+    def keyed(self, ids: Sequence[int]) -> "CoefficientRows":
+        """The same rows, in the same order, keyed by ``ids`` (one per row)."""
+        return CoefficientRows(ids, self.width, self.matrix, self._rows)
+
+    def flat(self) -> Any:
+        """Every coefficient, row after row: the matrix's flat view, or a list."""
+        if self.matrix is not None:
+            return self.matrix.ravel()
+        return [value for row in self._rows for value in row]
+
     def matrix_rows(self, node_ids: Sequence[int]) -> Any:
         """The rows of ``node_ids`` (each held here) as one int64 block,
         in that order; for blocks whose ``matrix`` is set."""

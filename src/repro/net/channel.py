@@ -200,7 +200,7 @@ class InstrumentedChannel:
         with self._stats_lock:
             self.stats.record_response(len(encoded_response))
             self.transcript.append((server_view.kind, response.kind))
-        decoded = decode_message(encoded_response)
+        decoded = decode_message(encoded_response, request_bytes=len(encoded))
         if isinstance(decoded, BusyResponse):
             raise ServerBusyError(
                 f"the server shed the {message.kind!r} request "
@@ -302,7 +302,7 @@ class SocketChannel:
             length = decode_frame_length(header, self.max_frame_bytes)
             payload = self._recv_exactly(length)
             self.stats.record_response(len(payload))
-            response = decode_message(payload)
+            response = decode_message(payload, request_bytes=len(encoded))
             self.transcript.append((message.kind, response.kind))
         if isinstance(response, BusyResponse):
             raise ServerBusyError(

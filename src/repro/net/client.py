@@ -43,6 +43,7 @@ from .messages import (
     SUPPORTED_PROTOCOL_VERSIONS,
     BlobRequest,
     BlobResponse,
+    BoundFrontier,
     ConflictResponse,
     ErrorResponse,
     FrontierRequest,
@@ -57,7 +58,6 @@ from .messages import (
     StatsResponse,
     UpdateRequest,
     UpdateResponse,
-    require_nodes,
 )
 from .server import SearchServer
 
@@ -123,13 +123,10 @@ class RemoteServerAdapter(ServerInterface):
         return self._structure_summary()[1]
 
     def children_of(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        children = self._frontier(node_ids, include_children=True).children
-        require_nodes(children, node_ids, "child list")
-        return children
+        return self._frontier(node_ids, include_children=True).children
 
     def evaluate(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        response = self._frontier(node_ids, [point])
-        return response.checked_evaluations(node_ids, [point])[point]
+        return self._frontier(node_ids, [point]).evaluations[point]
 
     def fetch_polynomials(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
         return {node_id: self.ring.from_coefficients(row)
@@ -138,14 +135,10 @@ class RemoteServerAdapter(ServerInterface):
     def fetch_polynomial_rows(self, node_ids: Sequence[int]
                               ) -> Mapping[int, Sequence[int]]:
         """The decoded coefficient rows, with no polynomial per node."""
-        rows = self._frontier(fetch_polynomials=node_ids).polynomials
-        require_nodes(rows, node_ids, "share row")
-        return rows
+        return self._frontier(fetch_polynomials=node_ids).polynomials
 
     def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
-        constants = self._frontier(fetch_constants=node_ids).constants
-        require_nodes(constants, node_ids, "constant")
-        return constants
+        return self._frontier(fetch_constants=node_ids).constants
 
     def prune(self, node_ids: Sequence[int]) -> None:
         # Buffered: the ids ride along with the next request.
@@ -162,37 +155,41 @@ class RemoteServerAdapter(ServerInterface):
                   include_children: bool = False,
                   fetch_polynomials: Sequence[int] = (),
                   fetch_constants: Sequence[int] = (),
-                  lookahead: int = 0) -> FrontierResponse:
+                  lookahead: int = 0) -> BoundFrontier:
+        """One frontier exchange, its answer bound to the request it answers.
+
+        Each point is sent once.  Binding checks every section's length
+        against the request's layout, so a server that omits or adds an
+        entry raises :class:`~repro.errors.ProtocolError` naming the
+        section.
+        """
         request = FrontierRequest(
-            node_ids, points, prune=self._take_prunes(),
+            node_ids, list(dict.fromkeys(points)), prune=self._take_prunes(),
             include_children=include_children,
             fetch_polynomials=fetch_polynomials,
             fetch_constants=fetch_constants, lookahead=lookahead)
-        return self._request(request, FrontierResponse)
+        return self._request(request, FrontierResponse).bind(request)
 
     def frontier_round(self, node_ids: Sequence[int], points: Sequence[int],
                        prune: Sequence[int] = (), include_children: bool = True,
                        lookahead: int = 0) -> FrontierResult:
         self._pending_prune.extend(prune)
-        response = self._frontier(node_ids, points,
-                                  include_children=include_children,
-                                  lookahead=lookahead)
-        if include_children:
-            require_nodes(response.children, node_ids, "child list")
-        return FrontierResult(response.checked_evaluations(node_ids, points),
-                              response.children, round_trips=1)
+        answer = self._frontier(node_ids, points,
+                                include_children=include_children,
+                                lookahead=lookahead)
+        return FrontierResult(answer.evaluations, answer.children,
+                              round_trips=1)
 
     def verification_bundle(self, node_ids: Sequence[int],
                             constants_only: bool = False
                             ) -> Tuple[Dict[int, List[int]], Mapping[int, object], int]:
         if constants_only:
-            response = self._frontier(include_children=True,
-                                      fetch_constants=node_ids)
-        else:
-            response = self._frontier(include_children=True,
-                                      fetch_polynomials=node_ids)
-        children, data = response.checked_closure(node_ids, constants_only)
-        return children, data, 1
+            answer = self._frontier(include_children=True,
+                                    fetch_constants=node_ids)
+            return answer.children, answer.constants, 1
+        answer = self._frontier(include_children=True,
+                                fetch_polynomials=node_ids)
+        return answer.children, answer.polynomials, 1
 
     # -- updates --------------------------------------------------------------------
     def apply_update(self, request: UpdateRequest) -> UpdateResponse:

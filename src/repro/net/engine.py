@@ -33,6 +33,7 @@ import contextlib
 import threading
 import time
 from collections import Counter, OrderedDict
+from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.share_tree import CoefficientRows, ShareStore
@@ -66,6 +67,7 @@ from .messages import (
     UpdateRequest,
     UpdateResponse,
     decode_message,
+    frontier_layout,
 )
 
 __all__ = [
@@ -385,7 +387,7 @@ class ServingCore:
             if encoded is None:
                 return None
             self._idempotent.move_to_end(key)
-        return decode_message(encoded)
+        return decode_message(encoded, request_bytes=message.byte_size())
 
     def _idempotent_store(self, message: Message, response: Message) -> None:
         if message.request_id is None or not self._idempotency_cache_size:
@@ -734,9 +736,6 @@ class ServingCore:
         detail = self.health()
         return HealthResponse(detail.pop("status"), detail)
 
-    #: Hard ceiling on speculative evaluation depth per exchange.
-    MAX_LOOKAHEAD = 4
-
     def _frontier_batch_locked(self, document: HostedDocument,
                                messages: Sequence[FrontierRequest]
                                ) -> List[FrontierResponse]:
@@ -769,124 +768,65 @@ class ServingCore:
                                 ) -> List[FrontierResponse]:
         """Answer frontier requests whose nodes the store holds.
 
-        Child lists are read set-at-a-time: one store read per lookahead
-        level across every request, and one more for the child lists the
-        responses and verification closures still need.  Share evaluations
-        run once per (node, point) per batch and each fetch is one batch
-        share read; each request's response is then sliced out of the
-        union passes.
+        Each response follows its request's :func:`frontier_layout`,
+        whose child lists come through one cache per batch: one store
+        read per layout level for the nodes the batch has not read yet.
+        Share evaluations run once per (node, point) per batch and each
+        fetch is one batch share read; each request's response is then
+        sliced out of the union passes.
         """
         store = document.store
         child_cache: Dict[int, List[int]] = {}
 
-        def read_children(node_ids: List[int]) -> None:
+        def child_lists(node_ids: List[int]) -> List[List[int]]:
             missing = [node_id for node_id in node_ids
                        if node_id not in child_cache]
             if missing:
                 child_cache.update(store.child_lists(missing))
+            return list(map(child_cache.__getitem__, node_ids))
 
-        # Pass 1: prune notices, then the speculative expansion of every
-        # request's frontier (the requested nodes plus up to ``lookahead``
-        # further levels of the induced subtree), level by level.  A node
-        # the frontier already holds is not expanded again: a frontier
-        # that lists a node and its parent evaluates the node once, and
-        # its own listing already reaches deeper below it.
+        # Pass 1: prune notices, then every request's layout: its frontier
+        # plus up to ``lookahead`` further levels, the listed child lists
+        # and the fetched nodes.
         for message in messages:
             if message.prune:
                 self._observe_prune(document, message.prune)
-        frontiers = [list(message.node_ids) for message in messages]
-        levels = [list(message.node_ids) for message in messages]
-        depths = [min(max(message.lookahead, 0), self.MAX_LOOKAHEAD)
-                  for message in messages]
-        held = [set(message.node_ids) for message in messages]
-        for depth in range(max(depths, default=0)):
-            active = [index for index, level in enumerate(levels)
-                      if level and depth < depths[index]]
-            if not active:
-                break
-            read_children([node_id for index in active
-                           for node_id in levels[index]])
-            for index in active:
-                seen = held[index]
-                level = [child for node_id in levels[index]
-                         for child in child_cache[node_id]
-                         if child not in seen]
-                seen.update(level)
-                levels[index] = level
-                frontiers[index] = frontiers[index] + level
+        layouts = [frontier_layout(message, child_lists) for message in messages]
 
         # Pass 2: the coalesced evaluation — one batched store pass per
-        # distinct query point over the union of every request's frontier.
-        point_nodes: Dict[int, set] = {}
-        for message, frontier_nodes in zip(messages, frontiers):
+        # distinct query point over the union of every request's expansion.
+        point_nodes: Dict[int, Dict[int, None]] = {}
+        for message, layout in zip(messages, layouts):
             for point in message.points:
-                point_nodes.setdefault(point, set()).update(frontier_nodes)
-        point_values: Dict[int, Dict[int, int]] = {}
-        for point in sorted(point_nodes):
-            point_values[point] = store.evaluate_many(
-                sorted(point_nodes[point]), point)
+                point_nodes.setdefault(point, {}).update(
+                    dict.fromkeys(layout.expansion))
+        point_values = {point: store.evaluate_many(list(node_ids), point)
+                        for point, node_ids in point_nodes.items()}
 
-        # Pass 3: the remaining child lists in one read, then each
-        # request's response sliced out of the union passes.  With
-        # ``include_children`` a fetch answers for the listed nodes plus
-        # all their children (the Theorem-1/2 closure); without it the
-        # fetch is exact.
-        read_children([node_id
-                       for message, frontier_nodes in zip(messages, frontiers)
-                       if message.include_children
-                       for node_id in (frontier_nodes
-                                       + list(message.fetch_polynomials)
-                                       + list(message.fetch_constants))])
+        # Pass 3: each request's response, in its layout's orders.
         responses: List[FrontierResponse] = []
-        for message, frontier_nodes in zip(messages, frontiers):
-            evaluations: Dict[int, Dict[int, int]] = {}
+        for message, layout in zip(messages, layouts):
+            expansion = layout.expansion
             for point in message.points:
-                self._observe_points(document, point, frontier_nodes)
-                values = point_values[point]
-                evaluations[point] = {node_id: values[node_id]
-                                      for node_id in frontier_nodes}
-            children: Dict[int, List[int]] = {}
-            if message.include_children:
-                for node_id in frontier_nodes:
-                    children[node_id] = child_cache[node_id]
-            polynomials: Optional[CoefficientRows] = None
-            if message.fetch_polynomials:
-                fetched = self._fetch_ids(message.fetch_polynomials,
-                                          message.include_children,
-                                          child_cache, children)
-                self._observe_served(document, "polynomials_served", fetched)
-                polynomials = store.coefficient_rows(fetched)
-            constants: Dict[int, int] = {}
-            if message.fetch_constants:
-                fetched = self._fetch_ids(message.fetch_constants,
-                                          message.include_children,
-                                          child_cache, children)
-                self._observe_served(document, "constants_served", fetched)
-                rows = store.coefficient_rows(fetched)
-                constants = dict(zip(rows.ids, rows.constant_terms()))
-            responses.append(FrontierResponse(evaluations, children,
-                                              polynomials, constants))
+                self._observe_points(document, point, expansion)
+            points = sorted(message.points) if expansion else []
+            values = [list(map(point_values[point].__getitem__, expansion))
+                      for point in points]
+            rows: Optional[CoefficientRows] = None
+            if layout.polynomials:
+                self._observe_served(document, "polynomials_served",
+                                     layout.polynomials)
+                rows = store.coefficient_rows(layout.polynomials)
+            constants: List[int] = []
+            if layout.constants:
+                self._observe_served(document, "constants_served",
+                                     layout.constants)
+                constants = store.coefficient_rows(
+                    layout.constants).constant_terms()
+            responses.append(FrontierResponse(
+                points, values, list(map(len, layout.children)),
+                list(chain.from_iterable(layout.children)), rows, constants))
         return responses
-
-    @staticmethod
-    def _fetch_ids(node_ids: List[int], include_children: bool,
-                   child_cache: Dict[int, List[int]],
-                   children: Dict[int, List[int]]) -> List[int]:
-        """The sorted node ids a fetch answers for.
-
-        With ``include_children`` that is the requested nodes plus all
-        their children (Theorem-1/2 inputs), and the child lists are folded
-        into the response's ``children`` map so the client learns the
-        structure in the same exchange.
-        """
-        if not include_children:
-            return sorted(set(node_ids))
-        closure = set()
-        for node_id in node_ids:
-            child_ids = children.setdefault(node_id, child_cache[node_id])
-            closure.add(node_id)
-            closure.update(child_ids)
-        return sorted(closure)
 
     def _handle_prune(self, document: HostedDocument,
                       message: PruneNotice) -> Acknowledgement:

@@ -14,12 +14,15 @@ session loudly.  Then:
 * :class:`FrontierRequest`/:class:`FrontierResponse` carry a whole §4.3
   descent round in one exchange — share evaluations at the query points,
   child lists, verification fetches and piggybacked prune notices — so a
-  lookup costs O(depth) round trips.  Every numeric section of the
-  response (the expanded frontier's node ids and one value vector per
-  point, the child lists, the fetched share rows, the constants) and
-  every id list of the request travels as a raw :mod:`repro.net.pages`
-  limb blob in the message's binary tail; :class:`PruneNotice` delivers
-  prune notices no later request carried.
+  lookup costs O(depth) round trips.  Every id list of the request and
+  every numeric section of the response (one value vector per point, the
+  child counts and child ids, the fetched share rows, the constants)
+  travels as a raw :mod:`repro.net.pages` limb blob in the message's
+  binary tail.  The response names no node: its sections are positional,
+  in the orders :func:`frontier_layout` derives from the request, and
+  :meth:`FrontierResponse.bind` keys them by node id again on the
+  client.  :class:`PruneNotice` delivers prune notices no later request
+  carried.
 * :class:`UpdateRequest` carries one whole mutation batch (the ops
   recorded by a :class:`~repro.core.share_tree.StoreTransaction`, in wire form)
   plus the client's base version vector over every node the batch
@@ -71,7 +74,8 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (AbstractSet, Any, Callable, Dict, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from ..core.query import CoefficientRows
 from ..errors import ProtocolError
@@ -90,6 +94,7 @@ from .pages import (
 __all__ = [
     "PROTOCOL_VERSION",
     "SUPPORTED_PROTOCOL_VERSIONS",
+    "MAX_LOOKAHEAD",
     "MAX_PACKED_VALUES",
     "REQUEST_KINDS",
     "Message",
@@ -97,6 +102,9 @@ __all__ = [
     "HelloResponse",
     "FrontierRequest",
     "FrontierResponse",
+    "FrontierLayout",
+    "BoundFrontier",
+    "frontier_layout",
     "PruneNotice",
     "UpdateRequest",
     "UpdateResponse",
@@ -110,15 +118,18 @@ __all__ = [
     "HealthResponse",
     "BlobRequest",
     "BlobResponse",
-    "require_nodes",
     "decode_message",
 ]
 
 #: Newest protocol generation this build speaks.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: Every generation this build can serve (negotiated in the hello exchange).
 SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_VERSION,)
+
+#: Most tree levels a frontier request may ask the server to speculate
+#: below its frontier.
+MAX_LOOKAHEAD = 4
 
 #: Most values one message's tail may announce, summed over its blobs.
 #: Checked from each blob's header before the blob is decoded, together
@@ -128,7 +139,10 @@ MAX_PACKED_VALUES = MAX_FRAME_BYTES
 
 #: Most values a message may announce per byte of its encoding: a 1-bit
 #: limb packs eight to a byte.  Whatever a sender's blob headers claim,
-#: what a message decodes to then stays proportional to its size.
+#: what a message decodes to then stays proportional to its size.  A
+#: response's sections are positional over the nodes its request named,
+#: so the bytes of that request count too: a level of leaves answers with
+#: a width-0 blob of child counts, one zero per node the request sent.
 VALUES_PER_MESSAGE_BYTE = 8
 
 
@@ -346,6 +360,13 @@ class FrontierRequest(Message):
     head.  A head that still carries an id list (the v4 form) is
     refused, so an old client fails loudly instead of asking for an empty
     frontier.
+
+    The answer's shape follows from the request (:func:`frontier_layout`),
+    so a request that would leave it open is refused with
+    :class:`ProtocolError` when it is built or decoded: a ``lookahead``
+    outside 0..:data:`MAX_LOOKAHEAD`, a ``lookahead`` without child lists
+    (the client derives the speculated levels from them) and a point that
+    repeats.
     """
 
     kind = "frontier"
@@ -363,6 +384,16 @@ class FrontierRequest(Message):
         self.fetch_polynomials = list(fetch_polynomials)
         self.fetch_constants = list(fetch_constants)
         self.lookahead = int(lookahead)
+        if not 0 <= self.lookahead <= MAX_LOOKAHEAD:
+            raise ProtocolError(
+                f"field 'lookahead' must lie in 0..{MAX_LOOKAHEAD}, not "
+                f"{self.lookahead}")
+        if self.lookahead and not self.include_children:
+            raise ProtocolError(
+                "field 'lookahead' needs child lists: a request with "
+                "'children' false cannot speculate")
+        if len(set(self.points)) != len(self.points):
+            raise ProtocolError("field 'points' repeats a point")
 
     def payload(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {"points": self.points,
@@ -382,7 +413,7 @@ class FrontierRequest(Message):
         # separate steps of one query may prune the same node, and older
         # clients repeat ids within a step.  The lists it expands or
         # fetches may not repeat.
-        lists = {name: tail.ints() if name == "prune" else tail.distinct(name)
+        lists = {name: tail.ints(name) if name == "prune" else tail.distinct(name)
                  for name in cls.SECTIONS if name in tail}
         return cls(lists.get("node_ids", []), _int_list_field(body, "points"),
                    lists.get("prune", []), _bool_field(body, "children", True),
@@ -391,33 +422,19 @@ class FrontierRequest(Message):
                    _int_field(body, "lookahead", 0))
 
 
-def require_nodes(mapping: Mapping[int, Any], node_ids: Sequence[int],
-                  what: str) -> None:
-    """Raise :class:`ProtocolError` naming the first node ``mapping`` lacks.
-
-    Clients check every section of an untrusted response before indexing
-    it, so a server that omits a node fails as a protocol error (which
-    callers handle) instead of a ``KeyError`` deep inside the query engine.
-    """
-    for node_id in node_ids:
-        if node_id not in mapping:
-            raise ProtocolError(
-                f"the server's response omits the {what} of node {node_id}")
-
-
 def _only_fields(body: Dict[str, Any], allowed: Sequence[str],
                  kind: str) -> None:
     """Refuse head fields a sectioned kind does not have.
 
     The v4 forms of these kinds carried their numbers in JSON fields that
-    v5 moved into the tail; refusing them keeps an old peer from being
-    read as an empty message.
+    later generations carry in the tail; refusing them keeps an old peer
+    from being read as an empty message.
     """
     for field in body:
         if field not in allowed:
             raise ProtocolError(
                 f"unexpected field {field!r} in the head of a {kind!r} "
-                "message (protocol v5 carries numeric sections in the "
+                "message (protocol v6 carries numeric sections in the "
                 "binary tail)")
 
 
@@ -428,29 +445,31 @@ class _Tail:
     kind's canonical order.  Every blob's header is validated, its extent
     held to the tail and its count to the message's value budget (at most
     :data:`MAX_PACKED_VALUES`, and :data:`VALUES_PER_MESSAGE_BYTE` per byte
-    of the message) before the blob is decoded.
+    of the message and of the ``request_bytes`` it answers) before the
+    blob is decoded.
     """
 
-    def __init__(self, data: memoryview, start: int, names: Sequence[str]) -> None:
+    def __init__(self, data: memoryview, start: int, names: Sequence[str],
+                 request_bytes: int = 0) -> None:
         self.data = data
         self.offset = start
         self.names = names
-        self.budget = min(MAX_PACKED_VALUES,
-                          VALUES_PER_MESSAGE_BYTE * len(data))
+        self.budget = min(MAX_PACKED_VALUES, VALUES_PER_MESSAGE_BYTE
+                          * (len(data) + request_bytes))
         self.remaining = self.budget
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
 
-    def blob(self, count: Optional[int] = None) -> memoryview:
-        """The next blob, checking its limb count when given."""
+    def blob(self, section: str, count: Optional[int] = None) -> memoryview:
+        """The next blob, of ``section``, checking its limb count when given."""
         if self.offset >= len(self.data):
             raise ProtocolError(
                 "the binary tail ends before the sections its head names")
         _, _, announced, end = blob_extent(self.data, self.offset)
         if count is not None and announced != count:
             raise ProtocolError(
-                f"packed section holds {announced} values where {count} "
+                f"the packed {section} hold {announced} values where {count} "
                 "are due")
         if announced > self.remaining:
             raise ProtocolError(
@@ -460,8 +479,8 @@ class _Tail:
         self.offset = end
         return blob
 
-    def ints(self, count: Optional[int] = None) -> List[int]:
-        return decode_int_vector(self.blob(count))
+    def ints(self, section: str, count: Optional[int] = None) -> List[int]:
+        return decode_int_vector(self.blob(section, count))
 
     def distinct(self, section: str) -> List[int]:
         """Node ids of a request section: each once, in the sender's order.
@@ -470,24 +489,9 @@ class _Tail:
         repeat would cost it work per value announced rather than per
         byte: a width-0 blob lists node 0 any number of times in ten bytes.
         """
-        ids = self.ints()
+        ids = self.ints(section)
         if len(set(ids)) != len(ids):
             raise ProtocolError(f"node ids repeat in the packed {section}")
-        return ids
-
-    def ids(self, section: str) -> List[int]:
-        """Node ids of a packed section: ascending, each once, non-negative."""
-        ids = self.ints()
-        previous = -1
-        for node_id in ids:
-            if node_id <= previous:
-                if node_id < 0:
-                    raise ProtocolError(
-                        f"negative node id {node_id} in the packed {section}")
-                raise ProtocolError(
-                    f"node id {node_id} repeats or is out of order in the "
-                    f"packed {section}")
-            previous = node_id
         return ids
 
     def finish(self) -> None:
@@ -516,184 +520,269 @@ def _section_names(body: Dict[str, Any], cls: type) -> List[str]:
     return names
 
 
+class FrontierLayout(NamedTuple):
+    """Where each entry of a ``frontier-ok``'s positional sections belongs.
+
+    :func:`frontier_layout` derives it from the request, the same way on
+    both sides of the wire:
+
+    * ``expansion`` — the evaluated nodes, the order of every point's
+      values: the request's ``node_ids`` as sent, then each lookahead
+      level's new children in sibling order;
+    * ``parents`` and ``children`` — the nodes whose child lists the
+      answer carries, in the order of the child counts, and those lists:
+      the expansion (with child lists asked for), then each fetched node
+      not yet listed;
+    * ``polynomials`` and ``constants`` — the fetched nodes, the order of
+      the share rows and of the constants: as sent for an exact fetch, in
+      closure order (each fetched node, then its children not yet named)
+      with child lists.
+    """
+
+    expansion: List[int]
+    parents: List[int]
+    children: List[Sequence[int]]
+    polynomials: List[int]
+    constants: List[int]
+
+
+def frontier_layout(request: FrontierRequest,
+                    child_lists: Callable[[List[int]], List[Sequence[int]]]
+                    ) -> FrontierLayout:
+    """The orders of the answer to ``request`` (see :class:`FrontierLayout`).
+
+    ``child_lists`` returns the child lists of the nodes it is given, in
+    their order.  It is asked for each listed parent once, in the order
+    the answer carries them, so the server reads them from its store and
+    the client off the answer's child counts and child ids as it goes.
+    The expansion skips a child the frontier already holds, so a frontier
+    that lists a node and its parent evaluates the node once.
+    """
+    expansion = list(request.node_ids)
+    parents: List[int] = []
+    lists: List[Sequence[int]] = []
+    polynomials = request.fetch_polynomials
+    constants = request.fetch_constants
+    if request.include_children:
+        held = set(expansion)
+        level = expansion
+        for depth in range(request.lookahead + 1):
+            if not level:
+                break
+            level_lists = child_lists(level)
+            parents += level
+            lists += level_lists
+            if depth < request.lookahead:
+                level = [child for child_ids in level_lists for child in child_ids
+                         if child not in held]
+                held.update(level)
+                expansion += level
+        fetched = [node_id for node_id in dict.fromkeys(polynomials + constants)
+                   if node_id not in held]
+        if fetched:
+            parents += fetched
+            lists += child_lists(fetched)
+        if polynomials or constants:
+            by_parent = dict(zip(parents, lists))
+            polynomials = _closure(polynomials, by_parent)
+            constants = _closure(constants, by_parent)
+    return FrontierLayout(expansion, parents, lists, list(polynomials),
+                          list(constants))
+
+
+def _closure(node_ids: List[int], children: Mapping[int, Sequence[int]]
+             ) -> List[int]:
+    """Each of ``node_ids``, then its children not yet named."""
+    return list(dict.fromkeys(chain.from_iterable(
+        (node_id, *children[node_id]) for node_id in node_ids)))
+
+
+class BoundFrontier(NamedTuple):
+    """A ``frontier-ok``'s sections keyed by node id (:meth:`FrontierResponse.bind`).
+
+    ``evaluations`` maps every point of the request to ``node_id ->
+    server share evaluation``, ``children`` every listed parent to its
+    child list, ``polynomials`` every fetched node to its share row (one
+    :class:`~repro.core.share_tree.CoefficientRows` block) and
+    ``constants`` every fetched node to its constant term.
+    """
+
+    evaluations: Dict[int, Dict[int, int]]
+    children: Dict[int, Sequence[int]]
+    polynomials: Mapping[int, Sequence[int]]
+    constants: Dict[int, int]
+
+
+def _check_length(section: str, held: int, due: int) -> None:
+    if held != due:
+        raise ProtocolError(
+            f"the response's {section} hold {held} entries where its "
+            f"request's layout has {due}")
+
+
 class FrontierResponse(Message):
     """Everything a descent round needs, in one message.
 
     Every number travels in the binary tail as :mod:`repro.net.pages`
-    limb blobs, in canonical order — sections in :attr:`SECTIONS` order,
-    points ascending, node ids ascending and each once, child lists in
-    stored sibling order — so equal responses encode to equal bytes:
+    limb blobs, sections in :attr:`SECTIONS` order.  No section names a
+    node: each is positional, in an order of the request's
+    :class:`FrontierLayout`, so equal requests get equal bytes:
 
-    * ``evaluations``: the ids of the expanded frontier, shared by every
-      point, then one value blob per point of the head's ``points``;
-    * ``children``: parents, counts and the concatenated child ids;
-    * ``polynomials``: ids, then one row-major blob of rows of the head's
-      ``width``, at the narrowest limb width;
-    * ``constants``: ids and values.
+    * ``evaluations``: one value blob per point of the head's ``points``
+      (the request's, ascending), each in expansion order;
+    * ``children``: the child counts of the listed parents, then their
+      child ids concatenated, each list in stored sibling order;
+    * ``polynomials``: one row-major blob of rows of the head's
+      ``width``, at the narrowest limb width, in fetch or closure order;
+    * ``constants``: one value per fetched node, in the same orders.
 
-    Empty sections are left out.  Share rows decode to one
-    :class:`~repro.core.share_tree.CoefficientRows` block.  Decoding validates:
-    a corrupt blob, a blob that runs past the tail, bytes after the last
-    section, a count that does not match its ids, negative or repeated ids
-    and blobs announcing more values than the budget raise
-    :class:`ProtocolError`.
+    Empty sections are left out.  Decoding checks each blob and what the
+    blobs must agree on among themselves (one value count at every
+    point, summed counts vs child ids, whole rows); :meth:`bind` checks
+    every section's length against the request and keys it by node id.
+    Until then the share rows are keyed by their position.
     """
 
     kind = "frontier-ok"
     SECTIONS = ("evaluations", "children", "polynomials", "constants")
 
-    def __init__(self, evaluations: Dict[int, Dict[int, int]],
-                 children: Dict[int, List[int]],
-                 polynomials: Optional[Mapping[int, Sequence[int]]] = None,
-                 constants: Optional[Dict[int, int]] = None) -> None:
-        #: ``point -> node_id -> server share evaluation``.
-        self.evaluations = evaluations
-        self.children = children
-        self.polynomials = {} if polynomials is None else polynomials
-        self.constants = {} if constants is None else constants
+    def __init__(self, points: Sequence[int] = (),
+                 values: Sequence[Sequence[int]] = (),
+                 child_counts: Sequence[int] = (),
+                 child_ids: Sequence[int] = (),
+                 rows: Optional[CoefficientRows] = None,
+                 constants: Sequence[int] = ()) -> None:
+        self.points = list(points)
+        #: One value vector per point, in expansion order.
+        self.values = list(values)
+        self.child_counts = child_counts
+        self.child_ids = child_ids
+        self.rows = rows
+        self.constants = constants
 
-    def checked_evaluations(self, node_ids: Sequence[int],
-                            points: Sequence[int]) -> Dict[int, Dict[int, int]]:
-        """The evaluations, after checking each point covers ``node_ids``."""
-        for point in points:
-            if point not in self.evaluations:
-                raise ProtocolError(
-                    f"the server's response omits the evaluations at point "
-                    f"{point}")
-            require_nodes(self.evaluations[point], node_ids,
-                          f"evaluation at point {point}")
-        return self.evaluations
+    def bind(self, request: FrontierRequest) -> BoundFrontier:
+        """The sections keyed by node id, after checking them against ``request``.
 
-    def checked_closure(self, node_ids: Sequence[int],
-                        constants_only: bool = False
-                        ) -> Tuple[Dict[int, List[int]], Mapping[int, Any]]:
-        """``(children, data)`` of a closure fetch for ``node_ids``.
-
-        Checks that every node has its child list and that ``data`` — the
-        constants, or the share rows — covers each node and child.
+        A section whose length differs from what the request's layout
+        gives it raises :class:`ProtocolError` naming the section, so a
+        server that omits or adds an entry fails as a protocol error
+        instead of a wrong answer or a ``KeyError`` in the query engine.
         """
-        require_nodes(self.children, node_ids, "child list")
-        children = {node_id: self.children[node_id] for node_id in node_ids}
-        data = self.constants if constants_only else self.polynomials
-        what = "constant" if constants_only else "share row"
-        require_nodes(data, node_ids, what)
-        for child_ids in children.values():
-            require_nodes(data, child_ids, what)
-        return children, data
+        counts, flat = self.child_counts, self.child_ids
+        read = [0, 0]       # child counts and child ids consumed so far
 
-    def _row_width(self) -> int:
-        rows = self.polynomials
-        if isinstance(rows, CoefficientRows):
-            return rows.width          # its rows are zero-padded to it
-        return max(len(rows[node_id]) for node_id in rows)
+        def child_lists(node_ids: List[int]) -> List[Sequence[int]]:
+            start, offset = read
+            end = start + len(node_ids)
+            if end > len(counts):
+                raise ProtocolError(
+                    f"the response's child counts hold {len(counts)} "
+                    "entries, fewer than its request's layout lists")
+            lists = []
+            for count in counts[start:end]:
+                lists.append(flat[offset:offset + count])
+                offset += count
+            read[:] = [end, offset]
+            return lists
+
+        layout = frontier_layout(request, child_lists)
+        _check_length("child counts", len(counts), read[0])
+        _check_length("child ids", len(flat), read[1])
+        expansion = layout.expansion
+        asked = sorted(request.points) if expansion else []
+        if self.points != asked or len(self.values) != len(asked):
+            raise ProtocolError(
+                f"the response's evaluations answer points {self.points} "
+                f"where its request's layout asks for {asked}")
+        evaluations = {point: {} for point in request.points}
+        for point, values in zip(asked, self.values):
+            _check_length(f"evaluations at point {point}", len(values),
+                          len(expansion))
+            evaluations[point] = dict(zip(expansion, values))
+        rows: Mapping[int, Sequence[int]] = {}
+        if self.rows is not None or layout.polynomials:
+            _check_length("share rows", 0 if self.rows is None
+                          else len(self.rows), len(layout.polynomials))
+            rows = self.rows.keyed(layout.polynomials)
+        _check_length("constants", len(self.constants), len(layout.constants))
+        return BoundFrontier(evaluations, dict(zip(layout.parents,
+                                                   layout.children)),
+                             rows, dict(zip(layout.constants, self.constants)))
 
     def payload(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {}
-        if self.evaluations:
-            body["points"] = sorted(self.evaluations)
-        if self.polynomials:
-            body["width"] = self._row_width()
+        if self.points:
+            body["points"] = self.points
+        if self.rows:
+            body["width"] = self.rows.width
         return body
 
     def sections(self) -> Dict[str, List[bytes]]:
         sections: Dict[str, List[bytes]] = {}
-        if self.evaluations:
-            points = sorted(self.evaluations)
-            ids = sorted(set().union(*self.evaluations.values()))
-            blobs = [encode_int_vector(ids)]
-            for point in points:
-                by_node = self.evaluations[point]
-                if len(by_node) != len(ids):
-                    raise ProtocolError(
-                        "packed evaluations must cover the same nodes at "
-                        "every point")
-                blobs.append(encode_int_vector(list(map(by_node.__getitem__,
-                                                        ids))))
-            sections["evaluations"] = blobs
-        if self.children:
-            parents = sorted(self.children)
-            lists = list(map(self.children.__getitem__, parents))
-            sections["children"] = [
-                encode_int_vector(parents),
-                encode_int_vector(list(map(len, lists))),
-                encode_int_vector(list(chain.from_iterable(lists)))]
-        if self.polynomials:
-            rows = self.polynomials
-            ids = sorted(rows)
-            if isinstance(rows, CoefficientRows) and rows.matrix is not None:
-                matrix = rows.matrix
-                if ids != rows.ids:
-                    matrix = matrix[sorted(range(len(rows.ids)),
-                                           key=rows.ids.__getitem__)]
-                flat = matrix.ravel()
-            else:
-                width = self._row_width()
-                flat = []
-                for node_id in ids:
-                    row = list(rows[node_id])
-                    flat.extend(row)
-                    flat.extend([0] * (width - len(row)))
-            sections["polynomials"] = [encode_int_vector(ids),
-                                       encode_coefficients_array(flat)]
+        if self.points:
+            sections["evaluations"] = list(map(encode_int_vector, self.values))
+        if self.child_counts:
+            sections["children"] = [encode_int_vector(self.child_counts),
+                                    encode_int_vector(self.child_ids)]
+        if self.rows:
+            sections["polynomials"] = [encode_coefficients_array(
+                self.rows.flat())]
         if self.constants:
-            ids = sorted(self.constants)
-            sections["constants"] = [
-                encode_int_vector(ids),
-                encode_int_vector(list(map(self.constants.__getitem__, ids)))]
+            sections["constants"] = [encode_int_vector(self.constants)]
         return sections
 
     @classmethod
     def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "FrontierResponse":
         _only_fields(body, ("points", "width"), cls.kind)
-        evaluations: Dict[int, Dict[int, int]] = {}
+        points: List[int] = []
+        values: List[List[int]] = []
         if "evaluations" in tail:
             points = _int_list_field(body, "points")
-            if any(a >= b for a, b in zip(points, points[1:])):
+            if not points or any(a >= b for a, b in zip(points, points[1:])):
                 raise ProtocolError("field 'points' must be ascending, each "
-                                    "point once")
-            ids = tail.ids("evaluation ids")
-            for point in points:
-                evaluations[point] = dict(zip(ids, tail.ints(len(ids))))
+                                    "point once, and name at least one")
+            first = tail.ints("evaluations")
+            values = [first] + [tail.ints("evaluations", len(first))
+                                for _ in points[1:]]
         elif "points" in body:
             raise ProtocolError("field 'points' names no evaluations section")
-        children: Dict[int, List[int]] = {}
+        counts: List[int] = []
+        child_ids: List[int] = []
         if "children" in tail:
-            parents = tail.ids("child-list parents")
-            counts = tail.ints(len(parents))
+            counts = tail.ints("child counts")
             if counts and min(counts) < 0:
                 raise ProtocolError("negative child count in the packed "
-                                    "child lists")
-            flat = tail.ints(sum(counts))
-            if flat and min(flat) < 0:
-                raise ProtocolError("negative node id in the packed child lists")
-            offset = 0
-            for parent, count in zip(parents, counts):
-                children[parent] = flat[offset:offset + count]
-                offset += count
-        polynomials: Mapping[int, Sequence[int]] = {}
+                                    "child counts")
+            child_ids = tail.ints("child ids", sum(counts))
+            if child_ids and min(child_ids) < 0:
+                raise ProtocolError("negative node id in the packed child ids")
+        rows: Optional[CoefficientRows] = None
         if "polynomials" in tail:
-            ids = tail.ids("polynomial ids")
             width = body.get("width")
-            if type(width) is not int or not 0 <= width <= MAX_PACKED_VALUES:
+            if type(width) is not int or not 1 <= width <= MAX_PACKED_VALUES:
                 raise ProtocolError(f"packed row width {width!r:.40} is not an "
-                                    f"int in [0, {MAX_PACKED_VALUES}]")
-            blob = tail.blob(len(ids) * width)
+                                    f"int in [1, {MAX_PACKED_VALUES}]")
+            blob = tail.blob("share rows")
+            announced = blob_extent(blob)[2]
+            if announced % width:
+                raise ProtocolError(
+                    f"the packed share rows hold {announced} values, not "
+                    f"whole rows of width {width}")
+            count = announced // width
             matrix = decode_coefficients_array(blob)
             if matrix is not None:
-                polynomials = CoefficientRows(
-                    ids, width, matrix=matrix.reshape(len(ids), width))
+                rows = CoefficientRows(range(count), width,
+                                       matrix=matrix.reshape(count, width))
             else:
                 flat = decode_coefficients(blob)
-                polynomials = CoefficientRows(
-                    ids, width, rows=[flat[index * width:(index + 1) * width]
-                                      for index in range(len(ids))])
+                rows = CoefficientRows(
+                    range(count), width,
+                    rows=[flat[index * width:(index + 1) * width]
+                          for index in range(count)])
         elif "width" in body:
             raise ProtocolError("field 'width' names no polynomials section")
-        constants: Dict[int, int] = {}
-        if "constants" in tail:
-            ids = tail.ids("constant ids")
-            constants = dict(zip(ids, tail.ints(len(ids))))
-        return cls(evaluations, children, polynomials, constants)
+        constants = tail.ints("constants") if "constants" in tail else []
+        return cls(points, values, counts, child_ids, rows, constants)
 
 
 class PruneNotice(Message):
@@ -716,7 +805,7 @@ class PruneNotice(Message):
     @classmethod
     def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "PruneNotice":
         _only_fields(body, (), cls.kind)
-        return cls(tail.ints() if "node_ids" in tail else [])
+        return cls(tail.ints("node_ids") if "node_ids" in tail else [])
 
 
 #: Wire op tags an :class:`UpdateRequest` batch may carry, with arity.
@@ -1001,7 +1090,8 @@ class BlobResponse(Message):
     @classmethod
     def from_sections(cls, body: Dict[str, Any], tail: "_Tail") -> "BlobResponse":
         _only_fields(body, (), cls.kind)
-        return cls(decode_byte_string(tail.blob()) if "blob" in tail else b"")
+        return cls(decode_byte_string(tail.blob("blob")) if "blob" in tail
+                   else b"")
 
 
 _MESSAGE_TYPES = {
@@ -1023,14 +1113,17 @@ REQUEST_KINDS = frozenset(cls.kind for cls in (
 
 
 def decode_message(data: bytes,
-                   kinds: Optional[AbstractSet[str]] = None) -> Message:
+                   kinds: Optional[AbstractSet[str]] = None,
+                   request_bytes: int = 0) -> Message:
     """Parse a wire encoding back into a message object.
 
     ``kinds``, when given, lists the kinds the caller accepts: a message of
     any other kind is refused before its body is decoded.  Servers pass
     :data:`REQUEST_KINDS`, so a client cannot make them decode a response.
-    Every frame that does not decode raises
-    :class:`~repro.errors.ProtocolError`.
+    A client decoding a response passes the size of the request it sent
+    as ``request_bytes``, which the value budget counts with the
+    response's own bytes (:data:`VALUES_PER_MESSAGE_BYTE`).  Every frame
+    that does not decode raises :class:`~repro.errors.ProtocolError`.
     """
     if type(data) is not bytes:
         data = bytes(data)
@@ -1068,7 +1161,7 @@ def decode_message(data: bytes,
                     f"the head of a {kind!r} message names no sections, "
                     "but a binary tail follows it")
             tail = _Tail(memoryview(data), len(data) if newline < 0
-                         else newline + 1, names)
+                         else newline + 1, names, request_bytes)
             message = cls.from_sections(body, tail)
             tail.finish()
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

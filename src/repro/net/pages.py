@@ -38,9 +38,9 @@ exceeds the native 64-bit width; callers fall back to the reference
 codec.
 
 The same blobs also travel on the wire, raw, in the binary tail of a
-protocol v5 message: every numeric section of a ``frontier-ok`` response
-(node ids, evaluations, child lists, share rows, constants) and every id
-list of a request is one blob.  Share rows keep the narrowest width
+protocol v6 message: every numeric section of a ``frontier-ok`` response
+(the values at each point, child counts, child ids, share rows,
+constants) and every id list of a request is one blob.  Share rows keep the narrowest width
 (:func:`encode_coefficients_array`); every other vector takes
 :func:`encode_int_vector`, which rounds a non-negative vector's width up
 to 8, 16, 32 or 64 bits, so :func:`decode_int_vector` reads it with one

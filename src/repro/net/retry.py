@@ -249,6 +249,10 @@ class ResilientChannel:
             attempt_started = policy.clock()
             try:
                 channel = self._ensure_channel(negotiating)
+                # The inner channel counts the attempt's bytes as they cross
+                # the wire; its delta leaves out a reconnect's hello.
+                sent = channel.stats.bytes_to_server
+                received = channel.stats.bytes_to_client
                 response = channel.request(message)
             except ServerBusyError as exc:
                 # The session is healthy — honour the server's hint.
@@ -266,8 +270,9 @@ class ResilientChannel:
                 if negotiating:
                     self._hello_request = message
                     self._negotiated_version = response.version
-                self.stats.record_request(message.byte_size())
-                self.stats.record_response(response.byte_size())
+                self.stats.record_request(channel.stats.bytes_to_server - sent)
+                self.stats.record_response(
+                    channel.stats.bytes_to_client - received)
                 self.transcript.append((message.kind, response.kind))
                 self._logical_seconds.observe(policy.clock() - started)
                 return response

@@ -11,6 +11,7 @@ from repro.core import (
     choose_int_ring,
     outsource_document,
 )
+from repro.core.share_tree import CoefficientRows
 from repro.errors import TagRecoveryError, VerificationError
 from repro.net import InstrumentedChannel, RemoteUpdatableTree, SearchServer, connect
 from repro.net.client import RemoteServerAdapter
@@ -262,12 +263,12 @@ def tampering_session(tree, node_id):
 
     def tampering_handle(message):
         response = handle(message)
-        rows = getattr(response, "polynomials", None)
-        if rows:
+        if getattr(response, "rows", None):
+            rows = response.bind(message).polynomials
             served.append(set(rows))
-            response.polynomials = {
-                row_id: broken(row, tree.ring.p) if row_id == node_id else list(row)
-                for row_id, row in rows.items()}
+            response.rows = CoefficientRows(rows.ids, rows.width, rows=[
+                broken(rows[row_id], tree.ring.p) if row_id == node_id
+                else rows[row_id] for row_id in rows.ids])
         return response
 
     server.handle = tampering_handle

@@ -233,9 +233,9 @@ class TestServedFetches:
 
     def test_exact_fetches_equal_per_node_reads(self, store):
         some = store.node_ids()[::5]
-        response = SearchServer(store).handle(FrontierRequest(
-            include_children=False, fetch_polynomials=some,
-            fetch_constants=some))
+        request = FrontierRequest(include_children=False,
+                                  fetch_polynomials=some, fetch_constants=some)
+        response = SearchServer(store).handle(request).bind(request)
         assert dict(response.polynomials) == per_node_rows(store, some)
         assert response.constants == {
             node_id: int(store.share_of(node_id).constant_term)

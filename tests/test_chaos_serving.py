@@ -64,7 +64,7 @@ from repro.net import (
     share_tree_from_dict,
     share_tree_to_dict,
 )
-from repro.net.messages import FrontierRequest
+from repro.net.messages import FrontierRequest, Message
 from repro.net.retry import RetryPolicy
 from repro.workloads import CatalogConfig, figure1_document, generate_catalog_document
 from repro.xmltree import parse_element
@@ -561,6 +561,44 @@ class TestResilientSockets:
             resilient.close()
         finally:
             transport.stop()
+
+    def test_bytes_are_counted_once(self, outsourced, reference,
+                                    monkeypatch):
+        """The resilient channel records the inner channel's counts: on
+        the client thread each frontier request is encoded once, when it
+        is sent, and no response is encoded again."""
+        client, tree = outsourced
+        encoded = []
+        encode = Message.encode
+
+        def recording_encode(message):
+            encoded.append((threading.get_ident(), message.kind))
+            return encode(message)
+
+        monkeypatch.setattr(Message, "encode", recording_encode)
+        transport = ThreadedSearchServer(SearchServer(tree)).start()
+        inner = []
+
+        def factory():
+            inner.append(SocketChannel(*transport.address))
+            return inner[-1]
+
+        try:
+            adapter, resilient = connect_resilient(factory, tree.ring,
+                                                   policy=fast_policy())
+            try:
+                assert run_queries(client, adapter) == reference
+            finally:
+                resilient.close()
+        finally:
+            transport.stop()
+        mine = [kind for thread, kind in encoded
+                if thread == threading.get_ident()]
+        sent = [request for request, _ in inner[0].transcript]
+        assert len(inner) == 1 and "frontier" in sent
+        assert mine.count("frontier") == sent.count("frontier")
+        assert "frontier-ok" not in mine
+        assert resilient.stats.as_dict() == inner[0].stats.as_dict()
 
 
 class TestSocketLeakRegression:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.core import VerificationMode, outsource_document
+from repro.core.share_tree import CoefficientRows
 from repro.errors import ProtocolError
 from repro.net import (
     ChannelStats,
@@ -33,11 +34,12 @@ from repro.net.messages import (
 
 class TestMessages:
     @pytest.mark.parametrize("message", [
-        HelloRequest([5]),
-        HelloResponse(5, ["default"], root_id=0, node_count=17),
+        HelloRequest([6]),
+        HelloResponse(6, ["default"], root_id=0, node_count=17),
         FrontierRequest([1, 2, 3], [4], fetch_constants=[0, 1]),
-        FrontierResponse({4: {0: 3, 1: 0}}, {0: [1, 2], 2: []},
-                         {5: [1, 2, 3, 4]}, {0: -12, 1: 7}),
+        FrontierResponse([4], [[3, 0]], [2, 0], [1, 2],
+                         CoefficientRows([0], 4, rows=[[1, 2, 3, 4]]),
+                         [-12, 7]),
         PruneNotice([9, 10]),
         Acknowledgement(),
         BlobRequest(),
@@ -60,9 +62,12 @@ class TestMessages:
             decode_message(json.dumps({"kind": "martian"}).encode())
 
     def test_negative_coefficients_survive(self):
-        response = FrontierResponse({}, {}, {0: [-45, -265]})
-        assert dict(decode_message(response.encode()).polynomials) == \
-            {0: [-45, -265]}
+        response = FrontierResponse(
+            rows=CoefficientRows([0], 2, rows=[[-45, -265]]))
+        request = FrontierRequest(include_children=False,
+                                  fetch_polynomials=[7])
+        assert dict(decode_message(response.encode()).bind(request)
+                    .polynomials) == {7: [-45, -265]}
 
 
 class TestChannel:
@@ -110,12 +115,13 @@ class TestSearchServer:
         server = SearchServer(server_tree, encrypted_blob=b"blob")
         hello = server.handle(HelloRequest())
         assert hello.node_count == server_tree.node_count()
-        frontier = server.handle(FrontierRequest([hello.root_id], [3]))
+        request = FrontierRequest([hello.root_id], [3])
+        frontier = server.handle(request).bind(request)
         assert frontier.children[hello.root_id]
         assert set(frontier.evaluations[3]) == {hello.root_id}
-        fetched = server.handle(FrontierRequest(
-            include_children=False, fetch_polynomials=[0],
-            fetch_constants=[0]))
+        request = FrontierRequest(include_children=False,
+                                  fetch_polynomials=[0], fetch_constants=[0])
+        fetched = server.handle(request).bind(request)
         assert len(fetched.polynomials[0]) == server_tree.ring.degree_bound
         assert 0 in fetched.constants
         assert isinstance(server.handle(PruneNotice([1])), Acknowledgement)

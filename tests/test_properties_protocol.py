@@ -1,11 +1,14 @@
 """Property-based tests for the wire protocol and persistence formats."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algebra import FpQuotientRing, IntQuotientRing, default_int_modulus
 from repro.core import ServerShareTree
+from repro.core.share_tree import CoefficientRows
 from repro.errors import ProtocolError
 from repro.net import (
     decode_message,
@@ -15,12 +18,14 @@ from repro.net import (
     share_tree_to_dict,
 )
 from repro.net.messages import (
+    MAX_LOOKAHEAD,
     FrontierRequest,
     FrontierResponse,
     HelloRequest,
     HelloResponse,
     PruneNotice,
 )
+from repro.net.pages import encode_int_vector
 
 node_id_lists = st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=30)
 #: The id lists a server expands or fetches: any order, each id once.
@@ -32,26 +37,41 @@ values = st.integers(min_value=-(10 ** 12), max_value=10 ** 12)
 
 
 class TestMessageRoundTrips:
+    """A frontier-ok's positional sections survive the wire, and bound to
+    the request they answer they give its nodes' data back."""
+
     @given(st.lists(st.integers(min_value=1, max_value=50), unique=True,
                     max_size=4), unique_ids, st.data())
     def test_evaluations(self, points, node_ids, data):
         evaluations = {point: {node_id: data.draw(values)
                                for node_id in node_ids}
                        for point in points}
-        decoded = decode_message(FrontierResponse(evaluations, {}).encode())
+        response = FrontierResponse(
+            sorted(points) if node_ids else [],
+            [list(evaluations[point].values()) for point in sorted(points)]
+            if node_ids else [])
+        request = FrontierRequest(node_ids, points, include_children=False)
+        decoded = decode_message(response.encode()).bind(request)
         assert decoded.evaluations == evaluations
 
-    @given(unique_ids, st.integers(min_value=0, max_value=8), st.data())
+    @given(unique_ids, st.integers(min_value=1, max_value=8), st.data())
     def test_share_rows(self, node_ids, width, data):
         rows = {node_id: data.draw(st.lists(values, min_size=width,
                                             max_size=width))
                 for node_id in node_ids}
-        decoded = decode_message(FrontierResponse({}, {}, rows).encode())
+        response = FrontierResponse(rows=CoefficientRows(
+            node_ids, width, rows=list(rows.values())))
+        request = FrontierRequest(include_children=False,
+                                  fetch_polynomials=node_ids)
+        decoded = decode_message(response.encode()).bind(request)
         assert dict(decoded.polynomials) == rows
 
     @given(st.dictionaries(st.integers(min_value=0, max_value=999), values, max_size=20))
     def test_constants(self, mapping):
-        decoded = decode_message(FrontierResponse({}, {}, None, mapping).encode())
+        response = FrontierResponse(constants=list(mapping.values()))
+        request = FrontierRequest(include_children=False,
+                                  fetch_constants=list(mapping))
+        decoded = decode_message(response.encode()).bind(request)
         assert decoded.constants == mapping
 
     @given(node_id_lists)
@@ -72,14 +92,18 @@ class TestMessageRoundTrips:
                            st.lists(st.integers(min_value=0, max_value=99), max_size=6),
                            max_size=10))
     def test_child_lists(self, mapping):
-        decoded = decode_message(FrontierResponse({}, mapping).encode())
+        lists = list(mapping.values())
+        response = FrontierResponse(child_counts=[len(ids) for ids in lists],
+                                    child_ids=[c for ids in lists for c in ids])
+        request = FrontierRequest(list(mapping), [], include_children=True)
+        decoded = decode_message(response.encode()).bind(request)
         assert decoded.children == mapping
 
     @given(st.integers(min_value=0, max_value=10 ** 6),
            st.integers(min_value=1, max_value=10 ** 6))
     def test_structure_summary(self, root_id, count):
         decoded = decode_message(
-            HelloResponse(5, ["default"], root_id, count).encode())
+            HelloResponse(6, ["default"], root_id, count).encode())
         assert (decoded.root_id, decoded.node_count) == (root_id, count)
 
     @given(node_id_lists, st.integers(min_value=0, max_value=100))
@@ -102,12 +126,13 @@ class TestRingSerialisation:
 
 class TestSessionMessages:
     @given(distinct_id_lists, st.lists(st.integers(min_value=1, max_value=100),
-                                       max_size=4),
+                                       unique=True, max_size=4),
            node_id_lists, st.booleans(),
-           st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=MAX_LOOKAHEAD),
            st.one_of(st.none(), st.text(min_size=1, max_size=12)))
     def test_frontier_request(self, node_ids, points, prune, children,
                               lookahead, document_id):
+        lookahead = lookahead if children else 0
         message = FrontierRequest(node_ids, points, prune=prune,
                                   include_children=children,
                                   lookahead=lookahead)
@@ -119,6 +144,28 @@ class TestSessionMessages:
         assert decoded.include_children == children
         assert decoded.lookahead == lookahead
         assert decoded.document_id == document_id
+
+    @given(st.lists(st.integers(min_value=1, max_value=100), min_size=1,
+                    max_size=4), st.booleans(),
+           st.integers(min_value=-3, max_value=MAX_LOOKAHEAD + 3))
+    def test_a_request_that_leaves_its_answer_open_is_refused(
+            self, points, children, lookahead):
+        """Repeated points, a lookahead outside 0..MAX_LOOKAHEAD and a
+        lookahead without child lists are refused; every other request
+        decodes."""
+        open_ended = (len(set(points)) != len(points)
+                      or not 0 <= lookahead <= MAX_LOOKAHEAD
+                      or (lookahead and not children))
+        head = json.dumps({"kind": "frontier", "points": points,
+                           "children": children, "lookahead": lookahead,
+                           "sections": ["node_ids"]},
+                          separators=(",", ":")).encode()
+        frame = head + b"\n" + encode_int_vector([0])
+        if open_ended:
+            with pytest.raises(ProtocolError, match="lookahead|points"):
+                decode_message(frame)
+        else:
+            assert decode_message(frame).lookahead == lookahead
 
     @given(st.lists(st.integers(min_value=1, max_value=99), min_size=1,
                     max_size=4, unique=True))

@@ -68,7 +68,7 @@ class TestHelloNegotiation:
         assert response.root_id == server_tree.root_id
         assert response.node_count == server_tree.node_count()
 
-    @pytest.mark.parametrize("versions", [[99, 100], [1, 2, 3]])
+    @pytest.mark.parametrize("versions", [[99, 100], [1, 2, 3], [5]])
     def test_unknown_versions_rejected_loudly(self, outsourced_catalog,
                                               versions):
         _, server_tree, _ = outsourced_catalog
@@ -286,8 +286,10 @@ class TestBatchedProtocol:
         _, server_tree, _ = outsourced_catalog
         server = SearchServer(server_tree)
         root = server_tree.root_id
-        flat = server.handle(FrontierRequest([root], [3]))
-        deep = server.handle(FrontierRequest([root], [3], lookahead=1))
+        flat_request = FrontierRequest([root], [3])
+        deep_request = FrontierRequest([root], [3], lookahead=1)
+        flat = server.handle(flat_request).bind(flat_request)
+        deep = server.handle(deep_request).bind(deep_request)
         assert set(flat.evaluations[3]) == {root}
         assert set(deep.evaluations[3]) == {root} | set(server_tree.child_ids(root))
         # Speculated nodes come with their child lists for frontier building.
@@ -322,12 +324,13 @@ class TestBatchedProtocol:
         _, server_tree, _ = outsourced_catalog
         server = SearchServer(server_tree)
         root = server_tree.root_id
-        response = server.handle(FrontierRequest(include_children=True,
-                                                 fetch_polynomials=[root]))
-        assert set(response.polynomials) == {root} | set(server_tree.child_ids(root))
-        response = server.handle(FrontierRequest(include_children=False,
-                                                 fetch_polynomials=[root]))
-        assert set(response.polynomials) == {root}
+        for include_children, expected in [
+                (True, [root] + server_tree.child_ids(root)),
+                (False, [root])]:
+            request = FrontierRequest(include_children=include_children,
+                                      fetch_polynomials=[root])
+            response = server.handle(request).bind(request)
+            assert list(response.polynomials) == expected
 
 
 class TestConcurrentQueries:

@@ -280,7 +280,7 @@ class TestSocketTransports:
     def test_older_hello_refused_then_the_session_negotiates(self, served):
         with SocketChannel(*served.address) as channel:
             with pytest.raises(ProtocolError, match="no common version"):
-                channel.request(HelloRequest([1, 2, 3, 4]))
+                channel.request(HelloRequest([1, 2, 3, 4, 5]))
             assert channel.request(HelloRequest()).version == PROTOCOL_VERSION
 
     def test_oversized_request_rejected(self, outsourced):
@@ -298,7 +298,7 @@ class TestSocketTransports:
     def test_oversized_response_becomes_in_band_error(self, outsourced):
         _, tree = outsourced
         transport = ThreadedSearchServer(SearchServer(tree),
-                                         max_frame_bytes=160).start()
+                                         max_frame_bytes=128).start()
         try:
             adapter, channel = connect_socket(*transport.address, tree.ring)
             # The request fits in the limit; the full-tree verification
@@ -455,7 +455,8 @@ FRONTIER_HEAD = b'{"kind":"frontier","points":[3],"sections":["node_ids"]}'
 
 #: Request bodies decoding must refuse, each with the text its error names.
 #: The protocol v4 forms of ``frontier`` and ``prune`` (JSON id lists, the
-#: ``packed`` flag) are among them: a v5 server refuses them in-band.
+#: ``packed`` flag) are among them: a v6 server refuses them in-band, and
+#: so it does a request whose answer's layout it would have to guess.
 MALFORMED_BODIES = [
     (b'[1, 2]', "not an object"),
     (b'"frontier"', "not an object"),
@@ -483,6 +484,12 @@ MALFORMED_BODIES = [
     (b'{"kind":"frontier","points":[3]}\n' + IDS_BLOB, "names no sections"),
     (b'{"kind": "frontier", "points": [2.7]}', "points"),
     (b'{"kind": "frontier", "points": [3], "lookahead": 1.9}', "lookahead"),
+    (b'{"kind":"frontier","lookahead":5,"points":[3],"sections":["node_ids"]}'
+     b"\n" + IDS_BLOB, "lookahead"),
+    (b'{"children":false,"kind":"frontier","lookahead":1,"points":[3],'
+     b'"sections":["node_ids"]}\n' + IDS_BLOB, "lookahead"),
+    (b'{"kind":"frontier","points":[3,4,3],"sections":["node_ids"]}\n'
+     + IDS_BLOB, "points"),
     (b'{"kind": "frontier", "points": [3], "children": 1}', "children"),
     (b'{"kind":"frontier","points":[3],"sections":["fetch_polynomials"]}\n'
      + bytes.fromhex("0100 00000000 ffffffff"), "announces more than"),
@@ -496,7 +503,7 @@ MALFORMED_BODIES = [
     (b'{"kind":"prune","sections":["node_ids"]}\n' + IDS_BLOB[:9],
      "runs past"),
     (b'{"kind": "hello", "versions": [4.0]}', "versions"),
-    (b'{"kind":"hello","versions":[5]}\n' + IDS_BLOB, "has no sections"),
+    (b'{"kind":"hello","versions":[6]}\n' + IDS_BLOB, "has no sections"),
     (b'{"kind": "update", "operation": "x", "ops": [["replace", 1.9, [2]]], '
      b'"base": {}}', "ops"),
     (b'{"kind": "update", "operation": "x", "ops": [["replace", 1, [2.7]]], '
@@ -516,7 +523,7 @@ MALFORMED_RESPONSES = [
     (b'{"kind": "frontier-ok", "evaluations": {}, "children": {}}',
      "unexpected field"),
     (b'{"kind": "frontier-ok", "packed": {}}', "unexpected field 'packed'"),
-    (b'{"kind":"frontier-ok","sections":["constants"]}\n' + IDS_BLOB,
+    (b'{"kind":"frontier-ok","sections":["children"]}\n' + IDS_BLOB,
      "ends before"),
     (b'{"kind":"blob-ok","blob":"00ff"}', "unexpected field 'blob'"),
     (b'{"kind": "hello-ok", "version": 4, "root_id": "x", "node_count": 2.5}',

@@ -1,18 +1,22 @@
-"""A bounded mutation fuzzer for the protocol v5 decoder.
+"""A bounded mutation fuzzer for the protocol v6 decoder.
 
-Seeds are the golden v5 frames of ``tests/test_packed_frontier.py`` and
+Seeds are the golden v6 frames of ``tests/test_packed_frontier.py`` and
 one encoded message of every kind, requests and responses, including a
-served frontier-ok with all four sections.  Each example applies a few
-structure-aware mutations: byte flips, truncations, a moved or missing
-newline, lying blob headers (version, flags, width, count), extra or
-missing sections, duplicate JSON keys, deep nesting and huge integers.
+served frontier-ok with all four sections; each frontier-ok seed keeps
+the request it answers.  Each example applies a few structure-aware
+mutations: byte flips, truncations, a moved or missing newline, lying
+blob headers (version, flags, width, count), extra or missing sections,
+duplicate JSON keys, deep nesting and huge integers.
 
 Invariants:
 
 * :func:`~repro.net.messages.decode_message`, with and without
   :data:`~repro.net.messages.REQUEST_KINDS`, returns a message or raises
-  :class:`~repro.errors.ProtocolError`, and nothing else;
-* the ``tracemalloc`` peak of one decode stays within
+  :class:`~repro.errors.ProtocolError`, and nothing else; a decoded
+  frontier-ok bound to its seed's request
+  (:meth:`~repro.net.messages.FrontierResponse.bind`) gives its sections
+  or raises :class:`~repro.errors.ProtocolError`;
+* the ``tracemalloc`` peak of one decode and bind stays within
   :data:`PEAK_PER_FRAME_BYTE` times the frame size plus
   :data:`PEAK_SLACK` bytes;
 * a live :class:`~repro.net.ThreadedSearchServer` session answers a valid
@@ -39,7 +43,9 @@ from repro.errors import ProtocolError
 from repro.net import SearchServer, ThreadedSearchServer
 from repro.net.framing import FRAME_HEADER_BYTES, decode_frame_length, encode_frame
 from repro.net.messages import (
+    MAX_LOOKAHEAD,
     REQUEST_KINDS,
+    VALUES_PER_MESSAGE_BYTE,
     Acknowledgement,
     BlobRequest,
     BlobResponse,
@@ -47,6 +53,7 @@ from repro.net.messages import (
     ConflictResponse,
     ErrorResponse,
     FrontierRequest,
+    FrontierResponse,
     HealthRequest,
     HealthResponse,
     HelloRequest,
@@ -66,10 +73,11 @@ from test_packed_frontier import GOLDEN_FRAMES
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "0"))
 SCALE = max(1, int(os.environ.get("REPRO_FUZZ_EXAMPLES", "1")))
 
-#: A decode may allocate at most this many bytes per byte of its frame
-#: (at its peak, on top of what was allocated before): a frame may
-#: announce eight values per byte, and the worst of :data:`ADVERSARIAL`
-#: peaks at about 300 bytes per frame byte (per-point evaluation dicts) ...
+#: A decode and bind may allocate at most this many bytes per byte of
+#: their frame (at its peak, on top of what was allocated before): a
+#: frame may announce eight values per byte, and the worst of
+#: :data:`ADVERSARIAL` peaks at about 200 bytes per frame byte (a block of
+#: 1-bit share rows) ...
 PEAK_PER_FRAME_BYTE = 512
 #: ... plus this much for the JSON parser, the exception and its message.
 PEAK_SLACK = 64 * 1024
@@ -89,16 +97,18 @@ def served():
 
 
 def seed_frames():
-    """Every golden frame and one encoded message of every kind."""
+    """``(frame, request)`` for every golden frame and one encoded message
+    of every kind; ``request`` is what a frontier-ok answers, else None."""
     _, tree, _ = outsource_document(figure1_document(clients=3),
                                     seed=b"wire-fuzz")
     root = tree.root_id
     children = tree.child_ids(root)
-    full = SearchServer(tree).handle(FrontierRequest(
+    full_request = FrontierRequest(
         children, [3, 4], lookahead=1, fetch_polynomials=[root],
-        fetch_constants=children))
+        fetch_constants=children)
+    full = SearchServer(tree).handle(full_request)
     messages = [
-        HelloRequest(), HelloResponse(5, ["default"], root_id=0, node_count=9),
+        HelloRequest(), HelloResponse(6, ["default"], root_id=0, node_count=9),
         FrontierRequest([1, 2, 300], [3, 4], prune=[7], lookahead=1,
                         fetch_polynomials=[1], fetch_constants=[70000]),
         full, PruneNotice([4, 5, 6]),
@@ -110,15 +120,18 @@ def seed_frames():
         HealthRequest(), HealthResponse("ok", {"sessions": 1}),
         BlobRequest(), BlobResponse(bytes(range(40))),
     ]
-    frames = [message.encode() for message in messages]
-    frames += [frame for session in GOLDEN_FRAMES.values()
-               for pair in session for frame in pair]
+    frames = [(message.encode(), full_request if message is full else None)
+              for message in messages]
+    for session in GOLDEN_FRAMES.values():
+        for request, response in session:
+            frames += [(request, None),
+                       (response, decode_message(request))]
     return frames
 
 
 SEEDS = seed_frames()
 #: Seeds a live session may replay mutated: none of them edits the store.
-READ_ONLY_SEEDS = [frame for frame in SEEDS
+READ_ONLY_SEEDS = [(frame, request) for frame, request in SEEDS
                    if json.loads(frame.partition(b"\n")[0])["kind"] != "update"]
 
 
@@ -241,29 +254,34 @@ MUTATIONS = [flip_bytes, truncate, move_newline, lie_in_a_header,
 
 @st.composite
 def mutated_frames(draw, seeds=SEEDS):
-    frame = draw(st.sampled_from(seeds))
+    """A mutated seed frame, and the request its seed answers (or None)."""
+    frame, request = draw(st.sampled_from(seeds))
     for _ in range(draw(st.integers(1, 3))):
         frame = draw(st.sampled_from(MUTATIONS))(frame, draw)
-    return frame
+    return frame, request
 
 
-def decode_outcome(frame, kinds=None):
-    """What decoding ``frame`` gives: a message, or its ProtocolError."""
+def decode_outcome(frame, kinds=None, request=None):
+    """What decoding ``frame`` gives: a message, or its ProtocolError.  A
+    frontier-ok is bound to ``request`` (an empty request when None)."""
     try:
         message = decode_message(frame, kinds)
+        if isinstance(message, FrontierResponse):
+            message.bind(request if request is not None else FrontierRequest())
     except ProtocolError as exc:
         return exc
     assert isinstance(message, Message)
     return message
 
 
-def decode_peak(frame):
-    """The ``tracemalloc`` peak of decoding ``frame`` both ways, in bytes."""
+def decode_peak(frame, request=None):
+    """The ``tracemalloc`` peak of decoding ``frame`` both ways, and of
+    binding it to ``request``, in bytes."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        decode_outcome(frame)
+        decode_outcome(frame, request=request)
         decode_outcome(frame, REQUEST_KINDS)
         return tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -288,62 +306,86 @@ def frame_of(head, blobs):
 #: Minimised frames of the decoder faults found while building this
 #: fuzzer, each with the error its decode must raise now.
 REGRESSIONS = [
-    # Child lists whose ids blob announces two million zeros in ten
-    # bytes.  Under the v4 decoder's budget alone (16 Mi values per
-    # message) its base64 twin, 141 bytes, decoded to a 32 MB peak; the
-    # per-byte budget refuses it.
+    # Child ids announcing two million zeros in ten bytes.  Under the v4
+    # decoder's budget alone (16 Mi values per message) its base64 twin,
+    # 141 bytes, decoded to a 32 MB peak; the per-byte budget refuses it.
     pytest.param(frame_of({"kind": "frontier-ok", "sections": ["children"]},
-                          [encode_int_vector([0]), encode_int_vector([2_000_000]),
+                          [encode_int_vector([2_000_000]),
                            zero_width_blob(2_000_000)]),
                  "announces more than", id="zero-width-child-ids"),
 ]
+
+
+def most_zeros(head, blobs):
+    """How many zeros each of ``blobs`` width-0 blobs may announce within
+    the per-byte budget of a frame of ``head`` and them."""
+    size = len(frame_of(head, [zero_width_blob(0)] * blobs))
+    return VALUES_PER_MESSAGE_BYTE * size // blobs
+
+
+EVALUATIONS_HEAD = {"kind": "frontier-ok", "points": list(range(1, 16)),
+                    "sections": ["evaluations"]}
 
 #: Frames built to decode to as much as the value budget allows, each
 #: the worst of its section for the peak-memory bound.
 ADVERSARIAL = {
     "zero-width child ids": frame_of(
         {"kind": "frontier-ok", "sections": ["children"]},
-        [encode_int_vector([0]), encode_int_vector([500]), zero_width_blob(500)]),
+        [encode_int_vector([500]), zero_width_blob(500)]),
     "leaf parents": frame_of(
         {"kind": "frontier-ok", "sections": ["children"]},
-        [encode_int_vector(list(range(1000))), zero_width_blob(1000),
-         zero_width_blob(0)]),
+        [zero_width_blob(500), zero_width_blob(0)]),
     "zero evaluations at 15 points": frame_of(
-        {"kind": "frontier-ok", "points": list(range(1, 16)),
-         "sections": ["evaluations"]},
-        [encode_int_vector(list(range(256)))] + [zero_width_blob(256)] * 15),
+        EVALUATIONS_HEAD,
+        [zero_width_blob(most_zeros(EVALUATIONS_HEAD, 15))] * 15),
     "1-bit share rows": frame_of(
         {"kind": "frontier-ok", "width": 64, "sections": ["polynomials"]},
-        [encode_int_vector(list(range(1000))),
-         encode_coefficients([1, 0] * 32_000)]),
+        [encode_coefficients([1, 0] * 32_000)]),
     "1-bit request ids": frame_of(
         {"kind": "frontier", "points": [3], "sections": ["node_ids"]},
         [encode_coefficients([1, 0] * 2000)]),
 }
+
+#: Requests a live session refuses in-band although they decode as
+#: frames, each with the text the refusal names: the hello of a v5
+#: client, and a lookahead past the cap, whose answer's layout the
+#: server would have to guess.
+REFUSED = [
+    pytest.param(HelloRequest([5]).encode(), "no common version",
+                 id="v5-hello"),
+    pytest.param(
+        frame_of({"children": True, "kind": "frontier",
+                  "lookahead": MAX_LOOKAHEAD + 1, "points": [3],
+                  "sections": ["node_ids"]}, [encode_int_vector([0])]),
+        "lookahead", id="lookahead-past-the-cap"),
+]
 
 
 class TestDecoder:
     @seed(FUZZ_SEED)
     @fuzz_settings(800)
     @given(mutated_frames())
-    def test_decode_returns_a_message_or_protocol_error(self, frame):
-        decode_outcome(frame)
+    def test_decode_returns_a_message_or_protocol_error(self, mutated):
+        frame, request = mutated
+        decode_outcome(frame, request=request)
         decode_outcome(frame, REQUEST_KINDS)
 
     @seed(FUZZ_SEED + 1)
     @fuzz_settings(200)
     @given(mutated_frames())
-    def test_decode_peak_memory_is_bounded_by_the_frame(self, frame):
-        assert decode_peak(frame) <= PEAK_PER_FRAME_BYTE * len(frame) + PEAK_SLACK
+    def test_decode_peak_memory_is_bounded_by_the_frame(self, mutated):
+        frame, request = mutated
+        assert decode_peak(frame, request) \
+            <= PEAK_PER_FRAME_BYTE * len(frame) + PEAK_SLACK
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
     def test_adversarial_peaks_are_bounded_by_the_frame(self, name):
         frame = ADVERSARIAL[name]
         assert decode_peak(frame) <= PEAK_PER_FRAME_BYTE * len(frame) + PEAK_SLACK
 
-    def test_every_seed_decodes(self):
-        assert all(isinstance(decode_outcome(frame), Message)
-                   for frame in SEEDS)
+    def test_every_seed_decodes_and_binds(self):
+        assert all(isinstance(decode_outcome(frame, request=request), Message)
+                   for frame, request in SEEDS)
 
     @pytest.mark.parametrize("frame,named", REGRESSIONS)
     def test_regressions(self, frame, named):
@@ -362,18 +404,34 @@ def read_frame(sock):
     return exactly(decode_frame_length(exactly(FRAME_HEADER_BYTES)))
 
 
-@seed(FUZZ_SEED + 2)
-@fuzz_settings(150)
-@given(frame=mutated_frames(READ_ONLY_SEEDS))
-def test_live_session_survives_malformed_frames(served, frame):
-    transport, valid, expected = served
-    assume(frame)                 # framing itself refuses an empty frame
-    with socket.create_connection(transport.address, timeout=30) as sock:
-        sock.sendall(encode_frame(frame) + encode_frame(valid))
-        decode_message(read_frame(sock))          # an answer, in-band
-        assert read_frame(sock) == expected
+def assert_reconciled(transport):
     accounting = transport.core.accounting()
     assert accounting["inflight"] == 0
     assert accounting["admitted"] == (accounting["completed"]
                                       + accounting["shed"]
                                       + accounting["failed"])
+
+
+@seed(FUZZ_SEED + 2)
+@fuzz_settings(150)
+@given(mutated=mutated_frames(READ_ONLY_SEEDS))
+def test_live_session_survives_malformed_frames(served, mutated):
+    transport, valid, expected = served
+    frame, _ = mutated
+    assume(frame)                 # framing itself refuses an empty frame
+    with socket.create_connection(transport.address, timeout=30) as sock:
+        sock.sendall(encode_frame(frame) + encode_frame(valid))
+        decode_message(read_frame(sock))          # an answer, in-band
+        assert read_frame(sock) == expected
+    assert_reconciled(transport)
+
+
+@pytest.mark.parametrize("frame,named", REFUSED)
+def test_live_session_refuses_in_band_then_answers(served, frame, named):
+    transport, valid, expected = served
+    with socket.create_connection(transport.address, timeout=30) as sock:
+        sock.sendall(encode_frame(frame) + encode_frame(valid))
+        refusal = decode_message(read_frame(sock))
+        assert isinstance(refusal, ErrorResponse) and named in refusal.error
+        assert read_frame(sock) == expected
+    assert_reconciled(transport)
