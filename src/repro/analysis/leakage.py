@@ -21,11 +21,10 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Union
+from typing import Any, Dict
 
-from ..core.query import LocalServerAdapter
+from ..core.query import ServerObservations
 from ..core.share_tree import ServerShareTree
-from ..net.server import SearchServer
 
 __all__ = ["LeakageReport", "audit_server_view", "share_value_histogram"]
 
@@ -71,29 +70,27 @@ class LeakageReport:
                 f"evaluations={self.evaluation_requests}, pruned={self.pruned_nodes})")
 
 
-def audit_server_view(server: Union[SearchServer, LocalServerAdapter]) -> LeakageReport:
-    """Build a :class:`LeakageReport` from a server's recorded observations."""
-    if isinstance(server, SearchServer):
-        observations = server.observations
-        return LeakageReport(
-            node_count=server.share_tree.node_count(),
-            structure_known=True,
-            point_frequencies=dict(observations.point_counts),
-            evaluation_requests=observations.evaluation_requests,
-            pruned_nodes=observations.pruned_nodes,
-            polynomials_served=observations.polynomials_served,
-        )
-    if isinstance(server, LocalServerAdapter):
-        points = Counter(server.observed_points)
-        return LeakageReport(
-            node_count=server.share_tree.node_count(),
-            structure_known=True,
-            point_frequencies=dict(points),
-            evaluation_requests=server.evaluation_requests,
-            pruned_nodes=len(server.observed_prunes),
-            polynomials_served=0,
-        )
-    raise TypeError("audit_server_view expects a SearchServer or LocalServerAdapter")
+def audit_server_view(server: Any) -> LeakageReport:
+    """Build a :class:`LeakageReport` from a server's recorded observations.
+
+    ``server`` is a :class:`~repro.net.SearchServer` (its default
+    document's store, its whole-server ledger) or a
+    :class:`~repro.core.LocalServerAdapter`: both keep one
+    :class:`~repro.core.query.ServerObservations` ledger in
+    ``observations`` beside the store they serve, ``share_tree``.
+    """
+    observations = getattr(server, "observations", None)
+    if not isinstance(observations, ServerObservations):
+        raise TypeError("audit_server_view expects a SearchServer or "
+                        "LocalServerAdapter")
+    return LeakageReport(
+        node_count=server.share_tree.node_count(),
+        structure_known=True,
+        point_frequencies=dict(observations.point_counts),
+        evaluation_requests=observations.evaluation_requests,
+        pruned_nodes=observations.pruned_nodes,
+        polynomials_served=observations.polynomials_served,
+    )
 
 
 def share_value_histogram(share_tree: ServerShareTree,

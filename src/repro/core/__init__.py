@@ -12,6 +12,7 @@ from .query import (
     QueryEngine,
     QueryStats,
     ServerInterface,
+    ServerObservations,
     VerificationMode,
 )
 from .reconstruct import (
@@ -62,6 +63,7 @@ __all__ = [
     "LookupOutcome",
     "LocalServerAdapter",
     "ServerInterface",
+    "ServerObservations",
     "VerificationMode",
     "AdvancedQueryExecutor",
     "AdvancedQueryResult",

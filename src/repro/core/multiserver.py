@@ -15,7 +15,7 @@ path:
   share, and any ``k`` servers can stand in for the single server of §4.3;
 * :class:`ThresholdServerGroup` exposes the ordinary
   :class:`~repro.core.query.ServerInterface`: evaluations and fetched
-  polynomials from ``k`` live servers are recombined by Lagrange
+  rows from ``k`` live servers are recombined by Lagrange
   interpolation (evaluation is linear in the coefficients), so the existing
   :class:`~repro.core.query.QueryEngine`, verification machinery and
   advanced-query strategies work unchanged on top of it.
@@ -29,32 +29,31 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..algebra.poly import Polynomial
 from ..algebra.quotient import FpQuotientRing
 from ..errors import QueryError, SharingError, ThresholdError
 from ..sharing.multiserver import ThresholdPolynomialSharing
 from ..xmltree import XmlDocument
 from .mapping import TagMapping
-from .query import FrontierResult, ServerInterface
+from .query import LocalServerAdapter
 from .scheme import ClientContext, choose_fp_ring, outsource_document
-from .share_tree import ServerShareTree
+from .share_tree import CoefficientRows, ServerShareTree
 
 __all__ = ["ThresholdServerGroup", "outsource_document_multi_server"]
 
 
-class ThresholdServerGroup(ServerInterface):
+class ThresholdServerGroup(LocalServerAdapter):
     """A quorum of ``k`` servers presented as one logical search server.
 
     ``server_trees`` maps the 1-based server index to that server's share
     tree (each a :class:`~repro.core.share_tree.ServerShareTree` holding its
     Shamir share polynomials plus the replicated public structure).  Only
     the servers listed in ``online`` are contacted; at least ``threshold``
-    of them must be present.
+    of them must be present.  The group answers the frontier exchange as
+    the in-process server does, over a :class:`_QuorumView` of its quorum:
+    every member is visited once per exchange, counted as one round trip,
+    and ``lookahead`` is ignored (in process, speculation only wastes
+    work).
     """
-
-    #: A quorum exchange is expensive (k parallel requests), so whole
-    #: frontier rounds are batched into one exchange per tree level.
-    batched_rounds = True
 
     def __init__(self, sharing: ThresholdPolynomialSharing,
                  server_trees: Dict[int, ServerShareTree],
@@ -74,86 +73,7 @@ class ThresholdServerGroup(ServerInterface):
         self.quorum = selected[: sharing.threshold]
         #: Per-server count of evaluation requests (for cost reporting).
         self.evaluations_per_server: Dict[int, int] = {index: 0 for index in self.quorum}
-
-    # -- structure (replicated on every server) ------------------------------------
-    def _any_tree(self) -> ServerShareTree:
-        return self.server_trees[self.quorum[0]]
-
-    def root_id(self) -> int:
-        root = self._any_tree().root_id
-        if root is None:
-            raise QueryError("the server group stores no data")
-        return root
-
-    def node_count(self) -> int:
-        return self._any_tree().node_count()
-
-    def children_of(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        tree = self._any_tree()
-        return {node_id: tree.child_ids(node_id) for node_id in node_ids}
-
-    # -- shared-value access (recombined from the quorum) -------------------------------
-    def evaluate(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        per_server: Dict[int, Dict[int, int]] = {}
-        for index in self.quorum:
-            tree = self.server_trees[index]
-            per_server[index] = {node_id: tree.evaluate(node_id, point)
-                                 for node_id in node_ids}
-            self.evaluations_per_server[index] += len(node_ids)
-        combined: Dict[int, int] = {}
-        for node_id in node_ids:
-            combined[node_id] = self.sharing.combine_evaluations(
-                {index: per_server[index][node_id] for index in self.quorum})
-        return combined
-
-    def frontier_round(self, node_ids: Sequence[int], points: Sequence[int],
-                       prune: Sequence[int] = (), include_children: bool = True,
-                       lookahead: int = 0) -> FrontierResult:
-        """One descent round against the quorum as a single batched exchange.
-
-        Every member of the quorum is visited once for the whole round (all
-        points at a time) instead of once per request kind, mirroring the
-        single-server wire protocol: the round costs one parallel quorum
-        exchange, counted as one round trip.  ``lookahead`` is ignored —
-        the group is in-process, so speculation would only waste work.
-        """
-        if prune:
-            self.prune(list(prune))
-        evaluations: Dict[int, Dict[int, int]] = {}
-        per_server: Dict[int, Dict[int, Dict[int, int]]] = {}
-        for index in self.quorum:
-            tree = self.server_trees[index]
-            per_server[index] = {
-                point: {node_id: tree.evaluate(node_id, point)
-                        for node_id in node_ids}
-                for point in points}
-            self.evaluations_per_server[index] += len(node_ids) * len(points)
-        for point in points:
-            evaluations[point] = {
-                node_id: self.sharing.combine_evaluations(
-                    {index: per_server[index][point][node_id]
-                     for index in self.quorum})
-                for node_id in node_ids}
-        children = (self.children_of(node_ids)
-                    if include_children and node_ids else {})
-        return FrontierResult(evaluations, children, round_trips=1)
-
-    def fetch_polynomials(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
-        result: Dict[int, Polynomial] = {}
-        for node_id in node_ids:
-            shares = {index: self.server_trees[index].share_of(node_id)
-                      for index in self.quorum}
-            result[node_id] = self.sharing.reconstruct(shares)
-        return result
-
-    def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
-        polynomials = self.fetch_polynomials(node_ids)
-        return {node_id: int(poly.constant_term)
-                for node_id, poly in polynomials.items()}
-
-    def prune(self, node_ids: Sequence[int]) -> None:
-        # Informational, as in the single-server protocol; nothing to combine.
-        return None
+        super().__init__(_QuorumView(self))
 
     # -- reporting ---------------------------------------------------------------------
     def storage_bits(self) -> int:
@@ -163,6 +83,57 @@ class ThresholdServerGroup(ServerInterface):
     def __repr__(self) -> str:
         return (f"ThresholdServerGroup(servers={sorted(self.server_trees)}, "
                 f"quorum={self.quorum})")
+
+
+class _QuorumView:
+    """A group's quorum read as one store, for the in-process server's answers.
+
+    The public structure is replicated on every server, so it is read
+    from one.  Evaluations and coefficient rows are recombined from the
+    quorum's Shamir shares by Lagrange interpolation (evaluation is linear
+    in the coefficients).
+    """
+
+    def __init__(self, group: ThresholdServerGroup) -> None:
+        self.group = group
+        self.ring = group.ring
+        self.structure = group.server_trees[group.quorum[0]]
+
+    @property
+    def root_id(self) -> Optional[int]:
+        return self.structure.root_id
+
+    def node_count(self) -> int:
+        return self.structure.node_count()
+
+    def parent_id(self, node_id: int) -> Optional[int]:
+        return self.structure.parent_id(node_id)
+
+    def child_lists(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
+        return self.structure.child_lists(node_ids)
+
+    def evaluate_many(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
+        group = self.group
+        per_server = {}
+        for index in group.quorum:
+            per_server[index] = group.server_trees[index].evaluate_many(
+                node_ids, point)
+            group.evaluations_per_server[index] += len(node_ids)
+        return {node_id: group.sharing.combine_evaluations(
+                    {index: per_server[index][node_id] for index in group.quorum})
+                for node_id in node_ids}
+
+    def coefficient_rows(self, node_ids: Sequence[int]) -> CoefficientRows:
+        group = self.group
+        width = self.ring.degree_bound
+        node_ids = list(dict.fromkeys(node_ids))
+        rows = []
+        for node_id in node_ids:
+            share = group.sharing.reconstruct(
+                {index: group.server_trees[index].share_of(node_id)
+                 for index in group.quorum})
+            rows.append([share.coefficient(degree) for degree in range(width)])
+        return CoefficientRows(node_ids, width, rows=rows)
 
 
 def outsource_document_multi_server(

@@ -17,25 +17,33 @@ The client and the server evaluate a query together:
    answers are verified.
 
 The module is network-agnostic: the client-side engine talks to a
-:class:`ServerInterface`.  :class:`LocalServerAdapter` runs the server
-in-process (used by tests and the plain API), while
-:class:`repro.net.client.RemoteServerAdapter` sends the same requests over
-an instrumented channel to measure bandwidth and round trips.
+:class:`ServerInterface`, whose one read is the frontier exchange: share
+evaluations of a set of nodes at every query point, their child lists
+and verification fetches, answered together.  A descent runs one such
+round per tree level for its whole frontier.  :class:`LocalServerAdapter`
+answers the exchange in process (tests, the plain API and the reference
+the oracle compares against), while
+:class:`repro.net.client.RemoteServerAdapter` sends each exchange as one
+``frontier`` request over an instrumented channel to measure bandwidth
+and round trips.  Both count what the server observes in one ledger,
+:class:`ServerObservations`.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
+from collections import Counter
 from collections.abc import Mapping
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from itertools import chain
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple, Union)
 
-from ..algebra.poly import Polynomial
 from ..algebra.quotient import EncodingRing, FpQuotientRing
 from ..algebra.vkernels import numpy_or_none
 from ..errors import QueryError, TagRecoveryError, VerificationError
 from .mapping import TagMapping
-from .share_tree import ClientShareGenerator, CoefficientRows, ServerShareTree
+from .share_tree import ClientShareGenerator, CoefficientRows, ShareStore
 
 __all__ = [
     "VerificationMode",
@@ -43,6 +51,8 @@ __all__ = [
     "FrontierResult",
     "CoefficientRows",
     "ServerInterface",
+    "ServerObservations",
+    "closure_order",
     "LocalServerAdapter",
     "LookupOutcome",
     "QueryEngine",
@@ -105,108 +115,50 @@ class QueryStats:
         return f"QueryStats({fields})"
 
 
-class FrontierResult:
-    """What one descent round returns, plus its transport cost."""
+class FrontierResult(NamedTuple):
+    """The answer to one frontier exchange, keyed by node id.
 
-    __slots__ = ("evaluations", "children", "round_trips")
+    ``evaluations`` maps every point asked for to ``node_id -> server
+    share evaluation``, ``children`` every listed parent to its child
+    list, ``rows`` every fetched node to its share's coefficient row, as
+    received (untrusted and maybe unreduced: the verifier normalises it),
+    and ``constants`` every fetched node to its share's constant term.
+    """
 
-    def __init__(self, evaluations: Dict[int, Dict[int, int]],
-                 children: Dict[int, List[int]], round_trips: int) -> None:
-        #: ``point -> node_id -> server share evaluation``.
-        self.evaluations = evaluations
-        #: Child lists of every frontier node (empty when not requested).
-        self.children = children
-        #: Request/response exchanges this round actually cost.
-        self.round_trips = round_trips
+    evaluations: Dict[int, Dict[int, int]]
+    children: Mapping[int, Sequence[int]]
+    rows: Mapping[int, Sequence[int]]
+    constants: Mapping[int, int]
 
 
 class ServerInterface(abc.ABC):
     """The requests a client may send to the (untrusted) search server."""
-
-    #: True for transports that answer a whole frontier round natively in
-    #: one exchange (the wire protocol).  The engine then evaluates the
-    #: full frontier at every point up front — extra share evaluations for
-    #: nodes that die at the first point, in exchange for O(depth) round
-    #: trips.  The in-process reference (:class:`LocalServerAdapter`)
-    #: leaves this False and gets §4.3's lazy per-point descent, which
-    #: evaluates the fewest nodes.
-    batched_rounds = False
 
     @abc.abstractmethod
     def root_id(self) -> int:
         """Identifier of the root node."""
 
     @abc.abstractmethod
-    def node_count(self) -> int:
-        """Total number of nodes stored (public)."""
+    def frontier(self, node_ids: Sequence[int] = (), points: Sequence[int] = (),
+                 include_children: bool = False,
+                 fetch_polynomials: Sequence[int] = (),
+                 fetch_constants: Sequence[int] = (),
+                 lookahead: int = 0) -> FrontierResult:
+        """One exchange with the fields of a wire ``frontier`` request.
 
-    @abc.abstractmethod
-    def children_of(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        """Public child lists for a batch of nodes."""
-
-    @abc.abstractmethod
-    def evaluate(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        """Server-share evaluations at ``point`` for a batch of nodes."""
-
-    @abc.abstractmethod
-    def fetch_polynomials(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
-        """Full server-share polynomials (used by FULL verification)."""
-
-    @abc.abstractmethod
-    def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
-        """Constant coefficients of server shares (CONSTANT_ONLY verification)."""
-
-    def fetch_polynomial_rows(self, node_ids: Sequence[int]
-                              ) -> Mapping[int, Sequence[int]]:
-        """Server-share coefficient rows, as received (untrusted).
-
-        What FULL verification consumes: rows may be unreduced, and the
-        verifier normalises them.  The base implementation takes the
-        coefficients of :meth:`fetch_polynomials`; the wire adapter
-        returns the decoded rows without building a polynomial per node,
-        as one :class:`CoefficientRows` block.
+        The server evaluates its shares of ``node_ids`` at every point, and
+        may speculate up to ``lookahead`` further levels below them; with
+        ``include_children`` it lists the children of every node it
+        evaluated.  It serves the share rows of ``fetch_polynomials`` and
+        the constant terms of ``fetch_constants``; with child lists, a
+        fetch answers the Theorem-1/2 closure: each fetched node's child
+        list, and the data of the node and of its children.  Prune notices
+        given since the last exchange travel with it.
         """
-        return {node_id: poly.coeffs
-                for node_id, poly in self.fetch_polynomials(node_ids).items()}
 
     @abc.abstractmethod
     def prune(self, node_ids: Sequence[int]) -> None:
         """Inform the server that these subtrees are dead for the current query."""
-
-    # -- batched protocol ---------------------------------------------------------------
-    def frontier_round(self, node_ids: Sequence[int], points: Sequence[int],
-                       prune: Sequence[int] = (), include_children: bool = True,
-                       lookahead: int = 0) -> FrontierResult:
-        """One whole descent round: prune notice, evaluations, child lists.
-
-        Only servers with :attr:`batched_rounds` answer it, in one exchange
-        that may cover ``lookahead`` further levels; the engine runs §4.3's
-        lazy per-point descent against every other server.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not answer batched frontier rounds")
-
-    def verification_bundle(self, node_ids: Sequence[int],
-                            constants_only: bool = False
-                            ) -> Tuple[Dict[int, List[int]], Dict[int, object], int]:
-        """Child lists plus share data for ``node_ids`` *and their children*.
-
-        Verification (Theorem 1/2) always needs a candidate's children, so
-        the wire adapter answers both in one exchange; the base
-        implementation composes two per-kind requests.  Returns
-        ``(children, data, round_trips)`` where ``data`` maps every node in
-        the closure to its share's coefficient row, as
-        :meth:`fetch_polynomial_rows` returns it (or to its constant
-        coefficient when ``constants_only``).
-        """
-        children = self.children_of(node_ids)
-        needed = sorted(set(node_ids) | {
-            child for node_id in node_ids for child in children[node_id]})
-        if constants_only:
-            data: Dict[int, object] = dict(self.fetch_constants(needed))
-        else:
-            data = dict(self.fetch_polynomial_rows(needed))
-        return children, data, 2
 
     def flush_prunes(self) -> int:
         """Deliver any buffered prune notices; returns round trips spent.
@@ -218,45 +170,109 @@ class ServerInterface(abc.ABC):
         return 0
 
 
-class LocalServerAdapter(ServerInterface):
-    """Runs the server role in-process against a :class:`ServerShareTree`.
+class ServerObservations:
+    """What an honest-but-curious server learns while answering queries, counted.
 
-    Also keeps the server-visible trace (queried points, pruned nodes) so the
-    leakage analysis (:mod:`repro.analysis.leakage`) can audit exactly what an
-    honest-but-curious server observes.
+    The ledger keeps counts, not the ids behind them, so it does not grow
+    with traffic: one integer per kind of observation plus
+    ``point_counts``, which maps each query point to the number of
+    (request, point) evaluations that named it and is bounded by the
+    number of distinct points.
     """
 
-    def __init__(self, share_tree: ServerShareTree) -> None:
-        self.share_tree = share_tree
-        self.observed_points: List[int] = []
-        self.observed_prunes: List[int] = []
+    __slots__ = ("point_counts", "evaluation_requests", "pruned_nodes",
+                 "polynomials_served", "constants_served", "requests_handled")
+
+    def __init__(self) -> None:
+        #: Query point -> how many (request, point) evaluations named it.
+        self.point_counts: Counter = Counter()
+        #: Node evaluations the server was asked for.
         self.evaluation_requests = 0
+        #: Node ids clients reported as dead branches.
+        self.pruned_nodes = 0
+        #: Share polynomials served for verification.
+        self.polynomials_served = 0
+        #: Constant terms served (trusted-server verification).
+        self.constants_served = 0
+        self.requests_handled = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        """Counted summary for reports."""
+        return {
+            "distinct_points_seen": len(self.point_counts),
+            "evaluation_requests": self.evaluation_requests,
+            "pruned_nodes": self.pruned_nodes,
+            "polynomials_served": self.polynomials_served,
+            "constants_served": self.constants_served,
+            "requests_handled": self.requests_handled,
+        }
+
+
+def closure_order(node_ids: Iterable[int],
+                  children: Mapping[int, Sequence[int]]) -> List[int]:
+    """The Theorem-1/2 closure of ``node_ids`` in fetch order: each node,
+    then its children not yet named.
+
+    A fetch with child lists serves its rows and constants in this order,
+    over the wire (:func:`repro.net.messages.frontier_layout`) and in
+    process alike.
+    """
+    return list(dict.fromkeys(chain.from_iterable(
+        (node_id, *children[node_id]) for node_id in node_ids)))
+
+
+class LocalServerAdapter(ServerInterface):
+    """Runs the server role in-process against a share store.
+
+    Each exchange is answered from the store's batch reads at lookahead
+    0: in process a round costs no trip, so speculation would only add
+    evaluations.  What an honest-but-curious server observes is counted
+    in :attr:`observations`, the ledger a served document keeps, so the
+    leakage analysis (:mod:`repro.analysis.leakage`) audits both alike.
+    """
+
+    def __init__(self, share_tree: ShareStore) -> None:
+        self.share_tree = share_tree
+        self.observations = ServerObservations()
 
     def root_id(self) -> int:
         if self.share_tree.root_id is None:
             raise QueryError("the server share tree is empty")
         return self.share_tree.root_id
 
-    def node_count(self) -> int:
-        return self.share_tree.node_count()
-
-    def children_of(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        return {node_id: self.share_tree.child_ids(node_id) for node_id in node_ids}
-
-    def evaluate(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        self.observed_points.append(point)
-        self.evaluation_requests += len(node_ids)
-        return self.share_tree.evaluate_many(node_ids, point)
-
-    def fetch_polynomials(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
-        return {node_id: self.share_tree.share_of(node_id) for node_id in node_ids}
-
-    def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
-        return {node_id: self.share_tree.share_of(node_id).constant_term
-                for node_id in node_ids}
+    def frontier(self, node_ids: Sequence[int] = (), points: Sequence[int] = (),
+                 include_children: bool = False,
+                 fetch_polynomials: Sequence[int] = (),
+                 fetch_constants: Sequence[int] = (),
+                 lookahead: int = 0) -> FrontierResult:
+        store, ledger = self.share_tree, self.observations
+        ledger.requests_handled += 1
+        node_ids = list(node_ids)
+        evaluations: Dict[int, Dict[int, int]] = {}
+        for point in dict.fromkeys(points):
+            ledger.point_counts[point] += 1
+            ledger.evaluation_requests += len(node_ids)
+            evaluations[point] = (store.evaluate_many(node_ids, point)
+                                  if node_ids else {})
+        children: Dict[int, List[int]] = {}
+        if include_children:
+            children = store.child_lists(list(dict.fromkeys(
+                [*node_ids, *fetch_polynomials, *fetch_constants])))
+            fetch_polynomials = closure_order(fetch_polynomials, children)
+            fetch_constants = closure_order(fetch_constants, children)
+        rows: Mapping[int, Sequence[int]] = {}
+        if fetch_polynomials:
+            ledger.polynomials_served += len(fetch_polynomials)
+            rows = store.coefficient_rows(fetch_polynomials)
+        constants: Dict[int, int] = {}
+        if fetch_constants:
+            ledger.constants_served += len(fetch_constants)
+            constants = dict(zip(fetch_constants, store.coefficient_rows(
+                fetch_constants).constant_terms()))
+        return FrontierResult(evaluations, children, rows, constants)
 
     def prune(self, node_ids: Sequence[int]) -> None:
-        self.observed_prunes.extend(node_ids)
+        self.observations.pruned_nodes += len(node_ids)
 
 
 class LookupOutcome:
@@ -290,22 +306,25 @@ class LookupOutcome:
 class QueryEngine:
     """Client-side query engine implementing the §4.3 protocol.
 
-    The engine does each piece of a query's work once:
+    Every read is one :meth:`ServerInterface.frontier` exchange, and the
+    engine does each piece of a query's work once:
 
     * a descent enters each node into its frontier at most once, so when
       its start nodes nest (a descendant step from nested context nodes)
       the subtrees below the inner ones are walked, evaluated and pruned
       once;
-    * over a batched transport a memo holds the server evaluations
-      (``point -> node -> value``) and the child lists the query has
-      received.  A descent level or a child-axis filter whose round would
-      return nothing the memo lacks sends no round; when a round is
-      needed it is the whole-frontier round, unchanged;
+    * a memo holds the server evaluations (``point -> node -> value``)
+      and the child lists the query has received.  A descent level or a
+      child-axis filter whose round would return nothing the memo lacks
+      sends no round; when a round is needed it is the whole-frontier
+      round, unchanged;
     * FULL verification keeps the server share rows the query has
       received and the tag value of every node it has recovered
       (:meth:`tag_values`): a node is recovered once per query, and a
       share row crosses the wire once per query, unless a closure whose
-      child lists the query lacks brings it again in its one exchange.
+      child lists the query lacks brings it again in its one exchange;
+    * each query point is sent once per round, however often its tag
+      recurs in the query.
 
     The memo belongs to one query: it starts empty at every
     :meth:`lookup` and every advanced query (:meth:`begin_query`).  Kept
@@ -314,9 +333,10 @@ class QueryEngine:
     changed.
     """
 
-    #: Tree levels the server evaluates speculatively below each batched
-    #: frontier exchange: one level halves the descent's round trips, at
-    #: the price of evaluating children of nodes that turn out dead.
+    #: Tree levels the server evaluates speculatively below each frontier
+    #: exchange: one level halves the descent's round trips over the
+    #: wire, at the price of evaluating children of nodes that turn out
+    #: dead.  The in-process server answers at lookahead 0.
     FRONTIER_LOOKAHEAD = 1
 
     def __init__(self, ring: EncodingRing, mapping: TagMapping,
@@ -327,11 +347,11 @@ class QueryEngine:
         self.client_shares = client_shares
         self.server = server
         self.verification = verification
-        # The query's memo: the child lists it has received; over a
-        # batched transport, the server evaluations, ``point -> node_id ->
-        # value``; the server share rows, ``node_id -> the block that
-        # holds its row`` as received; and the recovered tag values.
-        self._children_cache: Dict[int, List[int]] = {}
+        # The query's memo: the child lists it has received; the server
+        # evaluations, ``point -> node_id -> value``; the server share
+        # rows, ``node_id -> the block that holds its row`` as received;
+        # and the recovered tag values.
+        self._children_cache: Dict[int, Sequence[int]] = {}
         self._server_values: Dict[int, Dict[int, int]] = {}
         self._row_blocks: Dict[int, Mapping[int, Sequence[int]]] = {}
         self._tags: Dict[int, int] = {}
@@ -374,40 +394,27 @@ class QueryEngine:
         descent prunes on every queried tag at once.
         """
         stats = stats if stats is not None else QueryStats()
-        points = [self.mapping.value(tag) for tag in tags]
-        stats.points_sent += len(set(points))
-        zero_nodes, _ = self._descend(points, stats, start_nodes=start_nodes)
+        zero_nodes, _ = self._descend(self._points(tags, stats), stats,
+                                      start_nodes=start_nodes)
         return zero_nodes, stats
 
     def filter_containing(self, node_ids: Sequence[int], tags: Sequence[str],
                           stats: QueryStats) -> List[int]:
         """Subset of ``node_ids`` whose subtree contains *all* ``tags``.
 
-        A single evaluation round per tag (or, over a batched transport, one
-        exchange for *all* tags), no descent — used by the advanced query
-        executor for child-axis steps.  Over a batched transport the round
-        is skipped when the query's memo already holds every node's value
-        at every point, as it does for the children of context nodes that
-        an earlier descendant step descended through.
+        One exchange for all tags, no descent — used by the advanced query
+        executor for child-axis steps.  The exchange is skipped when the
+        query's memo already holds every node's value at every point, as
+        it does for the children of context nodes that an earlier
+        descendant step descended through.
         """
         alive = list(node_ids)
-        if self.server.batched_rounds and alive and tags:
-            points = [self.mapping.value(tag) for tag in tags]
-            stats.points_sent += len(set(points))
+        if alive and tags:
+            points = self._points(tags, stats)
             if not self._received(alive, points, children=False):
-                self._round(alive, points, stats, include_children=False)
+                self._exchange(stats, alive, points)
             alive = [node_id for node_id, zero
                      in zip(alive, self._zero_at_all(alive, points)) if zero]
-            stats.nodes_evaluated += len(set(node_ids))
-            return alive
-        for tag in tags:
-            if not alive:
-                break
-            point = self.mapping.value(tag)
-            stats.points_sent += 1
-            sums = self._sum_evaluations(alive, point, stats)
-            alive = [node_id for node_id in alive
-                     if self.ring.evaluation_is_zero(sums[node_id], point)]
         stats.nodes_evaluated += len(set(node_ids))
         return alive
 
@@ -425,7 +432,8 @@ class QueryEngine:
         confirmed, _ = self._verify_full(sorted(set(node_ids)), point, stats)
         return confirmed
 
-    def children_of(self, node_ids: Sequence[int], stats: QueryStats) -> Dict[int, List[int]]:
+    def children_of(self, node_ids: Sequence[int],
+                    stats: QueryStats) -> Dict[int, Sequence[int]]:
         """Public child lists (cached; counts a round trip on cache misses)."""
         return self._children(node_ids, stats)
 
@@ -454,50 +462,42 @@ class QueryEngine:
         return {node_id: self._tags[node_id] for node_id in node_ids}
 
     # -- protocol internals --------------------------------------------------------------
-    def _children(self, node_ids: Sequence[int], stats: QueryStats) -> Dict[int, List[int]]:
+    def _points(self, tags: Sequence[str], stats: QueryStats) -> List[int]:
+        """The query points of ``tags``, each once, counted as sent.
+
+        A tag that recurs in a query is one point: the server is asked
+        for it, and the client checks it, once per round.
+        """
+        points = list(dict.fromkeys(self.mapping.value(tag) for tag in tags))
+        stats.points_sent += len(points)
+        return points
+
+    def _exchange(self, stats: QueryStats, node_ids: Sequence[int] = (),
+                  points: Sequence[int] = (), include_children: bool = False,
+                  fetch_polynomials: Sequence[int] = (),
+                  fetch_constants: Sequence[int] = (),
+                  lookahead: int = 0) -> FrontierResult:
+        """One :meth:`ServerInterface.frontier` exchange, counted in
+        ``stats``; the values and child lists it returns go into the
+        query's memo."""
+        result = self.server.frontier(node_ids, points, include_children,
+                                      fetch_polynomials, fetch_constants,
+                                      lookahead)
+        stats.round_trips += 1
+        for point, received in result.evaluations.items():
+            self._server_values.setdefault(point, {}).update(received)
+            stats.evaluations += len(received)
+        self._children_cache.update(result.children)
+        stats.polynomials_fetched += len(result.rows)
+        stats.constants_fetched += len(result.constants)
+        return result
+
+    def _children(self, node_ids: Sequence[int],
+                  stats: QueryStats) -> Dict[int, Sequence[int]]:
         missing = [node_id for node_id in node_ids if node_id not in self._children_cache]
         if missing:
-            fetched = self.server.children_of(missing)
-            self._children_cache.update(fetched)
-            stats.round_trips += 1
+            self._exchange(stats, missing, include_children=True)
         return {node_id: self._children_cache[node_id] for node_id in node_ids}
-
-    def _sum_evaluations(self, node_ids: Sequence[int], point: int,
-                         stats: QueryStats) -> Dict[int, int]:
-        """Server round trip + batched local share evaluation + per-node sums."""
-        if not node_ids:
-            return {}
-        server_values = self.server.evaluate(node_ids, point)
-        stats.round_trips += 1
-        stats.evaluations += len(node_ids)
-        client_values = self.client_shares.evaluate_points(node_ids, [point])
-        modulus = self.ring.evaluation_modulus(point)
-        sums: Dict[int, int] = {}
-        for node_id, client_value in zip(node_ids, client_values[point]):
-            total = client_value + server_values[node_id]
-            sums[node_id] = total if modulus is None else total % modulus
-        return sums
-
-    def _descend(self, points: Sequence[int], stats: QueryStats,
-                 start_nodes: Optional[Sequence[int]] = None
-                 ) -> Tuple[Set[int], Set[int]]:
-        """Breadth-first descent pruning on *all* ``points`` simultaneously.
-
-        Each level costs at most one :meth:`ServerInterface.frontier_round`:
-        the whole frontier is evaluated at every query point and its child
-        lists are fetched speculatively in the same exchange (children of
-        nodes that turn out dead cost bytes but never an extra round trip).
-        Dead branches found at one level are reported as the prune list of
-        the *next* round — batched transports piggyback them for free.
-        Each node enters the frontier at most once, even when start nodes
-        lie below other start nodes.
-
-        Returns ``(zero_nodes, pruned_nodes)``, where ``zero_nodes`` are
-        the nodes whose summed evaluations are zero at *every* point.
-        """
-        if self.server.batched_rounds:
-            return self._descend_batched(points, stats, start_nodes)
-        return self._descend_lazy(points, stats, start_nodes)
 
     def _received(self, node_ids: Sequence[int], points: Sequence[int],
                   children: bool) -> bool:
@@ -513,20 +513,6 @@ class QueryEngine:
             return False
         return all(node_id in self._server_values.get(point, ())
                    for point in points for node_id in node_ids)
-
-    def _round(self, node_ids: Sequence[int], points: Sequence[int],
-               stats: QueryStats, include_children: bool,
-               prune: Sequence[int] = (), lookahead: int = 0) -> None:
-        """One frontier round; what it returns goes into the query's memo."""
-        result = self.server.frontier_round(
-            node_ids, points, prune=prune, include_children=include_children,
-            lookahead=lookahead)
-        stats.round_trips += result.round_trips
-        for point in points:
-            received = result.evaluations[point]
-            self._server_values.setdefault(point, {}).update(received)
-            stats.evaluations += len(received)
-        self._children_cache.update(result.children)
 
     def _zero_at_all(self, node_ids: Sequence[int],
                      points: Sequence[int]) -> List[bool]:
@@ -550,7 +536,7 @@ class QueryEngine:
         return zero
 
     @staticmethod
-    def _next_level(alive: Sequence[int], children: Mapping[int, List[int]],
+    def _next_level(alive: Sequence[int], children: Mapping[int, Sequence[int]],
                     touched: Set[int]) -> List[int]:
         """The children of ``alive`` that the descent has not touched yet.
 
@@ -563,32 +549,37 @@ class QueryEngine:
         touched.update(level)
         return level
 
-    def _descend_batched(self, points: Sequence[int], stats: QueryStats,
-                         start_nodes: Optional[Sequence[int]] = None
-                         ) -> Tuple[Set[int], Set[int]]:
-        """Descent over a batched transport.
+    def _descend(self, points: Sequence[int], stats: QueryStats,
+                 start_nodes: Optional[Sequence[int]] = None
+                 ) -> Tuple[Set[int], Set[int]]:
+        """Breadth-first descent pruning on *all* ``points`` simultaneously.
 
-        Each exchange covers the current frontier *plus*
-        :attr:`FRONTIER_LOOKAHEAD` speculated levels.  A level whose values
-        and child lists the query's memo already holds (speculated by an
-        earlier exchange, or received by an earlier step of the same
-        query) is decided locally; the engine goes back to the server only
-        when the frontier outruns the memo.  Each node enters the frontier
-        at most once, even when start nodes lie below other start nodes.
+        Each level costs at most one frontier exchange: the whole frontier
+        is evaluated at every query point and its child lists come in the
+        same exchange (children of nodes that turn out dead cost bytes but
+        never an extra round trip), with :attr:`FRONTIER_LOOKAHEAD`
+        speculated levels below it.  A level whose values and child lists
+        the query's memo already holds (speculated by an earlier exchange,
+        or received by an earlier step of the same query) is decided
+        locally; the engine goes back to the server only when the frontier
+        outruns the memo.  Dead branches are reported as they are found;
+        a transport that buffers the notices sends them with its next
+        exchange.  Each node enters the frontier at most once, even when
+        start nodes lie below other start nodes.
+
+        Returns ``(zero_nodes, pruned_nodes)``, where ``zero_nodes`` are
+        the nodes whose summed evaluations are zero at *every* point.
         """
         frontier: List[int] = (list(start_nodes) if start_nodes is not None
                                else [self.server.root_id()])
         zero_nodes: Set[int] = set()
         pruned: Set[int] = set()
         touched: Set[int] = set(frontier)
-        pending_dead: List[int] = []
 
         while frontier:
             if not self._received(frontier, points, children=True):
-                self._round(frontier, points, stats, include_children=True,
-                            prune=pending_dead,
-                            lookahead=self.FRONTIER_LOOKAHEAD)
-                pending_dead = []
+                self._exchange(stats, frontier, points, include_children=True,
+                               lookahead=self.FRONTIER_LOOKAHEAD)
             # A node stays alive only if its summed evaluation is zero at
             # *all* points (its subtree contains every queried tag).
             zero_at_all = self._zero_at_all(frontier, points)
@@ -596,51 +587,12 @@ class QueryEngine:
                      if zero]
             dead = [node_id for node_id, zero in zip(frontier, zero_at_all)
                     if not zero]
-            pending_dead.extend(dead)
+            if dead:
+                self.server.prune(dead)
             pruned.update(dead)
             stats.nodes_pruned += len(dead)
             zero_nodes.update(alive)
             frontier = self._next_level(alive, self._children_cache, touched)
-        if pending_dead:
-            self.server.prune(pending_dead)
-        stats.nodes_evaluated += len(touched)
-        return zero_nodes, pruned
-
-    def _descend_lazy(self, points: Sequence[int], stats: QueryStats,
-                      start_nodes: Optional[Sequence[int]] = None
-                      ) -> Tuple[Set[int], Set[int]]:
-        """Descent over a chatty transport: lazy per-point evaluation.
-
-        Nodes dead at an earlier point are never evaluated at later points
-        and only the live part of the frontier has its children fetched —
-        minimal server work and bytes, at one exchange per request kind.
-        Each node enters the frontier at most once, as in the batched
-        descent.
-        """
-        frontier: List[int] = (list(start_nodes) if start_nodes is not None
-                               else [self.server.root_id()])
-        zero_nodes: Set[int] = set()
-        pruned: Set[int] = set()
-        touched: Set[int] = set(frontier)
-
-        while frontier:
-            alive: List[int] = list(frontier)
-            for point in points:
-                if not alive:
-                    break
-                sums = self._sum_evaluations(alive, point, stats)
-                alive = [node_id for node_id in alive
-                         if self.ring.evaluation_is_zero(sums[node_id], point)]
-            dead = [node_id for node_id in frontier if node_id not in alive]
-            if dead:
-                self.server.prune(dead)
-                pruned.update(dead)
-                stats.nodes_pruned += len(dead)
-            zero_nodes.update(alive)
-            if not alive:
-                break
-            frontier = self._next_level(alive, self._children(alive, stats),
-                                        touched)
         stats.nodes_evaluated += len(touched)
         return zero_nodes, pruned
 
@@ -684,26 +636,26 @@ class QueryEngine:
 
     def _verification_children(self, candidates: Sequence[int], stats: QueryStats,
                                constants_only: bool
-                               ) -> Tuple[Dict[int, List[int]], Optional[Dict[int, object]]]:
+                               ) -> Tuple[Mapping[int, Sequence[int]],
+                                          Optional[Mapping[int, object]]]:
         """Child lists of ``candidates`` plus, on a cache miss, their share data.
 
         When every candidate's children are already cached (the common case
         after a descent) only the cached structure is returned and the
-        caller fetches share data separately.  Otherwise one
-        :meth:`ServerInterface.verification_bundle` exchange answers both —
-        batched transports collapse it into a single round trip.
+        caller fetches share data separately.  Otherwise one closure
+        exchange answers both: the candidates' child lists, and the rows
+        (or constants) of the candidates and their children.
         """
         if all(node_id in self._children_cache for node_id in candidates):
             return self._children(list(candidates), stats), None
-        children_map, data, round_trips = self.server.verification_bundle(
-            list(candidates), constants_only=constants_only)
-        self._children_cache.update(children_map)
-        stats.round_trips += round_trips
+        fetched = list(candidates)
         if constants_only:
-            stats.constants_fetched += len(data)
-        else:
-            stats.polynomials_fetched += len(data)
-        return children_map, data
+            result = self._exchange(stats, include_children=True,
+                                    fetch_constants=fetched)
+            return result.children, result.constants
+        result = self._exchange(stats, include_children=True,
+                                fetch_polynomials=fetched)
+        return result.children, result.rows
 
     def _verify_full(self, candidates: Sequence[int], point: int,
                      stats: QueryStats) -> Tuple[List[int], List[int]]:
@@ -722,9 +674,9 @@ class QueryEngine:
 
         Rows the query holds are not fetched again: one fetch brings those
         it lacks, and no round is sent when it lacks none.  A closure
-        whose child lists the query lacks comes whole in one
-        :meth:`ServerInterface.verification_bundle`.  Rows that all came
-        in one fetch are returned as that fetch's block, as received.
+        whose child lists the query lacks comes whole in one closure
+        exchange.  Rows that all came in one fetch are returned as that
+        fetch's block, as received.
         """
         children_map, bundled = self._verification_children(
             candidates, stats, constants_only=False)
@@ -736,9 +688,7 @@ class QueryEngine:
         missing = [node_id for node_id in needed
                    if node_id not in self._row_blocks]
         if missing:
-            fetched = self.server.fetch_polynomial_rows(missing)
-            stats.round_trips += 1
-            stats.polynomials_fetched += len(missing)
+            fetched = self._exchange(stats, fetch_polynomials=missing).rows
             self._row_blocks.update(dict.fromkeys(fetched, fetched))
             if len(missing) == len(needed):
                 return children_map, needed, fetched
@@ -838,12 +788,8 @@ class QueryEngine:
             candidates, stats, constants_only=True)
         needed = sorted(set(candidates) | {
             child for node_id in candidates for child in children_map[node_id]})
-        if bundled is None:
-            server_constants = self.server.fetch_constants(needed)
-            stats.round_trips += 1
-            stats.constants_fetched += len(needed)
-        else:
-            server_constants = bundled
+        server_constants = (bundled if bundled is not None else
+                            self._exchange(stats, fetch_constants=needed).constants)
         client_constants = {node_id: share.constant_term for node_id, share
                             in self.client_shares.shares_for(needed).items()}
         ring = self.ring.coefficient_ring

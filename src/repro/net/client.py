@@ -1,7 +1,7 @@
 """Client-side network stub: a :class:`ServerInterface` over a channel.
 
-:class:`RemoteServerAdapter` turns the abstract requests of the query
-engine into protocol messages, sends them through an
+:class:`RemoteServerAdapter` turns each frontier exchange of the query
+engine into one protocol message, sends it through an
 :class:`~repro.net.channel.InstrumentedChannel` and decodes the answers —
 so every query run through it yields exact byte/round-trip measurements
 (experiments E10/E13).
@@ -31,7 +31,7 @@ before surfacing :class:`~repro.errors.UpdateConflictError`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algebra.poly import Polynomial
 from ..core.query import FrontierResult, ServerInterface
@@ -43,7 +43,6 @@ from .messages import (
     SUPPORTED_PROTOCOL_VERSIONS,
     BlobRequest,
     BlobResponse,
-    BoundFrontier,
     ConflictResponse,
     ErrorResponse,
     FrontierRequest,
@@ -68,28 +67,25 @@ __all__ = ["RemoteServerAdapter", "RemoteUpdatableTree", "connect",
 class RemoteServerAdapter(ServerInterface):
     """A server proxy that speaks the wire protocol over a channel."""
 
-    #: Whole frontier rounds travel in one exchange.
-    batched_rounds = True
-
     def __init__(self, channel: InstrumentedChannel, ring,
                  document_id: Optional[str] = None) -> None:
         self.channel = channel
         self.ring = ring
         self.document_id = document_id
-        self._structure: Optional[Tuple[int, int]] = None
+        self._root_id: Optional[int] = None
         self._pending_prune: List[int] = []
         self._negotiate()
 
     # -- session management ---------------------------------------------------------
     def _negotiate(self) -> None:
-        """The hello exchange; also caches the structure summary it returns."""
+        """The hello exchange; also caches the root id it returns."""
         response = self._request(HelloRequest(), HelloResponse)
         if response.version not in SUPPORTED_PROTOCOL_VERSIONS:
             raise ProtocolError(
                 f"server negotiated protocol version {response.version}, which "
                 f"this client did not offer ({list(SUPPORTED_PROTOCOL_VERSIONS)})")
         if response.root_id is not None:
-            self._structure = (response.root_id, response.node_count)
+            self._root_id = response.root_id
 
     def _request(self, message: Message, expected: type) -> Message:
         if self.document_id is not None:
@@ -104,41 +100,36 @@ class RemoteServerAdapter(ServerInterface):
             raise ProtocolError(f"unexpected response {response.kind!r}")
         return response
 
-    def _structure_summary(self) -> Tuple[int, int]:
-        if self._structure is None:
-            raise ProtocolError(
-                "the server's hello named no stored document for this "
-                "session")
-        return self._structure
-
     def _take_prunes(self) -> List[int]:
         pending, self._pending_prune = self._pending_prune, []
         return pending
 
     # -- ServerInterface -----------------------------------------------------------
     def root_id(self) -> int:
-        return self._structure_summary()[0]
+        if self._root_id is None:
+            raise ProtocolError(
+                "the server's hello named no stored document for this "
+                "session")
+        return self._root_id
 
-    def node_count(self) -> int:
-        return self._structure_summary()[1]
+    def frontier(self, node_ids: Sequence[int] = (), points: Sequence[int] = (),
+                 include_children: bool = False,
+                 fetch_polynomials: Sequence[int] = (),
+                 fetch_constants: Sequence[int] = (),
+                 lookahead: int = 0) -> FrontierResult:
+        """One ``frontier`` request, its answer bound to the request.
 
-    def children_of(self, node_ids: Sequence[int]) -> Dict[int, List[int]]:
-        return self._frontier(node_ids, include_children=True).children
-
-    def evaluate(self, node_ids: Sequence[int], point: int) -> Dict[int, int]:
-        return self._frontier(node_ids, [point]).evaluations[point]
-
-    def fetch_polynomials(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
-        return {node_id: self.ring.from_coefficients(row)
-                for node_id, row in self.fetch_polynomial_rows(node_ids).items()}
-
-    def fetch_polynomial_rows(self, node_ids: Sequence[int]
-                              ) -> Mapping[int, Sequence[int]]:
-        """The decoded coefficient rows, with no polynomial per node."""
-        return self._frontier(fetch_polynomials=node_ids).polynomials
-
-    def fetch_constants(self, node_ids: Sequence[int]) -> Dict[int, int]:
-        return self._frontier(fetch_constants=node_ids).constants
+        Each point is sent once, and buffered prune notices ride along.
+        Binding checks every section's length against the request's
+        layout, so a server that omits or adds an entry raises
+        :class:`~repro.errors.ProtocolError` naming the section.
+        """
+        request = FrontierRequest(
+            node_ids, list(dict.fromkeys(points)), prune=self._take_prunes(),
+            include_children=include_children,
+            fetch_polynomials=fetch_polynomials,
+            fetch_constants=fetch_constants, lookahead=lookahead)
+        return self._request(request, FrontierResponse).bind(request)
 
     def prune(self, node_ids: Sequence[int]) -> None:
         # Buffered: the ids ride along with the next request.
@@ -149,47 +140,6 @@ class RemoteServerAdapter(ServerInterface):
             return 0
         self._request(PruneNotice(self._take_prunes()), Message)
         return 1
-
-    # -- batched protocol ------------------------------------------------------------
-    def _frontier(self, node_ids: Sequence[int] = (), points: Sequence[int] = (),
-                  include_children: bool = False,
-                  fetch_polynomials: Sequence[int] = (),
-                  fetch_constants: Sequence[int] = (),
-                  lookahead: int = 0) -> BoundFrontier:
-        """One frontier exchange, its answer bound to the request it answers.
-
-        Each point is sent once.  Binding checks every section's length
-        against the request's layout, so a server that omits or adds an
-        entry raises :class:`~repro.errors.ProtocolError` naming the
-        section.
-        """
-        request = FrontierRequest(
-            node_ids, list(dict.fromkeys(points)), prune=self._take_prunes(),
-            include_children=include_children,
-            fetch_polynomials=fetch_polynomials,
-            fetch_constants=fetch_constants, lookahead=lookahead)
-        return self._request(request, FrontierResponse).bind(request)
-
-    def frontier_round(self, node_ids: Sequence[int], points: Sequence[int],
-                       prune: Sequence[int] = (), include_children: bool = True,
-                       lookahead: int = 0) -> FrontierResult:
-        self._pending_prune.extend(prune)
-        answer = self._frontier(node_ids, points,
-                                include_children=include_children,
-                                lookahead=lookahead)
-        return FrontierResult(answer.evaluations, answer.children,
-                              round_trips=1)
-
-    def verification_bundle(self, node_ids: Sequence[int],
-                            constants_only: bool = False
-                            ) -> Tuple[Dict[int, List[int]], Mapping[int, object], int]:
-        if constants_only:
-            answer = self._frontier(include_children=True,
-                                    fetch_constants=node_ids)
-            return answer.children, answer.constants, 1
-        answer = self._frontier(include_children=True,
-                                fetch_polynomials=node_ids)
-        return answer.children, answer.polynomials, 1
 
     # -- updates --------------------------------------------------------------------
     def apply_update(self, request: UpdateRequest) -> UpdateResponse:
@@ -278,7 +228,8 @@ class _RemoteStoreMirror(ShareStore):
         frontier = [root]
         while frontier:
             chunk, frontier = frontier[:self.CHUNK], frontier[self.CHUNK:]
-            for node_id, child_ids in self.server.children_of(chunk).items():
+            answer = self.server.frontier(chunk, include_children=True)
+            for node_id, child_ids in answer.children.items():
                 for child in child_ids:
                     structure.add(child, node_id)
                 frontier.extend(child_ids)
@@ -293,7 +244,13 @@ class _RemoteStoreMirror(ShareStore):
                           if n not in self._shares and n in self._structure})
         while missing:
             chunk, missing = missing[:self.CHUNK], missing[self.CHUNK:]
-            self._shares.update(self.server.fetch_polynomials(chunk))
+            self._shares.update(self._fetch_shares(chunk))
+
+    def _fetch_shares(self, node_ids: Sequence[int]) -> Dict[int, Polynomial]:
+        """The share polynomials of ``node_ids``, in one exchange."""
+        rows = self.server.frontier(fetch_polynomials=node_ids).rows
+        return {node_id: self.ring.from_coefficients(row)
+                for node_id, row in rows.items()}
 
     # -- read side (served from the mirror) -------------------------------------------
     @property
@@ -326,7 +283,7 @@ class _RemoteStoreMirror(ShareStore):
         if share is None:
             if node_id not in self._structure:
                 raise SharingError(f"unknown node id {node_id}")
-            share = self.server.fetch_polynomials([node_id])[node_id]
+            share = self._fetch_shares([node_id])[node_id]
             self._shares[node_id] = share
         return share
 

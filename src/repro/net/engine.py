@@ -32,10 +32,11 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.query import ServerObservations
 from ..core.share_tree import CoefficientRows, ShareStore
 from ..errors import (
     ProtocolError,
@@ -96,44 +97,6 @@ class _UpdateConflict(Exception):
     def __init__(self, conflicts: Sequence[int]) -> None:
         super().__init__(f"conflicting nodes {sorted(conflicts)}")
         self.conflicts = [int(n) for n in conflicts]
-
-
-class ServerObservations:
-    """What an honest-but-curious server learns while answering queries, counted.
-
-    The ledger keeps counts, not the ids behind them, so it does not grow
-    with traffic: one integer per kind of observation plus
-    ``point_counts``, which maps each query point to the number of
-    (request, point) evaluations that named it and is bounded by the
-    number of distinct points.
-    """
-
-    __slots__ = ("point_counts", "evaluation_requests", "pruned_nodes",
-                 "polynomials_served", "constants_served", "requests_handled")
-
-    def __init__(self) -> None:
-        #: Query point -> how many (request, point) evaluations named it.
-        self.point_counts: Counter = Counter()
-        #: Node evaluations the server was asked for.
-        self.evaluation_requests = 0
-        #: Node ids clients reported as dead branches.
-        self.pruned_nodes = 0
-        #: Share polynomials served for verification.
-        self.polynomials_served = 0
-        #: Constant terms served (trusted-server verification).
-        self.constants_served = 0
-        self.requests_handled = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Counted summary for reports."""
-        return {
-            "distinct_points_seen": len(self.point_counts),
-            "evaluation_requests": self.evaluation_requests,
-            "pruned_nodes": self.pruned_nodes,
-            "polynomials_served": self.polynomials_served,
-            "constants_served": self.constants_served,
-            "requests_handled": self.requests_handled,
-        }
 
 
 class HostedDocument:

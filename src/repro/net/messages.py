@@ -38,9 +38,12 @@ session loudly.  Then:
 * :class:`BlobRequest`/:class:`BlobResponse` serve the
   download-everything baseline.
 
-§4.3's per-level exchange (evaluate, prune, fetch children, fetch
-polynomials, one request each) has no wire form: it runs in process as
-the reference, :class:`~repro.core.query.LocalServerAdapter`.
+A :class:`FrontierRequest` has the fields of the one read of
+:class:`~repro.core.query.ServerInterface`, and a bound
+:class:`FrontierResponse` is its
+:class:`~repro.core.query.FrontierResult`; in process,
+:class:`~repro.core.query.LocalServerAdapter` answers the same exchange
+without a message.
 
 Every message additionally carries an optional ``document_id`` so one
 server can host many outsourced documents; omitting it addresses the
@@ -73,11 +76,10 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from typing import (AbstractSet, Any, Callable, Dict, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple)
 
-from ..core.query import CoefficientRows
+from ..core.query import CoefficientRows, FrontierResult, closure_order
 from ..errors import ProtocolError
 from .framing import MAX_FRAME_BYTES
 from .pages import (
@@ -103,7 +105,6 @@ __all__ = [
     "FrontierRequest",
     "FrontierResponse",
     "FrontierLayout",
-    "BoundFrontier",
     "frontier_layout",
     "PruneNotice",
     "UpdateRequest",
@@ -584,33 +585,10 @@ def frontier_layout(request: FrontierRequest,
             lists += child_lists(fetched)
         if polynomials or constants:
             by_parent = dict(zip(parents, lists))
-            polynomials = _closure(polynomials, by_parent)
-            constants = _closure(constants, by_parent)
+            polynomials = closure_order(polynomials, by_parent)
+            constants = closure_order(constants, by_parent)
     return FrontierLayout(expansion, parents, lists, list(polynomials),
                           list(constants))
-
-
-def _closure(node_ids: List[int], children: Mapping[int, Sequence[int]]
-             ) -> List[int]:
-    """Each of ``node_ids``, then its children not yet named."""
-    return list(dict.fromkeys(chain.from_iterable(
-        (node_id, *children[node_id]) for node_id in node_ids)))
-
-
-class BoundFrontier(NamedTuple):
-    """A ``frontier-ok``'s sections keyed by node id (:meth:`FrontierResponse.bind`).
-
-    ``evaluations`` maps every point of the request to ``node_id ->
-    server share evaluation``, ``children`` every listed parent to its
-    child list, ``polynomials`` every fetched node to its share row (one
-    :class:`~repro.core.share_tree.CoefficientRows` block) and
-    ``constants`` every fetched node to its constant term.
-    """
-
-    evaluations: Dict[int, Dict[int, int]]
-    children: Dict[int, Sequence[int]]
-    polynomials: Mapping[int, Sequence[int]]
-    constants: Dict[int, int]
 
 
 def _check_length(section: str, held: int, due: int) -> None:
@@ -660,8 +638,11 @@ class FrontierResponse(Message):
         self.rows = rows
         self.constants = constants
 
-    def bind(self, request: FrontierRequest) -> BoundFrontier:
+    def bind(self, request: FrontierRequest) -> FrontierResult:
         """The sections keyed by node id, after checking them against ``request``.
+
+        ``rows`` is one :class:`~repro.core.share_tree.CoefficientRows`
+        block over the fetched nodes.
 
         A section whose length differs from what the request's layout
         gives it raises :class:`ProtocolError` naming the section, so a
@@ -705,9 +686,9 @@ class FrontierResponse(Message):
                           else len(self.rows), len(layout.polynomials))
             rows = self.rows.keyed(layout.polynomials)
         _check_length("constants", len(self.constants), len(layout.constants))
-        return BoundFrontier(evaluations, dict(zip(layout.parents,
-                                                   layout.children)),
-                             rows, dict(zip(layout.constants, self.constants)))
+        return FrontierResult(evaluations, dict(zip(layout.parents,
+                                                    layout.children)),
+                              rows, dict(zip(layout.constants, self.constants)))
 
     def payload(self) -> Dict[str, Any]:
         body: Dict[str, Any] = {}

@@ -246,11 +246,13 @@ class TamperingLocalAdapter(LocalServerAdapter):
         super().__init__(tree)
         self.node_id = node_id
 
-    def fetch_polynomial_rows(self, node_ids):
-        rows = dict(super().fetch_polynomial_rows(node_ids))
-        if self.node_id in rows:
-            rows[self.node_id] = broken(rows[self.node_id], self.share_tree.ring.p)
-        return rows
+    def frontier(self, *args, **kwargs):
+        answer = super().frontier(*args, **kwargs)
+        if self.node_id not in answer.rows:
+            return answer
+        rows = dict(answer.rows)
+        rows[self.node_id] = broken(rows[self.node_id], self.share_tree.ring.p)
+        return answer._replace(rows=rows)
 
 
 def tampering_session(tree, node_id):
@@ -264,7 +266,7 @@ def tampering_session(tree, node_id):
     def tampering_handle(message):
         response = handle(message)
         if getattr(response, "rows", None):
-            rows = response.bind(message).polynomials
+            rows = response.bind(message).rows
             served.append(set(rows))
             response.rows = CoefficientRows(rows.ids, rows.width, rows=[
                 broken(rows[row_id], tree.ring.p) if row_id == node_id

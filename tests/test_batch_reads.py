@@ -236,7 +236,7 @@ class TestServedFetches:
         request = FrontierRequest(include_children=False,
                                   fetch_polynomials=some, fetch_constants=some)
         response = SearchServer(store).handle(request).bind(request)
-        assert dict(response.polynomials) == per_node_rows(store, some)
+        assert dict(response.rows) == per_node_rows(store, some)
         assert response.constants == {
             node_id: int(store.share_of(node_id).constant_term)
             for node_id in some}

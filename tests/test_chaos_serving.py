@@ -427,12 +427,14 @@ class TestBusyAndAdmission:
         server = SearchServer(tree, registry=registry)
         registry.configure_quota(DEFAULT_DOCUMENT, 2.0, burst=1)
         adapter, _ = connect(server)
-        assert adapter.frontier_round([tree.root_id], [3]).round_trips == 1
+        assert adapter.frontier([tree.root_id], [3],
+                                include_children=True).children
         with pytest.raises(ServerBusyError) as excinfo:
-            adapter.frontier_round([tree.root_id], [3])
+            adapter.frontier([tree.root_id], [3], include_children=True)
         assert excinfo.value.retry_after_s == 0.5   # one token at 2/s
         registry.clear_quota(DEFAULT_DOCUMENT)
-        assert adapter.frontier_round([tree.root_id], [3]).round_trips == 1
+        assert adapter.frontier([tree.root_id], [3],
+                                include_children=True).children
 
     def test_bounded_queue_sheds_in_band(self, outsourced, store_gate):
         """A full coalescer queue answers busy; the shed session survives."""
@@ -554,7 +556,8 @@ class TestResilientSockets:
             # Sever the live socket under the client's feet; the next
             # exchange fails at the transport and must transparently
             # reconnect, replay HELLO and resume the descent.
-            assert adapter.frontier_round([tree.root_id], [3]).round_trips
+            assert adapter.frontier([tree.root_id], [3],
+                                    include_children=True).children
             channels[-1]._sock.shutdown(socket.SHUT_RDWR)
             assert run_queries(client, adapter) == reference
             assert resilient.reconnects >= 1
@@ -827,7 +830,8 @@ class TestGracefulShutdown:
         host, port = server.address
         adapter, channel = connect_socket(host, port, tree.ring)
         try:
-            assert adapter.frontier_round([tree.root_id], [3]).round_trips
+            assert adapter.frontier([tree.root_id], [3],
+                                    include_children=True).children
         finally:
             channel.close()
         server.stop()     # drains cleanly with nothing in flight
@@ -937,11 +941,13 @@ class TestControlPlaneAccounting:
         transport = ThreadedSearchServer(server, queue_limit=1,
                                          busy_retry_after_s=0.0).start()
         root = tree.root_id
-        expected = connect(SearchServer(tree))[0].frontier_round([root], [3])
+        expected = connect(SearchServer(tree))[0].frontier(
+            [root], [3], include_children=True)
         rounds = {}
 
         def first_round(index):
-            rounds[index] = sessions[index][0].frontier_round([root], [3])
+            rounds[index] = sessions[index][0].frontier([root], [3],
+                                                        include_children=True)
 
         threads = [threading.Thread(target=first_round, args=(index,))
                    for index in range(3)]

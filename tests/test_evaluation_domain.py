@@ -32,7 +32,8 @@ from repro.algebra.vkernels import (
 )
 from repro.baselines.plaintext import PlaintextSearchIndex
 from repro.core import outsource_document
-from repro.core.query import QueryEngine, QueryStats, ServerInterface
+from repro.core.query import (FrontierResult, QueryEngine, QueryStats,
+                              ServerInterface, closure_order)
 from repro.errors import VerificationError
 from repro.net import connect_in_process
 from repro.workloads import RandomXmlConfig, generate_random_document
@@ -69,23 +70,17 @@ class RowServer(ServerInterface):
     def root_id(self):
         raise NotImplementedError
 
-    def node_count(self):
-        return len(self.rows)
-
-    def children_of(self, node_ids):
-        return {node_id: list(self.children[node_id]) for node_id in node_ids}
-
-    def evaluate(self, node_ids, point):
-        raise NotImplementedError
-
-    def fetch_polynomials(self, node_ids):
-        raise NotImplementedError
-
-    def fetch_polynomial_rows(self, node_ids):
-        return {node_id: self.rows[node_id] for node_id in node_ids}
-
-    def fetch_constants(self, node_ids):
-        raise NotImplementedError
+    def frontier(self, node_ids=(), points=(), include_children=False,
+                 fetch_polynomials=(), fetch_constants=(), lookahead=0):
+        assert not points and not fetch_constants
+        children = {}
+        if include_children:
+            children = {node_id: list(self.children[node_id])
+                        for node_id in [*node_ids, *fetch_polynomials]}
+            fetch_polynomials = closure_order(fetch_polynomials, children)
+        return FrontierResult({}, children, {node_id: self.rows[node_id]
+                                             for node_id in fetch_polynomials},
+                              {})
 
     def prune(self, node_ids):
         pass

@@ -67,7 +67,7 @@ class TestMessages:
         request = FrontierRequest(include_children=False,
                                   fetch_polynomials=[7])
         assert dict(decode_message(response.encode()).bind(request)
-                    .polynomials) == {7: [-45, -265]}
+                    .rows) == {7: [-45, -265]}
 
 
 class TestChannel:
@@ -122,7 +122,7 @@ class TestSearchServer:
         request = FrontierRequest(include_children=False,
                                   fetch_polynomials=[0], fetch_constants=[0])
         fetched = server.handle(request).bind(request)
-        assert len(fetched.polynomials[0]) == server_tree.ring.degree_bound
+        assert len(fetched.rows[0]) == server_tree.ring.degree_bound
         assert 0 in fetched.constants
         assert isinstance(server.handle(PruneNotice([1])), Acknowledgement)
         assert server.handle(BlobRequest()).blob == b"blob"
@@ -165,8 +165,7 @@ class TestRemoteAdapter:
         _, server_tree, _ = outsourced_catalog
         adapter, _, channel = connect_in_process(server_tree)
         assert adapter.root_id() == server_tree.root_id
-        assert adapter.node_count() == server_tree.node_count()
-        # The hello carried the structure summary: nothing else crosses.
+        # The hello carried the root id: nothing else crosses.
         assert channel.transcript == [("hello", "hello-ok")]
 
     def test_download_blob(self, outsourced_catalog):

@@ -5,7 +5,8 @@ serving change must keep.  This module checks it once, over the whole
 path matrix, instead of per feature:
 
 * **reference** — :class:`~repro.core.query.LocalServerAdapter` over the
-  in-memory share tree on the generic kernel tier: §4.3's lazy descent;
+  in-memory share tree on the generic kernel tier: the engine's one
+  descent, whose exchanges the in-process server answers at lookahead 0;
 * **paths** — an in-process session (:func:`~repro.net.connect`), a
   socket session (:func:`~repro.net.connect_socket`) against
   :class:`~repro.net.ThreadedSearchServer`, and a resilient socket
@@ -20,16 +21,16 @@ and child steps (plus, where a tag nests, a ``//T//U`` whose second step
 starts from nested context nodes), and an insert/rename/delete/insert
 edit script through :class:`~repro.net.RemoteUpdatableTree`.  Its
 answers must equal the reference's, per mode; a socket session's byte
-accounting must equal an
-in-process session's; what the server learned in the read phase (its
-:class:`~repro.net.engine.ServerObservations` ledger) must equal an
-in-process session's on every socket and resilient row, so no store,
-tier or transport changes the leakage; after each edit
-the store must equal an in-process :class:`~repro.core.UpdatableTree` run
-of the script on a copy, with the same commit log and the same report,
-and after the script the answers must equal the reference over the edited
-copy.  The reference
-itself is held against :class:`~repro.baselines.PlaintextSearchIndex`.
+accounting must equal an in-process session's; what the server learned
+in the read phase (its :class:`~repro.core.query.ServerObservations`
+ledger) must equal an in-process session's on every socket and resilient
+row, so no store, tier or transport changes the leakage, and must equal
+the reference's in the fields the lookahead does not move
+(:func:`unmoved`); after each edit the store must equal an in-process
+:class:`~repro.core.UpdatableTree` run of the script on a copy, with the
+same commit log and the same report, and after the script the answers
+must equal the reference over the edited copy.  The reference itself is
+held against :class:`~repro.baselines.PlaintextSearchIndex`.
 
 Every document runs the full product of paths, stores, tiers and modes.
 The figure-1 documents run every mode inside each row; the other
@@ -203,6 +204,7 @@ class Case:
         self.queries = xpath_queries(self.document)
         self.plaintext = PlaintextSearchIndex(self.document)
         self.targets = edit_targets(self.tree, self.document)
+        #: ``mode -> (read phase answers, the reference server's ledger)``.
         self._reference = {}
         self._edited = None
         #: ``modes -> ChannelStats.as_dict()`` of in-process read phases,
@@ -213,12 +215,16 @@ class Case:
         self.in_process_ledgers = {}
 
     def reference(self, modes):
-        missing = [mode for mode in modes if mode not in self._reference]
-        if missing:
-            with use_kernels(False):
-                self._reference.update(
-                    read_phase(self, LocalServerAdapter(self.tree), missing))
-        return {mode: self._reference[mode] for mode in modes}
+        """The reference's read phase answers per mode, and what its server
+        learned over them (:func:`unmoved`)."""
+        for mode in modes:
+            if mode not in self._reference:
+                adapter = LocalServerAdapter(self.tree)
+                with use_kernels(False):
+                    answers = read_phase(self, adapter, [mode])[mode]
+                self._reference[mode] = (answers, adapter.observations)
+        return ({mode: self._reference[mode][0] for mode in modes},
+                unmoved(self._reference[mode][1] for mode in modes))
 
     def edited(self):
         """The script run in process on a copy.
@@ -258,6 +264,20 @@ def ledger(core):
     """What the server learned about the hosted document, in counts."""
     observations = core.document().observations
     return observations.as_dict(), dict(observations.point_counts)
+
+
+def unmoved(ledgers):
+    """What servers learned, over ``ledgers``, in the fields the lookahead
+    does not change: the distinct points, the pruned nodes and the rows and
+    constants served.  The lookahead speculates evaluations only, so the
+    reference, at lookahead 0, asks for fewer of them than a session."""
+    points, pruned, polynomials, constants = set(), 0, 0, 0
+    for observations in ledgers:
+        points.update(observations.point_counts)
+        pruned += observations.pruned_nodes
+        polynomials += observations.polynomials_served
+        constants += observations.constants_served
+    return len(points), pruned, polynomials, constants
 
 
 @pytest.fixture(scope="module")
@@ -322,10 +342,11 @@ def session(path, core, ring):
 def test_path_matches_reference(row, cases, tmp_path):
     name, path, store, tier, modes = row
     case = cases(name)
-    reference = case.reference(modes)
+    reference, learned_by_reference = case.reference(modes)
     with kernel_tier(tier), hosted(case, store, tmp_path) as core, \
             session(path, core, case.tree.ring) as (adapter, channel):
         assert read_phase(case, adapter, modes) == reference
+        assert unmoved([core.document().observations]) == learned_by_reference
         if path == "in-process":
             case.in_process_stats[modes] = channel.stats.as_dict()
             case.in_process_ledgers[modes] = ledger(core)
@@ -364,7 +385,7 @@ def subtree_size(tree, node_id):
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_reference_agrees_with_plaintext(name, cases):
     case = cases(name)
-    reference = case.reference(MODES)
+    reference, _ = case.reference(MODES)
     truth = {tag: case.plaintext.lookup(tag).matches for tag in case.tags}
     assert any(truth.values())
 

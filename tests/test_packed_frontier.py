@@ -120,7 +120,7 @@ def sections(response, request):
     """A response's data, bound to its request, as plain dicts and lists."""
     bound = response.bind(request)
     return (bound.evaluations, bound.children,
-            {node_id: list(row) for node_id, row in bound.polynomials.items()},
+            {node_id: list(row) for node_id, row in bound.rows.items()},
             bound.constants)
 
 
@@ -155,7 +155,7 @@ class TestPackedCodec:
             assert all(type(value) is int
                        for values in bound.evaluations.values()
                        for value in values.values())
-            assert all(type(c) is int for row in bound.polynomials.values()
+            assert all(type(c) is int for row in bound.rows.values()
                        for c in row)
 
     def test_z_ring_tree_exercises_wide_and_negative_rows(self, z_outsourced):
@@ -226,7 +226,7 @@ class TestPackedCodec:
             requests.append(message)
             response = server.handle(message)
             if isinstance(response, FrontierResponse):
-                served_rows.extend(response.bind(message).polynomials)
+                served_rows.extend(response.bind(message).rows)
             return response
 
         engine = client.engine(
@@ -405,7 +405,7 @@ class TestBinding:
             assert values == tree.evaluate_many(expansion, point)
         assert bound.children == listed
         assert {node_id: list(row) for node_id, row
-                in bound.polynomials.items()} == {
+                in bound.rows.items()} == {
             node_id: tree.coefficient_rows([node_id])[node_id]
             for node_id in rows}
         assert bound.constants == {
@@ -545,7 +545,7 @@ class TestTamperedPayloads:
         assert len(blobs) == 6
         bound = decode_message(join_frame(head, blobs)).bind(request)
         assert bound.evaluations and bound.children
-        assert bound.polynomials and bound.constants
+        assert bound.rows and bound.constants
 
     @pytest.mark.parametrize("case", sorted(TAMPERINGS))
     def test_tampered_payload_raises_protocol_error(self, case, fp_outsourced):
@@ -913,8 +913,8 @@ class TestCompatibility:
 
         adapter = RemoteServerAdapter(InstrumentedChannel(handler), tree.ring)
         client.lookup(adapter, "name")
-        adapter.children_of([tree.root_id])
-        adapter.evaluate([tree.root_id], 3)
+        adapter.frontier([tree.root_id], include_children=True)
+        adapter.frontier([tree.root_id], [3])
         reads = [(split_frame(request)[0], split_frame(response)[0])
                  for request, response in frames
                  if b'"kind":"hello"' not in request]
@@ -929,7 +929,9 @@ class TestCompatibility:
     def test_shares_are_built_from_python_ints(self, fp_outsourced):
         _, _, tree = fp_outsourced
         adapter, _ = connect(SearchServer(tree))
-        shares = adapter.fetch_polynomials(tree.node_ids())
+        rows = adapter.frontier(fetch_polynomials=tree.node_ids()).rows
+        shares = {node_id: tree.ring.from_coefficients(row)
+                  for node_id, row in rows.items()}
         assert {node_id: share.coeffs for node_id, share in shares.items()} \
             == {node_id: tree.share_of(node_id).coeffs
                 for node_id in tree.node_ids()}
@@ -1001,13 +1003,13 @@ class TestOmittedNodes:
         assert server.dropped
 
     @pytest.mark.parametrize("section", ["child counts", "share rows"])
-    def test_verification_bundle_raises_protocol_error(self, section,
-                                                       fp_outsourced):
+    def test_closure_fetch_raises_protocol_error(self, section,
+                                                 fp_outsourced):
         _, _, tree = fp_outsourced
         root = tree.root_id
         adapter, _ = connect(DroppingServer(tree, section))
         with pytest.raises(ProtocolError, match=section):
-            adapter.verification_bundle([root])
+            adapter.frontier(include_children=True, fetch_polynomials=[root])
 
 
 def test_reference_codec_serves_a_socket_lookup():

@@ -125,5 +125,4 @@ class TestFigures3To6:
         assert set(outcome.pruned_nodes) == {2, 4}             # the name leaves are dead
         assert set(outcome.zero_nodes) == {0, 1, 3}
         # The server saw the point x=2 but never a tag name.
-        assert adapter.observed_points == [2] * len(set(adapter.observed_points)) or \
-            set(adapter.observed_points) == {2}
+        assert set(adapter.observations.point_counts) == {2}

@@ -64,7 +64,7 @@ class TestMessageRoundTrips:
         request = FrontierRequest(include_children=False,
                                   fetch_polynomials=node_ids)
         decoded = decode_message(response.encode()).bind(request)
-        assert dict(decoded.polynomials) == rows
+        assert dict(decoded.rows) == rows
 
     @given(st.dictionaries(st.integers(min_value=0, max_value=999), values, max_size=20))
     def test_constants(self, mapping):

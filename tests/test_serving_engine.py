@@ -80,7 +80,7 @@ class TestHelloNegotiation:
         _, server_tree, _ = outsourced_catalog
         adapter, _, channel = connect_in_process(server_tree)
         assert channel.transcript == [("hello", "hello-ok")]
-        assert adapter.batched_rounds
+        assert adapter.root_id() == server_tree.root_id
 
     def test_adapter_refuses_a_version_it_did_not_offer(self):
         channel = InstrumentedChannel(
@@ -110,7 +110,7 @@ class TestHelloNegotiation:
             channel_factory, server_tree.ring,
             policy=RetryPolicy(sleep=lambda _s: None))
         with pytest.raises(ProtocolError, match="re-negotiated"):
-            adapter.frontier_round([server_tree.root_id], [3])
+            adapter.frontier([server_tree.root_id], [3], include_children=True)
         assert plan.fires
 
     def test_hello_does_not_leak_other_tenants(self, two_document_server):
@@ -224,8 +224,10 @@ class TestMultiDocumentServer:
 
 
 class TestBatchedProtocol:
-    def test_xpath_matches_the_per_level_reference_in_fewer_round_trips(
+    def test_xpath_matches_the_lookahead_0_reference_in_fewer_round_trips(
             self, outsourced_catalog):
+        # The in-process server answers at lookahead 0; the wire session
+        # speculates a level per round, so its descent needs fewer rounds.
         client, server_tree, _ = outsourced_catalog
         reference = client.xpath(LocalServerAdapter(server_tree),
                                  "//customer/order")
@@ -320,6 +322,22 @@ class TestBatchedProtocol:
         assert observed
         assert [ids for ids in observed if len(set(ids)) != len(ids)] == []
 
+    def test_a_repeated_tag_is_one_point(self):
+        # //tag0//tag1//tag0 names tag0 twice.  Each round sends its point
+        # once and the client counts each evaluation it receives once, so
+        # the query's evaluations are the server's evaluation requests.
+        document = generate_random_document(RandomXmlConfig(
+            element_count=200, tag_vocabulary_size=4, max_depth=8, seed=3))
+        client, server_tree, _ = outsource_document(document, seed=b"rep")
+        plaintext = PlaintextSearchIndex(document)
+        for query in ("//tag0//tag1//tag0", "//tag0//tag1"):
+            server = SearchServer(server_tree)
+            adapter, _ = connect(server)
+            result = client.xpath(adapter, query)
+            assert result.matches == plaintext.query(query).matches
+            assert result.stats.evaluations == \
+                server.document().observations.evaluation_requests
+
     def test_verification_closure_fetch(self, outsourced_catalog):
         _, server_tree, _ = outsourced_catalog
         server = SearchServer(server_tree)
@@ -330,7 +348,7 @@ class TestBatchedProtocol:
             request = FrontierRequest(include_children=include_children,
                                       fetch_polynomials=[root])
             response = server.handle(request).bind(request)
-            assert list(response.polynomials) == expected
+            assert list(response.rows) == expected
 
 
 class TestConcurrentQueries:

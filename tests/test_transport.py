@@ -245,9 +245,9 @@ class TestSocketTransports:
         adapter, channel = connect_socket(*served.address, tree.ring)
         try:
             with pytest.raises(ProtocolError):
-                adapter.evaluate([987654], 3)     # unknown node id
+                adapter.frontier([987654], [3])     # unknown node id
             # The session is still alive after the failed request.
-            assert adapter.evaluate([tree.root_id], 3)
+            assert adapter.frontier([tree.root_id], [3]).evaluations[3]
         finally:
             channel.close()
 
@@ -263,14 +263,14 @@ class TestSocketTransports:
         try:
             adapter, channel = connect_socket(*transport.address, tree.ring)
             try:
-                assert adapter.evaluate([tree.root_id], 3)
+                assert adapter.frontier([tree.root_id], [3]).evaluations[3]
                 doomed = tree.child_ids(tree.root_id)[0]
                 removed = editor.delete_subtree(doomed).removed_node_ids
                 with pytest.raises(UpdateConflictError) as caught:
-                    adapter.evaluate(removed, 3)
+                    adapter.frontier(removed, [3])
                 assert caught.value.conflicts == sorted(removed)
                 assert caught.value.versions == {}
-                assert adapter.evaluate([tree.root_id], 3)
+                assert adapter.frontier([tree.root_id], [3]).evaluations[3]
                 assert core.accounting()["failed"] == 1
             finally:
                 channel.close()
@@ -290,7 +290,7 @@ class TestSocketTransports:
         try:
             adapter, channel = connect_socket(*transport.address, tree.ring)
             with pytest.raises(ProtocolError):
-                adapter.evaluate(list(range(1000)), 3)
+                adapter.frontier(list(range(1000)), [3])
             channel.close()
         finally:
             transport.stop()
@@ -301,14 +301,15 @@ class TestSocketTransports:
                                          max_frame_bytes=128).start()
         try:
             adapter, channel = connect_socket(*transport.address, tree.ring)
-            # The request fits in the limit; the full-tree verification
-            # bundle (share rows and child lists) does not, so the server
+            # The request fits in the limit; the full-tree closure fetch
+            # (share rows and child lists) does not, so the server
             # must answer with an in-band frame-limit error rather than
             # dropping the session.
             with pytest.raises(ProtocolError, match="frame limit"):
-                adapter.verification_bundle(tree.node_ids())
+                adapter.frontier(include_children=True,
+                                 fetch_polynomials=tree.node_ids())
             # ... and the session still works for small exchanges.
-            assert adapter.evaluate([tree.root_id], 3)
+            assert adapter.frontier([tree.root_id], [3]).evaluations[3]
             channel.close()
         finally:
             transport.stop()
@@ -388,7 +389,8 @@ class TestSocketTransports:
         _, tree = outsourced
         transport = ThreadedSearchServer(SearchServer(tree)).start()
         adapter, channel = connect_socket(*transport.address, tree.ring)
-        assert adapter.frontier_round([tree.root_id], [3]).round_trips == 1
+        assert adapter.frontier([tree.root_id], [3],
+                                include_children=True).children
         started = time.monotonic()
         transport.stop()
         assert time.monotonic() - started < 0.25
@@ -732,7 +734,7 @@ class TestCoalescing:
         transport = ThreadedSearchServer(core).start()
         try:
             adapter, channel = connect_socket(*transport.address, tree.ring)
-            adapter.frontier_round([tree.root_id], [3])
+            adapter.frontier([tree.root_id], [3], include_children=True)
             channel.close()
         finally:
             transport.stop()

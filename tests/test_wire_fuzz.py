@@ -23,6 +23,22 @@ Invariants:
   request after each malformed frame, and its accounting reconciles
   (``admitted == completed + shed + failed``, nothing in flight).
 
+Two targets sit below the message decoder:
+
+* :class:`~repro.net.framing.FrameAssembler` gives back the golden
+  frames' payloads, in order, however their stream is cut into chunks;
+  a length prefix mutated to 0 or past the frame limit raises
+  :class:`~repro.errors.ProtocolError`, and every later feed raises it
+  again;
+* the page decoders the store reads share rows with,
+  :func:`~repro.net.pages.decode_coefficients` and
+  :func:`~repro.net.pages.decode_coefficients_batch` (with and without
+  ``out``), return values or raise :class:`~repro.errors.ProtocolError`
+  for a mutated blob, and where both accept a blob they agree.  The
+  mutated blobs announce no more values than a message of their size
+  may: the decoders trust a width-0 blob's count, which the message
+  decoder holds to its value budget.
+
 The sweep is derandomised from ``REPRO_FUZZ_SEED`` (default 0), so a
 failure replays from the seed alone; ``REPRO_FUZZ_EXAMPLES`` scales the
 number of examples (CI's chaos job runs a longer sweep).  Findings keep
@@ -38,10 +54,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
+from repro.algebra import numpy_or_none
 from repro.core import outsource_document
 from repro.errors import ProtocolError
 from repro.net import SearchServer, ThreadedSearchServer
-from repro.net.framing import FRAME_HEADER_BYTES, decode_frame_length, encode_frame
+from repro.net.framing import (FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
+                               FrameAssembler, decode_frame_length,
+                               encode_frame)
 from repro.net.messages import (
     MAX_LOOKAHEAD,
     REQUEST_KINDS,
@@ -66,7 +85,9 @@ from repro.net.messages import (
     UpdateResponse,
     decode_message,
 )
-from repro.net.pages import blob_extent, encode_coefficients, encode_int_vector
+from repro.net.pages import (blob_extent, decode_coefficients,
+                             decode_coefficients_batch, encode_coefficients,
+                             encode_int_vector)
 from repro.workloads import figure1_document
 from test_packed_frontier import GOLDEN_FRAMES
 
@@ -435,3 +456,146 @@ def test_live_session_refuses_in_band_then_answers(served, frame, named):
         assert isinstance(refusal, ErrorResponse) and named in refusal.error
         assert read_frame(sock) == expected
     assert_reconciled(transport)
+
+
+# -- below the message decoder: frame assembly and the page decoders -------------
+
+#: The golden frames' payloads, requests and responses in session order.
+GOLDEN_PAYLOADS = [payload for name in sorted(GOLDEN_FRAMES)
+                   for pair in GOLDEN_FRAMES[name] for payload in pair]
+
+
+@st.composite
+def chunks_of(draw, stream):
+    """``stream`` cut at a few drawn offsets (empty chunks included)."""
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+    bounds = [0, *cuts, len(stream)]
+    return [stream[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+class TestFrameAssembler:
+    @seed(FUZZ_SEED + 3)
+    @fuzz_settings(100)
+    @given(st.data())
+    def test_any_chunking_gives_the_golden_payloads(self, data):
+        stream = b"".join(map(encode_frame, GOLDEN_PAYLOADS))
+        assembler = FrameAssembler()
+        payloads = []
+        for chunk in data.draw(chunks_of(stream)):
+            payloads += assembler.feed(chunk)
+        assert payloads == GOLDEN_PAYLOADS
+        assert assembler.at_boundary()
+
+    @seed(FUZZ_SEED + 4)
+    @fuzz_settings(100)
+    @given(st.data())
+    def test_a_bad_length_prefix_poisons_the_assembler(self, data):
+        frames = list(map(encode_frame, GOLDEN_PAYLOADS))
+        index = data.draw(st.integers(0, len(frames) - 1))
+        length = data.draw(st.one_of(
+            st.just(0), st.integers(MAX_FRAME_BYTES + 1, 2 ** 32 - 1)))
+        frames[index] = length.to_bytes(FRAME_HEADER_BYTES, "big") \
+            + frames[index][FRAME_HEADER_BYTES:]
+        assembler = FrameAssembler()
+        chunks = iter(data.draw(chunks_of(b"".join(frames))))
+        payloads = []
+        with pytest.raises(ProtocolError) as refused:
+            for chunk in chunks:
+                payloads += assembler.feed(chunk)
+        # Frames before the bad prefix decode; those completed by the feed
+        # that reached it are lost with the stream.
+        assert payloads == GOLDEN_PAYLOADS[:len(payloads)]
+        assert len(payloads) <= index
+        assert assembler.poisoned
+        for chunk in [*chunks, b"", frames[0]]:
+            with pytest.raises(ProtocolError) as again:
+                assembler.feed(chunk)
+            assert again.value is refused.value
+
+
+def blob_seeds():
+    """Every blob of the golden frames' tails, plus blobs of each codec
+    path: empty, width 0, byte-aligned and odd widths, zigzag, and limbs
+    wider than an int64 lane."""
+    blobs = []
+    for session in GOLDEN_FRAMES.values():
+        for frame in (frame for pair in session for frame in pair):
+            offsets = blob_offsets(frame)
+            blobs += [frame[start:end] for start, end
+                      in zip(offsets, offsets[1:] + [len(frame)])]
+    vectors = [[], [0] * 5, [1, 2, 3], list(range(300)), [255] * 9,
+               [-5, 7, -(2 ** 40)], [2 ** 62 - 1, 3], [2 ** 70, 1]]
+    return blobs + [encode_coefficients(values) for values in vectors]
+
+
+BLOB_SEEDS = blob_seeds()
+
+
+def announced(blob):
+    """The value count ``blob``'s header announces (0 without a header)."""
+    return int.from_bytes(blob[6:10], "little") if len(blob) >= 10 else 0
+
+
+@st.composite
+def mutated_blobs(draw):
+    """A seed blob with up to three mutations: flipped bytes, a cut or
+    added tail, or a lying header field (version, flags, width or count).
+    Some blobs stay intact, so a batch of several often decodes whole."""
+    data = bytearray(draw(st.sampled_from(BLOB_SEEDS)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0 and data:
+            position = draw(st.integers(0, len(data) - 1))
+            data[position] ^= draw(st.integers(1, 255))
+        elif kind == 1:
+            if draw(st.booleans()):
+                del data[draw(st.integers(0, len(data))):]
+            else:
+                data += bytes(draw(st.lists(st.integers(0, 255), min_size=1,
+                                            max_size=9)))
+        elif len(data) >= 10:
+            offset, size = draw(st.sampled_from([(0, 1), (1, 1), (2, 4),
+                                                 (6, 4)]))
+            value = draw(st.one_of(
+                st.integers(0, 8), st.integers(0, 255),
+                st.sampled_from([62, 63, 64, 65, 2 ** 31, 2 ** 32 - 1])))
+            data[offset:offset + size] = (value % (1 << 8 * size)).to_bytes(
+                size, "little")
+    blob = bytes(data)
+    budget = VALUES_PER_MESSAGE_BYTE * len(blob)
+    if announced(blob) > budget:
+        blob = (blob[:6] + (announced(blob) % (budget + 1)).to_bytes(4, "little")
+                + blob[10:])
+    return blob
+
+
+def decoded(decoder, *args, **kwargs):
+    """What ``decoder`` gives: its result, or the ProtocolError it raised."""
+    try:
+        return decoder(*args, **kwargs)
+    except ProtocolError as exc:
+        return exc
+
+
+class TestPageDecoders:
+    @seed(FUZZ_SEED + 5)
+    @fuzz_settings(300)
+    @given(blobs=st.lists(mutated_blobs(), min_size=1, max_size=3),
+           row_width=st.integers(0, 64))
+    def test_decoders_decode_alike_or_refuse(self, blobs, row_width):
+        reference = [decoded(decode_coefficients, blob) for blob in blobs]
+        accepted = [(index, values) for index, values in enumerate(reference)
+                    if not isinstance(values, ProtocolError)]
+        batch = decoded(decode_coefficients_batch, blobs)
+        if isinstance(batch, list):
+            assert [(index, batch[index].tolist()) for index, _ in accepted] \
+                == accepted
+        np = numpy_or_none()
+        if np is None:
+            return
+        out = np.full((len(blobs), row_width), 7, dtype=np.int64)
+        if decoded(decode_coefficients_batch, blobs, out=out) is out:
+            assert [(index, out[index].tolist()) for index, _ in accepted] \
+                == [(index, values + [0] * (row_width - len(values)))
+                    for index, values in accepted]
+
