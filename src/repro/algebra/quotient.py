@@ -144,17 +144,15 @@ class EncodingRing(abc.ABC):
             return Polynomial._from_canonical(_trim(coeffs), ring)
         return self.reduce(Polynomial(coeffs, ring))
 
+    @abc.abstractmethod
     def random_element_from_stream(self, stream: Any) -> Polynomial:
-        """Uniform-ish random reduced element drawn from a PRG byte stream.
+        """Uniform random reduced element drawn from a keyed PRG stream.
 
-        Same distribution as :meth:`random_element` but sampled in bulk
-        from a :class:`repro.prg.SeededStream` — the share-regeneration hot
-        path of :class:`repro.core.share_tree.ClientShareGenerator`.  The
-        default adapter seeds a stdlib ``Random`` from the stream; concrete
-        rings override it with direct rejection sampling.
+        Same distribution as :meth:`random_element`, drawn by rejection
+        from ``stream.residues`` of a :class:`repro.prg.XofStream` fork —
+        the share-regeneration path of
+        :class:`repro.core.share_tree.ClientShareGenerator`.
         """
-        rng = random.Random(int.from_bytes(stream.read(32), "big"))
-        return self.random_element(rng)
 
     # -- query evaluation (§4.3) -------------------------------------------------
     @abc.abstractmethod

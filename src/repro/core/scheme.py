@@ -219,7 +219,7 @@ class ClientContext:
     #: are ``polynomial - client_share``, so a client state replayed against a
     #: server tree written under a *different* derivation would silently
     #: reconstruct garbage; the marker turns that into a loud error.
-    SHARE_DERIVATION = "hmac-stream-v2"
+    SHARE_DERIVATION = "shake256-xof-v3"
 
     def secret_state(self) -> Dict[str, str]:
         """The client's durable secrets: the seed and the tag mapping."""

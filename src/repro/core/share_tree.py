@@ -35,7 +35,7 @@ from ..algebra.quotient import EncodingRing, FpQuotientRing
 from ..algebra.vkernels import VecFpKernel, fits_native_width, numpy_or_none
 from ..errors import ProtocolError, SharingError
 from ..obs.metrics import Counter
-from ..prg import DeterministicPRG
+from ..prg import DeterministicPRG, XofStream
 from ..sharing.additive import combine_additive
 from .encoder import MATERIALISE_LOCK, PolynomialTree
 
@@ -46,10 +46,11 @@ __all__ = ["ClientShareGenerator", "ShareRowCache", "TreeStructure",
 _SHARE_LABEL = "node-share"
 
 #: Uncached coefficients (misses times ``p - 1``) below which a batch
-#: derives node by node: the bulk derivation's fixed array cost (~60 us)
-#: outweighs its saving there.  Measured crossovers on a 2-vCPU x86 host:
-#: 12 nodes at p = 53, 3 at p = 251, below 1 at p = 1021.
-BULK_MIN_COEFFS = 768
+#: derives node by node: the bulk derivation's fixed array cost (~18 us)
+#: outweighs its saving there.  Measured crossovers on a 2-vCPU x86 host
+#: (median of 600 cold batches): 2 nodes at p = 53, 1 at p = 251 and at
+#: p = 1021.
+BULK_MIN_COEFFS = 100
 
 #: Largest block :meth:`ClientShareGenerator.iter_shares` derives at once,
 #: in coefficients (2 MiB of int64), so a whole-tree pass holds one bounded
@@ -78,7 +79,7 @@ class ClientShareGenerator:
     :class:`~repro.algebra.vkernels.VecFpKernel`, the rule
     :meth:`FpQuotientRing.evaluation_domain` uses) batches are served as
     int64 coefficient rows: the uncached nodes of a batch are derived
-    together (:meth:`SeededStream.fork_residues`, bit-identical to
+    together (:meth:`XofStream.fork_residues`, bit-identical to
     :meth:`share_for`) and evaluated or verified as one block.  The cache
     is a :class:`ShareRowCache`: a batch's cached rows come out in one
     gather, and :meth:`share_for` builds its polynomial from the row.
@@ -93,9 +94,9 @@ class ClientShareGenerator:
         # Shares are deterministic, so concurrent sessions may safely share
         # one generator; the lock guards the cache, never a derivation.
         self._cache_lock = threading.Lock()
-        # Domain-separated root stream for shares: per-node streams are
-        # cheap forks of it (no per-node seed derivation or key schedule).
-        self._share_root = prg.stream(_SHARE_LABEL)
+        # Keyed SHAKE-256 root for shares: a node's stream is a copy of its
+        # absorbed key state (no per-node seed derivation or key schedule).
+        self._share_root = XofStream(prg.derive(_SHARE_LABEL))
 
     @property
     def cache_hits(self) -> int:

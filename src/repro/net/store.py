@@ -53,6 +53,7 @@ from ..core.share_tree import (
 from ..errors import ProtocolError, SharingError
 from .pages import (
     DEFAULT_PAGE_BYTES,
+    blob_extent,
     decode_coefficients,
     decode_coefficients_batch,
     encode_coefficient_rows,
@@ -371,6 +372,14 @@ class SQLiteShareStore(ShareStore):
         return encode_coefficients([int(c) for c in share.coeffs])
 
     def _decode_share(self, blob: bytes) -> Polynomial:
+        # The count is checked before decoding: a corrupt width-0 head
+        # announces any count at no payload cost.
+        count = blob_extent(blob)[2]
+        if count > self.ring.degree_bound:
+            raise ProtocolError(
+                f"share store {self.path!r} holds a share of {count} "
+                f"coefficients but its ring {self.ring.name} allows "
+                f"{self.ring.degree_bound}; the store is corrupt")
         return self.ring.from_coefficients(decode_coefficients(blob))
 
     # -- meta table -----------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Deterministic pseudo-random generation for client shares."""
 
-from .prg import DeterministicPRG, SeededStream, derive_seed
+from .prg import DeterministicPRG, SeededStream, XofStream, derive_seed
 
-__all__ = ["DeterministicPRG", "SeededStream", "derive_seed"]
+__all__ = ["DeterministicPRG", "SeededStream", "XofStream", "derive_seed"]

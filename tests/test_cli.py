@@ -130,6 +130,21 @@ class TestQueries:
                          "--strategy", strategy]) == 0
         capsys.readouterr()
 
+    def test_client_state_of_the_hmac_derivation_is_refused(
+            self, outsourced_files, capsys):
+        server, client = outsourced_files
+        with open(client, encoding="utf-8") as handle:
+            state = json.load(handle)
+        state["secrets"]["share_derivation"] = "hmac-stream-v2"
+        with open(client, "w", encoding="utf-8") as handle:
+            json.dump(state, handle)
+        code = main(["lookup", server, client, "client"])
+        error = capsys.readouterr().err
+        assert code == 1
+        assert "'hmac-stream-v2'" in error
+        assert "'shake256-xof-v3'" in error
+        assert "re-outsource" in error
+
     def test_unknown_tag_is_reported_as_error(self, outsourced_files, capsys):
         server, client = outsourced_files
         code = main(["lookup", server, client, "nonexistent"])

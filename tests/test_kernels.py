@@ -324,3 +324,19 @@ class TestSecretStateVersioning:
         legacy = {k: v for k, v in state.items() if k != "share_derivation"}
         with pytest.raises(QueryError, match="share derivation"):
             ClientContext.from_secret_state(client.ring, legacy)
+
+    def test_hmac_stream_client_state_is_rejected(self):
+        """A client state written before the SHAKE-256 derivation names
+        both derivations and asks for a re-outsource."""
+        from repro.core.scheme import ClientContext
+        from repro.errors import QueryError
+        from repro.workloads import figure1_document
+
+        client, _, _ = outsource_document(figure1_document(), seed=b"v2-state")
+        state = dict(client.secret_state(), share_derivation="hmac-stream-v2")
+        with pytest.raises(QueryError) as refused:
+            ClientContext.from_secret_state(client.ring, state)
+        message = str(refused.value)
+        assert "'hmac-stream-v2'" in message
+        assert "'shake256-xof-v3'" in message
+        assert "re-outsource" in message

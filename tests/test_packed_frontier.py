@@ -612,7 +612,9 @@ class TestTamperedPayloads:
 #: under node 3, once the editor has mirrored the structure).  Each line
 #: of a tail is one blob, starting with its 10-byte header.  These
 #: encodings must not move within a wire generation; the requests are
-#: v5's byte for byte, and the answers lost v5's id blobs.
+#: v5's byte for byte, and the answers lost v5's id blobs.  Share values
+#: (evaluations, rows, constants, update coefficients) follow the client
+#: share derivation and were re-recorded for ``shake256-xof-v3``.
 GOLDEN_FRAMES = {
     "constant-only": [
         (b'{"children":true,"kind":"frontier","lookahead":1,"points":[1],'
@@ -620,7 +622,7 @@ GOLDEN_FRAMES = {
          b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00',
          b'{"kind":"frontier-ok","points":[1],"sections":["evaluations",'
          b'"children"]}\n'
-         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x01\x03\x01'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x03\x03\x04'
          b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x02\x01\x01'
          b'\x01\x00\x08\x00\x00\x00\x04\x00\x00\x00\x01\x03\x02\x04'),
         (b'{"children":true,"kind":"frontier","lookahead":1,"points":[1],'
@@ -628,7 +630,7 @@ GOLDEN_FRAMES = {
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04',
          b'{"kind":"frontier-ok","points":[1],"sections":["evaluations",'
          b'"children"]}\n'
-         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x04\x01'
          b'\x01\x00\x00\x00\x00\x00\x02\x00\x00\x00'
          b'\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00'),
         (b'{"children":false,"kind":"frontier","points":[],'
@@ -636,7 +638,7 @@ GOLDEN_FRAMES = {
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
          b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03',
          b'{"kind":"frontier-ok","sections":["constants"]}\n'
-         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x04\x04'),
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x00\x01'),
     ],
     "full": [
         (b'{"children":true,"kind":"frontier","lookahead":1,"points":[1],'
@@ -644,7 +646,7 @@ GOLDEN_FRAMES = {
          b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00',
          b'{"kind":"frontier-ok","points":[1],"sections":["evaluations",'
          b'"children"]}\n'
-         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x01\x03\x01'
+         b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x03\x03\x04'
          b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x02\x01\x01'
          b'\x01\x00\x08\x00\x00\x00\x04\x00\x00\x00\x01\x03\x02\x04'),
         (b'{"children":true,"kind":"frontier","lookahead":1,"points":[1],'
@@ -652,7 +654,7 @@ GOLDEN_FRAMES = {
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04',
          b'{"kind":"frontier-ok","points":[1],"sections":["evaluations",'
          b'"children"]}\n'
-         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x04\x01'
          b'\x01\x00\x00\x00\x00\x00\x02\x00\x00\x00'
          b'\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00'),
         (b'{"children":false,"kind":"frontier","points":[],'
@@ -660,17 +662,17 @@ GOLDEN_FRAMES = {
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
          b'\x01\x00\x08\x00\x00\x00\x03\x00\x00\x00\x00\x01\x03',
          b'{"kind":"frontier-ok","sections":["polynomials"],"width":4}\n'
-         b'\x01\x00\x03\x00\x00\x00\x0c\x00\x00\x00 \xc4m\x8c\x08'),
+         b'\x01\x00\x03\x00\x00\x00\x0c\x00\x00\x00X\x88\x85\x99\x06'),
     ],
     "update": [
         (b'{"children":false,"kind":"frontier","points":[],'
          b'"sections":["fetch_polynomials"]}\n'
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x00\x03',
          b'{"kind":"frontier-ok","sections":["polynomials"],"width":4}\n'
-         b'\x01\x00\x03\x00\x00\x00\x08\x00\x00\x00 \xc4\x88'),
+         b'\x01\x00\x03\x00\x00\x00\x08\x00\x00\x00X\x98i'),
         (b'{"base":{"0":0,"3":0},"kind":"update","operation":"insert",'
-         b'"ops":[["add",5,3,[0,4,1]],["replace",3,[2,0,4]],["replace",0,'
-         b'[0,4,0,2]]]}',
+         b'"ops":[["add",5,3,[3,2,4,2]],["replace",3,[4,2,4,4]],'
+         b'["replace",0,[0,3,1,4]]]}',
          b'{"applied":3,"kind":"update-ok","versions":{"0":1,"3":1,'
          b'"5":1}}'),
     ],
@@ -680,8 +682,8 @@ GOLDEN_FRAMES = {
          b'\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00',
          b'{"kind":"frontier-ok","points":[1,2,3],'
          b'"sections":["evaluations"]}\n'
-         b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x01'
-         b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x04'
+         b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x03'
+         b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x02'
          b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x01'),
         (b'{"children":true,"kind":"frontier","points":[],'
          b'"sections":["fetch_polynomials"]}\n'
@@ -690,14 +692,14 @@ GOLDEN_FRAMES = {
          b'"width":4}\n'
          b'\x01\x00\x08\x00\x00\x00\x01\x00\x00\x00\x02'
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'
-         b'\x01\x00\x03\x00\x00\x00\x0c\x00\x00\x00 \xc4m\x8c\x08'),
+         b'\x01\x00\x03\x00\x00\x00\x0c\x00\x00\x00X\x88\x85\x99\x06'),
         (b'{"children":false,"kind":"frontier","points":[1,3],'
          b'"sections":["node_ids"]}\n'
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03',
          b'{"kind":"frontier-ok","points":[1,3],'
          b'"sections":["evaluations"]}\n'
-         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x03\x01'
-         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03'),
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x03\x04'
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x04'),
         (b'{"children":true,"kind":"frontier","points":[],'
          b'"sections":["fetch_polynomials"]}\n'
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x03',
@@ -705,13 +707,13 @@ GOLDEN_FRAMES = {
          b'"width":4}\n'
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x01\x01'
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04'
-         b'\x01\x00\x03\x00\x00\x00\x10\x00\x00\x00\xdc&\x80\x8c\xc8m'),
+         b'\x01\x00\x03\x00\x00\x00\x10\x00\x00\x00X8\x8e\x99\x06l'),
         (b'{"children":false,"kind":"frontier","points":[3],'
          b'"sections":["node_ids"]}\n'
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04',
          b'{"kind":"frontier-ok","points":[3],'
          b'"sections":["evaluations"]}\n'
-         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x00\x01'),
+         b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x00\x03'),
         (b'{"children":true,"kind":"frontier","points":[],'
          b'"sections":["fetch_polynomials"]}\n'
          b'\x01\x00\x08\x00\x00\x00\x02\x00\x00\x00\x02\x04',
@@ -719,7 +721,7 @@ GOLDEN_FRAMES = {
          b'"width":4}\n'
          b'\x01\x00\x00\x00\x00\x00\x02\x00\x00\x00'
          b'\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00'
-         b'\x01\x00\x03\x00\x00\x00\x08\x00\x00\x00\x02\xc8m'),
+         b'\x01\x00\x03\x00\x00\x00\x08\x00\x00\x00\xe3\x08l'),
     ],
 }
 
@@ -729,59 +731,60 @@ GOLDEN_FRAMES = {
 #: fetch_constants, lookahead)`` or ``(kind, operation, ops, base)``, and
 #: the response as ``(kind, evaluations, children, share rows,
 #: constants)`` or ``(kind, versions, applied)``.  A new wire generation
-#: changes the bytes, never this.
+#: changes the bytes, never this; a new share derivation changes only the
+#: share values (re-recorded for ``shake256-xof-v3``).
 GOLDEN_CONTENT = {'constant-only': [(('frontier', [0], [1], [], True, [], [], 1),
                                      ('frontier-ok',
-                                      {1: {0: 1, 1: 3, 3: 1}},
+                                      {1: {0: 3, 1: 3, 3: 4}},
                                       {0: [1, 3], 1: [2], 3: [4]},
                                       {},
                                       {})),
                                     (('frontier', [2, 4], [1], [], True, [], [], 1),
                                      ('frontier-ok',
-                                      {1: {2: 1, 4: 3}},
+                                      {1: {2: 4, 4: 1}},
                                       {2: [], 4: []},
                                       {},
                                       {})),
                                     (('frontier', [], [], [2, 4], False, [], [0, 1, 3], 0),
-                                     ('frontier-ok', {}, {}, {}, {0: 0, 1: 4, 3: 4}))],
+                                     ('frontier-ok', {}, {}, {}, {0: 0, 1: 0, 3: 1}))],
                   'full': [(('frontier', [0], [1], [], True, [], [], 1),
                             ('frontier-ok',
-                             {1: {0: 1, 1: 3, 3: 1}},
+                             {1: {0: 3, 1: 3, 3: 4}},
                              {0: [1, 3], 1: [2], 3: [4]},
                              {},
                              {})),
                            (('frontier', [2, 4], [1], [], True, [], [], 1),
-                            ('frontier-ok', {1: {2: 1, 4: 3}}, {2: [], 4: []}, {}, {})),
+                            ('frontier-ok', {1: {2: 4, 4: 1}}, {2: [], 4: []}, {}, {})),
                            (('frontier', [], [], [2, 4], False, [0, 1, 3], [], 0),
                             ('frontier-ok',
                              {},
                              {},
-                             {0: [0, 4, 0, 2], 1: [4, 3, 3, 3], 3: [4, 1, 2, 4]},
+                             {0: [0, 3, 1, 4], 1: [0, 3, 1, 4], 3: [1, 3, 2, 3]},
                              {}))],
                   'update': [(('frontier', [], [], [], False, [0, 3], [], 0),
                               ('frontier-ok',
                                {},
                                {},
-                               {0: [0, 4, 0, 2], 3: [4, 1, 2, 4]},
+                               {0: [0, 3, 1, 4], 3: [1, 3, 2, 3]},
                                {})),
                              (('update',
                                'insert',
-                               [['add', 5, 3, [0, 4, 1]],
-                                ['replace', 3, [2, 0, 4]],
-                                ['replace', 0, [0, 4, 0, 2]]],
+                               [['add', 5, 3, [3, 2, 4, 2]],
+                                ['replace', 3, [4, 2, 4, 4]],
+                                ['replace', 0, [0, 3, 1, 4]]],
                                {0: 0, 3: 0}),
                               ('update-ok', {0: 1, 3: 1, 5: 1}, 3))],
                   'xpath': [(('frontier', [0], [2, 1, 3], [], False, [], [], 0),
-                             ('frontier-ok', {1: {0: 1}, 2: {0: 4}, 3: {0: 1}}, {}, {}, {})),
+                             ('frontier-ok', {1: {0: 3}, 2: {0: 2}, 3: {0: 1}}, {}, {}, {})),
                             (('frontier', [], [], [], True, [0], [], 0),
                              ('frontier-ok',
                               {},
                               {0: [1, 3]},
-                              {0: [0, 4, 0, 2], 1: [4, 3, 3, 3], 3: [4, 1, 2, 4]},
+                              {0: [0, 3, 1, 4], 1: [0, 3, 1, 4], 3: [1, 3, 2, 3]},
                               {})),
                             (('frontier', [1, 3], [1, 3], [], False, [], [], 0),
                              ('frontier-ok',
-                              {1: {1: 3, 3: 1}, 3: {1: 1, 3: 3}},
+                              {1: {1: 3, 3: 4}, 3: {1: 1, 3: 4}},
                               {},
                               {},
                               {})),
@@ -789,18 +792,18 @@ GOLDEN_CONTENT = {'constant-only': [(('frontier', [0], [1], [], True, [], [], 1)
                              ('frontier-ok',
                               {},
                               {1: [2], 3: [4]},
-                              {1: [4, 3, 3, 3],
-                               2: [2, 0, 0, 4],
-                               3: [4, 1, 2, 4],
-                               4: [4, 3, 3, 3]},
+                              {1: [0, 3, 1, 4],
+                               2: [3, 4, 3, 4],
+                               3: [1, 3, 2, 3],
+                               4: [0, 0, 3, 3]},
                               {})),
                             (('frontier', [2, 4], [3], [], False, [], [], 0),
-                             ('frontier-ok', {3: {2: 0, 4: 1}}, {}, {}, {})),
+                             ('frontier-ok', {3: {2: 0, 4: 3}}, {}, {}, {})),
                             (('frontier', [], [], [], True, [2, 4], [], 0),
                              ('frontier-ok',
                               {},
                               {2: [], 4: []},
-                              {2: [2, 0, 0, 4], 4: [4, 3, 3, 3]},
+                              {2: [3, 4, 3, 4], 4: [0, 0, 3, 3]},
                               {}))]}
 
 #: The server's ledger after each golden session, as

@@ -1,10 +1,12 @@
 """Tests for the deterministic PRG used for client shares."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
 
-from repro.prg import DeterministicPRG, SeededStream, derive_seed
+from repro.prg import DeterministicPRG, SeededStream, XofStream, derive_seed
 
 
 class TestDeriveSeed:
@@ -31,32 +33,16 @@ class TestSeededStream:
         stream = SeededStream(b"k")
         assert stream.read(37) + stream.read(63) == whole
 
-    def test_read_int_bounds(self):
-        stream = SeededStream(b"k")
-        for bits in (1, 8, 13, 64):
-            value = stream.read_int(bits)
-            assert 0 <= value < 2 ** bits
-
-    def test_randint_below_uniform_support(self):
-        stream = SeededStream(b"k")
-        values = {stream.randint_below(5) for _ in range(200)}
-        assert values == {0, 1, 2, 3, 4}
-
-    def test_randint_inclusive_range(self):
-        stream = SeededStream(b"k")
-        for _ in range(100):
-            assert -3 <= stream.randint(-3, 3) <= 3
+    def test_blocks_are_hmac_sha256_of_the_counter(self):
+        """Keystreams and salts keep their bytes: block i is HMAC(seed, i)."""
+        expected = b"".join(
+            hmac.new(b"k", counter.to_bytes(8, "big"), hashlib.sha256).digest()
+            for counter in range(3))
+        assert SeededStream(b"k").read(96) == expected
 
     def test_invalid_arguments(self):
-        stream = SeededStream(b"k")
         with pytest.raises(ValueError):
-            stream.read(-1)
-        with pytest.raises(ValueError):
-            stream.read_int(0)
-        with pytest.raises(ValueError):
-            stream.randint_below(0)
-        with pytest.raises(ValueError):
-            stream.randint(3, 2)
+            SeededStream(b"k").read(-1)
 
 
 class TestDeterministicPRG:
@@ -89,24 +75,39 @@ class TestDeterministicPRG:
         assert DeterministicPRG(12345).stream("a").read(8)
 
 
-class TestStreamForksAndResidues:
+class TestXofForksAndResidues:
     def test_fork_is_domain_separated(self):
-        root = SeededStream(b"k")
-        assert root.fork(1).read(32) != root.fork(2).read(32)
-        assert root.fork(1).read(32) == SeededStream(b"k").fork(1).read(32)
+        root = XofStream(b"k")
+        assert root.fork(1).residues(32, 256) != root.fork(2).residues(32, 256)
+        assert root.fork(1).residues(32, 256) == \
+            XofStream(b"k").fork(1).residues(32, 256)
+        assert root.fork(1, 2).residues(32, 256) == \
+            root.fork(1).fork(2).residues(32, 256)
+        assert XofStream(b"k2").fork(1).residues(32, 256) != \
+            root.fork(1).residues(32, 256)
         # The parent stream is untouched by forking.
-        assert root.read(32) == SeededStream(b"k").read(32)
+        assert root.residues(32, 256) == XofStream(b"k").residues(32, 256)
 
     def test_unlabelled_fork_is_rejected(self):
         with pytest.raises(ValueError):
-            SeededStream(b"k").fork()
+            XofStream(b"k").fork()
 
     def test_residues_bounds_and_determinism(self):
-        for bound in (2, 5, 29, 257, 65537):
-            values = SeededStream(b"k").residues(500, bound)
+        for bound in (1, 2, 5, 29, 257, 65537, 2 ** 33 + 1):
+            values = XofStream(b"k").residues(500, bound)
             assert len(values) == 500
             assert all(0 <= v < bound for v in values)
-            assert values == SeededStream(b"k").residues(500, bound)
-        assert SeededStream(b"k").residues(0, 7) == []
+            assert values == XofStream(b"k").residues(500, bound)
+        assert XofStream(b"k").residues(0, 7) == []
         with pytest.raises(ValueError):
-            SeededStream(b"k").residues(3, 0)
+            XofStream(b"k").residues(3, 0)
+        with pytest.raises(ValueError):
+            XofStream(b"k").residues(-1, 7)
+
+    def test_shorter_draws_are_prefixes(self):
+        """A draw reads the output's limbs in order, whatever its length."""
+        stream = XofStream(b"k").fork("prefix")
+        for bound in (53, 1021, 65537):
+            longest = stream.residues(300, bound)
+            assert all(stream.residues(count, bound) == longest[:count]
+                       for count in (1, 52, 299))

@@ -1,16 +1,19 @@
 """Client share regeneration a frontier at a time.
 
 On the vectorized kernel tier :class:`ClientShareGenerator` derives every
-uncached node of a batch in one bulk pass (:meth:`SeededStream.fork_residues`)
+uncached node of a batch in one bulk pass (:meth:`XofStream.fork_residues`)
 and serves the batch as one int64 block.  The per-node derivation
 (``random_element_from_stream(root.fork(node_id))``, what :meth:`share_for`
 runs) stays the reference; these tests hold the bulk rows to it:
 
-* golden digests recorded before the bulk path existed pin the derivation
-  itself (they run with and without numpy);
+* golden digests recorded from the per-node derivation pin the derivation
+  itself (they run with and without numpy); ``tests/test_share_spec.py``
+  recomputes shares from its written spec;
 * hypothesis cases compare rows across primes with 1- and 2-byte limbs,
   duplicate ids, empty batches, disabled caches, hit/miss mixes and
-  eviction, plus 3-byte limbs at the stream level and one 3-byte prime;
+  eviction, plus 1- to 4-byte limbs at the stream level, rows whose first
+  SHAKE call comes back short (a forced small request) and one 3-byte
+  prime;
 * the selection rule, the small-batch threshold, the bounded blocks of
   whole-tree passes and the one shared cache are checked directly, and a
   threaded stress test shares one generator between overlapping frontiers.
@@ -47,23 +50,24 @@ from repro.core.share_tree import (
     reconstruct_tree,
     share_tree,
 )
-from repro.prg import DeterministicPRG, SeededStream
+from repro.prg import DeterministicPRG, XofStream
 
 share_tree_module = sys.modules["repro.core.share_tree"]
+prg_module = sys.modules["repro.prg.prg"]
 
 numpy_present = pytest.mark.skipif(numpy_or_none() is None,
                                    reason="the bulk derivation needs numpy")
 
 #: SHA-256 over the 4-byte big-endian coefficients of GOLDEN_IDS' rows
-#: (zero-padded to p - 1), recorded from the per-node derivation before
-#: the bulk path existed.  A change here changes every client share.
+#: (zero-padded to p - 1), recorded from the per-node derivation of
+#: ``shake256-xof-v3``.  A change here changes every client share.
 GOLDEN = {
     53: (b"golden-53",
-         "db9759589c4fe94a547126ea212f5d160811a87bf73c2b546e364c62449478d5"),
+         "f6314a3a5c3a84347a018ddbff479c5de9161e9ce6aef18f34bd5638dfe40304"),
     251: (b"golden-251",
-          "1e437750ebc34073d14cfbac6d03feeeb3a56a68cb73874b2886652a4ad13515"),
+          "15b9a09b00b35ccfe59395f71cbc4d75b8dedd94cc7cffbc2037ee96c651c0f7"),
     1021: (b"golden-1021",
-           "bbea544e63d343aae722a6547e7e057c8daa4201c6ee2730c72a36dd212dacaf"),
+           "33744fe1457a687e9dd3fd81df7b2a63a16b63c76af84b37f09a4961d6b22f78"),
 }
 GOLDEN_IDS = list(range(64)) + [1000, 65535, 65536, 10 ** 6]
 
@@ -88,15 +92,24 @@ def digest(rows):
     return hasher.hexdigest()
 
 
-def blocks_read(root, label, count, bound):
-    """Stream blocks one per-node ``residues`` draw consumes."""
-    stream = root.fork(label)
-    stream.residues(count, bound)
-    return stream._counter
+def retries(root, label, count, bound, limbs):
+    """SHAKE calls past the first that a draw of ``count`` values makes
+    when its first call asks for ``limbs`` limbs (a retry doubles it)."""
+    n_bytes = (bound.bit_length() + 7) // 8
+    shift = 8 * n_bytes - bound.bit_length()
+    output = root.fork(label)._sponge.digest((limbs << 8) * n_bytes)
+    accepted = [int.from_bytes(output[i:i + n_bytes], "big") >> shift < bound
+                for i in range(0, len(output), n_bytes)]
+    for extra in range(9):
+        if sum(accepted[:limbs << extra]) >= count:
+            return extra
+    raise AssertionError("more than eight retries")
 
 
-def first_round_blocks(count, bound):
-    return -(-count * ((bound.bit_length() + 7) // 8) // 32)
+def first_request(limbs):
+    """Make every draw's first SHAKE call ask for ``limbs`` limbs."""
+    return mock.patch.object(prg_module, "_first_limbs",
+                             lambda count, bound: limbs)
 
 
 def always_bulk():
@@ -187,28 +200,44 @@ class TestBulkRows:
         for node_id, row in zip(node_ids, expected):
             assert padded(generator.share_for(node_id), p - 1) == row
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(labels=st.lists(st.integers(0, 2 ** 32), max_size=12),
            count=st.integers(0, 70),
-           bound=st.one_of(st.integers(1, 2 ** 16),
+           bound=st.one_of(st.integers(1, 2 ** 8),
+                           st.integers(2 ** 8 + 1, 2 ** 16),
                            st.integers(2 ** 16 + 1, 2 ** 24),
-                           st.integers(2 ** 24 + 1, 2 ** 32 - 1)))
-    def test_stream_rows_match_residues(self, labels, count, bound):
-        root = SeededStream(b"stream-rows").fork("node-share")
-        rows = root.fork_residues(labels, count, bound)
+                           st.integers(2 ** 24 + 1, 2 ** 32 - 1)),
+           first=st.sampled_from([None, 1, 2, 5, 40]))
+    def test_stream_rows_match_residues(self, labels, count, bound, first):
+        """1- to 4-byte limbs, with the default first request or a forced
+        small one, after which most rows come back short."""
+        root = XofStream(b"stream-rows").fork("node-share")
+        forced = (contextlib.nullcontext() if first is None
+                  else first_request(first))
+        with forced:
+            rows = root.fork_residues(labels, count, bound)
+            expected = [root.fork(label).residues(count, bound)
+                        for label in labels]
         assert rows.shape == (len(labels), count)
-        assert rows.tolist() == [root.fork(label).residues(count, bound)
-                                 for label in labels]
+        assert rows.tolist() == expected
+        assert expected == [root.fork(label).residues(count, bound)
+                            for label in labels]     # any request length
 
-    def test_three_byte_tail_drops(self):
-        """3-byte limbs drop each round's tail bytes, as residues does."""
-        root = SeededStream(b"three-byte").fork("node-share")
-        bound = (1 << 23) + 9                    # half the limbs rejected
+    @pytest.mark.parametrize("bound", [(1 << 7) + 3, (1 << 15) + 5,
+                                       (1 << 23) + 9, (1 << 31) + 11])
+    def test_short_first_calls_at_every_width(self, bound):
+        """Half the limbs rejected and a first call of exactly ``count``
+        limbs: every row comes back short and needs one or two retries, and
+        bulk equals per-node for 1- to 4-byte limbs."""
+        root = XofStream(b"short-calls").fork("node-share")
         labels = list(range(40))
-        rounds = {blocks_read(root, label, 50, bound) for label in labels}
-        assert len(rounds) > 1                   # rows need top-up rounds
-        assert root.fork_residues(labels, 50, bound).tolist() == [
-            root.fork(label).residues(50, bound) for label in labels]
+        assert {retries(root, label, 50, bound, 50)
+                for label in labels} == {1, 2}
+        with first_request(50):
+            rows = root.fork_residues(labels, 50, bound).tolist()
+            assert rows == [root.fork(label).residues(50, bound)
+                            for label in labels]
+        assert rows == root.fork_residues(labels, 50, bound).tolist()
 
     def test_three_byte_prime(self):
         p = 65537                                # 17 bits: 3-byte limbs
@@ -219,24 +248,26 @@ class TestBulkRows:
             rows = generator.share_rows([7, 8])
         assert rows.tolist() == reference_rows(ring, prg, [7, 8])
 
-    @pytest.mark.parametrize("p, extras", [(53, (0, 1)), (131, (2, 3, 4, 5))])
-    def test_rows_needing_top_up_blocks(self, p, extras):
-        """Node ids whose draw needs ``extras`` blocks past the first round."""
+    @pytest.mark.parametrize("p, limbs, extras", [(53, 63, (0, 1)),
+                                                   (53, 16, (2, 3)),
+                                                   (131, 128, (1, 2))])
+    def test_rows_needing_retries(self, p, limbs, extras):
+        """Node ids whose draw needs ``extras`` SHAKE calls past a first one
+        of ``limbs`` limbs, derived in one batch."""
         ring = FpQuotientRing(p)
-        prg = DeterministicPRG(b"top-ups")
+        prg = DeterministicPRG(b"retries")
         generator = ClientShareGenerator(ring, prg)
         root = generator._share_root
-        first = first_round_blocks(p - 1, p)
         picked = {}
         for node_id in range(2000):
-            extra = blocks_read(root, node_id, p - 1, p) - first
+            extra = retries(root, node_id, p - 1, p, limbs)
             if extra in extras:
                 picked.setdefault(extra, node_id)
                 if len(picked) == len(extras):
                     break
         assert sorted(picked) == list(extras)
         node_ids = [picked[extra] for extra in extras]
-        with always_bulk():
+        with always_bulk(), first_request(limbs):
             rows = generator.share_rows(node_ids)
         assert rows.tolist() == reference_rows(ring, prg, node_ids)
 
@@ -273,13 +304,13 @@ class TestSelectionAndCache:
     def spy(self, monkeypatch):
         """Label counts of every bulk derivation."""
         calls = []
-        original = SeededStream.fork_residues
+        original = XofStream.fork_residues
 
         def recorded(stream, labels, count, bound):
             calls.append(len(labels))
             return original(stream, labels, count, bound)
 
-        monkeypatch.setattr(SeededStream, "fork_residues", recorded)
+        monkeypatch.setattr(XofStream, "fork_residues", recorded)
         return calls
 
     def test_switches_keep_the_per_node_path(self, spy):

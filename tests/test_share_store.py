@@ -2,6 +2,9 @@
 
 import json
 import sqlite3
+import struct
+import sys
+from unittest import mock
 
 import pytest
 
@@ -18,6 +21,8 @@ from repro.net import (
 )
 from repro.net.store import LEGACY_SQLITE_STORE_FORMAT
 from repro.xmltree import XmlElement
+
+share_tree_module = sys.modules["repro.core.share_tree"]
 
 
 @pytest.fixture
@@ -144,6 +149,32 @@ class TestSQLiteShareStore:
         store.close()
         with pytest.raises(ProtocolError):
             SQLiteShareStore(path)
+
+    def test_huge_width_zero_count_refused_before_decoding(
+            self, outsourced_catalog, tmp_path):
+        """A 10-byte width-0 head announcing 10**6 values, read through
+        the decoder of stores without numpy: refused by name, not decoded
+        into a million zeros."""
+        _, server_tree, _ = outsourced_catalog
+        path = str(tmp_path / "corrupt.db")
+        SQLiteShareStore.from_tree(path, server_tree).close()
+        node_id = server_tree.node_ids()[1]
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE nodes SET head = ? WHERE node_id = ?",
+                         (struct.pack("<BBII", 1, 0, 0, 10 ** 6), node_id))
+            conn.execute("DELETE FROM pages WHERE node_id = ?", (node_id,))
+        conn.close()
+        with mock.patch.object(share_tree_module, "numpy_or_none",
+                               lambda: None):
+            store = SQLiteShareStore(path)
+        try:
+            with pytest.raises(ProtocolError, match="corrupt.db.*1000000"):
+                store.share_of(node_id)
+            with pytest.raises(ProtocolError, match="corrupt.db.*1000000"):
+                store.storage_bits()
+        finally:
+            store.close()
 
     def test_missing_store_requires_ring(self, tmp_path):
         with pytest.raises(ProtocolError):
